@@ -10,7 +10,8 @@ use graphmine_adimine::{AdiConfig, AdiMine};
 use graphmine_core::{IncPartMiner, PartMiner, PartMinerConfig, PartitionerKind, UnitMinerKind};
 use graphmine_datagen::{plan_updates, ufreq_from_updates, GenParams, UpdateKind, UpdateParams};
 use graphmine_graph::{
-    io as gio, pattern_io, DbUpdate, DfsCode, DfsEdge, EmbeddingMode, GraphDb, PatternSet, Support,
+    io as gio, pattern_io, update_io, DbUpdate, DfsCode, DfsEdge, EmbeddingMode, GraphDb,
+    PatternSet, Support,
 };
 use graphmine_miner::{
     closed_patterns, maximal_patterns, Apriori, Fsg, GSpan, Gaston, MemoryMiner,
@@ -19,8 +20,6 @@ use graphmine_partition::Criteria;
 use graphmine_router::{plan_shards, PlanConfig, Router, RouterConfig, ShardTopology};
 use graphmine_serve::{Client, EngineConfig, ServeEngine, ServerConfig};
 use graphmine_telemetry::{RunReport, Telemetry};
-
-use crate::updates_io;
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -524,7 +523,7 @@ pub fn plan_updates_cmd(raw: &[String]) -> CmdResult {
     }
     let plan = plan_updates(&db, &params);
     let file = File::create(&out).map_err(|e| format!("{out}: {e}"))?;
-    updates_io::write_updates(BufWriter::new(file), &plan).map_err(|e| e.to_string())?;
+    update_io::write_updates(BufWriter::new(file), &plan).map_err(|e| e.to_string())?;
     println!(
         "planned {} updates over {:.0}% of {} graphs -> {out}",
         plan.len(),
@@ -774,7 +773,7 @@ pub fn client(raw: &[String]) -> CmdResult {
             }
             ["update", file] => {
                 let f = File::open(file).map_err(|e| format!("{file}: {e}"))?;
-                let ops = updates_io::read_updates(BufReader::new(f))
+                let ops = update_io::read_updates(BufReader::new(f))
                     .map_err(|e| format!("{file}: {e}"))?;
                 ClientCmd::Update(ops)
             }
@@ -815,7 +814,7 @@ pub fn incremental(raw: &[String]) -> CmdResult {
 
     let db = load_db(db_path)?;
     let upd_file = File::open(upd_path).map_err(|e| format!("{upd_path}: {e}"))?;
-    let plan = updates_io::read_updates(BufReader::new(upd_file))?;
+    let plan = update_io::read_updates(BufReader::new(upd_file))?;
     let ufreq = ufreq_from_updates(&db, &plan);
     let sup = db.abs_support(minsup);
 

@@ -4,4 +4,3 @@
 #![warn(rust_2018_idioms)]
 
 pub mod commands;
-pub mod updates_io;

@@ -6,8 +6,9 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::sync::Arc;
 
-use graphmine_cli::{commands, updates_io};
+use graphmine_cli::commands;
 use graphmine_datagen::{generate, plan_updates, GenParams, UpdateKind, UpdateParams};
+use graphmine_graph::update_io;
 use graphmine_serve::{start, EngineConfig, ServeEngine, ServerConfig};
 
 fn s(args: &[&str]) -> Vec<String> {
@@ -33,7 +34,7 @@ fn client_subcommand_round_trip() {
     let upd_path = dir.path().join("updates.txt");
     let ops = plan_updates(&db, &UpdateParams::new(0.25, 2, UpdateKind::Mixed, 4).with_seed(3));
     let f = File::create(&upd_path).unwrap();
-    updates_io::write_updates(BufWriter::new(f), &ops).unwrap();
+    update_io::write_updates(BufWriter::new(f), &ops).unwrap();
     commands::client(&s(&["--addr", &addr, "update", upd_path.to_str().unwrap()])).expect("update");
 
     // Server-side errors surface as CLI errors, not panics.

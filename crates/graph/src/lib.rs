@@ -66,8 +66,6 @@ mod error;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 mod graph;
-#[cfg(feature = "petgraph")]
-pub mod interop;
 pub mod intersect;
 pub mod io;
 pub mod iso;

@@ -35,14 +35,12 @@
 #![warn(rust_2018_idioms)]
 
 mod cache;
-mod front;
 mod plan;
 mod pool;
 mod router;
 mod topology;
 
-pub use front::{start, RouterHandle};
 pub use plan::{plan_shards, PlanConfig, ShardPlan};
 pub use pool::RouterConfig;
-pub use router::Router;
+pub use router::{start, Router, RouterHandle};
 pub use topology::{local_min_support, ShardSpec, ShardTopology, TOPOLOGY_VERSION};

@@ -35,14 +35,17 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use graphmine_graph::dfscode::min_dfs_code;
 use graphmine_graph::{DbUpdate, DfsCode, Graph, Support};
 use graphmine_serve::protocol::{
-    code_from_json, code_to_json, error_response, ok_response, ops_to_json, Request,
+    code_from_json, code_to_json, encode_epoch_commit, encode_patterns, encode_status,
+    encode_support_batch, encode_update, error_response, ok_response, AckMode, Request,
 };
+use graphmine_serve::{Handler, ServerConfig, ServerHandle};
 use graphmine_telemetry::{Counter, Counters, JsonValue, Telemetry};
 
 use crate::cache::{ReqKind, ResultCache};
@@ -66,8 +69,8 @@ fn drop_shard_reply(_i: usize) -> bool {
     false
 }
 
-/// The front-end router process state (socket handling lives in
-/// [`crate::front`]).
+/// The front-end router process state (the socket side is
+/// [`graphmine_serve::start`], reached through [`start`]).
 pub struct Router {
     topo: ShardTopology,
     cfg: RouterConfig,
@@ -129,10 +132,6 @@ impl Router {
         self.global_epoch.load(Ordering::SeqCst)
     }
 
-    fn counters(&self) -> &Counters {
-        self.tel.counters()
-    }
-
     /// Cache lookup for the answer to `(kind, args)` under `epoch`.
     fn cache_get(&self, epoch: u64, kind: ReqKind, args: &str) -> Option<JsonValue> {
         self.cache.lock().expect("cache poisoned").get(epoch, kind, args, self.counters())
@@ -178,9 +177,8 @@ impl Router {
         let global = self.global_epoch();
         for r in 0..st.addrs.len() {
             let seq = st.committed_seqs[r];
-            if let Err(e) =
-                st.request_replica(r, &commit_line(global, seq), &self.cfg, self.counters())
-            {
+            let line = encode_epoch_commit(global, seq);
+            if let Err(e) = st.request_replica(r, &line, &self.cfg, self.counters()) {
                 st.dead = true;
                 return Err(format!(
                     "shard {i}: replica not caught up to epoch {global} seq {seq}: {e}"
@@ -233,12 +231,7 @@ impl Router {
     /// Returns the per-code sums and whether the answer is partial
     /// (some shard was down and its owned graphs went uncounted).
     fn gather_supports(&self, codes: &[DfsCode]) -> (Vec<u64>, bool) {
-        let line = JsonValue::Obj(vec![
-            ("cmd".to_string(), JsonValue::Str("support-batch".to_string())),
-            ("codes".to_string(), JsonValue::Arr(codes.iter().map(code_to_json).collect())),
-            ("owned".to_string(), JsonValue::Num(1)),
-        ])
-        .to_json();
+        let line = encode_support_batch(codes, true);
         let all: Vec<usize> = (0..self.shards.len()).collect();
         let replies =
             self.scatter(&all, |_i, st| st.read_request(&line, &self.cfg, self.counters()));
@@ -344,11 +337,7 @@ impl Router {
         } else {
             (top as u64).saturating_mul(self.cfg.phase1_overprovision.max(1) as u64)
         };
-        let line = JsonValue::Obj(vec![
-            ("cmd".to_string(), JsonValue::Str("patterns".to_string())),
-            ("top".to_string(), JsonValue::Num(bound)),
-        ])
-        .to_json();
+        let line = encode_patterns(Some(bound), None);
         let all: Vec<usize> = (0..self.shards.len()).collect();
         let replies =
             self.scatter(&all, |_i, st| st.read_request(&line, &self.cfg, self.counters()));
@@ -454,10 +443,10 @@ impl Router {
     /// dead-shard list, per-shard epochs and queue depths, and the
     /// router's own counters.
     pub fn status(&self) -> JsonValue {
-        let line = r#"{"cmd":"status"}"#;
+        let line = encode_status(false);
         let all: Vec<usize> = (0..self.shards.len()).collect();
         let replies =
-            self.scatter(&all, |_i, st| st.read_request(line, &self.cfg, self.counters()));
+            self.scatter(&all, |_i, st| st.read_request(&line, &self.cfg, self.counters()));
         let mut shards = Vec::with_capacity(replies.len());
         let mut dead = Vec::new();
         for (i, reply) in replies {
@@ -534,12 +523,7 @@ impl Router {
 
         // Phase 0: validate each sub-window on its owner shard.
         let dry = self.scatter(&touched, |i, st| {
-            let line = JsonValue::Obj(vec![
-                ("cmd".to_string(), JsonValue::Str("update".to_string())),
-                ("dry_run".to_string(), JsonValue::Num(1)),
-                ("ops".to_string(), ops_to_json(&windows[i])),
-            ])
-            .to_json();
+            let line = encode_update(&windows[i], AckMode::Applied, true);
             st.read_request(&line, &self.cfg, self.counters())
         });
         for (i, reply) in &dry {
@@ -558,12 +542,7 @@ impl Router {
         // Phase 1 (prepare): durable-ack the sub-window on every replica
         // of every touched shard; collect each replica's journal seq.
         let prepared = self.scatter(&touched, |i, st| {
-            let line = JsonValue::Obj(vec![
-                ("cmd".to_string(), JsonValue::Str("update".to_string())),
-                ("ack".to_string(), JsonValue::Str("durable".to_string())),
-                ("ops".to_string(), ops_to_json(&windows[i])),
-            ])
-            .to_json();
+            let line = encode_update(&windows[i], AckMode::Durable, false);
             let replies = st.write_all_replicas(&line, &self.cfg, self.counters())?;
             let mut seqs = Vec::with_capacity(replies.len());
             for (r, reply) in replies.iter().enumerate() {
@@ -609,7 +588,8 @@ impl Router {
             // barrier.
             st.committed_seqs = seqs.clone();
             for (r, &seq) in seqs.iter().enumerate() {
-                st.request_replica(r, &commit_line(global, seq), &self.cfg, self.counters())?;
+                let line = encode_epoch_commit(global, seq);
+                st.request_replica(r, &line, &self.cfg, self.counters())?;
             }
             Ok(())
         });
@@ -634,7 +614,7 @@ impl Router {
         let untouched: Vec<usize> =
             (0..self.topo.n_shards()).filter(|s| !touched.contains(s)).collect();
         if !untouched.is_empty() {
-            let line = commit_line(global, 0);
+            let line = encode_epoch_commit(global, 0);
             let _ = self
                 .scatter(&untouched, |_i, st| st.read_request(&line, &self.cfg, self.counters()));
         }
@@ -652,8 +632,9 @@ impl Router {
     }
 
     /// Serves one parsed protocol request — the front end's dispatcher.
-    /// `Shutdown` is the front end's business and answered with an error
-    /// here; `epoch-commit` is a shard-side verb.
+    /// `shutdown` is acknowledged here and stops only the front end (the
+    /// shards are owned by their own processes); `epoch-commit` is a
+    /// shard-side verb.
     pub fn handle(&self, req: &Request) -> JsonValue {
         match req {
             Request::Status { .. } => self.status(),
@@ -664,17 +645,57 @@ impl Router {
             Request::EpochCommit { .. } => {
                 error_response("epoch-commit is shard-side; the router publishes epochs itself")
             }
-            Request::Shutdown => error_response("shutdown is handled by the front end"),
+            Request::Shutdown => ok_response(vec![("stopping", JsonValue::Num(1))]),
         }
     }
 }
 
-/// The `epoch-commit` request line.
-fn commit_line(global: u64, seq: u64) -> String {
-    JsonValue::Obj(vec![
-        ("cmd".to_string(), JsonValue::Str("epoch-commit".to_string())),
-        ("global".to_string(), JsonValue::Num(global)),
-        ("seq".to_string(), JsonValue::Num(seq)),
-    ])
-    .to_json()
+impl Handler for Router {
+    fn handle(&self, req: &Request) -> JsonValue {
+        Router::handle(self, req)
+    }
+
+    fn counters(&self) -> &Counters {
+        self.tel.counters()
+    }
+}
+
+/// A running router front end; dropping it stops its threads.
+pub struct RouterHandle(ServerHandle<Router>);
+
+impl RouterHandle {
+    /// The bound address (resolves port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.0.addr()
+    }
+
+    /// The router behind this front end.
+    pub fn router(&self) -> &Arc<Router> {
+        self.0.handler()
+    }
+
+    /// Blocks until a client `shutdown` stops the front end.
+    ///
+    /// # Errors
+    ///
+    /// None today: the router has no state to leave clean.
+    pub fn wait(self) -> Result<(), String> {
+        self.0.wait()
+    }
+
+    /// Stops the front end without waiting for a client request.
+    pub fn abort(self) {
+        self.0.abort();
+    }
+}
+
+/// Binds `addr` and starts serving scatter/gather requests on the shared
+/// NDJSON server loop, sized by [`ServerConfig::default`].
+///
+/// # Errors
+///
+/// Bind failures, with the address in the message.
+pub fn start(router: Arc<Router>, addr: &str) -> Result<RouterHandle, String> {
+    let cfg = ServerConfig { addr: addr.to_string(), ..ServerConfig::default() };
+    graphmine_serve::start(router, &cfg).map(RouterHandle)
 }

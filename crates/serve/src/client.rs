@@ -12,7 +12,7 @@ use std::time::Duration;
 use graphmine_graph::{DbUpdate, DfsCode, Support};
 use graphmine_telemetry::JsonValue;
 
-use crate::protocol::{code_to_json, ops_to_json, AckMode};
+use crate::protocol::{self, AckMode};
 
 /// Backoff schedule for updates shed with `backpressure`.
 ///
@@ -64,7 +64,7 @@ impl RetryPolicy {
 
 /// `true` for the error kinds a socket timeout surfaces as (platform
 /// dependent: `WouldBlock` on Unix, `TimedOut` on Windows).
-fn is_timeout(e: &std::io::Error) -> bool {
+pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
@@ -251,11 +251,7 @@ impl Client {
     ///
     /// As [`Client::request_line`].
     pub fn status(&mut self, report: bool) -> Result<JsonValue, String> {
-        let mut fields = vec![("cmd".to_string(), JsonValue::Str("status".to_string()))];
-        if report {
-            fields.push(("report".to_string(), JsonValue::Num(1)));
-        }
-        self.request(&JsonValue::Obj(fields))
+        self.request_line(&protocol::encode_status(report))
     }
 
     /// A `patterns` request.
@@ -268,14 +264,7 @@ impl Client {
         top: Option<usize>,
         min_support: Option<Support>,
     ) -> Result<JsonValue, String> {
-        let mut fields = vec![("cmd".to_string(), JsonValue::Str("patterns".to_string()))];
-        if let Some(top) = top {
-            fields.push(("top".to_string(), JsonValue::Num(top as u64)));
-        }
-        if let Some(ms) = min_support {
-            fields.push(("min_support".to_string(), JsonValue::Num(u64::from(ms))));
-        }
-        self.request(&JsonValue::Obj(fields))
+        self.request_line(&protocol::encode_patterns(top.map(|t| t as u64), min_support))
     }
 
     /// A `support` request for a DFS code.
@@ -284,10 +273,7 @@ impl Client {
     ///
     /// As [`Client::request_line`].
     pub fn support(&mut self, code: &DfsCode) -> Result<JsonValue, String> {
-        self.request(&JsonValue::Obj(vec![
-            ("cmd".to_string(), JsonValue::Str("support".to_string())),
-            ("code".to_string(), code_to_json(code)),
-        ]))
+        self.request_line(&protocol::encode_support(code, false))
     }
 
     /// An `update` request with `ack: applied`; `Ok` means the window is
@@ -334,14 +320,7 @@ impl Client {
     /// As [`Client::request_line`]; `backpressure` shedding surfaces as
     /// an `Err` whose message starts with `backpressure`.
     pub fn update_once(&mut self, ops: &[DbUpdate], ack: AckMode) -> Result<JsonValue, String> {
-        let mut fields = vec![
-            ("cmd".to_string(), JsonValue::Str("update".to_string())),
-            ("ops".to_string(), ops_to_json(ops)),
-        ];
-        if ack == AckMode::Durable {
-            fields.push(("ack".to_string(), JsonValue::Str("durable".to_string())));
-        }
-        self.request(&JsonValue::Obj(fields))
+        self.request_line(&protocol::encode_update(ops, ack, false))
     }
 
     /// A `support-batch` request: exact supports of several codes in one
@@ -351,14 +330,7 @@ impl Client {
     ///
     /// As [`Client::request_line`].
     pub fn support_batch(&mut self, codes: &[DfsCode], owned: bool) -> Result<JsonValue, String> {
-        let mut fields = vec![
-            ("cmd".to_string(), JsonValue::Str("support-batch".to_string())),
-            ("codes".to_string(), JsonValue::Arr(codes.iter().map(code_to_json).collect())),
-        ];
-        if owned {
-            fields.push(("owned".to_string(), JsonValue::Num(1)));
-        }
-        self.request(&JsonValue::Obj(fields))
+        self.request_line(&protocol::encode_support_batch(codes, owned))
     }
 
     /// An `epoch-commit` request (router 2PC commit).
@@ -367,11 +339,7 @@ impl Client {
     ///
     /// As [`Client::request_line`].
     pub fn epoch_commit(&mut self, global: u64, seq: u64) -> Result<JsonValue, String> {
-        self.request(&JsonValue::Obj(vec![
-            ("cmd".to_string(), JsonValue::Str("epoch-commit".to_string())),
-            ("global".to_string(), JsonValue::Num(global)),
-            ("seq".to_string(), JsonValue::Num(seq)),
-        ]))
+        self.request_line(&protocol::encode_epoch_commit(global, seq))
     }
 
     /// A `shutdown` request.
@@ -380,10 +348,7 @@ impl Client {
     ///
     /// As [`Client::request_line`].
     pub fn shutdown(&mut self) -> Result<JsonValue, String> {
-        self.request(&JsonValue::Obj(vec![(
-            "cmd".to_string(),
-            JsonValue::Str("shutdown".to_string()),
-        )]))
+        self.request_line(&protocol::encode_shutdown())
     }
 }
 

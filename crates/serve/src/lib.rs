@@ -16,8 +16,9 @@
 //!   applier thread re-mining on the shared `graphmine-exec` pool;
 //! * [`start`] / [`ServerHandle`] — the TCP front end: accept thread,
 //!   bounded connection queue with explicit `overloaded` shedding, and
-//!   a fixed worker pool (std threads only — no async runtime);
-//! * [`protocol`] — the wire format;
+//!   a fixed worker pool (std threads only — no async runtime), generic
+//!   over a [`Handler`] so the router's front end is this same loop;
+//! * [`protocol`] — the wire format, parsed and encoded;
 //! * [`Client`] — a small blocking client for tools and tests, with
 //!   jittered-backoff [`RetryPolicy`] retries on `backpressure`.
 //!
@@ -43,4 +44,4 @@ pub use engine::{
 };
 pub use ingest::{coalesce_window, IngestConfig};
 pub use protocol::{AckMode, Request};
-pub use server::{start, ServerConfig, ServerHandle};
+pub use server::{start, Handler, ServerConfig, ServerHandle, MAX_REQUEST_LINE};

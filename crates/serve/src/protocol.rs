@@ -45,7 +45,7 @@
 //! the router's published global epoch, which `status` reports alongside
 //! the local one.
 
-use graphmine_graph::{DbUpdate, DfsCode, Graph, GraphUpdate, Pattern, VLabel};
+use graphmine_graph::{DbUpdate, DfsCode, Graph, GraphUpdate, Pattern, Support, VLabel};
 use graphmine_telemetry::JsonValue;
 
 /// Patterns returned by a `patterns` request when `top` is omitted.
@@ -192,6 +192,63 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
+/// One request line: `cmd` first, then the fields that are present, in
+/// the order given (the order the module docs show).
+fn encode(cmd: &str, fields: Vec<(&str, Option<JsonValue>)>) -> String {
+    let mut obj = vec![("cmd".to_string(), JsonValue::Str(cmd.to_string()))];
+    obj.extend(fields.into_iter().filter_map(|(k, v)| Some((k.to_string(), v?))));
+    JsonValue::Obj(obj).to_json()
+}
+
+/// A `0`/`1` flag field: written as `1`, or left out.
+fn flag(on: bool) -> Option<JsonValue> {
+    on.then_some(JsonValue::Num(1))
+}
+
+/// The `status` request line.
+pub fn encode_status(report: bool) -> String {
+    encode("status", vec![("report", flag(report))])
+}
+
+/// The `patterns` request line; an omitted field takes the server's
+/// default.
+pub fn encode_patterns(top: Option<u64>, min_support: Option<Support>) -> String {
+    let min_support = min_support.map(|s| JsonValue::Num(u64::from(s)));
+    encode("patterns", vec![("top", top.map(JsonValue::Num)), ("min_support", min_support)])
+}
+
+/// The `support` request line, `code` form.
+pub fn encode_support(code: &DfsCode, owned: bool) -> String {
+    encode("support", vec![("code", Some(code_to_json(code))), ("owned", flag(owned))])
+}
+
+/// The `support-batch` request line.
+pub fn encode_support_batch(codes: &[DfsCode], owned: bool) -> String {
+    let codes = JsonValue::Arr(codes.iter().map(code_to_json).collect());
+    encode("support-batch", vec![("codes", Some(codes)), ("owned", flag(owned))])
+}
+
+/// The `update` request line; `ack` is written only when it is not the
+/// default.
+pub fn encode_update(ops: &[DbUpdate], ack: AckMode, dry_run: bool) -> String {
+    let ack = (ack == AckMode::Durable).then(|| JsonValue::Str("durable".to_string()));
+    encode(
+        "update",
+        vec![("ack", ack), ("dry_run", flag(dry_run)), ("ops", Some(ops_to_json(ops)))],
+    )
+}
+
+/// The `epoch-commit` request line.
+pub fn encode_epoch_commit(global: u64, seq: u64) -> String {
+    let (global, seq) = (JsonValue::Num(global), JsonValue::Num(seq));
+    encode("epoch-commit", vec![("global", Some(global)), ("seq", Some(seq))])
+}
+
+/// The `shutdown` request line.
+pub fn encode_shutdown() -> String {
+    encode("shutdown", Vec::new())
+}
+
 /// An `{"status":"ok", ...fields}` response.
 pub fn ok_response(fields: Vec<(&str, JsonValue)>) -> JsonValue {
     let mut obj = vec![("status".to_string(), JsonValue::Str("ok".to_string()))];
@@ -259,27 +316,6 @@ pub fn code_from_json(value: &JsonValue) -> Result<DfsCode, String> {
         });
     }
     Ok(DfsCode(out))
-}
-
-/// Serializes a pattern graph as the wire's `graph` spec
-/// (`{"vertices":[label,...],"edges":[[u,v,label],...]}`), the client
-/// side of the `support` request's `graph` form.
-pub fn graph_to_json(g: &Graph) -> JsonValue {
-    let vertices = g.vlabels().iter().map(|&l| JsonValue::Num(u64::from(l))).collect();
-    let edges = g
-        .edges()
-        .map(|(_, u, v, l)| {
-            JsonValue::Arr(vec![
-                JsonValue::Num(u64::from(u)),
-                JsonValue::Num(u64::from(v)),
-                JsonValue::Num(u64::from(l)),
-            ])
-        })
-        .collect();
-    JsonValue::Obj(vec![
-        ("vertices".to_string(), JsonValue::Arr(vertices)),
-        ("edges".to_string(), JsonValue::Arr(edges)),
-    ])
 }
 
 /// Serializes a pattern as `{"support":s,"size":edges,"code":[...]}`.
@@ -479,6 +515,7 @@ fn ops_from_json(value: &JsonValue) -> Result<Vec<DbUpdate>, String> {
 mod tests {
     use super::*;
     use graphmine_graph::dfscode::min_dfs_code;
+    use graphmine_graph::DfsEdge;
 
     #[test]
     fn parses_every_command() {
@@ -593,11 +630,7 @@ mod tests {
             DbUpdate { gid: 2, update: GraphUpdate::DeleteEdge { e: 4 } },
             DbUpdate { gid: 5, update: GraphUpdate::DeleteVertex { v: 3 } },
         ];
-        let line = JsonValue::Obj(vec![
-            ("cmd".to_string(), JsonValue::Str("update".to_string())),
-            ("ops".to_string(), ops_to_json(&ops)),
-        ])
-        .to_json();
+        let line = encode_update(&ops, AckMode::Applied, false);
         assert_eq!(
             parse_request(&line).unwrap(),
             Request::Update { ops, ack: AckMode::Applied, dry_run: false }
@@ -633,6 +666,117 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"epoch-commit"}"#).is_err());
     }
 
+    /// Every encoder, every flag combination: the line parses back to the
+    /// request it encodes and equals, byte for byte, the line the parent
+    /// commit's hand-built objects put on the wire (captured there from
+    /// `Client` against an echo listener and from `Router` against a
+    /// scripted shard). One line moved: see the end of the test.
+    #[test]
+    fn encoders_round_trip_and_match_the_golden_lines() {
+        let code = DfsCode(vec![DfsEdge::new(0, 1, 0, 5, 1), DfsEdge::new(1, 2, 1, 6, 0)]);
+        let codes = [code.clone(), DfsCode(vec![DfsEdge::new(0, 1, 2, 5, 3)])];
+        let graphs: Vec<Graph> = codes.iter().map(DfsCode::to_graph).collect();
+        let ops = vec![
+            DbUpdate { gid: 0, update: GraphUpdate::AddEdge { u: 0, v: 6, label: 2 } },
+            DbUpdate { gid: 0, update: GraphUpdate::DeleteVertex { v: 3 } },
+        ];
+        const OPS: &str = r#"[{"gid":0,"op":"add-edge","u":0,"v":6,"label":2},{"gid":0,"op":"delete-vertex","v":3}]"#;
+        let update = |ack, dry_run| Request::Update { ops: ops.clone(), ack, dry_run };
+        let patterns = |top, min_support| Request::Patterns { top, min_support };
+        let table: Vec<(String, String, Request)> = vec![
+            (encode_status(false), r#"{"cmd":"status"}"#.into(), Request::Status { report: false }),
+            (
+                encode_status(true),
+                r#"{"cmd":"status","report":1}"#.into(),
+                Request::Status { report: true },
+            ),
+            (encode_patterns(None, None), r#"{"cmd":"patterns"}"#.into(), patterns(50, None)),
+            (
+                encode_patterns(Some(10), None),
+                r#"{"cmd":"patterns","top":10}"#.into(),
+                patterns(10, None),
+            ),
+            (
+                encode_patterns(None, Some(3)),
+                r#"{"cmd":"patterns","min_support":3}"#.into(),
+                patterns(50, Some(3)),
+            ),
+            (
+                encode_patterns(Some(10), Some(3)),
+                r#"{"cmd":"patterns","top":10,"min_support":3}"#.into(),
+                patterns(10, Some(3)),
+            ),
+            (
+                encode_patterns(Some(1_000_000_000), None),
+                r#"{"cmd":"patterns","top":1000000000}"#.into(),
+                patterns(1_000_000_000, None),
+            ),
+            (
+                encode_support(&code, false),
+                r#"{"cmd":"support","code":[[0,1,0,5,1],[1,2,1,6,0]]}"#.into(),
+                Request::Support { graph: graphs[0].clone(), owned: false },
+            ),
+            (
+                // No parent caller sets `owned` on a single `support`
+                // (the router batches); the line is the documented form.
+                encode_support(&code, true),
+                r#"{"cmd":"support","code":[[0,1,0,5,1],[1,2,1,6,0]],"owned":1}"#.into(),
+                Request::Support { graph: graphs[0].clone(), owned: true },
+            ),
+            (
+                encode_support_batch(&codes, false),
+                r#"{"cmd":"support-batch","codes":[[[0,1,0,5,1],[1,2,1,6,0]],[[0,1,2,5,3]]]}"#.into(),
+                Request::SupportBatch { graphs: graphs.clone(), owned: false },
+            ),
+            (
+                encode_support_batch(&codes, true),
+                r#"{"cmd":"support-batch","codes":[[[0,1,0,5,1],[1,2,1,6,0]],[[0,1,2,5,3]]],"owned":1}"#
+                    .into(),
+                Request::SupportBatch { graphs, owned: true },
+            ),
+            (
+                encode_update(&ops, AckMode::Applied, false),
+                format!(r#"{{"cmd":"update","ops":{OPS}}}"#),
+                update(AckMode::Applied, false),
+            ),
+            (
+                encode_update(&ops, AckMode::Durable, false),
+                format!(r#"{{"cmd":"update","ack":"durable","ops":{OPS}}}"#),
+                update(AckMode::Durable, false),
+            ),
+            (
+                encode_update(&ops, AckMode::Applied, true),
+                format!(r#"{{"cmd":"update","dry_run":1,"ops":{OPS}}}"#),
+                update(AckMode::Applied, true),
+            ),
+            (
+                // No parent caller combines the two (a dry run ignores
+                // `ack`); flags stay in documented order.
+                encode_update(&ops, AckMode::Durable, true),
+                format!(r#"{{"cmd":"update","ack":"durable","dry_run":1,"ops":{OPS}}}"#),
+                update(AckMode::Durable, true),
+            ),
+            (
+                encode_epoch_commit(7, 2),
+                r#"{"cmd":"epoch-commit","global":7,"seq":2}"#.into(),
+                Request::EpochCommit { global: 7, seq: 2 },
+            ),
+            (encode_shutdown(), r#"{"cmd":"shutdown"}"#.into(), Request::Shutdown),
+        ];
+        for (line, golden, request) in table {
+            assert_eq!(line, golden);
+            assert_eq!(parse_request(&line).unwrap(), request, "{line}");
+        }
+        // The parent wrote a durable update two ways: the router's
+        // prepare as above, `Client::update_durable` with `ack` after
+        // `ops`. One encoder means one order — the documented one — so
+        // the client's line moved a field: same length, same request.
+        let parent_client = format!(r#"{{"cmd":"update","ops":{OPS},"ack":"durable"}}"#);
+        let now = encode_update(&ops, AckMode::Durable, false);
+        assert_eq!(now.len(), parent_client.len());
+        assert_eq!(parse_request(&now), parse_request(&parent_client));
+    }
+
     #[test]
     fn code_json_round_trips_without_validation() {
         let mut g = Graph::new();
@@ -646,24 +790,6 @@ mod tests {
         assert_eq!(back, code);
         assert!(code_from_json(&JsonValue::Num(3)).is_err());
         assert!(code_from_json(&JsonValue::parse("[[1,2,3]]").unwrap()).is_err());
-    }
-
-    #[test]
-    fn graph_json_round_trips_through_support_parse() {
-        let mut g = Graph::new();
-        let a = g.add_vertex(4);
-        let b = g.add_vertex(5);
-        g.add_edge(a, b, 9).unwrap();
-        let line = JsonValue::Obj(vec![
-            ("cmd".to_string(), JsonValue::Str("support".to_string())),
-            ("graph".to_string(), graph_to_json(&g)),
-        ])
-        .to_json();
-        let Request::Support { graph, .. } = parse_request(&line).unwrap() else {
-            panic!("not a support request")
-        };
-        assert_eq!(graph.vlabels(), g.vlabels());
-        assert_eq!(graph.edge_count(), 1);
     }
 
     #[test]

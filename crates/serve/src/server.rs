@@ -1,35 +1,79 @@
-//! The TCP front end: an accept thread, a bounded connection queue, and
-//! a fixed worker pool.
+//! The NDJSON TCP endpoint — the only one in the repository: an accept
+//! thread, a bounded connection queue, and a fixed worker pool, generic
+//! over the [`Handler`] that answers the parsed requests. The daemon
+//! serves a [`ServeEngine`] through it, the router a `Router`.
 //!
 //! Load shedding is explicit: when the queue is full the accept thread
 //! immediately writes an `overloaded` error on the new connection and
 //! closes it rather than letting requests pile up unboundedly. Workers
 //! serve a connection until the client closes it, handling any number
-//! of newline-delimited requests.
+//! of newline-delimited requests of at most [`MAX_REQUEST_LINE`] bytes.
 //!
 //! Shutdown has two flavors. A client `shutdown` request (or
 //! [`ServerHandle::wait`] returning) stops the threads and runs
-//! [`ServeEngine::clean_stop`] — snapshot, persist patterns, truncate
-//! the journal. [`ServerHandle::abort`] stops the threads *without* the
-//! clean stop, leaving the data directory exactly as a `kill -9` would;
-//! tests use it to exercise journal recovery.
+//! [`Handler::clean_stop`] — for the engine: snapshot, persist patterns,
+//! truncate the journal. [`ServerHandle::abort`] stops the threads
+//! *without* the clean stop, leaving the data directory exactly as a
+//! `kill -9` would; tests use it to exercise journal recovery.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use graphmine_telemetry::Counter;
+use graphmine_telemetry::{Counter, Counters, JsonValue};
 
+use crate::client::is_timeout;
 use crate::engine::ServeEngine;
 use crate::protocol::{self, Request};
 
 /// How long a worker blocks on an idle connection before re-checking the
 /// shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Longest request line accepted, newline excluded. A longer line is
+/// answered with an error and the connection is closed, so a peer that
+/// never sends a newline cannot grow a worker's buffer without bound.
+/// Sized from the longest line the fleet sends itself, the router's
+/// phase-2 `support-batch` (95,510 bytes measured), with the headroom
+/// docs/SERVICE.md works out.
+pub const MAX_REQUEST_LINE: usize = 4 << 20;
+
+/// What the server loop needs from the thing it serves.
+pub trait Handler: Send + Sync + 'static {
+    /// Answers one parsed request. `shutdown` gets its acknowledgement
+    /// here; stopping the threads is the loop's business.
+    fn handle(&self, req: &Request) -> JsonValue;
+
+    /// Where the loop counts `req_errors` and `req_overloaded`.
+    fn counters(&self) -> &Counters;
+
+    /// Runs when [`ServerHandle::wait`] returns after a client `shutdown`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever keeps the handler's state from being left clean.
+    fn clean_stop(&self) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+impl Handler for ServeEngine {
+    fn handle(&self, req: &Request) -> JsonValue {
+        ServeEngine::handle(self, req)
+    }
+
+    fn counters(&self) -> &Counters {
+        self.telemetry().counters()
+    }
+
+    fn clean_stop(&self) -> Result<(), String> {
+        ServeEngine::clean_stop(self)
+    }
+}
 
 /// Socket-side configuration.
 #[derive(Debug, Clone)]
@@ -95,14 +139,14 @@ impl ConnQueue {
 }
 
 /// Everything a worker needs, shared across threads.
-struct Shared {
-    engine: Arc<ServeEngine>,
+struct Shared<H> {
+    handler: Arc<H>,
     queue: ConnQueue,
     shutdown: AtomicBool,
     addr: SocketAddr,
 }
 
-impl Shared {
+impl<H> Shared<H> {
     /// Flags shutdown and wakes every blocked thread: workers via the
     /// queue's condvar, the accept thread via a throwaway connection to
     /// its own listener (blocking `accept` has no other wake-up).
@@ -117,22 +161,23 @@ impl Shared {
 
 /// A running server; dropping it stops the threads (without a clean
 /// stop — call [`ServerHandle::wait`] for that).
-pub struct ServerHandle {
-    shared: Arc<Shared>,
+pub struct ServerHandle<H: Handler = ServeEngine> {
+    shared: Arc<Shared<H>>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Binds and starts the daemon over a booted engine.
+/// Binds and starts serving `handler` (the daemon passes its booted
+/// engine).
 ///
 /// # Errors
 ///
 /// Fails when the address cannot be bound.
-pub fn start(engine: Arc<ServeEngine>, cfg: &ServerConfig) -> Result<ServerHandle, String> {
+pub fn start<H: Handler>(handler: Arc<H>, cfg: &ServerConfig) -> Result<ServerHandle<H>, String> {
     let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     let shared = Arc::new(Shared {
-        engine,
+        handler,
         queue: ConnQueue::new(cfg.queue_depth.max(1)),
         shutdown: AtomicBool::new(false),
         addr,
@@ -160,30 +205,32 @@ pub fn start(engine: Arc<ServeEngine>, cfg: &ServerConfig) -> Result<ServerHandl
 }
 
 impl ServerHandle {
+    /// The engine behind the server.
+    pub fn engine(&self) -> &Arc<ServeEngine> {
+        self.handler()
+    }
+}
+
+impl<H: Handler> ServerHandle<H> {
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.shared.addr
     }
 
-    /// The engine behind the server.
-    pub fn engine(&self) -> &Arc<ServeEngine> {
-        &self.shared.engine
-    }
-
-    /// Whether a shutdown has been requested.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Relaxed)
+    /// The handler behind the server.
+    pub fn handler(&self) -> &Arc<H> {
+        &self.shared.handler
     }
 
     /// Blocks until a client requests shutdown, then stops the threads
-    /// and runs [`ServeEngine::clean_stop`].
+    /// and runs [`Handler::clean_stop`].
     ///
     /// # Errors
     ///
     /// Propagates clean-stop I/O failures.
     pub fn wait(mut self) -> Result<(), String> {
         self.join_threads();
-        self.shared.engine.clean_stop()
+        self.shared.handler.clean_stop()
     }
 
     /// Stops the threads *without* the clean stop: the data directory is
@@ -206,7 +253,7 @@ impl ServerHandle {
     }
 }
 
-impl Drop for ServerHandle {
+impl<H: Handler> Drop for ServerHandle<H> {
     fn drop(&mut self) {
         if self.accept.is_some() || !self.workers.is_empty() {
             self.shared.begin_shutdown();
@@ -215,7 +262,7 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
+fn accept_loop<H: Handler>(listener: &TcpListener, shared: &Shared<H>) {
     for conn in listener.incoming() {
         if shared.shutdown.load(Ordering::Relaxed) {
             break;
@@ -223,16 +270,15 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         let Ok(conn) = conn else { continue };
         if let Err(mut conn) = shared.queue.try_push(conn) {
             // Shed: tell the client explicitly instead of timing out.
-            shared.engine.telemetry().counters().bump(Counter::ReqOverloaded);
-            let line = protocol::error_response("overloaded").to_json();
-            let _ = writeln!(conn, "{line}");
+            shared.handler.counters().bump(Counter::ReqOverloaded);
+            let _ = reply(&mut conn, &protocol::error_response("overloaded"));
             let _ = conn.shutdown(Shutdown::Write);
         }
     }
     shared.queue.wake_all();
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop<H: Handler>(shared: &Shared<H>) {
     while let Some(conn) = shared.queue.pop(&shared.shutdown) {
         serve_conn(conn, shared);
     }
@@ -242,51 +288,47 @@ fn worker_loop(shared: &Shared) {
 /// timeout keeps an idle client from pinning the worker across a
 /// shutdown; partially read lines survive timeouts because the buffer
 /// is only cleared after a full line is handled.
-fn serve_conn(conn: TcpStream, shared: &Shared) {
+fn serve_conn<H: Handler>(conn: TcpStream, shared: &Shared<H>) {
     let _ = conn.set_read_timeout(Some(READ_POLL));
     let Ok(read_half) = conn.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut writer = conn;
-    let mut line = String::new();
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        match reader.read_line(&mut line) {
+    let mut line = Vec::new();
+    while !shared.shutdown.load(Ordering::Relaxed) {
+        // Never buffer more than the cap plus the newline that ends it.
+        let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => return,
-            Ok(_) => {
-                if !line.trim().is_empty() {
-                    let stop = respond(&line, &mut writer, shared);
-                    if stop {
-                        return;
-                    }
-                }
-                line.clear();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            Ok(_) => {}
+            Err(e) if is_timeout(&e) => continue,
             Err(_) => return,
         }
+        if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            shared.handler.counters().bump(Counter::ReqErrors);
+            let msg = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            let _ = reply(&mut writer, &protocol::error_response(&msg));
+            return;
+        }
+        // Bytes that are not UTF-8 parse as bad JSON and get that error.
+        let text = String::from_utf8_lossy(&line);
+        if !text.trim().is_empty() && respond(&text, &mut writer, shared) {
+            return;
+        }
+        line.clear();
     }
 }
 
 /// Handles one request line; returns `true` when the connection (and on
 /// `shutdown`, the server) should stop.
-fn respond(line: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
-    let counters = shared.engine.telemetry().counters();
+fn respond<H: Handler>(line: &str, writer: &mut TcpStream, shared: &Shared<H>) -> bool {
     let (response, stop) = match protocol::parse_request(line) {
-        Ok(Request::Shutdown) => (shared.engine.handle(&Request::Shutdown), true),
-        Ok(req) => (shared.engine.handle(&req), false),
+        Ok(req) => (shared.handler.handle(&req), matches!(req, Request::Shutdown)),
         Err(e) => {
-            counters.bump(Counter::ReqErrors);
+            shared.handler.counters().bump(Counter::ReqErrors);
             (protocol::error_response(&e), false)
         }
     };
-    let sent = writeln!(writer, "{}", response.to_json()).and_then(|()| writer.flush());
+    let sent = reply(writer, &response);
     if stop {
         // Only begin the shutdown after the acknowledgement is on the
         // wire so the requesting client sees its response.
@@ -294,4 +336,9 @@ fn respond(line: &str, writer: &mut TcpStream, shared: &Shared) -> bool {
         return true;
     }
     sent.is_err()
+}
+
+/// Writes one response line.
+fn reply(writer: &mut TcpStream, response: &JsonValue) -> std::io::Result<()> {
+    writeln!(writer, "{}", response.to_json()).and_then(|()| writer.flush())
 }

@@ -1,0 +1,153 @@
+//! The one NDJSON server loop, exercised over both handlers it serves —
+//! a daemon's [`ServeEngine`] and a router's [`Router`]: a request split
+//! across the poll timeout, explicit shedding when the connection queue
+//! fills, error replies for garbage, and the request-line cap.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
+use std::time::Duration;
+
+use graphmine_datagen::{generate, GenParams};
+use graphmine_router::{Router, RouterConfig, ShardSpec, ShardTopology};
+use graphmine_serve::{
+    start, Client, EngineConfig, Handler, ServeEngine, ServerConfig, ServerHandle, MAX_REQUEST_LINE,
+};
+use graphmine_telemetry::JsonValue;
+
+fn engine(dir: &std::path::Path) -> Arc<ServeEngine> {
+    let db = generate(&GenParams::new(24, 6, 4, 4, 3).with_seed(11));
+    let cfg = EngineConfig { min_support: db.abs_support(0.3), k: 2, ..EngineConfig::default() };
+    Arc::new(ServeEngine::boot(Some(&db), dir, &cfg).unwrap().0)
+}
+
+/// A router over one shard nobody listens on: `status` still answers
+/// (degraded), which is all these rows need from it.
+fn router() -> Arc<Router> {
+    let topo = ShardTopology {
+        min_support: 1,
+        local_min_support: 1,
+        k: 1,
+        policy: "units".to_string(),
+        n_graphs: 1,
+        router_addr: "127.0.0.1:0".to_string(),
+        shards: vec![ShardSpec {
+            id: 0,
+            units: vec![0],
+            owned: vec![0],
+            replicas: vec!["127.0.0.1:1".to_string()],
+            data: "shard-0.txt".to_string(),
+        }],
+    };
+    Arc::new(Router::new(topo, RouterConfig::default()).unwrap())
+}
+
+/// Runs `row` against a server over each handler. The row gets the
+/// address and one established control connection — proven served by a
+/// completed `status` — which also carries the final `shutdown`.
+fn over_both_handlers(cfg: &ServerConfig, row: fn(SocketAddr, &mut Client)) {
+    fn run<H: Handler>(handle: ServerHandle<H>, row: fn(SocketAddr, &mut Client)) {
+        let mut ctl = Client::connect(handle.addr()).unwrap();
+        ctl.status(false).unwrap();
+        row(handle.addr(), &mut ctl);
+        ctl.shutdown().unwrap();
+        handle.wait().unwrap();
+    }
+    let dir = tempfile::tempdir().unwrap();
+    run(start(engine(dir.path()), cfg).unwrap(), row);
+    run(start(router(), cfg).unwrap(), row);
+}
+
+/// A counter as a client sees it: through `status`.
+fn counter(ctl: &mut Client, name: &str) -> u64 {
+    let status = ctl.status(false).unwrap();
+    status.field("counters").and_then(|c| c.field(name)).and_then(JsonValue::as_num).unwrap()
+}
+
+fn read_reply(reader: &mut impl BufRead) -> JsonValue {
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    JsonValue::parse(line.trim_end()).unwrap()
+}
+
+fn error_of(reply: &JsonValue) -> &str {
+    assert_eq!(reply.field("status").and_then(JsonValue::as_str), Some("error"), "{reply:?}");
+    reply.field("error").and_then(JsonValue::as_str).unwrap()
+}
+
+/// A request sent in two chunks with a pause longer than the workers'
+/// 100 ms read poll between them must reassemble, not parse its tail as
+/// garbage.
+#[test]
+fn a_request_split_across_the_poll_timeout_reassembles() {
+    over_both_handlers(&ServerConfig::default(), |addr, ctl| {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        conn.write_all(br#"{"cmd":"sta"#).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        conn.write_all(b"tus\"}\n").unwrap();
+        let reply = read_reply(&mut reader);
+        assert_eq!(reply.field("status").and_then(JsonValue::as_str), Some("ok"), "{reply:?}");
+        assert_eq!(counter(ctl, "req_errors"), 0);
+    });
+}
+
+/// With one worker and a queue of one, a held connection plus a queued
+/// one force the next arrival to be shed with an explicit `overloaded`
+/// error instead of hanging.
+#[test]
+fn full_queue_sheds_with_overloaded() {
+    let cfg = ServerConfig { workers: 1, queue_depth: 1, ..ServerConfig::default() };
+    over_both_handlers(&cfg, |addr, held| {
+        // `held` owns the single worker until it is closed. This fills
+        // the queue; no worker picks it up meanwhile.
+        let parked = TcpStream::connect(addr).unwrap();
+        // Third connection: must be shed immediately.
+        let shed = TcpStream::connect(addr).unwrap();
+        assert_eq!(error_of(&read_reply(&mut BufReader::new(&shed))), "overloaded");
+        // The shed is visible in the counters, via the still-served
+        // connection.
+        assert!(counter(held, "req_overloaded") >= 1);
+        drop(parked);
+    });
+}
+
+/// Garbage lines get an error response and count as `req_errors`
+/// without killing the connection.
+#[test]
+fn malformed_lines_get_error_responses() {
+    over_both_handlers(&ServerConfig::default(), |addr, ctl| {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        for bad in ["not json", r#"{"cmd":"warp"}"#, r#"{"cmd":"support","code":[[0,0,1,1,1]]}"#] {
+            writeln!(conn, "{bad}").unwrap();
+            error_of(&read_reply(&mut reader));
+        }
+        assert_eq!(counter(ctl, "req_errors"), 3);
+    });
+}
+
+/// A line of exactly the cap is read whole (and then rejected only for
+/// what it says); one byte more is refused without being buffered
+/// further, counted, and the connection closed.
+#[test]
+fn an_over_long_line_is_refused_and_the_connection_closed() {
+    over_both_handlers(&ServerConfig::default(), |addr, ctl| {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut line = vec![b'x'; MAX_REQUEST_LINE];
+        line.push(b'\n');
+        conn.write_all(&line).unwrap();
+        assert!(error_of(&read_reply(&mut reader)).starts_with("bad json"));
+
+        // No newline at all: the server must answer at the cap instead
+        // of waiting for one.
+        conn.write_all(&line[..MAX_REQUEST_LINE]).unwrap();
+        conn.write_all(b"x").unwrap();
+        let reply = read_reply(&mut reader);
+        assert_eq!(error_of(&reply), format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "connection left open: {rest}");
+        assert_eq!(counter(ctl, "req_errors"), 2);
+    });
+}
