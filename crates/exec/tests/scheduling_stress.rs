@@ -2,7 +2,7 @@
 //! determinism under adversarial job durations, steal-counter sanity, and
 //! poisoning behaviour under concurrent panics.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use graphmine_exec::{ExecCounters, Executor, Job};
@@ -109,22 +109,15 @@ fn first_panic_wins_and_pending_work_is_dropped() {
     let exec = Executor::new(2);
     let executed = AtomicUsize::new(0);
     let executed = &executed;
-    let fired = AtomicBool::new(false);
-    let fired = &fired;
-    // Panic early in a long batch: with two workers and poisoning, fewer
-    // than all 500 jobs run. The late half waits for the panic, so the
-    // outcome does not depend on when the second worker gets scheduled.
+    // Panic early in a long batch: with two workers and poisoning, far
+    // fewer than all 500 jobs should run.
     let jobs: Vec<Job<'_, ()>> = (0..500)
         .map(|i| {
             Job::new(format!("poison:{i}"), move || {
                 executed.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_micros(20));
                 if i == 3 {
-                    fired.store(true, Ordering::SeqCst);
                     panic!("injected failure in job 3");
-                }
-                while i >= 250 && !fired.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
                 }
             })
         })

@@ -273,7 +273,7 @@ impl Client {
     ///
     /// As [`Client::request_line`].
     pub fn support(&mut self, code: &DfsCode) -> Result<JsonValue, String> {
-        self.request_line(&protocol::encode_support(code, false))
+        self.request_line(&protocol::encode_support(code))
     }
 
     /// An `update` request with `ack: applied`; `Ok` means the window is

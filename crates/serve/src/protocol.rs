@@ -16,7 +16,7 @@
 //! {"cmd":"support","code":[...],"owned":1}        // count owned gids only
 //! {"cmd":"support-batch","codes":[[...],[...]],"owned":1}
 //! {"cmd":"update","ops":[{"gid":3,"op":"add-edge","u":0,"v":6,"label":2}]}
-//! {"cmd":"update","ack":"durable","ops":[...]}   // stream: ack at the fsync barrier
+//! {"cmd":"update","ops":[...],"ack":"durable"}   // stream: ack at the fsync barrier
 //! {"cmd":"update","dry_run":1,"ops":[...]}       // router 2PC: validate only
 //! {"cmd":"epoch-commit","global":3,"seq":2}      // router 2PC: publish global epoch
 //! {"cmd":"shutdown"}
@@ -218,8 +218,8 @@ pub fn encode_patterns(top: Option<u64>, min_support: Option<Support>) -> String
 }
 
 /// The `support` request line, `code` form.
-pub fn encode_support(code: &DfsCode, owned: bool) -> String {
-    encode("support", vec![("code", Some(code_to_json(code))), ("owned", flag(owned))])
+pub fn encode_support(code: &DfsCode) -> String {
+    encode("support", vec![("code", Some(code_to_json(code)))])
 }
 
 /// The `support-batch` request line.
@@ -229,12 +229,12 @@ pub fn encode_support_batch(codes: &[DfsCode], owned: bool) -> String {
 }
 
 /// The `update` request line; `ack` is written only when it is not the
-/// default.
+/// default, and after `ops`, where `Client` has always put it.
 pub fn encode_update(ops: &[DbUpdate], ack: AckMode, dry_run: bool) -> String {
     let ack = (ack == AckMode::Durable).then(|| JsonValue::Str("durable".to_string()));
     encode(
         "update",
-        vec![("ack", ack), ("dry_run", flag(dry_run)), ("ops", Some(ops_to_json(ops)))],
+        vec![("dry_run", flag(dry_run)), ("ops", Some(ops_to_json(ops))), ("ack", ack)],
     )
 }
 
@@ -670,7 +670,8 @@ mod tests {
     /// request it encodes and equals, byte for byte, the line the parent
     /// commit's hand-built objects put on the wire (captured there from
     /// `Client` against an echo listener and from `Router` against a
-    /// scripted shard). One line moved: see the end of the test.
+    /// scripted shard). One router-to-shard line moved: see the end of
+    /// the test.
     #[test]
     fn encoders_round_trip_and_match_the_golden_lines() {
         let code = DfsCode(vec![DfsEdge::new(0, 1, 0, 5, 1), DfsEdge::new(1, 2, 1, 6, 0)]);
@@ -712,16 +713,9 @@ mod tests {
                 patterns(1_000_000_000, None),
             ),
             (
-                encode_support(&code, false),
+                encode_support(&code),
                 r#"{"cmd":"support","code":[[0,1,0,5,1],[1,2,1,6,0]]}"#.into(),
                 Request::Support { graph: graphs[0].clone(), owned: false },
-            ),
-            (
-                // No parent caller sets `owned` on a single `support`
-                // (the router batches); the line is the documented form.
-                encode_support(&code, true),
-                r#"{"cmd":"support","code":[[0,1,0,5,1],[1,2,1,6,0]],"owned":1}"#.into(),
-                Request::Support { graph: graphs[0].clone(), owned: true },
             ),
             (
                 encode_support_batch(&codes, false),
@@ -741,7 +735,7 @@ mod tests {
             ),
             (
                 encode_update(&ops, AckMode::Durable, false),
-                format!(r#"{{"cmd":"update","ack":"durable","ops":{OPS}}}"#),
+                format!(r#"{{"cmd":"update","ops":{OPS},"ack":"durable"}}"#),
                 update(AckMode::Durable, false),
             ),
             (
@@ -751,9 +745,9 @@ mod tests {
             ),
             (
                 // No parent caller combines the two (a dry run ignores
-                // `ack`); flags stay in documented order.
+                // `ack`).
                 encode_update(&ops, AckMode::Durable, true),
-                format!(r#"{{"cmd":"update","ack":"durable","dry_run":1,"ops":{OPS}}}"#),
+                format!(r#"{{"cmd":"update","dry_run":1,"ops":{OPS},"ack":"durable"}}"#),
                 update(AckMode::Durable, true),
             ),
             (
@@ -767,14 +761,14 @@ mod tests {
             assert_eq!(line, golden);
             assert_eq!(parse_request(&line).unwrap(), request, "{line}");
         }
-        // The parent wrote a durable update two ways: the router's
-        // prepare as above, `Client::update_durable` with `ack` after
-        // `ops`. One encoder means one order — the documented one — so
-        // the client's line moved a field: same length, same request.
-        let parent_client = format!(r#"{{"cmd":"update","ops":{OPS},"ack":"durable"}}"#);
+        // The parent wrote a durable update two ways: `Client` as above,
+        // the router's 2PC prepare with `ack` before `ops`. One encoder
+        // means one order, the client's and SERVICE.md's, so the line a
+        // router sends its shards moved a field: same length, same request.
+        let parent_router = format!(r#"{{"cmd":"update","ack":"durable","ops":{OPS}}}"#);
         let now = encode_update(&ops, AckMode::Durable, false);
-        assert_eq!(now.len(), parent_client.len());
-        assert_eq!(parse_request(&now), parse_request(&parent_client));
+        assert_eq!(now.len(), parent_router.len());
+        assert_eq!(parse_request(&now), parse_request(&parent_router));
     }
 
     #[test]

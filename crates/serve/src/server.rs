@@ -5,9 +5,12 @@
 //!
 //! Load shedding is explicit: when the queue is full the accept thread
 //! immediately writes an `overloaded` error on the new connection and
-//! closes it rather than letting requests pile up unboundedly. Workers
-//! serve a connection until the client closes it, handling any number
-//! of newline-delimited requests of at most [`MAX_REQUEST_LINE`] bytes.
+//! closes it rather than letting requests pile up unboundedly. A worker
+//! serves a connection until the client closes it, handling any number
+//! of newline-delimited requests of at most [`MAX_REQUEST_LINE`] bytes;
+//! when the connection falls idle while others are queued it goes to the
+//! back of the queue, so persistent clients beyond the pool size are
+//! served late rather than never.
 //!
 //! Shutdown has two flavors. A client `shutdown` request (or
 //! [`ServerHandle::wait`] returning) stops the threads and runs
@@ -31,7 +34,7 @@ use crate::engine::ServeEngine;
 use crate::protocol::{self, Request};
 
 /// How long a worker blocks on an idle connection before re-checking the
-/// shutdown flag.
+/// shutdown flag and the queue.
 const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Longest request line accepted, newline excluded. A longer line is
@@ -131,6 +134,15 @@ impl ConnQueue {
             }
             q = self.ready.wait(q).expect("queue poisoned");
         }
+    }
+
+    /// Trades an idle connection for the longest-waiting one, in place;
+    /// `false` when nothing waits. One lock, so the depth never changes.
+    fn rotate(&self, conn: &mut TcpStream) -> bool {
+        let mut q = self.conns.lock().expect("queue poisoned");
+        let Some(next) = q.pop_front() else { return false };
+        q.push_back(std::mem::replace(conn, next));
+        true
     }
 
     fn wake_all(&self) {
@@ -279,43 +291,59 @@ fn accept_loop<H: Handler>(listener: &TcpListener, shared: &Shared<H>) {
 }
 
 fn worker_loop<H: Handler>(shared: &Shared<H>) {
-    while let Some(conn) = shared.queue.pop(&shared.shutdown) {
-        serve_conn(conn, shared);
+    while let Some(mut conn) = shared.queue.pop(&shared.shutdown) {
+        while let Some(next) = serve_conn(conn, shared) {
+            conn = next;
+        }
     }
 }
 
-/// Serves one connection until EOF, error, or shutdown. The read
-/// timeout keeps an idle client from pinning the worker across a
-/// shutdown; partially read lines survive timeouts because the buffer
-/// is only cleared after a full line is handled.
-fn serve_conn<H: Handler>(conn: TcpStream, shared: &Shared<H>) {
+/// Serves one connection until EOF, error, or shutdown — or until it
+/// sits idle while another waits in the queue: then the two trade
+/// places and the waiting one is returned to be served next. The read
+/// timeout keeps an idle client from pinning the worker across either;
+/// partially read lines survive timeouts because the buffer is only
+/// cleared after a full line is handled.
+fn serve_conn<H: Handler>(conn: TcpStream, shared: &Shared<H>) -> Option<TcpStream> {
     let _ = conn.set_read_timeout(Some(READ_POLL));
-    let Ok(read_half) = conn.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(conn.try_clone().ok()?);
     let mut writer = conn;
     let mut line = Vec::new();
     while !shared.shutdown.load(Ordering::Relaxed) {
         // Never buffer more than the cap plus the newline that ends it.
         let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
         match reader.by_ref().take(room).read_until(b'\n', &mut line) {
-            Ok(0) => return,
+            Ok(0) => return None,
             Ok(_) => {}
-            Err(e) if is_timeout(&e) => continue,
-            Err(_) => return,
+            Err(e) if is_timeout(&e) => {
+                // Nothing read and nothing buffered: the socket is the
+                // whole state of the connection, so it can wait in the queue.
+                if line.is_empty() && shared.queue.rotate(&mut writer) {
+                    return Some(writer);
+                }
+                continue;
+            }
+            Err(_) => return None,
         }
         if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
             shared.handler.counters().bump(Counter::ReqErrors);
             let msg = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
             let _ = reply(&mut writer, &protocol::error_response(&msg));
-            return;
+            // Closing over unread bytes resets the connection and can
+            // take the reply with it: half-close, then discard what the
+            // peer still sends, up to another cap's worth or a quiet poll.
+            let _ = writer.shutdown(Shutdown::Write);
+            let _ = std::io::copy(&mut reader.take(MAX_REQUEST_LINE as u64), &mut std::io::sink());
+            return None;
         }
         // Bytes that are not UTF-8 parse as bad JSON and get that error.
         let text = String::from_utf8_lossy(&line);
         if !text.trim().is_empty() && respond(&text, &mut writer, shared) {
-            return;
+            return None;
         }
         line.clear();
     }
+    None
 }
 
 /// Handles one request line; returns `true` when the connection (and on

@@ -1,7 +1,8 @@
 //! The one NDJSON server loop, exercised over both handlers it serves —
 //! a daemon's [`ServeEngine`] and a router's [`Router`]: a request split
 //! across the poll timeout, explicit shedding when the connection queue
-//! fills, error replies for garbage, and the request-line cap.
+//! fills, idle connections yielding their worker, error replies for
+//! garbage, and the request-line cap.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -99,16 +100,38 @@ fn a_request_split_across_the_poll_timeout_reassembles() {
 fn full_queue_sheds_with_overloaded() {
     let cfg = ServerConfig { workers: 1, queue_depth: 1, ..ServerConfig::default() };
     over_both_handlers(&cfg, |addr, held| {
-        // `held` owns the single worker until it is closed. This fills
-        // the queue; no worker picks it up meanwhile.
+        // `held` has the single worker and this fills the queue. The two
+        // may trade places while idle; one is always queued.
         let parked = TcpStream::connect(addr).unwrap();
         // Third connection: must be shed immediately.
         let shed = TcpStream::connect(addr).unwrap();
         assert_eq!(error_of(&read_reply(&mut BufReader::new(&shed))), "overloaded");
-        // The shed is visible in the counters, via the still-served
-        // connection.
+        // The shed is visible in the counters, via the first connection.
         assert!(counter(held, "req_overloaded") >= 1);
         drop(parked);
+    });
+}
+
+/// More persistent clients than workers: the idle ones give their
+/// worker up, so every client is answered — neither hung in the queue
+/// for as long as the others stay connected, nor shed.
+#[test]
+fn idle_connections_yield_their_worker_to_queued_ones() {
+    let cfg = ServerConfig { workers: 2, queue_depth: 8, ..ServerConfig::default() };
+    over_both_handlers(&cfg, |addr, ctl| {
+        // With `ctl`, three times the pool, all connected throughout. A
+        // client left in the queue fails on its read timeout.
+        let patience = Some(Duration::from_secs(10));
+        let mut clients: Vec<Client> =
+            (0..5).map(|_| Client::connect_with(addr, None, patience).unwrap()).collect();
+        for round in 0..2 {
+            for (i, client) in clients.iter_mut().enumerate() {
+                let reply = client.status(false).unwrap();
+                let status = reply.field("status").and_then(JsonValue::as_str);
+                assert_eq!(status, Some("ok"), "round {round}, client {i}");
+            }
+        }
+        assert_eq!(counter(ctl, "req_overloaded"), 0);
     });
 }
 
@@ -128,8 +151,10 @@ fn malformed_lines_get_error_responses() {
 }
 
 /// A line of exactly the cap is read whole (and then rejected only for
-/// what it says); one byte more is refused without being buffered
-/// further, counted, and the connection closed.
+/// what it says); a longer one is refused at the cap without being
+/// buffered further, counted, and the connection closed — after the
+/// bytes the peer sent past the cap are discarded, so that the refusal
+/// reaches a peer that only reads once it has written everything.
 #[test]
 fn an_over_long_line_is_refused_and_the_connection_closed() {
     over_both_handlers(&ServerConfig::default(), |addr, ctl| {
@@ -143,7 +168,7 @@ fn an_over_long_line_is_refused_and_the_connection_closed() {
         // No newline at all: the server must answer at the cap instead
         // of waiting for one.
         conn.write_all(&line[..MAX_REQUEST_LINE]).unwrap();
-        conn.write_all(b"x").unwrap();
+        conn.write_all(&[b'x'; 64 << 10]).unwrap();
         let reply = read_reply(&mut reader);
         assert_eq!(error_of(&reply), format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
         let mut rest = String::new();
