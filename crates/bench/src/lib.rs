@@ -3,8 +3,9 @@
 //!
 //! Each `figNN*` function regenerates one figure's series at a configurable
 //! scale and returns a [`FigureResult`] that prints as a paper-style table.
-//! The `repro` binary drives them; the Criterion benches reuse the same
-//! code for statistically sampled headline points.
+//! The `repro` binary drives them, and that is this crate's whole job:
+//! timings that gate a change come from the ledger (`bench/e2e`,
+//! `BENCHMARK.json`), not from here.
 //!
 //! **Scale.** The paper ran 50k–1000k graphs on a 2006-era P4. The
 //! [`Scale`] factor divides every `D` while keeping all other parameters
@@ -113,7 +114,7 @@ fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
 }
 
 /// A dataset in the paper's naming scheme, already scaled.
-pub fn dataset(
+fn dataset(
     scale: Scale,
     paper_d: usize,
     t: usize,
@@ -133,7 +134,7 @@ fn zero_ufreq(db: &GraphDb) -> Vec<Vec<f64>> {
 /// ADIMINE harness: the index is built once per dataset (amortised, as a
 /// deployed disk-based miner would); static runs time the mining pass,
 /// dynamic runs time rebuild + re-mine.
-pub struct AdiHarness {
+struct AdiHarness {
     dir: std::path::PathBuf,
     adi: AdiMine,
 }
@@ -147,7 +148,7 @@ impl AdiHarness {
     /// cache cover only a small fraction of the (scaled) database. Without
     /// this, a scaled-down dataset would fit entirely in cache and ADIMINE
     /// would degenerate into an in-memory gSpan.
-    pub fn new(db: &GraphDb) -> Self {
+    fn new(db: &GraphDb) -> Self {
         let seq = HARNESS_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("graphmine-bench-{}-{seq}", std::process::id()));
@@ -171,13 +172,13 @@ impl AdiHarness {
     }
 
     /// Times one static mining pass.
-    pub fn mine_time(&self, sup: Support) -> Duration {
+    fn mine_time(&self, sup: Support) -> Duration {
         time(|| self.adi.mine(sup).expect("adimine")).1
     }
 
     /// Times the dynamic refresh: full index rebuild + full re-mine — the
     /// cost ADIMINE pays per update batch (Section 2).
-    pub fn refresh_time(&mut self, updated: &GraphDb, sup: Support) -> Duration {
+    fn refresh_time(&mut self, updated: &GraphDb, sup: Support) -> Duration {
         time(|| {
             self.adi.rebuild(updated).expect("rebuild");
             self.adi.mine(sup).expect("adimine");
@@ -193,7 +194,7 @@ impl Drop for AdiHarness {
 }
 
 /// Times a static PartMiner run (partition + unit mining + merge), serial.
-pub fn partminer_time(
+fn partminer_time(
     db: &GraphDb,
     ufreq: &[Vec<f64>],
     cfg: PartMinerConfig,
@@ -204,7 +205,7 @@ pub fn partminer_time(
 
 /// Runs PartMiner and returns its state (untimed setup for incremental
 /// experiments).
-pub fn partminer_state(
+fn partminer_state(
     db: &GraphDb,
     ufreq: &[Vec<f64>],
     cfg: PartMinerConfig,
@@ -214,18 +215,18 @@ pub fn partminer_state(
 }
 
 /// Times one IncPartMiner round over a fresh state.
-pub fn incpartminer_time(state: &mut PartMinerState, plan: &[DbUpdate]) -> Duration {
+fn incpartminer_time(state: &mut PartMinerState, plan: &[DbUpdate]) -> Duration {
     time(|| IncPartMiner::update(state, plan).expect("incremental update")).1
 }
 
 /// The paper's dynamic workload: two updates each to a fraction of graphs.
-pub fn standard_updates(db: &GraphDb, fraction: f64, kind: UpdateKind, n: u32) -> Vec<DbUpdate> {
+fn standard_updates(db: &GraphDb, fraction: f64, kind: UpdateKind, n: u32) -> Vec<DbUpdate> {
     plan_updates(db, &UpdateParams::new(fraction, 2, kind, n))
 }
 
 /// Paper-mode PartMiner configuration used by the performance figures
 /// (support shortcut on, paper-style trust of unchanged patterns).
-pub fn bench_config(k: usize, partitioner: PartitionerKind) -> PartMinerConfig {
+fn bench_config(k: usize, partitioner: PartitionerKind) -> PartMinerConfig {
     PartMinerConfig { partitioner, verify_unchanged: false, ..PartMinerConfig::with_k(k) }
 }
 
@@ -234,7 +235,7 @@ pub fn bench_config(k: usize, partitioner: PartitionerKind) -> PartMinerConfig {
 // ---------------------------------------------------------------------------
 
 /// The partitioner line-up of Fig. 13.
-pub const PARTITIONERS: [(&str, PartitionerKind); 4] = [
+const PARTITIONERS: [(&str, PartitionerKind); 4] = [
     ("METIS", PartitionerKind::Metis),
     ("Partition1", PartitionerKind::GraphPart(Criteria::ISOLATE_UPDATES)),
     ("Partition2", PartitionerKind::GraphPart(Criteria::MIN_CONNECTIVITY)),

@@ -136,7 +136,8 @@ fn idle_connections_yield_their_worker_to_queued_ones() {
 }
 
 /// Garbage lines get an error response and count as `req_errors`
-/// without killing the connection.
+/// without killing the connection — or, for the line nested deep enough
+/// to overflow a worker's stack if it were parsed, the process.
 #[test]
 fn malformed_lines_get_error_responses() {
     over_both_handlers(&ServerConfig::default(), |addr, ctl| {
@@ -146,7 +147,12 @@ fn malformed_lines_get_error_responses() {
             writeln!(conn, "{bad}").unwrap();
             error_of(&read_reply(&mut reader));
         }
-        assert_eq!(counter(ctl, "req_errors"), 3);
+        writeln!(conn, "{}", "[".repeat(100_000)).unwrap();
+        assert!(error_of(&read_reply(&mut reader)).ends_with("nesting too deep"));
+        writeln!(conn, r#"{{"cmd":"status"}}"#).unwrap();
+        let reply = read_reply(&mut reader);
+        assert_eq!(reply.field("status").and_then(JsonValue::as_str), Some("ok"), "{reply:?}");
+        assert_eq!(counter(ctl, "req_errors"), 4);
     });
 }
 

@@ -37,6 +37,14 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`JsonValue::parse`] accepts. The
+/// parser recurses once per level and most of its input comes off a socket
+/// (a 4 MiB request line holds four million `[`; ten thousand overflow a
+/// worker's stack and abort the process), so the peer must not choose the
+/// depth. The deepest document this system writes is the `patterns` reply
+/// at five levels (object, array, object, code array, tuple).
+const MAX_DEPTH: usize = 64;
+
 impl JsonValue {
     /// Serializes with `\"`/`\\` and control-character escaping.
     pub fn to_json(&self) -> String {
@@ -77,11 +85,12 @@ impl JsonValue {
         }
     }
 
-    /// Parses a value, requiring the whole input to be consumed.
+    /// Parses a value, requiring the whole input to be consumed. Nesting
+    /// deeper than `MAX_DEPTH` is an error.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError { at: pos, msg: "trailing input" });
@@ -151,10 +160,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+/// Parses one value that sits inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(JsonError { at: *pos, msg: "unexpected end of input" }),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => {
+            Err(JsonError { at: *pos, msg: "nesting too deep" })
+        }
         Some(b'n') => {
             if bytes[*pos..].starts_with(b"null") {
                 *pos += 4;
@@ -173,7 +186,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -201,7 +214,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
                     return Err(JsonError { at: *pos, msg: "expected :" });
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -316,5 +329,18 @@ mod tests {
         assert!(JsonValue::parse("12 34").is_err());
         assert!(JsonValue::parse("\"open").is_err());
         assert!(JsonValue::parse("99999999999999999999999").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        for (open, leaf, close) in [("[", "", "]"), ("{\"a\":", "null", "}")] {
+            let nested = |n: usize| format!("{}{leaf}{}", open.repeat(n), close.repeat(n));
+            assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok(), "{open} at the cap");
+            // One level more, and a hostile prefix far past any stack.
+            for doc in [nested(MAX_DEPTH + 1), open.repeat(100_000)] {
+                let err = JsonValue::parse(&doc).unwrap_err();
+                assert_eq!((err.at, err.msg), (open.len() * MAX_DEPTH, "nesting too deep"));
+            }
+        }
     }
 }

@@ -1,63 +1,79 @@
 //! Acceptance test for the embedding-list support engine: the run report of
-//! a lists-on PartMiner run must show real work moved off the backtracking
-//! search — `search_calls_avoided > 0` and at least a 2× drop in actual
-//! search invocations against the identical lists-off run — while mining
-//! the exact same pattern set.
+//! a lists-on run — PartMiner's merge-join, and the Apriori miner, the two
+//! candidate counters that keep lists — must show real work moved off the
+//! backtracking search: `search_calls_avoided > 0` and at least a 2× drop
+//! in actual search invocations against the identical lists-off run, while
+//! mining the exact same pattern set.
 
 use graphmine_core::{PartMiner, PartMinerConfig};
 use graphmine_datagen::{generate, GenParams};
-use graphmine_graph::{EmbeddingMode, PatternSet};
+use graphmine_graph::{EmbeddingMode, GraphDb, PatternSet, Support};
+use graphmine_miner::{Apriori, MemoryMiner};
 use graphmine_telemetry::{Counter, RunReport, Telemetry};
 
-fn run(mode: EmbeddingMode) -> (PatternSet, RunReport) {
-    let db = generate(&GenParams::new(60, 10, 5, 15, 4).with_seed(11));
+type Mine = fn(&GraphDb, Support, EmbeddingMode, &Telemetry) -> PatternSet;
+
+fn partminer(db: &GraphDb, sup: Support, mode: EmbeddingMode, tel: &Telemetry) -> PatternSet {
     let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-    let sup = db.abs_support(0.10);
     let mut cfg = PartMinerConfig::with_k(2);
     cfg.exact_supports = true;
     cfg.embedding_lists = mode;
+    PartMiner::new(cfg).mine_instrumented(db, &ufreq, sup, tel).patterns
+}
+
+fn apriori(db: &GraphDb, sup: Support, mode: EmbeddingMode, tel: &Telemetry) -> PatternSet {
+    Apriori { max_edges: Some(4), embedding_lists: mode }.mine_counted(db, sup, tel.counters())
+}
+
+fn run(mine: Mine, mode: EmbeddingMode) -> (PatternSet, RunReport) {
+    let db = generate(&GenParams::new(60, 10, 5, 15, 4).with_seed(11));
     let tel = Telemetry::new();
-    let outcome = PartMiner::new(cfg).mine_instrumented(&db, &ufreq, sup, &tel);
+    let patterns = mine(&db, db.abs_support(0.10), mode, &tel);
     // Round-trip through the serialized report: the counters asserted on
     // below are exactly what `mine --report` writes to disk.
-    let report = RunReport::from_json(&RunReport::capture("partminer", &tel).to_json()).unwrap();
-    (outcome.patterns, report)
+    let report = RunReport::from_json(&RunReport::capture("lists", &tel).to_json()).unwrap();
+    (patterns, report)
 }
 
 #[test]
 fn embedding_lists_replace_most_searches() {
-    let (patterns_off, off) = run(EmbeddingMode::Off);
-    let (patterns_on, on) = run(EmbeddingMode::On);
+    for (name, mine) in [("partminer", partminer as Mine), ("apriori", apriori)] {
+        let (patterns_off, off) = run(mine, EmbeddingMode::Off);
+        let (patterns_on, on) = run(mine, EmbeddingMode::On);
 
-    // Counting strategy must not change the answer.
-    assert!(
-        patterns_on.same_codes_and_supports(&patterns_off),
-        "lists on mined {} patterns, lists off {}",
-        patterns_on.len(),
-        patterns_off.len()
-    );
-    assert!(!patterns_on.is_empty(), "degenerate run: no frequent patterns");
+        // Counting strategy must not change the answer.
+        assert!(
+            patterns_on.same_codes_and_supports(&patterns_off),
+            "{name}: lists on mined {} patterns, lists off {}",
+            patterns_on.len(),
+            patterns_off.len()
+        );
+        assert!(!patterns_on.is_empty(), "{name}: degenerate run, no frequent patterns");
 
-    // Lists-off never answers a merge-join count from a list. (The unit
-    // miners still report `embeddings_extended` — their projected lists
-    // exist in every mode — so only the avoidance counter must be zero.)
-    assert_eq!(off.counter(Counter::SearchCallsAvoided), 0);
+        // Lists-off never answers a count from a list. (PartMiner's unit
+        // miners still report `embeddings_extended` — their projected lists
+        // exist in every mode — so only the avoidance counter must be zero.)
+        assert_eq!(off.counter(Counter::SearchCallsAvoided), 0, "{name}");
 
-    // Lists-on actually worked: the store built more rows than the unit
-    // miners alone and answered queries that would otherwise have been
-    // per-graph searches.
-    assert!(
-        on.counter(Counter::EmbeddingsExtended) > off.counter(Counter::EmbeddingsExtended),
-        "the store built no embedding rows of its own"
-    );
-    assert!(on.counter(Counter::SearchCallsAvoided) > 0, "no search calls were avoided");
+        // Lists-on actually worked: the store built rows of its own and
+        // answered queries that would otherwise have been per-graph
+        // searches.
+        assert!(
+            on.counter(Counter::EmbeddingsExtended) > off.counter(Counter::EmbeddingsExtended),
+            "{name}: the store built no embedding rows of its own"
+        );
+        assert!(
+            on.counter(Counter::SearchCallsAvoided) > 0,
+            "{name}: no search calls were avoided"
+        );
 
-    // The headline: total search invocations drop at least 2x.
-    let searches_off = off.counter(Counter::SearchCalls);
-    let searches_on = on.counter(Counter::SearchCalls);
-    assert!(searches_off > 0, "lists-off run never searched — test db too small");
-    assert!(
-        searches_on * 2 <= searches_off,
-        "search calls only dropped from {searches_off} to {searches_on} (< 2x)"
-    );
+        // The headline: total search invocations drop at least 2x.
+        let searches_off = off.counter(Counter::SearchCalls);
+        let searches_on = on.counter(Counter::SearchCalls);
+        assert!(searches_off > 0, "{name}: lists-off run never searched — test db too small");
+        assert!(
+            searches_on * 2 <= searches_off,
+            "{name}: search calls only dropped from {searches_off} to {searches_on} (< 2x)"
+        );
+    }
 }
