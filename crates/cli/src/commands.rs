@@ -1,7 +1,7 @@
 //! Subcommand implementations.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,10 +40,12 @@ USAGE:
       --threads sets the work-stealing pool budget for parallel runs
       (0 = auto: GRAPHMINE_THREADS, then the machine); a value above 1
       implies --parallel.
-      --embedding-lists controls the embedding-list support engine in
-      candidate counting (partminer merge-join and apriori); `auto`
-      (default) sizes its cache from the database, `off` always
-      re-searches. --embedding-budget caps the list cache in bytes.
+      --embedding-lists controls the embedding-list store level-wise
+      candidate counting keeps (apriori); `auto` (default) sizes its
+      cache from the database, `off` always re-searches.
+      --embedding-budget caps the list cache in bytes. A partminer run
+      reads neither: its merge-join walks its lists depth-first and
+      keeps no store.
       --closed/--maximal post-filter to closed or maximal patterns.
       --report writes a machine-readable run report (stage wall times,
       pipeline counters, span log) as JSON.
@@ -138,6 +140,16 @@ USAGE:
 ";
 
 type CmdResult = Result<(), String>;
+
+/// Prints one line of a command's output. Every command writes to the
+/// writer it is handed — the binary passes its one locked stdout, which
+/// knows what a vanished reader means (`main.rs`); a write that fails
+/// here is the command's failure.
+macro_rules! say {
+    ($stdout:expr, $($arg:tt)*) => {
+        writeln!($stdout, $($arg)*).map_err(|e| format!("stdout: {e}"))?
+    };
+}
 
 /// Simple flag-style argument cursor.
 struct Args<'a> {
@@ -235,7 +247,7 @@ fn criteria_arg(args: &mut Args<'_>) -> Result<PartitionerKind, String> {
 }
 
 /// `graphmine generate`
-pub fn generate(raw: &[String]) -> CmdResult {
+pub fn generate(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let d: usize = args.require("--d")?;
     let t: usize = args.parsed("--t")?.unwrap_or(20);
@@ -252,7 +264,13 @@ pub fn generate(raw: &[String]) -> CmdResult {
     let db = generate_db(&params);
     let file = File::create(&out).map_err(|e| format!("{out}: {e}"))?;
     gio::write_db(BufWriter::new(file), &db).map_err(|e| e.to_string())?;
-    println!("wrote {} ({} graphs, {} edges) to {out}", params.name(), db.len(), db.total_edges());
+    say!(
+        stdout,
+        "wrote {} ({} graphs, {} edges) to {out}",
+        params.name(),
+        db.len(),
+        db.total_edges()
+    );
     Ok(())
 }
 
@@ -260,19 +278,19 @@ fn generate_db(params: &GenParams) -> GraphDb {
     graphmine_datagen::generate(params)
 }
 
-fn print_patterns(patterns: &PatternSet, out: Option<&str>) -> CmdResult {
+fn print_patterns(patterns: &PatternSet, out: Option<&str>, stdout: &mut dyn Write) -> CmdResult {
     match out {
         Some(path) => {
             // Machine-readable pattern format (re-loadable by `diff`).
             let f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
             pattern_io::write_patterns(BufWriter::new(f), patterns).map_err(|e| e.to_string())?;
-            println!("{} patterns written to {path}", patterns.len());
+            say!(stdout, "{} patterns written to {path}", patterns.len());
         }
         None => {
             let mut sorted: Vec<_> = patterns.iter().collect();
             sorted.sort_by(|a, b| b.support.cmp(&a.support).then_with(|| a.code.cmp(&b.code)));
             for p in &sorted {
-                println!("support {:>6}  size {:>2}  {}", p.support, p.size(), p.code);
+                say!(stdout, "support {:>6}  size {:>2}  {}", p.support, p.size(), p.code);
             }
         }
     }
@@ -280,7 +298,7 @@ fn print_patterns(patterns: &PatternSet, out: Option<&str>) -> CmdResult {
 }
 
 /// `graphmine stats`
-pub fn stats(raw: &[String]) -> CmdResult {
+pub fn stats(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let pos = args.positionals();
     let [path] = pos.as_slice() else {
@@ -289,7 +307,7 @@ pub fn stats(raw: &[String]) -> CmdResult {
     let db = load_db(path)?;
     let n = db.len();
     if n == 0 {
-        println!("{path}: empty database");
+        say!(stdout, "{path}: empty database");
         return Ok(());
     }
     let mut edges = Vec::with_capacity(n);
@@ -316,26 +334,28 @@ pub fn stats(raw: &[String]) -> CmdResult {
     vertices.sort_unstable();
     let sum_e: usize = edges.iter().sum();
     let sum_v: usize = vertices.iter().sum();
-    println!("{path}: {n} graphs");
-    println!(
+    say!(stdout, "{path}: {n} graphs");
+    say!(
+        stdout,
         "  edges    total {sum_e}  avg {:.1}  median {}  max {}",
         sum_e as f64 / n as f64,
         edges[n / 2],
         edges.last().copied().unwrap_or(0)
     );
-    println!(
+    say!(
+        stdout,
         "  vertices total {sum_v}  avg {:.1}  median {}  max {}",
         sum_v as f64 / n as f64,
         vertices[n / 2],
         vertices.last().copied().unwrap_or(0)
     );
-    println!("  labels   {} vertex, {} edge", vlabels.len(), elabels.len());
-    println!("  max degree {max_degree}  connected graphs {connected}/{n}");
+    say!(stdout, "  labels   {} vertex, {} edge", vlabels.len(), elabels.len());
+    say!(stdout, "  max degree {max_degree}  connected graphs {connected}/{n}");
     Ok(())
 }
 
 /// `graphmine diff`
-pub fn diff(raw: &[String]) -> CmdResult {
+pub fn diff(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let pos = args.positionals();
     let [a_path, b_path] = pos.as_slice() else {
@@ -354,17 +374,18 @@ pub fn diff(raw: &[String]) -> CmdResult {
         if let Some(sb) = b.support(&p.code) {
             if sb != p.support {
                 support_changed += 1;
-                println!("~ support {} -> {}  {}", p.support, sb, p.code);
+                say!(stdout, "~ support {} -> {}  {}", p.support, sb, p.code);
             }
         }
     }
     for p in only_a.iter() {
-        println!("- support {:>6}  {}", p.support, p.code);
+        say!(stdout, "- support {:>6}  {}", p.support, p.code);
     }
     for p in only_b.iter() {
-        println!("+ support {:>6}  {}", p.support, p.code);
+        say!(stdout, "+ support {:>6}  {}", p.support, p.code);
     }
-    println!(
+    say!(
+        stdout,
         "{}: {} patterns | {}: {} patterns | only in {}: {} | only in {}: {} | support changed: {}",
         a_path,
         a.len(),
@@ -380,7 +401,7 @@ pub fn diff(raw: &[String]) -> CmdResult {
 }
 
 /// `graphmine mine`
-pub fn mine(raw: &[String]) -> CmdResult {
+pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let minsup: f64 = args.require("--minsup")?;
     let algo = args.value("--algo").unwrap_or("partminer").to_string();
@@ -409,7 +430,8 @@ pub fn mine(raw: &[String]) -> CmdResult {
 
     let db = load_db(path)?;
     let sup = db.abs_support(minsup);
-    println!(
+    say!(
+        stdout,
         "{}: {} graphs, minsup {:.2}% => {sup} graphs, algorithm {algo}",
         path,
         db.len(),
@@ -462,7 +484,8 @@ pub fn mine(raw: &[String]) -> CmdResult {
                 ..PartMinerConfig::default()
             };
             let outcome = PartMiner::new(cfg).mine_instrumented(&db, &zero_ufreq(&db), sup, &tel);
-            println!(
+            say!(
+                stdout,
                 "  partition {:.1?} | units {:.1?} | merge {:.1?} ({} candidates, {} counted, {} shortcut)",
                 outcome.stats.partition_time,
                 outcome.stats.unit_times,
@@ -475,28 +498,28 @@ pub fn mine(raw: &[String]) -> CmdResult {
         }
         other => return Err(format!("unknown algorithm `{other}`")),
     };
-    println!("{} frequent subgraphs in {:.1?}", patterns.len(), t.elapsed());
+    say!(stdout, "{} frequent subgraphs in {:.1?}", patterns.len(), t.elapsed());
     if let Some(rp) = &report_path {
         let report = RunReport::capture(&algo, &tel);
         std::fs::write(rp, report.to_json()).map_err(|e| format!("{rp}: {e}"))?;
-        println!("run report written to {rp}");
+        say!(stdout, "run report written to {rp}");
     }
     let patterns = if closed {
         let c = closed_patterns(&patterns);
-        println!("{} closed patterns", c.len());
+        say!(stdout, "{} closed patterns", c.len());
         c
     } else if maximal {
         let m = maximal_patterns(&patterns);
-        println!("{} maximal patterns", m.len());
+        say!(stdout, "{} maximal patterns", m.len());
         m
     } else {
         patterns
     };
-    print_patterns(&patterns, out.as_deref())
+    print_patterns(&patterns, out.as_deref(), stdout)
 }
 
 /// `graphmine plan-updates`
-pub fn plan_updates_cmd(raw: &[String]) -> CmdResult {
+pub fn plan_updates_cmd(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let fraction: f64 = args.require("--fraction")?;
     let kind = match args.value("--kind") {
@@ -524,7 +547,8 @@ pub fn plan_updates_cmd(raw: &[String]) -> CmdResult {
     let plan = plan_updates(&db, &params);
     let file = File::create(&out).map_err(|e| format!("{out}: {e}"))?;
     update_io::write_updates(BufWriter::new(file), &plan).map_err(|e| e.to_string())?;
-    println!(
+    say!(
+        stdout,
         "planned {} updates over {:.0}% of {} graphs -> {out}",
         plan.len(),
         fraction * 100.0,
@@ -534,7 +558,7 @@ pub fn plan_updates_cmd(raw: &[String]) -> CmdResult {
 }
 
 /// `graphmine serve`
-pub fn serve(raw: &[String]) -> CmdResult {
+pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let shard_from: Option<String> = args.parsed("--shard-from")?;
     let parallel = args.flag("--parallel");
@@ -580,7 +604,8 @@ pub fn serve(raw: &[String]) -> CmdResult {
             owned: Some(spec.owned.clone()),
             ..EngineConfig::default()
         };
-        println!(
+        say!(
+            stdout,
             "shard {shard_id} replica {replica}: {} owned graphs, {} units, local minsup {}",
             spec.owned.len(),
             spec.units.len(),
@@ -625,7 +650,8 @@ pub fn serve(raw: &[String]) -> CmdResult {
         cfg.window = Some(n);
     }
     let (engine, boot) = ServeEngine::boot(Some(&db), Path::new(&dir), &cfg)?;
-    println!(
+    say!(
+        stdout,
         "booted epoch {} from {} ({} journal batches replayed): {} patterns at minsup {}",
         boot.epoch,
         if boot.from_snapshot { "warm snapshot" } else { "cold mine" },
@@ -634,12 +660,12 @@ pub fn serve(raw: &[String]) -> CmdResult {
         engine.min_support(),
     );
     let handle = graphmine_serve::start(Arc::new(engine), &server_cfg)?;
-    println!("serving on {}", handle.addr());
+    say!(stdout, "serving on {}", handle.addr());
     handle.wait()
 }
 
 /// `graphmine shard-plan`
-pub fn shard_plan(raw: &[String]) -> CmdResult {
+pub fn shard_plan(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let n_shards: usize = args.require("--shards")?;
     let minsup: f64 = args.require("--minsup")?;
@@ -678,7 +704,8 @@ pub fn shard_plan(raw: &[String]) -> CmdResult {
     }
     let topo_path = dir.join("topology.json");
     plan.topology.save(&topo_path)?;
-    println!(
+    say!(
+        stdout,
         "planned {} shards x {} replicas over {} units: router at {}, global minsup {} -> local {}",
         n_shards,
         cfg.replicas,
@@ -688,7 +715,8 @@ pub fn shard_plan(raw: &[String]) -> CmdResult {
         plan.topology.local_min_support
     );
     for s in &plan.topology.shards {
-        println!(
+        say!(
+            stdout,
             "  shard {}: units {:?}, {} owned graphs, replicas {:?} ({})",
             s.id,
             s.units,
@@ -697,12 +725,12 @@ pub fn shard_plan(raw: &[String]) -> CmdResult {
             s.data
         );
     }
-    println!("topology written to {}", topo_path.display());
+    say!(stdout, "topology written to {}", topo_path.display());
     Ok(())
 }
 
 /// `graphmine router`
-pub fn router(raw: &[String]) -> CmdResult {
+pub fn router(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let cache_budget: Option<usize> = args.parsed("--cache-budget")?;
     let pos = args.positionals();
@@ -718,7 +746,7 @@ pub fn router(raw: &[String]) -> CmdResult {
     }
     let router = Router::new(topo, cfg)?;
     let handle = graphmine_router::start(Arc::new(router), &addr)?;
-    println!("routing {n} shards, serving on {}", handle.addr());
+    say!(stdout, "routing {n} shards, serving on {}", handle.addr());
     handle.wait()
 }
 
@@ -750,7 +778,7 @@ fn parse_code(text: &str) -> Result<DfsCode, String> {
 }
 
 /// `graphmine client`
-pub fn client(raw: &[String]) -> CmdResult {
+pub fn client(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let via_router: Option<String> = args.parsed("--via-router")?;
     let addr = match via_router {
@@ -794,12 +822,12 @@ pub fn client(raw: &[String]) -> CmdResult {
         ClientCmd::Shutdown => client.shutdown()?,
         ClientCmd::Raw(line) => client.request_line(&line)?,
     };
-    println!("{}", resp.to_json());
+    say!(stdout, "{}", resp.to_json());
     Ok(())
 }
 
 /// `graphmine incremental`
-pub fn incremental(raw: &[String]) -> CmdResult {
+pub fn incremental(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let minsup: f64 = args.require("--minsup")?;
     let k: usize = args.parsed("--k")?.unwrap_or(2);
@@ -831,7 +859,8 @@ pub fn incremental(raw: &[String]) -> CmdResult {
     };
     let t = Instant::now();
     let outcome = PartMiner::new(cfg).mine(&db, &ufreq, sup);
-    println!(
+    say!(
+        stdout,
         "initial mining: {} patterns in {:.1?} ({} units)",
         outcome.patterns.len(),
         t.elapsed(),
@@ -842,7 +871,8 @@ pub fn incremental(raw: &[String]) -> CmdResult {
     let t = Instant::now();
     let inc =
         IncPartMiner::update_instrumented(&mut state, &plan, &tel).map_err(|e| e.to_string())?;
-    println!(
+    say!(
+        stdout,
         "incremental round: {} updates in {:.1?} — re-mined {}/{} units, prune set {}",
         plan.len(),
         t.elapsed(),
@@ -850,28 +880,29 @@ pub fn incremental(raw: &[String]) -> CmdResult {
         state.partition.unit_count(),
         inc.stats.prune_set_size,
     );
-    println!(
+    say!(
+        stdout,
         "UF (unchanged): {}\nIF (newly frequent): {}\nFI (now infrequent): {}",
         inc.uf.len(),
         inc.if_new.len(),
         inc.fi.len()
     );
     for p in inc.if_new.iter().take(10) {
-        println!("  IF support {:>5}  {}", p.support, p.code);
+        say!(stdout, "  IF support {:>5}  {}", p.support, p.code);
     }
     for p in inc.fi.iter().take(10) {
-        println!("  FI (was {:>5})  {}", p.support, p.code);
+        say!(stdout, "  FI (was {:>5})  {}", p.support, p.code);
     }
     if let Some(rp) = &report_path {
         let report = RunReport::capture("incpartminer", &tel);
         std::fs::write(rp, report.to_json()).map_err(|e| format!("{rp}: {e}"))?;
-        println!("run report written to {rp}");
+        say!(stdout, "run report written to {rp}");
     }
     Ok(())
 }
 
 /// `graphmine check` — the differential correctness oracle.
-pub fn check(raw: &[String]) -> CmdResult {
+pub fn check(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let threads = threads_arg(&mut args)?;
     if let Some(path) = args.value("--replay") {
@@ -880,7 +911,7 @@ pub fn check(raw: &[String]) -> CmdResult {
             .map_err(|e| e.to_string())?;
         return match graphmine_oracle::replay_file(Path::new(path), &exec) {
             Ok(()) => {
-                println!("replay of {path}: every check passed");
+                say!(stdout, "replay of {path}: every check passed");
                 Ok(())
             }
             Err(f) => Err(format!("replay of {path} failed [{}]: {}", f.check, f.message)),
@@ -897,7 +928,8 @@ pub fn check(raw: &[String]) -> CmdResult {
     let t = Instant::now();
     let summary = graphmine_oracle::run(&cfg);
     if summary.ok() {
-        println!(
+        say!(
+            stdout,
             "oracle: {} cases clean in {:.1?} (seed {}{})",
             summary.cases,
             t.elapsed(),

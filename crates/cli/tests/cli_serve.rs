@@ -3,7 +3,7 @@
 //! `client` (bad files, bad codes) that must never touch the network.
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{sink, BufWriter};
 use std::sync::Arc;
 
 use graphmine_cli::commands;
@@ -24,10 +24,13 @@ fn client_subcommand_round_trip() {
     let handle = start(Arc::new(engine), &ServerConfig::default()).unwrap();
     let addr = handle.addr().to_string();
 
-    commands::client(&s(&["--addr", &addr, "status", "--report"])).expect("status");
-    commands::client(&s(&["--addr", &addr, "patterns", "--top", "5"])).expect("patterns");
-    commands::client(&s(&["--addr", &addr, "support", "--code", "0 1 0 0 0"])).expect("support");
-    commands::client(&s(&["--addr", &addr, "raw", r#"{"cmd":"status"}"#])).expect("raw");
+    commands::client(&s(&["--addr", &addr, "status", "--report"]), &mut sink()).expect("status");
+    commands::client(&s(&["--addr", &addr, "patterns", "--top", "5"]), &mut sink())
+        .expect("patterns");
+    commands::client(&s(&["--addr", &addr, "support", "--code", "0 1 0 0 0"]), &mut sink())
+        .expect("support");
+    commands::client(&s(&["--addr", &addr, "raw", r#"{"cmd":"status"}"#]), &mut sink())
+        .expect("raw");
 
     // An update batch goes through the same text file format as
     // `plan-updates` / `incremental`.
@@ -35,12 +38,13 @@ fn client_subcommand_round_trip() {
     let ops = plan_updates(&db, &UpdateParams::new(0.25, 2, UpdateKind::Mixed, 4).with_seed(3));
     let f = File::create(&upd_path).unwrap();
     update_io::write_updates(BufWriter::new(f), &ops).unwrap();
-    commands::client(&s(&["--addr", &addr, "update", upd_path.to_str().unwrap()])).expect("update");
+    commands::client(&s(&["--addr", &addr, "update", upd_path.to_str().unwrap()]), &mut sink())
+        .expect("update");
 
     // Server-side errors surface as CLI errors, not panics.
-    assert!(commands::client(&s(&["--addr", &addr, "raw", "not json"])).is_err());
+    assert!(commands::client(&s(&["--addr", &addr, "raw", "not json"]), &mut sink()).is_err());
 
-    commands::client(&s(&["--addr", &addr, "shutdown"])).expect("shutdown");
+    commands::client(&s(&["--addr", &addr, "shutdown"]), &mut sink()).expect("shutdown");
     handle.wait().unwrap();
 }
 
@@ -48,26 +52,40 @@ fn client_subcommand_round_trip() {
 fn client_local_errors_fail_before_connecting() {
     // None of these may try the (dead) address: the failure is local.
     let addr = "127.0.0.1:1"; // reserved port, nothing listens here
-    assert!(commands::client(&s(&["--addr", addr, "support"])).is_err(), "missing --code");
-    let err = commands::client(&s(&["--addr", addr, "support", "--code", "0 1 0"])).unwrap_err();
+    assert!(
+        commands::client(&s(&["--addr", addr, "support"]), &mut sink()).is_err(),
+        "missing --code"
+    );
+    let err = commands::client(&s(&["--addr", addr, "support", "--code", "0 1 0"]), &mut sink())
+        .unwrap_err();
     assert!(err.contains("5-tuples"), "{err}");
     let err =
-        commands::client(&s(&["--addr", addr, "support", "--code", "0 1 x 0 0"])).unwrap_err();
+        commands::client(&s(&["--addr", addr, "support", "--code", "0 1 x 0 0"]), &mut sink())
+            .unwrap_err();
     assert!(err.contains("invalid code token"), "{err}");
-    assert!(commands::client(&s(&["--addr", addr, "update", "nonexistent.txt"])).is_err());
-    assert!(commands::client(&s(&["--addr", addr, "warp"])).is_err(), "unknown subcommand");
+    assert!(
+        commands::client(&s(&["--addr", addr, "update", "nonexistent.txt"]), &mut sink()).is_err()
+    );
+    assert!(
+        commands::client(&s(&["--addr", addr, "warp"]), &mut sink()).is_err(),
+        "unknown subcommand"
+    );
 
     // A malformed updates file is rejected while parsing, with position.
     let dir = tempfile::tempdir().unwrap();
     let bad = dir.path().join("bad.txt");
     std::fs::write(&bad, "1 explode 1 2\n").unwrap();
-    let err = commands::client(&s(&["--addr", addr, "update", bad.to_str().unwrap()])).unwrap_err();
+    let err = commands::client(&s(&["--addr", addr, "update", bad.to_str().unwrap()]), &mut sink())
+        .unwrap_err();
     assert!(err.contains("explode"), "{err}");
 }
 
 #[test]
 fn serve_argument_errors() {
-    assert!(commands::serve(&s(&["--minsup", "0.3"])).is_err(), "missing database file");
-    assert!(commands::serve(&s(&["nonexistent.txt", "--minsup", "0.3"])).is_err());
-    assert!(commands::serve(&s(&["x.txt"])).is_err(), "missing --minsup");
+    assert!(
+        commands::serve(&s(&["--minsup", "0.3"]), &mut sink()).is_err(),
+        "missing database file"
+    );
+    assert!(commands::serve(&s(&["nonexistent.txt", "--minsup", "0.3"]), &mut sink()).is_err());
+    assert!(commands::serve(&s(&["x.txt"]), &mut sink()).is_err(), "missing --minsup");
 }

@@ -81,8 +81,9 @@ impl UnitMinerKind {
 /// How the merge-join generates candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinPolicy {
-    /// One-edge extension of the complete frequent set at each level.
-    /// Provably lossless (FSG downward closure); the default.
+    /// A depth-first projected walk over `S`: a pattern's children are
+    /// read off its own occurrences. Provably lossless (gSpan's
+    /// rightmost-extension argument); the default.
     #[default]
     Complete,
     /// The joins exactly as written in Fig. 11: `P^k(S0)×F^k`,
@@ -115,12 +116,14 @@ pub struct PartMinerConfig {
     /// pre-update result are re-verified instead of being assumed
     /// unchanged. `false` reproduces the paper's pruning literally.
     pub verify_unchanged: bool,
-    /// Whether the merge-join's `CheckFrequency` keeps embedding lists
-    /// (incremental occurrence filtering) instead of re-searching every
-    /// candidate from scratch.
+    /// Whether `CheckFrequency` under [`JoinPolicy::Paper`] keeps an
+    /// embedding-list store (incremental occurrence filtering) instead of
+    /// re-searching every candidate from scratch. The default
+    /// [`JoinPolicy::Complete`] walk carries its lists down the recursion
+    /// and reads neither this nor the budget.
     pub embedding_lists: EmbeddingMode,
-    /// Memory budget (bytes) for cached embedding lists; lists that would
-    /// exceed it spill and their candidates fall back to the search path.
+    /// Memory budget (bytes) of that store; lists that would exceed it
+    /// spill and their candidates fall back to the search path.
     pub embedding_budget_bytes: usize,
     /// Thread budget for the shared executor in parallel mode. `0` means
     /// auto: the `GRAPHMINE_THREADS` environment variable if set, else
@@ -225,34 +228,6 @@ impl PartMinerConfig {
     }
 }
 
-/// Helper shared by the merge-join and tests: the frequent 1-edge patterns
-/// of a database with exact supports.
-pub(crate) fn frequent_edges(db: &GraphDb, min_support: Support) -> PatternSet {
-    use rustc_hash::{FxHashMap, FxHashSet};
-    let mut counts: FxHashMap<graphmine_graph::DfsCode, Support> = FxHashMap::default();
-    for (_, g) in db.iter() {
-        let mut in_graph: FxHashSet<graphmine_graph::DfsCode> = FxHashSet::default();
-        for (_, u, v, el) in g.edges() {
-            let (la, lb) = if g.vlabel(u) <= g.vlabel(v) {
-                (g.vlabel(u), g.vlabel(v))
-            } else {
-                (g.vlabel(v), g.vlabel(u))
-            };
-            in_graph.insert(graphmine_graph::DfsCode(vec![graphmine_graph::DfsEdge::new(
-                0, 1, la, el, lb,
-            )]));
-        }
-        for code in in_graph {
-            *counts.entry(code).or_insert(0) += 1;
-        }
-    }
-    counts
-        .into_iter()
-        .filter(|&(_, s)| s >= min_support)
-        .map(|(code, s)| graphmine_graph::Pattern::from_code(code, s))
-        .collect()
-}
-
 /// All connected `(k-1)`-edge subgraphs of `g` obtained by deleting one
 /// edge — the "partner" subgraphs the Paper join policy checks, and the
 /// parent links along which the correctness oracle asserts support
@@ -323,24 +298,6 @@ mod tests {
         assert_eq!(PartitionerKind::GraphPart(Criteria::MIN_CONNECTIVITY).name(), "Partition2");
         assert_eq!(PartitionerKind::GraphPart(Criteria::COMBINED).name(), "Partition3");
         assert_eq!(PartitionerKind::Metis.name(), "METIS");
-    }
-
-    #[test]
-    fn frequent_edges_counts_per_graph() {
-        let mut g1 = Graph::new();
-        let a = g1.add_vertex(0);
-        let b = g1.add_vertex(1);
-        let c = g1.add_vertex(1);
-        g1.add_edge(a, b, 3).unwrap();
-        g1.add_edge(a, c, 3).unwrap(); // same triple twice in one graph
-        let mut g2 = Graph::new();
-        let a = g2.add_vertex(0);
-        let b = g2.add_vertex(1);
-        g2.add_edge(a, b, 3).unwrap();
-        let db = GraphDb::from_graphs(vec![g1, g2]);
-        let f = frequent_edges(&db, 2);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f.iter().next().unwrap().support, 2);
     }
 
     #[test]

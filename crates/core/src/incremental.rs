@@ -16,10 +16,10 @@ use rustc_hash::FxHashSet;
 
 use graphmine_exec::{Executor, Job};
 use graphmine_graph::{iso, DbUpdate, GraphError, PatternSet};
+use graphmine_miner::extend::EdgeVocab;
 use graphmine_partition::NodeId;
 use graphmine_telemetry::{Counter, ReportSource, StageTotal, Telemetry};
 
-use crate::config::frequent_edges;
 use crate::merge_join::MergeStats;
 use crate::partminer::{
     executor_for, fault_panic_hook, merge_subtree, mirror_exec_counters, PartMinerState,
@@ -116,9 +116,9 @@ impl IncPartMiner {
     }
 
     /// [`IncPartMiner::update_instrumented`] on a caller-provided
-    /// executor: touched-unit re-mining and candidate verification fan
+    /// executor: touched-unit re-mining and the merge-join's walk fan
     /// out over `exec`'s budget regardless of `config.parallel`, so one
-    /// pool serves initial mining, verification, and update rounds alike.
+    /// pool serves initial mining, merging, and update rounds alike.
     pub fn update_on(
         state: &mut PartMinerState,
         updates: &[DbUpdate],
@@ -143,11 +143,12 @@ impl IncPartMiner {
         let skip_prune = graphmine_graph::fault::armed(graphmine_graph::fault::Fault::SkipPruneSet);
         #[cfg(not(feature = "fault-injection"))]
         let skip_prune = false;
-        let p1_new = frequent_edges(&state.partition.root().db, state.min_support);
+        let p1_new = EdgeVocab::frequent_in(&state.partition.root().db, state.min_support);
         let mut prune = PatternSet::new();
         if !skip_prune {
             for p in old_pd.of_size(1) {
-                if !p1_new.contains(&p.code) {
+                let e = p.code.0[0];
+                if !p1_new.contains(e.from_label, e.edge_label, e.to_label) {
                     prune.insert(p.clone());
                 }
             }

@@ -2,36 +2,39 @@
 //! subgraphs of a dataset `S` from the frequent subgraphs of its two pieces
 //! `S0` and `S1`.
 //!
-//! Candidate frequencies are verified against `S` itself (`CheckFrequency`)
-//! through a triple-screened embedding search. Three optimisations carry
-//! the paper's cost model:
+//! Under the default `Complete` policy the join is one depth-first
+//! projected walk over `S` ([`rightmost_children`]): a pattern's children
+//! are read off its own occurrences, so nothing is generated that `S` does
+//! not contain, and every child arrives with its support already counted.
+//! The piece results enter as verdicts that spare the canonical-code test
+//! and, unless `exact_supports` is set, the exact support:
 //!
-//! * **supporter-list restriction** — every accepted pattern carries a
-//!   superset of its supporting gids (exact when it was counted, inherited
-//!   from its parents otherwise); a candidate is only ever tested against
-//!   the *sorted-set intersection* of its parents' supporter lists (support
-//!   is anti-monotone, so every parent list is a superset of the child's
-//!   true supporters), the Apriori TID-list idea sharpened into
-//!   `CheckFrequency`-as-intersection;
 //! * **unit-support shortcut** — every occurrence inside a piece is an
-//!   occurrence in the original graph, so a candidate whose support within
-//!   one piece already reaches the threshold is frequent in `S` without
-//!   counting (disabled by `exact_supports`, which recounts everything);
+//!   occurrence in the original graph, so a pattern whose support within
+//!   one piece already reaches the threshold is frequent in `S` and is
+//!   reported with that lower bound (disabled by `exact_supports`);
 //! * **known-pattern skip** (`IncMergeJoin`, Fig. 12 lines 14–17) — during
-//!   incremental re-merging, candidates present in the pruned pre-update
+//!   incremental re-merging, children present in the pruned pre-update
 //!   result are moved straight to the frequent set.
+//!
+//! The paper-faithful `Paper` policy keeps generate-then-test: candidates
+//! from the joins of Fig. 11, each verified against `S` (`CheckFrequency`)
+//! through the embedding-list store or, on a spill, a triple-screened
+//! search restricted to the sorted-set intersection of its parents'
+//! supporter lists.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
 
 use graphmine_exec::{Executor, Job};
+use graphmine_graph::dfscode::is_min;
 use graphmine_graph::iso::SupportIndex;
 use graphmine_graph::{
-    intersect_sorted, DfsCode, EmbeddingMode, EmbeddingStore, GraphDb, GraphId, Pattern,
-    PatternSet, Support,
+    intersect_sorted, DfsCode, DfsEdge, EmbeddingList, EmbeddingMode, EmbeddingStore, GraphDb,
+    GraphId, Pattern, PatternSet, Support,
 };
-use graphmine_miner::extend::{canonical_extensions, one_edge_extensions, EdgeVocab};
+use graphmine_miner::extend::{one_edge_extensions, rightmost_children, root_lists, EdgeVocab};
 use graphmine_telemetry::{Counter, Counters, ReportSource, Telemetry};
 
 use crate::config::one_edge_deletions;
@@ -54,20 +57,21 @@ pub struct MergeContext<'a> {
     pub known: Option<&'a PatternSet>,
     /// Whether `known` members may be accepted without recounting.
     pub trust_known: bool,
-    /// The shared executor verifying candidates on multiple threads
-    /// (PartMiner's parallel mode extends to `CheckFrequency`: candidate
-    /// counts are independent). `None` runs serially; the thread budget
-    /// was resolved once when the executor was built, never per batch.
+    /// The shared executor the `Complete` walk fans out on, one job per
+    /// frequent-edge subtree (the subtrees are independent). `None` runs
+    /// serially; the thread budget was resolved once when the executor was
+    /// built, never per batch.
     pub executor: Option<&'a Executor>,
-    /// Whether `CheckFrequency` keeps embedding lists: candidates are then
-    /// resolved by extending their parent's occurrence list instead of
-    /// re-running the embedding search per graph.
+    /// Whether the `Paper` policy's `CheckFrequency` keeps an embedding-list
+    /// store. The `Complete` walk carries its lists down the recursion and
+    /// reads neither this nor the budget.
     pub embedding_lists: EmbeddingMode,
-    /// Byte budget for cached embedding lists; a list pushing the cache over
-    /// this cap is spilled and its candidate falls back to the search path.
+    /// Byte budget of that store; a list pushing it over this cap is
+    /// spilled and its candidate falls back to the search path.
     pub embedding_budget: usize,
     /// Optional telemetry sink: counters mirror [`MergeStats`] and a
-    /// `check_frequency` span wraps each verification batch.
+    /// `check_frequency` span wraps the walk (`Complete`) or each
+    /// verification batch (`Paper`).
     pub telemetry: Option<&'a Telemetry>,
 }
 
@@ -81,9 +85,11 @@ impl MergeContext<'_> {
 /// Work counters of one merge-join invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeStats {
-    /// Candidates generated (after canonical dedup).
+    /// Candidates generated: the children the walk read off frequent
+    /// parents, before the canonical test (`Complete`), or the join
+    /// candidates after canonical dedup (`Paper`).
     pub candidates: usize,
-    /// Candidates whose support was counted against `S`.
+    /// Candidates accepted or rejected on their exact support in `S`.
     pub counted: usize,
     /// Candidates accepted through the unit-support shortcut.
     pub shortcut: usize,
@@ -112,15 +118,6 @@ impl ReportSource for MergeStats {
     }
 }
 
-/// A frequent pattern in flight through the level-wise loop, with the
-/// superset of gids a child candidate needs to be tested against.
-#[derive(Clone)]
-struct Live {
-    pattern: Pattern,
-    /// Superset of the supporting gids (`None` = unknown, i.e. all of `S`).
-    supporters: Option<Arc<Vec<GraphId>>>,
-}
-
 /// Combines the frequent-pattern sets of the two pieces of `ctx.db` into
 /// the frequent-pattern set of `ctx.db` itself.
 pub fn merge_join(
@@ -129,20 +126,10 @@ pub fn merge_join(
     p1: &PatternSet,
 ) -> (PatternSet, MergeStats) {
     let mut stats = MergeStats::default();
-    let index = SupportIndex::build(ctx.db);
-    // The embedding-list engine for this node. Shared behind a mutex so the
-    // parallel verify path can build lists too; the lock only covers list
-    // construction — spill fallbacks search outside it.
-    let estore: Option<Mutex<EmbeddingStore<'_>>> = ctx.embedding_lists.enabled().then(|| {
-        let budget = ctx.embedding_lists.effective_budget(ctx.db, ctx.embedding_budget);
-        Mutex::new(EmbeddingStore::new(ctx.db, budget))
-    });
-    let estore = estore.as_ref();
 
-    // Line 1: frequent 1-edge patterns of S, counted exactly, with their
-    // exact supporter lists.
-    let f1 = frequent_edges_with_gids(ctx.db, ctx.min_support);
-    let vocab = EdgeVocab::from_patterns(&f1.iter().map(|l| l.pattern.clone()).collect());
+    // Line 1: frequent 1-edge patterns of S, counted exactly.
+    let vocab = EdgeVocab::frequent_in(ctx.db, ctx.min_support);
+    let roots = root_lists(ctx.db, &vocab);
 
     // Piece results with max-support union: the tightest available lower
     // bound on each pattern's support in S.
@@ -150,51 +137,187 @@ pub fn merge_join(
     seeds.union(p1);
 
     let mut out = PatternSet::new();
-    for l in &f1 {
-        out.insert(l.pattern.clone());
+    for (edge, list) in &roots {
+        out.insert(Pattern::from_code(DfsCode(vec![*edge]), list.support()));
     }
     // The exact 1-edge base is frequent by construction; tally it so the
     // verified_frequent counter accounts for every pattern in the output.
-    ctx.counters().add(Counter::VerifiedFrequent, f1.len() as u64);
+    ctx.counters().add(Counter::VerifiedFrequent, roots.len() as u64);
 
     match ctx.policy {
-        JoinPolicy::Complete => {
-            complete_levels(ctx, &index, estore, &vocab, &seeds, f1, &mut out, &mut stats)
-        }
-        JoinPolicy::Paper => {
-            paper_levels(ctx, &index, estore, &vocab, p0, p1, &seeds, &mut out, &mut stats)
-        }
+        JoinPolicy::Complete => complete_levels(ctx, &vocab, &seeds, roots, &mut out, &mut stats),
+        JoinPolicy::Paper => paper_levels(ctx, &vocab, p0, p1, &seeds, &mut out, &mut stats),
     }
     (out, stats)
 }
 
-/// The shared embedding-list store of one merge-join invocation.
-type SharedStore<'s, 'a> = Option<&'s Mutex<EmbeddingStore<'a>>>;
-
-/// Exact frequent single edges with their supporter lists, read straight off
-/// each graph's incrementally-maintained edge-triple index — no per-graph
-/// edge scan or dedup set. Iterating gids in ascending order makes every
-/// supporter list sorted, which the intersection-based restriction relies on.
-fn frequent_edges_with_gids(db: &GraphDb, min_support: Support) -> Vec<Live> {
-    let mut gids: FxHashMap<(u32, u32, u32), Vec<GraphId>> = FxHashMap::default();
-    for (gid, g) in db.iter() {
-        for &((la, el, lb), _) in g.triples() {
-            gids.entry((la, el, lb)).or_default().push(gid);
+/// The verdicts that need no count: a trusted member of the pre-update
+/// result, then a unit support that already reaches the threshold. Both
+/// sets hold canonical codes only, so a hit also proves `code` minimal.
+fn bound(
+    ctx: &MergeContext<'_>,
+    seeds: &PatternSet,
+    code: &DfsCode,
+    stats: &mut MergeStats,
+) -> Option<Support> {
+    let counters = ctx.counters();
+    if ctx.trust_known {
+        if let Some(sup) = ctx.known.and_then(|known| known.support(code)) {
+            stats.known_skipped += 1;
+            counters.bump(Counter::KnownSkipped);
+            counters.bump(Counter::VerifiedFrequent);
+            return Some(sup);
         }
     }
-    gids.into_iter()
-        .filter(|(_, g)| g.len() as Support >= min_support)
-        .map(|((la, el, lb), g)| {
-            let code = DfsCode(vec![graphmine_graph::DfsEdge::new(0, 1, la, el, lb)]);
-            Live {
-                pattern: Pattern::from_code(code, g.len() as Support),
-                supporters: Some(Arc::new(g)),
-            }
-        })
-        .collect()
+    if !ctx.exact_supports {
+        if let Some(lb) = seeds.support(code).filter(|&lb| lb >= ctx.min_support) {
+            stats.shortcut += 1;
+            counters.bump(Counter::BoundShortcut);
+            counters.bump(Counter::VerifiedFrequent);
+            return Some(lb);
+        }
+    }
+    None
 }
 
-/// Outcome of verifying one candidate.
+fn within_cap(ctx: &MergeContext<'_>, size: usize) -> bool {
+    ctx.max_edges.is_none_or(|cap| size <= cap)
+}
+
+/// `Complete` policy: a depth-first projected walk over `S`, from every
+/// frequent edge down. Lossless by gSpan's argument — every frequent
+/// pattern's minimum code is a rightmost extension of its frequent,
+/// minimal prefix, and the walk reaches every such prefix holding its full
+/// occurrence list, so [`rightmost_children`] returns the pattern's code
+/// with its exact support. Only the lists on the current root-to-leaf path
+/// are alive at any time.
+///
+/// The frequent-edge subtrees share nothing, so with an executor each is
+/// one job; folding the jobs' results in submission order makes stats and
+/// output identical to the serial walk.
+fn complete_levels(
+    ctx: &MergeContext<'_>,
+    vocab: &EdgeVocab,
+    seeds: &PatternSet,
+    roots: Vec<(DfsEdge, EmbeddingList)>,
+    out: &mut PatternSet,
+    stats: &mut MergeStats,
+) {
+    if !within_cap(ctx, 2) {
+        return;
+    }
+    let _check_span = ctx.telemetry.map(|t| t.span("check_frequency"));
+    let walk = Walk { ctx, vocab, seeds };
+    let Some(exec) = ctx.executor.filter(|exec| exec.threads() > 1) else {
+        for (edge, list) in roots {
+            walk.grow(&mut DfsCode(vec![edge]), &list, out, stats);
+        }
+        return;
+    };
+    let walk = &walk;
+    let jobs: Vec<Job<'_, (PatternSet, MergeStats)>> = roots
+        .into_iter()
+        .map(|(edge, list)| {
+            Job::new(format!("walk:{edge}"), move || {
+                let mut found = PatternSet::new();
+                let mut local = MergeStats::default();
+                walk.grow(&mut DfsCode(vec![edge]), &list, &mut found, &mut local);
+                (found, local)
+            })
+        })
+        .collect();
+    let subtrees = exec.map_indexed(jobs).unwrap_or_else(|e| panic!("merge-join walk failed: {e}"));
+    for (found, local) in subtrees {
+        stats.absorb(local);
+        for p in found.into_patterns() {
+            out.insert(p);
+        }
+    }
+}
+
+/// What stays fixed down one `Complete` walk.
+struct Walk<'a> {
+    ctx: &'a MergeContext<'a>,
+    vocab: &'a EdgeVocab,
+    seeds: &'a PatternSet,
+}
+
+impl Walk<'_> {
+    /// Reads the children of the frequent, minimal `code` off its
+    /// occurrence `list`, inserts every child the verdicts accept and
+    /// recurses into it.
+    fn grow(
+        &self,
+        code: &mut DfsCode,
+        list: &EmbeddingList,
+        out: &mut PatternSet,
+        stats: &mut MergeStats,
+    ) {
+        if !within_cap(self.ctx, code.len() + 1) {
+            return;
+        }
+        let counters = self.ctx.counters();
+        let children = rightmost_children(self.ctx.db, code, list, self.vocab);
+        stats.candidates += children.len();
+        counters.add(Counter::CandidatesGenerated, children.len() as u64);
+        counters
+            .add(Counter::EmbeddingsExtended, children.iter().map(|(_, l)| l.len() as u64).sum());
+        for (edge, child) in children {
+            code.push(edge);
+            if let Some(sup) = self.verdict(code, &child, stats) {
+                out.insert(Pattern::from_code(code.clone(), sup));
+                self.grow(code, &child, out, stats);
+            }
+            code.pop();
+        }
+    }
+
+    /// The support `code` is reported with, or `None` when it is rejected:
+    /// the countless verdicts of [`bound`] first, then the exact support
+    /// the child's `list` already holds, then — only for a child that
+    /// counted frequent — the canonical-code test.
+    fn verdict(
+        &self,
+        code: &DfsCode,
+        list: &EmbeddingList,
+        stats: &mut MergeStats,
+    ) -> Option<Support> {
+        let ctx = self.ctx;
+        if let Some(sup) = bound(ctx, self.seeds, code, stats) {
+            return Some(sup);
+        }
+        let sup = list.support();
+        if sup < ctx.min_support {
+            stats.counted += 1;
+            ctx.counters().bump(Counter::VerifiedInfrequent);
+            return None;
+        }
+        #[cfg(feature = "fault-injection")]
+        let skip_min =
+            graphmine_graph::fault::armed(graphmine_graph::fault::Fault::SkipWalkMinCheck);
+        #[cfg(not(feature = "fault-injection"))]
+        let skip_min = false;
+        // A frequent child under a non-minimal code is a duplicate: the
+        // walk meets the same pattern under its minimum code elsewhere.
+        if !skip_min && !is_min(code) {
+            return None;
+        }
+        stats.counted += 1;
+        ctx.counters().bump(Counter::VerifiedFrequent);
+        Some(sup)
+    }
+}
+
+/// A frequent pattern in flight through the `Paper` level loop, with the
+/// superset of gids a child candidate needs to be tested against.
+#[derive(Clone)]
+struct Live {
+    pattern: Pattern,
+    /// Superset of the supporting gids (`None` = unknown, i.e. all of `S`).
+    supporters: Option<Arc<Vec<GraphId>>>,
+}
+
+/// Outcome of verifying one `Paper` candidate.
 enum Verdict {
     /// Counted exactly; the supporter list is exact.
     Counted(Support, Arc<Vec<GraphId>>),
@@ -205,73 +328,64 @@ enum Verdict {
     Rejected,
 }
 
-/// Verifies one candidate: known-skip, then unit-support shortcut, then an
-/// exact count — answered from the embedding-list engine when a list is
-/// available, falling back to the histogram-screened search restricted to
-/// the parent's supporter superset when the list spilled (or lists are off).
-fn verify(
-    ctx: &MergeContext<'_>,
-    index: &SupportIndex,
-    estore: SharedStore<'_, '_>,
-    seeds: &PatternSet,
-    code: &DfsCode,
-    restrict: Option<&Arc<Vec<GraphId>>>,
-    stats: &mut MergeStats,
-) -> Verdict {
-    let counters = ctx.counters();
-    if ctx.trust_known {
-        if let Some(known) = ctx.known {
-            if let Some(sup) = known.support(code) {
-                stats.known_skipped += 1;
-                counters.bump(Counter::KnownSkipped);
-                counters.bump(Counter::VerifiedFrequent);
-                return Verdict::Bound(sup);
-            }
-        }
-    }
-    if !ctx.exact_supports {
-        if let Some(lb) = seeds.support(code) {
-            if lb >= ctx.min_support {
-                stats.shortcut += 1;
-                counters.bump(Counter::BoundShortcut);
-                counters.bump(Counter::VerifiedFrequent);
-                return Verdict::Bound(lb);
-            }
-        }
-    }
-    stats.counted += 1;
-    if let Some(store) = estore {
-        let answer = store.lock().expect("embedding store lock").support(code, counters);
-        if let Some((sup, gids)) = answer {
-            // The list answered: no per-graph search runs for this
-            // candidate. The supporter list is exact — tighter than the
-            // parent superset the search path would have scanned.
-            let replaced = restrict.map_or(ctx.db.len(), |l| l.len());
-            counters.add(Counter::SearchCallsAvoided, replaced as u64);
-            return if sup >= ctx.min_support {
-                counters.bump(Counter::VerifiedFrequent);
-                Verdict::Counted(sup, Arc::new(gids))
-            } else {
-                counters.bump(Counter::VerifiedInfrequent);
-                Verdict::Rejected
-            };
-        }
-    }
-    let (sup, gids) = match restrict {
-        Some(list) => index.support_over_counted(ctx.db, list, code, ctx.min_support, counters),
-        None => index.support_all_counted(ctx.db, code, ctx.min_support, counters),
-    };
-    if sup >= ctx.min_support {
-        counters.bump(Counter::VerifiedFrequent);
-        Verdict::Counted(sup, Arc::new(gids))
-    } else {
-        counters.bump(Counter::VerifiedInfrequent);
-        Verdict::Rejected
-    }
+/// `CheckFrequency` as the `Paper` policy runs it, for every candidate of
+/// one invocation: the histogram index over `S` and, when lists are on,
+/// the embedding-list store.
+struct CheckFrequency<'a> {
+    index: SupportIndex,
+    estore: Option<EmbeddingStore<'a>>,
 }
 
-fn within_cap(ctx: &MergeContext<'_>, size: usize) -> bool {
-    ctx.max_edges.is_none_or(|cap| size <= cap)
+impl<'a> CheckFrequency<'a> {
+    fn new(ctx: &MergeContext<'a>) -> Self {
+        let estore = ctx.embedding_lists.enabled().then(|| {
+            let budget = ctx.embedding_lists.effective_budget(ctx.db, ctx.embedding_budget);
+            EmbeddingStore::new(ctx.db, budget)
+        });
+        CheckFrequency { index: SupportIndex::build(ctx.db), estore }
+    }
+
+    /// Verifies one candidate: the countless verdicts of [`bound`], then an
+    /// exact count — answered from the embedding-list store when a list is
+    /// available, falling back to the histogram-screened search restricted
+    /// to the parent's supporter superset when the list spilled (or lists
+    /// are off).
+    fn verify(
+        &mut self,
+        ctx: &MergeContext<'_>,
+        seeds: &PatternSet,
+        code: &DfsCode,
+        restrict: Option<&Arc<Vec<GraphId>>>,
+        stats: &mut MergeStats,
+    ) -> Verdict {
+        let counters = ctx.counters();
+        if let Some(sup) = bound(ctx, seeds, code, stats) {
+            return Verdict::Bound(sup);
+        }
+        stats.counted += 1;
+        let listed = self.estore.as_mut().and_then(|store| store.support(code, counters));
+        let (sup, gids) = match (listed, restrict) {
+            (Some(answer), _) => {
+                // The list answered: no per-graph search runs for this
+                // candidate. The supporter list is exact — tighter than the
+                // parent superset the search path would have scanned.
+                let replaced = restrict.map_or(ctx.db.len(), |l| l.len());
+                counters.add(Counter::SearchCallsAvoided, replaced as u64);
+                answer
+            }
+            (None, Some(list)) => {
+                self.index.support_over_counted(ctx.db, list, code, ctx.min_support, counters)
+            }
+            (None, None) => self.index.support_all_counted(ctx.db, code, ctx.min_support, counters),
+        };
+        if sup >= ctx.min_support {
+            counters.bump(Counter::VerifiedFrequent);
+            Verdict::Counted(sup, Arc::new(gids))
+        } else {
+            counters.bump(Counter::VerifiedInfrequent);
+            Verdict::Rejected
+        }
+    }
 }
 
 /// Combines two optional parent supporter lists into the tightest sound
@@ -297,132 +411,12 @@ fn combine_restrict(
     }
 }
 
-/// `Complete` policy: level-wise one-edge extension of the *entire* exact
-/// frequent set — lossless by the FSG downward-closure argument.
-#[allow(clippy::too_many_arguments)]
-fn complete_levels(
-    ctx: &MergeContext<'_>,
-    index: &SupportIndex,
-    estore: SharedStore<'_, '_>,
-    vocab: &EdgeVocab,
-    seeds: &PatternSet,
-    level1: Vec<Live>,
-    out: &mut PatternSet,
-    stats: &mut MergeStats,
-) {
-    let mut frontier = level1;
-    while !frontier.is_empty() {
-        let next_size = frontier[0].pattern.size() + 1;
-        if !within_cap(ctx, next_size) {
-            break;
-        }
-        // Lists for patterns two levels back can no longer be prefixes of
-        // any remaining candidate; reclaim their budget.
-        if let Some(store) = estore {
-            store.lock().expect("embedding store lock").evict_below(next_size - 1);
-        }
-        // Candidate -> parent supporter list. The frontier holds *all*
-        // frequent patterns of the current size with their canonical codes,
-        // so rightmost extension generates each child exactly once, from
-        // its canonical parent.
-        let mut candidates: FxHashMap<DfsCode, Option<Arc<Vec<GraphId>>>> = FxHashMap::default();
-        for live in &frontier {
-            for code in canonical_extensions(&live.pattern.code, &live.pattern.graph, vocab) {
-                if out.contains(&code) {
-                    continue;
-                }
-                let entry = candidates.entry(code).or_insert_with(|| live.supporters.clone());
-                *entry = combine_restrict(entry.take(), live.supporters.clone());
-            }
-        }
-        stats.candidates += candidates.len();
-        ctx.counters().add(Counter::CandidatesGenerated, candidates.len() as u64);
-        let work: Vec<CandidateWork> = candidates.into_iter().collect();
-        let verified = verify_batch(ctx, index, estore, seeds, work, stats);
-        let mut next = Vec::new();
-        for (code, restrict, verdict) in verified {
-            match verdict {
-                Verdict::Counted(sup, gids) => {
-                    let p = Pattern::from_code(code, sup);
-                    out.insert(p.clone());
-                    next.push(Live { pattern: p, supporters: Some(gids) });
-                }
-                Verdict::Bound(sup) => {
-                    let p = Pattern::from_code(code, sup);
-                    out.insert(p.clone());
-                    next.push(Live { pattern: p, supporters: restrict });
-                }
-                Verdict::Rejected => {}
-            }
-        }
-        frontier = next;
-    }
-}
-
-/// A candidate with its tightest parent supporter list.
-type CandidateWork = (DfsCode, Option<Arc<Vec<GraphId>>>);
-/// A verified candidate: the work item plus the verdict.
-type VerifiedWork = (DfsCode, Option<Arc<Vec<GraphId>>>, Verdict);
-
-/// Verifies a batch of candidates, fanning out over the shared executor
-/// when the context carries one and the batch is worth it.
-fn verify_batch(
-    ctx: &MergeContext<'_>,
-    index: &SupportIndex,
-    estore: SharedStore<'_, '_>,
-    seeds: &PatternSet,
-    work: Vec<CandidateWork>,
-    stats: &mut MergeStats,
-) -> Vec<VerifiedWork> {
-    const MIN_PARALLEL_BATCH: usize = 64;
-    let _check_span = ctx.telemetry.map(|t| t.span("check_frequency"));
-    let threads = ctx.executor.map_or(1, Executor::threads);
-    if threads < 2 || work.len() < MIN_PARALLEL_BATCH {
-        return work
-            .into_iter()
-            .map(|(code, restrict)| {
-                let v = verify(ctx, index, estore, seeds, &code, restrict.as_ref(), stats);
-                (code, restrict, v)
-            })
-            .collect();
-    }
-    // One job per candidate: a single expensive candidate occupies one
-    // worker while the rest steal the remaining work, and the results come
-    // back in submission order, so folding each job's local stats in that
-    // order reproduces the serial walk exactly.
-    let exec = ctx.executor.expect("threads >= 2 implies an executor");
-    let jobs: Vec<Job<'_, (VerifiedWork, MergeStats)>> = work
-        .into_iter()
-        .map(|(code, restrict)| {
-            let label = format!("verify:{code}");
-            Job::new(label, move || {
-                let mut local = MergeStats::default();
-                let v = verify(ctx, index, estore, seeds, &code, restrict.as_ref(), &mut local);
-                ((code, restrict, v), local)
-            })
-        })
-        .collect();
-    let verified = match exec.map_indexed(jobs) {
-        Ok(v) => v,
-        Err(e) => panic!("merge-join verification failed: {e}"),
-    };
-    let mut out = Vec::with_capacity(verified.len());
-    for (item, local) in verified {
-        stats.absorb(local);
-        out.push(item);
-    }
-    out
-}
-
 /// `Paper` policy: the joins exactly as Fig. 11 writes them. Unit-local
 /// patterns enter `P^k(S)` directly (verified at `θ`); *new* cross patterns
 /// grow only out of the `F^k` chain, seeded by
 /// `C^3 = Join(P^2(S0), P^2(S1))`.
-#[allow(clippy::too_many_arguments)]
 fn paper_levels(
     ctx: &MergeContext<'_>,
-    index: &SupportIndex,
-    estore: SharedStore<'_, '_>,
     vocab: &EdgeVocab,
     p0: &PatternSet,
     p1: &PatternSet,
@@ -430,6 +424,7 @@ fn paper_levels(
     out: &mut PatternSet,
     stats: &mut MergeStats,
 ) {
+    let mut check = CheckFrequency::new(ctx);
     let max_piece = p0.max_size().max(p1.max_size());
 
     // Level 2: P^2(S) = P^2(S0) ∪ P^2(S1), verified against S.
@@ -442,7 +437,7 @@ fn paper_levels(
             if out.contains(&p.code) {
                 continue;
             }
-            match verify(ctx, index, estore, seeds, &p.code, None, stats) {
+            match check.verify(ctx, seeds, &p.code, None, stats) {
                 Verdict::Counted(sup, _) | Verdict::Bound(sup) => {
                     out.insert(Pattern::from_code(p.code.clone(), sup));
                 }
@@ -475,7 +470,7 @@ fn paper_levels(
         ctx.counters().add(Counter::CandidatesGenerated, c3.len() as u64);
         let _check_span = ctx.telemetry.map(|t| t.span("check_frequency"));
         for (code, ()) in c3 {
-            match verify(ctx, index, estore, seeds, &code, None, stats) {
+            match check.verify(ctx, seeds, &code, None, stats) {
                 Verdict::Counted(sup, gids) => {
                     let p = Pattern::from_code(code, sup);
                     out.insert(p.clone());
@@ -507,7 +502,7 @@ fn paper_levels(
             if out.contains(&p.code) {
                 continue;
             }
-            match verify(ctx, index, estore, seeds, &p.code, None, stats) {
+            match check.verify(ctx, seeds, &p.code, None, stats) {
                 Verdict::Counted(sup, _) | Verdict::Bound(sup) => {
                     out.insert(Pattern::from_code(p.code.clone(), sup));
                 }
@@ -537,7 +532,7 @@ fn paper_levels(
         let _check_span = ctx.telemetry.map(|t| t.span("check_frequency"));
         let mut next_f = Vec::new();
         for (code, restrict) in candidates {
-            match verify(ctx, index, estore, seeds, &code, restrict.as_ref(), stats) {
+            match check.verify(ctx, seeds, &code, restrict.as_ref(), stats) {
                 Verdict::Counted(sup, gids) => {
                     let p = Pattern::from_code(code, sup);
                     out.insert(p.clone());

@@ -205,7 +205,7 @@ impl PartMiner {
     }
 
     /// [`PartMiner::mine_instrumented`] on a caller-provided executor:
-    /// unit mining and candidate verification fan out over `exec`'s
+    /// unit mining and the merge-join's walk fan out over `exec`'s
     /// budget regardless of `config.parallel`, and the same pool can be
     /// shared across runs (the oracle reuses one for its whole PartMiner
     /// matrix) instead of re-resolving a parallelism degree per batch.

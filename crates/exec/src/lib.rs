@@ -1,8 +1,8 @@
 //! A bounded work-stealing executor for the PartMiner pipeline.
 //!
 //! The paper's parallel mode treats the `k` units, the merge-join's
-//! candidate verifications and the incremental re-mines as independent
-//! work items. Before this crate each of those three fan-out sites
+//! frequent-edge subtrees (once: its candidate verifications) and the
+//! incremental re-mines as independent work items. Before this crate each of those three fan-out sites
 //! hand-rolled its own `crossbeam::thread::scope` with a different (and
 //! differently buggy) policy: one thread per unit regardless of core
 //! count, fixed-size verify chunks that strand workers behind one
@@ -101,7 +101,7 @@ pub struct ExecCounters {
 /// `GRAPHMINE_THREADS` environment variable, or
 /// `std::thread::available_parallelism`, in that order) and reused by
 /// every batch submitted through [`Executor::map_indexed`] — unit mining,
-/// candidate verification and incremental re-mining all share one pool
+/// the merge-join's walk and incremental re-mining all share one pool
 /// per run instead of re-deriving a parallelism degree per batch.
 #[derive(Debug, Default)]
 pub struct Executor {

@@ -12,8 +12,9 @@
 //!
 //! [`EmbeddingList`] is the compact occurrence arena: one `gid` plus flat
 //! vertex/edge image rows with fixed strides, no per-embedding allocation.
-//! [`EmbeddingStore`] caches lists keyed by DFS code so the merge-join can
-//! resolve candidates by extending the list of the candidate code's prefix
+//! [`EmbeddingStore`] caches lists keyed by DFS code so a level-wise counter
+//! (Apriori, the `Paper` merge-join, the daemon's `support`) can resolve
+//! candidates by extending the list of the candidate code's prefix
 //! (every prefix of a minimum DFS code is itself minimal, so prefixes are
 //! shared across siblings). A byte budget bounds memory: a list that would
 //! exceed it is *spilled* — dropped, with the caller falling back to the

@@ -51,6 +51,16 @@ pub enum Fault {
     /// update has committed — exactly the staleness the epoch-keyed
     /// design is supposed to make impossible.
     ServeStaleCache = 9,
+    /// The extension kernel (`rightmost_children`) skips every backward,
+    /// cycle-closing extension. gSpan and PartMiner's merge-join share that
+    /// kernel, so reference and subject lose the same cyclic patterns and
+    /// agree with each other — only the miners that do not use it (Gaston,
+    /// Apriori, brute force) can tell.
+    DropBackwardChild = 10,
+    /// The merge-join's walk accepts a counted-frequent child without the
+    /// canonical-code test, so patterns are reported again under
+    /// non-minimal codes.
+    SkipWalkMinCheck = 11,
 }
 
 static ACTIVE: AtomicU8 = AtomicU8::new(0);

@@ -8,12 +8,11 @@
 //! flat-arena occurrence store from [`graphmine_graph::embeddings`] — so no
 //! isolated subgraph-isomorphism test is ever needed.
 
-use rustc_hash::FxHashMap;
-
 use graphmine_graph::dfscode::is_min;
-use graphmine_graph::{DfsCode, DfsEdge, EmbeddingList, GraphDb, Pattern, PatternSet, Support};
+use graphmine_graph::{DfsCode, EmbeddingList, GraphDb, Pattern, PatternSet, Support};
 use graphmine_telemetry::{Counter, Counters};
 
+use crate::extend::{rightmost_children, root_lists, EdgeVocab};
 use crate::{within_cap, MemoryMiner};
 
 /// The gSpan miner.
@@ -53,6 +52,17 @@ impl MemoryMiner for GSpan {
     }
 }
 
+/// What stays fixed down one gSpan search.
+struct Search<'a> {
+    db: &'a GraphDb,
+    /// The database's own frequent edges: an extension over any other edge
+    /// cannot be frequent.
+    vocab: EdgeVocab,
+    min_support: Support,
+    max_edges: Option<usize>,
+    counters: &'a Counters,
+}
+
 impl GSpan {
     fn mine_with(&self, db: &GraphDb, min_support: Support, counters: &Counters) -> PatternSet {
         let mut out = PatternSet::new();
@@ -60,44 +70,20 @@ impl GSpan {
             return out;
         }
 
-        // Frequent 1-edge patterns, keyed by canonical (l_min, e, l_max).
-        // Scanning gids in order keeps every group's arena gid-sorted.
-        let mut groups: FxHashMap<DfsEdge, EmbeddingList> = FxHashMap::default();
-        for (gid, g) in db.iter() {
-            for (eid, u, v, el) in g.edges() {
-                let (a, b) = if g.vlabel(u) <= g.vlabel(v) { (u, v) } else { (v, u) };
-                let edge = DfsEdge::new(0, 1, g.vlabel(a), el, g.vlabel(b));
-                let group = groups.entry(edge).or_insert_with(|| EmbeddingList::empty(2, 1));
-                group.push(gid, &[a, b], &[eid]);
-                if g.vlabel(a) == g.vlabel(b) {
-                    group.push(gid, &[b, a], &[eid]);
-                }
-            }
-        }
-        counters.add(Counter::MinerExtensions, groups.len() as u64);
-
-        for (edge, embeddings) in groups {
-            if embeddings.support() < min_support {
-                continue;
-            }
-            let mut code = DfsCode(vec![edge]);
-            self.grow(db, &mut code, &embeddings, min_support, &mut out, counters);
+        let vocab = EdgeVocab::frequent_in(db, min_support);
+        let roots = root_lists(db, &vocab);
+        counters.add(Counter::MinerExtensions, roots.len() as u64);
+        let search = Search { db, vocab, min_support, max_edges: self.max_edges, counters };
+        for (edge, embeddings) in roots {
+            search.grow(&mut DfsCode(vec![edge]), &embeddings, &mut out);
         }
         counters.add(Counter::MinerPatterns, out.len() as u64);
         out
     }
 }
 
-impl GSpan {
-    fn grow(
-        &self,
-        db: &GraphDb,
-        code: &mut DfsCode,
-        embeddings: &EmbeddingList,
-        min_support: Support,
-        out: &mut PatternSet,
-        counters: &Counters,
-    ) {
+impl Search<'_> {
+    fn grow(&self, code: &mut DfsCode, embeddings: &EmbeddingList, out: &mut PatternSet) {
         if !is_min(code) {
             return;
         }
@@ -106,81 +92,16 @@ impl GSpan {
             return;
         }
 
-        let path = code.rightmost_path();
-        let rightmost = *path.last().expect("non-empty code");
-        // Backward edges from the same source must appear in increasing
-        // target order; track the last backward target emitted from the
-        // rightmost vertex so extensions keep the code valid.
-        let min_backward_target = code
-            .0
-            .iter()
-            .rev()
-            .take_while(|e| !e.is_forward())
-            .filter(|e| e.from == rightmost)
-            .map(|e| e.to + 1)
-            .max()
-            .unwrap_or(0);
-
-        let mut extensions: FxHashMap<DfsEdge, EmbeddingList> = FxHashMap::default();
-        let vs_stride = embeddings.vertex_stride();
-        let es_stride = embeddings.edge_stride();
-        for row in 0..embeddings.len() {
-            let g = db.graph(embeddings.gid(row));
-            let map = embeddings.vertices(row);
-            let g_rm = map[rightmost as usize];
-
-            // Backward extensions: rightmost vertex -> rightmost-path vertex.
-            for &pv in &path[..path.len() - 1] {
-                if pv < min_backward_target {
-                    continue;
-                }
-                let g_pv = map[pv as usize];
-                if let Some(eid) = g.edge_between(g_rm, g_pv) {
-                    if !embeddings.uses_edge(row, eid) {
-                        let edge = DfsEdge::new(
-                            rightmost,
-                            pv,
-                            g.vlabel(g_rm),
-                            g.edge(eid).2,
-                            g.vlabel(g_pv),
-                        );
-                        extensions
-                            .entry(edge)
-                            .or_insert_with(|| EmbeddingList::empty(vs_stride, es_stride + 1))
-                            .push_extended(embeddings, row, None, eid);
-                    }
-                }
-            }
-
-            // Forward extensions from every rightmost-path vertex.
-            let new_vertex = vs_stride as u32;
-            for &pv in path.iter().rev() {
-                let g_pv = map[pv as usize];
-                for a in g.neighbors(g_pv) {
-                    if embeddings.uses_edge(row, a.eid) || map.contains(&a.to) {
-                        continue;
-                    }
-                    let edge =
-                        DfsEdge::new(pv, new_vertex, g.vlabel(g_pv), a.elabel, g.vlabel(a.to));
-                    extensions
-                        .entry(edge)
-                        .or_insert_with(|| EmbeddingList::empty(vs_stride + 1, es_stride + 1))
-                        .push_extended(embeddings, row, Some(a.to), a.eid);
-                }
-            }
-        }
-
-        let mut ordered: Vec<(DfsEdge, EmbeddingList)> = extensions.into_iter().collect();
-        ordered.sort_by(|(a, _), (b, _)| a.dfs_cmp(b));
-        counters.add(Counter::MinerExtensions, ordered.len() as u64);
-        counters
-            .add(Counter::EmbeddingsExtended, ordered.iter().map(|(_, l)| l.len() as u64).sum());
-        for (edge, embs) in ordered {
-            if embs.support() < min_support {
+        let children = rightmost_children(self.db, code, embeddings, &self.vocab);
+        self.counters.add(Counter::MinerExtensions, children.len() as u64);
+        self.counters
+            .add(Counter::EmbeddingsExtended, children.iter().map(|(_, l)| l.len() as u64).sum());
+        for (edge, embs) in children {
+            if embs.support() < self.min_support {
                 continue;
             }
             code.push(edge);
-            self.grow(db, code, &embs, min_support, out, counters);
+            self.grow(code, &embs, out);
             code.pop();
         }
     }

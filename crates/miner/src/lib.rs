@@ -14,8 +14,7 @@
 //!   (Nijssen & Kok, KDD 2004 — "a quickstart in frequent structure
 //!   mining").
 //! * [`Apriori`] — a simple level-wise extend-and-count miner used as a
-//!   mid-size oracle and as the candidate machinery reused by PartMiner's
-//!   merge-join.
+//!   mid-size oracle that shares no extension code with gSpan.
 //!
 //! All three return exactly the same pattern sets; the test suites pit them
 //! against each other and against the brute-force enumerator of

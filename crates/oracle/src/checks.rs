@@ -18,11 +18,14 @@
 //!    is itself minimal, and support is anti-monotone along one-edge
 //!    deletion parent links.
 //! 4. **partminer-matrix** — PartMiner for `k ∈ {2, 3, 4}` × serial /
-//!    parallel × embedding lists off / on / auto, with exact supports,
-//!    against the gSpan reference; serial and parallel merge stats fold to
-//!    identical totals. The parallel legs all fan out over one run-wide
-//!    work-stealing [`Executor`], so pool reuse across cases is exercised
-//!    for free.
+//!    parallel × exact / shortcut supports against the gSpan reference:
+//!    with `exact_supports` the same codes and supports; without it the
+//!    same codes, no support above the exact one, and no more inexact
+//!    supports than the run says it shortcut. Serial and parallel merge
+//!    stats fold to identical totals. The parallel legs all fan out over
+//!    one run-wide work-stealing [`Executor`], so pool reuse across cases
+//!    is exercised for free. (The `embedding_lists` mode is not a
+//!    dimension: the `Complete` merge-join does not read it.)
 //! 5. **partition-invariants** — `DbPartition::check_invariants`, lossless
 //!    graph recovery, the one-split law (each edge lands in exactly one
 //!    side, or in both sides and the connective set), and the precomputed
@@ -150,6 +153,23 @@ fn first_disagreement(a: &PatternSet, b: &PatternSet) -> String {
     "sets agree".to_string()
 }
 
+fn set_mismatch(
+    check: &'static str,
+    label: &str,
+    got: &PatternSet,
+    reference: &PatternSet,
+) -> CheckFailure {
+    fail(
+        check,
+        format!(
+            "{label}: {} patterns vs reference {}; {}",
+            got.len(),
+            reference.len(),
+            first_disagreement(got, reference)
+        ),
+    )
+}
+
 fn expect_same(
     check: &'static str,
     label: &str,
@@ -159,15 +179,7 @@ fn expect_same(
     if got.same_codes_and_supports(reference) {
         return Ok(());
     }
-    Err(fail(
-        check,
-        format!(
-            "{label}: {} patterns vs reference {}; {}",
-            got.len(),
-            reference.len(),
-            first_disagreement(got, reference)
-        ),
-    ))
+    Err(set_mismatch(check, label, got, reference))
 }
 
 /// Structural audit of the frozen CSR representation: every database graph
@@ -286,6 +298,39 @@ fn check_pattern_invariants(_case: &Case, reference: &PatternSet) -> Result<(), 
     Ok(())
 }
 
+/// The contract of `exact_supports: false`: the reference's codes, each
+/// with a lower bound on its exact support, and at most `shortcut` of them
+/// below it.
+fn expect_sound_bounds(
+    check: &'static str,
+    label: &str,
+    got: &PatternSet,
+    reference: &PatternSet,
+    shortcut: usize,
+) -> Result<(), CheckFailure> {
+    if !got.same_codes(reference) {
+        return Err(set_mismatch(check, label, got, reference));
+    }
+    let mut inexact = 0usize;
+    for p in got.iter() {
+        let exact = reference.support(&p.code).expect("same codes");
+        if p.support > exact {
+            return Err(fail(
+                check,
+                format!("{label}: support {} of {:?} exceeds the exact {exact}", p.support, p.code),
+            ));
+        }
+        inexact += usize::from(p.support < exact);
+    }
+    if inexact > shortcut {
+        return Err(fail(
+            check,
+            format!("{label}: {inexact} supports are inexact but only {shortcut} were shortcut"),
+        ));
+    }
+    Ok(())
+}
+
 fn check_partminer_matrix(
     case: &Case,
     reference: &PatternSet,
@@ -294,28 +339,36 @@ fn check_partminer_matrix(
     const CHECK: &str = "partminer-matrix";
     let uf = zeros(&case.db);
     for k in [2usize, 3, 4] {
-        for lists in [EmbeddingMode::Off, EmbeddingMode::On, EmbeddingMode::Auto] {
+        for exact in [true, false] {
             let miner = || {
                 let mut cfg = PartMinerConfig::with_k(k);
-                cfg.exact_supports = true;
+                cfg.exact_supports = exact;
                 cfg.max_edges = Some(case.max_edges);
-                cfg.embedding_lists = lists;
                 PartMiner::new(cfg)
             };
             let serial = miner().mine(&case.db, &uf, case.min_support);
             // The parallel leg fans out over the run-wide shared pool —
             // the same `Executor` every other case (and every other
-            // `(k, lists)` cell) uses, so a pool poisoned or corrupted by
+            // `(k, exact)` cell) uses, so a pool poisoned or corrupted by
             // an earlier batch would surface here.
             let parallel =
                 miner().mine_on(&case.db, &uf, case.min_support, exec, &Telemetry::new());
-            let label = format!("PartMiner k={k} lists={lists}");
-            expect_same(CHECK, &format!("{label} serial vs gSpan"), &serial.patterns, reference)?;
+            let label = format!("PartMiner k={k} exact={exact}");
+            for (schedule, outcome) in [("serial", &serial), ("parallel", &parallel)] {
+                let label = format!("{label} {schedule} vs gSpan");
+                if exact {
+                    expect_same(CHECK, &label, &outcome.patterns, reference)?;
+                } else {
+                    let shortcut = outcome.stats.merge.shortcut;
+                    expect_sound_bounds(CHECK, &label, &outcome.patterns, reference, shortcut)?;
+                }
+            }
+            // Which supports are bounds must not depend on the schedule.
             expect_same(
                 CHECK,
-                &format!("{label} parallel vs gSpan"),
+                &format!("{label} parallel vs serial"),
                 &parallel.patterns,
-                reference,
+                &serial.patterns,
             )?;
             if serial.stats.merge != parallel.stats.merge {
                 return Err(fail(

@@ -18,8 +18,9 @@ use graphmine_oracle::{generate_case, replay_file, run, run_single, Case, Oracle
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 /// Arms `fault`, runs a small seeded batch, and requires a detected
-/// failure whose repro file fails armed and passes disarmed.
-fn assert_detected_by_batch(fault: Fault) {
+/// failure whose repro file fails armed and passes disarmed. Returns the
+/// check that tripped first.
+fn assert_detected_by_batch(fault: Fault) -> String {
     let _lock = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tempfile::tempdir().unwrap();
     let cfg = OracleConfig {
@@ -52,6 +53,7 @@ fn assert_detected_by_batch(fault: Fault) {
     replay_file(&repro, &exec).unwrap_or_else(|f| {
         panic!("repro {} fails disarmed [{}]: {}", repro.display(), f.check, f.message)
     });
+    summary.failures[0].check.clone()
 }
 
 #[test]
@@ -71,6 +73,25 @@ fn drop_connective_edge_mutant_is_detected() {
 #[test]
 fn csr_drift_mutant_is_detected() {
     assert_detected_by_batch(Fault::CsrDrift);
+}
+
+/// The extension kernel is shared by gSpan — the oracle's reference — and
+/// PartMiner's merge-join, so a kernel that drops cycle-closing extensions
+/// makes reference and subject wrong *together*. The miners that do not
+/// use it (Gaston, search-mode Apriori, brute force) must give it away in
+/// `reference-matrix`.
+#[test]
+fn drop_backward_child_mutant_is_detected() {
+    assert_eq!(assert_detected_by_batch(Fault::DropBackwardChild), "reference-matrix");
+}
+
+/// The merge-join's walk must run the canonical-code test on every child
+/// it counted frequent; without it patterns are reported again under
+/// non-minimal codes, which `partminer-matrix` sees as codes gSpan does not
+/// have.
+#[test]
+fn skip_walk_min_check_mutant_is_detected() {
+    assert_eq!(assert_detected_by_batch(Fault::SkipWalkMinCheck), "partminer-matrix");
 }
 
 /// A database engineered so that one relabel batch deletes every
