@@ -16,6 +16,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod paper_join;
+
 use std::time::{Duration, Instant};
 
 use graphmine_adimine::{AdiConfig, AdiMine};
@@ -224,8 +226,8 @@ fn standard_updates(db: &GraphDb, fraction: f64, kind: UpdateKind, n: u32) -> Ve
     plan_updates(db, &UpdateParams::new(fraction, 2, kind, n))
 }
 
-/// Paper-mode PartMiner configuration used by the performance figures
-/// (support shortcut on, paper-style trust of unchanged patterns).
+/// PartMiner configuration used by the performance figures (paper-style
+/// trust of unchanged patterns).
 fn bench_config(k: usize, partitioner: PartitionerKind) -> PartMinerConfig {
     PartMinerConfig { partitioner, verify_unchanged: false, ..PartMinerConfig::with_k(k) }
 }
@@ -561,9 +563,9 @@ pub fn fig17b(scale: Scale) -> FigureResult {
 // Ablations — the design choices DESIGN.md calls out
 // ---------------------------------------------------------------------------
 
-/// Ablation: the unit-support shortcut, the join policy, and the
-/// known-pattern trust, each toggled independently at the Fig. 14 settings
-/// (minsup 2%, 40% mixed updates for the incremental rows).
+/// Ablation: the join, the unit miner and the known-pattern trust, each
+/// toggled independently at the Fig. 14 settings (minsup 2%, 40% mixed
+/// updates for the incremental rows).
 pub fn ablation(scale: Scale) -> FigureResult {
     let (params, db) = dataset(scale, 50_000, 20, 20, 200, 5);
     let plan = standard_updates(&db, 0.4, UpdateKind::Mixed, 20);
@@ -572,27 +574,24 @@ pub fn ablation(scale: Scale) -> FigureResult {
     let base = bench_config(2, PartitionerKind::GraphPart(Criteria::COMBINED));
 
     let mut series = Vec::new();
-    let mut static_variant = |label: &str, cfg: PartMinerConfig| {
-        let dt = partminer_time(&db, &ufreq, cfg, sup);
+    let mut column = |label: &str, dt: Duration| {
         series.push(Series { label: label.into(), points: vec![(0.0, ms(dt))] });
     };
-    static_variant("shortcut+Complete", base);
-    static_variant("exact+Complete", PartMinerConfig { exact_supports: true, ..base });
-    static_variant(
-        "shortcut+Paper",
-        PartMinerConfig { join_policy: graphmine_core::JoinPolicy::Paper, ..base },
-    );
-    static_variant(
-        "gaston-units",
-        PartMinerConfig { unit_miner: graphmine_core::UnitMinerKind::Gaston, ..base },
-    );
+    let outcome = PartMiner::new(base).mine(&db, &ufreq, sup);
+    column("walk", outcome.stats.wall);
+    // The paper-literal join over the same run's unit results: partition
+    // and unit mining as that run timed them, then Fig. 11's joins in
+    // place of the walk.
+    let units = outcome.stats.aggregate_time() - outcome.stats.merge_time;
+    column("paper-join", units + time(|| paper_join::paper_join(&outcome.state)).1);
+    let gaston = PartMinerConfig { unit_miner: graphmine_core::UnitMinerKind::Gaston, ..base };
+    column("gaston-units", partminer_time(&db, &ufreq, gaston, sup));
 
     // Incremental: trust the pruned pre-update result vs re-verify.
     for (label, verify) in [("inc-trust", false), ("inc-verify", true)] {
         let cfg = PartMinerConfig { verify_unchanged: verify, ..base };
         let mut state = partminer_state(&db, &ufreq, cfg, sup);
-        let dt = incpartminer_time(&mut state, &plan);
-        series.push(Series { label: label.into(), points: vec![(0.0, ms(dt))] });
+        column(label, incpartminer_time(&mut state, &plan));
     }
 
     FigureResult {

@@ -33,19 +33,17 @@ USAGE:
   graphmine mine FILE --minsup FRAC [--algo ALGO] [--k K] [--parallel]
                  [--threads T] [--criteria 1|2|3|metis]
                  [--unit-miner gspan|gaston] [--max-edges M]
-                 [--embedding-lists on|off|auto] [--embedding-budget BYTES]
+                 [--embedding-lists on|off|auto]
                  [--closed | --maximal] [-o PATTERNS] [--report REPORT]
       Mine frequent subgraphs. ALGO: partminer (default), gspan, gaston,
       apriori, fsg, adimine. FRAC is relative (0.04 = 4%).
       --threads sets the work-stealing pool budget for parallel runs
       (0 = auto: GRAPHMINE_THREADS, then the machine); a value above 1
       implies --parallel.
-      --embedding-lists controls the embedding-list store level-wise
-      candidate counting keeps (apriori); `auto` (default) sizes its
-      cache from the database, `off` always re-searches.
-      --embedding-budget caps the list cache in bytes. A partminer run
-      reads neither: its merge-join walks its lists depth-first and
-      keeps no store.
+      --embedding-lists (--algo apriori only) controls the
+      embedding-list store level-wise candidate counting keeps; `auto`
+      (default) sizes its cache from the database, `off` always
+      re-searches.
       --closed/--maximal post-filter to closed or maximal patterns.
       --report writes a machine-readable run report (stage wall times,
       pipeline counters, span log) as JSON.
@@ -55,8 +53,7 @@ USAGE:
       Plan an update workload against a database.
 
   graphmine incremental FILE UPDATES --minsup FRAC [--k K] [--threads T]
-                 [--criteria 1|2|3|metis] [--embedding-lists on|off|auto]
-                 [--embedding-budget BYTES] [--report REPORT]
+                 [--criteria 1|2|3|metis] [--report REPORT]
       Mine, apply the updates incrementally, and report the UF/FI/IF
       pattern classes. --threads above 1 re-mines touched units on a
       work-stealing pool of that size. --report writes the incremental
@@ -129,7 +126,7 @@ USAGE:
                  [--threads T] [--replay FILE]
       Run the differential correctness oracle: seeded adversarial
       databases are mined with every engine (PartMiner across k ×
-      serial/parallel × embedding lists, gSpan, Gaston, Apriori,
+      serial/parallel, gSpan, Gaston, Apriori with and without lists,
       brute-force enumeration) and the results cross-checked, together
       with internal invariants, incremental UF/FI/IF consistency and the
       serving daemon's epoch behaviour. Each failure writes a
@@ -194,16 +191,23 @@ impl<'a> Args<'a> {
         self.parsed(name)?.ok_or_else(|| format!("missing required {name}"))
     }
 
-    /// Positional (non-flag) arguments, in order.
-    fn positionals(&mut self) -> Vec<&'a str> {
+    /// Positional (non-flag) arguments, in order. Called once the command
+    /// has taken its flags, so a `--…` token still unused is a flag the
+    /// command does not have — misspelt, or missing its value — and an
+    /// error rather than something to skip.
+    fn positionals(&mut self) -> Result<Vec<&'a str>, String> {
         let mut out = Vec::new();
         for (i, a) in self.items.iter().enumerate() {
-            if !self.used[i] && !a.starts_with("--") && a != "-o" {
-                self.used[i] = true;
-                out.push(a.as_str());
+            if self.used[i] || a == "-o" {
+                continue;
             }
+            if a.starts_with("--") {
+                return Err(format!("unexpected argument `{a}`"));
+            }
+            self.used[i] = true;
+            out.push(a.as_str());
         }
-        out
+        Ok(out)
     }
 }
 
@@ -214,15 +218,6 @@ fn load_db(path: &str) -> Result<GraphDb, String> {
 
 fn zero_ufreq(db: &GraphDb) -> Vec<Vec<f64>> {
     db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect()
-}
-
-/// Parses `--embedding-lists` / `--embedding-budget` into (mode, budget),
-/// defaulting to the config defaults when absent.
-fn embedding_args(args: &mut Args<'_>) -> Result<(EmbeddingMode, usize), String> {
-    let mode: EmbeddingMode = args.parsed("--embedding-lists")?.unwrap_or_default();
-    let budget: usize =
-        args.parsed("--embedding-budget")?.unwrap_or(graphmine_graph::DEFAULT_EMBEDDING_BUDGET);
-    Ok((mode, budget))
 }
 
 /// Parses `--threads` and validates the budget it would resolve to, so a
@@ -300,7 +295,7 @@ fn print_patterns(patterns: &PatternSet, out: Option<&str>, stdout: &mut dyn Wri
 /// `graphmine stats`
 pub fn stats(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
-    let pos = args.positionals();
+    let pos = args.positionals()?;
     let [path] = pos.as_slice() else {
         return Err("stats needs exactly one database file".into());
     };
@@ -357,7 +352,7 @@ pub fn stats(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
 /// `graphmine diff`
 pub fn diff(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
-    let pos = args.positionals();
+    let pos = args.positionals()?;
     let [a_path, b_path] = pos.as_slice() else {
         return Err("diff needs exactly two pattern files".into());
     };
@@ -415,7 +410,7 @@ pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         Some(other) => return Err(format!("unknown unit miner `{other}`")),
     };
     let max_edges: Option<usize> = args.parsed("--max-edges")?;
-    let (embedding_lists, embedding_budget_bytes) = embedding_args(&mut args)?;
+    let embedding_lists: EmbeddingMode = args.parsed("--embedding-lists")?.unwrap_or_default();
     let closed = args.flag("--closed");
     let maximal = args.flag("--maximal");
     if closed && maximal {
@@ -423,7 +418,7 @@ pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     }
     let out: Option<String> = args.parsed("-o")?;
     let report_path: Option<String> = args.parsed("--report")?;
-    let pos = args.positionals();
+    let pos = args.positionals()?;
     let [path] = pos.as_slice() else {
         return Err("mine needs exactly one database file".into());
     };
@@ -479,8 +474,6 @@ pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
                 parallel: parallel || threads > 1,
                 threads,
                 max_edges,
-                embedding_lists,
-                embedding_budget_bytes,
                 ..PartMinerConfig::default()
             };
             let outcome = PartMiner::new(cfg).mine_instrumented(&db, &zero_ufreq(&db), sup, &tel);
@@ -532,7 +525,7 @@ pub fn plan_updates_cmd(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let per_graph: usize = args.parsed("--per-graph")?.unwrap_or(2);
     let seed: Option<u64> = args.parsed("--seed")?;
     let out: String = args.require("-o")?;
-    let pos = args.positionals();
+    let pos = args.positionals()?;
     let [path] = pos.as_slice() else {
         return Err("plan-updates needs exactly one database file".into());
     };
@@ -576,6 +569,9 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         let shard_id: usize = args.require("--shard-id")?;
         let replica: usize = args.parsed("--replica")?.unwrap_or(0);
         let k: usize = args.parsed("--k")?.unwrap_or(4);
+        if !args.positionals()?.is_empty() {
+            return Err("serve --shard-from takes its database from the topology".into());
+        }
         let topo = ShardTopology::load(Path::new(&topo_path))?;
         let spec = topo.shards.get(shard_id).ok_or_else(|| {
             format!("topology has {} shards, no shard {shard_id}", topo.n_shards())
@@ -616,7 +612,7 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         let minsup: f64 = args.require("--minsup")?;
         let addr = args.value("--addr").unwrap_or("127.0.0.1:7878").to_string();
         let k: usize = args.parsed("--k")?.unwrap_or(4);
-        let pos = args.positionals();
+        let pos = args.positionals()?;
         let [path] = pos.as_slice() else {
             return Err("serve needs exactly one database file".into());
         };
@@ -676,7 +672,7 @@ pub fn shard_plan(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let host = args.value("--host").unwrap_or("127.0.0.1").to_string();
     let base_port: u16 = args.parsed("--base-port")?.unwrap_or(7870);
     let out: String = args.require("-o")?;
-    let pos = args.positionals();
+    let pos = args.positionals()?;
     let [path] = pos.as_slice() else {
         return Err("shard-plan needs exactly one database file".into());
     };
@@ -733,7 +729,7 @@ pub fn shard_plan(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
 pub fn router(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let cache_budget: Option<usize> = args.parsed("--cache-budget")?;
-    let pos = args.positionals();
+    let pos = args.positionals()?;
     let [topo_path] = pos.as_slice() else {
         return Err("router needs exactly one topology file".into());
     };
@@ -789,7 +785,7 @@ pub fn client(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let top: Option<usize> = args.parsed("--top")?;
     let min_support: Option<Support> = args.parsed("--min-support")?;
     let code_arg = args.value("--code").map(str::to_string);
-    let pos = args.positionals();
+    let pos = args.positionals()?;
     let cmd =
         match pos.as_slice() {
             ["status"] => ClientCmd::Status { report },
@@ -833,9 +829,8 @@ pub fn incremental(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let k: usize = args.parsed("--k")?.unwrap_or(2);
     let threads = threads_arg(&mut args)?;
     let partitioner = criteria_arg(&mut args)?;
-    let (embedding_lists, embedding_budget_bytes) = embedding_args(&mut args)?;
     let report_path: Option<String> = args.parsed("--report")?;
-    let pos = args.positionals();
+    let pos = args.positionals()?;
     let [db_path, upd_path] = pos.as_slice() else {
         return Err("incremental needs a database file and an updates file".into());
     };
@@ -853,8 +848,6 @@ pub fn incremental(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         // thread is the opt-in.
         parallel: threads > 1,
         threads,
-        embedding_lists,
-        embedding_budget_bytes,
         ..PartMinerConfig::default()
     };
     let t = Instant::now();

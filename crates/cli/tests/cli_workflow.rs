@@ -76,3 +76,67 @@ fn helpful_errors() {
     let err = commands::mine(&s(&["x", "--minsup", "zzz"]), &mut sink()).unwrap_err();
     assert!(err.contains("minsup"), "{err}");
 }
+
+/// A flag a command does not have — here each command's own flag, misspelt
+/// — is an error naming the token, raised before anything is loaded, mined
+/// or contacted: none of the files named below exists.
+#[test]
+fn misspelt_flags_are_errors() {
+    type Cmd = fn(&[String], &mut dyn std::io::Write) -> Result<(), String>;
+    let cases: [(&str, Cmd, &[&str], &str); 6] = [
+        ("mine", commands::mine, &["no-db.txt", "--minsup", "0.05", "--closd"], "--closd"),
+        (
+            "incremental",
+            commands::incremental,
+            &["no-db.txt", "no-upd.txt", "--minsup", "0.05", "--embedding-budget", "1"],
+            "--embedding-budget",
+        ),
+        ("serve", commands::serve, &["no-db.txt", "--minsup", "0.05", "--paralel"], "--paralel"),
+        (
+            "shard-plan",
+            commands::shard_plan,
+            &["no-db.txt", "--shards", "2", "--minsup", "0.05", "-o", "no-dir", "--replcas", "2"],
+            "--replcas",
+        ),
+        ("router", commands::router, &["no-topology.json", "--cache-budgt", "0"], "--cache-budgt"),
+        ("client", commands::client, &["status", "--reprot"], "--reprot"),
+    ];
+    for (name, cmd, args, token) in cases {
+        let err = cmd(&s(args), &mut sink()).expect_err(name);
+        assert!(err.contains(token), "{name}: error does not name `{token}`: {err}");
+        assert!(!err.contains("no-"), "{name}: got as far as opening a file: {err}");
+    }
+    assert!(!std::path::Path::new("no-dir").exists());
+}
+
+/// One answer: on a database where patterns are frequent inside single
+/// units, `mine` under the default algorithm — at any `k`, serial or
+/// parallel — writes the very bytes `--algo gspan` writes, and the
+/// `--closed` / `--maximal` sets derived from it are gSpan's.
+#[test]
+fn partminer_pattern_files_are_gspan_pattern_files() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = |name: &str| dir.path().join(name).to_str().unwrap().to_string();
+    let db = path("db.txt");
+    let gen =
+        ["--d", "400", "--t", "12", "--n", "8", "--l", "30", "--i", "4", "--seed", "3", "-o", &db];
+    commands::generate(&s(&gen), &mut sink()).expect("generate");
+    let mine = |flags: &[&str], out: &str| {
+        let out = path(out);
+        let mut args = s(&[&db, "--minsup", "0.05", "-o", &out]);
+        args.extend(s(flags));
+        commands::mine(&args, &mut sink()).unwrap_or_else(|e| panic!("mine {flags:?}: {e}"));
+        std::fs::read(&out).unwrap()
+    };
+
+    let gspan = mine(&["--algo", "gspan"], "g.pat");
+    assert!(gspan.iter().filter(|&&b| b == b'\n').count() > 100, "degenerate database");
+    for flags in [&[][..], &["--k", "4"], &["--k", "4", "--parallel", "--threads", "2"]] {
+        assert!(mine(flags, "p.pat") == gspan, "mine {flags:?} differs from --algo gspan");
+    }
+    for filter in ["--closed", "--maximal"] {
+        let reference = mine(&["--algo", "gspan", filter], "gf.pat");
+        assert!(reference.len() < gspan.len(), "{filter} filtered nothing");
+        assert!(mine(&[filter], "pf.pat") == reference, "mine {filter} differs from gSpan's");
+    }
+}

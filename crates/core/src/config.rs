@@ -1,8 +1,6 @@
 //! Configuration of the PartMiner pipeline.
 
-use graphmine_graph::{
-    EmbeddingMode, Graph, GraphDb, PatternSet, Support, DEFAULT_EMBEDDING_BUDGET,
-};
+use graphmine_graph::{GraphDb, PatternSet, Support, DEFAULT_EMBEDDING_BUDGET};
 use graphmine_miner::{GSpan, Gaston, MemoryMiner};
 use graphmine_partition::{Bipartitioner, Criteria, GraphPart, MetisLike};
 use graphmine_telemetry::Counters;
@@ -78,20 +76,6 @@ impl UnitMinerKind {
     }
 }
 
-/// How the merge-join generates candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinPolicy {
-    /// A depth-first projected walk over `S`: a pattern's children are
-    /// read off its own occurrences. Provably lossless (gSpan's
-    /// rightmost-extension argument); the default.
-    #[default]
-    Complete,
-    /// The joins exactly as written in Fig. 11: `P^k(S0)×F^k`,
-    /// `P^k(S1)×F^k` and `F^k×F^k` — new candidates grow only from the
-    /// cross-pattern set `F^k`, each needing a second frequent `k`-subgraph.
-    Paper,
-}
-
 /// Full PartMiner configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartMinerConfig {
@@ -102,28 +86,23 @@ pub struct PartMinerConfig {
     pub partitioner: PartitionerKind,
     /// Phase-2 unit miner.
     pub unit_miner: UnitMinerKind,
-    /// Candidate-generation policy of the merge-join.
-    pub join_policy: JoinPolicy,
     /// Mine units concurrently (the paper's "parallel mode").
     pub parallel: bool,
     /// Optional pattern-size cap (edges).
     pub max_edges: Option<usize>,
-    /// When `true`, every reported support is recounted exactly; when
-    /// `false`, patterns already frequent inside one unit keep that (lower
-    /// bound) support — the paper's shortcut.
-    pub exact_supports: bool,
     /// IncPartMiner: when `true` (default), candidates found in the
     /// pre-update result are re-verified instead of being assumed
     /// unchanged. `false` reproduces the paper's pruning literally.
     pub verify_unchanged: bool,
-    /// Whether `CheckFrequency` under [`JoinPolicy::Paper`] keeps an
-    /// embedding-list store (incremental occurrence filtering) instead of
-    /// re-searching every candidate from scratch. The default
-    /// [`JoinPolicy::Complete`] walk carries its lists down the recursion
-    /// and reads neither this nor the budget.
-    pub embedding_lists: EmbeddingMode,
-    /// Memory budget (bytes) of that store; lists that would exceed it
-    /// spill and their candidates fall back to the search path.
+    /// Ignored: supports are always exact. Declared only because
+    /// `bench/e2e` still names it; the benchmark PR of ROADMAP 1(a)
+    /// deletes it.
+    #[doc(hidden)]
+    pub exact_supports: bool,
+    /// Ignored: the merge-join keeps no embedding store to budget.
+    /// Declared only because `bench/e2e` still names it; the benchmark PR
+    /// of ROADMAP 1(a) deletes it.
+    #[doc(hidden)]
     pub embedding_budget_bytes: usize,
     /// Thread budget for the shared executor in parallel mode. `0` means
     /// auto: the `GRAPHMINE_THREADS` environment variable if set, else
@@ -138,12 +117,10 @@ impl Default for PartMinerConfig {
             k: 2,
             partitioner: PartitionerKind::GraphPart(Criteria::COMBINED),
             unit_miner: UnitMinerKind::default(),
-            join_policy: JoinPolicy::default(),
             parallel: false,
             max_edges: None,
-            exact_supports: false,
             verify_unchanged: true,
-            embedding_lists: EmbeddingMode::default(),
+            exact_supports: true,
             embedding_budget_bytes: DEFAULT_EMBEDDING_BUDGET,
             threads: 0,
         }
@@ -228,26 +205,6 @@ impl PartMinerConfig {
     }
 }
 
-/// All connected `(k-1)`-edge subgraphs of `g` obtained by deleting one
-/// edge — the "partner" subgraphs the Paper join policy checks, and the
-/// parent links along which the correctness oracle asserts support
-/// anti-monotonicity.
-pub fn one_edge_deletions(g: &Graph) -> Vec<graphmine_graph::DfsCode> {
-    let m = g.edge_count();
-    let mut out = Vec::new();
-    if m < 2 {
-        return out;
-    }
-    for drop in 0..m as u32 {
-        let keep: Vec<u32> = (0..m as u32).filter(|&e| e != drop).collect();
-        let (sub, _) = g.edge_subgraph(&keep).expect("edge ids valid");
-        if sub.is_connected() {
-            out.push(graphmine_graph::dfscode::min_dfs_code(&sub));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,19 +255,5 @@ mod tests {
         assert_eq!(PartitionerKind::GraphPart(Criteria::MIN_CONNECTIVITY).name(), "Partition2");
         assert_eq!(PartitionerKind::GraphPart(Criteria::COMBINED).name(), "Partition3");
         assert_eq!(PartitionerKind::Metis.name(), "METIS");
-    }
-
-    #[test]
-    fn one_edge_deletions_keeps_connected_only() {
-        // Path of 3 edges: deleting the middle edge disconnects.
-        let mut g = Graph::new();
-        for _ in 0..4 {
-            g.add_vertex(0);
-        }
-        g.add_edge(0, 1, 0).unwrap();
-        g.add_edge(1, 2, 0).unwrap();
-        g.add_edge(2, 3, 0).unwrap();
-        let subs = one_edge_deletions(&g);
-        assert_eq!(subs.len(), 2);
     }
 }

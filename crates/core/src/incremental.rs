@@ -305,8 +305,7 @@ mod tests {
     #[test]
     fn incremental_equals_recompute() {
         let (db, uf) = sample_db();
-        let mut cfg = PartMinerConfig::with_k(3);
-        cfg.exact_supports = true;
+        let cfg = PartMinerConfig::with_k(3);
         let outcome = PartMiner::new(cfg).mine(&db, &uf, 2);
         let mut state = outcome.state;
 
@@ -337,8 +336,7 @@ mod tests {
     #[test]
     fn incremental_handles_deletes() {
         let (db, uf) = sample_db();
-        let mut cfg = PartMinerConfig::with_k(3);
-        cfg.exact_supports = true;
+        let cfg = PartMinerConfig::with_k(3);
         let outcome = PartMiner::new(cfg).mine(&db, &uf, 2);
         let mut state = outcome.state;
         let mut mirror = db.clone();
@@ -378,8 +376,7 @@ mod tests {
         // pre-update count, so the prune set must route them into FI
         // rather than letting stale supports survive.
         let (db, uf) = sample_db();
-        let mut cfg = PartMinerConfig::with_k(3);
-        cfg.exact_supports = true;
+        let cfg = PartMinerConfig::with_k(3);
         let outcome = PartMiner::new(cfg).mine(&db, &uf, 3);
         let mut state = outcome.state;
         let updates = vec![DbUpdate { gid: 0, update: GraphUpdate::DeleteEdge { e: 5 } }];
@@ -394,8 +391,7 @@ mod tests {
     #[test]
     fn classification_is_exhaustive_and_disjoint() {
         let (db, uf) = sample_db();
-        let mut cfg = PartMinerConfig::with_k(2);
-        cfg.exact_supports = true;
+        let cfg = PartMinerConfig::with_k(2);
         let outcome = PartMiner::new(cfg).mine(&db, &uf, 3);
         let old = outcome.patterns.clone();
         let mut state = outcome.state;
@@ -446,8 +442,7 @@ mod tests {
     #[test]
     fn repeated_update_rounds_stay_consistent() {
         let (db, uf) = sample_db();
-        let mut cfg = PartMinerConfig::with_k(3);
-        cfg.exact_supports = true;
+        let cfg = PartMinerConfig::with_k(3);
         let outcome = PartMiner::new(cfg).mine(&db, &uf, 2);
         let mut state = outcome.state;
         let mut mirror = db.clone();
@@ -487,7 +482,6 @@ mod tests {
         let mut results = Vec::new();
         for parallel in [false, true] {
             let mut cfg = PartMinerConfig::with_k(4);
-            cfg.exact_supports = true;
             cfg.parallel = parallel;
             let outcome = PartMiner::new(cfg).mine(&db, &uf, 2);
             let mut state = outcome.state;

@@ -11,10 +11,12 @@
 //! 2. **Phase 2** ([`PartMiner::mine`]): each unit is mined with a
 //!    memory-based miner (gSpan or Gaston) at the reduced support
 //!    `sup / 2^depth`, serially or in parallel, and the per-unit results are
-//!    combined bottom-up with the [`merge_join`] operation, which verifies
-//!    candidate frequencies against the recombined data (`CheckFrequency`)
-//!    while skipping any candidate already proven frequent inside a single
-//!    unit — the paper's "cumulative information" saving.
+//!    combined bottom-up with the [`merge_join`] operation: one projected
+//!    walk over the recombined data that reads every child pattern, with
+//!    its exact support, off its parent's occurrences. A pattern already
+//!    frequent inside a single unit is accepted on that unit's word as
+//!    frequent and canonical — the paper's "cumulative information" —
+//!    which spares it the canonical-code test, never the exact support.
 //! 3. **Updates** ([`IncPartMiner`]): updates are propagated through the
 //!    partition tree; only units whose pieces changed are re-mined, a
 //!    *prune set* of possibly-demoted patterns is built (Fig. 12), cached
@@ -22,15 +24,16 @@
 //!    paper's three classes: `UF` (unchanged), `FI` (frequent→infrequent)
 //!    and `IF` (infrequent→frequent).
 //!
-//! # Join policies
+//! # One join
 //!
-//! [`JoinPolicy::Complete`] (default) generates candidates by one-edge
-//! extension of the complete frequent set at each level — provably lossless
-//! (the property the paper's Theorems 1–3 claim), verified against plain
-//! gSpan by the integration tests. [`JoinPolicy::Paper`] reproduces the
-//! joins exactly as written in Fig. 11 (`P^k(S0)×F^k`, `P^k(S1)×F^k`,
-//! `F^k×F^k`), which can miss patterns whose occurrences only materialise
-//! across the cut; see DESIGN.md.
+//! The merge-join is provably lossless (gSpan's rightmost-extension
+//! argument — the property the paper's Theorems 1–3 claim) and every
+//! reported support is exact; both are verified against plain gSpan by the
+//! integration tests and the oracle. The joins exactly as written in
+//! Fig. 11 (`P^k(S0)×F^k`, `P^k(S1)×F^k`, `F^k×F^k`), which can miss
+//! patterns whose occurrences only materialise across the cut, are kept
+//! outside this crate as the paper-literal join `repro ablation` times;
+//! see DESIGN.md.
 //!
 //! # Example
 //!
@@ -76,10 +79,7 @@ mod incremental;
 mod merge_join;
 mod partminer;
 
-pub use config::{
-    one_edge_deletions, ConfigError, JoinPolicy, PartMinerConfig, PartitionerKind, UnitMinerKind,
-    MAX_THREADS,
-};
+pub use config::{ConfigError, PartMinerConfig, PartitionerKind, UnitMinerKind, MAX_THREADS};
 pub use incremental::{IncOutcome, IncPartMiner, IncStats};
 pub use merge_join::{merge_join, MergeContext, MergeStats};
 pub use partminer::{MineOutcome, MineStats, PartMiner, PartMinerState};

@@ -328,14 +328,10 @@ pub(crate) fn merge_subtree(
     let ctx = MergeContext {
         db: &node.db,
         min_support: sup,
-        policy: cfg.join_policy,
         max_edges: cfg.max_edges,
-        exact_supports: cfg.exact_supports,
         known: if at_root { known_at_root } else { None },
         trust_known: at_root && known_at_root.is_some() && !cfg.verify_unchanged,
         executor: (exec.threads() > 1).then_some(exec),
-        embedding_lists: cfg.embedding_lists,
-        embedding_budget: cfg.embedding_budget_bytes,
         telemetry: Some(tel),
     };
     let (result, mstats) = merge_join(&ctx, &node_results[&a], &node_results[&b]);
@@ -379,8 +375,7 @@ mod tests {
         let (db, uf) = sample_db();
         for k in 1..=5 {
             for sup in [2u32, 4] {
-                let mut cfg = PartMinerConfig::with_k(k);
-                cfg.exact_supports = true;
+                let cfg = PartMinerConfig::with_k(k);
                 let outcome = PartMiner::new(cfg).mine(&db, &uf, sup);
                 let direct = GSpan::new().mine(&db, sup);
                 assert!(
@@ -399,14 +394,13 @@ mod tests {
         let cfg = PartMinerConfig::with_k(3);
         let outcome = PartMiner::new(cfg).mine(&db, &uf, 3);
         let direct = GSpan::new().mine(&db, 3);
-        assert!(outcome.patterns.same_codes(&direct));
+        assert!(outcome.patterns.same_codes_and_supports(&direct));
     }
 
     #[test]
     fn parallel_mode_matches_serial() {
         let (db, uf) = sample_db();
         let mut cfg = PartMinerConfig::with_k(4);
-        cfg.exact_supports = true;
         let serial = PartMiner::new(cfg).mine(&db, &uf, 2);
         cfg.parallel = true;
         let parallel = PartMiner::new(cfg).mine(&db, &uf, 2);
@@ -421,7 +415,6 @@ mod tests {
         let (db, uf) = sample_db();
         let mut cfg = PartMinerConfig::with_k(2);
         cfg.unit_miner = crate::UnitMinerKind::Gaston;
-        cfg.exact_supports = true;
         let outcome = PartMiner::new(cfg).mine(&db, &uf, 2);
         let direct = GSpan::new().mine(&db, 2);
         assert!(outcome.patterns.same_codes_and_supports(&direct));
@@ -430,8 +423,7 @@ mod tests {
     #[test]
     fn mine_with_known_matches_cold_mine() {
         let (db, uf) = sample_db();
-        let mut cfg = PartMinerConfig::with_k(3);
-        cfg.exact_supports = true;
+        let cfg = PartMinerConfig::with_k(3);
         let miner = PartMiner::new(cfg);
         let cold = miner.mine(&db, &uf, 2);
         let tel = graphmine_telemetry::Telemetry::new();

@@ -7,10 +7,10 @@
 //! offer: one thread budget resolved once, shared by the whole pipeline.
 
 use graphmine_core::{
-    merge_join, Executor, IncPartMiner, JoinPolicy, MergeContext, PartMiner, PartMinerConfig,
+    merge_join, Executor, IncPartMiner, MergeContext, PartMiner, PartMinerConfig,
 };
 use graphmine_datagen::{generate, plan_updates, GenParams, UpdateKind, UpdateParams};
-use graphmine_graph::{EmbeddingMode, GraphDb, DEFAULT_EMBEDDING_BUDGET};
+use graphmine_graph::GraphDb;
 use graphmine_miner::{GSpan, MemoryMiner};
 use graphmine_partition::{split_by_sides, Bipartitioner, Criteria, GraphPart};
 use graphmine_telemetry::Telemetry;
@@ -39,8 +39,7 @@ fn one_pool_serves_mining_incremental_and_verification() {
     let exec = Executor::new(3);
 
     // Call site 1: unit mining (and the merge verification under it).
-    let mut cfg = PartMinerConfig::with_k(3);
-    cfg.exact_supports = true;
+    let cfg = PartMinerConfig::with_k(3);
     let miner = PartMiner::new(cfg);
     let serial = miner.mine(&db, &uf, sup);
     let pooled = miner.mine_on(&db, &uf, sup, &exec, &Telemetry::new());
@@ -79,14 +78,10 @@ fn one_pool_serves_mining_incremental_and_verification() {
         let ctx = MergeContext {
             db: &db,
             min_support: 2,
-            policy: JoinPolicy::Complete,
             max_edges: Some(4),
-            exact_supports: true,
             known: None,
             trust_known: false,
             executor,
-            embedding_lists: EmbeddingMode::Auto,
-            embedding_budget: DEFAULT_EMBEDDING_BUDGET,
             telemetry: None,
         };
         merge_join(&ctx, &p0, &p1)

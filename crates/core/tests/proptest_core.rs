@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use graphmine_core::{
-    merge_join, Executor, IncPartMiner, JoinPolicy, MergeContext, PartMiner, PartMinerConfig,
+    merge_join, Executor, IncPartMiner, MergeContext, PartMiner, PartMinerConfig,
 };
 use graphmine_graph::{DbUpdate, Graph, GraphDb, GraphUpdate};
 use graphmine_miner::{GSpan, MemoryMiner};
@@ -96,33 +96,21 @@ proptest! {
     fn parallel_merge_join_matches_serial(
         db in db_strategy(),
         sup in 1u32..4,
-        exact in any::<bool>(),
-        paper_policy in any::<bool>(),
-        lists in any::<bool>(),
     ) {
         let (d0, d1) = split_db(&db);
         let unit_sup = sup.div_ceil(2).max(1);
         let p0 = GSpan::new().mine(&d0, unit_sup);
         let p1 = GSpan::new().mine(&d1, unit_sup);
-        let policy = if paper_policy { JoinPolicy::Paper } else { JoinPolicy::Complete };
         let exec = Executor::new(4);
         let run = |executor: Option<&Executor>| {
             let tel = Telemetry::new();
             let ctx = MergeContext {
                 db: &db,
                 min_support: sup,
-                policy,
                 max_edges: None,
-                exact_supports: exact,
                 known: None,
                 trust_known: false,
                 executor,
-                embedding_lists: if lists {
-                    graphmine_graph::EmbeddingMode::Auto
-                } else {
-                    graphmine_graph::EmbeddingMode::Off
-                },
-                embedding_budget: graphmine_graph::DEFAULT_EMBEDDING_BUDGET,
                 telemetry: Some(&tel),
             };
             let (merged, stats) = merge_join(&ctx, &p0, &p1);
@@ -132,8 +120,8 @@ proptest! {
         let (parallel, parallel_stats, parallel_counts) = run(Some(&exec));
         prop_assert!(
             serial.same_codes_and_supports(&parallel),
-            "sup={} exact={} policy={:?}: serial {} parallel {}",
-            sup, exact, policy, serial.len(), parallel.len()
+            "sup={}: serial {} parallel {}",
+            sup, serial.len(), parallel.len()
         );
         prop_assert_eq!(serial_stats, parallel_stats);
         prop_assert_eq!(serial_counts, parallel_counts);
@@ -150,8 +138,7 @@ proptest! {
         threads in 2usize..5,
     ) {
         let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-        let mut cfg = PartMinerConfig::with_k(k);
-        cfg.exact_supports = true;
+        let cfg = PartMinerConfig::with_k(k);
         let miner = PartMiner::new(cfg);
         let serial = miner.mine(&db, &uf, sup);
         let exec = Executor::new(threads);
@@ -167,8 +154,7 @@ proptest! {
     #[test]
     fn partminer_is_lossless_on_random_databases(db in db_strategy(), k in 1usize..5, sup in 1u32..4) {
         let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-        let mut cfg = PartMinerConfig::with_k(k);
-        cfg.exact_supports = true;
+        let cfg = PartMinerConfig::with_k(k);
         let outcome = PartMiner::new(cfg).mine(&db, &uf, sup);
         let direct = GSpan::new().mine(&db, sup);
         prop_assert!(
@@ -185,8 +171,7 @@ proptest! {
         picks in proptest::collection::vec(any::<u64>(), 1..8),
     ) {
         let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-        let mut cfg = PartMinerConfig::with_k(k);
-        cfg.exact_supports = true;
+        let cfg = PartMinerConfig::with_k(k);
         let outcome = PartMiner::new(cfg).mine(&db, &uf, 2);
         let mut state = outcome.state;
 

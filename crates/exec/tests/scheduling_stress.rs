@@ -2,7 +2,9 @@
 //! determinism under adversarial job durations, steal-counter sanity, and
 //! poisoning behaviour under concurrent panics.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use graphmine_exec::{ExecCounters, Executor, Job};
@@ -104,20 +106,66 @@ fn every_job_runs_exactly_once() {
     }
 }
 
+/// A one-shot gate: `wait` blocks until `open` has been called.
+#[derive(Default)]
+struct Latch {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Latch {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+    }
+}
+
+/// Opens its latch when dropped.
+struct OpenOnDrop(Arc<Latch>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+thread_local! {
+    /// Where the panicking job parks its [`OpenOnDrop`], so that the latch
+    /// opens when that worker *thread* exits: after the executor has
+    /// caught the panic and poisoned the batch — a point in time no job
+    /// can observe from inside its own closure.
+    static AT_THREAD_EXIT: RefCell<Option<OpenOnDrop>> = const { RefCell::new(None) };
+}
+
 #[test]
 fn first_panic_wins_and_pending_work_is_dropped() {
     let exec = Executor::new(2);
     let executed = AtomicUsize::new(0);
     let executed = &executed;
-    // Panic early in a long batch: with two workers and poisoning, far
-    // fewer than all 500 jobs should run.
+    let poisoned = Arc::new(Latch::default());
+    // Two workers, jobs dealt round-robin: worker 1 reaches the panicking
+    // job 3 through job 1, while worker 0 sits in job 0 until the batch is
+    // known to be poisoned. Whenever either thread is first scheduled,
+    // worker 0 then finds the poison flag set and takes nothing more, so
+    // the 497 jobs still queued are dropped — no sleep decides it.
     let jobs: Vec<Job<'_, ()>> = (0..500)
         .map(|i| {
+            let poisoned = Arc::clone(&poisoned);
             Job::new(format!("poison:{i}"), move || {
                 executed.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_micros(20));
                 if i == 3 {
+                    AT_THREAD_EXIT.with(|slot| *slot.borrow_mut() = Some(OpenOnDrop(poisoned)));
                     panic!("injected failure in job 3");
+                }
+                if i % 2 == 0 {
+                    poisoned.wait();
                 }
             })
         })
@@ -125,7 +173,8 @@ fn first_panic_wins_and_pending_work_is_dropped() {
     let err = exec.map_indexed(jobs).unwrap_err();
     assert_eq!(err.label, "poison:3");
     assert!(err.payload.contains("injected failure"), "{}", err.payload);
-    assert!(executed.load(Ordering::SeqCst) < 500, "poisoned batch still ran every pending job");
+    let ran = executed.load(Ordering::SeqCst);
+    assert!(ran <= 3, "poisoned batch ran {ran} jobs: pending work was not dropped");
     assert_eq!(exec.counters().panics, 1);
 
     // The pool stays usable and deterministic after poisoning.

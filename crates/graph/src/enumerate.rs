@@ -101,6 +101,26 @@ pub fn frequent_bruteforce(db: &GraphDb, min_support: Support, max_edges: usize)
         .collect()
 }
 
+/// All connected `(k-1)`-edge subgraphs of `g` obtained by deleting one
+/// edge — the parent links along which the correctness oracle asserts
+/// support anti-monotonicity, and the "partner" subgraphs the paper-literal
+/// join of `repro ablation` checks.
+pub fn one_edge_deletions(g: &Graph) -> Vec<DfsCode> {
+    let m = g.edge_count();
+    let mut out = Vec::new();
+    if m < 2 {
+        return out;
+    }
+    for drop in 0..m as EdgeId {
+        let keep: Vec<EdgeId> = (0..m as EdgeId).filter(|&e| e != drop).collect();
+        let (sub, _) = g.edge_subgraph(&keep).expect("edge ids valid");
+        if sub.is_connected() {
+            out.push(min_dfs_code(&sub));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,5 +193,19 @@ mod tests {
         let codes = connected_subgraph_codes(&g, 2);
         // Two distinct single edges + the 2-edge path.
         assert_eq!(codes.len(), 3);
+    }
+
+    #[test]
+    fn one_edge_deletions_keeps_connected_only() {
+        // Path of 3 edges: deleting the middle edge disconnects.
+        let mut g = Graph::new();
+        for _ in 0..4 {
+            g.add_vertex(0);
+        }
+        g.add_edge(0, 1, 0).unwrap();
+        g.add_edge(1, 2, 0).unwrap();
+        g.add_edge(2, 3, 0).unwrap();
+        let subs = one_edge_deletions(&g);
+        assert_eq!(subs.len(), 2);
     }
 }

@@ -61,6 +61,10 @@ pub enum Fault {
     /// canonical-code test, so patterns are reported again under
     /// non-minimal codes.
     SkipWalkMinCheck = 11,
+    /// The merge-join's walk reports a unit-shortcut hit with the unit's
+    /// lower bound instead of the exact support its list holds — what the
+    /// removed lower-bound-supports mode did by default.
+    ReportUnitBound = 12,
 }
 
 static ACTIVE: AtomicU8 = AtomicU8::new(0);

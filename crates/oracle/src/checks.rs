@@ -18,14 +18,12 @@
 //!    is itself minimal, and support is anti-monotone along one-edge
 //!    deletion parent links.
 //! 4. **partminer-matrix** — PartMiner for `k ∈ {2, 3, 4}` × serial /
-//!    parallel × exact / shortcut supports against the gSpan reference:
-//!    with `exact_supports` the same codes and supports; without it the
-//!    same codes, no support above the exact one, and no more inexact
-//!    supports than the run says it shortcut. Serial and parallel merge
+//!    parallel against the gSpan reference: the same codes and the same
+//!    supports in every cell — a unit result spares a pattern the
+//!    canonical test, never the exact support. Serial and parallel merge
 //!    stats fold to identical totals. The parallel legs all fan out over
 //!    one run-wide work-stealing [`Executor`], so pool reuse across cases
-//!    is exercised for free. (The `embedding_lists` mode is not a
-//!    dimension: the `Complete` merge-join does not read it.)
+//!    is exercised for free.
 //! 5. **partition-invariants** — `DbPartition::check_invariants`, lossless
 //!    graph recovery, the one-split law (each edge lands in exactly one
 //!    side, or in both sides and the connective set), and the precomputed
@@ -61,11 +59,13 @@
 //!     the case's update window goes through the router's three-phase
 //!     epoch swap. A healthy fleet must never tag answers `partial`.
 
-use graphmine_core::{one_edge_deletions, Executor, IncPartMiner, PartMiner, PartMinerConfig};
+use graphmine_core::{Executor, IncPartMiner, PartMiner, PartMinerConfig};
 use graphmine_datagen::{plan_windows, UpdateKind, UpdateParams};
 use graphmine_graph::{
-    enumerate::frequent_bruteforce, iso, update::apply_all, DfsCode, EmbeddingMode, Graph, GraphDb,
-    GraphUpdate, PatternSet,
+    enumerate::{frequent_bruteforce, one_edge_deletions},
+    iso,
+    update::apply_all,
+    DfsCode, EmbeddingMode, Graph, GraphDb, GraphUpdate, PatternSet,
 };
 use graphmine_miner::{Apriori, GSpan, Gaston, MemoryMiner};
 use graphmine_partition::{
@@ -298,39 +298,6 @@ fn check_pattern_invariants(_case: &Case, reference: &PatternSet) -> Result<(), 
     Ok(())
 }
 
-/// The contract of `exact_supports: false`: the reference's codes, each
-/// with a lower bound on its exact support, and at most `shortcut` of them
-/// below it.
-fn expect_sound_bounds(
-    check: &'static str,
-    label: &str,
-    got: &PatternSet,
-    reference: &PatternSet,
-    shortcut: usize,
-) -> Result<(), CheckFailure> {
-    if !got.same_codes(reference) {
-        return Err(set_mismatch(check, label, got, reference));
-    }
-    let mut inexact = 0usize;
-    for p in got.iter() {
-        let exact = reference.support(&p.code).expect("same codes");
-        if p.support > exact {
-            return Err(fail(
-                check,
-                format!("{label}: support {} of {:?} exceeds the exact {exact}", p.support, p.code),
-            ));
-        }
-        inexact += usize::from(p.support < exact);
-    }
-    if inexact > shortcut {
-        return Err(fail(
-            check,
-            format!("{label}: {inexact} supports are inexact but only {shortcut} were shortcut"),
-        ));
-    }
-    Ok(())
-}
-
 fn check_partminer_matrix(
     case: &Case,
     reference: &PatternSet,
@@ -339,46 +306,29 @@ fn check_partminer_matrix(
     const CHECK: &str = "partminer-matrix";
     let uf = zeros(&case.db);
     for k in [2usize, 3, 4] {
-        for exact in [true, false] {
-            let miner = || {
-                let mut cfg = PartMinerConfig::with_k(k);
-                cfg.exact_supports = exact;
-                cfg.max_edges = Some(case.max_edges);
-                PartMiner::new(cfg)
-            };
-            let serial = miner().mine(&case.db, &uf, case.min_support);
-            // The parallel leg fans out over the run-wide shared pool —
-            // the same `Executor` every other case (and every other
-            // `(k, exact)` cell) uses, so a pool poisoned or corrupted by
-            // an earlier batch would surface here.
-            let parallel =
-                miner().mine_on(&case.db, &uf, case.min_support, exec, &Telemetry::new());
-            let label = format!("PartMiner k={k} exact={exact}");
-            for (schedule, outcome) in [("serial", &serial), ("parallel", &parallel)] {
-                let label = format!("{label} {schedule} vs gSpan");
-                if exact {
-                    expect_same(CHECK, &label, &outcome.patterns, reference)?;
-                } else {
-                    let shortcut = outcome.stats.merge.shortcut;
-                    expect_sound_bounds(CHECK, &label, &outcome.patterns, reference, shortcut)?;
-                }
-            }
-            // Which supports are bounds must not depend on the schedule.
-            expect_same(
+        let miner = || {
+            let mut cfg = PartMinerConfig::with_k(k);
+            cfg.max_edges = Some(case.max_edges);
+            PartMiner::new(cfg)
+        };
+        let serial = miner().mine(&case.db, &uf, case.min_support);
+        // The parallel leg fans out over the run-wide shared pool — the
+        // same `Executor` every other case (and every other `k`) uses, so
+        // a pool poisoned or corrupted by an earlier batch would surface
+        // here.
+        let parallel = miner().mine_on(&case.db, &uf, case.min_support, exec, &Telemetry::new());
+        for (schedule, outcome) in [("serial", &serial), ("parallel", &parallel)] {
+            let label = format!("PartMiner k={k} {schedule} vs gSpan");
+            expect_same(CHECK, &label, &outcome.patterns, reference)?;
+        }
+        if serial.stats.merge != parallel.stats.merge {
+            return Err(fail(
                 CHECK,
-                &format!("{label} parallel vs serial"),
-                &parallel.patterns,
-                &serial.patterns,
-            )?;
-            if serial.stats.merge != parallel.stats.merge {
-                return Err(fail(
-                    CHECK,
-                    format!(
-                        "{label}: merge stats diverge between schedules: {:?} vs {:?}",
-                        serial.stats.merge, parallel.stats.merge
-                    ),
-                ));
-            }
+                format!(
+                    "PartMiner k={k}: merge stats diverge between schedules: {:?} vs {:?}",
+                    serial.stats.merge, parallel.stats.merge
+                ),
+            ));
         }
     }
 
@@ -386,7 +336,6 @@ fn check_partminer_matrix(
     // account for exactly one unit mine per partition unit.
     let tel = Telemetry::new();
     let mut cfg = PartMinerConfig::with_k(2);
-    cfg.exact_supports = true;
     cfg.max_edges = Some(case.max_edges);
     let outcome = PartMiner::new(cfg).mine_instrumented(&case.db, &uf, case.min_support, &tel);
     let report = RunReport::capture("oracle-partminer", &tel);
@@ -485,7 +434,6 @@ fn check_incremental_verify(case: &Case, mirror: &GraphDb) -> Result<(), CheckFa
     let uf = graphmine_datagen::ufreq_from_updates(&case.db, &case.updates);
     for k in [2usize, 3] {
         let mut cfg = PartMinerConfig::with_k(k);
-        cfg.exact_supports = true;
         cfg.max_edges = Some(case.max_edges);
         let outcome = PartMiner::new(cfg).mine(&case.db, &uf, case.min_support);
         let old_pd = outcome.patterns;

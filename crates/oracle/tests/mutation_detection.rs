@@ -94,6 +94,15 @@ fn skip_walk_min_check_mutant_is_detected() {
     assert_eq!(assert_detected_by_batch(Fault::SkipWalkMinCheck), "partminer-matrix");
 }
 
+/// The removed lower-bound-supports mode, back as a mutant: the walk
+/// reports a unit-shortcut hit with the unit's lower bound instead of the
+/// exact support it holds. Codes stay right, so only `partminer-matrix`'s
+/// support comparison against gSpan can see it.
+#[test]
+fn report_unit_bound_mutant_is_detected() {
+    assert_eq!(assert_detected_by_batch(Fault::ReportUnitBound), "partminer-matrix");
+}
+
 /// A database engineered so that one relabel batch deletes every
 /// occurrence of the path `(0)-5-(1)-6-(2)` from the touched unit while
 /// the pattern survives in the other unit's cached result — exactly the

@@ -398,10 +398,6 @@ impl ServeEngine {
 
         let mut mining = PartMinerConfig::with_k(k);
         mining.parallel = cfg.parallel;
-        // Serving hands out supports; approximate ones would poison both
-        // the `patterns` listing and the warm `support` path.
-        mining.exact_supports = true;
-        mining.embedding_budget_bytes = cfg.embedding_budget;
 
         let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
         // The persisted pattern set is P(D) of this very snapshot, so the

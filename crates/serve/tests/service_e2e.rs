@@ -39,8 +39,7 @@ fn two_batches(db: &GraphDb, seed: u64) -> (Vec<DbUpdate>, Vec<DbUpdate>) {
 /// same batches in with the batch incremental pipeline (what the CLI's
 /// `incremental` command runs).
 fn batch_incremental(db: &GraphDb, min_support: Support, batches: &[Vec<DbUpdate>]) -> PatternSet {
-    let mut cfg = PartMinerConfig::with_k(2);
-    cfg.exact_supports = true;
+    let cfg = PartMinerConfig::with_k(2);
     let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
     let mut state = PartMiner::new(cfg).mine(db, &ufreq, min_support).state;
     for batch in batches {

@@ -88,20 +88,17 @@ fn csr_matrix_is_equivalent_before_and_after_freeze() {
                     apriori.len(),
                     reference.len()
                 );
-                for parallel in [false, true] {
-                    let mut cfg = PartMinerConfig::with_k(2);
-                    cfg.exact_supports = true;
-                    cfg.parallel = parallel;
-                    cfg.embedding_lists = lists;
-                    let pm = PartMiner::new(cfg).mine(db, &ufreq, sup);
-                    assert!(
-                        pm.patterns.same_codes_and_supports(&reference),
-                        "PartMiner (lists {lists}, parallel {parallel}) on {rep} db: \
-                         {} vs {} — {repro}",
-                        pm.patterns.len(),
-                        reference.len()
-                    );
-                }
+            }
+            for parallel in [false, true] {
+                let mut cfg = PartMinerConfig::with_k(2);
+                cfg.parallel = parallel;
+                let pm = PartMiner::new(cfg).mine(db, &ufreq, sup);
+                assert!(
+                    pm.patterns.same_codes_and_supports(&reference),
+                    "PartMiner (parallel {parallel}) on {rep} db: {} vs {} — {repro}",
+                    pm.patterns.len(),
+                    reference.len()
+                );
             }
         }
 
@@ -148,24 +145,22 @@ fn csr_telemetry_counters_are_identical_across_reprs() {
             })
             .collect();
         assert_eq!(totals[0], totals[1], "Apriori (lists {lists}) counters diverged — {repro}");
+    }
 
-        for parallel in [false, true] {
-            let totals: Vec<_> = [&frozen, &thawed]
-                .iter()
-                .map(|db| {
-                    let tel = Telemetry::new();
-                    let mut cfg = PartMinerConfig::with_k(2);
-                    cfg.exact_supports = true;
-                    cfg.parallel = parallel;
-                    cfg.embedding_lists = lists;
-                    PartMiner::new(cfg).mine_instrumented(db, &ufreq, sup, &tel);
-                    counter_totals(&tel)
-                })
-                .collect();
-            assert_eq!(
-                totals[0], totals[1],
-                "PartMiner (lists {lists}, parallel {parallel}) counters diverged — {repro}"
-            );
-        }
+    for parallel in [false, true] {
+        let totals: Vec<_> = [&frozen, &thawed]
+            .iter()
+            .map(|db| {
+                let tel = Telemetry::new();
+                let mut cfg = PartMinerConfig::with_k(2);
+                cfg.parallel = parallel;
+                PartMiner::new(cfg).mine_instrumented(db, &ufreq, sup, &tel);
+                counter_totals(&tel)
+            })
+            .collect();
+        assert_eq!(
+            totals[0], totals[1],
+            "PartMiner (parallel {parallel}) counters diverged — {repro}"
+        );
     }
 }

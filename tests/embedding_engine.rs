@@ -3,9 +3,9 @@
 //! report must show real work moved off the backtracking search with lists
 //! on: `search_calls_avoided > 0` and at least a 2× drop in actual search
 //! invocations against the identical lists-off run, while mining the exact
-//! same pattern set. PartMiner's default `Complete` merge-join carries its
-//! lists down a projected walk and never consults the store or the search:
-//! for it the mode must change nothing at all.
+//! same pattern set. PartMiner's merge-join carries its lists down a
+//! projected walk and builds no store: it has no mode to set, and must
+//! issue no search and spill nothing.
 
 use graphmine_core::{PartMiner, PartMinerConfig};
 use graphmine_datagen::{generate, GenParams};
@@ -13,24 +13,21 @@ use graphmine_graph::{EmbeddingMode, GraphDb, PatternSet, Support};
 use graphmine_miner::{Apriori, MemoryMiner};
 use graphmine_telemetry::{Counter, RunReport, Telemetry};
 
-type Mine = fn(&GraphDb, Support, EmbeddingMode, &Telemetry) -> PatternSet;
-
-fn partminer(db: &GraphDb, sup: Support, mode: EmbeddingMode, tel: &Telemetry) -> PatternSet {
+fn partminer(db: &GraphDb, sup: Support, tel: &Telemetry) -> PatternSet {
     let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-    let mut cfg = PartMinerConfig::with_k(2);
-    cfg.exact_supports = true;
-    cfg.embedding_lists = mode;
-    PartMiner::new(cfg).mine_instrumented(db, &ufreq, sup, tel).patterns
+    PartMiner::new(PartMinerConfig::with_k(2)).mine_instrumented(db, &ufreq, sup, tel).patterns
 }
 
-fn apriori(db: &GraphDb, sup: Support, mode: EmbeddingMode, tel: &Telemetry) -> PatternSet {
-    Apriori { max_edges: Some(4), embedding_lists: mode }.mine_counted(db, sup, tel.counters())
+fn apriori(mode: EmbeddingMode) -> impl Fn(&GraphDb, Support, &Telemetry) -> PatternSet {
+    move |db, sup, tel| {
+        Apriori { max_edges: Some(4), embedding_lists: mode }.mine_counted(db, sup, tel.counters())
+    }
 }
 
-fn run(mine: Mine, mode: EmbeddingMode) -> (PatternSet, RunReport) {
+fn run(mine: impl Fn(&GraphDb, Support, &Telemetry) -> PatternSet) -> (PatternSet, RunReport) {
     let db = generate(&GenParams::new(60, 10, 5, 15, 4).with_seed(11));
     let tel = Telemetry::new();
-    let patterns = mine(&db, db.abs_support(0.10), mode, &tel);
+    let patterns = mine(&db, db.abs_support(0.10), &tel);
     // Round-trip through the serialized report: the counters asserted on
     // below are exactly what `mine --report` writes to disk.
     let report = RunReport::from_json(&RunReport::capture("lists", &tel).to_json()).unwrap();
@@ -39,24 +36,14 @@ fn run(mine: Mine, mode: EmbeddingMode) -> (PatternSet, RunReport) {
 
 #[test]
 fn embedding_lists_replace_most_searches() {
-    // PartMiner: `off|on|auto` give the same codes and supports, and the
-    // merge-join issues no search in any of them.
-    let (reference, _) = run(partminer, EmbeddingMode::Off);
-    assert!(!reference.is_empty(), "partminer: degenerate run, no frequent patterns");
-    for mode in [EmbeddingMode::Off, EmbeddingMode::On, EmbeddingMode::Auto] {
-        let (patterns, report) = run(partminer, mode);
-        assert!(
-            patterns.same_codes_and_supports(&reference),
-            "partminer: lists {mode} mined {} patterns, lists off {}",
-            patterns.len(),
-            reference.len()
-        );
-        assert_eq!(report.counter(Counter::SearchCalls), 0, "partminer, lists {mode}");
-        assert_eq!(report.counter(Counter::EmbeddingsSpilled), 0, "partminer, lists {mode}");
-    }
+    // PartMiner: the merge-join issues no search and spills no list.
+    let (patterns, report) = run(partminer);
+    assert!(!patterns.is_empty(), "partminer: degenerate run, no frequent patterns");
+    assert_eq!(report.counter(Counter::SearchCalls), 0, "partminer");
+    assert_eq!(report.counter(Counter::EmbeddingsSpilled), 0, "partminer");
 
-    let (patterns_off, off) = run(apriori, EmbeddingMode::Off);
-    let (patterns_on, on) = run(apriori, EmbeddingMode::On);
+    let (patterns_off, off) = run(apriori(EmbeddingMode::Off));
+    let (patterns_on, on) = run(apriori(EmbeddingMode::On));
 
     // Counting strategy must not change the answer.
     assert!(

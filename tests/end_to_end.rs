@@ -28,8 +28,7 @@ fn dynamic_lifecycle_stays_consistent_across_batches() {
     let ufreq = ufreq_from_updates(&db0, &batches[0]);
 
     // Initial mining.
-    let mut cfg = PartMinerConfig::with_k(3);
-    cfg.exact_supports = true;
+    let cfg = PartMinerConfig::with_k(3);
     let outcome = PartMiner::new(cfg).mine(&db0, &ufreq, sup);
     let mut state = outcome.state;
 

@@ -20,8 +20,7 @@ fn run_workload(kind: UpdateKind, fraction: f64) {
     let ufreq = ufreq_from_updates(&db, &plan);
     let sup = db.abs_support(0.15);
 
-    let mut cfg = PartMinerConfig::with_k(3);
-    cfg.exact_supports = true;
+    let cfg = PartMinerConfig::with_k(3);
     let outcome = PartMiner::new(cfg).mine(&db, &ufreq, sup);
     let old = outcome.patterns.clone();
     let mut state = outcome.state;
@@ -86,8 +85,7 @@ fn incremental_work_scales_with_update_amount() {
         let params = UpdateParams::new(fraction, 2, UpdateKind::Relabel, 4);
         let plan = plan_updates(&db, &params);
         let ufreq = ufreq_from_updates(&db, &plan);
-        let mut cfg = PartMinerConfig::with_k(4);
-        cfg.exact_supports = true;
+        let cfg = PartMinerConfig::with_k(4);
         let outcome = PartMiner::new(cfg).mine(&db, &ufreq, sup);
         let mut state = outcome.state;
         let inc = IncPartMiner::update(&mut state, &plan).unwrap();
@@ -113,7 +111,6 @@ fn ufreq_aware_partitioning_localises_updates() {
     let touched_units = |criteria: Criteria| -> usize {
         let mut cfg = PartMinerConfig::with_k(4);
         cfg.partitioner = PartitionerKind::GraphPart(criteria);
-        cfg.exact_supports = true;
         let outcome = PartMiner::new(cfg).mine(&db, &ufreq, sup);
         let mut state = outcome.state;
         let inc = IncPartMiner::update(&mut state, &plan).unwrap();

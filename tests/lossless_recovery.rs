@@ -6,7 +6,7 @@
 //!   direct mining, for every partitioner, criteria setting, and unit count
 //!   the paper evaluates (Theorem 3).
 
-use graphmine_core::{JoinPolicy, PartMiner, PartMinerConfig, PartitionerKind};
+use graphmine_core::{PartMiner, PartMinerConfig, PartitionerKind};
 use graphmine_datagen::{
     generate, plan_updates, ufreq_from_updates, GenParams, UpdateKind, UpdateParams,
 };
@@ -68,7 +68,6 @@ fn merge_join_is_lossless_for_all_criteria_and_k() {
         for k in [2usize, 3, 6] {
             let mut cfg = PartMinerConfig::with_k(k);
             cfg.partitioner = partitioner;
-            cfg.exact_supports = true;
             let outcome = PartMiner::new(cfg).mine(&db, &ufreq, sup);
             assert!(
                 outcome.patterns.same_codes_and_supports(&reference),
@@ -82,42 +81,14 @@ fn merge_join_is_lossless_for_all_criteria_and_k() {
 }
 
 #[test]
-fn paper_join_policy_is_sound_and_near_complete() {
-    let db = synthetic_db();
-    let sup = db.abs_support(0.15);
-    let reference = GSpan::new().mine(&db, sup);
-    let uf = zero_ufreq(&db);
-    let mut cfg = PartMinerConfig::with_k(2);
-    cfg.join_policy = JoinPolicy::Paper;
-    cfg.exact_supports = true;
-    let outcome = PartMiner::new(cfg).mine(&db, &uf, sup);
-    // Soundness: everything reported is genuinely frequent with the right
-    // support.
-    for p in outcome.patterns.iter() {
-        assert_eq!(reference.support(&p.code), Some(p.support), "{}", p.code);
-    }
-    // The paper policy may miss cross-only patterns, but must find at least
-    // all single edges and the overwhelming majority of the set.
-    assert!(
-        outcome.patterns.len() * 10 >= reference.len() * 9,
-        "paper policy recovered {} of {}",
-        outcome.patterns.len(),
-        reference.len()
-    );
-}
-
-#[test]
 fn shortcut_supports_are_sound_lower_bounds() {
     let db = synthetic_db();
     let sup = db.abs_support(0.15);
     let reference = GSpan::new().mine(&db, sup);
     let uf = zero_ufreq(&db);
-    let cfg = PartMinerConfig::with_k(4); // shortcut on by default
-    let outcome = PartMiner::new(cfg).mine(&db, &uf, sup);
-    assert!(outcome.patterns.same_codes(&reference));
-    for p in outcome.patterns.iter() {
-        let exact = reference.support(&p.code).unwrap();
-        assert!(p.support >= sup, "{}", p.code);
-        assert!(p.support <= exact, "{}: claimed {} > exact {exact}", p.code, p.support);
-    }
+    let outcome = PartMiner::new(PartMinerConfig::with_k(4)).mine(&db, &uf, sup);
+    // A unit result is a lower bound the walk leans on for the canonical
+    // test only: what is reported is the exact support.
+    assert!(outcome.patterns.same_codes_and_supports(&reference));
+    assert!(outcome.stats.merge.shortcut > 0, "{:?}", outcome.stats.merge);
 }

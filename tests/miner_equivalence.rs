@@ -38,9 +38,7 @@ fn all_systems_agree_on_synthetic_data() {
         assert!(disk.same_codes_and_supports(&reference), "ADIMINE vs gSpan at {rel_sup}");
 
         for k in [2usize, 4] {
-            let mut cfg = PartMinerConfig::with_k(k);
-            cfg.exact_supports = true;
-            let pm = PartMiner::new(cfg).mine(&db, &ufreq, sup);
+            let pm = PartMiner::new(PartMinerConfig::with_k(k)).mine(&db, &ufreq, sup);
             assert!(
                 pm.patterns.same_codes_and_supports(&reference),
                 "PartMiner k={k} vs gSpan at {rel_sup}: {} vs {}",
@@ -51,12 +49,12 @@ fn all_systems_agree_on_synthetic_data() {
     }
 }
 
-/// Differential matrix for the embedding-list support engine: every
-/// counting configuration — embedding lists {off, on} × merge scheduling
-/// {serial, parallel} — must produce the exact pattern sets and supports of
-/// the reference miner, across several randomized databases. A failure
-/// message carries the datagen parameters so the offending database can be
-/// regenerated in isolation.
+/// Differential matrix for the embedding-list support engine: Apriori with
+/// its store {off, on}, and PartMiner's list-carrying walk under merge
+/// scheduling {serial, parallel}, must produce the exact pattern sets and
+/// supports of the reference miner, across several randomized databases. A
+/// failure message carries the datagen parameters so the offending
+/// database can be regenerated in isolation.
 #[test]
 fn embedding_list_matrix_is_exact() {
     for seed in [3u64, 41, 977] {
@@ -81,28 +79,18 @@ fn embedding_list_matrix_is_exact() {
                 apriori.len(),
                 reference.len()
             );
+        }
 
-            for parallel in [false, true] {
-                for exact in [false, true] {
-                    let mut cfg = PartMinerConfig::with_k(2);
-                    cfg.exact_supports = exact;
-                    cfg.parallel = parallel;
-                    cfg.embedding_lists = lists;
-                    let pm = PartMiner::new(cfg).mine(&db, &ufreq, sup);
-                    let same = if exact {
-                        pm.patterns.same_codes_and_supports(&reference)
-                    } else {
-                        pm.patterns.same_codes(&reference)
-                    };
-                    assert!(
-                        same,
-                        "PartMiner (lists {lists}, parallel {parallel}, exact {exact}) \
-                         vs gSpan: {} vs {} — {repro}",
-                        pm.patterns.len(),
-                        reference.len()
-                    );
-                }
-            }
+        for parallel in [false, true] {
+            let mut cfg = PartMinerConfig::with_k(2);
+            cfg.parallel = parallel;
+            let pm = PartMiner::new(cfg).mine(&db, &ufreq, sup);
+            assert!(
+                pm.patterns.same_codes_and_supports(&reference),
+                "PartMiner (parallel {parallel}) vs gSpan: {} vs {} — {repro}",
+                pm.patterns.len(),
+                reference.len()
+            );
         }
     }
 }
@@ -161,23 +149,20 @@ fn support_boundaries_across_the_miner_matrix() {
                 apriori.len(),
                 reference.len()
             );
+        }
 
-            for k in [2usize, 3, 4] {
-                for parallel in [false, true] {
-                    let mut cfg = PartMinerConfig::with_k(k);
-                    cfg.exact_supports = true;
-                    cfg.max_edges = Some(cap);
-                    cfg.parallel = parallel;
-                    cfg.embedding_lists = lists;
-                    let pm = PartMiner::new(cfg).mine(&db, &ufreq, sup);
-                    assert!(
-                        pm.patterns.same_codes_and_supports(&reference),
-                        "PartMiner (k={k}, lists {lists}, parallel {parallel}) at sup {sup}: \
-                         {} vs {} — {repro}",
-                        pm.patterns.len(),
-                        reference.len()
-                    );
-                }
+        for k in [2usize, 3, 4] {
+            for parallel in [false, true] {
+                let mut cfg = PartMinerConfig::with_k(k);
+                cfg.max_edges = Some(cap);
+                cfg.parallel = parallel;
+                let pm = PartMiner::new(cfg).mine(&db, &ufreq, sup);
+                assert!(
+                    pm.patterns.same_codes_and_supports(&reference),
+                    "PartMiner (k={k}, parallel {parallel}) at sup {sup}: {} vs {} — {repro}",
+                    pm.patterns.len(),
+                    reference.len()
+                );
             }
         }
     }

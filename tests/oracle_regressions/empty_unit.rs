@@ -55,8 +55,7 @@ fn mining_through_a_degenerate_split_stays_lossless() {
     let direct = GSpan::new().mine(&db, 3);
     assert_eq!(direct.len(), 1, "exactly the shared edge is frequent");
     for k in [2usize, 4] {
-        let mut cfg = PartMinerConfig::with_k(k);
-        cfg.exact_supports = true;
+        let cfg = PartMinerConfig::with_k(k);
         let outcome = PartMiner::new(cfg).mine(&db, &ufreq, 3);
         assert!(
             outcome.patterns.same_codes_and_supports(&direct),

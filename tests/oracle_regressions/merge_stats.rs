@@ -5,9 +5,9 @@
 //! serial and executor-backed runs must report identical stats, not just
 //! identical pattern sets.
 
-use graphmine_core::{merge_join, Executor, JoinPolicy, MergeContext};
+use graphmine_core::{merge_join, Executor, MergeContext};
 use graphmine_datagen::{generate, GenParams};
-use graphmine_graph::{EmbeddingMode, GraphDb, DEFAULT_EMBEDDING_BUDGET};
+use graphmine_graph::GraphDb;
 use graphmine_miner::{GSpan, MemoryMiner};
 use graphmine_partition::{split_by_sides, Bipartitioner, Criteria, GraphPart};
 use graphmine_telemetry::Telemetry;
@@ -45,34 +45,28 @@ fn parallel_merge_stats_match_serial_on_a_large_batch() {
     );
 
     let exec = Executor::new(4);
-    for exact in [false, true] {
-        let run = |executor: Option<&Executor>| {
-            let tel = Telemetry::new();
-            let ctx = MergeContext {
-                db: &db,
-                min_support: 2,
-                policy: JoinPolicy::Complete,
-                max_edges: Some(4),
-                exact_supports: exact,
-                known: None,
-                trust_known: false,
-                executor,
-                embedding_lists: EmbeddingMode::Auto,
-                embedding_budget: DEFAULT_EMBEDDING_BUDGET,
-                telemetry: Some(&tel),
-            };
-            let (merged, stats) = merge_join(&ctx, &p0, &p1);
-            (merged, stats, tel.counters().snapshot())
+    let run = |executor: Option<&Executor>| {
+        let tel = Telemetry::new();
+        let ctx = MergeContext {
+            db: &db,
+            min_support: 2,
+            max_edges: Some(4),
+            known: None,
+            trust_known: false,
+            executor,
+            telemetry: Some(&tel),
         };
-        let (serial, serial_stats, serial_counts) = run(None);
-        let (parallel, parallel_stats, parallel_counts) = run(Some(&exec));
-        assert!(
-            serial.same_codes_and_supports(&parallel),
-            "exact={exact}: serial {} vs parallel {} patterns",
-            serial.len(),
-            parallel.len()
-        );
-        assert_eq!(serial_stats, parallel_stats, "exact={exact}: merge stats diverged");
-        assert_eq!(serial_counts, parallel_counts, "exact={exact}: counters diverged");
-    }
+        let (merged, stats) = merge_join(&ctx, &p0, &p1);
+        (merged, stats, tel.counters().snapshot())
+    };
+    let (serial, serial_stats, serial_counts) = run(None);
+    let (parallel, parallel_stats, parallel_counts) = run(Some(&exec));
+    assert!(
+        serial.same_codes_and_supports(&parallel),
+        "serial {} vs parallel {} patterns",
+        serial.len(),
+        parallel.len()
+    );
+    assert_eq!(serial_stats, parallel_stats, "merge stats diverged");
+    assert_eq!(serial_counts, parallel_counts, "counters diverged");
 }

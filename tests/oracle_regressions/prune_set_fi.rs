@@ -100,8 +100,7 @@ fn pattern_deleted_from_a_touched_unit_lands_in_fi() {
 fn verify_mode_stays_exact_on_the_same_scenario() {
     let db = build_db();
     let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-    let mut cfg = PartMinerConfig::with_k(2);
-    cfg.exact_supports = true;
+    let cfg = PartMinerConfig::with_k(2);
     let outcome = PartMiner::new(cfg).mine(&db, &ufreq, 3);
     let mut state = outcome.state;
 

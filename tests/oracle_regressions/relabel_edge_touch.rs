@@ -103,8 +103,7 @@ fn ufreq_attributes_edge_relabels_to_endpoints() {
 fn edge_relabel_flips_frequency_and_stays_exact() {
     let db = build_db();
     let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-    let mut cfg = PartMinerConfig::with_k(2);
-    cfg.exact_supports = true;
+    let cfg = PartMinerConfig::with_k(2);
     let outcome = PartMiner::new(cfg).mine(&db, &ufreq, 3);
     let code = demoted();
     assert_eq!(outcome.patterns.support(&code), Some(4), "P starts frequent");

@@ -11,8 +11,7 @@ fn closed_and_maximal_from_partminer_output() {
     let db = generate(&GenParams::new(50, 8, 4, 8, 3));
     let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
     let sup = db.abs_support(0.2);
-    let mut cfg = PartMinerConfig::with_k(2);
-    cfg.exact_supports = true;
+    let cfg = PartMinerConfig::with_k(2);
     let all = PartMiner::new(cfg).mine(&db, &ufreq, sup).patterns;
 
     let closed = closed_patterns(&all);
@@ -37,8 +36,7 @@ fn closed_and_maximal_from_partminer_output() {
 fn pattern_file_round_trips_partminer_results() {
     let db = generate(&GenParams::new(40, 7, 4, 8, 3));
     let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-    let mut cfg = PartMinerConfig::with_k(3);
-    cfg.exact_supports = true;
+    let cfg = PartMinerConfig::with_k(3);
     let all = PartMiner::new(cfg).mine(&db, &ufreq, db.abs_support(0.25)).patterns;
 
     let mut bytes = Vec::new();

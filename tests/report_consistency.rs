@@ -18,11 +18,11 @@ fn zero_ufreq(db: &GraphDb) -> Vec<Vec<f64>> {
 
 /// With `k = 2` exactly one merge-join runs and its output *is* the final
 /// pattern set, so `verified_frequent` must equal `patterns.len()`.
-fn check_partminer(exact_supports: bool) {
+#[test]
+fn partminer_report_reconciles_exact() {
     let db = synthetic_db();
     let sup = db.abs_support(0.1);
-    let mut cfg = PartMinerConfig::with_k(2);
-    cfg.exact_supports = exact_supports;
+    let cfg = PartMinerConfig::with_k(2);
 
     let tel = Telemetry::new();
     let outcome = PartMiner::new(cfg).mine_instrumented(&db, &zero_ufreq(&db), sup, &tel);
@@ -31,7 +31,7 @@ fn check_partminer(exact_supports: bool) {
     assert_eq!(
         report.counter(Counter::VerifiedFrequent),
         outcome.patterns.len() as u64,
-        "exact_supports={exact_supports}: every reported pattern was verified exactly once"
+        "every reported pattern was verified exactly once"
     );
     assert_eq!(report.counter(Counter::UnitsMined), 2);
     assert_eq!(report.counter(Counter::NodesMerged), 1);
@@ -59,23 +59,12 @@ fn check_partminer(exact_supports: bool) {
 }
 
 #[test]
-fn partminer_report_reconciles_exact() {
-    check_partminer(true);
-}
-
-#[test]
-fn partminer_report_reconciles_shortcut() {
-    check_partminer(false);
-}
-
-#[test]
 fn incpartminer_report_reconciles() {
     let db = synthetic_db();
     let plan = plan_updates(&db, &UpdateParams::new(0.3, 2, UpdateKind::Mixed, 5));
     let ufreq = ufreq_from_updates(&db, &plan);
     let sup = db.abs_support(0.1);
-    let mut cfg = PartMinerConfig::with_k(2);
-    cfg.exact_supports = true;
+    let cfg = PartMinerConfig::with_k(2);
 
     let outcome = PartMiner::new(cfg).mine(&db, &ufreq, sup);
     let mut state = outcome.state;
