@@ -226,10 +226,10 @@ fn standard_updates(db: &GraphDb, fraction: f64, kind: UpdateKind, n: u32) -> Ve
     plan_updates(db, &UpdateParams::new(fraction, 2, kind, n))
 }
 
-/// PartMiner configuration used by the performance figures (paper-style
-/// trust of unchanged patterns).
+/// PartMiner configuration used by the performance figures: the default
+/// one, at the figure's `k` and partitioner.
 fn bench_config(k: usize, partitioner: PartitionerKind) -> PartMinerConfig {
-    PartMinerConfig { partitioner, verify_unchanged: false, ..PartMinerConfig::with_k(k) }
+    PartMinerConfig { partitioner, ..PartMinerConfig::with_k(k) }
 }
 
 // ---------------------------------------------------------------------------
@@ -563,9 +563,9 @@ pub fn fig17b(scale: Scale) -> FigureResult {
 // Ablations — the design choices DESIGN.md calls out
 // ---------------------------------------------------------------------------
 
-/// Ablation: the join, the unit miner and the known-pattern trust, each
-/// toggled independently at the Fig. 14 settings (minsup 2%, 40% mixed
-/// updates for the incremental rows).
+/// Ablation: the join and the unit miner, each toggled independently at
+/// the Fig. 14 settings (minsup 2%), next to one incremental round over 40%
+/// mixed updates.
 pub fn ablation(scale: Scale) -> FigureResult {
     let (params, db) = dataset(scale, 50_000, 20, 20, 200, 5);
     let plan = standard_updates(&db, 0.4, UpdateKind::Mixed, 20);
@@ -587,12 +587,8 @@ pub fn ablation(scale: Scale) -> FigureResult {
     let gaston = PartMinerConfig { unit_miner: graphmine_core::UnitMinerKind::Gaston, ..base };
     column("gaston-units", partminer_time(&db, &ufreq, gaston, sup));
 
-    // Incremental: trust the pruned pre-update result vs re-verify.
-    for (label, verify) in [("inc-trust", false), ("inc-verify", true)] {
-        let cfg = PartMinerConfig { verify_unchanged: verify, ..base };
-        let mut state = partminer_state(&db, &ufreq, cfg, sup);
-        column(label, incpartminer_time(&mut state, &plan));
-    }
+    let mut state = outcome.state;
+    column("incremental", incpartminer_time(&mut state, &plan));
 
     FigureResult {
         id: "ablation",

@@ -73,7 +73,8 @@ USAGE:
       newest N update windows stay live; older ones are expired by a
       journaled inverse batch (see docs/SERVICE.md). --data-dir holds
       the snapshot, journal and meta (default: FILE + \".serve\"); on
-      restart the snapshot pins minsup/k and the journal is replayed.
+      restart the snapshot pins minsup/k and is mined again, then the
+      journal is replayed.
 
   graphmine shard-plan FILE --shards N --minsup FRAC [--k K] [--replicas R]
                  [--policy units|hub] [--hub-threshold T] [--host H]
@@ -650,7 +651,7 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         stdout,
         "booted epoch {} from {} ({} journal batches replayed): {} patterns at minsup {}",
         boot.epoch,
-        if boot.from_snapshot { "warm snapshot" } else { "cold mine" },
+        if boot.from_snapshot { "snapshot" } else { "database file" },
         boot.replayed,
         engine.current().patterns.len(),
         engine.min_support(),
@@ -866,12 +867,11 @@ pub fn incremental(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         IncPartMiner::update_instrumented(&mut state, &plan, &tel).map_err(|e| e.to_string())?;
     say!(
         stdout,
-        "incremental round: {} updates in {:.1?} — re-mined {}/{} units, prune set {}",
+        "incremental round: {} updates in {:.1?} — re-mined {}/{} units",
         plan.len(),
         t.elapsed(),
         inc.stats.units_remined,
         state.partition.unit_count(),
-        inc.stats.prune_set_size,
     );
     say!(
         stdout,

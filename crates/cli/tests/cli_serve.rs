@@ -1,9 +1,12 @@
 //! CLI coverage for the serving daemon: the `client` subcommand against
-//! a live server, and the fail-fast local error paths of `serve` and
-//! `client` (bad files, bad codes) that must never touch the network.
+//! a live server, the fail-fast local error paths of `serve` and `client`
+//! (bad files, bad codes, a bad thread budget) that must never touch the
+//! network, and the `serve` binary across a restart.
 
 use std::fs::File;
-use std::io::{sink, BufWriter};
+use std::io::{sink, BufRead, BufReader, BufWriter};
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 
 use graphmine_cli::commands;
@@ -88,4 +91,97 @@ fn serve_argument_errors() {
     );
     assert!(commands::serve(&s(&["nonexistent.txt", "--minsup", "0.3"]), &mut sink()).is_err());
     assert!(commands::serve(&s(&["x.txt"]), &mut sink()).is_err(), "missing --minsup");
+}
+
+fn generate_db(path: &Path) {
+    let path = path.to_str().unwrap();
+    let gen =
+        ["--d", "24", "--t", "6", "--n", "4", "--l", "4", "--i", "3", "--seed", "11", "-o", path];
+    commands::generate(&s(&gen), &mut sink()).expect("generate");
+}
+
+/// The `graphmine` binary running `serve` with `args`, stdout and stderr
+/// piped.
+fn serve_bin(args: &[&str]) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_graphmine"));
+    cmd.arg("serve").args(args).stdout(Stdio::piped()).stderr(Stdio::piped());
+    cmd
+}
+
+/// A thread budget the environment gets wrong is a usage error like under
+/// `mine` and `incremental` — reported before the boot mine, which would
+/// otherwise meet it as a panic. The variable is set in the child's
+/// environment only.
+#[test]
+fn serve_reports_a_bad_thread_budget() {
+    let dir = tempfile::tempdir().unwrap();
+    let db = dir.path().join("db.txt");
+    generate_db(&db);
+    let plan = dir.path().join("plan");
+    let (db_s, plan_s) = (db.to_str().unwrap(), plan.to_str().unwrap());
+    commands::shard_plan(
+        &s(&[db_s, "--shards", "2", "--minsup", "0.3", "-o", plan_s]),
+        &mut sink(),
+    )
+    .expect("shard-plan");
+    let topology = plan.join("topology.json");
+
+    let cases: [&[&str]; 2] = [
+        &[db_s, "--minsup", "0.3", "--k", "2", "--parallel"],
+        &["--shard-from", topology.to_str().unwrap(), "--shard-id", "0", "--parallel"],
+    ];
+    for args in cases {
+        let out = serve_bin(args)
+            .args(["--data-dir", dir.path().join("d").to_str().unwrap()])
+            .env("GRAPHMINE_THREADS", "bogus")
+            .output()
+            .expect("run graphmine");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("error: threads: "), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// A restart says where the database came from, serves the same patterns,
+/// and a clean stop leaves no mined result in the data directory.
+#[test]
+fn serve_restarts_from_its_snapshot() {
+    let dir = tempfile::tempdir().unwrap();
+    let db = dir.path().join("db.txt");
+    generate_db(&db);
+    let data = dir.path().join("d");
+    let args = [
+        db.to_str().unwrap(),
+        "--minsup",
+        "0.3",
+        "--k",
+        "2",
+        "--addr",
+        "127.0.0.1:0",
+        "--data-dir",
+    ];
+
+    let mut booted = Vec::new();
+    for _ in 0..2 {
+        let mut child = serve_bin(&args).arg(&data).spawn().expect("start graphmine");
+        let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+        booted.push(lines.next().expect("boot line").unwrap());
+        let serving = lines.next().expect("serving line").unwrap();
+        let addr = serving.strip_prefix("serving on ").expect(&serving);
+        commands::client(&s(&["--addr", addr, "shutdown"]), &mut sink()).expect("shutdown");
+        assert!(child.wait().unwrap().success());
+    }
+    assert!(booted[0].starts_with("booted epoch 0 from database file (0 journal"), "{}", booted[0]);
+    assert!(booted[1].starts_with("booted epoch 0 from snapshot (0 journal"), "{}", booted[1]);
+    // "…): N patterns at minsup M" is the same line end both times.
+    let served = |i: usize| booted[i].split_once("): ").expect(&booted[i]).1;
+    assert_eq!(served(0), served(1), "a restart changed the pattern count");
+
+    let mut files: Vec<String> = std::fs::read_dir(&data)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["journal.wal", "meta.json", "snapshot.0.gs"]);
 }

@@ -52,8 +52,12 @@ fn full_workflow_through_files() {
     let plan_text = std::fs::read_to_string(&upd_path).unwrap();
     assert!(!plan_text.trim().is_empty());
 
-    commands::incremental(&s(&[db_s, upd_s, "--minsup", "0.10", "--k", "3"]), &mut sink())
+    let mut said = Vec::new();
+    commands::incremental(&s(&[db_s, upd_s, "--minsup", "0.10", "--k", "3"]), &mut said)
         .expect("incremental");
+    let said = String::from_utf8(said).unwrap();
+    let round = said.lines().find(|l| l.starts_with("incremental round: ")).expect(&said);
+    assert!(round.ends_with("/3 units"), "{round}");
 
     // Stats over the database.
     commands::stats(&s(&[db_s]), &mut sink()).expect("stats");

@@ -90,10 +90,6 @@ pub struct PartMinerConfig {
     pub parallel: bool,
     /// Optional pattern-size cap (edges).
     pub max_edges: Option<usize>,
-    /// IncPartMiner: when `true` (default), candidates found in the
-    /// pre-update result are re-verified instead of being assumed
-    /// unchanged. `false` reproduces the paper's pruning literally.
-    pub verify_unchanged: bool,
     /// Ignored: supports are always exact. Declared only because
     /// `bench/e2e` still names it; the benchmark PR of ROADMAP 1(a)
     /// deletes it.
@@ -119,7 +115,6 @@ impl Default for PartMinerConfig {
             unit_miner: UnitMinerKind::default(),
             parallel: false,
             max_edges: None,
-            verify_unchanged: true,
             exact_supports: true,
             embedding_budget_bytes: DEFAULT_EMBEDDING_BUDGET,
             threads: 0,

@@ -4,19 +4,18 @@
 //! whose pieces changed are re-mined, and only tree nodes on the path from
 //! a changed piece to the root are re-merged — untouched subtrees reuse
 //! their cached results (their databases are bit-identical, so their
-//! results are too). The paper's *prune set* is built from the frequent
-//! 1-edge diff and the re-mined unit diffs; patterns of the pre-update
-//! result that are supergraphs of a pruned pattern become `FI` candidates,
-//! and the remainder can (in paper-faithful mode) skip support counting in
-//! the final recombination (`IncMergeJoin`).
+//! results are too). The re-merge is the ordinary merge-join, so every
+//! support in the new result is counted on the updated data; `UF`/`FI`/`IF`
+//! are set differences against the pre-update result. Fig. 12's prune set
+//! (lines 1–2, 10, 14–17) is not built: it spares a count the walk has
+//! already made by the time it could ask.
 
 use std::time::{Duration, Instant};
 
 use rustc_hash::FxHashSet;
 
 use graphmine_exec::{Executor, Job};
-use graphmine_graph::{iso, DbUpdate, GraphError, PatternSet};
-use graphmine_miner::extend::EdgeVocab;
+use graphmine_graph::{DbUpdate, GraphError, PatternSet};
 use graphmine_partition::NodeId;
 use graphmine_telemetry::{Counter, ReportSource, StageTotal, Telemetry};
 
@@ -33,8 +32,6 @@ pub struct IncStats {
     pub units_remined: usize,
     /// Internal tree nodes re-merged.
     pub nodes_remerged: usize,
-    /// Size of the prune set `P`.
-    pub prune_set_size: usize,
     /// Time spent re-mining units.
     pub unit_time: Duration,
     /// Time spent re-merging.
@@ -105,7 +102,7 @@ impl IncPartMiner {
 
     /// [`IncPartMiner::update`] recording spans and counters into `tel`:
     /// one `inc_remine` span per re-mined unit, `merge_join` spans for the
-    /// re-merged nodes, prune-set hits, and the UF/FI/IF tallies.
+    /// re-merged nodes, and the UF/FI/IF tallies.
     pub fn update_instrumented(
         state: &mut PartMinerState,
         updates: &[DbUpdate],
@@ -138,37 +135,22 @@ impl IncPartMiner {
             touched.extend(impact.nodes);
         }
 
-        // 2. Prune set from the frequent 1-edge diff (Fig. 12 lines 1-2).
-        #[cfg(feature = "fault-injection")]
-        let skip_prune = graphmine_graph::fault::armed(graphmine_graph::fault::Fault::SkipPruneSet);
-        #[cfg(not(feature = "fault-injection"))]
-        let skip_prune = false;
-        let p1_new = EdgeVocab::frequent_in(&state.partition.root().db, state.min_support);
-        let mut prune = PatternSet::new();
-        if !skip_prune {
-            for p in old_pd.of_size(1) {
-                let e = p.code.0[0];
-                if !p1_new.contains(e.from_label, e.edge_label, e.to_label) {
-                    prune.insert(p.clone());
-                }
-            }
-        }
-
-        // 3. Re-mine the touched units (lines 3-9), extending the prune set
-        // with every pattern that vanished from a touched unit. Surviving
-        // in *another* unit is no alibi: a pattern's global support can
-        // fall below the threshold the moment one unit stops carrying it,
-        // so anything in a unit diff must be re-verified (or it would keep
-        // its stale pre-update support in trust mode and never land in FI).
-        let unit_nodes: Vec<NodeId> =
-            (0..state.partition.unit_count()).map(|j| state.partition.unit_node_id(j)).collect();
+        // 2. Re-mine the touched units (lines 3-9) on the shared executor,
+        // one labeled job per unit — the same fan-out shape as the initial
+        // mining (inline when the budget is a single thread).
         let t_units = Instant::now();
-        let touched_units: Vec<NodeId> =
-            unit_nodes.into_iter().filter(|n| touched.contains(n)).collect();
+        #[cfg(feature = "fault-injection")]
+        let stale = usize::from(graphmine_graph::fault::armed(
+            graphmine_graph::fault::Fault::SkipUnitRemine,
+        ));
+        #[cfg(not(feature = "fault-injection"))]
+        let stale = 0;
+        let touched_units: Vec<NodeId> = (0..state.partition.unit_count())
+            .map(|j| state.partition.unit_node_id(j))
+            .filter(|n| touched.contains(n))
+            .skip(stale)
+            .collect();
         let units_remined = touched_units.len();
-        // Re-mine the touched units on the shared executor, one labeled
-        // job per unit — the same fan-out shape as the initial mining
-        // (inline when the budget is a single thread).
         let partition = &state.partition;
         let jobs: Vec<Job<'_, PatternSet>> = touched_units
             .iter()
@@ -189,44 +171,10 @@ impl IncPartMiner {
             .collect();
         let remined =
             exec.map_indexed(jobs).unwrap_or_else(|e| panic!("incremental re-mining failed: {e}"));
-        let new_results: Vec<(NodeId, PatternSet)> =
-            touched_units.iter().copied().zip(remined).collect();
-        let mut unit_diffs: Vec<PatternSet> = Vec::new();
-        for (n, new_result) in new_results {
-            let old_result = state.node_results.insert(n, new_result).expect("mined before");
-            let new_ref = &state.node_results[&n];
-            unit_diffs.push(old_result.difference(new_ref));
-        }
-        if !skip_prune {
-            for diff in &unit_diffs {
-                for p in diff.iter() {
-                    if !prune.contains(&p.code) {
-                        prune.insert(p.clone());
-                    }
-                }
-            }
-        }
+        state.node_results.extend(touched_units.into_iter().zip(remined));
         let unit_time = t_units.elapsed();
 
-        // 4. Prune the pre-update result: supergraphs of pruned patterns
-        // may have fallen out of the frequent set (line 10). What survives
-        // is the `known` set IncMergeJoin can trust.
-        let known = if prune.is_empty() {
-            old_pd.clone()
-        } else {
-            let mut known = PatternSet::new();
-            for p in old_pd.iter() {
-                let doomed = prune.iter().any(|q| iso::contains(&p.graph, &q.code));
-                if !doomed {
-                    known.insert(p.clone());
-                } else {
-                    tel.counters().bump(Counter::PruneSetHits);
-                }
-            }
-            known
-        };
-
-        // 5. Re-merge the touched internal nodes bottom-up (lines 11-12);
+        // 3. Re-merge the touched internal nodes bottom-up (lines 11-12);
         // untouched subtrees keep their cached results.
         let t_merge = Instant::now();
         let mut merge = MergeStats::default();
@@ -244,14 +192,13 @@ impl IncPartMiner {
             state.min_support,
             &mut state.node_results,
             &mut merge,
-            Some(&known),
             exec,
             tel,
         );
         let merge_time = t_merge.elapsed();
         mirror_exec_counters(tel, exec, exec_before);
 
-        // 6. Classify (lines 13-15).
+        // 4. Classify (lines 13-15).
         let new_pd = state.node_results[&root].clone();
         let if_new = new_pd.difference(&old_pd);
         let uf = new_pd.difference(&if_new);
@@ -263,7 +210,6 @@ impl IncPartMiner {
         let stats = IncStats {
             units_remined,
             nodes_remerged,
-            prune_set_size: prune.len(),
             unit_time,
             merge_time,
             wall: start.elapsed(),
@@ -373,8 +319,8 @@ mod tests {
     fn delete_drops_support_into_fi() {
         // Graphs 0, 2, 4 carry the closing edge (5,0); deleting it from
         // graph 0 drops cycle-dependent patterns' support below their
-        // pre-update count, so the prune set must route them into FI
-        // rather than letting stale supports survive.
+        // pre-update count, so the re-merge must route them into FI rather
+        // than letting stale supports survive.
         let (db, uf) = sample_db();
         let cfg = PartMinerConfig::with_k(3);
         let outcome = PartMiner::new(cfg).mine(&db, &uf, 3);
@@ -456,21 +402,6 @@ mod tests {
             let direct = GSpan::new().mine(&mirror, 2);
             assert!(inc.patterns.same_codes_and_supports(&direct), "round {round}");
         }
-    }
-
-    #[test]
-    fn paper_faithful_mode_runs_and_reports_skips() {
-        let (db, uf) = sample_db();
-        let mut cfg = PartMinerConfig::with_k(2);
-        cfg.verify_unchanged = false; // trust the pruned pre-update result
-        let outcome = PartMiner::new(cfg).mine(&db, &uf, 2);
-        let mut state = outcome.state;
-        let inc = IncPartMiner::update(
-            &mut state,
-            &[DbUpdate { gid: 5, update: GraphUpdate::RelabelVertex { v: 5, label: 4 } }],
-        )
-        .unwrap();
-        assert!(inc.stats.merge.known_skipped > 0, "{:?}", inc.stats.merge);
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //!    frequent and canonical — the paper's "cumulative information" —
 //!    which spares it the canonical-code test, never the exact support.
 //! 3. **Updates** ([`IncPartMiner`]): updates are propagated through the
-//!    partition tree; only units whose pieces changed are re-mined, a
-//!    *prune set* of possibly-demoted patterns is built (Fig. 12), cached
-//!    subtree results are reused for untouched nodes, and the output is the
-//!    paper's three classes: `UF` (unchanged), `FI` (frequent→infrequent)
-//!    and `IF` (infrequent→frequent).
+//!    partition tree; only units whose pieces changed are re-mined, only
+//!    the tree nodes above them are re-merged (cached subtree results are
+//!    reused for untouched nodes), and the output is the paper's three
+//!    classes: `UF` (unchanged), `FI` (frequent→infrequent) and `IF`
+//!    (infrequent→frequent). Every support is counted on the updated data;
+//!    Fig. 12's prune set, which spares counts the walk makes anyway, is
+//!    not built.
 //!
 //! # One join
 //!

@@ -6,18 +6,12 @@
 //! ([`rightmost_children`]): a pattern's children are read off its own
 //! occurrences, so nothing is generated that `S` does not contain, and
 //! every child arrives with its support already counted — the support it is
-//! reported with, always. The piece results enter as verdicts that spare
-//! the canonical-code test:
-//!
-//! * **unit-support shortcut** — every occurrence inside a piece is an
-//!   occurrence in the original graph, so a pattern whose support within
-//!   one piece already reaches the threshold is frequent in `S`, and the
-//!   piece results hold canonical codes only, so it is accepted without
-//!   `is_min`;
-//! * **known-pattern skip** (`IncMergeJoin`, Fig. 12 lines 14–17) — during
-//!   incremental re-merging in trust mode, children present in the pruned
-//!   pre-update result are moved straight to the frequent set with the
-//!   support recorded there.
+//! reported with, always. The piece results enter as the one verdict that
+//! spares the canonical-code test, the **unit-support shortcut**: every
+//! occurrence inside a piece is an occurrence in the original graph, so a
+//! pattern whose support within one piece already reaches the threshold is
+//! frequent in `S`, and the piece results hold canonical codes only, so it
+//! is accepted without `is_min`.
 //!
 //! The joins exactly as Fig. 11 writes them (generate-then-test, lossy) are
 //! not a production path; `repro ablation` carries them in `crates/bench`.
@@ -36,11 +30,6 @@ pub struct MergeContext<'a> {
     pub min_support: Support,
     /// Optional pattern-size cap (edges).
     pub max_edges: Option<usize>,
-    /// IncMergeJoin: the pruned pre-update result. When `trust_known` is
-    /// set, members skip support counting entirely.
-    pub known: Option<&'a PatternSet>,
-    /// Whether `known` members may be accepted without recounting.
-    pub trust_known: bool,
     /// The shared executor the walk fans out on, one job per frequent-edge
     /// subtree (the subtrees are independent). `None` runs serially; the
     /// thread budget was resolved once when the executor was built, never
@@ -70,8 +59,6 @@ pub struct MergeStats {
     /// Candidates accepted as frequent and canonical on a unit result's
     /// word, without the canonical test.
     pub shortcut: usize,
-    /// Candidates accepted from the pre-update result without counting.
-    pub known_skipped: usize,
 }
 
 impl MergeStats {
@@ -80,7 +67,6 @@ impl MergeStats {
         self.candidates += other.candidates;
         self.counted += other.counted;
         self.shortcut += other.shortcut;
-        self.known_skipped += other.known_skipped;
     }
 }
 
@@ -89,7 +75,6 @@ impl ReportSource for MergeStats {
         vec![
             (Counter::CandidatesGenerated.name(), self.candidates as u64),
             (Counter::BoundShortcut.name(), self.shortcut as u64),
-            (Counter::KnownSkipped.name(), self.known_skipped as u64),
             ("support_counts", self.counted as u64),
         ]
     }
@@ -203,13 +188,11 @@ impl Walk<'_> {
     }
 
     /// The support `code` is reported with, or `None` when it is rejected.
-    /// In order: a trusted member of the pre-update result keeps the
-    /// support recorded there; a unit support that already reaches the
-    /// threshold proves the child frequent and — the piece results hold
-    /// canonical codes only — minimal, so it is accepted with the exact
-    /// support its `list` holds; any other child is rejected if that
-    /// support is short of the threshold and otherwise faces the
-    /// canonical-code test.
+    /// A unit support that already reaches the threshold proves the child
+    /// frequent and — the piece results hold canonical codes only —
+    /// minimal, so it is accepted with the exact support its `list` holds;
+    /// any other child is rejected if that support is short of the
+    /// threshold and otherwise faces the canonical-code test.
     fn verdict(
         &self,
         code: &DfsCode,
@@ -218,14 +201,6 @@ impl Walk<'_> {
     ) -> Option<Support> {
         let ctx = self.ctx;
         let counters = ctx.counters();
-        if ctx.trust_known {
-            if let Some(sup) = ctx.known.and_then(|known| known.support(code)) {
-                stats.known_skipped += 1;
-                counters.bump(Counter::KnownSkipped);
-                counters.bump(Counter::VerifiedFrequent);
-                return Some(sup);
-            }
-        }
         let sup = list.support();
         let [p0, p1] = self.pieces;
         if let Some(unit) = p0.support(code).max(p1.support(code)).filter(|&u| u >= ctx.min_support)
@@ -319,8 +294,6 @@ mod tests {
                 db: &db,
                 min_support: sup,
                 max_edges: None,
-                known: None,
-                trust_known: false,
                 executor: None,
                 telemetry: None,
             };
@@ -346,8 +319,6 @@ mod tests {
             db: &db,
             min_support: sup,
             max_edges: None,
-            known: None,
-            trust_known: false,
             executor: None,
             telemetry: None,
         };
@@ -356,28 +327,6 @@ mod tests {
         // A shortcut hit spares the canonical test, never the exact support.
         assert!(merged.same_codes_and_supports(&direct));
         assert!(stats.shortcut > 0, "the unit-support shortcut fired: {stats:?}");
-    }
-
-    #[test]
-    fn known_skip_moves_patterns_without_counting() {
-        let db = sample_db();
-        let (d0, d1) = split_db(&db);
-        let sup = 2u32;
-        let direct = GSpan::new().mine(&db, sup);
-        let p0 = GSpan::new().mine(&d0, 1);
-        let p1 = GSpan::new().mine(&d1, 1);
-        let ctx = MergeContext {
-            db: &db,
-            min_support: sup,
-            max_edges: None,
-            known: Some(&direct),
-            trust_known: true,
-            executor: None,
-            telemetry: None,
-        };
-        let (merged, stats) = merge_join(&ctx, &p0, &p1);
-        assert!(merged.same_codes(&direct));
-        assert!(stats.known_skipped > 0);
     }
 
     #[test]
@@ -390,8 +339,6 @@ mod tests {
             db: &db,
             min_support: 2,
             max_edges: Some(2),
-            known: None,
-            trust_known: false,
             executor: None,
             telemetry: None,
         };
@@ -425,8 +372,6 @@ mod tests {
                 db: &db,
                 min_support: sup,
                 max_edges: None,
-                known: None,
-                trust_known: false,
                 executor: None,
                 telemetry: None,
             };

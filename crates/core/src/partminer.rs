@@ -182,26 +182,7 @@ impl PartMiner {
         min_support: Support,
         tel: &Telemetry,
     ) -> MineOutcome {
-        self.mine_with_known(db, ufreq, min_support, None, tel)
-    }
-
-    /// [`PartMiner::mine_instrumented`] seeded with a prior result for the
-    /// same database and threshold. `known` is passed to the root
-    /// merge-join the way IncPartMiner passes the pre-update `P(D)`:
-    /// candidates found in it skip re-counting (or are merely re-verified
-    /// when `verify_unchanged` is set). This is the warm-restart entry the
-    /// serving daemon uses to reload a persisted pattern set without paying
-    /// a cold root merge.
-    pub fn mine_with_known(
-        &self,
-        db: &GraphDb,
-        ufreq: &[Vec<f64>],
-        min_support: Support,
-        known: Option<&PatternSet>,
-        tel: &Telemetry,
-    ) -> MineOutcome {
-        let exec = executor_for(&self.config);
-        self.mine_inner(db, ufreq, min_support, known, &exec, tel)
+        self.mine_on(db, ufreq, min_support, &executor_for(&self.config), tel)
     }
 
     /// [`PartMiner::mine_instrumented`] on a caller-provided executor:
@@ -214,18 +195,6 @@ impl PartMiner {
         db: &GraphDb,
         ufreq: &[Vec<f64>],
         min_support: Support,
-        exec: &Executor,
-        tel: &Telemetry,
-    ) -> MineOutcome {
-        self.mine_inner(db, ufreq, min_support, None, exec, tel)
-    }
-
-    fn mine_inner(
-        &self,
-        db: &GraphDb,
-        ufreq: &[Vec<f64>],
-        min_support: Support,
-        known: Option<&PatternSet>,
         exec: &Executor,
         tel: &Telemetry,
     ) -> MineOutcome {
@@ -285,7 +254,6 @@ impl PartMiner {
             min_support,
             &mut node_results,
             &mut merge,
-            known,
             exec,
             tel,
         );
@@ -301,8 +269,7 @@ impl PartMiner {
 }
 
 /// Post-order merge of a subtree; fills `node_results` for every internal
-/// node that does not already have a result. `known`/trusting is only ever
-/// applied at the root (see IncPartMiner).
+/// node that does not already have a result.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_subtree(
     cfg: &PartMinerConfig,
@@ -311,7 +278,6 @@ pub(crate) fn merge_subtree(
     min_support: Support,
     node_results: &mut FxHashMap<NodeId, PatternSet>,
     stats: &mut MergeStats,
-    known_at_root: Option<&PatternSet>,
     exec: &Executor,
     tel: &Telemetry,
 ) {
@@ -320,17 +286,14 @@ pub(crate) fn merge_subtree(
     }
     let _span = tel.span_node("merge_join", node_id as u64);
     let (a, b) = partition.node(node_id).children.expect("leaf results are mined, not merged");
-    merge_subtree(cfg, partition, a, min_support, node_results, stats, known_at_root, exec, tel);
-    merge_subtree(cfg, partition, b, min_support, node_results, stats, known_at_root, exec, tel);
+    merge_subtree(cfg, partition, a, min_support, node_results, stats, exec, tel);
+    merge_subtree(cfg, partition, b, min_support, node_results, stats, exec, tel);
     let node = partition.node(node_id);
     let sup = PartMinerConfig::depth_support(min_support, node.depth);
-    let at_root = node_id == partition.root_id();
     let ctx = MergeContext {
         db: &node.db,
         min_support: sup,
         max_edges: cfg.max_edges,
-        known: if at_root { known_at_root } else { None },
-        trust_known: at_root && known_at_root.is_some() && !cfg.verify_unchanged,
         executor: (exec.threads() > 1).then_some(exec),
         telemetry: Some(tel),
     };
@@ -418,29 +381,6 @@ mod tests {
         let outcome = PartMiner::new(cfg).mine(&db, &uf, 2);
         let direct = GSpan::new().mine(&db, 2);
         assert!(outcome.patterns.same_codes_and_supports(&direct));
-    }
-
-    #[test]
-    fn mine_with_known_matches_cold_mine() {
-        let (db, uf) = sample_db();
-        let cfg = PartMinerConfig::with_k(3);
-        let miner = PartMiner::new(cfg);
-        let cold = miner.mine(&db, &uf, 2);
-        let tel = graphmine_telemetry::Telemetry::new();
-        let warm = miner.mine_with_known(&db, &uf, 2, Some(&cold.patterns), &tel);
-        assert!(warm.patterns.same_codes_and_supports(&cold.patterns));
-        // With verify_unchanged=false the prior set short-circuits root
-        // verification entirely (the paper's literal pruning).
-        let mut trusting = cfg;
-        trusting.verify_unchanged = false;
-        let tel2 = graphmine_telemetry::Telemetry::new();
-        let warm2 =
-            PartMiner::new(trusting).mine_with_known(&db, &uf, 2, Some(&cold.patterns), &tel2);
-        assert!(warm2.patterns.same_codes(&cold.patterns));
-        assert!(
-            tel2.counters().get(Counter::KnownSkipped) > 0,
-            "warm restart reuses the known set"
-        );
     }
 
     #[test]

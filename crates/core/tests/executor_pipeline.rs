@@ -75,15 +75,8 @@ fn one_pool_serves_mining_incremental_and_verification() {
     let p0 = GSpan::new().mine(&d0, 1);
     let p1 = GSpan::new().mine(&d1, 1);
     let run = |executor: Option<&Executor>| {
-        let ctx = MergeContext {
-            db: &db,
-            min_support: 2,
-            max_edges: Some(4),
-            known: None,
-            trust_known: false,
-            executor,
-            telemetry: None,
-        };
+        let ctx =
+            MergeContext { db: &db, min_support: 2, max_edges: Some(4), executor, telemetry: None };
         merge_join(&ctx, &p0, &p1)
     };
     let (merged_serial, stats_serial) = run(None);

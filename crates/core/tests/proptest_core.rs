@@ -108,8 +108,6 @@ proptest! {
                 db: &db,
                 min_support: sup,
                 max_edges: None,
-                known: None,
-                trust_known: false,
                 executor,
                 telemetry: Some(&tel),
             };

@@ -23,9 +23,10 @@ pub enum Fault {
     /// The graph splitter forgets to copy one connective edge into the
     /// pieces (it is recorded as connective but lands in neither side).
     DropConnectiveEdge = 2,
-    /// `IncPartMiner` skips building the prune set, so trust-mode
-    /// recombination accepts stale pre-update patterns unconditionally.
-    SkipPruneSet = 3,
+    /// `IncPartMiner` leaves one touched unit's result as it was before
+    /// the batch, so the re-merge takes the unit-support shortcut on a
+    /// stale word and reports patterns whose support fell below θ.
+    SkipUnitRemine = 3,
     /// A unit-mining job panics mid-run — proves the shared executor's
     /// labeled panic (`ExecError { label, .. }`) carries the failing
     /// unit id all the way into the reported error.
@@ -104,7 +105,7 @@ mod tests {
         {
             let _g = arm(Fault::DfsTieBreak);
             assert!(armed(Fault::DfsTieBreak));
-            assert!(!armed(Fault::SkipPruneSet));
+            assert!(!armed(Fault::SkipUnitRemine));
         }
         assert!(!armed(Fault::DfsTieBreak));
     }

@@ -1,8 +1,8 @@
 //! Frequent patterns and pattern sets.
 //!
 //! Every mined pattern is identified by its minimum DFS code, so a
-//! [`PatternSet`] — the `P(U_i)`, `F^k`, prune sets, and `UF`/`FI`/`IF`
-//! collections of the paper — is a hash map keyed by canonical code.
+//! [`PatternSet`] — the `P(U_i)`, `F^k`, and `UF`/`FI`/`IF` collections
+//! of the paper — is a hash map keyed by canonical code.
 
 use rustc_hash::FxHashMap;
 

@@ -28,31 +28,26 @@
 //!    graph recovery, the one-split law (each edge lands in exactly one
 //!    side, or in both sides and the connective set), and the precomputed
 //!    unit→node map against a linear scan of the tree.
-//! 6. **incremental-verify** — IncPartMiner (verify mode) equals a
-//!    from-scratch mine of the mirrored database; the UF/FI/IF classes
-//!    partition the change space; the run-report counters reconcile with
-//!    the returned sets.
-//! 7. **incremental-trust** — the paper-literal pruning mode is checked
-//!    against its actual guarantee: no frequent pattern is lost, every
-//!    false positive is inherited from the old result, and patterns that
-//!    dropped out of a touched unit have exact membership.
-//! 8. **coalesce-equivalence** — the serving daemon's ingest coalescer
+//! 6. **incremental-verify** — IncPartMiner equals a from-scratch mine of
+//!    the mirrored database; the UF/FI/IF classes partition the change
+//!    space; the run-report counters reconcile with the returned sets.
+//! 7. **coalesce-equivalence** — the serving daemon's ingest coalescer
 //!    rewrites the update batch into a minimal window; applying the
 //!    window must land on the *identical* database (and the same mined
 //!    pattern set) as applying the raw batch, and the window must be
 //!    rejected exactly when the raw batch would be.
-//! 9. **serve** — a booted [`ServeEngine`] serves the reference set,
+//! 8. **serve** — a booted [`ServeEngine`] serves the reference set,
 //!    answers support probes exactly (including from an old epoch's
 //!    `Arc` after a swap), and swaps epochs once per batch.
-//! 10. **window-equivalence** — a [`ServeEngine`] booted in sliding-window
-//!     mode (`window: Some(N)`) and fed `M > N` deterministically planned
-//!     update windows serves `patterns` and `support` exactly like a
-//!     from-scratch mine of the base database with only the last `N`
-//!     windows applied. The served epoch count and the
-//!     `ingest_windows_expired` counter pin the expiry machinery itself:
-//!     every admitted window and every synthesized expiry frame folds
-//!     exactly once.
-//! 11. **router-equivalence** — a planned two-shard fleet (real TCP
+//! 9. **window-equivalence** — a [`ServeEngine`] booted in sliding-window
+//!    mode (`window: Some(N)`) and fed `M > N` deterministically planned
+//!    update windows serves `patterns` and `support` exactly like a
+//!    from-scratch mine of the base database with only the last `N`
+//!    windows applied. The served epoch count and the
+//!    `ingest_windows_expired` counter pin the expiry machinery itself:
+//!    every admitted window and every synthesized expiry frame folds
+//!    exactly once.
+//! 10. **router-equivalence** — a planned two-shard fleet (real TCP
 //!     servers on ephemeral ports) behind a scatter/gather [`Router`]
 //!     answers `patterns` and `support` bit-identically to one
 //!     single-process server over the whole database, before and after
@@ -68,9 +63,7 @@ use graphmine_graph::{
     DfsCode, EmbeddingMode, Graph, GraphDb, GraphUpdate, PatternSet,
 };
 use graphmine_miner::{Apriori, GSpan, Gaston, MemoryMiner};
-use graphmine_partition::{
-    split_by_sides, Bipartitioner, Criteria, DbPartition, GraphPart, NodeId,
-};
+use graphmine_partition::{split_by_sides, Bipartitioner, Criteria, DbPartition, GraphPart};
 use graphmine_router::{plan_shards, PlanConfig, Router, RouterConfig};
 use graphmine_serve::protocol::Request;
 use graphmine_serve::{coalesce_window, EngineConfig, ServeEngine, ServerConfig};
@@ -110,7 +103,6 @@ pub fn run_case(case: &Case, exec: &Executor) -> Result<(), CheckFailure> {
     let mirror = validated_mirror(case);
     if let Some(mirror) = &mirror {
         check_incremental_verify(case, mirror)?;
-        check_incremental_trust(case, mirror)?;
     }
     check_serve(case, &reference, mirror.as_ref())?;
     check_window_equivalence(case, &reference)?;
@@ -482,68 +474,6 @@ fn check_incremental_verify(case: &Case, mirror: &GraphDb) -> Result<(), CheckFa
                         "k={k}: counter {} = {} does not reconcile with returned sets ({expect})",
                         counter.name(),
                         report.counter(counter)
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The paper-literal trust mode re-verifies nothing it believes unchanged,
-/// so it is *not* equivalent to a from-scratch mine. Its actual contract,
-/// asserted here:
-///
-/// 1. nothing frequent is lost (`new ⊇ direct` by code);
-/// 2. every false positive was inherited from the pre-update result;
-/// 3. a pattern that dropped out of a touched unit's result is in the
-///    prune set, hence re-verified: its membership in `new` must match
-///    `direct` exactly.
-fn check_incremental_trust(case: &Case, mirror: &GraphDb) -> Result<(), CheckFailure> {
-    const CHECK: &str = "incremental-trust";
-    let uf = zeros(&case.db);
-    let mut cfg = PartMinerConfig::with_k(2);
-    cfg.max_edges = Some(case.max_edges);
-    cfg.verify_unchanged = false;
-    let outcome = PartMiner::new(cfg).mine(&case.db, &uf, case.min_support);
-    let old_pd = outcome.patterns;
-    let mut state = outcome.state;
-
-    let unit_nodes: Vec<NodeId> = (0..state.partition.node_count())
-        .filter(|&n| state.partition.node(n).unit.is_some())
-        .collect();
-    let old_units: Vec<PatternSet> =
-        unit_nodes.iter().map(|n| state.node_results[n].clone()).collect();
-
-    let inc = IncPartMiner::update(&mut state, &case.updates)
-        .map_err(|e| fail(CHECK, format!("applicable batch rejected: {e}")))?;
-    let direct = GSpan::capped(case.max_edges).mine(mirror, case.min_support);
-
-    for p in direct.iter() {
-        if !inc.patterns.contains(&p.code) {
-            return Err(fail(
-                CHECK,
-                format!("trust mode lost {:?} (true support {})", p.code, p.support),
-            ));
-        }
-    }
-    for p in inc.patterns.iter() {
-        if !direct.contains(&p.code) && !old_pd.contains(&p.code) {
-            return Err(fail(CHECK, format!("trust mode invented {:?} out of nowhere", p.code)));
-        }
-    }
-    for (j, old_unit) in old_units.iter().enumerate() {
-        let new_unit = &state.node_results[&unit_nodes[j]];
-        for p in old_unit.difference(new_unit).iter() {
-            if inc.patterns.contains(&p.code) != direct.contains(&p.code) {
-                return Err(fail(
-                    CHECK,
-                    format!(
-                        "{:?} dropped out of unit {j} but kept a stale verdict: \
-                         reported {} truly {}",
-                        p.code,
-                        inc.patterns.contains(&p.code),
-                        direct.contains(&p.code)
                     ),
                 ));
             }

@@ -103,48 +103,44 @@ fn report_unit_bound_mutant_is_detected() {
     assert_eq!(assert_detected_by_batch(Fault::ReportUnitBound), "partminer-matrix");
 }
 
-/// A database engineered so that one relabel batch deletes every
-/// occurrence of the path `(0)-5-(1)-6-(2)` from the touched unit while
-/// the pattern survives in the other unit's cached result — exactly the
-/// shape where a skipped prune set leaves a stale "frequent" verdict.
-fn crafted_prune_case() -> Case {
+/// A database engineered so that the path `(0)-5-(1)-6-(2)` sits, three
+/// graphs strong, inside unit 0 — at `min_support` 3 that unit's word alone
+/// accepts it at the root — and one relabel batch takes it out of two of
+/// the three while every 1-edge pattern stays frequent. The chains are
+/// long enough that `GraphPart` keeps the relabeled head and its neighbour
+/// together, so the batch touches unit 0 only. The path still occurs once,
+/// so the root walk meets it and asks the unit results; a unit left
+/// un-mined answers "3" for a pattern whose support is now 1.
+fn crafted_stale_unit_case() -> Case {
     let mut db = GraphDb::new();
-    for _ in 0..2 {
+    for _ in 0..3 {
         let mut g = Graph::new();
-        for l in [3u32, 0, 1, 2] {
+        for l in [0u32, 1, 2, 3, 3, 3, 3, 3] {
             g.add_vertex(l);
         }
-        g.add_edge(0, 1, 7).unwrap();
-        g.add_edge(1, 2, 5).unwrap();
-        g.add_edge(2, 3, 6).unwrap();
+        for (v, el) in [5u32, 6, 7, 7, 7, 7, 7].into_iter().enumerate() {
+            g.add_edge(v as u32, v as u32 + 1, el).unwrap();
+        }
         db.push(g);
     }
+    // Disjoint edges keep the 1-edge patterns frequent, so nothing below
+    // the path's own level gives the demotion away.
     for _ in 0..2 {
         let mut g = Graph::new();
-        for l in [0u32, 1, 2, 3] {
+        for l in [0u32, 1, 1, 2] {
             g.add_vertex(l);
         }
         g.add_edge(0, 1, 5).unwrap();
-        g.add_edge(1, 2, 6).unwrap();
-        g.add_edge(2, 3, 7).unwrap();
+        g.add_edge(2, 3, 6).unwrap();
         db.push(g);
     }
-    // Disjoint edges keep the 1-edge patterns frequent, so the prune set
-    // is built from the unit diffs, not the cheap 1-edge screen.
-    let mut g = Graph::new();
-    for l in [0u32, 1, 1, 2] {
-        g.add_vertex(l);
-    }
-    g.add_edge(0, 1, 5).unwrap();
-    g.add_edge(2, 3, 6).unwrap();
-    db.push(g);
 
     let updates = vec![
-        DbUpdate { gid: 0, update: GraphUpdate::RelabelVertex { v: 3, label: 9 } },
-        DbUpdate { gid: 1, update: GraphUpdate::RelabelVertex { v: 3, label: 9 } },
+        DbUpdate { gid: 0, update: GraphUpdate::RelabelVertex { v: 0, label: 9 } },
+        DbUpdate { gid: 1, update: GraphUpdate::RelabelVertex { v: 0, label: 9 } },
     ];
     Case {
-        name: "crafted-prune-set".to_string(),
+        name: "crafted-stale-unit".to_string(),
         seed: 0,
         min_support: 3,
         max_edges: 4,
@@ -153,16 +149,21 @@ fn crafted_prune_case() -> Case {
     }
 }
 
+/// A touched unit *must* be re-mined: a unit support at or above θ accepts
+/// a child at the root without the canonical test and without comparing
+/// its exact support to θ, so a stale unit result is the one way the
+/// incremental path can report a pattern that is no longer frequent.
 #[test]
-fn skip_prune_set_mutant_is_detected() {
+fn skip_unit_remine_mutant_is_detected() {
     let _lock = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tempfile::tempdir().unwrap();
-    let case = crafted_prune_case();
+    let case = crafted_stale_unit_case();
     let exec = Executor::new(2);
 
-    let guard = arm(Fault::SkipPruneSet);
+    let guard = arm(Fault::SkipUnitRemine);
     let record = run_single(&case, &exec, Some(dir.path()))
-        .expect_err("a skipped prune set must leave a detectable stale verdict");
+        .expect_err("a stale unit result must leave a detectable false positive");
+    assert_eq!(record.check, "incremental-verify", "wrong check tripped: {}", record.message);
     let repro = record.repro.clone().expect("repro written");
     assert!(replay_file(&repro, &exec).is_err(), "repro keeps failing while armed");
     drop(guard);

@@ -5,17 +5,17 @@
 //!
 //! ```text
 //! <dir>/snapshot.<E>.gs    GraphDb snapshot at epoch E (GraphStore)
-//! <dir>/patterns.<E>.pat   P(D) at epoch E, for warm restarts
 //! <dir>/journal.wal        group-committed update journal (WAL)
-//! <dir>/meta.json          commit record naming the current pair
+//! <dir>/meta.json          commit record naming the current snapshot
 //! ```
 //!
 //! The **epoch** of a result is the sequence number of the last update
 //! window folded into it; epoch 0 is the freshly mined snapshot. On boot
-//! the engine mines the snapshot (warm-started from its pattern file),
-//! replays the journal, and serves from an [`Arc`]-swapped
-//! [`ResultEpoch`] — readers grab the current `Arc` and never block
-//! behind a writer.
+//! the engine mines the snapshot like any database, replays the journal,
+//! and serves from an [`Arc`]-swapped [`ResultEpoch`] — readers grab the
+//! current `Arc` and never block behind a writer. No mined result is kept
+//! on disk: what a restarted daemon serves is a function of the snapshot
+//! and the journal only.
 //!
 //! # Streaming ingest
 //!
@@ -44,10 +44,10 @@
 //! a clean prefix covering every acknowledged window.
 //!
 //! A clean stop drains the pipeline, folds the journal into a fresh
-//! snapshot, and truncates it. The snapshot and pattern files are
-//! epoch-named and `meta.json` — renamed into place — is the commit
-//! point, so a crash *during* the stop leaves either the old consistent
-//! pair or the new one. Journal batches with `seq <= base_epoch` are
+//! snapshot, and truncates it. The snapshot file is epoch-named and
+//! `meta.json` — renamed into place — is the commit point, so a crash
+//! *during* the stop boots from either the old snapshot or the new one,
+//! never a mixture. Journal batches with `seq <= base_epoch` are
 //! already folded into the committed snapshot and are skipped on
 //! replay, which makes the journal truncation pure garbage collection.
 //!
@@ -62,7 +62,6 @@ use std::time::Instant;
 
 use graphmine_core::{Executor, IncPartMiner, PartMiner, PartMinerConfig, PartMinerState};
 use graphmine_graph::dfscode::min_dfs_code;
-use graphmine_graph::pattern_io::{read_patterns, write_patterns};
 use graphmine_graph::{
     apply_all, DbUpdate, DfsCode, EmbeddingStore, Graph, GraphDb, GraphId, PatternSet, Support,
     DEFAULT_EMBEDDING_BUDGET,
@@ -344,22 +343,31 @@ impl ServeEngine {
     /// With an existing snapshot, `initial` is ignored: the database is
     /// the snapshot plus the replayed journal, and `cfg.min_support` /
     /// `cfg.k` are overridden by the persisted metadata. The snapshot is
-    /// re-mined warm-started from the persisted pattern set.
+    /// mined like any database; nothing else in the directory is believed.
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, corrupt metadata, or a fresh directory
-    /// without `initial`.
+    /// Fails on a rejected thread budget (before anything is written), I/O
+    /// errors, corrupt metadata, or a fresh directory without `initial`.
     pub fn boot(
         initial: Option<&GraphDb>,
         dir: &Path,
         cfg: &EngineConfig,
     ) -> Result<(ServeEngine, BootReport), String> {
         let tel = Telemetry::new();
-        let meta_path = dir.join("meta.json");
+        // One pool for the boot mine, the journal replay and every re-mine
+        // after; sized like the mining config would size its own.
+        let mut mining = PartMinerConfig { parallel: cfg.parallel, ..PartMinerConfig::default() };
+        let budget = if mining.parallel {
+            mining.thread_budget().map_err(|e| format!("threads: {e}"))?
+        } else {
+            1
+        };
+        let exec = Executor::new(budget);
 
+        let meta_path = dir.join("meta.json");
         let from_snapshot = meta_path.exists();
-        let (db, min_support, k, base_epoch, known) = if from_snapshot {
+        let (db, min_support, k, base_epoch) = if from_snapshot {
             let meta = std::fs::read_to_string(&meta_path).map_err(|e| format!("meta: {e}"))?;
             let meta = JsonValue::parse(&meta).map_err(|e| format!("meta: {e}"))?;
             let num = |key: &str| {
@@ -374,45 +382,20 @@ impl ServeEngine {
             let store = GraphStore::open(&dir.join(snap_name), cfg.pool_pages)
                 .map_err(|e| format!("snapshot: {e}"))?;
             let db = store.read_all().map_err(|e| format!("snapshot: {e}"))?;
-            let known = match meta.field("patterns").and_then(JsonValue::as_str) {
-                Some(name) => {
-                    let file = std::fs::File::open(dir.join(name))
-                        .map_err(|e| format!("patterns: {e}"))?;
-                    Some(
-                        read_patterns(std::io::BufReader::new(file))
-                            .map_err(|e| format!("patterns: {e}"))?,
-                    )
-                }
-                None => None,
-            };
-            (db, num("min_support")? as Support, num("k")? as usize, num("base_epoch")?, known)
+            (db, num("min_support")? as Support, num("k")? as usize, num("base_epoch")?)
         } else {
             let db = initial.cloned().ok_or_else(|| {
                 format!("no snapshot in {} and no initial database", dir.display())
             })?;
             GraphStore::create(&dir.join("snapshot.0.gs"), &db, cfg.pool_pages)
                 .map_err(|e| format!("snapshot: {e}"))?;
-            write_meta(&meta_path, cfg.min_support, cfg.k, 0, None)?;
-            (db, cfg.min_support, cfg.k, 0, None)
+            write_meta(&meta_path, cfg.min_support, cfg.k, 0, "snapshot.0.gs")?;
+            (db, cfg.min_support, cfg.k, 0)
         };
-
-        let mut mining = PartMinerConfig::with_k(k);
-        mining.parallel = cfg.parallel;
+        mining.k = k;
 
         let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-        // The persisted pattern set is P(D) of this very snapshot, so the
-        // boot mine may trust it outright; updates re-verify as usual.
-        let mut boot_mining = mining;
-        boot_mining.verify_unchanged = false;
-        let outcome = PartMiner::new(boot_mining).mine_with_known(
-            &db,
-            &ufreq,
-            min_support,
-            known.as_ref(),
-            &tel,
-        );
-        let mut state = outcome.state;
-        state.config = mining;
+        let mut state = PartMiner::new(mining).mine_on(&db, &ufreq, min_support, &exec, &tel).state;
 
         let (mut journal, batches) =
             UpdateJournal::recover(&dir.join("journal.wal"), cfg.pool_pages)
@@ -432,7 +415,7 @@ impl ServeEngine {
             if batch.seq <= base_epoch {
                 continue;
             }
-            IncPartMiner::update_instrumented(&mut state, &batch.updates, &tel)
+            IncPartMiner::update_on(&mut state, &batch.updates, &exec, &tel)
                 .map_err(|e| format!("journal replay (batch {}): {e}", batch.seq))?;
             if let (Some(tr), Some(mirror)) = (tracker.as_mut(), mirror.as_mut()) {
                 match batch.expiry {
@@ -460,21 +443,13 @@ impl ServeEngine {
                     .append_unsynced(&ops, Some(expired))
                     .map_err(|e| format!("journal: boot expiry: {e}"))?;
                 journal.sync().map_err(|e| format!("journal: boot expiry: {e}"))?;
-                IncPartMiner::update_instrumented(&mut state, &ops, &tel)
+                IncPartMiner::update_on(&mut state, &ops, &exec, &tel)
                     .map_err(|e| format!("boot expiry (window {expired}): {e}"))?;
                 tr.apply_expiry(mirror, &ops, expired)
                     .map_err(|e| format!("boot expiry (window {expired}): tracker: {e}"))?;
             }
         }
         let epoch = journal.next_seq() - 1;
-
-        // One pool for every re-mine; sized like the mining config would
-        // size its own.
-        let budget = if mining.parallel {
-            mining.thread_budget().map_err(|e| format!("threads: {e}"))?
-        } else {
-            1
-        };
 
         let tail = state.partition.root().db.clone();
         let mut queue = IngestQueue::new(tail, epoch);
@@ -501,7 +476,7 @@ impl ServeEngine {
             }),
             owned_memo: Mutex::new(FxHashMap::default()),
             global_epoch: AtomicU64::new(0),
-            exec: Executor::new(budget),
+            exec,
             journal: GroupCommitJournal::new(journal),
             queue: std::sync::Mutex::new(queue),
             submitted: std::sync::Condvar::new(),
@@ -777,14 +752,13 @@ impl ServeEngine {
     }
 
     /// Drains the pipeline, folds the journal into a fresh snapshot, and
-    /// truncates it. The next boot warm-starts from the persisted
-    /// `P(D)`.
+    /// truncates it. The next boot mines that snapshot.
     ///
-    /// Crash-safe: the new snapshot and pattern files are written under
-    /// epoch-suffixed names, then `meta.json` is atomically renamed to
-    /// point at them. A crash before the rename boots from the old pair
-    /// (re-replaying the journal); a crash after it boots from the new
-    /// pair (skipping the already-folded batches).
+    /// Crash-safe: the new snapshot is written under an epoch-suffixed
+    /// name, then `meta.json` is atomically renamed to point at it. A
+    /// crash before the rename boots from the old snapshot (re-replaying
+    /// the journal); a crash after it boots from the new one (skipping
+    /// the already-folded batches).
     ///
     /// # Errors
     ///
@@ -805,21 +779,17 @@ impl ServeEngine {
         let inner = shared.inner.lock();
         let base_epoch = shared.journal.next_seq() - 1;
         let snap_name = format!("snapshot.{base_epoch}.gs");
-        let pat_name = format!("patterns.{base_epoch}.pat");
 
         let db = inner.state.partition.root().db.clone();
         GraphStore::create(&shared.dir.join(&snap_name), &db, shared.pool_pages)
             .map_err(|e| format!("snapshot: {e}"))?;
-        let mut buf = Vec::new();
-        write_patterns(&mut buf, inner.state.patterns()).map_err(|e| format!("patterns: {e}"))?;
-        write_durable(&shared.dir.join(&pat_name), &buf).map_err(|e| format!("patterns: {e}"))?;
-        // Commit point: once the rename lands, boots use the new pair.
+        // Commit point: once the rename lands, boots use the new snapshot.
         write_meta(
             &shared.dir.join("meta.json"),
             shared.min_support,
             shared.k,
             base_epoch,
-            Some((&snap_name, &pat_name)),
+            &snap_name,
         )?;
 
         // Everything below is garbage collection; the directory is
@@ -833,10 +803,11 @@ impl ServeEngine {
             for entry in entries.flatten() {
                 let name = entry.file_name();
                 let name = name.to_string_lossy();
-                let stale = (name.starts_with("snapshot.") && name.ends_with(".gs")
-                    || name.starts_with("patterns.") && name.ends_with(".pat"))
-                    && name != snap_name
-                    && name != pat_name;
+                // Pattern files are what daemons before this format left
+                // beside their snapshots; nothing reads them.
+                let stale =
+                    name.starts_with("snapshot.") && name.ends_with(".gs") && name != snap_name
+                        || name.starts_with("patterns.") && name.ends_with(".pat");
                 if stale {
                     let _ = std::fs::remove_file(entry.path());
                 }
@@ -1183,26 +1154,22 @@ fn write_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     f.sync_all()
 }
 
-/// Writes the commit record: threshold, unit count, folded epoch, and —
-/// after the first clean stop — the snapshot/pattern pair to boot from.
-/// Written to a temp file and renamed so the swap is atomic.
+/// Writes the commit record: threshold, unit count, folded epoch, and the
+/// snapshot to boot from. Written to a temp file and renamed so the swap
+/// is atomic.
 fn write_meta(
     path: &Path,
     min_support: Support,
     k: usize,
     base_epoch: u64,
-    files: Option<(&str, &str)>,
+    snapshot: &str,
 ) -> Result<(), String> {
-    let mut fields = vec![
+    let fields = vec![
         ("min_support".to_string(), JsonValue::Num(u64::from(min_support))),
         ("k".to_string(), JsonValue::Num(k as u64)),
         ("base_epoch".to_string(), JsonValue::Num(base_epoch)),
-        ("snapshot".to_string(), JsonValue::Str("snapshot.0.gs".to_string())),
+        ("snapshot".to_string(), JsonValue::Str(snapshot.to_string())),
     ];
-    if let Some((snap, pats)) = files {
-        fields[3].1 = JsonValue::Str(snap.to_string());
-        fields.push(("patterns".to_string(), JsonValue::Str(pats.to_string())));
-    }
     let tmp = path.with_extension("json.tmp");
     write_durable(&tmp, JsonValue::Obj(fields).to_json().as_bytes())
         .map_err(|e| format!("meta: {e}"))?;
@@ -1373,8 +1340,7 @@ mod tests {
         let db = small_db();
         let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &cfg()).unwrap();
         // Close the triangle everywhere so multi-edge patterns stay
-        // frequent — the warm-restart skip below only triggers for
-        // generated (size >= 2) candidates found in the known set.
+        // frequent.
         let up = vec![
             DbUpdate { gid: 1, update: GraphUpdate::AddEdge { u: 2, v: 0, label: 12 } },
             DbUpdate { gid: 3, update: GraphUpdate::AddEdge { u: 2, v: 0, label: 12 } },
@@ -1393,8 +1359,60 @@ mod tests {
         assert_eq!(boot.epoch, 1, "numbering continues from the snapshot");
         assert_eq!(engine.min_support(), 4);
         assert!(engine.current().patterns.same_codes_and_supports(&served.patterns));
-        // Warm restart actually consumed the persisted pattern set.
-        assert!(engine.telemetry().counters().get(Counter::KnownSkipped) > 0);
+        // A data directory is the snapshot, the journal and the commit
+        // record: no mined result is left on disk.
+        let mut files: Vec<String> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["journal.wal", "meta.json", "snapshot.1.gs"]);
+    }
+
+    /// What a daemon serves after a restart is a function of the snapshot
+    /// and the journal only. A pattern file left by an older daemon — here
+    /// with one support raised by hand, then missing, then unparsable — is
+    /// never read, whatever `meta.json` says about it.
+    #[test]
+    fn restart_serves_what_the_snapshot_holds() {
+        use graphmine_miner::{GSpan, MemoryMiner};
+
+        let dir = tempfile::tempdir().unwrap();
+        let db = small_db();
+        let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &cfg()).unwrap();
+        engine.apply_update(&window_stream()[0]).unwrap();
+        engine.clean_stop().unwrap();
+        let snapshot = engine.current().db.clone();
+        drop(engine);
+        let truth = GSpan::new().mine(&snapshot, 4);
+        let edited = truth.iter().find(|p| p.size() == 2).expect("a 2-edge pattern is frequent");
+
+        // The older daemon's commit record named its pattern file.
+        let meta_path = dir.path().join("meta.json");
+        let meta = std::fs::read_to_string(&meta_path).unwrap();
+        let meta = meta.replacen('}', r#","patterns":"patterns.1.pat"}"#, 1);
+        std::fs::write(&meta_path, meta).unwrap();
+        let pat_path = dir.path().join("patterns.1.pat");
+
+        let mut raised = truth.clone();
+        raised.insert(graphmine_graph::Pattern::from_code(edited.code.clone(), 55));
+        let mut tampered = Vec::new();
+        graphmine_graph::pattern_io::write_patterns(&mut tampered, &raised).unwrap();
+        let leftovers: [Option<&[u8]>; 3] = [Some(&tampered), None, Some(b"55 not a pattern\n")];
+        for left in leftovers {
+            match left {
+                Some(bytes) => std::fs::write(&pat_path, bytes).unwrap(),
+                None => std::fs::remove_file(&pat_path).unwrap(),
+            }
+            let (engine, boot) = ServeEngine::boot(None, dir.path(), &cfg()).unwrap();
+            assert!(boot.from_snapshot);
+            let ep = engine.current();
+            assert!(ep.patterns.same_codes_and_supports(&truth));
+            assert_eq!(
+                engine.support_of(&ep, &edited.graph),
+                (edited.support, SupportSource::Patterns)
+            );
+        }
     }
 
     /// Blocks until every pending window (including synthesized expiry

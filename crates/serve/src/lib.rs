@@ -7,7 +7,7 @@
 //! JSON protocol while updates stream in:
 //!
 //! * [`ServeEngine`] — durable state machine: snapshot + write-ahead
-//!   journal on `graphmine-storage`, warm-restart mining, and
+//!   journal on `graphmine-storage`, a boot that mines the snapshot, and
 //!   epoch-swapped immutable results ([`ResultEpoch`]) so readers never
 //!   block behind an update;
 //! * [`ingest`] — the streaming update pipeline: window

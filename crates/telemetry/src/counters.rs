@@ -21,11 +21,15 @@ pub enum Counter {
     VerifiedFrequent,
     /// Candidates verified infrequent by CheckFrequency.
     VerifiedInfrequent,
-    /// Candidates skipped because the known (pre-update) set answered.
+    /// Always 0: nothing is accepted on a pre-update result's word.
+    /// Declared only because `bench/e2e` still names it; the benchmark PR
+    /// of ROADMAP 1(a) deletes it.
     KnownSkipped,
     /// Candidates resolved by the support upper bound without counting.
     BoundShortcut,
-    /// Patterns dropped from the pre-update result via the prune set.
+    /// Always 0: IncPartMiner builds no prune set. Declared only because
+    /// `bench/e2e` still names it; the benchmark PR of ROADMAP 1(a)
+    /// deletes it.
     PruneSetHits,
     /// Incremental classification: unchanged-frequent patterns (UF).
     IncUnchangedFrequent,
@@ -339,12 +343,12 @@ mod tests {
         let t = Counters::new();
         t.bump(Counter::IsoTestsRun);
         t.add(Counter::IsoTestsRun, 4);
-        t.add(Counter::PruneSetHits, 2);
+        t.add(Counter::NodesMerged, 2);
         assert_eq!(t.get(Counter::IsoTestsRun), 5);
         let snap = t.snapshot();
         assert_eq!(snap.len(), Counter::ALL.len());
         assert!(snap.contains(&("iso_tests_run", 5)));
-        assert!(snap.contains(&("prune_set_hits", 2)));
+        assert!(snap.contains(&("nodes_merged", 2)));
         assert!(snap.contains(&("candidates_generated", 0)));
     }
 

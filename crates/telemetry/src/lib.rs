@@ -5,7 +5,7 @@
 //! * [`Counters`] — a fixed table of relaxed [`std::sync::atomic::AtomicU64`]
 //!   event counters ([`Counter`] names the slots): candidates generated,
 //!   isomorphism tests run/pruned, patterns verified frequent/infrequent,
-//!   prune-set hits, the incremental UF/FI/IF tallies, and friends.
+//!   the incremental UF/FI/IF tallies, and friends.
 //! * [`Telemetry`] — a per-run handle that owns a [`Counters`] table and
 //!   records hierarchical [`SpanRecord`]s (wall time + thread id) through
 //!   guard-based [`Telemetry::span`] / [`Telemetry::span_node`] calls.

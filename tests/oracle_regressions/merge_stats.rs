@@ -51,8 +51,6 @@ fn parallel_merge_stats_match_serial_on_a_large_batch() {
             db: &db,
             min_support: 2,
             max_edges: Some(4),
-            known: None,
-            trust_known: false,
             executor,
             telemetry: Some(&tel),
         };

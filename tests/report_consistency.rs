@@ -39,7 +39,6 @@ fn partminer_report_reconciles_exact() {
     // The ad-hoc MergeStats and the telemetry counters tally the same events.
     assert_eq!(report.counter(Counter::CandidatesGenerated), outcome.stats.merge.candidates as u64);
     assert_eq!(report.counter(Counter::BoundShortcut), outcome.stats.merge.shortcut as u64);
-    assert_eq!(report.counter(Counter::KnownSkipped), outcome.stats.merge.known_skipped as u64);
 
     // Serial run: the top-level stages partition the wall time.
     for stage in ["partition", "unit_mine", "merge_join"] {
