@@ -84,7 +84,7 @@ mod partminer;
 pub use config::{ConfigError, PartMinerConfig, PartitionerKind, UnitMinerKind, MAX_THREADS};
 pub use incremental::{IncOutcome, IncPartMiner, IncStats};
 pub use merge_join::{merge_join, MergeContext, MergeStats};
-pub use partminer::{MineOutcome, MineStats, PartMiner, PartMinerState};
+pub use partminer::{MineOutcome, MineStats, PartMiner, PartMinerState, PoolRunner};
 
 // The shared work-stealing pool, re-exported so pipeline callers (CLI,
 // oracle, serving daemon) can build one pool and thread it through

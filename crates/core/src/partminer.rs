@@ -6,7 +6,7 @@ use rustc_hash::FxHashMap;
 
 use graphmine_exec::{ExecCounters, Executor, Job};
 use graphmine_graph::{GraphDb, PatternSet, Support};
-use graphmine_partition::{DbPartition, NodeId};
+use graphmine_partition::{BatchRunner, DbPartition, NodeId, WorkItem};
 use graphmine_telemetry::{Counter, ReportSource, StageTotal, Telemetry};
 
 use crate::merge_join::{merge_join, MergeContext, MergeStats};
@@ -42,6 +42,24 @@ pub(crate) fn executor_for(cfg: &PartMinerConfig) -> Executor {
     let budget =
         cfg.thread_budget().unwrap_or_else(|e| panic!("invalid thread configuration: {e}"));
     Executor::new(budget)
+}
+
+/// An [`Executor`] as the partition crate's [`BatchRunner`]: each work item
+/// becomes one job under its own label, so the database split shares the
+/// pool (and the inline schedule of a one-thread budget) with unit mining
+/// and the merge-join.
+#[derive(Debug, Clone, Copy)]
+pub struct PoolRunner<'e>(pub &'e Executor);
+
+impl BatchRunner for PoolRunner<'_> {
+    /// # Panics
+    ///
+    /// Panics with the [`graphmine_exec::ExecError`] of the first item that
+    /// panicked, which names the item.
+    fn run_batch(&self, items: Vec<WorkItem<'_>>) {
+        let jobs = items.into_iter().map(|item| Job::new(item.label, item.run)).collect();
+        self.0.map_indexed(jobs).unwrap_or_else(|e| panic!("database split failed: {e}"));
+    }
 }
 
 /// Mirrors the executor's scheduling-counter deltas for one run into the
@@ -202,12 +220,13 @@ impl PartMiner {
         let cfg = &self.config;
         let exec_before = exec.counters();
 
-        // Phase 1: divide the database into units (Fig. 6).
+        // Phase 1: divide the database into units (Fig. 6), each node's
+        // split fanned out over the pool in fixed gid ranges.
         let t = Instant::now();
         let span = tel.span("partition");
         let partitioner = cfg.partitioner.build();
         let partition =
-            DbPartition::build_instrumented(db, ufreq, partitioner.as_ref(), cfg.k, tel);
+            DbPartition::build_on(db, ufreq, partitioner.as_ref(), cfg.k, tel, &PoolRunner(exec));
         drop(span);
         let partition_time = t.elapsed();
 

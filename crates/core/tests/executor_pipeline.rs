@@ -5,14 +5,20 @@
 //! counterpart, and the pool's counters must show it actually ran the
 //! jobs. This is the reuse story the ad-hoc crossbeam scopes could not
 //! offer: one thread budget resolved once, shared by the whole pipeline.
+//!
+//! The database split is the fourth call site. Its work items are fixed gid
+//! ranges, so the tests below hold the tree still while the range size and
+//! the runner vary, and read the range off the error of an item that dies.
 
 use graphmine_core::{
-    merge_join, Executor, IncPartMiner, MergeContext, PartMiner, PartMinerConfig,
+    merge_join, Executor, IncPartMiner, MergeContext, PartMiner, PartMinerConfig, PoolRunner,
 };
 use graphmine_datagen::{generate, plan_updates, GenParams, UpdateKind, UpdateParams};
-use graphmine_graph::GraphDb;
+use graphmine_graph::{Graph, GraphDb};
 use graphmine_miner::{GSpan, MemoryMiner};
-use graphmine_partition::{split_by_sides, Bipartitioner, Criteria, GraphPart};
+use graphmine_partition::{
+    split_by_sides, Bipartitioner, Criteria, DbPartition, GraphPart, Inline, SPLIT_RANGE,
+};
 use graphmine_telemetry::Telemetry;
 
 /// Splits every graph in two with the paper's partitioner, producing the
@@ -94,4 +100,137 @@ fn one_pool_serves_mining_incremental_and_verification() {
     assert!(end.jobs > after_mine.jobs, "later call sites never reached the pool");
     assert_eq!(end.panics, 0);
     assert!(end.steals <= end.jobs, "more steals than jobs");
+}
+
+/// Every field of every node, and the frozen order of every piece graph.
+fn assert_same_tree(got: &DbPartition, want: &DbPartition, what: &str) {
+    assert_eq!(got.node_count(), want.node_count(), "{what}: node count");
+    assert_eq!(got.unit_count(), want.unit_count(), "{what}: unit count");
+    for n in 0..want.node_count() {
+        let (g, w) = (got.node(n), want.node(n));
+        assert_eq!(
+            (g.children, g.unit, g.depth),
+            (w.children, w.unit, w.depth),
+            "{what}: node {n}"
+        );
+        assert_eq!(g.db.graphs(), w.db.graphs(), "{what}: node {n} db");
+        for (gid, (gg, wg)) in g.db.graphs().iter().zip(w.db.graphs()).enumerate() {
+            for v in 0..wg.vertex_count() as u32 {
+                assert_eq!(gg.neighbors(v), wg.neighbors(v), "{what}: node {n} gid {gid} run {v}");
+            }
+        }
+        assert_eq!(g.vertex_maps, w.vertex_maps, "{what}: node {n} vertex maps");
+        assert_eq!(g.edge_maps, w.edge_maps, "{what}: node {n} edge maps");
+        assert_eq!(g.ufreq, w.ufreq, "{what}: node {n} ufreq");
+    }
+    got.check_invariants().unwrap_or_else(|e| panic!("{what}: {e}"));
+}
+
+#[test]
+fn one_range_and_many_ranges_build_the_same_tree() {
+    let db = generate(&GenParams::new(45, 9, 3, 8, 4).with_seed(77));
+    // Uneven update frequencies, so the split is not the zero-ufreq one.
+    let uf: Vec<Vec<f64>> = db
+        .iter()
+        .map(|(gid, g)| (0..g.vertex_count()).map(|v| ((gid as usize + v) % 4) as f64).collect())
+        .collect();
+    let tel = Telemetry::new();
+    let exec = Executor::new(2);
+    for partitioner in [Criteria::COMBINED, Criteria::ISOLATE_UPDATES].map(GraphPart::new) {
+        for k in [2, 5, 6] {
+            let inline = |range| {
+                DbPartition::build_with_range(&db, &uf, &partitioner, k, &tel, &Inline, range)
+            };
+            let pooled = |range| {
+                DbPartition::build_with_range(
+                    &db,
+                    &uf,
+                    &partitioner,
+                    k,
+                    &tel,
+                    &PoolRunner(&exec),
+                    range,
+                )
+            };
+            let one = inline(usize::MAX);
+            assert_eq!(one.unit_count(), k);
+            for range in [1, 7, 44, 45] {
+                assert_same_tree(&inline(range), &one, &format!("k={k} inline range={range}"));
+                assert_same_tree(&pooled(range), &one, &format!("k={k} pooled range={range}"));
+            }
+            // What everything else calls: the constant, on either runner.
+            assert_same_tree(&DbPartition::build(&db, &uf, &partitioner, k), &one, "build");
+            let on_pool =
+                DbPartition::build_on(&db, &uf, &partitioner, k, &tel, &PoolRunner(&exec));
+            assert_same_tree(&on_pool, &one, "build_on");
+        }
+    }
+    assert!(exec.counters().jobs > 0, "the pool never saw a split item");
+}
+
+/// A serial run and a pooled run submit the same items: the executor counts
+/// one job per range and tree node either way.
+#[test]
+fn the_split_submits_the_same_items_at_any_budget() {
+    let db = generate(&GenParams::new(SPLIT_RANGE + 40, 6, 3, 6, 3).with_seed(5));
+    let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
+    for threads in [1, 2] {
+        let exec = Executor::new(threads);
+        let part = DbPartition::build_on(
+            &db,
+            &uf,
+            &GraphPart::default(),
+            4,
+            &Telemetry::new(),
+            &PoolRunner(&exec),
+        );
+        assert_eq!(part.unit_count(), 4);
+        // Three nodes were split, two ranges each.
+        assert_eq!(exec.counters().jobs, 6, "threads={threads}");
+    }
+}
+
+/// Splits every graph down the middle, except the one it dies on.
+struct DiesOn(usize);
+
+impl Bipartitioner for DiesOn {
+    fn assign(&self, g: &Graph, _ufreq: &[f64]) -> Vec<bool> {
+        assert_ne!(g.vertex_count(), self.0, "no side for a graph of {} vertices", self.0);
+        (0..g.vertex_count()).map(|v| v % 2 == 0).collect()
+    }
+
+    fn name(&self) -> &'static str {
+        "DiesOn"
+    }
+}
+
+/// A path of `n` vertices.
+fn path(n: u32) -> Graph {
+    let edges: Vec<(u32, u32, u32)> = (1..n).map(|v| (v - 1, v, 0)).collect();
+    Graph::from_edges(&vec![0; n as usize], &edges, &mut Default::default()).unwrap()
+}
+
+#[test]
+fn a_panicking_partitioner_is_reported_under_its_gid_range() {
+    // 1100 small paths; the one at gid 700 is the only one 9 vertices long.
+    let db: GraphDb = (0..1100).map(|gid| path(if gid == 700 { 9 } else { 3 + gid % 4 })).collect();
+    let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
+    for threads in [1, 2] {
+        let exec = Executor::new(threads);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            DbPartition::build_on(&db, &uf, &DiesOn(9), 2, &Telemetry::new(), &PoolRunner(&exec))
+        }));
+        let payload = died.expect_err("the partitioner panics on gid 700");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+        let range = format!("split:0:{}..{}", SPLIT_RANGE, 2 * SPLIT_RANGE);
+        assert!(
+            message.contains(&format!("job `{range}` panicked")),
+            "threads={threads}: {message}"
+        );
+        assert!(message.contains("no side for a graph of 9 vertices"), "{message}");
+        assert_eq!(exec.counters().panics, 1);
+    }
+    // Without a pool the panic is the partitioner's own.
+    let plain = std::panic::catch_unwind(|| DbPartition::build(&db, &uf, &DiesOn(9), 2));
+    assert!(plain.is_err());
 }

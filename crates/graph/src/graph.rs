@@ -92,6 +92,76 @@ fn adj_key(vlabels: &[VLabel], a: &Adjacency) -> (VLabel, ELabel, VertexId) {
     (vlabels[a.to as usize], a.elabel, a.to)
 }
 
+/// The endpoint checks every edge insertion makes, in [`Graph::add_edge`]'s
+/// order: `u` in range, `v` in range, no self-loop. `n` is the vertex count.
+#[inline]
+pub(crate) fn check_endpoints(n: u32, u: VertexId, v: VertexId) -> Result<(), GraphError> {
+    for w in [u, v] {
+        if w >= n {
+            return Err(GraphError::VertexOutOfRange { vertex: w, len: n });
+        }
+    }
+    if u == v {
+        return Err(GraphError::SelfLoop { vertex: u });
+    }
+    Ok(())
+}
+
+/// Counting-sorts the two half-edges of every edge into a CSR arena over
+/// `n` vertices: `offsets[v]..offsets[v + 1]` is vertex `v`'s run, in edge-id
+/// order. Endpoints must be in range.
+fn csr_fill(n: usize, edges: &[Edge]) -> (Vec<u32>, Vec<Adjacency>) {
+    let mut offsets = vec![0u32; n + 1];
+    for e in edges {
+        offsets[e.u as usize + 1] += 1;
+        offsets[e.v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut packed = vec![Adjacency { to: 0, elabel: 0, eid: 0 }; 2 * edges.len()];
+    // `offsets[v]` doubles as v's write cursor, which leaves it at v's run
+    // end — the next vertex's start — so one shift restores the offsets.
+    for (eid, e) in edges.iter().enumerate() {
+        for (from, to) in [(e.u, e.v), (e.v, e.u)] {
+            let cursor = &mut offsets[from as usize];
+            packed[*cursor as usize] = Adjacency { to, elabel: e.label, eid: eid as EdgeId };
+            *cursor += 1;
+        }
+    }
+    offsets.copy_within(0..n, 1);
+    offsets[0] = 0;
+    (offsets, packed)
+}
+
+/// Sorts every run of a filled arena by [`adj_key`] — the one place a
+/// graph's frozen order is made, for [`Graph::freeze`] and
+/// [`Graph::from_edges`] alike.
+fn csr_sort_runs(vlabels: &[VLabel], offsets: &[u32], packed: &mut [Adjacency]) {
+    for w in offsets.windows(2) {
+        packed[w[0] as usize..w[1] as usize].sort_unstable_by_key(|a| adj_key(vlabels, a));
+    }
+    #[cfg(feature = "fault-injection")]
+    if crate::fault::armed(crate::fault::Fault::CsrDrift) {
+        // Reverse the first run with at least two entries: `to` is
+        // unique within a run, so the reversal is never sorted.
+        if let Some(w) = offsets.windows(2).find(|w| w[1] - w[0] >= 2) {
+            packed[w[0] as usize..w[1] as usize].reverse();
+        }
+    }
+}
+
+/// Scratch space [`Graph::from_edges`] reuses from one graph to the next, so
+/// a loop building many graphs allocates only what the graphs keep.
+#[derive(Debug, Default)]
+pub struct CsrScratch {
+    /// Per vertex, where in the arena an entry naming it was last seen (the
+    /// duplicate-edge screen; stale entries are harmless, see its use).
+    seen: Vec<u32>,
+    /// One normalised triple per edge, sorted to run-length encode the index.
+    triples: Vec<(VLabel, ELabel, VLabel)>,
+}
+
 /// Adjacency storage: nested lists while a graph is under construction,
 /// one flat CSR arena once frozen.
 #[derive(Debug, Clone)]
@@ -192,11 +262,7 @@ impl Graph {
         v: VertexId,
         label: ELabel,
     ) -> Result<EdgeId, GraphError> {
-        self.check_vertex(u)?;
-        self.check_vertex(v)?;
-        if u == v {
-            return Err(GraphError::SelfLoop { vertex: u });
-        }
+        check_endpoints(self.vlabels.len() as u32, u, v)?;
         if self.edge_between(u, v).is_some() {
             return Err(GraphError::DuplicateEdge { u, v });
         }
@@ -438,32 +504,91 @@ impl Graph {
         Ok(VertexRemoval { label, removed_edges, moved_vertex })
     }
 
-    /// Packs the adjacency lists into the flat CSR arena with per-vertex
-    /// runs sorted by `(vlabel(to), elabel, to)`. Idempotent; `O(V + E)`
-    /// plus the per-run sorts. [`crate::GraphDb`] freezes every graph on
-    /// insertion, so mining always sees the CSR form.
-    pub fn freeze(&mut self) {
-        let AdjStore::Lists(lists) = &mut self.adj else { return };
-        let mut offsets = Vec::with_capacity(lists.len() + 1);
-        let mut packed = Vec::with_capacity(2 * self.edges.len());
-        offsets.push(0u32);
-        for run in lists.iter_mut() {
-            run.sort_unstable_by_key(|a| adj_key(&self.vlabels, a));
-            packed.extend_from_slice(run);
-            offsets.push(packed.len() as u32);
+    /// Builds a frozen graph from its vertex labels and edge list in one
+    /// pass — what `add_vertex` × n, `add_edge` × m and [`Graph::freeze`]
+    /// produce, without the per-vertex lists, the per-edge duplicate probe
+    /// and the sorted insert per edge into the triple index. Vertex `i` gets
+    /// `vlabels[i]`, edge `j` is `edges[j]` as `(u, v, label)`.
+    ///
+    /// # Errors
+    ///
+    /// The index of the first edge [`Graph::add_edge`] would have refused,
+    /// with the error it would have given.
+    pub fn from_edges(
+        vlabels: &[VLabel],
+        edges: &[(VertexId, VertexId, ELabel)],
+        scratch: &mut CsrScratch,
+    ) -> Result<Graph, (usize, GraphError)> {
+        let n = vlabels.len();
+        let bad_endpoints = edges
+            .iter()
+            .enumerate()
+            .find_map(|(i, &(u, v, _))| check_endpoints(n as u32, u, v).err().map(|e| (i, e)));
+        if let Some((i, e)) = bad_endpoints {
+            // A duplicate among the edges before `i` is the earlier refusal.
+            return Err(Self::from_edges(vlabels, &edges[..i], scratch).err().unwrap_or((i, e)));
         }
-        #[cfg(feature = "fault-injection")]
-        if crate::fault::armed(crate::fault::Fault::CsrDrift) {
-            // Reverse the first run with at least two entries: `to` is
-            // unique within a run, so the reversal is never sorted.
-            for v in 0..offsets.len() - 1 {
-                let (s, e) = (offsets[v] as usize, offsets[v + 1] as usize);
-                if e - s >= 2 {
-                    packed[s..e].reverse();
-                    break;
+        let edges: Vec<Edge> = edges.iter().map(|&(u, v, label)| Edge { u, v, label }).collect();
+        let (offsets, mut packed) = csr_fill(n, &edges);
+
+        // Duplicate screen, while the runs are still in edge-id order: a
+        // second entry naming the same neighbour is the later of two parallel
+        // edges. `seen[to]` is trusted only when it points into the part of
+        // this run already walked *and* that entry names `to`, so whatever
+        // an earlier graph left there cannot pass for a hit.
+        let seen = &mut scratch.seen;
+        if seen.len() < n {
+            seen.resize(n, 0);
+        }
+        let mut first_dup: Option<EdgeId> = None;
+        for w in offsets.windows(2) {
+            let (start, end) = (w[0] as usize, w[1] as usize);
+            for at in start..end {
+                let a = packed[at];
+                let prev = seen[a.to as usize] as usize;
+                if (start..at).contains(&prev) && packed[prev].to == a.to {
+                    first_dup = Some(first_dup.map_or(a.eid, |d| d.min(a.eid)));
+                    break; // later entries of this run have higher edge ids
                 }
+                seen[a.to as usize] = at as u32;
             }
         }
+        if let Some(eid) = first_dup {
+            let Edge { u, v, .. } = edges[eid as usize];
+            return Err((eid as usize, GraphError::DuplicateEdge { u, v }));
+        }
+        csr_sort_runs(vlabels, &offsets, &mut packed);
+
+        let keys = &mut scratch.triples;
+        keys.clear();
+        keys.extend(
+            edges
+                .iter()
+                .map(|e| edge_triple(vlabels[e.u as usize], e.label, vlabels[e.v as usize])),
+        );
+        keys.sort_unstable();
+        let distinct = keys.chunk_by(|a, b| a == b);
+        let mut triples = Vec::with_capacity(distinct.clone().count());
+        triples.extend(distinct.map(|run| (run[0], run.len() as u32)));
+
+        Ok(Graph {
+            vlabels: vlabels.to_vec(),
+            edges,
+            adj: AdjStore::Csr { offsets, packed },
+            triples,
+        })
+    }
+
+    /// Packs the adjacency into the flat CSR arena with per-vertex runs
+    /// sorted by `(vlabel(to), elabel, to)`. Idempotent; `O(V + E)` plus
+    /// the per-run sorts. [`crate::GraphDb`] freezes every graph on
+    /// insertion, so mining always sees the CSR form.
+    pub fn freeze(&mut self) {
+        if self.is_frozen() {
+            return;
+        }
+        let (offsets, mut packed) = csr_fill(self.vlabels.len(), &self.edges);
+        csr_sort_runs(&self.vlabels, &offsets, &mut packed);
         self.adj = AdjStore::Csr { offsets, packed };
     }
 

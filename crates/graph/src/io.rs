@@ -10,13 +10,14 @@
 //! ...
 //! ```
 //!
-//! Lines starting with `#` (and blank lines) are ignored; a trailing
-//! `t # -1` sentinel (emitted by some tools) ends the stream.
+//! Lines whose first non-blank character is `#` (and blank lines) are
+//! ignored; a `t # -1` sentinel (emitted by some tools) ends the stream.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
-use crate::{Graph, GraphDb};
+use crate::graph::check_endpoints;
+use crate::{CsrScratch, Graph, GraphDb};
 
 /// Errors from parsing the gSpan text format.
 #[derive(Debug)]
@@ -51,76 +52,123 @@ impl From<std::io::Error> for ParseError {
 
 /// Parses a graph database from gSpan-format text.
 ///
+/// A line whose first non-blank byte is `#` is a comment; a `t` line takes
+/// its id from the token after the `#` marker, and a negative id ends the
+/// stream. Each graph is collected as a label vector and an edge list in
+/// buffers reused from graph to graph, then built frozen in one pass
+/// ([`Graph::from_edges`]).
+///
 /// # Errors
 ///
 /// I/O failures and malformed lines (unknown record type, bad numbers,
-/// out-of-order vertex ids, invalid edges).
-pub fn read_db(reader: impl BufRead) -> Result<GraphDb, ParseError> {
+/// out-of-order vertex ids, invalid edges) — the first one in the file.
+pub fn read_db(mut reader: impl BufRead) -> Result<GraphDb, ParseError> {
     let mut db = GraphDb::new();
-    let mut current: Option<Graph> = None;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        let lineno = i + 1;
+    let mut pending = Pending::default();
+    let mut line = String::new();
+    let mut lineno = 0;
+    while reader.read_line(&mut line)? != 0 {
+        lineno += 1;
+        match pending.record(&line, lineno, &mut db) {
+            Ok(Flow::Continue) => line.clear(),
+            Ok(Flow::EndOfStream) => return Ok(db),
+            Err(e) => {
+                // Duplicate edges surface when their graph is built; one on
+                // an earlier line of the open graph is the first error.
+                pending.finish(&mut db)?;
+                return Err(e);
+            }
+        }
+    }
+    pending.finish(&mut db)?;
+    Ok(db)
+}
+
+enum Flow {
+    Continue,
+    EndOfStream,
+}
+
+/// The graph being read: its records so far, and the buffers every graph
+/// of the file is collected in.
+#[derive(Default)]
+struct Pending {
+    open: bool,
+    vlabels: Vec<u32>,
+    edges: Vec<(u32, u32, u32)>,
+    /// Line number of each entry of `edges`.
+    edge_lines: Vec<usize>,
+    scratch: CsrScratch,
+}
+
+impl Pending {
+    fn record(&mut self, line: &str, lineno: usize, db: &mut GraphDb) -> Result<Flow, ParseError> {
+        let malformed = |what: String| ParseError::Malformed { line: lineno, what };
         let trimmed = line.trim();
-        if trimmed.is_empty() || (trimmed.starts_with('#') && !trimmed.starts_with("# ")) {
-            continue;
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            return Ok(Flow::Continue);
         }
         let mut parts = trimmed.split_whitespace();
         match parts.next() {
             Some("t") => {
                 // `t # <id>`; a negative id is the end-of-stream sentinel.
-                let rest: Vec<&str> = parts.collect();
-                let id = rest.last().copied().unwrap_or("");
-                if let Some(g) = current.take() {
-                    db.push(g);
+                let id = match parts.next() {
+                    Some("#") => parts.next(),
+                    unmarked => unmarked,
+                };
+                self.finish(db)?;
+                if id.is_some_and(|id| id.starts_with('-')) {
+                    return Ok(Flow::EndOfStream);
                 }
-                if id.starts_with('-') {
-                    break;
-                }
-                current = Some(Graph::new());
+                self.open = true;
             }
             Some("v") => {
-                let g = current.as_mut().ok_or_else(|| ParseError::Malformed {
-                    line: lineno,
-                    what: "vertex before any `t` line".into(),
-                })?;
-                let id: u32 = parse(parts.next(), lineno, "vertex id")?;
-                let label: u32 = parse(parts.next(), lineno, "vertex label")?;
-                if id as usize != g.vertex_count() {
-                    return Err(ParseError::Malformed {
-                        line: lineno,
-                        what: format!(
-                            "vertex id {id} out of order (expected {})",
-                            g.vertex_count()
-                        ),
-                    });
+                if !self.open {
+                    return Err(malformed("vertex before any `t` line".into()));
                 }
-                g.add_vertex(label);
+                let id = parse(parts.next(), lineno, "vertex id")?;
+                let label = parse(parts.next(), lineno, "vertex label")?;
+                if id as usize != self.vlabels.len() {
+                    return Err(malformed(format!(
+                        "vertex id {id} out of order (expected {})",
+                        self.vlabels.len()
+                    )));
+                }
+                self.vlabels.push(label);
             }
             Some("e") => {
-                let g = current.as_mut().ok_or_else(|| ParseError::Malformed {
-                    line: lineno,
-                    what: "edge before any `t` line".into(),
-                })?;
-                let u: u32 = parse(parts.next(), lineno, "edge endpoint")?;
-                let v: u32 = parse(parts.next(), lineno, "edge endpoint")?;
-                let label: u32 = parse(parts.next(), lineno, "edge label")?;
-                g.add_edge(u, v, label)
-                    .map_err(|e| ParseError::Malformed { line: lineno, what: e.to_string() })?;
+                if !self.open {
+                    return Err(malformed("edge before any `t` line".into()));
+                }
+                let u = parse(parts.next(), lineno, "edge endpoint")?;
+                let v = parse(parts.next(), lineno, "edge endpoint")?;
+                let label = parse(parts.next(), lineno, "edge label")?;
+                // Against the vertices declared so far, as `add_edge` would.
+                check_endpoints(self.vlabels.len() as u32, u, v)
+                    .map_err(|e| malformed(e.to_string()))?;
+                self.edges.push((u, v, label));
+                self.edge_lines.push(lineno);
             }
-            Some(other) => {
-                return Err(ParseError::Malformed {
-                    line: lineno,
-                    what: format!("unknown record type `{other}`"),
-                })
-            }
+            Some(other) => return Err(malformed(format!("unknown record type `{other}`"))),
             None => {}
         }
+        Ok(Flow::Continue)
     }
-    if let Some(g) = current.take() {
-        db.push(g);
+
+    /// Builds the open graph, if any, into `db` and empties the buffers.
+    fn finish(&mut self, db: &mut GraphDb) -> Result<(), ParseError> {
+        if !std::mem::take(&mut self.open) {
+            return Ok(());
+        }
+        let built = Graph::from_edges(&self.vlabels, &self.edges, &mut self.scratch).map_err(
+            |(edge, e)| ParseError::Malformed { line: self.edge_lines[edge], what: e.to_string() },
+        );
+        self.vlabels.clear();
+        self.edges.clear();
+        self.edge_lines.clear();
+        db.push(built?);
+        Ok(())
     }
-    Ok(db)
 }
 
 /// Writes a graph database in gSpan-format text.
@@ -152,72 +200,4 @@ fn parse(token: Option<&str>, line: usize, what: &str) -> Result<u32, ParseError
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_db() -> GraphDb {
-        let mut g1 = Graph::new();
-        let a = g1.add_vertex(3);
-        let b = g1.add_vertex(5);
-        g1.add_edge(a, b, 2).unwrap();
-        let mut g2 = Graph::new();
-        for l in 0..3 {
-            g2.add_vertex(l);
-        }
-        g2.add_edge(0, 1, 0).unwrap();
-        g2.add_edge(1, 2, 1).unwrap();
-        g2.add_edge(2, 0, 0).unwrap();
-        GraphDb::from_graphs(vec![g1, g2])
-    }
-
-    #[test]
-    fn round_trip() {
-        let db = sample_db();
-        let mut bytes = Vec::new();
-        write_db(&mut bytes, &db).unwrap();
-        let back = read_db(&bytes[..]).unwrap();
-        assert_eq!(back.len(), db.len());
-        for gid in 0..db.len() as u32 {
-            assert_eq!(back.graph(gid), db.graph(gid));
-        }
-    }
-
-    #[test]
-    fn parses_comments_and_blank_lines() {
-        let text = "\n#comment\nt # 0\nv 0 1\nv 1 2\ne 0 1 7\n\nt # -1\n";
-        let db = read_db(text.as_bytes()).unwrap();
-        assert_eq!(db.len(), 1);
-        assert_eq!(db.graph(0).edge(0), (0, 1, 7));
-    }
-
-    #[test]
-    fn sentinel_ends_stream() {
-        let text = "t # 0\nv 0 1\nt # -1\nt # 1\nv 0 9\n";
-        let db = read_db(text.as_bytes()).unwrap();
-        assert_eq!(db.len(), 1, "records after the sentinel are ignored");
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        assert!(matches!(
-            read_db("v 0 1\n".as_bytes()),
-            Err(ParseError::Malformed { line: 1, .. })
-        ));
-        assert!(matches!(
-            read_db("t # 0\nv 1 0\n".as_bytes()),
-            Err(ParseError::Malformed { line: 2, .. })
-        ));
-        assert!(matches!(
-            read_db("t # 0\nv 0 1\ne 0 5 1\n".as_bytes()),
-            Err(ParseError::Malformed { line: 3, .. })
-        ));
-        assert!(matches!(
-            read_db("t # 0\nx what\n".as_bytes()),
-            Err(ParseError::Malformed { line: 2, .. })
-        ));
-        assert!(matches!(
-            read_db("t # 0\ne 0 one 1\n".as_bytes()),
-            Err(ParseError::Malformed { .. })
-        ));
-    }
-}
+mod tests;

@@ -79,7 +79,8 @@ pub use dfscode::{DfsCode, DfsEdge};
 pub use embeddings::{EmbeddingList, EmbeddingMode, EmbeddingStore, DEFAULT_EMBEDDING_BUDGET};
 pub use error::GraphError;
 pub use graph::{
-    edge_triple, Adjacency, ELabel, EdgeId, EdgeRemoval, Graph, VLabel, VertexId, VertexRemoval,
+    edge_triple, Adjacency, CsrScratch, ELabel, EdgeId, EdgeRemoval, Graph, VLabel, VertexId,
+    VertexRemoval,
 };
 pub use intersect::intersect_sorted;
 pub use pattern::{Pattern, PatternSet};

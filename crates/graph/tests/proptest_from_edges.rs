@@ -1,0 +1,110 @@
+//! The bulk constructor against the incremental one: on random vertex
+//! labels and edge lists, `Graph::from_edges` must be the graph that
+//! `add_vertex` × n, `add_edge` × m and `freeze` build — the same edges, the
+//! same sorted runs, the same triple index — and on a list `add_edge` would
+//! refuse part-way (duplicate, self-loop, endpoint out of range) it must
+//! refuse the same edge with the same error.
+
+use proptest::prelude::*;
+
+use graphmine_graph::{CsrScratch, Graph, GraphError};
+
+type EdgeList = Vec<(u32, u32, u32)>;
+
+/// The reference: one `add_edge` per list entry, stopping at the first
+/// refusal.
+fn incremental(vlabels: &[u32], edges: &[(u32, u32, u32)]) -> Result<Graph, (usize, GraphError)> {
+    let mut g = Graph::new();
+    for &l in vlabels {
+        g.add_vertex(l);
+    }
+    for (i, &(u, v, el)) in edges.iter().enumerate() {
+        g.add_edge(u, v, el).map_err(|e| (i, e))?;
+    }
+    g.freeze();
+    Ok(g)
+}
+
+/// Vertex labels plus an edge list over them. With `simple`, the list is
+/// filtered down to a valid simple graph (any density, isolated vertices,
+/// n = 0). Without, it is left as drawn — over at most six vertices most
+/// lists repeat a pair, often several — and about one entry in eight is
+/// bent into a self-loop or pushed out of range.
+fn parts(max_n: usize, simple: bool) -> impl Strategy<Value = (Vec<u32>, EdgeList)> {
+    (0..=max_n).prop_flat_map(move |n| {
+        let ids = 0..(n as u32).max(1);
+        let vl = proptest::collection::vec(0..3u32, n);
+        let raw = proptest::collection::vec((ids.clone(), ids, 0..3u32, 0..16u32), 0..=3 * n);
+        (vl, raw).prop_map(move |(vl, raw)| {
+            let n = vl.len() as u32;
+            let mut seen = std::collections::BTreeSet::new();
+            let edges = raw
+                .into_iter()
+                .filter_map(|(u, v, el, bend)| match (simple, bend) {
+                    (true, _) => (u < n && v < n && u != v && seen.insert((u.min(v), u.max(v))))
+                        .then_some((u, v, el)),
+                    (false, 0) => Some((u, u, el)),
+                    (false, 1) => Some((u, v + n, el)),
+                    (false, _) => Some((u, v, el)),
+                })
+                .collect();
+            (vl, edges)
+        })
+    })
+}
+
+proptest! {
+    #[test]
+    fn bulk_equals_incremental_on_simple_graphs(input in parts(9, true)) {
+        let (vl, edges) = input;
+        let want = incremental(&vl, &edges).expect("the strategy filters to simple graphs");
+        let got = Graph::from_edges(&vl, &edges, &mut CsrScratch::default())
+            .expect("a simple graph is accepted");
+        prop_assert!(got.is_frozen());
+        prop_assert_eq!(&got, &want);
+        for v in 0..vl.len() as u32 {
+            prop_assert_eq!(got.neighbors(v), want.neighbors(v), "run of vertex {}", v);
+        }
+        prop_assert_eq!(got.triples(), want.triples());
+        prop_assert_eq!(got.check_invariants(), Ok(()));
+    }
+
+    /// One scratch across many graphs of different sizes: whatever a build
+    /// leaves in it must not pass for a duplicate (or hide one) in the next.
+    #[test]
+    fn bulk_equals_incremental_on_any_list(
+        inputs in proptest::collection::vec(parts(6, false), 1..6),
+    ) {
+        let mut scratch = CsrScratch::default();
+        for (vl, edges) in &inputs {
+            let got = Graph::from_edges(vl, edges, &mut scratch);
+            match (got, incremental(vl, edges)) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(got.triples(), want.triples());
+                    prop_assert_eq!(got.check_invariants(), Ok(()));
+                }
+                (Err(got), Err(want)) => prop_assert_eq!(got, want, "{:?} over {:?}", edges, vl),
+                (got, want) => {
+                    prop_assert!(false, "{:?} over {:?}: bulk {:?}, incremental {:?}",
+                        edges, vl, got.map(|_| ()), want.map(|_| ()));
+                }
+            }
+        }
+    }
+}
+
+/// Three copies of one edge, a second repeated pair and a self-loop behind
+/// them: the refusal is the *second* copy of the first pair, whichever way
+/// round the copies are written and whichever run finds them.
+#[test]
+fn the_first_refused_copy_is_reported() {
+    let vl = [0, 1, 1, 0];
+    let edges = [(2, 3, 0), (1, 0, 5), (0, 2, 1), (0, 1, 7), (3, 2, 4), (1, 0, 5), (3, 3, 0)];
+    let got = Graph::from_edges(&vl, &edges, &mut CsrScratch::default());
+    assert_eq!(got.unwrap_err(), (3, GraphError::DuplicateEdge { u: 0, v: 1 }));
+    assert_eq!(
+        incremental(&vl, &edges).unwrap_err(),
+        (3, GraphError::DuplicateEdge { u: 0, v: 1 })
+    );
+}

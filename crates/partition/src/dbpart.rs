@@ -24,8 +24,8 @@ use graphmine_graph::{
 };
 use graphmine_telemetry::Telemetry;
 
-use crate::split::split_by_sides;
-use crate::Bipartitioner;
+use crate::split::Splitter;
+use crate::{BatchRunner, Bipartitioner, Inline, WorkItem};
 
 /// Index of a node in the partition tree.
 pub type NodeId = usize;
@@ -113,7 +113,39 @@ impl DbPartition {
         k: usize,
         tel: &Telemetry,
     ) -> Self {
+        Self::build_on(db, ufreq, partitioner, k, tel, &Inline)
+    }
+
+    /// [`DbPartition::build_instrumented`] with every node's split handed to
+    /// `runner` as independent work items, one per [`SPLIT_RANGE`] gids,
+    /// labeled `split:{node}:{first gid}..{end gid}`. The items and their
+    /// order do not depend on the runner, and neither does the result.
+    pub fn build_on(
+        db: &GraphDb,
+        ufreq: &[Vec<f64>],
+        partitioner: &dyn Bipartitioner,
+        k: usize,
+        tel: &Telemetry,
+        runner: &dyn BatchRunner,
+    ) -> Self {
+        Self::build_with_range(db, ufreq, partitioner, k, tel, runner, SPLIT_RANGE)
+    }
+
+    /// [`DbPartition::build_on`] with the work-item size as an argument —
+    /// the seam the tests use to show that one range and many give the same
+    /// tree. Everything else builds with [`SPLIT_RANGE`].
+    #[doc(hidden)]
+    pub fn build_with_range(
+        db: &GraphDb,
+        ufreq: &[Vec<f64>],
+        partitioner: &dyn Bipartitioner,
+        k: usize,
+        tel: &Telemetry,
+        runner: &dyn BatchRunner,
+        range: usize,
+    ) -> Self {
         assert!(k >= 1, "at least one unit");
+        assert!(range >= 1, "at least one graph per work item");
         assert_eq!(ufreq.len(), db.len(), "one ufreq vector per graph");
         for (gid, g) in db.iter() {
             assert_eq!(
@@ -155,7 +187,7 @@ impl DbPartition {
                 continue;
             }
             let _span = tel.span_node("partition_split", node_id as u64);
-            let (a, b) = part.split_node(node_id, partitioner);
+            let (a, b) = part.split_node(node_id, partitioner, runner, range);
             leaves.push_back(a);
             leaves.push_back(b);
         }
@@ -166,50 +198,45 @@ impl DbPartition {
         part
     }
 
-    fn split_node(&mut self, node_id: NodeId, partitioner: &dyn Bipartitioner) -> (NodeId, NodeId) {
-        let n_graphs = self.nodes[node_id].db.len();
-        let depth = self.nodes[node_id].depth;
-        let mut child1 = PartNode {
-            db: GraphDb::new(),
-            vertex_maps: Vec::with_capacity(n_graphs),
-            edge_maps: Vec::with_capacity(n_graphs),
-            ufreq: Vec::with_capacity(n_graphs),
-            children: None,
-            unit: None,
-            depth: depth + 1,
-        };
-        let mut child2 = child1.clone();
-        for gid in 0..n_graphs as GraphId {
-            let node = &self.nodes[node_id];
-            let g = node.db.graph(gid);
-            let uf = &node.ufreq[gid as usize];
-            let mut sides = partitioner.assign(g, uf);
-            clamp_sides(g, &mut sides);
-            let split = split_by_sides(g, uf, &sides);
-            for (child, piece) in [(&mut child1, split.side1), (&mut child2, split.side2)] {
-                // Compose piece->node maps with node->original maps.
-                child.vertex_maps.push(
-                    piece
-                        .vertex_map
-                        .iter()
-                        .map(|&v| node.vertex_maps[gid as usize][v as usize])
-                        .collect(),
-                );
-                child.edge_maps.push(
-                    piece
-                        .edge_map
-                        .iter()
-                        .map(|&e| node.edge_maps[gid as usize][e as usize])
-                        .collect(),
-                );
-                child.ufreq.push(piece.ufreq);
-                child.db.push(piece.graph);
-            }
-        }
-        let a = self.nodes.len();
-        self.nodes.push(child1);
-        let b = self.nodes.len();
-        self.nodes.push(child2);
+    fn split_node(
+        &mut self,
+        node_id: NodeId,
+        partitioner: &dyn Bipartitioner,
+        runner: &dyn BatchRunner,
+        range: usize,
+    ) -> (NodeId, NodeId) {
+        let node = &self.nodes[node_id];
+        let n_graphs = node.db.len();
+        // The items fill disjoint gid ranges of the children's columns in
+        // place: nothing to gather, whatever order they finish in.
+        let mut halves = [ChildColumns::blank(n_graphs), ChildColumns::blank(n_graphs)];
+        let [half1, half2] = &mut halves;
+        let items = half1
+            .chunks_mut(range)
+            .zip(half2.chunks_mut(range))
+            .enumerate()
+            .map(|(i, (chunk1, chunk2))| {
+                let first = i * range;
+                WorkItem {
+                    label: format!("split:{node_id}:{first}..{}", first + chunk1.graphs.len()),
+                    run: Box::new(move || split_range(node, first, [chunk1, chunk2], partitioner)),
+                }
+            })
+            .collect();
+        runner.run_batch(items);
+        let depth = node.depth + 1;
+        let [a, b] = halves.map(|half| {
+            self.nodes.push(PartNode {
+                db: GraphDb::from_graphs(half.graphs),
+                vertex_maps: half.vertex_maps,
+                edge_maps: half.edge_maps,
+                ufreq: half.ufreq,
+                children: None,
+                unit: None,
+                depth,
+            });
+            self.nodes.len() - 1
+        });
         self.nodes[node_id].children = Some((a, b));
         (a, b)
     }
@@ -780,6 +807,85 @@ impl DbPartition {
             a
         };
         self.add_vertex_rec(target, gid, attach, new_v, elabel, orig_e, touched);
+    }
+}
+
+/// Graphs per split work item. A constant of the build, not of the machine:
+/// the same items are submitted whatever runs them, so a serial and a
+/// pooled build do the same work in the same pieces. Large enough that an
+/// item's bookkeeping vanishes, small enough that the paper's smallest
+/// scaled database (D4000) still gives two workers four items each.
+pub const SPLIT_RANGE: usize = 512;
+
+/// What a child node holds per gid, as the split fills it in.
+struct ChildColumns {
+    graphs: Vec<Graph>,
+    vertex_maps: Vec<Vec<VertexId>>,
+    edge_maps: Vec<Vec<EdgeId>>,
+    ufreq: Vec<Vec<f64>>,
+}
+
+/// The same columns over one run of consecutive gids.
+struct ChildChunk<'a> {
+    graphs: &'a mut [Graph],
+    vertex_maps: &'a mut [Vec<VertexId>],
+    edge_maps: &'a mut [Vec<EdgeId>],
+    ufreq: &'a mut [Vec<f64>],
+}
+
+impl ChildColumns {
+    /// Columns of `n` empty entries (none of which allocates).
+    fn blank(n: usize) -> Self {
+        ChildColumns {
+            graphs: vec![Graph::new(); n],
+            vertex_maps: vec![Vec::new(); n],
+            edge_maps: vec![Vec::new(); n],
+            ufreq: vec![Vec::new(); n],
+        }
+    }
+
+    fn chunks_mut(&mut self, size: usize) -> impl Iterator<Item = ChildChunk<'_>> {
+        let maps = self.vertex_maps.chunks_mut(size).zip(self.edge_maps.chunks_mut(size));
+        self.graphs.chunks_mut(size).zip(maps).zip(self.ufreq.chunks_mut(size)).map(
+            |((graphs, (vertex_maps, edge_maps)), ufreq)| ChildChunk {
+                graphs,
+                vertex_maps,
+                edge_maps,
+                ufreq,
+            },
+        )
+    }
+}
+
+/// One work item of a node's split: assign → clamp → split for every graph
+/// of the run of gids starting at `first` that `out` covers, the piece maps
+/// composed with the node's own so they lead back to the original database.
+fn split_range(
+    node: &PartNode,
+    first: usize,
+    mut out: [ChildChunk<'_>; 2],
+    partitioner: &dyn Bipartitioner,
+) {
+    let mut splitter = Splitter::default();
+    for at in 0..out[0].graphs.len() {
+        let gid = first + at;
+        let g = node.db.graph(gid as GraphId);
+        let uf = &node.ufreq[gid];
+        let mut sides = partitioner.assign(g, uf);
+        clamp_sides(g, &mut sides);
+        let split = splitter.split(g, uf, &sides);
+        for (chunk, mut piece) in out.iter_mut().zip([split.side1, split.side2]) {
+            for v in &mut piece.vertex_map {
+                *v = node.vertex_maps[gid][*v as usize];
+            }
+            for e in &mut piece.edge_map {
+                *e = node.edge_maps[gid][*e as usize];
+            }
+            chunk.graphs[at] = piece.graph;
+            chunk.vertex_maps[at] = piece.vertex_map;
+            chunk.edge_maps[at] = piece.edge_map;
+            chunk.ufreq[at] = piece.ufreq;
+        }
     }
 }
 

@@ -58,31 +58,37 @@ impl GraphPart {
     pub fn new(criteria: Criteria) -> Self {
         GraphPart { criteria }
     }
+}
 
-    /// Equation (1), with both terms normalised to `[0, 1]` (average update
-    /// frequency by the graph's maximum ufreq, connectivity by the edge
-    /// count) so that `λ1 = λ2 = 1` genuinely weighs them equally — with
-    /// raw counts the cut term numerically swamps the ufreq term and
-    /// Partition3 degenerates into Partition2, contradicting the behaviour
-    /// the paper's Fig. 13 reports.
-    fn weight(&self, g: &Graph, ufreq: &[f64], subset: &[bool], size: usize) -> f64 {
+/// Equation (1) over one graph, with both terms normalised to `[0, 1]`
+/// (average update frequency by the graph's maximum ufreq, connectivity by
+/// the edge count) so that `λ1 = λ2 = 1` genuinely weighs them equally —
+/// with raw counts the cut term numerically swamps the ufreq term and
+/// Partition3 degenerates into Partition2, contradicting the behaviour the
+/// paper's Fig. 13 reports.
+struct Objective<'a> {
+    criteria: Criteria,
+    ufreq: &'a [f64],
+    max_uf: f64,
+    edges: usize,
+}
+
+impl Objective<'_> {
+    /// `w(V1)` for the subset `subset` of `size` vertices cutting `cut`
+    /// edges. The caller keeps `size` and `cut` current as vertices move;
+    /// the ufreq sum is taken afresh, in vertex-id order, because a running
+    /// floating-point sum would round differently from move to move.
+    fn weight(&self, subset: &[bool], size: usize, cut: usize) -> f64 {
         if size == 0 {
             return f64::NEG_INFINITY;
         }
-        let max_uf = ufreq.iter().copied().fold(0.0_f64, f64::max);
-        let uf_term = if max_uf > 0.0 {
-            let sum: f64 = (0..g.vertex_count()).filter(|&v| subset[v]).map(|v| ufreq[v]).sum();
-            (sum / size as f64) / max_uf
+        let uf_term = if self.max_uf > 0.0 {
+            let sum: f64 = (0..subset.len()).filter(|&v| subset[v]).map(|v| self.ufreq[v]).sum();
+            (sum / size as f64) / self.max_uf
         } else {
             0.0
         };
-        let cut_term = if g.edge_count() > 0 {
-            let cut =
-                g.edges().filter(|&(_, u, v, _)| subset[u as usize] != subset[v as usize]).count();
-            cut as f64 / g.edge_count() as f64
-        } else {
-            0.0
-        };
+        let cut_term = if self.edges > 0 { cut as f64 / self.edges as f64 } else { 0.0 };
         self.criteria.lambda1 * uf_term - self.criteria.lambda2 * cut_term
     }
 }
@@ -94,6 +100,12 @@ impl Bipartitioner for GraphPart {
         if n < 2 {
             return vec![true; n];
         }
+        let objective = Objective {
+            criteria: self.criteria,
+            ufreq,
+            max_uf: ufreq.iter().copied().fold(0.0_f64, f64::max),
+            edges: g.edge_count(),
+        };
         // Line 1: vertices sorted by descending update frequency
         // (ties broken by id for determinism).
         let mut order: Vec<u32> = (0..n as u32).collect();
@@ -105,75 +117,94 @@ impl Bipartitioner for GraphPart {
         });
 
         let half = (n / 2).max(1);
-        let mut best: Option<(f64, Vec<bool>)> = None;
+        // Best candidate so far: weight, subset, its size and its cut.
+        let mut best_w = f64::NEG_INFINITY;
+        let mut sides = vec![false; n];
+        let (mut size, mut cut) = (0usize, 0usize);
 
         // Lines 4-12: one greedy DFS per candidate start vertex in the
-        // upper (high-ufreq) half of the order.
-        for &start in order.iter().take(half) {
-            let mut in_subset = vec![false; n];
-            let mut visited = vec![false; n];
-            let mut stack = vec![start];
+        // upper (high-ufreq) half of the order, all over the same buffers.
+        let mut in_subset = vec![false; n];
+        let mut visited = vec![false; n];
+        let mut stack: Vec<u32> = Vec::new();
+        let mut nbrs: Vec<u32> = Vec::new();
+        for (i, &start) in order.iter().take(half).enumerate() {
+            in_subset.fill(false);
+            visited.fill(false);
+            stack.clear();
+            stack.push(start);
             visited[start as usize] = true;
-            let mut size = 0usize;
+            let (mut cand_size, mut cand_cut) = (0usize, 0usize);
             while let Some(v) = stack.pop() {
-                if size >= half {
+                if cand_size >= half {
                     break;
                 }
                 in_subset[v as usize] = true;
-                size += 1;
+                cand_size += 1;
+                // Joining the subset cuts v's edges to the outside and
+                // heals its edges to the inside.
+                let inside = g.neighbors(v).iter().filter(|a| in_subset[a.to as usize]).count();
+                cand_cut = cand_cut + g.degree(v) - 2 * inside;
                 // Push unvisited neighbours, highest ufreq on top (line 21).
-                let mut nbrs: Vec<u32> =
-                    g.neighbors(v).iter().map(|a| a.to).filter(|&w| !visited[w as usize]).collect();
+                nbrs.clear();
+                nbrs.extend(g.neighbors(v).iter().map(|a| a.to).filter(|&w| !visited[w as usize]));
                 nbrs.sort_by(|&a, &b| {
                     ufreq[a as usize]
                         .partial_cmp(&ufreq[b as usize])
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(b.cmp(&a))
                 });
-                for w in nbrs {
+                for &w in &nbrs {
                     visited[w as usize] = true;
                     stack.push(w);
                 }
             }
-            let w = self.weight(g, ufreq, &in_subset, size);
-            if best.as_ref().is_none_or(|(bw, _)| w > *bw) {
-                best = Some((w, in_subset));
+            let w = objective.weight(&in_subset, cand_size, cand_cut);
+            if i == 0 || w > best_w {
+                best_w = w;
+                sides.copy_from_slice(&in_subset);
+                (size, cut) = (cand_size, cand_cut);
             }
         }
-        let (mut best_w, mut sides) = best.expect("at least one candidate subset");
 
         // Local refinement: greedily flip single vertices while that
         // improves the same objective w, keeping both sides within
         // [1/4, 3/4] of the graph. The greedy DFS prefixes above fix the
         // structure of equation (1)'s optimum; this polishes its value —
         // on dense graphs a raw DFS prefix can leave an unnecessarily
-        // large cut.
+        // large cut. A flip of v changes the cut by v's edges alone: those
+        // to its own side become connective, those to the other side stop
+        // being so.
         let lo = (n / 4).max(1);
         let hi = n - lo;
         let mut locked = vec![false; n];
         loop {
-            let mut step: Option<(f64, usize)> = None;
-            let current_size = sides.iter().filter(|&&s| s).count();
+            // Best improving flip of this round: weight, vertex, new cut.
+            let mut step: Option<(f64, usize, usize)> = None;
             for v in 0..n {
                 if locked[v] {
                     continue;
                 }
-                let new_size =
-                    if sides[v] { current_size.saturating_sub(1) } else { current_size + 1 };
+                let new_size = if sides[v] { size.saturating_sub(1) } else { size + 1 };
                 if new_size < lo || new_size > hi {
                     continue;
                 }
+                let run = g.neighbors(v as u32);
+                let same = run.iter().filter(|a| sides[a.to as usize] == sides[v]).count();
+                let new_cut = cut + same - (run.len() - same);
                 sides[v] = !sides[v];
-                let w = self.weight(g, ufreq, &sides, new_size);
+                let w = objective.weight(&sides, new_size, new_cut);
                 sides[v] = !sides[v];
-                if w > best_w && step.is_none_or(|(sw, _)| w > sw) {
-                    step = Some((w, v));
+                if w > best_w && step.is_none_or(|(sw, ..)| w > sw) {
+                    step = Some((w, v, new_cut));
                 }
             }
-            let Some((w, v)) = step else { break };
+            let Some((w, v, new_cut)) = step else { break };
+            size = if sides[v] { size - 1 } else { size + 1 };
             sides[v] = !sides[v];
             locked[v] = true;
             best_w = w;
+            cut = new_cut;
         }
         sides
     }

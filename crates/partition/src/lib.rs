@@ -30,7 +30,7 @@ mod metis;
 mod shard;
 mod split;
 
-pub use dbpart::{DbPartition, NodeId, PartNode, UpdateImpact};
+pub use dbpart::{DbPartition, NodeId, PartNode, UpdateImpact, SPLIT_RANGE};
 pub use graphpart::{Criteria, GraphPart};
 pub use metis::MetisLike;
 pub use shard::{
@@ -42,14 +42,46 @@ pub use split::{split_by_sides, Piece, Split};
 use graphmine_graph::Graph;
 
 /// A graph bi-partitioner: assigns every vertex to side 1 (`true`, the
-/// paper's `V*`) or side 2 (`false`).
-pub trait Bipartitioner {
+/// paper's `V*`) or side 2 (`false`). Shareable across threads: a database
+/// split calls it for many graphs at once.
+pub trait Bipartitioner: Send + Sync {
     /// Computes the side assignment for `g`; `ufreq[v]` is the update
     /// frequency of vertex `v` (ignored by partitioners that do not use it).
     fn assign(&self, g: &Graph, ufreq: &[f64]) -> Vec<bool>;
 
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// One independent piece of work, named for diagnostics. It writes its
+/// result where it was told to; nothing comes back.
+pub struct WorkItem<'a> {
+    /// What the item is, e.g. `split:0:512..1024` — a runner that catches a
+    /// panic reports it under this name.
+    pub label: String,
+    /// The work.
+    pub run: Box<dyn FnOnce() + Send + 'a>,
+}
+
+/// Whatever runs a batch of independent work items — this crate builds the
+/// items and stays ignorant of thread pools; the caller that owns one
+/// passes it in behind this trait.
+pub trait BatchRunner {
+    /// Runs every item to completion, in any order, on any threads.
+    fn run_batch(&self, items: Vec<WorkItem<'_>>);
+}
+
+/// The runner of a caller without a pool: every item on the calling thread,
+/// in order.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Inline;
+
+impl BatchRunner for Inline {
+    fn run_batch(&self, items: Vec<WorkItem<'_>>) {
+        for item in items {
+            (item.run)();
+        }
+    }
 }
 
 /// Number of connective (cut) edges under a side assignment.

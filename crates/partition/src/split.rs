@@ -15,7 +15,7 @@
 
 #[cfg(feature = "fault-injection")]
 use graphmine_graph::fault;
-use graphmine_graph::{EdgeId, Graph, VertexId};
+use graphmine_graph::{CsrScratch, EdgeId, Graph, VertexId};
 
 /// One piece of a split graph, with provenance maps back to the parent.
 #[derive(Debug, Clone, Default)]
@@ -54,73 +54,91 @@ pub struct Split {
 }
 
 /// Splits `g` along `sides` (`true` = `V*`), keeping connective edges in
-/// both pieces.
+/// both pieces. The piece graphs come back frozen.
 pub fn split_by_sides(g: &Graph, ufreq: &[f64], sides: &[bool]) -> Split {
-    assert_eq!(sides.len(), g.vertex_count());
-    assert_eq!(ufreq.len(), g.vertex_count());
-    let mut side1 = PieceBuilder::new(g, ufreq);
-    let mut side2 = PieceBuilder::new(g, ufreq);
-    let mut connective = Vec::new();
-    let mut has_edge = vec![false; g.vertex_count()];
-    #[cfg(feature = "fault-injection")]
-    let mut drop_budget = 1usize;
-    for (eid, u, v, el) in g.edges() {
-        has_edge[u as usize] = true;
-        has_edge[v as usize] = true;
-        match (sides[u as usize], sides[v as usize]) {
-            (true, true) => side1.add_edge(eid, u, v, el),
-            (false, false) => side2.add_edge(eid, u, v, el),
-            _ => {
-                connective.push(eid);
-                #[cfg(feature = "fault-injection")]
-                if drop_budget > 0 && fault::armed(fault::Fault::DropConnectiveEdge) {
-                    // Mutant: the edge is recorded as connective but copied
-                    // into neither piece, so it vanishes from the units.
-                    drop_budget -= 1;
-                    continue;
+    Splitter::default().split(g, ufreq, sides)
+}
+
+/// [`split_by_sides`] with the buffers it works in kept from one graph to
+/// the next: a loop over a database allocates only what the pieces keep.
+#[derive(Debug, Default)]
+pub(crate) struct Splitter {
+    side1: PieceBuilder,
+    side2: PieceBuilder,
+    csr: CsrScratch,
+}
+
+impl Splitter {
+    pub(crate) fn split(&mut self, g: &Graph, ufreq: &[f64], sides: &[bool]) -> Split {
+        assert_eq!(sides.len(), g.vertex_count());
+        assert_eq!(ufreq.len(), g.vertex_count());
+        let Splitter { side1, side2, csr } = self;
+        side1.reset(g.vertex_count());
+        side2.reset(g.vertex_count());
+        let mut connective = Vec::new();
+        #[cfg(feature = "fault-injection")]
+        let mut drop_budget = 1usize;
+        for (eid, u, v, el) in g.edges() {
+            match (sides[u as usize], sides[v as usize]) {
+                (true, true) => side1.add_edge(eid, u, v, el),
+                (false, false) => side2.add_edge(eid, u, v, el),
+                _ => {
+                    connective.push(eid);
+                    #[cfg(feature = "fault-injection")]
+                    if drop_budget > 0 && fault::armed(fault::Fault::DropConnectiveEdge) {
+                        // Mutant: the edge is recorded as connective but copied
+                        // into neither piece, so it vanishes from the units.
+                        drop_budget -= 1;
+                        continue;
+                    }
+                    side1.add_edge(eid, u, v, el);
+                    side2.add_edge(eid, u, v, el);
                 }
-                side1.add_edge(eid, u, v, el);
-                side2.add_edge(eid, u, v, el);
             }
         }
-    }
-    // Isolated vertices join the piece of their side: they contribute no
-    // patterns, but dropping them would strand their labels outside every
-    // unit — relabel updates could not reach them and recovery would lose
-    // them.
-    for v in 0..g.vertex_count() as VertexId {
-        if !has_edge[v as usize] {
-            let side = if sides[v as usize] { &mut side1 } else { &mut side2 };
-            side.vertex(v);
+        // Isolated vertices join the piece of their side: they contribute no
+        // patterns, but dropping them would strand their labels outside every
+        // unit — relabel updates could not reach them and recovery would lose
+        // them.
+        for v in 0..g.vertex_count() as VertexId {
+            if g.degree(v) == 0 {
+                let side = if sides[v as usize] { &mut *side1 } else { &mut *side2 };
+                side.vertex(v);
+            }
         }
+        Split { side1: side1.finish(g, ufreq, csr), side2: side2.finish(g, ufreq, csr), connective }
     }
-    Split { side1: side1.finish(), side2: side2.finish(), connective }
 }
 
-struct PieceBuilder<'a> {
-    parent: &'a Graph,
-    parent_ufreq: &'a [f64],
-    piece: Piece,
+/// One piece under construction, as the plain lists
+/// [`Graph::from_edges`] takes.
+#[derive(Debug, Default)]
+struct PieceBuilder {
     /// parent vertex -> piece vertex (or MAX)
     lookup: Vec<u32>,
+    /// piece vertex -> parent vertex
+    vertex_map: Vec<VertexId>,
+    /// piece edge -> parent edge
+    edge_map: Vec<EdgeId>,
+    /// piece edges, over piece vertex ids
+    edges: Vec<(VertexId, VertexId, u32)>,
+    vlabels: Vec<u32>,
 }
 
-impl<'a> PieceBuilder<'a> {
-    fn new(parent: &'a Graph, parent_ufreq: &'a [f64]) -> Self {
-        PieceBuilder {
-            parent,
-            parent_ufreq,
-            piece: Piece::default(),
-            lookup: vec![u32::MAX; parent.vertex_count()],
-        }
+impl PieceBuilder {
+    fn reset(&mut self, parent_vertices: usize) {
+        self.lookup.clear();
+        self.lookup.resize(parent_vertices, u32::MAX);
+        self.vertex_map.clear();
+        self.edge_map.clear();
+        self.edges.clear();
     }
 
     fn vertex(&mut self, parent_v: VertexId) -> VertexId {
         let slot = &mut self.lookup[parent_v as usize];
         if *slot == u32::MAX {
-            *slot = self.piece.graph.add_vertex(self.parent.vlabel(parent_v));
-            self.piece.vertex_map.push(parent_v);
-            self.piece.ufreq.push(self.parent_ufreq[parent_v as usize]);
+            *slot = self.vertex_map.len() as VertexId;
+            self.vertex_map.push(parent_v);
         }
         *slot
     }
@@ -128,12 +146,21 @@ impl<'a> PieceBuilder<'a> {
     fn add_edge(&mut self, parent_e: EdgeId, u: VertexId, v: VertexId, label: u32) {
         let pu = self.vertex(u);
         let pv = self.vertex(v);
-        self.piece.graph.add_edge(pu, pv, label).expect("parent edges are unique");
-        self.piece.edge_map.push(parent_e);
+        self.edges.push((pu, pv, label));
+        self.edge_map.push(parent_e);
     }
 
-    fn finish(self) -> Piece {
-        self.piece
+    fn finish(&mut self, parent: &Graph, parent_ufreq: &[f64], csr: &mut CsrScratch) -> Piece {
+        self.vlabels.clear();
+        self.vlabels.extend(self.vertex_map.iter().map(|&v| parent.vlabel(v)));
+        let graph = Graph::from_edges(&self.vlabels, &self.edges, csr)
+            .unwrap_or_else(|(e, err)| panic!("parent edges are unique, piece edge {e}: {err}"));
+        Piece {
+            graph,
+            vertex_map: self.vertex_map.clone(),
+            edge_map: self.edge_map.clone(),
+            ufreq: self.vertex_map.iter().map(|&v| parent_ufreq[v as usize]).collect(),
+        }
     }
 }
 
