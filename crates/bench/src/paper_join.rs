@@ -23,7 +23,8 @@ use graphmine_graph::{
     intersect_sorted, DfsCode, EmbeddingMode, EmbeddingStore, GraphDb, GraphId, Pattern,
     PatternSet, Support, DEFAULT_EMBEDDING_BUDGET,
 };
-use graphmine_miner::extend::{one_edge_extensions, root_lists, EdgeVocab};
+use graphmine_miner::extend::{one_edge_extensions, EdgeVocab};
+use graphmine_miner::project::EdgeView;
 use graphmine_telemetry::Counters;
 
 /// Re-joins the two child results under the root of `state` the paper's
@@ -54,8 +55,8 @@ fn join(ctx: &JoinContext<'_>, p0: &PatternSet, p1: &PatternSet) -> PatternSet {
     // Line 1: frequent 1-edge patterns of S, counted exactly.
     let vocab = EdgeVocab::frequent_in(ctx.db, ctx.min_support);
     let mut out = PatternSet::new();
-    for (edge, list) in root_lists(ctx.db, &vocab) {
-        out.insert(Pattern::from_code(DfsCode(vec![edge]), list.support()));
+    for (root, _) in EdgeView::build(ctx.db, &vocab).roots() {
+        out.insert(Pattern::from_code(DfsCode(vec![root.edge]), root.support));
     }
 
     // Piece results with max-support union: the tightest available lower

@@ -232,6 +232,21 @@ fn threads_arg(args: &mut Args<'_>) -> Result<usize, String> {
     Ok(threads)
 }
 
+/// Parses the required `--minsup`, a fraction of the database's graphs in
+/// (0, 1]. Zero, a negative value and `nan` would all clamp to a threshold
+/// of one graph ([`GraphDb::abs_support`]) — every subgraph of every graph
+/// is frequent then, and the run ends when memory does — and a value above
+/// 1 asks for more graphs than there are; each fails here, before anything
+/// is loaded.
+fn minsup_arg(args: &mut Args<'_>) -> Result<f64, String> {
+    let minsup: f64 = args.require("--minsup")?;
+    if minsup > 0.0 && minsup <= 1.0 {
+        Ok(minsup)
+    } else {
+        Err(format!("--minsup {minsup} is not a fraction of the database in (0, 1]"))
+    }
+}
+
 fn criteria_arg(args: &mut Args<'_>) -> Result<PartitionerKind, String> {
     Ok(match args.value("--criteria") {
         None | Some("3") => PartitionerKind::GraphPart(Criteria::COMBINED),
@@ -399,7 +414,7 @@ pub fn diff(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
 /// `graphmine mine`
 pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
-    let minsup: f64 = args.require("--minsup")?;
+    let minsup = minsup_arg(&mut args)?;
     let algo = args.value("--algo").unwrap_or("partminer").to_string();
     let k: usize = args.parsed("--k")?.unwrap_or(2);
     let parallel = args.flag("--parallel");
@@ -610,7 +625,7 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         );
         (db, addr, dir, cfg)
     } else {
-        let minsup: f64 = args.require("--minsup")?;
+        let minsup = minsup_arg(&mut args)?;
         let addr = args.value("--addr").unwrap_or("127.0.0.1:7878").to_string();
         let k: usize = args.parsed("--k")?.unwrap_or(4);
         let pos = args.positionals()?;
@@ -665,7 +680,7 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
 pub fn shard_plan(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let n_shards: usize = args.require("--shards")?;
-    let minsup: f64 = args.require("--minsup")?;
+    let minsup = minsup_arg(&mut args)?;
     let k: Option<usize> = args.parsed("--k")?;
     let replicas: usize = args.parsed("--replicas")?.unwrap_or(1);
     let policy = args.value("--policy").unwrap_or("units").to_string();
@@ -826,7 +841,7 @@ pub fn client(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
 /// `graphmine incremental`
 pub fn incremental(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
-    let minsup: f64 = args.require("--minsup")?;
+    let minsup = minsup_arg(&mut args)?;
     let k: usize = args.parsed("--k")?.unwrap_or(2);
     let threads = threads_arg(&mut args)?;
     let partitioner = criteria_arg(&mut args)?;

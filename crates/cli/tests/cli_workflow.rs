@@ -113,6 +113,40 @@ fn misspelt_flags_are_errors() {
     assert!(!std::path::Path::new("no-dir").exists());
 }
 
+/// `--minsup` is a fraction of the database in (0, 1] at every command that
+/// takes one. Anything else is refused by name, with the range, before a
+/// file is opened: `0`, a negative value and `nan` used to mine at a
+/// threshold of one graph until memory ran out, `1.5` to print an empty
+/// result.
+#[test]
+fn minsup_outside_the_unit_interval_is_a_usage_error() {
+    type Cmd = fn(&[String], &mut dyn std::io::Write) -> Result<(), String>;
+    let commands: [(&str, Cmd, &[&str]); 4] = [
+        ("mine", commands::mine, &["no-db.txt"]),
+        ("incremental", commands::incremental, &["no-db.txt", "no-upd.txt"]),
+        ("serve", commands::serve, &["no-db.txt"]),
+        ("shard-plan", commands::shard_plan, &["no-db.txt", "--shards", "2", "-o", "no-dir"]),
+    ];
+    for (name, cmd, rest) in commands {
+        let run = |minsup: &str| {
+            let mut args = s(rest);
+            args.extend(s(&["--minsup", minsup]));
+            cmd(&args, &mut sink()).expect_err(name)
+        };
+        for bad in ["0", "-0.1", "nan", "1.5", "inf"] {
+            let err = run(bad);
+            assert!(err.contains("--minsup") && err.contains("(0, 1]"), "{name} {bad}: {err}");
+            assert!(!err.contains("no-"), "{name} {bad}: got as far as opening a file: {err}");
+        }
+        // The ends of the range pass the door and fail on the missing file.
+        for good in ["1", "1e-9"] {
+            let err = run(good);
+            assert!(err.contains("no-db.txt"), "{name} {good}: {err}");
+        }
+    }
+    assert!(!std::path::Path::new("no-dir").exists());
+}
+
 /// One answer: on a database where patterns are frequent inside single
 /// units, `mine` under the default algorithm — at any `k`, serial or
 /// parallel — writes the very bytes `--algo gspan` writes, and the

@@ -3,7 +3,7 @@
 //! `S0` and `S1`.
 //!
 //! The join is one depth-first projected walk over `S`
-//! ([`rightmost_children`]): a pattern's children are read off its own
+//! ([`EdgeView::project`]): a pattern's children are read off its own
 //! occurrences, so nothing is generated that `S` does not contain, and
 //! every child arrives with its support already counted — the support it is
 //! reported with, always. The piece results enter as the one verdict that
@@ -18,8 +18,9 @@
 
 use graphmine_exec::{Executor, Job};
 use graphmine_graph::dfscode::is_min;
-use graphmine_graph::{DfsCode, EmbeddingList, GraphDb, Pattern, PatternSet, Support};
-use graphmine_miner::extend::{rightmost_children, root_lists, EdgeVocab};
+use graphmine_graph::{DfsCode, GraphDb, Pattern, PatternSet, Support};
+use graphmine_miner::extend::EdgeVocab;
+use graphmine_miner::project::{EdgeView, Occurrences, Scratch};
 use graphmine_telemetry::{Counter, Counters, ReportSource, Telemetry};
 
 /// Everything a merge-join invocation needs to know about its node.
@@ -85,7 +86,7 @@ impl ReportSource for MergeStats {
 /// walk over `S`, from every frequent edge down. Lossless by gSpan's
 /// argument — every frequent pattern's minimum code is a rightmost
 /// extension of its frequent, minimal prefix, and the walk reaches every
-/// such prefix holding its full occurrence list, so [`rightmost_children`]
+/// such prefix holding its full occurrence list, so [`EdgeView::project`]
 /// returns the pattern's code with its exact support. Only the lists on the
 /// current root-to-leaf path are alive at any time.
 ///
@@ -100,36 +101,37 @@ pub fn merge_join(
     let mut stats = MergeStats::default();
 
     // Line 1: frequent 1-edge patterns of S, counted exactly.
-    let vocab = EdgeVocab::frequent_in(ctx.db, ctx.min_support);
-    let roots = root_lists(ctx.db, &vocab);
+    let view = EdgeView::build(ctx.db, &EdgeVocab::frequent_in(ctx.db, ctx.min_support));
 
     let mut out = PatternSet::new();
-    for (edge, list) in &roots {
-        out.insert(Pattern::from_code(DfsCode(vec![*edge]), list.support()));
+    for (root, _) in view.roots() {
+        out.insert(Pattern::from_code(DfsCode(vec![root.edge]), root.support));
     }
     // The exact 1-edge base is frequent by construction; tally it so the
     // verified_frequent counter accounts for every pattern in the output.
-    ctx.counters().add(Counter::VerifiedFrequent, roots.len() as u64);
+    ctx.counters().add(Counter::VerifiedFrequent, view.roots().len() as u64);
     if !within_cap(ctx, 2) {
         return (out, stats);
     }
 
     let _check_span = ctx.telemetry.map(|t| t.span("check_frequency"));
-    let walk = Walk { ctx, vocab: &vocab, pieces: [p0, p1] };
+    let walk = Walk { ctx, view: &view, pieces: [p0, p1] };
+    let subtrees = view.roots().map(|(root, occ)| (root.edge, occ));
     let Some(exec) = ctx.executor.filter(|exec| exec.threads() > 1) else {
-        for (edge, list) in roots {
-            walk.grow(&mut DfsCode(vec![edge]), &list, &mut out, &mut stats);
+        let mut scratch = view.scratch();
+        for (edge, occ) in subtrees {
+            walk.grow(&mut DfsCode(vec![edge]), &occ, &mut out, &mut stats, &mut scratch);
         }
         return (out, stats);
     };
     let walk = &walk;
-    let jobs: Vec<Job<'_, (PatternSet, MergeStats)>> = roots
-        .into_iter()
-        .map(|(edge, list)| {
+    let jobs: Vec<Job<'_, (PatternSet, MergeStats)>> = subtrees
+        .map(|(edge, occ)| {
             Job::new(format!("walk:{edge}"), move || {
                 let mut found = PatternSet::new();
                 let mut local = MergeStats::default();
-                walk.grow(&mut DfsCode(vec![edge]), &list, &mut found, &mut local);
+                let mut scratch = walk.view.scratch();
+                walk.grow(&mut DfsCode(vec![edge]), &occ, &mut found, &mut local, &mut scratch);
                 (found, local)
             })
         })
@@ -151,7 +153,8 @@ fn within_cap(ctx: &MergeContext<'_>, size: usize) -> bool {
 /// What stays fixed down one walk.
 struct Walk<'a> {
     ctx: &'a MergeContext<'a>,
-    vocab: &'a EdgeVocab,
+    /// `S` restricted to its frequent edges.
+    view: &'a EdgeView,
     /// The two piece results. Each holds canonical codes only, with a
     /// support that is a lower bound on the pattern's support in `S`.
     pieces: [&'a PatternSet; 2],
@@ -159,29 +162,34 @@ struct Walk<'a> {
 
 impl Walk<'_> {
     /// Reads the children of the frequent, minimal `code` off its
-    /// occurrence `list`, inserts every child the verdicts accept and
+    /// occurrences `occ`, inserts every child the verdicts accept and
     /// recurses into it.
     fn grow(
         &self,
         code: &mut DfsCode,
-        list: &EmbeddingList,
+        occ: &Occurrences<'_>,
         out: &mut PatternSet,
         stats: &mut MergeStats,
+        scratch: &mut Scratch,
     ) {
         if !within_cap(self.ctx, code.len() + 1) {
             return;
         }
         let counters = self.ctx.counters();
-        let children = rightmost_children(self.ctx.db, code, list, self.vocab);
+        let children = self.view.project(code, occ, self.ctx.min_support, scratch);
         stats.candidates += children.len();
         counters.add(Counter::CandidatesGenerated, children.len() as u64);
-        counters
-            .add(Counter::EmbeddingsExtended, children.iter().map(|(_, l)| l.len() as u64).sum());
-        for (edge, child) in children {
-            code.push(edge);
-            if let Some(sup) = self.verdict(code, &child, stats) {
+        counters.add(Counter::EmbeddingsExtended, children.total_rows());
+        for (child, rows) in children.iter() {
+            code.push(child.edge);
+            if let Some(sup) = self.verdict(code, child.support, stats) {
                 out.insert(Pattern::from_code(code.clone(), sup));
-                self.grow(code, &child, out, stats);
+                // An accepted child has a list unless a unit result vouched
+                // for a support `S` does not hold — a piece result that is
+                // not one of `S`'s pieces; there is nothing to walk then.
+                if let Some(rows) = rows {
+                    self.grow(code, &occ.child(rows), out, stats, scratch);
+                }
             }
             code.pop();
         }
@@ -190,18 +198,12 @@ impl Walk<'_> {
     /// The support `code` is reported with, or `None` when it is rejected.
     /// A unit support that already reaches the threshold proves the child
     /// frequent and — the piece results hold canonical codes only —
-    /// minimal, so it is accepted with the exact support its `list` holds;
-    /// any other child is rejected if that support is short of the
-    /// threshold and otherwise faces the canonical-code test.
-    fn verdict(
-        &self,
-        code: &DfsCode,
-        list: &EmbeddingList,
-        stats: &mut MergeStats,
-    ) -> Option<Support> {
+    /// minimal, so it is accepted with `sup`, its exact support in `S`; any
+    /// other child is rejected if that support is short of the threshold
+    /// and otherwise faces the canonical-code test.
+    fn verdict(&self, code: &DfsCode, sup: Support, stats: &mut MergeStats) -> Option<Support> {
         let ctx = self.ctx;
         let counters = ctx.counters();
-        let sup = list.support();
         let [p0, p1] = self.pieces;
         if let Some(unit) = p0.support(code).max(p1.support(code)).filter(|&u| u >= ctx.min_support)
         {

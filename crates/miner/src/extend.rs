@@ -14,20 +14,17 @@
 //! brute-force [`one_edge_extensions`] (used by the `Paper` join policy and
 //! FSG, whose frontiers are not). Both generate and then test.
 //!
-//! The data-driven twin is [`rightmost_children`]: given a pattern's
-//! occurrence list it reads off, in one pass, every rightmost extension
-//! that actually occurs, each with its own occurrence list — the projected
-//! step [`GSpan`](crate::GSpan) and PartMiner's `Complete` merge-join both
-//! walk with. [`root_lists`] builds the single-edge lists such a walk
-//! starts from.
+//! The data-driven twin is [`crate::project`]: given a pattern's
+//! occurrences it reads off, in one pass, every rightmost extension that
+//! actually occurs — the step [`GSpan`](crate::GSpan) and PartMiner's
+//! merge-join both walk with.
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use graphmine_graph::dfscode::{is_min_with, min_dfs_code};
 use graphmine_graph::iso::SupportIndex;
 use graphmine_graph::{
-    edge_triple, DfsCode, DfsEdge, ELabel, EmbeddingList, EmbeddingStore, Graph, GraphDb, Support,
-    VLabel,
+    edge_triple, DfsCode, DfsEdge, ELabel, EmbeddingStore, Graph, GraphDb, Support, VLabel,
 };
 use graphmine_telemetry::{Counter, Counters};
 
@@ -96,6 +93,11 @@ impl EdgeVocab {
         self.by_pair.get(&key).map_or(&[], Vec::as_slice)
     }
 
+    /// The normalised triples `(l_min, l_e, l_max)`, in no particular order.
+    pub fn triples(&self) -> impl Iterator<Item = (VLabel, ELabel, VLabel)> + '_ {
+        self.triples.iter().copied()
+    }
+
     /// Number of distinct triples.
     pub fn len(&self) -> usize {
         self.triples.len()
@@ -156,7 +158,8 @@ pub fn one_edge_extensions(g: &Graph, vocab: &EdgeVocab) -> Vec<DfsCode> {
 /// the Apriori level loop, its only caller); a partial frontier may miss
 /// children whose canonical parent is absent, which is why the
 /// paper-faithful `F^k` chain keeps [`one_edge_extensions`]. A caller that
-/// holds the parent's occurrences wants [`rightmost_children`] instead: it
+/// holds the parent's occurrences wants
+/// [`EdgeView::project`](crate::project::EdgeView::project) instead: it
 /// applies the same rightmost-path rule to the data, not the vocabulary.
 ///
 /// `g` must be the graph encoded by `code` with vertex ids equal to code
@@ -212,137 +215,6 @@ pub fn canonical_extensions(code: &DfsCode, g: &Graph, vocab: &EdgeVocab) -> Vec
         }
     }
     out
-}
-
-/// The root [`EmbeddingList`] of every vocabulary edge, from one scan of the
-/// database's edge lists: each `(l_min, l_e, l_max)` root code in `vocab`
-/// that occurs at all, paired with all its occurrences, in
-/// [`DfsEdge::dfs_cmp`] order.
-///
-/// With `vocab` = [`EdgeVocab::frequent_in`] these are the frequent single
-/// edges a depth-first walk starts from; supports and supporter gids are
-/// read off the lists ([`EmbeddingList::support`],
-/// [`EmbeddingList::supporting_gids`]). Each list equals
-/// [`EmbeddingList::roots`] for its edge, row for row — that call rescans
-/// the database per edge, this one builds them all together, and starts no
-/// list for an edge outside the vocabulary.
-pub fn root_lists(db: &GraphDb, vocab: &EdgeVocab) -> Vec<(DfsEdge, EmbeddingList)> {
-    let mut groups: FxHashMap<DfsEdge, EmbeddingList> = FxHashMap::default();
-    // Scanning gids in order keeps every group's arena gid-sorted.
-    for (gid, g) in db.iter() {
-        for (eid, u, v, el) in g.edges() {
-            let (a, b) = if g.vlabel(u) <= g.vlabel(v) { (u, v) } else { (v, u) };
-            let (la, lb) = (g.vlabel(a), g.vlabel(b));
-            if !vocab.contains(la, el, lb) {
-                continue;
-            }
-            let group = groups
-                .entry(DfsEdge::new(0, 1, la, el, lb))
-                .or_insert_with(|| EmbeddingList::empty(2, 1));
-            group.push(gid, &[a, b], &[eid]);
-            if la == lb {
-                group.push(gid, &[b, a], &[eid]);
-            }
-        }
-    }
-    let mut roots: Vec<(DfsEdge, EmbeddingList)> = groups.into_iter().collect();
-    roots.sort_by(|(a, _), (b, _)| a.dfs_cmp(b));
-    roots
-}
-
-/// Every rightmost extension of `code` that occurs in `db`, read off the
-/// pattern's occurrences in **one** pass over `list`'s rows: a backward
-/// edge from the rightmost vertex to a rightmost-path ancestor above the
-/// backward floor, or a forward edge from any rightmost-path vertex to a
-/// vertex the row has not mapped yet. Each extension comes with the child's
-/// complete [`EmbeddingList`] (equal, row for row, to
-/// [`EmbeddingList::extend`] by that edge), in [`DfsEdge::dfs_cmp`] order.
-/// Extensions over an edge outside `vocab` are skipped where they are met:
-/// a child containing an infrequent edge cannot be frequent, and dropping
-/// it before a list is started for it is most of what the filter saves.
-///
-/// This is the projected step of gSpan. Every frequent pattern's minimum
-/// code is a rightmost extension of its minimum, frequent prefix, so a
-/// depth-first walk that starts from the frequent [`root_lists`], calls
-/// this on each frequent minimal code it reaches and keeps the children
-/// that are frequent ([`EmbeddingList::support`]) and minimal
-/// ([`graphmine_graph::dfscode::is_min`]) visits every frequent pattern
-/// exactly once — with its exact support and supporters already counted.
-/// Nothing is generated that the data does not contain, which is the
-/// difference to [`canonical_extensions`].
-///
-/// `list` must hold the occurrences of `code` in `db`; the caller tallies
-/// its own counters (the kernel is shared by the unit miner and the
-/// merge-join, which count under different names).
-pub fn rightmost_children(
-    db: &GraphDb,
-    code: &DfsCode,
-    list: &EmbeddingList,
-    vocab: &EdgeVocab,
-) -> Vec<(DfsEdge, EmbeddingList)> {
-    let path = code.rightmost_path();
-    let (&rm, ancestors) = path.split_last().expect("non-empty code has a rightmost vertex");
-    // Backward edges from one vertex must close to ancestors in increasing
-    // order, so a backward last entry floors the targets.
-    let back_floor = match code.0.last() {
-        Some(e) if !e.is_forward() => e.to + 1,
-        _ => 0,
-    };
-    #[cfg(feature = "fault-injection")]
-    let ancestors: &[u32] =
-        if graphmine_graph::fault::armed(graphmine_graph::fault::Fault::DropBackwardChild) {
-            &[]
-        } else {
-            ancestors
-        };
-    let (vs, es) = (list.vertex_stride(), list.edge_stride());
-    let new_vertex = vs as u32;
-
-    let mut children: FxHashMap<DfsEdge, EmbeddingList> = FxHashMap::default();
-    for row in 0..list.len() {
-        let g = db.graph(list.gid(row));
-        let map = list.vertices(row);
-        let g_rm = map[rm as usize];
-
-        for &pv in ancestors {
-            if pv < back_floor {
-                continue;
-            }
-            let g_pv = map[pv as usize];
-            let Some(eid) = g.edge_between(g_rm, g_pv) else {
-                continue;
-            };
-            let (l_rm, el, l_pv) = (g.vlabel(g_rm), g.edge(eid).2, g.vlabel(g_pv));
-            if list.uses_edge(row, eid) || !vocab.contains(l_rm, el, l_pv) {
-                continue;
-            }
-            children
-                .entry(DfsEdge::new(rm, pv, l_rm, el, l_pv))
-                .or_insert_with(|| EmbeddingList::empty(vs, es + 1))
-                .push_extended(list, row, None, eid);
-        }
-
-        for &pv in &path {
-            let g_pv = map[pv as usize];
-            let l_pv = g.vlabel(g_pv);
-            for a in g.neighbors(g_pv) {
-                // A mapped far end also covers a used edge: both ends of
-                // every edge the row uses are mapped.
-                let l_to = g.vlabel(a.to);
-                if !vocab.contains(l_pv, a.elabel, l_to) || map.contains(&a.to) {
-                    continue;
-                }
-                children
-                    .entry(DfsEdge::new(pv, new_vertex, l_pv, a.elabel, l_to))
-                    .or_insert_with(|| EmbeddingList::empty(vs + 1, es + 1))
-                    .push_extended(list, row, Some(a.to), a.eid);
-            }
-        }
-    }
-
-    let mut ordered: Vec<(DfsEdge, EmbeddingList)> = children.into_iter().collect();
-    ordered.sort_by(|(a, _), (b, _)| a.dfs_cmp(b));
-    ordered
 }
 
 /// Counts one candidate's support, preferring the embedding-list engine and
@@ -433,26 +305,6 @@ mod tests {
         let vocab = EdgeVocab::frequent_in(&db, 2);
         assert_eq!(vocab.len(), 1);
         assert_eq!(vocab.closable(0, 1), &[0]);
-    }
-
-    #[test]
-    fn frequent_edges_counts_per_graph() {
-        let mut g1 = Graph::new();
-        let a = g1.add_vertex(0);
-        let b = g1.add_vertex(1);
-        let c = g1.add_vertex(1);
-        g1.add_edge(a, b, 3).unwrap();
-        g1.add_edge(a, c, 3).unwrap(); // same triple twice in one graph
-        g1.add_edge(b, c, 4).unwrap(); // in one graph only
-        let db = GraphDb::from_graphs(vec![g1, single_edge(0, 3, 1)]);
-        let f = root_lists(&db, &EdgeVocab::frequent_in(&db, 2));
-        assert_eq!(f.len(), 1, "the infrequent edge gets no list");
-        let (edge, list) = &f[0];
-        assert_eq!(*edge, DfsEdge::new(0, 1, 0, 3, 1));
-        assert_eq!(list.len(), 3, "every occurrence is a row");
-        assert_eq!(list.support(), 2, "support counts graphs, not rows");
-        assert_eq!(*list, EmbeddingList::roots(&db, edge));
-        assert!(root_lists(&db, &EdgeVocab::frequent_in(&db, 3)).is_empty());
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! and expanded only from its *minimum* DFS code
 //! ([`graphmine_graph::dfscode::is_min`]), which makes the search space a
 //! tree: no pattern is enumerated twice. Support counting piggybacks on the
-//! projected [`EmbeddingList`]s carried down the search — the shared
-//! flat-arena occurrence store from [`graphmine_graph::embeddings`] — so no
-//! isolated subgraph-isomorphism test is ever needed.
+//! projected occurrence lists carried down the search
+//! ([`crate::project`]), so no isolated subgraph-isomorphism test is ever
+//! needed.
 
 use graphmine_graph::dfscode::is_min;
-use graphmine_graph::{DfsCode, EmbeddingList, GraphDb, Pattern, PatternSet, Support};
+use graphmine_graph::{DfsCode, GraphDb, Pattern, PatternSet, Support};
 use graphmine_telemetry::{Counter, Counters};
 
-use crate::extend::{rightmost_children, root_lists, EdgeVocab};
+use crate::extend::EdgeVocab;
+use crate::project::{EdgeView, Occurrences, Scratch};
 use crate::{within_cap, MemoryMiner};
 
 /// The gSpan miner.
@@ -54,10 +55,9 @@ impl MemoryMiner for GSpan {
 
 /// What stays fixed down one gSpan search.
 struct Search<'a> {
-    db: &'a GraphDb,
-    /// The database's own frequent edges: an extension over any other edge
-    /// cannot be frequent.
-    vocab: EdgeVocab,
+    /// The database restricted to its own frequent edges: an extension
+    /// over any other edge cannot be frequent.
+    view: &'a EdgeView,
     min_support: Support,
     max_edges: Option<usize>,
     counters: &'a Counters,
@@ -70,12 +70,12 @@ impl GSpan {
             return out;
         }
 
-        let vocab = EdgeVocab::frequent_in(db, min_support);
-        let roots = root_lists(db, &vocab);
-        counters.add(Counter::MinerExtensions, roots.len() as u64);
-        let search = Search { db, vocab, min_support, max_edges: self.max_edges, counters };
-        for (edge, embeddings) in roots {
-            search.grow(&mut DfsCode(vec![edge]), &embeddings, &mut out);
+        let view = EdgeView::build(db, &EdgeVocab::frequent_in(db, min_support));
+        counters.add(Counter::MinerExtensions, view.roots().len() as u64);
+        let search = Search { view: &view, min_support, max_edges: self.max_edges, counters };
+        let mut scratch = view.scratch();
+        for (root, occ) in view.roots() {
+            search.grow(&mut DfsCode(vec![root.edge]), &occ, root.support, &mut out, &mut scratch);
         }
         counters.add(Counter::MinerPatterns, out.len() as u64);
         out
@@ -83,25 +83,30 @@ impl GSpan {
 }
 
 impl Search<'_> {
-    fn grow(&self, code: &mut DfsCode, embeddings: &EmbeddingList, out: &mut PatternSet) {
+    fn grow(
+        &self,
+        code: &mut DfsCode,
+        occ: &Occurrences<'_>,
+        support: Support,
+        out: &mut PatternSet,
+        scratch: &mut Scratch,
+    ) {
         if !is_min(code) {
             return;
         }
-        out.insert(Pattern::from_code(code.clone(), embeddings.support()));
+        out.insert(Pattern::from_code(code.clone(), support));
         if !within_cap(self.max_edges, code.len() + 1) {
             return;
         }
 
-        let children = rightmost_children(self.db, code, embeddings, &self.vocab);
+        let children = self.view.project(code, occ, self.min_support, scratch);
         self.counters.add(Counter::MinerExtensions, children.len() as u64);
-        self.counters
-            .add(Counter::EmbeddingsExtended, children.iter().map(|(_, l)| l.len() as u64).sum());
-        for (edge, embs) in children {
-            if embs.support() < self.min_support {
-                continue;
-            }
-            code.push(edge);
-            self.grow(code, &embs, out);
+        self.counters.add(Counter::EmbeddingsExtended, children.total_rows());
+        for (child, rows) in children.iter() {
+            // No list: the child's support is short of the threshold.
+            let Some(rows) = rows else { continue };
+            code.push(child.edge);
+            self.grow(code, &occ.child(rows), child.support, out, scratch);
             code.pop();
         }
     }

@@ -50,6 +50,7 @@ mod fsg;
 mod gaston;
 mod gspan;
 pub mod postprocess;
+pub mod project;
 
 pub use apriori::Apriori;
 pub use fsg::Fsg;

@@ -1,20 +1,23 @@
 //! The extension kernel against its independent re-derivation.
 //!
 //! gSpan is the reference of the oracle and of the perf ledger, and since
-//! it shares [`rightmost_children`] with PartMiner's merge-join, a defect
-//! in the kernel would move reference and subject together. So the kernel
+//! it shares [`EdgeView::project`] with PartMiner's merge-join, a defect in
+//! the kernel would move reference and subject together. So the kernel
 //! itself is held, on random small databases, to the two things it must
 //! equal and shares no code with: [`EmbeddingList::extend`] (the child list
 //! of one given edge, row for row) and [`iso::support`] (the backtracking
 //! search). Completeness is checked the generate-then-test way round:
 //! every vocabulary edge in every rightmost position whose `extend` is
-//! non-empty must be among the children.
+//! non-empty must be among the children. The kernel's lists are links, so
+//! the test reads them back through the links itself ([`expand`]), and its
+//! counts must hold for the children it lays out no list for, too.
 
 use proptest::prelude::*;
 
 use graphmine_graph::dfscode::is_min;
-use graphmine_graph::{iso, DfsCode, DfsEdge, EmbeddingList, Graph, GraphDb};
-use graphmine_miner::extend::{rightmost_children, root_lists, EdgeVocab};
+use graphmine_graph::{iso, DfsCode, DfsEdge, EmbeddingList, Graph, GraphDb, Support};
+use graphmine_miner::extend::EdgeVocab;
+use graphmine_miner::project::{EdgeView, Occurrences, Scratch};
 
 /// Strategy: a random connected labeled graph (spanning tree + extra edges)
 /// over two vertex and two edge labels, so patterns embed many ways and
@@ -81,66 +84,132 @@ fn vocabulary_extensions(code: &DfsCode, vocab: &EdgeVocab) -> Vec<DfsEdge> {
     out
 }
 
-/// Checks the kernel at `code` and below, down every minimal child.
+/// The occurrences behind `occ` as full rows, every image read back by
+/// following the parent links: a row's vertices are its root row's two,
+/// then the new vertex of each forward link below it; its edges one per
+/// link.
+fn expand(code: &DfsCode, occ: &Occurrences<'_>) -> EmbeddingList {
+    let mut list = EmbeddingList::empty(code.vertex_count(), code.len());
+    for row in occ.rows {
+        let (mut vertices, mut edges) = (Vec::new(), Vec::new());
+        let (mut link, mut level) = (*row, occ);
+        while let Some(up) = level.up {
+            vertices.extend(link.new_vertex());
+            edges.push(link.edge);
+            (link, level) = (up.rows[link.parent as usize], up);
+        }
+        vertices.extend([link.vertex, link.parent]);
+        edges.push(link.edge);
+        vertices.reverse();
+        edges.reverse();
+        list.push(row.gid, &vertices, &edges);
+    }
+    list
+}
+
+/// Checks the kernel at `code` and below, down every minimal child it kept
+/// a list for.
 fn check_subtree(
     db: &GraphDb,
     vocab: &EdgeVocab,
+    view: &EdgeView,
     code: &mut DfsCode,
-    list: &EmbeddingList,
-    max_edges: usize,
+    occ: &Occurrences<'_>,
+    (theta, max_edges): (Support, usize),
+    scratch: &mut Scratch,
 ) {
-    let children = rightmost_children(db, code, list, vocab);
-    for pair in children.windows(2) {
+    let list = expand(code, occ);
+    let children = view.project(code, occ, theta, scratch);
+    let edges: Vec<DfsEdge> = children.iter().map(|(c, _)| c.edge).collect();
+    for pair in edges.windows(2) {
         prop_assert!(
-            pair[0].0.dfs_cmp(&pair[1].0).is_lt(),
+            pair[0].dfs_cmp(&pair[1]).is_lt(),
             "children of {} are not in strict dfs order: {} then {}",
             code,
-            pair[0].0,
-            pair[1].0
+            pair[0],
+            pair[1]
         );
     }
     for e in vocabulary_extensions(code, vocab) {
         if !list.extend(db, &e).is_empty() {
             prop_assert!(
-                children.iter().any(|(edge, _)| *edge == e),
+                edges.contains(&e),
                 "extension {} of {} occurs but the kernel did not return it",
                 e,
                 code
             );
         }
     }
-    for (edge, child) in children {
+    let mut total_rows = 0;
+    for (child, rows) in children.iter() {
+        let edge = child.edge;
         prop_assert!(
             vocab.contains(edge.from_label, edge.edge_label, edge.to_label),
             "child {} of {} is outside the vocabulary",
             edge,
             code
         );
-        prop_assert!(!child.is_empty(), "child {} of {} has no occurrence", edge, code);
-        prop_assert_eq!(&child, &list.extend(db, &edge), "child {} of {}", edge, code);
+        let reference = list.extend(db, &edge);
+        prop_assert!(!reference.is_empty(), "child {} of {} has no occurrence", edge, code);
+        prop_assert_eq!(
+            (child.support, child.rows as usize),
+            (reference.support(), reference.len()),
+            "counts of child {} of {}",
+            edge,
+            code
+        );
+        total_rows += reference.len() as u64;
+        prop_assert_eq!(
+            rows.is_some(),
+            child.support >= theta,
+            "child {} of {}: support {} against threshold {}",
+            edge,
+            code,
+            child.support,
+            theta
+        );
         code.push(edge);
-        prop_assert_eq!(child.support(), iso::support(db, code), "support of {}", code);
-        if code.len() < max_edges && is_min(code) {
-            check_subtree(db, vocab, code, &child, max_edges);
+        prop_assert_eq!(child.support, iso::support(db, code), "support of {}", code);
+        if let Some(rows) = rows {
+            let below = occ.child(rows);
+            prop_assert_eq!(&expand(code, &below), &reference, "rows of {}", code);
+            if code.len() < max_edges && is_min(code) {
+                check_subtree(db, vocab, view, code, &below, (theta, max_edges), scratch);
+            }
         }
         code.pop();
     }
+    prop_assert_eq!(children.total_rows(), total_rows, "rows over all children of {}", code);
 }
 
+// No explicit case count: `PROPTEST_CASES` sizes the run (CI repeats it at
+// 2000 in release).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Threshold 1 makes every edge of the database a vocabulary edge;
-    /// threshold 2 leaves some out, so the filter has something to drop.
+    /// Vocabulary threshold 1 makes every edge of the database a vocabulary
+    /// edge; 2 leaves some out, so the filter has something to drop. The
+    /// list threshold `theta` is the walk's own: at 1 every child keeps its
+    /// list, at 2 and 3 some are counted only.
     #[test]
-    fn kernel_agrees_with_extend_and_search(db in db_strategy(), min_support in 1u32..3) {
+    fn kernel_agrees_with_extend_and_search(
+        db in db_strategy(),
+        min_support in 1u32..3,
+        theta in 1u32..4,
+    ) {
         let vocab = EdgeVocab::frequent_in(&db, min_support);
-        let roots = root_lists(&db, &vocab);
-        prop_assert_eq!(roots.len(), vocab.len(), "one root list per vocabulary edge");
-        for (edge, list) in roots {
-            prop_assert_eq!(&list, &EmbeddingList::roots(&db, &edge), "roots of {}", edge);
-            prop_assert_eq!(list.support(), iso::support(&db, &DfsCode(vec![edge])));
-            check_subtree(&db, &vocab, &mut DfsCode(vec![edge]), &list, 5);
+        let view = EdgeView::build(&db, &vocab);
+        let mut scratch = view.scratch();
+        prop_assert_eq!(view.roots().len(), vocab.len(), "one root list per vocabulary edge");
+        let roots: Vec<DfsEdge> = view.roots().map(|(c, _)| c.edge).collect();
+        for pair in roots.windows(2) {
+            prop_assert!(pair[0].dfs_cmp(&pair[1]).is_lt(), "roots {} then {}", pair[0], pair[1]);
+        }
+        for (root, occ) in view.roots() {
+            let code = &mut DfsCode(vec![root.edge]);
+            let reference = EmbeddingList::roots(&db, &root.edge);
+            prop_assert_eq!(&expand(code, &occ), &reference, "roots of {}", root.edge);
+            prop_assert_eq!((root.support, root.rows as usize), (reference.support(), reference.len()));
+            prop_assert_eq!(root.support, iso::support(&db, code));
+            check_subtree(&db, &vocab, &view, code, &occ, (theta, 5), &mut scratch);
         }
     }
 }

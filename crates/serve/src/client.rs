@@ -201,14 +201,29 @@ impl Client {
 
     /// Sends one raw request line and returns the parsed response.
     ///
+    /// The line and its newline leave in **one** write: written as two
+    /// (`writeln!` on an unbuffered socket), the newline is a second small
+    /// segment that Nagle's algorithm holds back until the first is
+    /// acknowledged, and the peer's delayed ACK makes that ~40 ms on every
+    /// request. A request is one line, so a line break inside `line` is
+    /// refused before anything is sent: the server would answer it as two
+    /// requests and every later reply on this connection would answer the
+    /// question before it.
+    ///
     /// # Errors
     ///
-    /// Fails on I/O errors, an unparsable response, or a response whose
-    /// `status` is not `"ok"` (the server's `error` message is returned).
+    /// Fails on a request that spans lines, on I/O errors, an unparsable
+    /// response, or a response whose `status` is not `"ok"` (the server's
+    /// `error` message is returned).
     pub fn request_line(&mut self, line: &str) -> Result<JsonValue, String> {
-        writeln!(self.writer, "{}", line.trim_end())
+        let line = line.trim_end();
+        if line.contains(['\n', '\r']) {
+            return Err(format!("send to {}: request spans lines", self.addr));
+        }
+        let wire = format!("{line}\n");
+        self.writer
+            .write_all(wire.as_bytes())
             .map_err(|e| format!("send to {}: {e}", self.addr))?;
-        self.writer.flush().map_err(|e| format!("send to {}: {e}", self.addr))?;
         let mut reply = String::new();
         let n = self.reader.read_line(&mut reply).map_err(|e| {
             if is_timeout(&e) {
@@ -425,5 +440,42 @@ mod tests {
         assert!(err.contains(&addr), "missing address: {err}");
         assert!(err.contains("timed out after"), "missing timeout marker: {err}");
         drop(hold.join().unwrap());
+    }
+
+    /// The request leaves in one segment: a peer that reads once, 5 ms
+    /// after the previous reply, sees the whole line *with* its newline.
+    /// Written as two (`writeln!` on the bare socket) the newline is a
+    /// second small segment, which Nagle holds until the first is
+    /// acknowledged — and once the connection has settled into
+    /// request/reply the peer delays that ACK ~40 ms. A fresh connection
+    /// ACKs at once, hence the rounds.
+    #[test]
+    fn a_request_is_one_write() {
+        const ROUNDS: usize = 8;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut seen = Vec::new();
+            for _ in 0..ROUNDS {
+                std::thread::sleep(Duration::from_millis(5));
+                let mut buf = [0u8; 256];
+                let n = std::io::Read::read(&mut conn, &mut buf).unwrap();
+                seen.push(String::from_utf8_lossy(&buf[..n]).into_owned());
+                // Whatever was held back arrives before the reply leaves.
+                while !seen.last().unwrap().ends_with('\n') {
+                    let n = std::io::Read::read(&mut conn, &mut buf).unwrap();
+                    seen.push(String::from_utf8_lossy(&buf[..n]).into_owned());
+                }
+                conn.write_all(b"{\"status\":\"ok\"}\n").unwrap();
+            }
+            seen
+        });
+        let mut client = Client::connect(addr.as_str()).unwrap();
+        for _ in 0..ROUNDS {
+            client.status(false).unwrap();
+        }
+        let line = format!("{}\n", protocol::encode_status(false));
+        assert_eq!(peer.join().unwrap(), vec![line; ROUNDS]);
     }
 }
