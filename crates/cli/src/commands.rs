@@ -60,12 +60,14 @@ USAGE:
       round's run report as JSON.
 
   graphmine serve FILE --minsup FRAC [--data-dir DIR] [--addr 127.0.0.1:7878]
-                 [--k K] [--workers W] [--queue-depth Q] [--parallel]
+                 [--workers W] [--queue-depth Q] [--parallel]
                  [--ingest-capacity N] [--no-coalesce] [--window N]
       Run the resident pattern-serving daemon on FILE. Mines at boot,
       keeps P(D) warm, and answers queries over a newline-delimited JSON
       protocol while `update` windows stream in (group-committed to the
-      journal; one fsync barrier covers concurrent windows).
+      journal; one fsync barrier covers concurrent windows). Boot and
+      every window mine with one walk over the whole database at minsup;
+      --parallel fans the walk out over a thread pool.
       --ingest-capacity bounds the acked-but-unapplied windows (the
       staleness bound, default 8) — beyond it updates are shed with a
       `backpressure` reply. --no-coalesce disables per-window update
@@ -73,8 +75,8 @@ USAGE:
       newest N update windows stay live; older ones are expired by a
       journaled inverse batch (see docs/SERVICE.md). --data-dir holds
       the snapshot, journal and meta (default: FILE + \".serve\"); on
-      restart the snapshot pins minsup/k and is mined again, then the
-      journal is replayed.
+      restart the snapshot pins minsup, the journal is applied to it, and
+      the result is mined once.
 
   graphmine shard-plan FILE --shards N --minsup FRAC [--k K] [--replicas R]
                  [--policy units|hub] [--hub-threshold T] [--host H]
@@ -88,7 +90,7 @@ USAGE:
 
   graphmine serve --shard-from TOPOLOGY --shard-id I [--replica R]
                  [--data-dir DIR] [--workers W] [--queue-depth Q]
-                 [--parallel] [--k K]
+                 [--parallel]
       Boot one shard (replica R, default 0) of a planned fleet: loads
       the shard database next to TOPOLOGY, mines at the topology's
       local_min_support restricted to the shard's owned gids, and binds
@@ -584,7 +586,6 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let (db, addr, dir, mut cfg) = if let Some(topo_path) = shard_from {
         let shard_id: usize = args.require("--shard-id")?;
         let replica: usize = args.parsed("--replica")?.unwrap_or(0);
-        let k: usize = args.parsed("--k")?.unwrap_or(4);
         if !args.positionals()?.is_empty() {
             return Err("serve --shard-from takes its database from the topology".into());
         }
@@ -611,7 +612,6 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         });
         let cfg = EngineConfig {
             min_support: topo.local_min_support,
-            k,
             parallel,
             owned: Some(spec.owned.clone()),
             ..EngineConfig::default()
@@ -627,7 +627,6 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     } else {
         let minsup = minsup_arg(&mut args)?;
         let addr = args.value("--addr").unwrap_or("127.0.0.1:7878").to_string();
-        let k: usize = args.parsed("--k")?.unwrap_or(4);
         let pos = args.positionals()?;
         let [path] = pos.as_slice() else {
             return Err("serve needs exactly one database file".into());
@@ -636,7 +635,6 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         let dir = data_dir.unwrap_or_else(|| format!("{path}.serve"));
         let cfg = EngineConfig {
             min_support: db.abs_support(minsup),
-            k,
             parallel,
             ..EngineConfig::default()
         };

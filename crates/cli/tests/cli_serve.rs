@@ -22,7 +22,7 @@ fn s(args: &[&str]) -> Vec<String> {
 fn client_subcommand_round_trip() {
     let dir = tempfile::tempdir().unwrap();
     let db = generate(&GenParams::new(24, 6, 4, 4, 3).with_seed(11));
-    let cfg = EngineConfig { min_support: db.abs_support(0.3), k: 2, ..EngineConfig::default() };
+    let cfg = EngineConfig { min_support: db.abs_support(0.3), ..EngineConfig::default() };
     let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &cfg).unwrap();
     let handle = start(Arc::new(engine), &ServerConfig::default()).unwrap();
     let addr = handle.addr().to_string();
@@ -91,6 +91,16 @@ fn serve_argument_errors() {
     );
     assert!(commands::serve(&s(&["nonexistent.txt", "--minsup", "0.3"]), &mut sink()).is_err());
     assert!(commands::serve(&s(&["x.txt"]), &mut sink()).is_err(), "missing --minsup");
+    // The daemon mines without units: `--k` is a flag `serve` does not
+    // have, in either form, refused before any file is opened.
+    let forms: [&[&str]; 2] = [
+        &["x.txt", "--minsup", "0.3", "--k", "2"],
+        &["--shard-from", "t.json", "--shard-id", "0", "--k", "2"],
+    ];
+    for args in forms {
+        let err = commands::serve(&s(args), &mut sink()).unwrap_err();
+        assert_eq!(err, "unexpected argument `--k`", "{args:?}");
+    }
 }
 
 fn generate_db(path: &Path) {
@@ -127,7 +137,7 @@ fn serve_reports_a_bad_thread_budget() {
     let topology = plan.join("topology.json");
 
     let cases: [&[&str]; 2] = [
-        &[db_s, "--minsup", "0.3", "--k", "2", "--parallel"],
+        &[db_s, "--minsup", "0.3", "--parallel"],
         &["--shard-from", topology.to_str().unwrap(), "--shard-id", "0", "--parallel"],
     ];
     for args in cases {
@@ -151,16 +161,7 @@ fn serve_restarts_from_its_snapshot() {
     let db = dir.path().join("db.txt");
     generate_db(&db);
     let data = dir.path().join("d");
-    let args = [
-        db.to_str().unwrap(),
-        "--minsup",
-        "0.3",
-        "--k",
-        "2",
-        "--addr",
-        "127.0.0.1:0",
-        "--data-dir",
-    ];
+    let args = [db.to_str().unwrap(), "--minsup", "0.3", "--addr", "127.0.0.1:0", "--data-dir"];
 
     let mut booted = Vec::new();
     for _ in 0..2 {

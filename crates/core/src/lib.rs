@@ -88,5 +88,5 @@ pub use partminer::{MineOutcome, MineStats, PartMiner, PartMinerState, PoolRunne
 
 // The shared work-stealing pool, re-exported so pipeline callers (CLI,
 // oracle, serving daemon) can build one pool and thread it through
-// [`PartMiner::mine_on`] / [`IncPartMiner::update_on`].
+// [`PartMiner::mine_on`] / [`IncPartMiner::update_on`] / [`MergeContext`].
 pub use graphmine_exec::{ExecCounters, ExecError, Executor, Job};

@@ -536,9 +536,9 @@ fn check_serve(
     mirror: Option<&GraphDb>,
 ) -> Result<(), CheckFailure> {
     const CHECK: &str = "serve";
-    // The serving engine mines uncapped; only run it where the cap is
-    // provably not binding and the unit-level threshold stays above the
-    // enumerate-everything floor.
+    // The engine walks its database uncapped at θ: only run it where the
+    // cap is provably not binding, and not at θ = 1, where the walk itself
+    // enumerates every connected subgraph of every graph.
     if case.min_support < 2
         || case.db.is_empty()
         || case.db.total_edges() > 120
@@ -548,7 +548,7 @@ fn check_serve(
     }
     let dir = tempfile::tempdir()
         .map_err(|e| fail(CHECK, format!("cannot create a scratch dir: {e}")))?;
-    let cfg = EngineConfig { min_support: case.min_support, k: 2, ..EngineConfig::default() };
+    let cfg = EngineConfig { min_support: case.min_support, ..EngineConfig::default() };
     let (engine, boot) = ServeEngine::boot(Some(&case.db), dir.path(), &cfg)
         .map_err(|e| fail(CHECK, format!("boot failed: {e}")))?;
     if boot.epoch != 0 {
@@ -673,7 +673,8 @@ fn check_window_equivalence(case: &Case, reference: &PatternSet) -> Result<(), C
     const CHECK: &str = "window-equivalence";
     const WINDOWS: usize = 4;
     const RETAIN: usize = 2;
-    // Same uncapped-mining guards as the serve check.
+    // Same uncapped-mining guards as the serve check (θ = 1 is the
+    // enumerate-everything walk).
     if case.min_support < 2
         || case.db.is_empty()
         || case.db.total_edges() > 120
@@ -704,7 +705,6 @@ fn check_window_equivalence(case: &Case, reference: &PatternSet) -> Result<(), C
         .map_err(|e| fail(CHECK, format!("cannot create a scratch dir: {e}")))?;
     let cfg = EngineConfig {
         min_support: case.min_support,
-        k: 2,
         window: Some(RETAIN),
         ..EngineConfig::default()
     };
@@ -782,9 +782,9 @@ fn check_router_equivalence(
     mirror: Option<&GraphDb>,
 ) -> Result<(), CheckFailure> {
     const CHECK: &str = "router-equivalence";
-    // Same uncapped-mining guards as the serve check, plus one more: the
-    // shards mine at ceil(s / 2), which must itself stay >= 2 or a shard
-    // would enumerate at the everything-is-frequent floor.
+    // Same uncapped-mining guards as the serve check, for the shards too:
+    // each walks its database at ceil(s / 2), with no further halving, so
+    // s >= 3 keeps every shard off the enumerate-everything θ = 1.
     if case.min_support < 3
         || case.db.is_empty()
         || case.db.total_edges() > 120
@@ -805,7 +805,6 @@ fn check_router_equivalence(
             .map_err(|e| fail(CHECK, format!("cannot create a scratch dir: {e}")))?;
         let cfg = EngineConfig {
             min_support: topo.local_min_support,
-            k: 2,
             owned: Some(topo.shards[s].owned.clone()),
             ..EngineConfig::default()
         };
@@ -824,7 +823,7 @@ fn check_router_equivalence(
     // global threshold.
     let ref_dir = tempfile::tempdir()
         .map_err(|e| fail(CHECK, format!("cannot create a scratch dir: {e}")))?;
-    let ref_cfg = EngineConfig { min_support: case.min_support, k: 2, ..EngineConfig::default() };
+    let ref_cfg = EngineConfig { min_support: case.min_support, ..EngineConfig::default() };
     let (ref_engine, _) = ServeEngine::boot(Some(&case.db), ref_dir.path(), &ref_cfg)
         .map_err(|e| fail(CHECK, format!("reference boot: {e}")))?;
 

@@ -76,7 +76,6 @@ fn boot_fleet(db: &GraphDb, n_shards: usize, min_support: u32) -> Fleet {
         let dir = tempfile::tempdir().unwrap();
         let ecfg = EngineConfig {
             min_support: topo.local_min_support,
-            k: 2,
             owned: Some(topo.shards[s].owned.clone()),
             ..EngineConfig::default()
         };
@@ -125,7 +124,7 @@ fn router_matches_a_single_process_server_across_an_update_window() {
 
     // Single-process reference over the whole database.
     let ref_dir = tempfile::tempdir().unwrap();
-    let ref_cfg = EngineConfig { min_support: 3, k: 2, ..EngineConfig::default() };
+    let ref_cfg = EngineConfig { min_support: 3, ..EngineConfig::default() };
     let (reference, _) = ServeEngine::boot(Some(&db), ref_dir.path(), &ref_cfg).unwrap();
 
     let router = Router::new(fleet.topo.clone(), quick_router_cfg()).unwrap();
@@ -339,7 +338,6 @@ fn restarted_shard_stays_dead_until_it_catches_up_to_the_committed_seq() {
     let dir2 = tempfile::tempdir().unwrap();
     let ecfg = EngineConfig {
         min_support: fleet.topo.local_min_support,
-        k: 2,
         owned: Some(fleet.topo.shards[1].owned.clone()),
         ..EngineConfig::default()
     };
@@ -381,7 +379,6 @@ fn replica_failover_keeps_reads_exact_and_write_failures_abort() {
         let dir = tempfile::tempdir().unwrap();
         let ecfg = EngineConfig {
             min_support: topo.local_min_support,
-            k: 2,
             owned: Some(topo.shards[0].owned.clone()),
             ..EngineConfig::default()
         };

@@ -11,11 +11,18 @@
 //!
 //! The **epoch** of a result is the sequence number of the last update
 //! window folded into it; epoch 0 is the freshly mined snapshot. On boot
-//! the engine mines the snapshot like any database, replays the journal,
-//! and serves from an [`Arc`]-swapped [`ResultEpoch`] — readers grab the
-//! current `Arc` and never block behind a writer. No mined result is kept
-//! on disk: what a restarted daemon serves is a function of the snapshot
-//! and the journal only.
+//! the engine reads the snapshot, applies the journal to it as data, mines
+//! the result once, and serves from an [`Arc`]-swapped [`ResultEpoch`] —
+//! readers grab the current `Arc` and never block behind a writer. No
+//! mined result is kept on disk: what a restarted daemon serves is a
+//! function of the snapshot and the journal only.
+//!
+//! The published epoch — a database and its `P(D)` — is the only mining
+//! state: boot and every fold run one walk over the whole database at θ,
+//! [`graphmine_core::merge_join`] with no piece results. The paper's fold
+//! (Fig. 12) ends with this walk; its unit re-mines at θ/k and node walks
+//! at θ/2 only spare canonical-code tests, and enumerate every subgraph
+//! once θ/2^depth reaches 1, so units do not pay on this path.
 //!
 //! # Streaming ingest
 //!
@@ -31,10 +38,10 @@
 //!    [`GroupCommitJournal`]'s shared fsync barrier; concurrent windows
 //!    share one fsync.
 //! 3. **Application**: a dedicated applier thread folds durable windows
-//!    into the mining state strictly in sequence order, re-mining on the
-//!    shared `graphmine-exec` pool, and swaps one [`ResultEpoch`] per
-//!    window. Readers are served by the worker pool and never wait on a
-//!    re-mine.
+//!    strictly in sequence order — clone the served database, apply the
+//!    window, walk it once on the shared `graphmine-exec` pool — and
+//!    swaps one [`ResultEpoch`] per window. Readers are served by the
+//!    worker pool and never wait on a re-mine.
 //!
 //! An `ack: applied` update (the default) is acknowledged after its
 //! epoch is visible; an `ack: durable` update is acknowledged at the
@@ -60,7 +67,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use graphmine_core::{Executor, IncPartMiner, PartMiner, PartMinerConfig, PartMinerState};
+use graphmine_core::{merge_join, Executor, MergeContext, PartMinerConfig};
 use graphmine_graph::dfscode::min_dfs_code;
 use graphmine_graph::{
     apply_all, DbUpdate, DfsCode, EmbeddingStore, Graph, GraphDb, GraphId, PatternSet, Support,
@@ -74,16 +81,18 @@ use rustc_hash::FxHashMap;
 use crate::ingest::{coalesce_window, IngestConfig, IngestQueue, WindowTracker};
 use crate::protocol::{error_response, ok_response, pattern_to_json, AckMode, Request};
 
-/// Engine configuration. `min_support` and `k` are only honored when the
-/// data directory is fresh; an existing snapshot pins both (a serving
-/// result is only incremental against the threshold it was mined at).
+/// Engine configuration. `min_support` is only honored when the data
+/// directory is fresh; an existing snapshot pins it (a serving result is
+/// only incremental against the threshold it was mined at).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Absolute minimum support of the maintained result.
     pub min_support: Support,
-    /// Number of partition units (PartMiner `k`).
+    /// Read by nothing. Declared only because `bench/e2e/src/stream.rs`
+    /// reads `cfg.k`; the benchmark PR of ROADMAP 1(a) deletes it.
+    #[doc(hidden)]
     pub k: usize,
-    /// Mine units on threads during boot/update re-mines.
+    /// Fan each walk out over a pool, one job per frequent-edge subtree.
     pub parallel: bool,
     /// Buffer-pool pages for the snapshot store and the journal.
     pub pool_pages: usize,
@@ -98,7 +107,7 @@ pub struct EngineConfig {
     /// Sliding-window retention: keep only the newest `N` ingest windows
     /// live; once an older window falls past the horizon the engine
     /// synthesizes its inverse batch, journals it as a tagged WAL frame,
-    /// and folds it through the incremental miner. `None` = evolving
+    /// and folds it like any window. `None` = evolving
     /// mode, every admitted window lives forever. Not persisted: a clean
     /// stop freezes the surviving windows into the snapshot (they become
     /// base data) and retention restarts over windows admitted since.
@@ -270,10 +279,6 @@ pub struct BootReport {
     pub epoch: u64,
 }
 
-struct EngineInner {
-    state: PartMinerState,
-}
-
 /// State shared between request workers, the applier thread, and the
 /// WAL committer.
 struct EngineShared {
@@ -281,14 +286,13 @@ struct EngineShared {
     started: Instant,
     dir: PathBuf,
     min_support: Support,
-    k: usize,
     embedding_budget: usize,
     pool_pages: usize,
     ingest_cfg: IngestConfig,
     /// Sliding-window retention horizon (`None` = evolving mode).
     window: Option<usize>,
+    /// The served epoch; written by the applier alone.
     current: RwLock<Arc<ResultEpoch>>,
-    inner: Mutex<EngineInner>,
     /// Memoized exact supports of infrequent query patterns, keyed by
     /// `(epoch, code)`: a reader that grabbed its `Arc<ResultEpoch>`
     /// right before an epoch swap looks up under *its* epoch id and can
@@ -302,7 +306,7 @@ struct EngineShared {
     /// Last router-committed global epoch (0 until a commit arrives).
     /// In-memory only — the router republishes it on re-admission.
     global_epoch: AtomicU64,
-    /// The shared work-stealing pool re-mines run on. Sized once at
+    /// The shared work-stealing pool the walks run on. Sized once at
     /// boot; the applier submits labeled jobs here, so epoch rebuilds
     /// never occupy a request worker.
     exec: Executor,
@@ -329,9 +333,9 @@ impl EngineShared {
     }
 }
 
-/// The socket-free core of the daemon: owns the mining state, the
-/// group-committed journal, the ingest pipeline, and the current
-/// [`ResultEpoch`]; thread-safe throughout.
+/// The socket-free core of the daemon: owns the group-committed journal,
+/// the ingest pipeline, and the current [`ResultEpoch`]; thread-safe
+/// throughout.
 pub struct ServeEngine {
     shared: Arc<EngineShared>,
     applier: Mutex<Option<JoinHandle<()>>>,
@@ -341,25 +345,26 @@ impl ServeEngine {
     /// Boots from `dir`, creating it from `initial` on first run.
     ///
     /// With an existing snapshot, `initial` is ignored: the database is
-    /// the snapshot plus the replayed journal, and `cfg.min_support` /
-    /// `cfg.k` are overridden by the persisted metadata. The snapshot is
-    /// mined like any database; nothing else in the directory is believed.
+    /// the snapshot plus the replayed journal, and `cfg.min_support` is
+    /// overridden by the persisted metadata. Every journaled batch is
+    /// applied as data, then the database is mined once; nothing else in
+    /// the directory is believed.
     ///
     /// # Errors
     ///
     /// Fails on a rejected thread budget (before anything is written), I/O
-    /// errors, corrupt metadata, or a fresh directory without `initial`.
+    /// errors, corrupt metadata, an inapplicable journaled batch, or a
+    /// fresh directory without `initial`.
     pub fn boot(
         initial: Option<&GraphDb>,
         dir: &Path,
         cfg: &EngineConfig,
     ) -> Result<(ServeEngine, BootReport), String> {
         let tel = Telemetry::new();
-        // One pool for the boot mine, the journal replay and every re-mine
-        // after; sized like the mining config would size its own.
-        let mut mining = PartMinerConfig { parallel: cfg.parallel, ..PartMinerConfig::default() };
-        let budget = if mining.parallel {
-            mining.thread_budget().map_err(|e| format!("threads: {e}"))?
+        // One pool for the boot walk and every fold after; sized like the
+        // mining config would size its own.
+        let budget = if cfg.parallel {
+            PartMinerConfig::default().thread_budget().map_err(|e| format!("threads: {e}"))?
         } else {
             1
         };
@@ -367,7 +372,7 @@ impl ServeEngine {
 
         let meta_path = dir.join("meta.json");
         let from_snapshot = meta_path.exists();
-        let (db, min_support, k, base_epoch) = if from_snapshot {
+        let (mut db, min_support, base_epoch) = if from_snapshot {
             let meta = std::fs::read_to_string(&meta_path).map_err(|e| format!("meta: {e}"))?;
             let meta = JsonValue::parse(&meta).map_err(|e| format!("meta: {e}"))?;
             let num = |key: &str| {
@@ -382,31 +387,25 @@ impl ServeEngine {
             let store = GraphStore::open(&dir.join(snap_name), cfg.pool_pages)
                 .map_err(|e| format!("snapshot: {e}"))?;
             let db = store.read_all().map_err(|e| format!("snapshot: {e}"))?;
-            (db, num("min_support")? as Support, num("k")? as usize, num("base_epoch")?)
+            (db, num("min_support")? as Support, num("base_epoch")?)
         } else {
             let db = initial.cloned().ok_or_else(|| {
                 format!("no snapshot in {} and no initial database", dir.display())
             })?;
             GraphStore::create(&dir.join("snapshot.0.gs"), &db, cfg.pool_pages)
                 .map_err(|e| format!("snapshot: {e}"))?;
-            write_meta(&meta_path, cfg.min_support, cfg.k, 0, "snapshot.0.gs")?;
-            (db, cfg.min_support, cfg.k, 0)
+            write_meta(&meta_path, cfg.min_support, 0, "snapshot.0.gs")?;
+            (db, cfg.min_support, 0)
         };
-        mining.k = k;
-
-        let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-        let mut state = PartMiner::new(mining).mine_on(&db, &ufreq, min_support, &exec, &tel).state;
 
         let (mut journal, batches) =
             UpdateJournal::recover(&dir.join("journal.wal"), cfg.pool_pages)
                 .map_err(|e| format!("journal: {e}"))?;
-        // Windowed mode rebuilds the retention bookkeeping by replaying
-        // the journal against a mirror of the snapshot database. Windows
-        // folded into the snapshot by a clean stop are base data (the
-        // journal below `base_epoch` is gone), so retention restarts
-        // over the windows admitted since.
+        // The journal is replayed as data, then mined once; in windowed
+        // mode the tracker applies each batch, rebuilding its bookkeeping.
+        // Windows a clean stop folded into the snapshot are base data, so
+        // retention restarts over the windows admitted since.
         let mut tracker = cfg.window.map(|_| WindowTracker::new(&db));
-        let mut mirror = tracker.as_ref().map(|_| db.clone());
         let mut replayed = 0usize;
         for batch in &batches {
             // Batches at or below the committed base epoch are already
@@ -415,15 +414,12 @@ impl ServeEngine {
             if batch.seq <= base_epoch {
                 continue;
             }
-            IncPartMiner::update_on(&mut state, &batch.updates, &exec, &tel)
-                .map_err(|e| format!("journal replay (batch {}): {e}", batch.seq))?;
-            if let (Some(tr), Some(mirror)) = (tracker.as_mut(), mirror.as_mut()) {
-                match batch.expiry {
-                    Some(w) => tr.apply_expiry(mirror, &batch.updates, w),
-                    None => tr.apply_and_track(batch.seq, mirror, &batch.updates),
-                }
-                .map_err(|e| format!("journal replay (batch {}): tracker: {e}", batch.seq))?;
+            match (tracker.as_mut(), batch.expiry) {
+                (Some(tr), Some(w)) => tr.apply_expiry(&mut db, &batch.updates, w),
+                (Some(tr), None) => tr.apply_and_track(batch.seq, &mut db, &batch.updates),
+                (None, _) => apply_all(&mut db, &batch.updates),
             }
+            .map_err(|e| format!("journal replay (batch {}): {e}", batch.seq))?;
             tel.counters().bump(Counter::WalBatchesReplayed);
             replayed += 1;
         }
@@ -434,40 +430,34 @@ impl ServeEngine {
         // fell due but before its expiry frame went durable leaves the
         // replayed state over the horizon. Re-synthesize journal-first,
         // so a crash inside this loop just repeats it next boot —
-        // replayed expiry frames above were already folded, so windows
+        // replayed expiry frames above were already applied, so windows
         // can never expire twice.
-        if let (Some(n), Some(tr), Some(mirror)) = (cfg.window, tracker.as_mut(), mirror.as_mut()) {
+        if let (Some(n), Some(tr)) = (cfg.window, tracker.as_mut()) {
             while tr.live_count() > n {
                 let (expired, ops) = tr.synthesize_expiry();
                 journal
                     .append_unsynced(&ops, Some(expired))
                     .map_err(|e| format!("journal: boot expiry: {e}"))?;
                 journal.sync().map_err(|e| format!("journal: boot expiry: {e}"))?;
-                IncPartMiner::update_on(&mut state, &ops, &exec, &tel)
+                tr.apply_expiry(&mut db, &ops, expired)
                     .map_err(|e| format!("boot expiry (window {expired}): {e}"))?;
-                tr.apply_expiry(mirror, &ops, expired)
-                    .map_err(|e| format!("boot expiry (window {expired}): tracker: {e}"))?;
             }
         }
         let epoch = journal.next_seq() - 1;
 
-        let tail = state.partition.root().db.clone();
-        let mut queue = IngestQueue::new(tail, epoch);
+        let patterns = walk(&db, min_support, &exec, &tel);
+        let mut queue = IngestQueue::new(db.clone(), epoch);
         queue.tracker = tracker;
-        let current =
-            ResultEpoch::new(epoch, state.partition.root().db.clone(), state.patterns().clone());
         let shared = Arc::new(EngineShared {
             tel,
             started: Instant::now(),
             dir: dir.to_path_buf(),
             min_support,
-            k,
             embedding_budget: cfg.embedding_budget,
             pool_pages: cfg.pool_pages,
             ingest_cfg: cfg.ingest.clone(),
             window: cfg.window,
-            current: RwLock::new(Arc::new(current)),
-            inner: Mutex::new(EngineInner { state }),
+            current: RwLock::new(Arc::new(ResultEpoch::new(epoch, db, patterns))),
             support_memo: Mutex::new(FxHashMap::default()),
             owned: cfg.owned.clone().map(|mut o| {
                 o.sort_unstable();
@@ -775,22 +765,16 @@ impl ServeEngine {
             q = shared.applied.wait(q).expect("ingest queue poisoned");
         }
         // Keep holding the queue lock: no window can be admitted while
-        // the fold runs, and the applier is idle (nothing pending).
-        let inner = shared.inner.lock();
+        // the snapshot is written, and the applier is idle (nothing
+        // pending), so the served epoch holds every window.
         let base_epoch = shared.journal.next_seq() - 1;
         let snap_name = format!("snapshot.{base_epoch}.gs");
 
-        let db = inner.state.partition.root().db.clone();
-        GraphStore::create(&shared.dir.join(&snap_name), &db, shared.pool_pages)
+        let served = self.current();
+        GraphStore::create(&shared.dir.join(&snap_name), &served.db, shared.pool_pages)
             .map_err(|e| format!("snapshot: {e}"))?;
         // Commit point: once the rename lands, boots use the new snapshot.
-        write_meta(
-            &shared.dir.join("meta.json"),
-            shared.min_support,
-            shared.k,
-            base_epoch,
-            &snap_name,
-        )?;
+        write_meta(&shared.dir.join("meta.json"), shared.min_support, base_epoch, &snap_name)?;
 
         // Everything below is garbage collection; the directory is
         // already consistent.
@@ -1016,10 +1000,37 @@ impl Drop for ServeEngine {
     }
 }
 
-/// The applier: folds durable windows into the mining state strictly in
+/// `P(db)`: the merge-join's walk with no piece results, so every child is
+/// decided on its exact support and the canonical-code test alone.
+fn walk(db: &GraphDb, min_support: Support, exec: &Executor, tel: &Telemetry) -> PatternSet {
+    let ctx = MergeContext {
+        db,
+        min_support,
+        max_edges: None,
+        executor: Some(exec),
+        telemetry: Some(tel),
+    };
+    let none = PatternSet::new();
+    merge_join(&ctx, &none, &none).0
+}
+
+/// UF/FI/IF of a fold by set difference against the superseded result,
+/// tallied into the `inc_*` counters.
+fn classify(seq: u64, old: &PatternSet, new: &PatternSet, tel: &Telemetry) -> UpdateSummary {
+    let uf = new.iter().filter(|p| old.contains(&p.code)).count();
+    let fi = old.len() - uf;
+    let if_new = new.len() - uf;
+    let counters = tel.counters();
+    counters.add(Counter::IncUnchangedFrequent, uf as u64);
+    counters.add(Counter::IncFrequentToInfrequent, fi as u64);
+    counters.add(Counter::IncInfrequentToFrequent, if_new as u64);
+    UpdateSummary { seq, uf, fi, if_new, pattern_count: new.len() }
+}
+
+/// The applier: folds durable windows into the served epoch strictly in
 /// sequence order, one [`ResultEpoch`] swap per window. Runs until the
 /// engine drops; a failed window poisons the pipeline (the tail mirror
-/// and the mining state would diverge otherwise).
+/// and the served database would diverge otherwise).
 fn applier_loop(shared: &Arc<EngineShared>) {
     loop {
         let (seq, window) = {
@@ -1042,42 +1053,28 @@ fn applier_loop(shared: &Arc<EngineShared>) {
             fail_pipeline(shared, format!("journal (seq {seq}): {e}"));
             return;
         }
-        let summary = {
-            let mut inner = shared.inner.lock();
-            let inc =
-                match IncPartMiner::update_on(&mut inner.state, &window, &shared.exec, &shared.tel)
-                {
-                    Ok(inc) => inc,
-                    Err(e) => {
-                        drop(inner);
-                        fail_pipeline(shared, format!("apply (seq {seq}): {e}"));
-                        return;
-                    }
-                };
-            let next = ResultEpoch::new(
-                seq,
-                inner.state.partition.root().db.clone(),
-                inner.state.patterns().clone(),
-            );
-            *shared.current.write() = Arc::new(next);
-            shared.tel.counters().bump(Counter::EpochSwaps);
-            // Superseded memo entries are dead weight, but readers that
-            // grabbed the previous epoch's `Arc` before this swap are
-            // still answering from it — keep exactly one generation of
-            // slack (N-1) so those in-flight readers hit their memo
-            // instead of re-inserting evicted entries, and evict
-            // everything older so a long-running daemon under streaming
-            // ingest holds at most two generations at any time.
-            shared.support_memo.lock().retain(|&(epoch, _), _| epoch + 1 >= seq);
-            shared.owned_memo.lock().retain(|&(epoch, _), _| epoch + 1 >= seq);
-            UpdateSummary {
-                seq,
-                uf: inc.uf.len(),
-                fi: inc.fi.len(),
-                if_new: inc.if_new.len(),
-                pattern_count: inc.patterns.len(),
-            }
-        };
+        // The fold. `old` is the epoch this one supersedes (only this
+        // thread writes `current`); it is freed after waiters wake, not
+        // under the write lock.
+        let old = Arc::clone(&shared.current.read());
+        let mut db = GraphDb::clone(&old.db);
+        if let Err(e) = apply_all(&mut db, &window) {
+            fail_pipeline(shared, format!("apply (seq {seq}): {e}"));
+            return;
+        }
+        let patterns = walk(&db, shared.min_support, &shared.exec, &shared.tel);
+        let summary = classify(seq, &old.patterns, &patterns, &shared.tel);
+        *shared.current.write() = Arc::new(ResultEpoch::new(seq, db, patterns));
+        shared.tel.counters().bump(Counter::EpochSwaps);
+        // Superseded memo entries are dead weight, but readers that
+        // grabbed the previous epoch's `Arc` before this swap are still
+        // answering from it — keep exactly one generation of slack (N-1)
+        // so those in-flight readers hit their memo instead of
+        // re-inserting evicted entries, and evict everything older so a
+        // long-running daemon under streaming ingest holds at most two
+        // generations at any time.
+        shared.support_memo.lock().retain(|&(epoch, _), _| epoch + 1 >= seq);
+        shared.owned_memo.lock().retain(|&(epoch, _), _| epoch + 1 >= seq);
         let mut q = shared.queue.lock().expect("ingest queue poisoned");
         q.windows.remove(&seq);
         q.applied_seq = seq;
@@ -1130,10 +1127,9 @@ fn fail_pipeline(shared: &EngineShared, msg: String) {
     shared.applied.notify_all();
 }
 
-/// Rejects a window that would fail mid-application: the incremental
-/// miner applies updates one by one and an error would leave it half
-/// applied, so the whole window is dry-run against clones of the touched
-/// graphs first.
+/// Rejects a window that would fail mid-application: a fold applies
+/// updates one by one and an error would leave it half applied, so the
+/// whole window is dry-run against clones of the touched graphs first.
 fn validate_batch(db: &GraphDb, ops: &[DbUpdate]) -> Result<(), String> {
     let mut scratch: FxHashMap<GraphId, Graph> = FxHashMap::default();
     for (i, up) in ops.iter().enumerate() {
@@ -1154,19 +1150,17 @@ fn write_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     f.sync_all()
 }
 
-/// Writes the commit record: threshold, unit count, folded epoch, and the
-/// snapshot to boot from. Written to a temp file and renamed so the swap
-/// is atomic.
+/// Writes the commit record: threshold, folded epoch, and the snapshot to
+/// boot from. Written to a temp file and renamed so the swap is atomic. A
+/// `k` left by an older daemon is never read.
 fn write_meta(
     path: &Path,
     min_support: Support,
-    k: usize,
     base_epoch: u64,
     snapshot: &str,
 ) -> Result<(), String> {
     let fields = vec![
         ("min_support".to_string(), JsonValue::Num(u64::from(min_support))),
-        ("k".to_string(), JsonValue::Num(k as u64)),
         ("base_epoch".to_string(), JsonValue::Num(base_epoch)),
         ("snapshot".to_string(), JsonValue::Str(snapshot.to_string())),
     ];
@@ -1199,7 +1193,7 @@ mod tests {
     }
 
     fn cfg() -> EngineConfig {
-        EngineConfig { min_support: 4, k: 2, ..EngineConfig::default() }
+        EngineConfig { min_support: 4, ..EngineConfig::default() }
     }
 
     #[test]
@@ -1350,9 +1344,9 @@ mod tests {
         engine.clean_stop().unwrap();
         drop(engine);
 
-        // min_support/k in the boot config are deliberately wrong; the
+        // min_support in the boot config is deliberately wrong; the
         // persisted metadata must win.
-        let stale = EngineConfig { min_support: 999, k: 7, ..EngineConfig::default() };
+        let stale = EngineConfig { min_support: 999, ..EngineConfig::default() };
         let (engine, boot) = ServeEngine::boot(None, dir.path(), &stale).unwrap();
         assert!(boot.from_snapshot);
         assert_eq!(boot.replayed, 0, "clean stop folded the journal away");
@@ -1367,6 +1361,30 @@ mod tests {
             .collect();
         files.sort();
         assert_eq!(files, ["journal.wal", "meta.json", "snapshot.1.gs"]);
+    }
+
+    /// The commit record names no unit count, and one written by an older
+    /// daemon (`"k": 7`, nothing mines with units here) is ignored.
+    #[test]
+    fn meta_json_has_no_k_and_an_old_k_is_ignored() {
+        let dir = tempfile::tempdir().unwrap();
+        let db = small_db();
+        let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &cfg()).unwrap();
+        let served = engine.current();
+        engine.clean_stop().unwrap();
+        drop(engine);
+        let meta_path = dir.path().join("meta.json");
+        let meta = std::fs::read_to_string(&meta_path).unwrap();
+        let parsed = JsonValue::parse(&meta).unwrap();
+        assert!(parsed.field("k").is_none(), "{meta}");
+
+        let older = meta.replacen('{', r#"{"k":7,"#, 1);
+        for record in [older, meta] {
+            std::fs::write(&meta_path, &record).unwrap();
+            let (engine, boot) = ServeEngine::boot(None, dir.path(), &cfg()).unwrap();
+            assert!(boot.from_snapshot, "{record}");
+            assert!(engine.current().patterns.same_codes_and_supports(&served.patterns));
+        }
     }
 
     /// What a daemon serves after a restart is a function of the snapshot

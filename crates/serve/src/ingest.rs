@@ -603,14 +603,14 @@ impl WindowTracker {
 /// The pending-window queue between submitters and the applier thread.
 ///
 /// Windows are admitted (validated against `tail`, applied to it, and
-/// handed to the WAL) under the queue lock, then applied to the mining
-/// state strictly in sequence order by the applier.
+/// handed to the WAL) under the queue lock, then folded into the served
+/// epoch strictly in sequence order by the applier.
 pub(crate) struct IngestQueue {
     /// The database with every *admitted* window applied — ahead of the
     /// served epoch by the windows still in `windows`. Admission
     /// validates against this, so seq order equals validation order.
     pub tail: GraphDb,
-    /// Admitted windows not yet applied to the mining state, by seq.
+    /// Admitted windows not yet folded into the served epoch, by seq.
     pub windows: BTreeMap<u64, Vec<DbUpdate>>,
     /// Highest seq folded into the served epoch.
     pub applied_seq: u64,

@@ -1,19 +1,23 @@
-//! A resident pattern-serving daemon for the partition-based miner.
+//! A resident pattern-serving daemon.
 //!
-//! The paper's IncPartMiner is built for a *standing* database: mine
-//! once, then fold update batches in incrementally. This crate turns
-//! that into a long-lived service — mine at boot, keep `P(D)` warm in
-//! memory, and answer pattern/support queries over a newline-delimited
-//! JSON protocol while updates stream in:
+//! The paper's incremental miner is built for a *standing* database: mine
+//! once, then fold update batches in. This crate turns that into a
+//! long-lived service — mine at boot, keep `P(D)` warm in memory, and
+//! answer pattern/support queries over a newline-delimited JSON protocol
+//! while updates stream in.
+//!
+//! It mines with one walk over the whole database per boot and window:
+//! the paper's fold ends with that walk, and units only spare it
+//! canonical-code tests, so they do not pay on a path that serves `P(D)`.
 //!
 //! * [`ServeEngine`] — durable state machine: snapshot + write-ahead
-//!   journal on `graphmine-storage`, a boot that mines the snapshot, and
-//!   epoch-swapped immutable results ([`ResultEpoch`]) so readers never
-//!   block behind an update;
+//!   journal on `graphmine-storage`, a boot that applies the journal to
+//!   the snapshot and mines once, and epoch-swapped immutable results
+//!   ([`ResultEpoch`]) so readers never block behind an update;
 //! * [`ingest`] — the streaming update pipeline: window
 //!   [coalescing](ingest::coalesce_window), a bounded admission queue
 //!   with `backpressure` shedding, group-committed durability, and an
-//!   applier thread re-mining on the shared `graphmine-exec` pool;
+//!   applier thread walking on the shared `graphmine-exec` pool;
 //! * [`start`] / [`ServerHandle`] — the TCP front end: accept thread,
 //!   bounded connection queue with explicit `overloaded` shedding, and
 //!   a fixed worker pool (std threads only — no async runtime), generic
@@ -24,8 +28,8 @@
 //!
 //! An `update` is acknowledged only after its window is fsynced to the
 //! journal (one group-commit barrier covers every concurrent window),
-//! so `kill -9` after an ack never loses it: the next boot replays the
-//! journal on top of the snapshot. See `docs/SERVICE.md` for the
+//! so `kill -9` after an ack never loses it: the next boot applies the
+//! journal to the snapshot. See `docs/SERVICE.md` for the
 //! protocol and operational details.
 
 #![warn(missing_docs)]

@@ -92,7 +92,7 @@ pub enum Request {
         /// Restrict the counts to the shard's owned gids.
         owned: bool,
     },
-    /// Apply an update batch through the incremental miner.
+    /// Apply an update batch and fold it into the served result.
     Update {
         /// The updates, in application order.
         ops: Vec<DbUpdate>,

@@ -47,7 +47,7 @@ fn batch(gid: u32) -> Vec<DbUpdate> {
 }
 
 fn boot(dir: &std::path::Path) -> ServeEngine {
-    let cfg = EngineConfig { min_support: 6, k: 2, ..EngineConfig::default() };
+    let cfg = EngineConfig { min_support: 6, ..EngineConfig::default() };
     let (engine, _) = ServeEngine::boot(Some(&stepped_db()), dir, &cfg).unwrap();
     engine
 }

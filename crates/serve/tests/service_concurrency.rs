@@ -21,7 +21,7 @@ fn test_db() -> GraphDb {
 
 fn booted(dir: &std::path::Path) -> Arc<ServeEngine> {
     let db = test_db();
-    let cfg = EngineConfig { min_support: db.abs_support(0.3), k: 2, ..EngineConfig::default() };
+    let cfg = EngineConfig { min_support: db.abs_support(0.3), ..EngineConfig::default() };
     let (engine, _) = ServeEngine::boot(Some(&db), dir, &cfg).unwrap();
     Arc::new(engine)
 }
@@ -114,8 +114,7 @@ fn concurrent_writers_and_readers_reconcile_exactly() {
 
     let dir = tempfile::tempdir().unwrap();
     let db = test_db();
-    let mut cfg =
-        EngineConfig { min_support: db.abs_support(0.3), k: 2, ..EngineConfig::default() };
+    let mut cfg = EngineConfig { min_support: db.abs_support(0.3), ..EngineConfig::default() };
     cfg.ingest.max_pending = 2; // tiny staleness bound: force sheds
     let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &cfg).unwrap();
     let engine = Arc::new(engine);

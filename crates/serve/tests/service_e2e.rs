@@ -17,7 +17,7 @@ fn test_db() -> GraphDb {
 }
 
 fn engine_cfg(db: &GraphDb) -> EngineConfig {
-    EngineConfig { min_support: db.abs_support(0.3), k: 2, ..EngineConfig::default() }
+    EngineConfig { min_support: db.abs_support(0.3), ..EngineConfig::default() }
 }
 
 fn update_plan(db: &GraphDb, seed: u64) -> Vec<DbUpdate> {

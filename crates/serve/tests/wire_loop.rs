@@ -20,7 +20,7 @@ use graphmine_telemetry::JsonValue;
 
 fn engine(dir: &std::path::Path) -> Arc<ServeEngine> {
     let db = generate(&GenParams::new(24, 6, 4, 4, 3).with_seed(11));
-    let cfg = EngineConfig { min_support: db.abs_support(0.3), k: 2, ..EngineConfig::default() };
+    let cfg = EngineConfig { min_support: db.abs_support(0.3), ..EngineConfig::default() };
     Arc::new(ServeEngine::boot(Some(&db), dir, &cfg).unwrap().0)
 }
 
