@@ -78,22 +78,22 @@ USAGE:
       restart the snapshot pins minsup, the journal is applied to it, and
       the result is mined once.
 
-  graphmine shard-plan FILE --shards N --minsup FRAC [--k K] [--replicas R]
-                 [--policy units|hub] [--hub-threshold T] [--host H]
-                 [--base-port P] -o DIR
+  graphmine shard-plan FILE --shards N --minsup FRAC [--replicas R]
+                 [--host H] [--base-port P] -o DIR
       Split FILE into a serving fleet plan: DIR/topology.json plus one
-      gid-aligned DIR/shard-<i>.txt database per shard. Units come from
-      the paper's partitioner (K defaults to max(4, 2*N)); each graph
-      gets a unique owner shard so gathered counts stay exact, and
-      shards mine at the pigeonhole bound ceil(s/N) so no globally
-      frequent pattern can hide. See docs/SHARDING.md.
+      DIR/shard-<i>.txt database per shard. Each graph gets a unique
+      owner shard, balanced by edge load; a shard database holds only
+      its owned graphs (the other gids stay as empty slots, so gids
+      line up), which keeps gathered counts exact, and shards mine at
+      the pigeonhole bound ceil(s/N) so no globally frequent pattern
+      can hide. See docs/SHARDING.md.
 
   graphmine serve --shard-from TOPOLOGY --shard-id I [--replica R]
                  [--data-dir DIR] [--workers W] [--queue-depth Q]
                  [--parallel]
       Boot one shard (replica R, default 0) of a planned fleet: loads
-      the shard database next to TOPOLOGY, mines at the topology's
-      local_min_support restricted to the shard's owned gids, and binds
+      the shard database next to TOPOLOGY, mines its owned graphs at the
+      topology's local_min_support, and binds
       the replica address from the file. --data-dir defaults to
       TOPOLOGY's directory + \"/shard-I-rR.serve\".
 
@@ -618,9 +618,8 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         };
         say!(
             stdout,
-            "shard {shard_id} replica {replica}: {} owned graphs, {} units, local minsup {}",
+            "shard {shard_id} replica {replica}: {} owned graphs, local minsup {}",
             spec.owned.len(),
-            spec.units.len(),
             topo.local_min_support
         );
         (db, addr, dir, cfg)
@@ -676,13 +675,18 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
 
 /// `graphmine shard-plan`
 pub fn shard_plan(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
+    if let Some(flag) =
+        raw.iter().find(|a| ["--k", "--policy", "--hub-threshold"].contains(&a.as_str()))
+    {
+        return Err(format!(
+            "{flag} was removed: shard-plan builds no partition units, it gives each graph \
+             one owner shard by edge load"
+        ));
+    }
     let mut args = Args::new(raw);
     let n_shards: usize = args.require("--shards")?;
     let minsup = minsup_arg(&mut args)?;
-    let k: Option<usize> = args.parsed("--k")?;
     let replicas: usize = args.parsed("--replicas")?.unwrap_or(1);
-    let policy = args.value("--policy").unwrap_or("units").to_string();
-    let hub_threshold: usize = args.parsed("--hub-threshold")?.unwrap_or(100);
     let host = args.value("--host").unwrap_or("127.0.0.1").to_string();
     let base_port: u16 = args.parsed("--base-port")?.unwrap_or(7870);
     let out: String = args.require("-o")?;
@@ -693,15 +697,12 @@ pub fn shard_plan(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
 
     let db = load_db(path)?;
     let cfg = PlanConfig {
-        // Enough units that every shard hosts at least two by default.
-        k: k.unwrap_or_else(|| 4.max(2 * n_shards)),
         n_shards,
         replicas,
-        policy,
-        hub_threshold,
         min_support: db.abs_support(minsup),
         host,
         base_port,
+        ..PlanConfig::default()
     };
     let plan = plan_shards(&db, &cfg)?;
 
@@ -716,10 +717,9 @@ pub fn shard_plan(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     plan.topology.save(&topo_path)?;
     say!(
         stdout,
-        "planned {} shards x {} replicas over {} units: router at {}, global minsup {} -> local {}",
+        "planned {} shards x {} replicas: router at {}, global minsup {} -> local {}",
         n_shards,
         cfg.replicas,
-        cfg.k,
         plan.topology.router_addr,
         plan.topology.min_support,
         plan.topology.local_min_support
@@ -727,9 +727,8 @@ pub fn shard_plan(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     for s in &plan.topology.shards {
         say!(
             stdout,
-            "  shard {}: units {:?}, {} owned graphs, replicas {:?} ({})",
+            "  shard {}: {} owned graphs, replicas {:?} ({})",
             s.id,
-            s.units,
             s.owned.len(),
             s.replicas,
             s.data

@@ -1,8 +1,16 @@
-//! End-to-end CLI workflow: generate → mine → plan updates → incremental.
+//! End-to-end CLI workflow: generate → mine → plan updates → incremental,
+//! and a shard plan booted and asked.
 
-use std::io::sink;
+use std::fs::File;
+use std::io::{sink, BufReader};
+use std::sync::Arc;
 
 use graphmine_cli::commands;
+use graphmine_graph::io::read_db;
+use graphmine_router::{Router, RouterConfig, ShardTopology};
+use graphmine_serve::protocol::Request;
+use graphmine_serve::{start, EngineConfig, ServeEngine, ServerConfig};
+use graphmine_telemetry::JsonValue;
 
 fn s(args: &[&str]) -> Vec<String> {
     args.iter().map(|a| a.to_string()).collect()
@@ -176,5 +184,88 @@ fn partminer_pattern_files_are_gspan_pattern_files() {
         let reference = mine(&["--algo", "gspan", filter], "gf.pat");
         assert!(reference.len() < gspan.len(), "{filter} filtered nothing");
         assert!(mine(&[filter], "pf.pat") == reference, "mine {filter} differs from gSpan's");
+    }
+}
+
+/// `shard-plan` builds no partition units any more: the flags that sized
+/// and placed them are refused by name, before a file is opened.
+#[test]
+fn shard_plan_refuses_the_removed_unit_flags() {
+    for flag in ["--k", "--policy", "--hub-threshold"] {
+        let args = ["no-db.txt", "--shards", "2", "--minsup", "0.5", "-o", "no-dir", flag, "2"];
+        let err = commands::shard_plan(&s(&args), &mut sink()).unwrap_err();
+        assert!(err.starts_with(&format!("{flag} was removed")), "{err}");
+        assert!(!err.contains("no-"), "{flag}: got as far as opening a file: {err}");
+    }
+    assert!(!std::path::Path::new("no-dir").exists());
+}
+
+/// More shards than graphs is a plan, not an error: the extra shards own
+/// nothing and hold only empty slots. Booted from the written files the
+/// way `serve --shard-from` boots them, the fleet answers `patterns` and
+/// `support` exactly like one process over the database.
+#[test]
+fn more_shards_than_graphs_plans_boots_and_answers_exactly() {
+    let dir = tempfile::tempdir().unwrap();
+    let db_path = dir.path().join("db.txt");
+    std::fs::write(
+        &db_path,
+        "t # 0\nv 0 0\nv 1 1\nv 2 2\ne 0 1 5\ne 1 2 6\n\
+         t # 1\nv 0 0\nv 1 1\ne 0 1 5\n\
+         t # 2\nv 0 1\nv 1 2\ne 0 1 6\n",
+    )
+    .unwrap();
+    let plan = dir.path().join("plan");
+    let (db_s, plan_s) = (db_path.to_str().unwrap(), plan.to_str().unwrap());
+    commands::shard_plan(
+        &s(&[db_s, "--shards", "5", "--minsup", "0.5", "-o", plan_s]),
+        &mut sink(),
+    )
+    .expect("shard-plan");
+
+    let load = |path: &std::path::Path| read_db(BufReader::new(File::open(path).unwrap())).unwrap();
+    let mut topo = ShardTopology::load(&plan.join("topology.json")).unwrap();
+    assert_eq!(topo.n_shards(), 5);
+    assert_eq!(topo.shards.iter().filter(|s| s.owned.is_empty()).count(), 2);
+    let mut fleet = Vec::new();
+    for spec in &mut topo.shards {
+        let data = tempfile::tempdir().unwrap();
+        let cfg = EngineConfig {
+            min_support: topo.local_min_support,
+            owned: Some(spec.owned.clone()),
+            ..EngineConfig::default()
+        };
+        let (engine, _) = ServeEngine::boot(Some(&load(&plan.join(&spec.data))), data.path(), &cfg)
+            .expect("boot a shard");
+        let handle = start(Arc::new(engine), &ServerConfig::default()).unwrap();
+        spec.replicas = vec![handle.addr().to_string()];
+        fleet.push((data, handle));
+    }
+    let router = Router::new(topo, RouterConfig::default()).unwrap();
+
+    let db = load(&db_path);
+    let ref_dir = tempfile::tempdir().unwrap();
+    let ref_cfg = EngineConfig { min_support: db.abs_support(0.5), ..EngineConfig::default() };
+    let (reference, _) = ServeEngine::boot(Some(&db), ref_dir.path(), &ref_cfg).unwrap();
+    let rows = |reply: &JsonValue| -> Vec<String> {
+        let rows = reply.field("patterns").and_then(JsonValue::as_arr).unwrap();
+        rows.iter()
+            .map(|p| {
+                format!(
+                    "{} {}",
+                    p.field("support").unwrap().to_json(),
+                    p.field("code").unwrap().to_json()
+                )
+            })
+            .collect()
+    };
+    let all = Request::Patterns { top: 1_000_000_000, min_support: None };
+    let (got, want) = (router.handle(&all), reference.handle(&all));
+    assert!(got.field("partial").is_none(), "{got:?}");
+    assert_eq!(rows(&got), rows(&want));
+    assert_eq!(rows(&want).len(), 2, "both edges are frequent, the path is not");
+    for p in reference.current().patterns.iter() {
+        let support = router.support(&p.graph).field("support").and_then(JsonValue::as_num);
+        assert_eq!(support, Some(u64::from(p.support)), "{:?}", p.code);
     }
 }

@@ -66,6 +66,10 @@ pub enum Fault {
     /// lower bound instead of the exact support its list holds — what the
     /// removed lower-bound-supports mode did by default.
     ReportUnitBound = 12,
+    /// The router's SON phase 2 trusts the phase-1 union: it asks no shard
+    /// about a candidate that shard did not report, so graphs a shard
+    /// holds below its local threshold drop out of the gathered support.
+    SkipUnreportedRecount = 13,
 }
 
 static ACTIVE: AtomicU8 = AtomicU8::new(0);

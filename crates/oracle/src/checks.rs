@@ -769,10 +769,10 @@ fn check_window_equivalence(case: &Case, reference: &PatternSet) -> Result<(), C
 }
 
 /// Differential check of the sharded serving tier: a planned two-shard
-/// fleet — real `ServeEngine`s behind real sockets, mining at the
-/// pigeonhole-lowered threshold over their owned gid sets — fronted by a
-/// scatter/gather [`Router`] must answer exactly like one single-process
-/// server over the whole database. `patterns` (the SON two-phase query)
+/// fleet — real `ServeEngine`s behind real sockets, each holding only its
+/// owned graphs and mining them at the pigeonhole-lowered threshold —
+/// fronted by a scatter/gather [`Router`] must answer exactly like one
+/// single-process server over the whole database. `patterns` (the SON two-phase query)
 /// and `support` are compared before and after the case's update window
 /// is routed through the three-phase epoch swap; a healthy fleet must
 /// never tag an answer `"partial"`.
@@ -888,7 +888,7 @@ fn check_router_equivalence(
                 format!("{phase}: totals diverge: {:?} vs {:?}", total(&got), total(&want)),
             ));
         }
-        // Support probes through the gather path (owner-restricted sums).
+        // Support probes through the gather path (sums over the shards).
         for p in reference.iter().take(3) {
             let probe = router.support(&p.graph);
             let got_sup = probe.field("support").and_then(JsonValue::as_num);

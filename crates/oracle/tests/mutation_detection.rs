@@ -299,6 +299,57 @@ fn serve_stale_cache_mutant_is_detected() {
     run_single(&case, &exec, None).expect("the crafted case is clean without the mutant");
 }
 
+/// A fleet in which one shard holds a supporter of a frequent pattern
+/// below its local threshold: four graphs weigh the same, so the router's
+/// two shards own gids {0, 2} and {1, 3}. The path `(0)-5-(1)-6-(2)` lives
+/// in gids 0, 1 and 2 — support 3, frequent at min_support 3 — so shard 0
+/// reports it at 2 (its local θ) and shard 1, holding it once, does not.
+/// Gid 3 is a path of other labels. With the armed
+/// [`Fault::SkipUnreportedRecount`] mutant phase 2 never asks shard 1,
+/// the gathered support stops at 2, and the path (with its edges) drops
+/// out of the routed `patterns` answer.
+fn crafted_unreported_case() -> Case {
+    let mut db = GraphDb::new();
+    for labels in [[0u32, 1, 2], [0, 1, 2], [0, 1, 2], [7, 8, 9]] {
+        let mut g = Graph::new();
+        for l in labels {
+            g.add_vertex(l);
+        }
+        g.add_edge(0, 1, 5).unwrap();
+        g.add_edge(1, 2, 6).unwrap();
+        db.push(g);
+    }
+    let updates = vec![DbUpdate { gid: 3, update: GraphUpdate::RelabelVertex { v: 0, label: 0 } }];
+    Case {
+        name: "crafted-unreported-recount".to_string(),
+        seed: 0,
+        min_support: 3,
+        max_edges: 3,
+        db,
+        updates,
+    }
+}
+
+#[test]
+fn skip_unreported_recount_mutant_is_detected() {
+    let _lock = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tempfile::tempdir().unwrap();
+    let case = crafted_unreported_case();
+    let exec = Executor::new(2);
+
+    let guard = arm(Fault::SkipUnreportedRecount);
+    let record = run_single(&case, &exec, Some(dir.path()))
+        .expect_err("a candidate left uncounted on a shard that holds it must be detected");
+    assert_eq!(record.check, "router-equivalence", "wrong check tripped: {}", record.message);
+    let repro = record.repro.clone().expect("repro written");
+    assert!(replay_file(&repro, &exec).is_err(), "repro keeps failing while armed");
+    drop(guard);
+
+    replay_file(&repro, &exec)
+        .unwrap_or_else(|f| panic!("repro fails disarmed [{}]: {}", f.check, f.message));
+    run_single(&case, &exec, None).expect("the crafted case is clean without the mutant");
+}
+
 /// A database the window-equivalence check runs on unguarded: three
 /// copies of the path `(0)-5-(1)-6-(2)` at min_support 2. The armed
 /// [`Fault::SkipExpiry`] mutant makes the serving engine's applier skip

@@ -17,9 +17,6 @@
 //!   gid-aligned with the original database, with incremental update
 //!   propagation ([`DbPartition::apply_update`]) that reports which units
 //!   an update actually touched — the input IncPartMiner needs.
-//! * [`ShardPolicy`] — pluggable shard planning over a [`DbPartition`]:
-//!   places units on serving shards and assigns every graph a unique
-//!   owner shard ([`UnitRoundRobin`], [`HubReplication`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,16 +24,11 @@
 mod dbpart;
 mod graphpart;
 mod metis;
-mod shard;
 mod split;
 
 pub use dbpart::{DbPartition, NodeId, PartNode, UpdateImpact, SPLIT_RANGE};
 pub use graphpart::{Criteria, GraphPart};
 pub use metis::MetisLike;
-pub use shard::{
-    merged_unit_graph, shard_policy_by_name, HubReplication, ShardAssignment, ShardPolicy,
-    UnitRoundRobin,
-};
 pub use split::{split_by_sides, Piece, Split};
 
 use graphmine_graph::Graph;

@@ -1,21 +1,19 @@
-//! Sharded serving tier: a scatter/gather router over unit shards.
+//! Sharded serving tier: a scatter/gather router over owner shards.
 //!
-//! The partition paper's mining units become the placement grain of a
-//! small serving fleet: `graphmine shard-plan` splits a database into
-//! `k` units ([`graphmine_partition::DbPartition`]), places them on `N`
-//! shards under a pluggable [`graphmine_partition::ShardPolicy`], gives
-//! every graph a unique **owner** shard, and writes a [`ShardTopology`]
-//! file. Each shard is an ordinary `graphmine serve` daemon booted from
+//! `graphmine shard-plan` gives every graph of a database a unique
+//! **owner** shard, balanced by edge load, and writes a [`ShardTopology`]
+//! file plus one database per shard that holds only the graphs that shard
+//! owns. Each shard is an ordinary `graphmine serve` daemon booted from
 //! that file; the [`Router`] is a front-end process that speaks the same
 //! NDJSON protocol and fans every request out:
 //!
-//! * exactness — gathered counts are restricted to each shard's owned
-//!   gids, which are disjoint and cover the database, so a cross-unit
-//!   pattern is counted exactly once no matter how many shards hold a
-//!   piece of it;
+//! * exactness — a shard holds only its owned graphs and owner sets are
+//!   disjoint and cover the database, so each shard's ordinary counts sum
+//!   to the global count with every graph counted exactly once;
 //! * completeness — shards mine at `ceil(s / N)` (the SON/pigeonhole
 //!   bound over owner sets), so the phase-1 union of locally frequent
-//!   patterns always contains every globally frequent one;
+//!   patterns always contains every globally frequent one, and phase 2
+//!   asks each shard only about the candidates it did not report;
 //! * updates — routed to owner shards under a three-phase epoch swap
 //!   built on the serve tier's WAL durable-ack barrier (validate →
 //!   prepare-durable-on-every-replica → commit global epoch);

@@ -1,40 +1,30 @@
 //! Shard planning: from one database to a [`ShardTopology`] plus the
 //! per-shard databases the `graphmine shard-plan` subcommand writes out.
 //!
-//! Every shard database is **gid-aligned with the root database** — it
-//! has exactly `|D|` slots, so update windows route to a shard without
-//! any gid renumbering:
-//!
-//! * an **owned** gid holds a full copy of the root graph (the shard is
-//!   the authority for that graph — updates land here, and the shard's
-//!   owner-restricted counts for it are exact forever);
-//! * a **non-owned** gid holds the merge of the shard's units' pieces of
-//!   that graph ([`merged_unit_graph`]) — a static local accelerator
-//!   that widens the shard's mining view. It may go stale as updates
-//!   land on other shards' owned copies; that is harmless, because
-//!   completeness only relies on owned slots (the pigeonhole bound runs
-//!   over owner sets) and exact answers are always owner-filtered.
+//! Every graph gets one owner shard, and a shard database holds exactly
+//! what its shard owns. It is **gid-aligned with the root database** —
+//! it has `|D|` slots, so update windows route to a shard without any
+//! gid renumbering — but only an owned slot holds a graph, a full copy of
+//! the root graph; every other slot is an empty graph, which supports
+//! nothing. A shard's ordinary counts are therefore counts over its owned
+//! graphs, and owner sets are disjoint, so the router sums them exactly.
 
-use graphmine_graph::{GraphDb, Support};
-use graphmine_partition::{
-    merged_unit_graph, shard_policy_by_name, Criteria, DbPartition, GraphPart,
-};
+use graphmine_graph::{Graph, GraphDb, GraphId, Support};
 
 use crate::topology::{local_min_support, ShardSpec, ShardTopology};
 
 /// Knobs for [`plan_shards`].
 #[derive(Debug, Clone)]
 pub struct PlanConfig {
-    /// Partition units (PartMiner `k`); must be `>= n_shards`.
+    /// Read by nothing: placement builds no partition units. Declared
+    /// only because `bench/e2e/src/router.rs` names it; the benchmark PR
+    /// of ROADMAP 1(a) deletes it.
+    #[doc(hidden)]
     pub k: usize,
     /// Number of shards.
     pub n_shards: usize,
     /// Replica processes per shard.
     pub replicas: usize,
-    /// Placement policy name (`"units"` or `"hub"`).
-    pub policy: String,
-    /// Hub degree threshold for the `"hub"` policy.
-    pub hub_threshold: usize,
     /// Global support threshold the router will answer at.
     pub min_support: Support,
     /// Host the generated addresses live on.
@@ -50,8 +40,6 @@ impl Default for PlanConfig {
             k: 4,
             n_shards: 2,
             replicas: 1,
-            policy: "units".to_string(),
-            hub_threshold: 100,
             min_support: 2,
             host: "127.0.0.1".to_string(),
             base_port: 7870,
@@ -69,14 +57,28 @@ pub struct ShardPlan {
     pub shard_dbs: Vec<GraphDb>,
 }
 
-/// Partitions `db` into `cfg.k` units, runs the placement policy, and
-/// materializes the per-shard databases.
+/// Owner of every gid: greedy min-load by edge count (each gid weighs
+/// `edges + 1` so edgeless graphs still spread), iterating gids in
+/// ascending order and breaking ties toward the lowest shard id.
+/// Deterministic for a given database.
+fn greedy_owners(db: &GraphDb, n_shards: usize) -> Vec<usize> {
+    let mut load = vec![0u64; n_shards];
+    let mut owners = Vec::with_capacity(db.len());
+    for (_, g) in db.iter() {
+        let s = (0..n_shards).min_by_key(|&s| (load[s], s)).expect("at least one shard");
+        load[s] += g.edge_count() as u64 + 1;
+        owners.push(s);
+    }
+    owners
+}
+
+/// Assigns every graph an owner shard and materializes the per-shard
+/// databases.
 ///
 /// # Errors
 ///
-/// Rejects empty databases, `n_shards == 0`, `k < n_shards` (some shard
-/// would host no unit), more planned ports than fit in a `u16`, and
-/// unknown policy names.
+/// Rejects empty databases, zero shards or replicas, and more planned
+/// ports than fit in a `u16`.
 pub fn plan_shards(db: &GraphDb, cfg: &PlanConfig) -> Result<ShardPlan, String> {
     if db.is_empty() {
         return Err("cannot shard an empty database".to_string());
@@ -84,52 +86,38 @@ pub fn plan_shards(db: &GraphDb, cfg: &PlanConfig) -> Result<ShardPlan, String> 
     if cfg.n_shards == 0 || cfg.replicas == 0 {
         return Err("need at least one shard and one replica".to_string());
     }
-    if cfg.k < cfg.n_shards {
-        return Err(format!(
-            "k = {} units cannot cover {} shards (need k >= n_shards)",
-            cfg.k, cfg.n_shards
-        ));
-    }
     let ports = 1 + cfg.n_shards * cfg.replicas;
     if u16::try_from(cfg.base_port as usize + ports - 1).is_err() {
         return Err(format!("port range {}+{} overflows", cfg.base_port, ports));
     }
-    let policy = shard_policy_by_name(&cfg.policy, cfg.hub_threshold)
-        .ok_or_else(|| format!("unknown shard policy `{}`", cfg.policy))?;
 
-    let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-    let part = DbPartition::build(db, &ufreq, &GraphPart::new(Criteria::COMBINED), cfg.k);
-    let plan = policy.assign(&part, cfg.n_shards);
-    plan.validate(&part, cfg.n_shards)?;
-
-    let mut shards = Vec::with_capacity(cfg.n_shards);
-    let mut shard_dbs = Vec::with_capacity(cfg.n_shards);
-    for s in 0..cfg.n_shards {
-        let units = plan.units_of(s);
-        let owned = plan.owned_by(s);
-        let mut sdb = GraphDb::new();
-        for (gid, g) in db.iter() {
-            if plan.owners[gid as usize] == s {
-                sdb.push(g.clone());
-            } else {
-                sdb.push(merged_unit_graph(&part, &units, gid));
-            }
+    let owners = greedy_owners(db, cfg.n_shards);
+    let mut owned: Vec<Vec<GraphId>> = vec![Vec::new(); cfg.n_shards];
+    let mut shard_dbs: Vec<GraphDb> = (0..cfg.n_shards).map(|_| GraphDb::new()).collect();
+    for (gid, g) in db.iter() {
+        let owner = owners[gid as usize];
+        owned[owner].push(gid);
+        for (s, sdb) in shard_dbs.iter_mut().enumerate() {
+            sdb.push(if s == owner { g.clone() } else { Graph::new() });
         }
-        let replicas = (0..cfg.replicas)
-            .map(|r| {
-                let port = cfg.base_port as usize + 1 + s * cfg.replicas + r;
-                format!("{}:{port}", cfg.host)
-            })
-            .collect();
-        shards.push(ShardSpec { id: s, units, owned, replicas, data: format!("shard-{s}.txt") });
-        shard_dbs.push(sdb);
     }
+    let shards = owned
+        .into_iter()
+        .enumerate()
+        .map(|(s, owned)| {
+            let replicas = (0..cfg.replicas)
+                .map(|r| {
+                    let port = cfg.base_port as usize + 1 + s * cfg.replicas + r;
+                    format!("{}:{port}", cfg.host)
+                })
+                .collect();
+            ShardSpec { id: s, owned, replicas, data: format!("shard-{s}.txt") }
+        })
+        .collect();
 
     let topology = ShardTopology {
         min_support: cfg.min_support,
         local_min_support: local_min_support(cfg.min_support, cfg.n_shards),
-        k: cfg.k,
-        policy: policy.name().to_string(),
         n_graphs: db.len(),
         router_addr: format!("{}:{}", cfg.host, cfg.base_port),
         shards,
@@ -141,7 +129,6 @@ pub fn plan_shards(db: &GraphDb, cfg: &PlanConfig) -> Result<ShardPlan, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphmine_graph::Graph;
 
     pub(crate) fn chain_db(n: usize) -> GraphDb {
         // n small labeled path graphs with some shared structure.
@@ -165,41 +152,97 @@ mod tests {
     #[test]
     fn plan_produces_aligned_dbs_with_full_owned_copies() {
         let db = chain_db(6);
-        let cfg = PlanConfig { k: 4, n_shards: 2, min_support: 4, ..PlanConfig::default() };
+        let cfg = PlanConfig { n_shards: 2, min_support: 4, ..PlanConfig::default() };
         let plan = plan_shards(&db, &cfg).unwrap();
         assert_eq!(plan.shard_dbs.len(), 2);
         assert_eq!(plan.topology.local_min_support, 2);
         for s in 0..2 {
             let sdb = &plan.shard_dbs[s];
             assert_eq!(sdb.len(), db.len(), "shard dbs stay gid-aligned");
-            for &gid in &plan.topology.shards[s].owned {
-                let (own, root) = (sdb.graph(gid), db.graph(gid));
-                assert_eq!(own.vlabels(), root.vlabels());
-                assert_eq!(own.edges().collect::<Vec<_>>(), root.edges().collect::<Vec<_>>());
+            let owned = &plan.topology.shards[s].owned;
+            for (gid, g) in sdb.iter() {
+                let root = db.graph(gid);
+                if owned.contains(&gid) {
+                    assert_eq!(g.vlabels(), root.vlabels());
+                    assert_eq!(g.edges().collect::<Vec<_>>(), root.edges().collect::<Vec<_>>());
+                } else {
+                    assert_eq!((g.vertex_count(), g.edge_count()), (0, 0), "gid {gid} not owned");
+                }
             }
         }
-        // Owner sets partition the gid space (validate() checked too).
+        // Owner sets partition the gid space (validate() checked too), and
+        // every input edge lands in exactly one shard database.
         let mut all: Vec<_> =
             plan.topology.shards.iter().flat_map(|s| s.owned.iter().copied()).collect();
         all.sort_unstable();
-        assert_eq!(all.len(), db.len());
+        assert_eq!(all, (0..db.len() as GraphId).collect::<Vec<_>>());
+        let edges: usize = plan.shard_dbs.iter().map(GraphDb::total_edges).sum();
+        assert_eq!(edges, db.total_edges());
+    }
+
+    #[test]
+    fn owners_cover_every_gid_once_at_any_shard_count() {
+        let db = chain_db(5);
+        for n_shards in 1..=7 {
+            let cfg = PlanConfig { n_shards, ..PlanConfig::default() };
+            let plan = plan_shards(&db, &cfg).unwrap();
+            assert_eq!(plan.topology.shards.len(), n_shards);
+            let mut all: Vec<GraphId> =
+                plan.topology.shards.iter().flat_map(|s| s.owned.iter().copied()).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..db.len() as GraphId).collect::<Vec<_>>(), "{n_shards} shards");
+            // A shard's database holds a graph exactly where it owns one.
+            for (s, spec) in plan.topology.shards.iter().enumerate() {
+                let held: Vec<GraphId> = plan.shard_dbs[s]
+                    .iter()
+                    .filter(|(_, g)| g.vertex_count() > 0)
+                    .map(|(gid, _)| gid)
+                    .collect();
+                assert_eq!(held, spec.owned, "shard {s} of {n_shards}");
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_owners_balance_by_edges() {
+        // Graph 0 has six edges, graphs 1 and 2 one each: the heaviest goes
+        // to shard 0 and the rest pile onto the lighter shard 1.
+        let mut db = GraphDb::new();
+        let mut star = Graph::new();
+        let hub = star.add_vertex(9);
+        for i in 0..6 {
+            let v = star.add_vertex(i);
+            star.add_edge(hub, v, 0).unwrap();
+        }
+        db.push(star);
+        for _ in 0..2 {
+            let mut e = Graph::new();
+            let (p, q) = (e.add_vertex(4), e.add_vertex(5));
+            e.add_edge(p, q, 2).unwrap();
+            db.push(e);
+        }
+        assert_eq!(greedy_owners(&db, 2), vec![0, 1, 1]);
     }
 
     #[test]
     fn plan_rejects_degenerate_configs() {
         let db = chain_db(3);
-        let bad_k = PlanConfig { k: 2, n_shards: 3, ..PlanConfig::default() };
-        assert!(plan_shards(&db, &bad_k).unwrap_err().contains("n_shards"));
-        let bad_policy = PlanConfig { policy: "nope".to_string(), ..PlanConfig::default() };
-        assert!(plan_shards(&db, &bad_policy).unwrap_err().contains("policy"));
+        let no_shards = PlanConfig { n_shards: 0, ..PlanConfig::default() };
+        assert!(plan_shards(&db, &no_shards).unwrap_err().contains("shard"));
+        let no_replicas = PlanConfig { replicas: 0, ..PlanConfig::default() };
+        assert!(plan_shards(&db, &no_replicas).unwrap_err().contains("replica"));
+        let overflow = PlanConfig { base_port: u16::MAX, ..PlanConfig::default() };
+        assert!(plan_shards(&db, &overflow).unwrap_err().contains("overflows"));
         assert!(plan_shards(&GraphDb::new(), &PlanConfig::default()).is_err());
+        // More shards than graphs is a plan: the extra shards own nothing.
+        let wide = plan_shards(&db, &PlanConfig { n_shards: 5, ..PlanConfig::default() }).unwrap();
+        assert_eq!(wide.topology.shards[4].owned, Vec::<GraphId>::new());
     }
 
     #[test]
     fn planned_addresses_are_dense_and_disjoint() {
         let db = chain_db(4);
-        let cfg =
-            PlanConfig { k: 4, n_shards: 2, replicas: 2, base_port: 9000, ..PlanConfig::default() };
+        let cfg = PlanConfig { n_shards: 2, replicas: 2, base_port: 9000, ..PlanConfig::default() };
         let plan = plan_shards(&db, &cfg).unwrap();
         assert_eq!(plan.topology.router_addr, "127.0.0.1:9000");
         assert_eq!(plan.topology.shards[0].replicas, vec!["127.0.0.1:9001", "127.0.0.1:9002"]);

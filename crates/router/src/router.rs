@@ -1,18 +1,20 @@
 //! The scatter/gather core: one [`Router`] owns the shard map and the
 //! pooled connections, scatters each request across the shards, and
 //! gathers answers that are **exact** — every graph counted exactly once
-//! — because all gathered counts are restricted to each shard's disjoint
-//! owned-gid set.
+//! — because each shard holds only its owned graphs and the owned-gid
+//! sets are disjoint.
 //!
-//! * `support` — scatter the pattern to every shard with `"owned":1`,
-//!   sum the counts.
+//! * `support` — scatter the pattern to every shard, sum the counts.
 //! * `patterns` — the SON two-phase query: phase 1 unions the shards'
 //!   locally frequent patterns (each shard mines at the lowered
 //!   `local_min_support = ceil(s / n_shards)`, so by pigeonhole over the
 //!   owned sets no globally frequent pattern is missing from every
-//!   shard); phase 2 re-counts every candidate owner-restricted on all
-//!   shards and filters at the global threshold. The result is
-//!   bit-identical to a single-process server over the whole database.
+//!   shard); phase 2 completes each candidate's count on the shards that
+//!   did not return it — a returned row already is that shard's exact
+//!   count — and filters at the global threshold. A shard whose phase-2
+//!   reply comes from another epoch than its phase-1 reply has every
+//!   candidate recounted. The result is bit-identical to a
+//!   single-process server over the whole database.
 //! * `update` — serialized, three phases: *validate* (dry-run the
 //!   per-owner sub-windows), *prepare* (durable-ack the window on every
 //!   replica of every touched shard), *commit* (publish the next global
@@ -25,8 +27,7 @@
 //! point the router republishes the committed global epoch **at each
 //! replica's last committed journal seq** — a restarted replica that has
 //! not replayed to the committed window rejects the seq and the shard
-//! stays dead, so stale owner-restricted counts can never slip back in
-//! untagged.
+//! stays dead, so stale counts can never slip back in untagged.
 //!
 //! Read answers are memoized in an epoch-keyed [`ResultCache`]
 //! (see [`crate::cache`]): exact (`partial`-free) `patterns`/`support`
@@ -67,6 +68,31 @@ fn drop_shard_reply(i: usize) -> bool {
 #[cfg(not(feature = "fault-injection"))]
 fn drop_shard_reply(_i: usize) -> bool {
     false
+}
+
+/// `true` when the armed
+/// [`SkipUnreportedRecount`](graphmine_graph::fault::Fault) mutant should
+/// keep SON phase 2 from asking any shard about what it did not report.
+#[cfg(feature = "fault-injection")]
+fn skip_unreported_recount() -> bool {
+    graphmine_graph::fault::armed(graphmine_graph::fault::Fault::SkipUnreportedRecount)
+}
+
+#[cfg(not(feature = "fault-injection"))]
+fn skip_unreported_recount() -> bool {
+    false
+}
+
+/// The local epoch a shard answered from.
+fn epoch_of(reply: &JsonValue) -> Option<u64> {
+    reply.field("epoch").and_then(JsonValue::as_num)
+}
+
+/// One shard's phase-1 answer: the epoch it answered from, and its exact
+/// support of every pattern it returned.
+struct Reported {
+    epoch: Option<u64>,
+    rows: BTreeMap<DfsCode, u64>,
 }
 
 /// The front-end router process state (the socket side is
@@ -227,11 +253,11 @@ impl Router {
         results.into_iter().map(|(i, _, res)| (i, res)).collect()
     }
 
-    /// Owner-restricted supports of `codes`, summed across all shards.
-    /// Returns the per-code sums and whether the answer is partial
-    /// (some shard was down and its owned graphs went uncounted).
+    /// Supports of `codes`, summed across all shards. Returns the
+    /// per-code sums and whether the answer is partial (some shard was
+    /// down and its owned graphs went uncounted).
     fn gather_supports(&self, codes: &[DfsCode]) -> (Vec<u64>, bool) {
-        let line = encode_support_batch(codes, true);
+        let line = encode_support_batch(codes);
         let all: Vec<usize> = (0..self.shards.len()).collect();
         let replies =
             self.scatter(&all, |_i, st| st.read_request(&line, &self.cfg, self.counters()));
@@ -347,9 +373,10 @@ impl Router {
         // exactly its locally best candidates; a cut reply without the
         // marker gives no such guarantee and also counts as truncation.
         let mut by_code: BTreeMap<DfsCode, u64> = BTreeMap::new();
+        let mut reported: Vec<Option<Reported>> = (0..all.len()).map(|_| None).collect();
         let mut partial = false;
         let mut truncated = false;
-        for (_, reply) in replies {
+        for (i, reply) in replies {
             match reply {
                 Ok(reply) => {
                     let returned = reply.field("returned").and_then(JsonValue::as_num).unwrap_or(0);
@@ -357,18 +384,21 @@ impl Router {
                     if returned < total {
                         truncated = true;
                     }
+                    let mut rows = BTreeMap::new();
                     for p in reply.field("patterns").and_then(JsonValue::as_arr).unwrap_or(&[]) {
                         let local = p.field("support").and_then(JsonValue::as_num).unwrap_or(0);
                         if let Some(code) = p.field("code") {
                             match code_from_json(code) {
                                 Ok(c) => {
-                                    let rank = by_code.entry(c).or_insert(0);
+                                    let rank = by_code.entry(c.clone()).or_insert(0);
                                     *rank = (*rank).max(local);
+                                    rows.insert(c, local);
                                 }
                                 Err(_) => partial = true,
                             }
                         }
                     }
+                    reported[i] = Some(Reported { epoch: epoch_of(&reply), rows });
                 }
                 Err(_) => partial = true,
             }
@@ -392,19 +422,11 @@ impl Router {
         };
         candidates.sort();
 
-        // Phase 2: exact owner-restricted recount of every candidate.
-        let (sums, gather_partial) = if candidates.is_empty() {
-            (Vec::new(), false)
-        } else {
-            self.gather_supports(&candidates)
-        };
-        // One degraded query, one GatherPartial bump: gather_supports
-        // already counted a partial phase 2, so only a phase-1-only
-        // degradation is counted here.
-        if partial && !gather_partial {
+        let (sums, recount_partial) = self.recount(&candidates, &reported);
+        partial |= recount_partial;
+        if partial {
             self.counters().bump(Counter::GatherPartial);
         }
-        partial |= gather_partial;
         if truncated {
             self.counters().bump(Counter::RouterPhase1Truncated);
         }
@@ -437,6 +459,68 @@ impl Router {
             fields.push(("partial", JsonValue::Num(1)));
         }
         ok_response(fields)
+    }
+
+    /// SON phase 2: every candidate's support, summed over the shards. A
+    /// row a shard returned in phase 1 is already its exact count, so each
+    /// shard is asked only about the candidates it did not return. If its
+    /// phase-2 reply comes from another epoch than its phase-1 reply, the
+    /// two cannot be added, and every candidate is recounted on it. Returns
+    /// the sums and whether some shard's count is missing.
+    fn recount(&self, candidates: &[DfsCode], reported: &[Option<Reported>]) -> (Vec<u64>, bool) {
+        let no_rows = BTreeMap::new();
+        let rows = |i: usize| reported[i].as_ref().map_or(&no_rows, |r| &r.rows);
+        let asks: Vec<Vec<usize>> = (0..reported.len())
+            .map(|i| {
+                if skip_unreported_recount() {
+                    return Vec::new();
+                }
+                (0..candidates.len()).filter(|&j| !rows(i).contains_key(&candidates[j])).collect()
+            })
+            .collect();
+        let targets: Vec<usize> = (0..asks.len()).filter(|&i| !asks[i].is_empty()).collect();
+        let replies = self.scatter(&targets, |i, st| {
+            let counters = self.counters();
+            counters.add(Counter::RouterPhase2Recounts, asks[i].len() as u64);
+            let line = encode_support_batch(asks[i].iter().map(|&j| &candidates[j]));
+            let reply = st.read_request(&line, &self.cfg, counters)?;
+            let phase1 = reported[i].as_ref().and_then(|r| r.epoch);
+            if phase1.is_none() || epoch_of(&reply) == phase1 {
+                return Ok((reply, false));
+            }
+            counters.add(Counter::RouterPhase2Recounts, candidates.len() as u64);
+            let line = encode_support_batch(candidates);
+            st.read_request(&line, &self.cfg, counters).map(|reply| (reply, true))
+        });
+        let mut sums = vec![0u64; candidates.len()];
+        let mut partial = false;
+        let mut recounted = vec![false; reported.len()];
+        for (i, reply) in replies {
+            if drop_shard_reply(i) {
+                continue;
+            }
+            let Ok((reply, whole)) = reply else {
+                partial = true;
+                continue;
+            };
+            recounted[i] = whole;
+            let asked = if whole { candidates.len() } else { asks[i].len() };
+            match reply.field("supports").and_then(JsonValue::as_arr) {
+                Some(arr) if arr.len() == asked => {
+                    for (k, v) in arr.iter().enumerate() {
+                        let j = if whole { k } else { asks[i][k] };
+                        sums[j] += v.as_num().unwrap_or(0);
+                    }
+                }
+                _ => partial = true,
+            }
+        }
+        for i in (0..reported.len()).filter(|&i| !recounted[i] && !drop_shard_reply(i)) {
+            for (j, code) in candidates.iter().enumerate() {
+                sums[j] += rows(i).get(code).copied().unwrap_or(0);
+            }
+        }
+        (sums, partial)
     }
 
     /// Aggregated deployment status: the committed global epoch, the

@@ -2,24 +2,27 @@
 //! writes and every other router-tier process reads.
 //!
 //! A topology pins down the whole deployment: how many shards, which
-//! mining units each shard hosts, which gids each shard *owns* (the
-//! disjoint sets that make gathered counts exact), the replica addresses
-//! per shard, and the support thresholds — the global one the router
-//! answers at, and the lowered per-shard one (`ceil(s / n_shards)`, the
-//! SON/pigeonhole bound) the shards mine at so no globally frequent
-//! pattern can hide from every shard's local result.
+//! gids each shard *owns* (the disjoint sets that make gathered counts
+//! exact), the replica addresses per shard, and the support thresholds —
+//! the global one the router answers at, and the lowered per-shard one
+//! (`ceil(s / n_shards)`, the SON/pigeonhole bound) the shards mine at so
+//! no globally frequent pattern can hide from every shard's local result.
 //!
 //! The file is JSON in the telemetry crate's dialect (no floats or
 //! booleans), e.g.:
 //!
 //! ```text
-//! {"version":1,"min_support":4,"local_min_support":2,"k":4,
-//!  "policy":"units","n_graphs":60,"router_addr":"127.0.0.1:7870",
+//! {"version":1,"min_support":4,"local_min_support":2,"n_graphs":60,
+//!  "router_addr":"127.0.0.1:7870",
 //!  "shards":[
-//!    {"id":0,"units":[0,2],"owned":[0,3,5],
+//!    {"id":0,"owned":[0,3,5],
 //!     "replicas":["127.0.0.1:7871"],"data":"shard-0.txt"},
 //!    ...]}
 //! ```
+//!
+//! Files written by older plans also carry `k`, `policy` and per-shard
+//! `units`, from when shards hosted partition units; those fields are
+//! ignored.
 
 use std::path::Path;
 
@@ -34,8 +37,6 @@ pub const TOPOLOGY_VERSION: u64 = 1;
 pub struct ShardSpec {
     /// Shard id, dense in `0..n_shards`.
     pub id: usize,
-    /// Mining units placed on this shard (ascending).
-    pub units: Vec<usize>,
     /// Gids this shard owns (ascending); owner sets are disjoint across
     /// shards and cover every gid.
     pub owned: Vec<GraphId>,
@@ -53,10 +54,6 @@ pub struct ShardTopology {
     pub min_support: Support,
     /// Per-shard mining threshold: `ceil(min_support / n_shards)`.
     pub local_min_support: Support,
-    /// Partition units the database was split into.
-    pub k: usize,
-    /// Placement policy name (`"units"` or `"hub"`).
-    pub policy: String,
     /// Graphs in the root database; every shard's db is gid-aligned to it.
     pub n_graphs: usize,
     /// Address the router front end binds.
@@ -80,7 +77,7 @@ impl ShardTopology {
 
     /// Checks the structural invariants the router relies on: dense
     /// shard ids, at least one replica each, owner sets that are
-    /// disjoint and cover `0..n_graphs`, units in range, and a
+    /// disjoint and cover `0..n_graphs`, and a
     /// `local_min_support` that actually is the pigeonhole bound.
     ///
     /// # Errors
@@ -96,12 +93,6 @@ impl ShardTopology {
             }
             if s.replicas.is_empty() {
                 return Err(format!("shard {i} has no replicas"));
-            }
-            if s.units.iter().any(|&u| u >= self.k) {
-                return Err(format!("shard {i} references a unit >= k={}", self.k));
-            }
-            if s.units.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("shard {i} units not sorted/unique"));
             }
             if s.owned.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("shard {i} owned gids not sorted/unique"));
@@ -139,10 +130,6 @@ impl ShardTopology {
                 JsonValue::Obj(vec![
                     ("id".to_string(), JsonValue::Num(s.id as u64)),
                     (
-                        "units".to_string(),
-                        JsonValue::Arr(s.units.iter().map(|&u| JsonValue::Num(u as u64)).collect()),
-                    ),
-                    (
                         "owned".to_string(),
                         JsonValue::Arr(
                             s.owned.iter().map(|&g| JsonValue::Num(u64::from(g))).collect(),
@@ -162,8 +149,6 @@ impl ShardTopology {
             ("version".to_string(), JsonValue::Num(TOPOLOGY_VERSION)),
             ("min_support".to_string(), JsonValue::Num(u64::from(self.min_support))),
             ("local_min_support".to_string(), JsonValue::Num(u64::from(self.local_min_support))),
-            ("k".to_string(), JsonValue::Num(self.k as u64)),
-            ("policy".to_string(), JsonValue::Str(self.policy.clone())),
             ("n_graphs".to_string(), JsonValue::Num(self.n_graphs as u64)),
             ("router_addr".to_string(), JsonValue::Str(self.router_addr.clone())),
             ("shards".to_string(), JsonValue::Arr(shards)),
@@ -219,7 +204,6 @@ impl ShardTopology {
                 .collect::<Result<Vec<_>, _>>()?;
             shards.push(ShardSpec {
                 id: snum("id")? as usize,
-                units: list("units")?.into_iter().map(|u| u as usize).collect(),
                 owned: list("owned")?.into_iter().map(|g| g as GraphId).collect(),
                 replicas,
                 data: s
@@ -232,8 +216,6 @@ impl ShardTopology {
         let topo = ShardTopology {
             min_support: num("min_support")? as Support,
             local_min_support: num("local_min_support")? as Support,
-            k: num("k")? as usize,
-            policy: str_field("policy")?,
             n_graphs: num("n_graphs")? as usize,
             router_addr: str_field("router_addr")?,
             shards,
@@ -275,21 +257,17 @@ mod tests {
         ShardTopology {
             min_support: 4,
             local_min_support: 2,
-            k: 4,
-            policy: "units".to_string(),
             n_graphs: 5,
             router_addr: "127.0.0.1:7870".to_string(),
             shards: vec![
                 ShardSpec {
                     id: 0,
-                    units: vec![0, 2],
                     owned: vec![0, 3],
                     replicas: vec!["127.0.0.1:7871".to_string()],
                     data: "shard-0.txt".to_string(),
                 },
                 ShardSpec {
                     id: 1,
-                    units: vec![1, 3],
                     owned: vec![1, 2, 4],
                     replicas: vec!["127.0.0.1:7872".to_string(), "127.0.0.1:7873".to_string()],
                     data: "shard-1.txt".to_string(),
@@ -310,6 +288,21 @@ mod tests {
         assert_eq!(ShardTopology::load(&path).unwrap(), topo);
     }
 
+    /// A file written by an older plan names its partition units; it loads
+    /// as the same topology, the unit fields unread.
+    #[test]
+    fn an_older_plan_with_units_loads_with_them_ignored() {
+        let older = r#"{"version":1,"min_support":4,"local_min_support":2,"k":4,
+            "policy":"hub","n_graphs":5,"router_addr":"127.0.0.1:7870","shards":[
+            {"id":0,"units":[0,2],"owned":[0,3],"replicas":["127.0.0.1:7871"],"data":"shard-0.txt"},
+            {"id":1,"units":[1,3],"owned":[1,2,4],
+             "replicas":["127.0.0.1:7872","127.0.0.1:7873"],"data":"shard-1.txt"}]}"#;
+        let parsed = ShardTopology::from_json(&JsonValue::parse(older).unwrap()).unwrap();
+        assert_eq!(parsed, tiny());
+        let written = parsed.to_json().to_json();
+        assert!(!written.contains("units") && !written.contains("policy"), "{written}");
+    }
+
     #[test]
     fn validation_catches_broken_invariants() {
         let mut overlap = tiny();
@@ -327,10 +320,6 @@ mod tests {
         let mut no_replica = tiny();
         no_replica.shards[0].replicas.clear();
         assert!(no_replica.validate().unwrap_err().contains("replicas"));
-
-        let mut bad_unit = tiny();
-        bad_unit.shards[0].units = vec![0, 9];
-        assert!(bad_unit.validate().unwrap_err().contains("unit"));
     }
 
     #[test]

@@ -16,13 +16,10 @@ fn router() -> Arc<Router> {
     let topo = ShardTopology {
         min_support: 1,
         local_min_support: 1,
-        k: 1,
-        policy: "units".to_string(),
         n_graphs: 1,
         router_addr: "127.0.0.1:0".to_string(),
         shards: vec![ShardSpec {
             id: 0,
-            units: vec![0],
             owned: vec![0],
             replicas: vec!["127.0.0.1:1".to_string()],
             data: "shard-0.txt".to_string(),

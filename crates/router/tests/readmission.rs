@@ -81,7 +81,7 @@ fn scripted_shard(lines: Arc<Mutex<Vec<String>>>) -> (String, std::thread::JoinH
 #[test]
 fn readmission_republishes_the_last_committed_seq_not_zero() {
     let db = tiny_db();
-    let cfg = PlanConfig { k: 2, n_shards: 1, min_support: 3, ..PlanConfig::default() };
+    let cfg = PlanConfig { n_shards: 1, min_support: 3, ..PlanConfig::default() };
     let plan = plan_shards(&db, &cfg).unwrap();
     let mut topo = plan.topology;
 

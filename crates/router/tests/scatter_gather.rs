@@ -1,5 +1,6 @@
 //! End-to-end router tests against real shard daemons: gather
-//! exactness vs a single-process reference, the 2PC update path, dead
+//! exactness vs a single-process reference (also for shard files written
+//! by older plans), the phase-2 recount count, the 2PC update path, dead
 //! shard degradation with `"partial":1`, probe re-admission with epoch
 //! republish, and replica failover.
 
@@ -9,7 +10,9 @@ use std::time::Duration;
 use graphmine_graph::{DbUpdate, Graph, GraphDb, GraphUpdate};
 use graphmine_router::{plan_shards, PlanConfig, Router, RouterConfig, ShardTopology};
 use graphmine_serve::protocol::Request;
-use graphmine_serve::{start, EngineConfig, RetryPolicy, ServeEngine, ServerConfig, ServerHandle};
+use graphmine_serve::{
+    start, Client, EngineConfig, RetryPolicy, ServeEngine, ServerConfig, ServerHandle,
+};
 use graphmine_telemetry::{Counter, JsonValue};
 
 /// Eight labeled graphs with overlapping substructure so `patterns` at
@@ -63,29 +66,32 @@ struct Fleet {
     _dirs: Vec<tempfile::TempDir>,
 }
 
-/// Plans `db` over `n_shards`, boots one daemon per shard (single
-/// replica) on ephemeral ports, and patches the topology with the real
-/// addresses.
+/// Plans `db` over `n_shards` and boots the plan with [`boot_shards`].
 fn boot_fleet(db: &GraphDb, n_shards: usize, min_support: u32) -> Fleet {
-    let cfg = PlanConfig { k: 4, n_shards, min_support, ..PlanConfig::default() };
+    let cfg = PlanConfig { n_shards, min_support, ..PlanConfig::default() };
     let plan = plan_shards(db, &cfg).unwrap();
-    let mut topo = plan.topology;
+    boot_shards(plan.topology, plan.shard_dbs)
+}
+
+/// Boots one daemon per shard database (single replica) on ephemeral
+/// ports, and patches the topology with the real addresses.
+fn boot_shards(mut topo: ShardTopology, shard_dbs: Vec<GraphDb>) -> Fleet {
     let mut handles = Vec::new();
     let mut dirs = Vec::new();
-    for s in 0..n_shards {
+    for (spec, sdb) in topo.shards.iter_mut().zip(&shard_dbs) {
         let dir = tempfile::tempdir().unwrap();
         let ecfg = EngineConfig {
             min_support: topo.local_min_support,
-            owned: Some(topo.shards[s].owned.clone()),
+            owned: Some(spec.owned.clone()),
             ..EngineConfig::default()
         };
-        let (engine, _) = ServeEngine::boot(Some(&plan.shard_dbs[s]), dir.path(), &ecfg).unwrap();
+        let (engine, _) = ServeEngine::boot(Some(sdb), dir.path(), &ecfg).unwrap();
         let handle = start(Arc::new(engine), &ServerConfig::default()).unwrap();
-        topo.shards[s].replicas = vec![handle.addr().to_string()];
+        spec.replicas = vec![handle.addr().to_string()];
         handles.push(handle);
         dirs.push(dir);
     }
-    Fleet { topo, handles, shard_dbs: plan.shard_dbs, _dirs: dirs }
+    Fleet { topo, handles, shard_dbs, _dirs: dirs }
 }
 
 /// Extracts the comparable core of a `patterns` reply.
@@ -195,6 +201,69 @@ fn router_matches_a_single_process_server_across_an_update_window() {
     assert_eq!(bad.field("status").and_then(JsonValue::as_str), Some("error"));
     assert_eq!(router.global_epoch(), 1, "aborted windows must not advance the epoch");
     assert!(router.telemetry().counters().get(Counter::Epoch2pcAborts) >= 1);
+}
+
+/// Phase 2 asks each shard only about the candidates it did not return in
+/// phase 1: `router_phase2_recounts` is exactly Σ_s |candidates \ returned_s|.
+#[test]
+fn phase2_recounts_only_what_each_shard_did_not_return() {
+    let db = mixed_db();
+    let fleet = boot_fleet(&db, 3, 3);
+    let router = Router::new(fleet.topo.clone(), uncached_router_cfg()).unwrap();
+
+    let returned: Vec<Vec<String>> = fleet
+        .handles
+        .iter()
+        .map(|h| {
+            let mut shard = Client::connect(h.addr()).unwrap();
+            let reply = shard.patterns(Some(1_000_000_000), None).unwrap();
+            pattern_rows(&reply).into_iter().map(|(_, _, code)| code).collect()
+        })
+        .collect();
+    let mut candidates: Vec<&String> = returned.iter().flatten().collect();
+    candidates.sort();
+    candidates.dedup();
+    let expected: usize =
+        returned.iter().map(|r| candidates.iter().filter(|c| !r.contains(c)).count()).sum();
+    assert!(expected > 0, "fixture should leave some shard a candidate to recount");
+    assert!(expected < candidates.len() * returned.len(), "nothing spared");
+
+    let got = router.patterns(1_000_000_000, None);
+    assert!(got.field("partial").is_none());
+    let recounts = router.telemetry().counters().get(Counter::RouterPhase2Recounts);
+    assert_eq!(recounts, expected as u64);
+}
+
+/// Shard files written by older plans held merged unit pieces — at most
+/// the whole graph — in the slots a shard does not own. Booted from such
+/// files, a fleet still answers byte-identically to a fleet of today's
+/// files and row-identically to one process, because the engine empties
+/// those slots at boot.
+#[test]
+fn a_fleet_from_older_shard_files_answers_like_one_process() {
+    let db = mixed_db();
+    let plan =
+        plan_shards(&db, &PlanConfig { n_shards: 2, min_support: 3, ..PlanConfig::default() })
+            .unwrap();
+    let older: Vec<GraphDb> = (0..2).map(|_| db.clone()).collect();
+    let current = boot_shards(plan.topology.clone(), plan.shard_dbs);
+    let old = boot_shards(plan.topology, older);
+    let router = |fleet: &Fleet| Router::new(fleet.topo.clone(), uncached_router_cfg()).unwrap();
+    let (now, then) = (router(&current), router(&old));
+
+    let ref_dir = tempfile::tempdir().unwrap();
+    let ref_cfg = EngineConfig { min_support: 3, ..EngineConfig::default() };
+    let (reference, _) = ServeEngine::boot(Some(&db), ref_dir.path(), &ref_cfg).unwrap();
+    for top in [1_000_000_000, 50, 2] {
+        let got = then.patterns(top, None);
+        assert_eq!(got.to_json(), now.patterns(top, None).to_json(), "top {top}");
+        let want = reference.handle(&Request::Patterns { top, min_support: None });
+        assert_eq!(pattern_rows(&got), pattern_rows(&want), "top {top}");
+    }
+    for pat in [edge_pattern(0, 5, 1), edge_pattern(1, 6, 2), edge_pattern(0, 7, 3)] {
+        let want = reference.handle(&Request::Support { graph: pat.clone(), owned: false });
+        assert_eq!(num(&then.support(&pat), "support"), num(&want, "support"));
+    }
 }
 
 #[test]
@@ -370,7 +439,7 @@ fn restarted_shard_stays_dead_until_it_catches_up_to_the_committed_seq() {
 fn replica_failover_keeps_reads_exact_and_write_failures_abort() {
     let db = mixed_db();
     // One shard, two replicas booted from the same plan.
-    let cfg = PlanConfig { k: 4, n_shards: 1, min_support: 3, ..PlanConfig::default() };
+    let cfg = PlanConfig { n_shards: 1, min_support: 3, ..PlanConfig::default() };
     let plan = plan_shards(&db, &cfg).unwrap();
     let mut topo = plan.topology;
     let mut handles = Vec::new();

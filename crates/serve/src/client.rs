@@ -339,13 +339,13 @@ impl Client {
     }
 
     /// A `support-batch` request: exact supports of several codes in one
-    /// round trip, owner-restricted when `owned` is set (router gather).
+    /// round trip.
     ///
     /// # Errors
     ///
     /// As [`Client::request_line`].
-    pub fn support_batch(&mut self, codes: &[DfsCode], owned: bool) -> Result<JsonValue, String> {
-        self.request_line(&protocol::encode_support_batch(codes, owned))
+    pub fn support_batch(&mut self, codes: &[DfsCode]) -> Result<JsonValue, String> {
+        self.request_line(&protocol::encode_support_batch(codes))
     }
 
     /// An `epoch-commit` request (router 2PC commit).

@@ -100,9 +100,11 @@ pub struct EngineConfig {
     pub embedding_budget: usize,
     /// Streaming-ingest knobs (staleness bound, coalescing).
     pub ingest: IngestConfig,
-    /// Gids this shard owns, for owner-restricted counts (`None` =
-    /// single-process mode, every gid owned). The router's gathered
-    /// sums are exact because owner sets are disjoint across shards.
+    /// Gids this shard owns (`None` = single-process mode, every gid
+    /// owned). Boot empties every other slot of the database, so every
+    /// count the engine answers is over owned graphs only — the router's
+    /// gathered sums are exact because owner sets are disjoint across
+    /// shards.
     pub owned: Option<Vec<GraphId>>,
     /// Sliding-window retention: keep only the newest `N` ingest windows
     /// live; once an older window falls past the horizon the engine
@@ -299,10 +301,9 @@ struct EngineShared {
     /// never be answered from another generation's memo. Entries of
     /// superseded epochs are evicted on swap.
     support_memo: Mutex<FxHashMap<(u64, DfsCode), (Support, SupportSource)>>,
-    /// Gids this shard owns (sorted), `None` in single-process mode.
-    owned: Option<Vec<GraphId>>,
-    /// Owner-restricted support memo, keyed like `support_memo`.
-    owned_memo: Mutex<FxHashMap<(u64, DfsCode), Support>>,
+    /// Graphs this engine holds: the owned gids of a shard, every gid in
+    /// single-process mode.
+    owned_graphs: usize,
     /// Last router-committed global epoch (0 until a commit arrives).
     /// In-memory only — the router republishes it on re-admission.
     global_epoch: AtomicU64,
@@ -348,7 +349,8 @@ impl ServeEngine {
     /// the snapshot plus the replayed journal, and `cfg.min_support` is
     /// overridden by the persisted metadata. Every journaled batch is
     /// applied as data, then the database is mined once; nothing else in
-    /// the directory is believed.
+    /// the directory is believed. With `cfg.owned` set, every slot outside
+    /// it is emptied first, whatever the snapshot or `initial` holds there.
     ///
     /// # Errors
     ///
@@ -392,11 +394,20 @@ impl ServeEngine {
             let db = initial.cloned().ok_or_else(|| {
                 format!("no snapshot in {} and no initial database", dir.display())
             })?;
-            GraphStore::create(&dir.join("snapshot.0.gs"), &db, cfg.pool_pages)
-                .map_err(|e| format!("snapshot: {e}"))?;
-            write_meta(&meta_path, cfg.min_support, 0, "snapshot.0.gs")?;
             (db, cfg.min_support, 0)
         };
+        // A shard holds only what it owns. Shard files from older plans
+        // carry merged unit pieces in the other slots; they go here, before
+        // any count can see them.
+        let owned_graphs = match &cfg.owned {
+            Some(owned) => hold_only(&mut db, owned),
+            None => db.len(),
+        };
+        if !from_snapshot {
+            GraphStore::create(&dir.join("snapshot.0.gs"), &db, cfg.pool_pages)
+                .map_err(|e| format!("snapshot: {e}"))?;
+            write_meta(&meta_path, min_support, 0, "snapshot.0.gs")?;
+        }
 
         let (mut journal, batches) =
             UpdateJournal::recover(&dir.join("journal.wal"), cfg.pool_pages)
@@ -459,12 +470,7 @@ impl ServeEngine {
             window: cfg.window,
             current: RwLock::new(Arc::new(ResultEpoch::new(epoch, db, patterns))),
             support_memo: Mutex::new(FxHashMap::default()),
-            owned: cfg.owned.clone().map(|mut o| {
-                o.sort_unstable();
-                o.dedup();
-                o
-            }),
-            owned_memo: Mutex::new(FxHashMap::default()),
+            owned_graphs,
             global_epoch: AtomicU64::new(0),
             exec,
             journal: GroupCommitJournal::new(journal),
@@ -525,54 +531,12 @@ impl ServeEngine {
         (support, source)
     }
 
-    /// Owner-restricted exact support of `pattern` in epoch `ep`: only
-    /// supporter gids in the shard's owned set count. Falls back to the
-    /// full count in single-process mode (no owned set — every gid
-    /// owned).
-    ///
-    /// The warm `patterns` fast path is unusable here — `P(D)` stores
-    /// totals without supporter lists — so the count always goes through
-    /// the embedding-list engine (or isomorphism search on spill), both
-    /// of which report *which* gids support the pattern. Memoized like
-    /// [`ServeEngine::support_of`], keyed by `(epoch, code)`.
-    pub fn owned_support_of(&self, ep: &ResultEpoch, pattern: &Graph) -> Support {
-        let Some(owned) = &self.shared.owned else {
-            return self.support_of(ep, pattern).0;
-        };
-        let code = min_dfs_code(pattern);
-        let key = (ep.epoch, code);
-        if let Some(&s) = self.shared.owned_memo.lock().get(&key) {
-            return s;
-        }
-        let counters = self.shared.tel.counters();
-        let gids = match EmbeddingStore::new(&ep.db, self.shared.embedding_budget)
-            .support(&key.1, counters)
-        {
-            Some((_, gids)) => {
-                counters.bump(SupportSource::Embeddings.counter());
-                gids
-            }
-            None => {
-                counters.bump(SupportSource::Search.counter());
-                graphmine_graph::iso::supporting_gids(&ep.db, &key.1)
-            }
-        };
-        let support = gids.iter().filter(|g| owned.binary_search(g).is_ok()).count() as Support;
-        self.shared.owned_memo.lock().insert(key, support);
-        support
-    }
-
-    /// The gids this shard owns, when booted in sharded mode.
-    pub fn owned_gids(&self) -> Option<&[GraphId]> {
-        self.shared.owned.as_deref()
-    }
-
-    /// Live entry counts of the two support memos `(support, owned)` —
-    /// observability for the epoch-swap eviction policy (each swap keeps
-    /// the current and previous generations only, so these stay bounded
-    /// under unbounded streaming ingest).
-    pub fn memo_sizes(&self) -> (usize, usize) {
-        (self.shared.support_memo.lock().len(), self.shared.owned_memo.lock().len())
+    /// Live entry count of the support memo — observability for the
+    /// epoch-swap eviction policy (each swap keeps the current and
+    /// previous generations only, so it stays bounded under unbounded
+    /// streaming ingest).
+    pub fn memo_size(&self) -> usize {
+        self.shared.support_memo.lock().len()
     }
 
     /// The last router-committed global epoch (0 before any commit).
@@ -806,8 +770,8 @@ impl ServeEngine {
         match req {
             Request::Status { report } => self.handle_status(*report),
             Request::Patterns { top, min_support } => self.handle_patterns(*top, *min_support),
-            Request::Support { graph, owned } => self.handle_support(graph, *owned),
-            Request::SupportBatch { graphs, owned } => self.handle_support_batch(graphs, *owned),
+            Request::Support { graph, .. } => self.handle_support(graph),
+            Request::SupportBatch { graphs, .. } => self.handle_support_batch(graphs),
             Request::Update { ops, ack, dry_run } => self.handle_update(ops, *ack, *dry_run),
             Request::EpochCommit { global, seq } => self.handle_epoch_commit(*global, *seq),
             Request::Shutdown => {
@@ -910,13 +874,7 @@ impl ServeEngine {
             ("pattern_count", JsonValue::Num(ep.patterns.len() as u64)),
             ("min_support", JsonValue::Num(u64::from(shared.min_support))),
             ("pending_windows", JsonValue::Num(self.pending_windows() as u64)),
-            (
-                "owned_graphs",
-                JsonValue::Num(match &shared.owned {
-                    Some(o) => o.len() as u64,
-                    None => ep.db.len() as u64,
-                }),
-            ),
+            ("owned_graphs", JsonValue::Num(shared.owned_graphs as u64)),
             ("counters", counters),
         ];
         if report {
@@ -949,17 +907,9 @@ impl ServeEngine {
         ])
     }
 
-    fn handle_support(&self, pattern: &Graph, owned: bool) -> JsonValue {
+    fn handle_support(&self, pattern: &Graph) -> JsonValue {
         self.shared.tel.counters().bump(Counter::ReqSupport);
         let ep = self.current();
-        if owned {
-            let support = self.owned_support_of(&ep, pattern);
-            return ok_response(vec![
-                ("epoch", JsonValue::Num(ep.epoch)),
-                ("support", JsonValue::Num(u64::from(support))),
-                ("source", JsonValue::Str("owned".to_string())),
-            ]);
-        }
         let (support, source) = self.support_of(&ep, pattern);
         ok_response(vec![
             ("epoch", JsonValue::Num(ep.epoch)),
@@ -968,17 +918,11 @@ impl ServeEngine {
         ])
     }
 
-    fn handle_support_batch(&self, graphs: &[Graph], owned: bool) -> JsonValue {
+    fn handle_support_batch(&self, graphs: &[Graph]) -> JsonValue {
         self.shared.tel.counters().bump(Counter::ReqSupport);
         let ep = self.current();
-        let supports = graphs
-            .iter()
-            .map(|g| {
-                let s =
-                    if owned { self.owned_support_of(&ep, g) } else { self.support_of(&ep, g).0 };
-                JsonValue::Num(u64::from(s))
-            })
-            .collect();
+        let supports =
+            graphs.iter().map(|g| JsonValue::Num(u64::from(self.support_of(&ep, g).0))).collect();
         ok_response(vec![
             ("epoch", JsonValue::Num(ep.epoch)),
             ("supports", JsonValue::Arr(supports)),
@@ -1074,7 +1018,6 @@ fn applier_loop(shared: &Arc<EngineShared>) {
         // long-running daemon under streaming ingest holds at most two
         // generations at any time.
         shared.support_memo.lock().retain(|&(epoch, _), _| epoch + 1 >= seq);
-        shared.owned_memo.lock().retain(|&(epoch, _), _| epoch + 1 >= seq);
         let mut q = shared.queue.lock().expect("ingest queue poisoned");
         q.windows.remove(&seq);
         q.applied_seq = seq;
@@ -1118,6 +1061,26 @@ fn applier_loop(shared: &Arc<EngineShared>) {
         drop(q);
         shared.applied.notify_all();
     }
+}
+
+/// Empties every slot of `db` whose gid is not in `owned`, keeping the
+/// gid alignment (an empty graph supports nothing). Returns how many
+/// slots are held.
+fn hold_only(db: &mut GraphDb, owned: &[GraphId]) -> usize {
+    let mut keep = vec![false; db.len()];
+    for &gid in owned {
+        if let Some(k) = keep.get_mut(gid as usize) {
+            *k = true;
+        }
+    }
+    for (gid, &keep) in keep.iter().enumerate() {
+        let g = db.graph_mut(gid as GraphId);
+        if !keep && g.vertex_count() > 0 {
+            *g = Graph::new();
+            g.freeze();
+        }
+    }
+    keep.into_iter().filter(|&k| k).count()
 }
 
 fn fail_pipeline(shared: &EngineShared, msg: String) {
@@ -1600,42 +1563,55 @@ mod tests {
         assert_eq!(engine.current().db.graph(1).edge_count(), 2);
     }
 
+    /// A shard holds only its owned graphs: boot empties the other slots,
+    /// so every count — from `P(D)` or not — is an owned count.
     #[test]
     fn owned_support_restricts_to_the_owned_set() {
         let dir = tempfile::tempdir().unwrap();
         let db = small_db();
         let mut config = cfg();
+        config.min_support = 2;
         config.owned = Some(vec![3, 1]); // unsorted on purpose
         let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &config).unwrap();
         let ep = engine.current();
+        assert_eq!(ep.db.len(), 4, "gid alignment survives");
+        assert_eq!(ep.db.graph(0).vertex_count() + ep.db.graph(2).vertex_count(), 0);
 
-        // The (0)-10-(1) edge is in all four graphs; two are owned.
+        // The (0)-10-(1) edge is in all four graphs; two are owned, and the
+        // owned count is frequent at 2, so `P(D)` answers it.
         let mut frequent = Graph::new();
         let a = frequent.add_vertex(0);
         let b = frequent.add_vertex(1);
         frequent.add_edge(a, b, 10).unwrap();
-        assert_eq!(engine.owned_support_of(&ep, &frequent), 2);
-        assert_eq!(engine.support_of(&ep, &frequent).0, 4, "full count unaffected");
-        assert_eq!(engine.owned_support_of(&ep, &frequent), 2, "memo hit agrees");
+        assert_eq!(engine.support_of(&ep, &frequent), (2, SupportSource::Patterns));
 
         // The triangle edge lives in gids 0 and 2 — neither owned.
         let mut rare = Graph::new();
         let a = rare.add_vertex(2);
         let b = rare.add_vertex(0);
         rare.add_edge(a, b, 12).unwrap();
-        assert_eq!(engine.owned_support_of(&ep, &rare), 0);
-        assert_eq!(engine.support_of(&ep, &rare).0, 2);
+        assert_eq!(engine.support_of(&ep, &rare).0, 0);
 
-        assert_eq!(engine.owned_gids(), Some(&[1, 3][..]));
         let status = engine.handle(&Request::Status { report: false });
         assert_eq!(status.field("owned_graphs").and_then(JsonValue::as_num), Some(2));
 
-        // Single-process mode: no owned set means every gid counts.
+        // The slots stay empty across a restart from the snapshot, and a
+        // snapshot written before the slots were emptied (an older plan's
+        // shard file) is emptied on the way in.
+        engine.clean_stop().unwrap();
+        drop(engine);
+        let (engine, boot) = ServeEngine::boot(None, dir.path(), &config).unwrap();
+        assert!(boot.from_snapshot);
+        assert_eq!(engine.support_of(&engine.current(), &frequent).0, 2);
         let dir2 = tempfile::tempdir().unwrap();
-        let (single, _) = ServeEngine::boot(Some(&db), dir2.path(), &cfg()).unwrap();
-        let ep2 = single.current();
-        assert_eq!(single.owned_support_of(&ep2, &frequent), 4);
-        assert_eq!(single.owned_gids(), None);
+        ServeEngine::boot(Some(&db), dir2.path(), &cfg()).unwrap().0.clean_stop().unwrap();
+        let (older, _) = ServeEngine::boot(None, dir2.path(), &config).unwrap();
+        assert_eq!(older.support_of(&older.current(), &rare).0, 0);
+
+        // Single-process mode: no owned set means every gid counts.
+        let dir3 = tempfile::tempdir().unwrap();
+        let (single, _) = ServeEngine::boot(Some(&db), dir3.path(), &cfg()).unwrap();
+        assert_eq!(single.support_of(&single.current(), &frequent).0, 4);
     }
 
     #[test]
@@ -1699,30 +1675,21 @@ mod tests {
         let a = rare.add_vertex(2);
         let b = rare.add_vertex(0);
         rare.add_edge(a, b, 12).unwrap();
-        let resp = engine.handle(&Request::SupportBatch {
-            graphs: vec![frequent.clone(), rare.clone()],
-            owned: true,
-        });
-        let supports: Vec<u64> = resp
-            .field("supports")
-            .and_then(JsonValue::as_arr)
-            .unwrap()
-            .iter()
-            .map(|v| v.as_num().unwrap())
-            .collect();
         // Owned gids are 0 and 2: both hold the frequent edge and both
-        // hold the triangle edge.
-        assert_eq!(supports, vec![2, 2]);
-        let full =
-            engine.handle(&Request::SupportBatch { graphs: vec![frequent, rare], owned: false });
-        let full: Vec<u64> = full
-            .field("supports")
-            .and_then(JsonValue::as_arr)
-            .unwrap()
-            .iter()
-            .map(|v| v.as_num().unwrap())
-            .collect();
-        assert_eq!(full, vec![4, 2]);
+        // hold the triangle edge. The `owned` flag older routers send
+        // changes nothing.
+        for owned in [true, false] {
+            let graphs = vec![frequent.clone(), rare.clone()];
+            let resp = engine.handle(&Request::SupportBatch { graphs, owned });
+            let supports: Vec<u64> = resp
+                .field("supports")
+                .and_then(JsonValue::as_arr)
+                .unwrap()
+                .iter()
+                .map(|v| v.as_num().unwrap())
+                .collect();
+            assert_eq!(supports, vec![2, 2], "owned: {owned}");
+        }
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! {"cmd":"patterns","top":10,"min_support":3}      // both fields optional
 //! {"cmd":"support","code":[[0,1,0,5,1],[1,2,1,5,0]]}
 //! {"cmd":"support","graph":{"vertices":[0,1,0],"edges":[[0,1,5],[1,2,5]]}}
-//! {"cmd":"support","code":[...],"owned":1}        // count owned gids only
-//! {"cmd":"support-batch","codes":[[...],[...]],"owned":1}
+//! {"cmd":"support-batch","codes":[[...],[...]]}
 //! {"cmd":"update","ops":[{"gid":3,"op":"add-edge","u":0,"v":6,"label":2}]}
 //! {"cmd":"update","ops":[...],"ack":"durable"}   // stream: ack at the fsync barrier
 //! {"cmd":"update","dry_run":1,"ops":[...]}       // router 2PC: validate only
@@ -36,14 +35,16 @@
 //! from `overloaded` (connection queue full) and from real errors:
 //! nothing was admitted and the client should retry after a backoff.
 //!
-//! The `owned`/`support-batch`/`dry_run`/`epoch-commit` extensions serve
-//! the scatter/gather router (`graphmine-router`): shards booted with an
-//! owned-gid set answer owner-restricted counts (so gathered sums count
-//! every graph exactly once), a dry-run update validates a window against
+//! The `support-batch`/`dry_run`/`epoch-commit` extensions serve the
+//! scatter/gather router (`graphmine-router`): a batch answers several
+//! counts in one round trip, a dry-run update validates a window against
 //! the journal tail without admitting it (2PC phase 0), and
 //! `epoch-commit` waits for a prepared window to apply and then adopts
 //! the router's published global epoch, which `status` reports alongside
-//! the local one.
+//! the local one. A shard holds only the graphs it owns, so its ordinary
+//! counts are already the owner-restricted counts the router sums; the
+//! `"owned":1` flag older routers send on `support`/`support-batch` is
+//! parsed and changes nothing.
 
 use graphmine_graph::{DbUpdate, DfsCode, Graph, GraphUpdate, Pattern, Support, VLabel};
 use graphmine_telemetry::JsonValue;
@@ -81,7 +82,8 @@ pub enum Request {
     Support {
         /// The pattern, already materialized and validated.
         graph: Graph,
-        /// Restrict the count to the shard's owned gids.
+        /// The `"owned"` flag older routers send; answers do not depend
+        /// on it.
         owned: bool,
     },
     /// Exact supports of several patterns in one round trip (router
@@ -89,7 +91,8 @@ pub enum Request {
     SupportBatch {
         /// The patterns, in request order.
         graphs: Vec<Graph>,
-        /// Restrict the counts to the shard's owned gids.
+        /// The `"owned"` flag older routers send; answers do not depend
+        /// on it.
         owned: bool,
     },
     /// Apply an update batch and fold it into the served result.
@@ -223,9 +226,9 @@ pub fn encode_support(code: &DfsCode) -> String {
 }
 
 /// The `support-batch` request line.
-pub fn encode_support_batch(codes: &[DfsCode], owned: bool) -> String {
-    let codes = JsonValue::Arr(codes.iter().map(code_to_json).collect());
-    encode("support-batch", vec![("codes", Some(codes)), ("owned", flag(owned))])
+pub fn encode_support_batch<'a>(codes: impl IntoIterator<Item = &'a DfsCode>) -> String {
+    let codes = JsonValue::Arr(codes.into_iter().map(code_to_json).collect());
+    encode("support-batch", vec![("codes", Some(codes))])
 }
 
 /// The `update` request line; `ack` is written only when it is not the
@@ -718,15 +721,10 @@ mod tests {
                 Request::Support { graph: graphs[0].clone(), owned: false },
             ),
             (
-                encode_support_batch(&codes, false),
-                r#"{"cmd":"support-batch","codes":[[[0,1,0,5,1],[1,2,1,6,0]],[[0,1,2,5,3]]]}"#.into(),
-                Request::SupportBatch { graphs: graphs.clone(), owned: false },
-            ),
-            (
-                encode_support_batch(&codes, true),
-                r#"{"cmd":"support-batch","codes":[[[0,1,0,5,1],[1,2,1,6,0]],[[0,1,2,5,3]]],"owned":1}"#
+                encode_support_batch(&codes),
+                r#"{"cmd":"support-batch","codes":[[[0,1,0,5,1],[1,2,1,6,0]],[[0,1,2,5,3]]]}"#
                     .into(),
-                Request::SupportBatch { graphs, owned: true },
+                Request::SupportBatch { graphs, owned: false },
             ),
             (
                 encode_update(&ops, AckMode::Applied, false),

@@ -80,7 +80,7 @@ fn reader_holding_old_epoch_is_answered_from_its_own_generation() {
     assert_eq!(engine.support_of(&ep0, &probe).0, 4);
 }
 
-/// The `(epoch, code)` memos hold at most two generations — the served
+/// The `(epoch, code)` memo holds at most two generations — the served
 /// epoch plus N-1 for in-flight readers — no matter how many swaps a
 /// long-running daemon goes through. Before the swap-time eviction this
 /// was an unbounded leak: one entry per probed epoch, forever.
@@ -94,9 +94,9 @@ fn memo_size_is_pinned_across_a_hundred_swaps() {
     // swap so a reader still holding epoch 0's Arc hits its memo.
     let ep0 = engine.current();
     assert_eq!(engine.support_of(&ep0, &probe).0, 4);
-    assert_eq!(engine.memo_sizes().0, 1);
+    assert_eq!(engine.memo_size(), 1);
     engine.apply_update(&batch(0)).unwrap();
-    assert_eq!(engine.memo_sizes().0, 1, "the previous generation survives one swap");
+    assert_eq!(engine.memo_size(), 1, "the previous generation survives one swap");
     assert_eq!(engine.support_of(&ep0, &probe).0, 4);
 
     // A hundred more swaps, probing each epoch: the memo never holds
@@ -109,13 +109,12 @@ fn memo_size_is_pinned_across_a_hundred_swaps() {
         let ep = engine.current();
         let expect = if to == 10 { 4 } else { 3 };
         assert_eq!(engine.support_of(&ep, &probe).0, expect);
-        let (support_len, owned_len) = engine.memo_sizes();
+        let support_len = engine.memo_size();
         assert!(
             support_len <= 2,
             "support memo leaked: {support_len} entries at epoch {}",
             ep.epoch
         );
-        assert_eq!(owned_len, 0, "no owned probes were issued");
     }
     assert_eq!(engine.current().epoch, 101);
 }

@@ -133,11 +133,15 @@ pub enum Counter {
     /// Router: SON phase-1 `patterns` unions cut by the candidate bound
     /// (the answer carries `"truncated":1`).
     RouterPhase1Truncated,
+    /// Router: `(candidate, shard)` pairs a SON phase 2 asked for — the
+    /// candidates each shard did not return in phase 1, or every
+    /// candidate when the shard's epoch moved between the phases.
+    RouterPhase2Recounts,
 }
 
 impl Counter {
     /// Every counter, in slot order.
-    pub const ALL: [Counter; 53] = [
+    pub const ALL: [Counter; 54] = [
         Counter::CandidatesGenerated,
         Counter::IsoTestsRun,
         Counter::IsoTestsPruned,
@@ -191,6 +195,7 @@ impl Counter {
         Counter::RouterCacheMisses,
         Counter::RouterCacheEvictions,
         Counter::RouterPhase1Truncated,
+        Counter::RouterPhase2Recounts,
     ];
 
     /// Stable snake_case identifier used in reports.
@@ -249,6 +254,7 @@ impl Counter {
             Counter::RouterCacheMisses => "router_cache_misses",
             Counter::RouterCacheEvictions => "router_cache_evictions",
             Counter::RouterPhase1Truncated => "router_phase1_truncated",
+            Counter::RouterPhase2Recounts => "router_phase2_recounts",
         }
     }
 
