@@ -563,9 +563,9 @@ pub fn fig17b(scale: Scale) -> FigureResult {
 // Ablations — the design choices DESIGN.md calls out
 // ---------------------------------------------------------------------------
 
-/// Ablation: the join and the unit miner, each toggled independently at
-/// the Fig. 14 settings (minsup 2%), next to one incremental round over 40%
-/// mixed updates.
+/// Ablation: the walk against the paper-literal join at the Fig. 14
+/// settings (minsup 2%), next to one incremental round over 40% mixed
+/// updates.
 pub fn ablation(scale: Scale) -> FigureResult {
     let (params, db) = dataset(scale, 50_000, 20, 20, 200, 5);
     let plan = standard_updates(&db, 0.4, UpdateKind::Mixed, 20);
@@ -584,8 +584,6 @@ pub fn ablation(scale: Scale) -> FigureResult {
     // place of the walk.
     let units = outcome.stats.aggregate_time() - outcome.stats.merge_time;
     column("paper-join", units + time(|| paper_join::paper_join(&outcome.state)).1);
-    let gaston = PartMinerConfig { unit_miner: graphmine_core::UnitMinerKind::Gaston, ..base };
-    column("gaston-units", partminer_time(&db, &ufreq, gaston, sup));
 
     let mut state = outcome.state;
     column("incremental", incpartminer_time(&mut state, &plan));

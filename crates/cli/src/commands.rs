@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use graphmine_adimine::{AdiConfig, AdiMine};
-use graphmine_core::{IncPartMiner, PartMiner, PartMinerConfig, PartitionerKind, UnitMinerKind};
+use graphmine_core::{IncPartMiner, PartMiner, PartMinerConfig, PartitionerKind};
 use graphmine_datagen::{plan_updates, ufreq_from_updates, GenParams, UpdateKind, UpdateParams};
 use graphmine_graph::{
     io as gio, pattern_io, update_io, DbUpdate, DfsCode, DfsEdge, EmbeddingMode, GraphDb,
@@ -31,12 +31,12 @@ USAGE:
       text format.
 
   graphmine mine FILE --minsup FRAC [--algo ALGO] [--k K] [--parallel]
-                 [--threads T] [--criteria 1|2|3|metis]
-                 [--unit-miner gspan|gaston] [--max-edges M]
+                 [--threads T] [--criteria 1|2|3|metis] [--max-edges M]
                  [--embedding-lists on|off|auto]
                  [--closed | --maximal] [-o PATTERNS] [--report REPORT]
       Mine frequent subgraphs. ALGO: partminer (default), gspan, gaston,
-      apriori, fsg, adimine. FRAC is relative (0.04 = 4%).
+      apriori, fsg, adimine. FRAC is relative (0.04 = 4%). K (units,
+      default 2) and M (edges per pattern) are at least 1.
       --threads sets the work-stealing pool budget for parallel runs
       (0 = auto: GRAPHMINE_THREADS, then the machine); a value above 1
       implies --parallel.
@@ -249,6 +249,16 @@ fn minsup_arg(args: &mut Args<'_>) -> Result<f64, String> {
     }
 }
 
+/// Parses an optional count of units or edges, refusing 0 before anything
+/// is loaded: a partition has at least one unit and a pattern at least one
+/// edge, and the miners below assume both.
+fn at_least_one(args: &mut Args<'_>, name: &str, what: &str) -> Result<Option<usize>, String> {
+    match args.parsed(name)? {
+        Some(0) => Err(format!("{name} 0: {what}")),
+        n => Ok(n),
+    }
+}
+
 fn criteria_arg(args: &mut Args<'_>) -> Result<PartitionerKind, String> {
     Ok(match args.value("--criteria") {
         None | Some("3") => PartitionerKind::GraphPart(Criteria::COMBINED),
@@ -415,19 +425,19 @@ pub fn diff(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
 
 /// `graphmine mine`
 pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
+    if raw.iter().any(|a| a == "--unit-miner") {
+        return Err("--unit-miner was removed: every unit is mined with the projected walk \
+                    gSpan runs (--algo gaston still mines the whole database with Gaston)"
+            .into());
+    }
     let mut args = Args::new(raw);
     let minsup = minsup_arg(&mut args)?;
     let algo = args.value("--algo").unwrap_or("partminer").to_string();
-    let k: usize = args.parsed("--k")?.unwrap_or(2);
+    let k = at_least_one(&mut args, "--k", "PartMiner needs at least one unit")?.unwrap_or(2);
     let parallel = args.flag("--parallel");
     let threads = threads_arg(&mut args)?;
     let partitioner = criteria_arg(&mut args)?;
-    let unit_miner = match args.value("--unit-miner") {
-        None | Some("gspan") => UnitMinerKind::GSpan,
-        Some("gaston") => UnitMinerKind::Gaston,
-        Some(other) => return Err(format!("unknown unit miner `{other}`")),
-    };
-    let max_edges: Option<usize> = args.parsed("--max-edges")?;
+    let max_edges = at_least_one(&mut args, "--max-edges", "a pattern has at least one edge")?;
     let embedding_lists: EmbeddingMode = args.parsed("--embedding-lists")?.unwrap_or_default();
     let closed = args.flag("--closed");
     let maximal = args.flag("--maximal");
@@ -487,7 +497,6 @@ pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
             let cfg = PartMinerConfig {
                 k,
                 partitioner,
-                unit_miner,
                 // An explicit multi-thread budget implies parallel mode.
                 parallel: parallel || threads > 1,
                 threads,
@@ -839,7 +848,7 @@ pub fn client(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
 pub fn incremental(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let minsup = minsup_arg(&mut args)?;
-    let k: usize = args.parsed("--k")?.unwrap_or(2);
+    let k = at_least_one(&mut args, "--k", "PartMiner needs at least one unit")?.unwrap_or(2);
     let threads = threads_arg(&mut args)?;
     let partitioner = criteria_arg(&mut args)?;
     let report_path: Option<String> = args.parsed("--report")?;

@@ -155,6 +155,49 @@ fn minsup_outside_the_unit_interval_is_a_usage_error() {
     assert!(!std::path::Path::new("no-dir").exists());
 }
 
+/// `--k` and `--max-edges` count units and edges, so 0 is refused by name
+/// before a file is opened. `--k 0` used to panic inside the partitioner
+/// (exit 101); `--max-edges 0` mined what `--max-edges 1` mines, under
+/// every `--algo`.
+#[test]
+fn zero_units_and_zero_edge_caps_are_usage_errors() {
+    type Cmd = fn(&[String], &mut dyn std::io::Write) -> Result<(), String>;
+    let cases: [(&str, Cmd, &[&str], &str); 3] = [
+        ("mine", commands::mine, &["no-db.txt", "--minsup", "0.05"], "--k"),
+        (
+            "incremental",
+            commands::incremental,
+            &["no-db.txt", "no-upd.txt", "--minsup", "0.05"],
+            "--k",
+        ),
+        ("mine", commands::mine, &["no-db.txt", "--minsup", "0.05"], "--max-edges"),
+    ];
+    for (name, cmd, rest, flag) in cases {
+        let run = |value: &str| {
+            let mut args = s(rest);
+            args.extend(s(&[flag, value]));
+            cmd(&args, &mut sink()).expect_err(name)
+        };
+        let err = run("0");
+        assert!(err.starts_with(&format!("{flag} 0: ")), "{name} {flag} 0: {err}");
+        assert!(!err.contains("no-"), "{name} {flag} 0: got as far as opening a file: {err}");
+        // 1 passes the door and fails on the missing file.
+        assert!(run("1").contains("no-db.txt"), "{name} {flag} 1");
+    }
+}
+
+/// Units are mined with the walk gSpan runs; `--unit-miner` is refused by
+/// name, before a file is opened, whatever its value.
+#[test]
+fn mine_refuses_the_removed_unit_miner_flag() {
+    for value in ["gaston", "gspan"] {
+        let args = ["no-db.txt", "--minsup", "0.05", "--unit-miner", value];
+        let err = commands::mine(&s(&args), &mut sink()).unwrap_err();
+        assert!(err.starts_with("--unit-miner was removed"), "{err}");
+        assert!(!err.contains("no-"), "{value}: got as far as opening a file: {err}");
+    }
+}
+
 /// One answer: on a database where patterns are frequent inside single
 /// units, `mine` under the default algorithm — at any `k`, serial or
 /// parallel — writes the very bytes `--algo gspan` writes, and the

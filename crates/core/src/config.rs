@@ -1,9 +1,7 @@
 //! Configuration of the PartMiner pipeline.
 
-use graphmine_graph::{GraphDb, PatternSet, Support, DEFAULT_EMBEDDING_BUDGET};
-use graphmine_miner::{GSpan, Gaston, MemoryMiner};
+use graphmine_graph::{Support, DEFAULT_EMBEDDING_BUDGET};
 use graphmine_partition::{Bipartitioner, Criteria, GraphPart, MetisLike};
-use graphmine_telemetry::Counters;
 
 /// Which bi-partitioner Phase 1 uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,43 +37,6 @@ impl PartitionerKind {
     }
 }
 
-/// Which memory-based miner runs inside each unit (Phase 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UnitMinerKind {
-    /// gSpan (fast default).
-    #[default]
-    GSpan,
-    /// The Gaston-style trees-first miner the paper uses.
-    Gaston,
-}
-
-impl UnitMinerKind {
-    pub(crate) fn mine_counted(
-        &self,
-        db: &GraphDb,
-        min_support: Support,
-        cap: Option<usize>,
-        counters: &Counters,
-    ) -> PatternSet {
-        match self {
-            UnitMinerKind::GSpan => {
-                GSpan { max_edges: cap }.mine_counted(db, min_support, counters)
-            }
-            UnitMinerKind::Gaston => {
-                Gaston { max_edges: cap }.mine_counted(db, min_support, counters)
-            }
-        }
-    }
-
-    /// Display name for experiment reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            UnitMinerKind::GSpan => "gSpan",
-            UnitMinerKind::Gaston => "Gaston",
-        }
-    }
-}
-
 /// Full PartMiner configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartMinerConfig {
@@ -84,8 +45,6 @@ pub struct PartMinerConfig {
     pub k: usize,
     /// Phase-1 partitioner.
     pub partitioner: PartitionerKind,
-    /// Phase-2 unit miner.
-    pub unit_miner: UnitMinerKind,
     /// Mine units concurrently (the paper's "parallel mode").
     pub parallel: bool,
     /// Optional pattern-size cap (edges).
@@ -112,7 +71,6 @@ impl Default for PartMinerConfig {
         PartMinerConfig {
             k: 2,
             partitioner: PartitionerKind::GraphPart(Criteria::COMBINED),
-            unit_miner: UnitMinerKind::default(),
             parallel: false,
             max_edges: None,
             exact_supports: true,

@@ -16,6 +16,7 @@ use rustc_hash::FxHashSet;
 
 use graphmine_exec::{Executor, Job};
 use graphmine_graph::{DbUpdate, GraphError, PatternSet};
+use graphmine_miner::{GSpan, MemoryMiner};
 use graphmine_partition::NodeId;
 use graphmine_telemetry::{Counter, ReportSource, StageTotal, Telemetry};
 
@@ -152,6 +153,7 @@ impl IncPartMiner {
             .collect();
         let units_remined = touched_units.len();
         let partition = &state.partition;
+        let miner = &GSpan { max_edges: cfg.max_edges };
         let jobs: Vec<Job<'_, PatternSet>> = touched_units
             .iter()
             .map(|&n| {
@@ -161,8 +163,7 @@ impl IncPartMiner {
                 Job::new(format!("inc-remine:{unit}"), move || {
                     let span = tel.span_node("inc_remine", n as u64);
                     fault_panic_hook(unit);
-                    let res =
-                        cfg.unit_miner.mine_counted(&node.db, sup, cfg.max_edges, tel.counters());
+                    let res = miner.mine_counted(&node.db, sup, tel.counters());
                     drop(span);
                     tel.counters().bump(Counter::UnitsMined);
                     res
@@ -224,7 +225,6 @@ mod tests {
     use super::*;
     use crate::{PartMiner, PartMinerConfig};
     use graphmine_graph::{Graph, GraphDb, GraphUpdate};
-    use graphmine_miner::{GSpan, MemoryMiner};
 
     fn sample_db() -> (GraphDb, Vec<Vec<f64>>) {
         let mut graphs = Vec::new();

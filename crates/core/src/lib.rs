@@ -8,12 +8,13 @@
 //!    database is recursively bi-partitioned; the `j`-th pieces form unit
 //!    `U_j`. The partitioner is pluggable (`GraphPart` with the paper's
 //!    three criteria, or the METIS-style baseline).
-//! 2. **Phase 2** ([`PartMiner::mine`]): each unit is mined with a
-//!    memory-based miner (gSpan or Gaston) at the reduced support
-//!    `sup / 2^depth`, serially or in parallel, and the per-unit results are
-//!    combined bottom-up with the [`merge_join`] operation: one projected
-//!    walk over the recombined data that reads every child pattern, with
-//!    its exact support, off its parent's occurrences. A pattern already
+//! 2. **Phase 2** ([`PartMiner::mine`]): each unit is mined with gSpan at
+//!    the reduced support `sup / 2^depth`, serially or in parallel, and the
+//!    per-unit results are combined bottom-up with the [`merge_join`]
+//!    operation: the same projected walk
+//!    ([`graphmine_miner::walk`]) over the recombined data, which reads
+//!    every child pattern, with its exact support, off its parent's
+//!    occurrences. A pattern already
 //!    frequent inside a single unit is accepted on that unit's word as
 //!    frequent and canonical — the paper's "cumulative information" —
 //!    which spares it the canonical-code test, never the exact support.
@@ -81,7 +82,7 @@ mod incremental;
 mod merge_join;
 mod partminer;
 
-pub use config::{ConfigError, PartMinerConfig, PartitionerKind, UnitMinerKind, MAX_THREADS};
+pub use config::{ConfigError, PartMinerConfig, PartitionerKind, MAX_THREADS};
 pub use incremental::{IncOutcome, IncPartMiner, IncStats};
 pub use merge_join::{merge_join, MergeContext, MergeStats};
 pub use partminer::{MineOutcome, MineStats, PartMiner, PartMinerState, PoolRunner};

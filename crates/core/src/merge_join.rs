@@ -2,25 +2,26 @@
 //! subgraphs of a dataset `S` from the frequent subgraphs of its two pieces
 //! `S0` and `S1`.
 //!
-//! The join is one depth-first projected walk over `S`
-//! ([`EdgeView::project`]): a pattern's children are read off its own
-//! occurrences, so nothing is generated that `S` does not contain, and
-//! every child arrives with its support already counted — the support it is
-//! reported with, always. The piece results enter as the one verdict that
-//! spares the canonical-code test, the **unit-support shortcut**: every
-//! occurrence inside a piece is an occurrence in the original graph, so a
-//! pattern whose support within one piece already reaches the threshold is
-//! frequent in `S`, and the piece results hold canonical codes only, so it
-//! is accepted without `is_min`.
+//! The join is the one depth-first projected walk over `S` gSpan runs too
+//! ([`Walk`]): a pattern's children are read off its own occurrences, so
+//! nothing is generated that `S` does not contain, and every child arrives
+//! with its support already counted — the support it is reported with,
+//! always. The piece results enter as the walk's [`KnownCodes`], the one
+//! verdict that spares the canonical-code test, the **unit-support
+//! shortcut**: every occurrence inside a piece is an occurrence in the
+//! original graph, so a pattern whose support within one piece already
+//! reaches the threshold is frequent in `S`, and the piece results hold
+//! canonical codes only, so it is accepted without `is_min`. What is left
+//! here is building the view and that lookup, and fanning the walk out.
 //!
 //! The joins exactly as Fig. 11 writes them (generate-then-test, lossy) are
 //! not a production path; `repro ablation` carries them in `crates/bench`.
 
 use graphmine_exec::{Executor, Job};
-use graphmine_graph::dfscode::is_min;
-use graphmine_graph::{DfsCode, GraphDb, Pattern, PatternSet, Support};
+use graphmine_graph::{GraphDb, PatternSet, Support};
 use graphmine_miner::extend::EdgeVocab;
-use graphmine_miner::project::{EdgeView, Occurrences, Scratch};
+use graphmine_miner::project::EdgeView;
+use graphmine_miner::walk::{KnownCodes, Walk, WalkStats};
 use graphmine_telemetry::{Counter, Counters, ReportSource, Telemetry};
 
 /// Everything a merge-join invocation needs to know about its node.
@@ -81,161 +82,76 @@ impl ReportSource for MergeStats {
     }
 }
 
-/// Combines the frequent-pattern sets of the two pieces of `ctx.db` into
-/// the frequent-pattern set of `ctx.db` itself: a depth-first projected
-/// walk over `S`, from every frequent edge down. Lossless by gSpan's
-/// argument — every frequent pattern's minimum code is a rightmost
-/// extension of its frequent, minimal prefix, and the walk reaches every
-/// such prefix holding its full occurrence list, so [`EdgeView::project`]
-/// returns the pattern's code with its exact support. Only the lists on the
-/// current root-to-leaf path are alive at any time.
+/// Combines the frequent-pattern sets of the pieces of `ctx.db` into the
+/// frequent-pattern set of `ctx.db` itself: the one projected [`Walk`] over
+/// `S`, from every frequent edge down, with the piece results as its
+/// [`KnownCodes`]. Lossless by gSpan's argument — every frequent pattern's
+/// minimum code is a rightmost extension of its frequent, minimal prefix,
+/// and the walk reaches every such prefix holding its full occurrence list,
+/// so [`EdgeView::project`] returns the pattern's code with its exact
+/// support. With no pieces it is the plain walk the serving daemon boots
+/// and folds with.
 ///
 /// The frequent-edge subtrees share nothing, so with an executor each is
-/// one job; folding the jobs' results in submission order makes stats and
-/// output identical to the serial walk.
-pub fn merge_join(
-    ctx: &MergeContext<'_>,
-    p0: &PatternSet,
-    p1: &PatternSet,
-) -> (PatternSet, MergeStats) {
-    let mut stats = MergeStats::default();
-
-    // Line 1: frequent 1-edge patterns of S, counted exactly.
+/// one job; folding the jobs' results in root order makes stats and output
+/// identical to the serial walk.
+pub fn merge_join(ctx: &MergeContext<'_>, pieces: &[&PatternSet]) -> (PatternSet, MergeStats) {
     let view = EdgeView::build(ctx.db, &EdgeVocab::frequent_in(ctx.db, ctx.min_support));
-
-    let mut out = PatternSet::new();
-    for (root, _) in view.roots() {
-        out.insert(Pattern::from_code(DfsCode(vec![root.edge]), root.support));
+    let mut known = KnownCodes::default();
+    for p in pieces.iter().flat_map(|s| s.iter()).filter(|p| p.support >= ctx.min_support) {
+        let vouched = known.entry(&p.code).or_insert(p.support);
+        *vouched = (*vouched).max(p.support);
     }
-    // The exact 1-edge base is frequent by construction; tally it so the
-    // verified_frequent counter accounts for every pattern in the output.
-    ctx.counters().add(Counter::VerifiedFrequent, view.roots().len() as u64);
-    if !within_cap(ctx, 2) {
-        return (out, stats);
-    }
-
-    let _check_span = ctx.telemetry.map(|t| t.span("check_frequency"));
-    let walk = Walk { ctx, view: &view, pieces: [p0, p1] };
-    let subtrees = view.roots().map(|(root, occ)| (root.edge, occ));
-    let Some(exec) = ctx.executor.filter(|exec| exec.threads() > 1) else {
-        let mut scratch = view.scratch();
-        for (edge, occ) in subtrees {
-            walk.grow(&mut DfsCode(vec![edge]), &occ, &mut out, &mut stats, &mut scratch);
-        }
-        return (out, stats);
+    let walk = Walk {
+        view: &view,
+        min_support: ctx.min_support,
+        max_edges: ctx.max_edges,
+        known: (!known.is_empty()).then_some(&known),
     };
-    let walk = &walk;
-    let jobs: Vec<Job<'_, (PatternSet, MergeStats)>> = subtrees
-        .map(|(edge, occ)| {
-            Job::new(format!("walk:{edge}"), move || {
-                let mut found = PatternSet::new();
-                let mut local = MergeStats::default();
-                let mut scratch = walk.view.scratch();
-                walk.grow(&mut DfsCode(vec![edge]), &occ, &mut found, &mut local, &mut scratch);
-                (found, local)
-            })
-        })
-        .collect();
-    let subtrees = exec.map_indexed(jobs).unwrap_or_else(|e| panic!("merge-join walk failed: {e}"));
-    for (found, local) in subtrees {
-        stats.absorb(local);
-        for p in found.into_patterns() {
-            out.insert(p);
-        }
-    }
-    (out, stats)
-}
 
-fn within_cap(ctx: &MergeContext<'_>, size: usize) -> bool {
-    ctx.max_edges.is_none_or(|cap| size <= cap)
-}
-
-/// What stays fixed down one walk.
-struct Walk<'a> {
-    ctx: &'a MergeContext<'a>,
-    /// `S` restricted to its frequent edges.
-    view: &'a EdgeView,
-    /// The two piece results. Each holds canonical codes only, with a
-    /// support that is a lower bound on the pattern's support in `S`.
-    pieces: [&'a PatternSet; 2],
-}
-
-impl Walk<'_> {
-    /// Reads the children of the frequent, minimal `code` off its
-    /// occurrences `occ`, inserts every child the verdicts accept and
-    /// recurses into it.
-    fn grow(
-        &self,
-        code: &mut DfsCode,
-        occ: &Occurrences<'_>,
-        out: &mut PatternSet,
-        stats: &mut MergeStats,
-        scratch: &mut Scratch,
-    ) {
-        if !within_cap(self.ctx, code.len() + 1) {
-            return;
-        }
-        let counters = self.ctx.counters();
-        let children = self.view.project(code, occ, self.ctx.min_support, scratch);
-        stats.candidates += children.len();
-        counters.add(Counter::CandidatesGenerated, children.len() as u64);
-        counters.add(Counter::EmbeddingsExtended, children.total_rows());
-        for (child, rows) in children.iter() {
-            code.push(child.edge);
-            if let Some(sup) = self.verdict(code, child.support, stats) {
-                out.insert(Pattern::from_code(code.clone(), sup));
-                // An accepted child has a list unless a unit result vouched
-                // for a support `S` does not hold — a piece result that is
-                // not one of `S`'s pieces; there is nothing to walk then.
-                if let Some(rows) = rows {
-                    self.grow(code, &occ.child(rows), out, stats, scratch);
+    // Below the roots the walk checks frequency; a cap of one edge stops it
+    // at the roots.
+    let deep = ctx.max_edges.is_none_or(|cap| cap >= 2);
+    let _check_span = ctx.telemetry.filter(|_| deep).map(|t| t.span("check_frequency"));
+    let (out, stats) = match ctx.executor.filter(|exec| deep && exec.threads() > 1) {
+        None => walk.subtrees(view.roots()),
+        Some(exec) => {
+            let walk = &walk;
+            let jobs: Vec<Job<'_, (PatternSet, WalkStats)>> = view
+                .roots()
+                .map(|(root, occ)| {
+                    let subtree = std::iter::once((root, occ));
+                    Job::new(format!("walk:{}", root.edge), move || walk.subtrees(subtree))
+                })
+                .collect();
+            let subtrees =
+                exec.map_indexed(jobs).unwrap_or_else(|e| panic!("merge-join walk failed: {e}"));
+            let mut out = PatternSet::new();
+            let mut stats = WalkStats::default();
+            for (found, local) in subtrees {
+                stats.absorb(local);
+                for p in found.into_patterns() {
+                    out.insert(p);
                 }
             }
-            code.pop();
+            (out, stats)
         }
-    }
+    };
 
-    /// The support `code` is reported with, or `None` when it is rejected.
-    /// A unit support that already reaches the threshold proves the child
-    /// frequent and — the piece results hold canonical codes only —
-    /// minimal, so it is accepted with `sup`, its exact support in `S`; any
-    /// other child is rejected if that support is short of the threshold
-    /// and otherwise faces the canonical-code test.
-    fn verdict(&self, code: &DfsCode, sup: Support, stats: &mut MergeStats) -> Option<Support> {
-        let ctx = self.ctx;
-        let counters = ctx.counters();
-        let [p0, p1] = self.pieces;
-        if let Some(unit) = p0.support(code).max(p1.support(code)).filter(|&u| u >= ctx.min_support)
-        {
-            stats.shortcut += 1;
-            counters.bump(Counter::BoundShortcut);
-            counters.bump(Counter::VerifiedFrequent);
-            #[cfg(feature = "fault-injection")]
-            let report_bound =
-                graphmine_graph::fault::armed(graphmine_graph::fault::Fault::ReportUnitBound);
-            #[cfg(not(feature = "fault-injection"))]
-            let report_bound = false;
-            return Some(if report_bound { unit } else { sup });
-        }
-        if sup < ctx.min_support {
-            stats.counted += 1;
-            counters.bump(Counter::VerifiedInfrequent);
-            return None;
-        }
-        #[cfg(feature = "fault-injection")]
-        let skip_min =
-            graphmine_graph::fault::armed(graphmine_graph::fault::Fault::SkipWalkMinCheck);
-        #[cfg(not(feature = "fault-injection"))]
-        let skip_min = false;
-        // A frequent child under a non-minimal code is a duplicate: the
-        // walk meets the same pattern under its minimum code elsewhere.
-        if !skip_min && !is_min(code) {
-            return None;
-        }
-        stats.counted += 1;
-        counters.bump(Counter::VerifiedFrequent);
-        Some(sup)
-    }
+    let counters = ctx.counters();
+    // The roots are counted exactly and frequent by construction, so
+    // verified_frequent accounts for every pattern in the output.
+    counters.add(Counter::VerifiedFrequent, stats.roots + stats.frequent + stats.known);
+    counters.add(Counter::VerifiedInfrequent, stats.infrequent);
+    counters.add(Counter::BoundShortcut, stats.known);
+    counters.add(Counter::CandidatesGenerated, stats.extensions);
+    counters.add(Counter::EmbeddingsExtended, stats.rows);
+    let stats = MergeStats {
+        candidates: stats.extensions as usize,
+        counted: (stats.frequent + stats.infrequent) as usize,
+        shortcut: stats.known as usize,
+    };
+    (out, stats)
 }
 
 #[cfg(test)]
@@ -299,7 +215,7 @@ mod tests {
                 executor: None,
                 telemetry: None,
             };
-            let (merged, _) = merge_join(&ctx, &p0, &p1);
+            let (merged, _) = merge_join(&ctx, &[&p0, &p1]);
             let direct = GSpan::new().mine(&db, sup);
             assert!(
                 merged.same_codes_and_supports(&direct),
@@ -324,7 +240,7 @@ mod tests {
             executor: None,
             telemetry: None,
         };
-        let (merged, stats) = merge_join(&ctx, &p0, &p1);
+        let (merged, stats) = merge_join(&ctx, &[&p0, &p1]);
         let direct = GSpan::new().mine(&db, sup);
         // A shortcut hit spares the canonical test, never the exact support.
         assert!(merged.same_codes_and_supports(&direct));
@@ -344,7 +260,7 @@ mod tests {
             executor: None,
             telemetry: None,
         };
-        let (merged, _) = merge_join(&ctx, &p0, &p1);
+        let (merged, _) = merge_join(&ctx, &[&p0, &p1]);
         assert!(merged.iter().all(|p| p.size() <= 2));
         let direct = GSpan::capped(2).mine(&db, 2);
         assert!(merged.same_codes_and_supports(&direct));
@@ -377,7 +293,7 @@ mod tests {
                 executor: None,
                 telemetry: None,
             };
-            let (merged, _) = merge_join(&ctx, &p0, &p1);
+            let (merged, _) = merge_join(&ctx, &[&p0, &p1]);
             let direct = GSpan::new().mine(&db, sup);
             assert!(merged.same_codes_and_supports(&direct), "sup {sup}");
         }

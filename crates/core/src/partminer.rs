@@ -6,6 +6,7 @@ use rustc_hash::FxHashMap;
 
 use graphmine_exec::{ExecCounters, Executor, Job};
 use graphmine_graph::{GraphDb, PatternSet, Support};
+use graphmine_miner::{GSpan, MemoryMiner};
 use graphmine_partition::{BatchRunner, DbPartition, NodeId, WorkItem};
 use graphmine_telemetry::{Counter, ReportSource, StageTotal, Telemetry};
 
@@ -239,6 +240,7 @@ impl PartMiner {
         let mut node_results: FxHashMap<NodeId, PatternSet> = FxHashMap::default();
         let mut unit_times = vec![Duration::default(); unit_nodes.len()];
 
+        let miner = &GSpan { max_edges: cfg.max_edges };
         let jobs: Vec<Job<'_, (PatternSet, Duration)>> = unit_nodes
             .iter()
             .map(|&n| {
@@ -249,8 +251,7 @@ impl PartMiner {
                     let t = Instant::now();
                     let span = tel.span_node("unit_mine", n as u64);
                     fault_panic_hook(unit);
-                    let res =
-                        cfg.unit_miner.mine_counted(&node.db, sup, cfg.max_edges, tel.counters());
+                    let res = miner.mine_counted(&node.db, sup, tel.counters());
                     drop(span);
                     tel.counters().bump(Counter::UnitsMined);
                     (res, t.elapsed())
@@ -316,7 +317,7 @@ pub(crate) fn merge_subtree(
         executor: (exec.threads() > 1).then_some(exec),
         telemetry: Some(tel),
     };
-    let (result, mstats) = merge_join(&ctx, &node_results[&a], &node_results[&b]);
+    let (result, mstats) = merge_join(&ctx, &[&node_results[&a], &node_results[&b]]);
     tel.counters().bump(Counter::NodesMerged);
     stats.absorb(mstats);
     node_results.insert(node_id, result);
@@ -326,7 +327,6 @@ pub(crate) fn merge_subtree(
 mod tests {
     use super::*;
     use graphmine_graph::Graph;
-    use graphmine_miner::{GSpan, MemoryMiner};
 
     fn sample_db() -> (GraphDb, Vec<Vec<f64>>) {
         let mut graphs = Vec::new();
@@ -390,16 +390,6 @@ mod tests {
         assert_eq!(parallel.stats.unit_times.len(), 4);
         // The merged MergeStats must not depend on the thread schedule.
         assert_eq!(serial.stats.merge, parallel.stats.merge);
-    }
-
-    #[test]
-    fn gaston_unit_miner_matches() {
-        let (db, uf) = sample_db();
-        let mut cfg = PartMinerConfig::with_k(2);
-        cfg.unit_miner = crate::UnitMinerKind::Gaston;
-        let outcome = PartMiner::new(cfg).mine(&db, &uf, 2);
-        let direct = GSpan::new().mine(&db, 2);
-        assert!(outcome.patterns.same_codes_and_supports(&direct));
     }
 
     #[test]

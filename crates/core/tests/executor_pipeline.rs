@@ -83,7 +83,7 @@ fn one_pool_serves_mining_incremental_and_verification() {
     let run = |executor: Option<&Executor>| {
         let ctx =
             MergeContext { db: &db, min_support: 2, max_edges: Some(4), executor, telemetry: None };
-        merge_join(&ctx, &p0, &p1)
+        merge_join(&ctx, &[&p0, &p1])
     };
     let (merged_serial, stats_serial) = run(None);
     let (merged_pooled, stats_pooled) = run(Some(&exec));

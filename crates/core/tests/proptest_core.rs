@@ -111,7 +111,7 @@ proptest! {
                 executor,
                 telemetry: Some(&tel),
             };
-            let (merged, stats) = merge_join(&ctx, &p0, &p1);
+            let (merged, stats) = merge_join(&ctx, &[&p0, &p1]);
             (merged, stats, tel.counters().snapshot())
         };
         let (serial, serial_stats, serial_counts) = run(None);

@@ -58,13 +58,13 @@ pub enum Fault {
     /// agree with each other — only the miners that do not use it (Gaston,
     /// Apriori, brute force) can tell.
     DropBackwardChild = 10,
-    /// The merge-join's walk accepts a counted-frequent child without the
-    /// canonical-code test, so patterns are reported again under
-    /// non-minimal codes.
+    /// The projected walk gSpan and the merge-join share accepts a
+    /// counted-frequent child without the canonical-code test, so patterns
+    /// are reported again under non-minimal codes.
     SkipWalkMinCheck = 11,
-    /// The merge-join's walk reports a unit-shortcut hit with the unit's
-    /// lower bound instead of the exact support its list holds — what the
-    /// removed lower-bound-supports mode did by default.
+    /// The projected walk reports a known code (a unit-shortcut hit) with
+    /// the unit's lower bound instead of the exact support its list holds —
+    /// what the removed lower-bound-supports mode did by default.
     ReportUnitBound = 12,
     /// The router's SON phase 2 trusts the phase-1 union: it asks no shard
     /// about a candidate that shard did not report, so graphs a shard

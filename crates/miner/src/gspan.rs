@@ -6,15 +6,16 @@
 //! tree: no pattern is enumerated twice. Support counting piggybacks on the
 //! projected occurrence lists carried down the search
 //! ([`crate::project`]), so no isolated subgraph-isomorphism test is ever
-//! needed.
+//! needed. The search is [`crate::walk`], the one PartMiner's merge-join
+//! runs too.
 
-use graphmine_graph::dfscode::is_min;
-use graphmine_graph::{DfsCode, GraphDb, Pattern, PatternSet, Support};
+use graphmine_graph::{GraphDb, PatternSet, Support};
 use graphmine_telemetry::{Counter, Counters};
 
 use crate::extend::EdgeVocab;
-use crate::project::{EdgeView, Occurrences, Scratch};
-use crate::{within_cap, MemoryMiner};
+use crate::project::EdgeView;
+use crate::walk::Walk;
+use crate::MemoryMiner;
 
 /// The gSpan miner.
 ///
@@ -53,62 +54,22 @@ impl MemoryMiner for GSpan {
     }
 }
 
-/// What stays fixed down one gSpan search.
-struct Search<'a> {
-    /// The database restricted to its own frequent edges: an extension
-    /// over any other edge cannot be frequent.
-    view: &'a EdgeView,
-    min_support: Support,
-    max_edges: Option<usize>,
-    counters: &'a Counters,
-}
-
 impl GSpan {
+    /// The [`Walk`] over `db` restricted to its own frequent edges (an
+    /// extension over any other edge cannot be frequent), serially, with
+    /// nothing known in advance. The roots count as extensions of the empty
+    /// pattern.
     fn mine_with(&self, db: &GraphDb, min_support: Support, counters: &Counters) -> PatternSet {
-        let mut out = PatternSet::new();
         if db.is_empty() || min_support == 0 {
-            return out;
+            return PatternSet::new();
         }
-
         let view = EdgeView::build(db, &EdgeVocab::frequent_in(db, min_support));
-        counters.add(Counter::MinerExtensions, view.roots().len() as u64);
-        let search = Search { view: &view, min_support, max_edges: self.max_edges, counters };
-        let mut scratch = view.scratch();
-        for (root, occ) in view.roots() {
-            search.grow(&mut DfsCode(vec![root.edge]), &occ, root.support, &mut out, &mut scratch);
-        }
+        let walk = Walk { view: &view, min_support, max_edges: self.max_edges, known: None };
+        let (out, stats) = walk.subtrees(view.roots());
+        counters.add(Counter::MinerExtensions, stats.roots + stats.extensions);
+        counters.add(Counter::EmbeddingsExtended, stats.rows);
         counters.add(Counter::MinerPatterns, out.len() as u64);
         out
-    }
-}
-
-impl Search<'_> {
-    fn grow(
-        &self,
-        code: &mut DfsCode,
-        occ: &Occurrences<'_>,
-        support: Support,
-        out: &mut PatternSet,
-        scratch: &mut Scratch,
-    ) {
-        if !is_min(code) {
-            return;
-        }
-        out.insert(Pattern::from_code(code.clone(), support));
-        if !within_cap(self.max_edges, code.len() + 1) {
-            return;
-        }
-
-        let children = self.view.project(code, occ, self.min_support, scratch);
-        self.counters.add(Counter::MinerExtensions, children.len() as u64);
-        self.counters.add(Counter::EmbeddingsExtended, children.total_rows());
-        for (child, rows) in children.iter() {
-            // No list: the child's support is short of the threshold.
-            let Some(rows) = rows else { continue };
-            code.push(child.edge);
-            self.grow(code, &occ.child(rows), child.support, out, scratch);
-            code.pop();
-        }
     }
 }
 

@@ -6,7 +6,8 @@
 //!
 //! * [`GSpan`] — depth-first rightmost-extension search over projected
 //!   embedding lists with minimum-DFS-code duplicate pruning (Yan & Han,
-//!   ICDM 2002). The workhorse.
+//!   ICDM 2002). The workhorse: its search is [`walk`], the one projected
+//!   walk PartMiner's units, its merge-join and the serving daemon run.
 //! * [`Gaston`] — a Gaston-flavoured two-phase miner: frequent *free trees*
 //!   are enumerated first by reverse search on a centroid-based canonical
 //!   tree form (paths are trees and fall out of the same phase), then
@@ -51,6 +52,7 @@ mod gaston;
 mod gspan;
 pub mod postprocess;
 pub mod project;
+pub mod walk;
 
 pub use apriori::Apriori;
 pub use fsg::Fsg;

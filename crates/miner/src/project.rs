@@ -6,8 +6,10 @@
 //! on each frequent minimal code it reaches and descends into the children
 //! that are frequent and minimal ([`graphmine_graph::dfscode::is_min`])
 //! visits every frequent pattern exactly once, with its exact support
-//! already counted. [`GSpan`](crate::GSpan) and PartMiner's merge-join are
-//! both that walk; this module is the step they share.
+//! already counted. That walk is written once, in [`crate::walk`]:
+//! [`GSpan`](crate::GSpan) and so every PartMiner unit, PartMiner's
+//! merge-join and the serving daemon all run it, and it is the only caller
+//! of [`EdgeView::project`]. This module is its step.
 //!
 //! Three things keep the step from carrying what it will discard:
 //!
@@ -296,8 +298,8 @@ impl EdgeView {
     ///
     /// `occ` must hold the occurrences of `code` in the database the view
     /// was built from, in non-decreasing gid order, as `roots` and this
-    /// function return them. The caller tallies its own counters (the unit
-    /// miner and the merge-join count under different names).
+    /// function return them. Nothing is counted here: the walk sums what
+    /// each call returned into its [`crate::walk::WalkStats`].
     pub fn project(
         &self,
         code: &DfsCode,

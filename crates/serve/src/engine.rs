@@ -944,8 +944,8 @@ impl Drop for ServeEngine {
     }
 }
 
-/// `P(db)`: the merge-join's walk with no piece results, so every child is
-/// decided on its exact support and the canonical-code test alone.
+/// `P(db)`: the merge-join with no piece results, so every child is decided
+/// on its exact support and the canonical-code test alone.
 fn walk(db: &GraphDb, min_support: Support, exec: &Executor, tel: &Telemetry) -> PatternSet {
     let ctx = MergeContext {
         db,
@@ -954,8 +954,7 @@ fn walk(db: &GraphDb, min_support: Support, exec: &Executor, tel: &Telemetry) ->
         executor: Some(exec),
         telemetry: Some(tel),
     };
-    let none = PatternSet::new();
-    merge_join(&ctx, &none, &none).0
+    merge_join(&ctx, &[]).0
 }
 
 /// UF/FI/IF of a fold by set difference against the superseded result,

@@ -54,7 +54,7 @@ fn parallel_merge_stats_match_serial_on_a_large_batch() {
             executor,
             telemetry: Some(&tel),
         };
-        let (merged, stats) = merge_join(&ctx, &p0, &p1);
+        let (merged, stats) = merge_join(&ctx, &[&p0, &p1]);
         (merged, stats, tel.counters().snapshot())
     };
     let (serial, serial_stats, serial_counts) = run(None);

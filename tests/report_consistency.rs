@@ -1,11 +1,14 @@
 //! Integration: the telemetry `RunReport` must reconcile with the pattern
 //! sets and ad-hoc stats the pipeline returns — counters are not decorative.
 
-use graphmine_core::{IncPartMiner, PartMiner, PartMinerConfig};
+use graphmine_core::{
+    merge_join, Executor, IncPartMiner, MergeContext, PartMiner, PartMinerConfig,
+};
 use graphmine_datagen::{
     generate, plan_updates, ufreq_from_updates, GenParams, UpdateKind, UpdateParams,
 };
 use graphmine_graph::GraphDb;
+use graphmine_miner::{GSpan, MemoryMiner};
 use graphmine_telemetry::{Counter, RunReport, Telemetry};
 
 fn synthetic_db() -> GraphDb {
@@ -88,4 +91,60 @@ fn incpartminer_report_reconciles() {
 
     let parsed = RunReport::from_json(&report.to_json()).unwrap();
     assert_eq!(parsed, report);
+}
+
+/// The work counters of the projected walk, in the order the pins below
+/// list them.
+const WALK_COUNTERS: [Counter; 7] = [
+    Counter::CandidatesGenerated,
+    Counter::VerifiedFrequent,
+    Counter::VerifiedInfrequent,
+    Counter::BoundShortcut,
+    Counter::MinerExtensions,
+    Counter::MinerPatterns,
+    Counter::EmbeddingsExtended,
+];
+
+/// gSpan, PartMiner's units and merge-joins and the daemon's boot all run
+/// one walk, and each caller counts its work under its own names. On the
+/// golden database (`golden_patterns.rs`) those counts are pinned to what
+/// the walk did when each caller still had a recursion of its own: a
+/// refactor of the walk that visits, generates, verifies or shortcuts one
+/// candidate more or less fails here.
+#[test]
+fn walk_counters_are_pinned() {
+    let db = generate(&GenParams::new(40, 8, 5, 12, 3).with_seed(7));
+    let sup = db.abs_support(0.2);
+    let counted = |run: &dyn Fn(&Telemetry)| {
+        let tel = Telemetry::new();
+        run(&tel);
+        WALK_COUNTERS.map(|c| tel.counters().get(c))
+    };
+
+    let gspan = counted(&|tel| {
+        GSpan::new().mine_counted(&db, sup, tel.counters());
+    });
+    let partminer = |k: usize| {
+        counted(&|tel| {
+            let cfg = PartMinerConfig::with_k(k);
+            PartMiner::new(cfg).mine_instrumented(&db, &zero_ufreq(&db), sup, tel);
+        })
+    };
+    // A daemon boot: the merge-join with no piece results, on the pool.
+    let boot = counted(&|tel| {
+        let exec = Executor::new(2);
+        let ctx = MergeContext {
+            db: &db,
+            min_support: sup,
+            max_edges: None,
+            executor: Some(&exec),
+            telemetry: Some(tel),
+        };
+        merge_join(&ctx, &[]);
+    });
+
+    assert_eq!(gspan, [0, 0, 0, 0, 230, 39, 1130], "gSpan");
+    assert_eq!(partminer(2), [215, 39, 162, 16, 317, 81, 2285], "PartMiner k = 2");
+    assert_eq!(partminer(4), [500, 120, 339, 61, 595, 174, 3568], "PartMiner k = 4");
+    assert_eq!(boot, [215, 39, 162, 0, 0, 0, 1130], "daemon boot");
 }
