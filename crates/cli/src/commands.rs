@@ -61,19 +61,18 @@ USAGE:
 
   graphmine serve FILE --minsup FRAC [--data-dir DIR] [--addr 127.0.0.1:7878]
                  [--workers W] [--queue-depth Q] [--parallel]
-                 [--ingest-capacity N] [--no-coalesce] [--window N]
+                 [--ingest-capacity N] [--window N]
       Run the resident pattern-serving daemon on FILE. Mines at boot,
       keeps P(D) warm, and answers queries over a newline-delimited JSON
-      protocol while `update` windows stream in (group-committed to the
-      journal; one fsync barrier covers concurrent windows). Boot and
-      every window mine with one walk over the whole database at minsup;
-      --parallel fans the walk out over a thread pool.
+      protocol while `update` windows stream in (coalesced, then
+      group-committed to the journal; one fsync barrier covers concurrent
+      windows). Boot and every window mine with one walk over the whole
+      database at minsup; --parallel fans the walk out over a thread pool.
       --ingest-capacity bounds the acked-but-unapplied windows (the
       staleness bound, default 8) — beyond it updates are shed with a
-      `backpressure` reply. --no-coalesce disables per-window update
-      coalescing. --window N serves the sliding-window result: only the
-      newest N update windows stay live; older ones are expired by a
-      journaled inverse batch (see docs/SERVICE.md). --data-dir holds
+      `backpressure` reply. --window N serves the sliding-window result:
+      only the newest N update windows stay live; older ones are expired
+      by a journaled inverse batch (see docs/SERVICE.md). --data-dir holds
       the snapshot, journal and meta (default: FILE + \".serve\"); on
       restart the snapshot pins minsup, the journal is applied to it, and
       the result is mined once.
@@ -579,11 +578,16 @@ pub fn plan_updates_cmd(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
 
 /// `graphmine serve`
 pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
+    if raw.iter().any(|a| a == "--no-coalesce") {
+        return Err("--no-coalesce was removed: every update window is coalesced before it is \
+                    validated (the oracle's coalesce-equivalence check proves a coalesced \
+                    window lands on the database the raw one does)"
+            .into());
+    }
     let mut args = Args::new(raw);
     let shard_from: Option<String> = args.parsed("--shard-from")?;
     let parallel = args.flag("--parallel");
     let ingest_capacity: Option<usize> = args.parsed("--ingest-capacity")?;
-    let no_coalesce = args.flag("--no-coalesce");
     let window: Option<usize> = args.parsed("--window")?;
     let data_dir: Option<String> = args.parsed("--data-dir")?;
     let workers: Option<usize> = args.parsed("--workers")?;
@@ -660,7 +664,6 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     if let Some(cap) = ingest_capacity {
         cfg.ingest.max_pending = cap;
     }
-    cfg.ingest.coalesce = !no_coalesce;
     if let Some(n) = window {
         if n == 0 {
             return Err("--window must be at least 1".into());

@@ -198,6 +198,20 @@ fn mine_refuses_the_removed_unit_miner_flag() {
     }
 }
 
+/// Every window is coalesced; `--no-coalesce` is refused by name, before
+/// a file is opened or a data directory made, wherever it stands.
+#[test]
+fn serve_refuses_the_removed_no_coalesce_flag() {
+    for args in [
+        ["no-db.txt", "--minsup", "0.5", "--data-dir", "no-dir", "--no-coalesce"],
+        ["--no-coalesce", "no-db.txt", "--minsup", "0.5", "--data-dir", "no-dir"],
+    ] {
+        let err = commands::serve(&s(&args), &mut sink()).unwrap_err();
+        assert!(err.starts_with("--no-coalesce was removed"), "{err}");
+    }
+    assert!(!std::path::Path::new("no-dir").exists());
+}
+
 /// One answer: on a database where patterns are frequent inside single
 /// units, `mine` under the default algorithm — at any `k`, serial or
 /// parallel — writes the very bytes `--algo gspan` writes, and the

@@ -142,8 +142,15 @@ fn plant_kernel(rng: &mut StdRng, g: &mut Graph, kernel: &Graph, target: usize, 
     let mut queue = std::collections::VecDeque::from([start]);
     let mut seen_edge = vec![false; kernel.edge_count()];
     map[start as usize] = Some(g.add_vertex(kernel.vlabel(start)));
+    let mut incident = Vec::new();
     while let Some(v) = queue.pop_front() {
-        for a in kernel.neighbors(v) {
+        // Incident edges in edge-id order, not the label order the
+        // adjacency run keeps: the copy order (and so every generated
+        // database) is fixed by the kernel's edge ids.
+        incident.clear();
+        incident.extend_from_slice(kernel.neighbors(v));
+        incident.sort_unstable_by_key(|a| a.eid);
+        for a in &incident {
             if seen_edge[a.eid as usize] {
                 continue;
             }
@@ -250,6 +257,59 @@ mod tests {
             }
             counts.values().filter(|&&c| c >= minsup).count()
         }
+    }
+
+    /// The exact text of one tiny seeded database. Kernels are copied by
+    /// walking each vertex's incident edges in edge-id order, whatever order
+    /// the adjacency runs keep; a drift in that walk (or in the draws) moves
+    /// these bytes and fails here by name, not as a golden-pattern mismatch
+    /// downstream.
+    #[test]
+    fn tiny_database_text_is_pinned() {
+        const PINNED: &str = "\
+t # 0
+v 0 0
+v 1 0
+v 2 1
+v 3 3
+e 0 1 1
+e 0 2 1
+e 0 3 3
+e 1 3 3
+e 1 2 3
+e 2 3 1
+t # 1
+v 0 0
+v 1 0
+v 2 3
+v 3 1
+v 4 3
+v 5 0
+v 6 0
+e 0 1 1
+e 0 2 3
+e 0 3 3
+e 1 3 1
+e 1 2 3
+e 2 3 1
+e 4 5 3
+e 4 6 3
+t # 2
+v 0 0
+v 1 0
+v 2 1
+v 3 3
+e 0 1 1
+e 0 2 1
+e 0 3 3
+e 1 3 3
+e 1 2 3
+t # -1
+";
+        let db = generate(&GenParams::new(3, 8, 4, 2, 6).with_seed(5));
+        let mut text = Vec::new();
+        graphmine_graph::io::write_db(&mut text, &db).unwrap();
+        assert_eq!(String::from_utf8(text).unwrap(), PINNED);
     }
 
     #[test]

@@ -24,27 +24,13 @@ impl GraphDb {
     }
 
     /// Creates a database from pre-built graphs; the graph at index `i`
-    /// receives gid `i`. Every graph is [frozen](Graph::freeze) into its
-    /// CSR form on the way in — the database is where mining-grade access
-    /// patterns begin.
-    pub fn from_graphs(mut graphs: Vec<Graph>) -> Self {
-        for g in &mut graphs {
-            g.freeze();
-        }
+    /// receives gid `i`.
+    pub fn from_graphs(graphs: Vec<Graph>) -> Self {
         GraphDb { graphs }
     }
 
-    /// Creates a database without freezing the member graphs, leaving them
-    /// in the insertion-order list representation. The differential test
-    /// layer uses this to prove frozen and unfrozen databases mine
-    /// identically; production paths should prefer [`GraphDb::from_graphs`].
-    pub fn from_graphs_unfrozen(graphs: Vec<Graph>) -> Self {
-        GraphDb { graphs }
-    }
-
-    /// Appends a graph (freezing it), returning its gid.
-    pub fn push(&mut self, mut g: Graph) -> GraphId {
-        g.freeze();
+    /// Appends a graph, returning its gid.
+    pub fn push(&mut self, g: Graph) -> GraphId {
         let id = self.graphs.len() as GraphId;
         self.graphs.push(g);
         id
@@ -138,15 +124,6 @@ mod tests {
         assert_eq!(db.len(), 2);
         assert_eq!(db[1].vlabel(0), 2);
         assert_eq!(db.total_edges(), 2);
-        assert!(db.graphs().iter().all(Graph::is_frozen), "db membership freezes");
-    }
-
-    #[test]
-    fn unfrozen_constructor_preserves_list_representation() {
-        let db = GraphDb::from_graphs_unfrozen(vec![edge_graph((0, 1), 0)]);
-        assert!(!db.graph(0).is_frozen());
-        let frozen = GraphDb::from_graphs(vec![edge_graph((0, 1), 0)]);
-        assert_eq!(db.graph(0), frozen.graph(0), "representation is not identity");
     }
 
     #[test]

@@ -119,17 +119,11 @@ impl EmbeddingList {
             let vs = self.vertices(row);
             if e.is_forward() {
                 let gu = vs[e.from as usize];
-                // On a frozen graph the range is exactly the candidates with
-                // matching labels; unfrozen it is the full list, so the
-                // label filters stay load-bearing.
+                // The range is exactly the candidates with matching labels.
                 let run = g.neighbors(gu);
                 for ai in g.neighbor_range(gu, e.to_label, e.edge_label) {
                     let a = run[ai];
-                    if a.elabel != e.edge_label
-                        || g.vlabel(a.to) != e.to_label
-                        || self.uses_edge(row, a.eid)
-                        || vs.contains(&a.to)
-                    {
+                    if self.uses_edge(row, a.eid) || vs.contains(&a.to) {
                         continue;
                     }
                     out.push_extended(self, row, Some(a.to), a.eid);

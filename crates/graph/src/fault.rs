@@ -31,9 +31,11 @@ pub enum Fault {
     /// labeled panic (`ExecError { label, .. }`) carries the failing
     /// unit id all the way into the reported error.
     PanicUnitMiner = 4,
-    /// [`crate::Graph::freeze`] leaves one per-vertex CSR run unsorted
-    /// (the first run with ≥ 2 entries is reversed), breaking the
-    /// binary-search contracts of `edge_between` and `neighbor_range`.
+    /// Per-vertex CSR runs are left unsorted at both places run order is
+    /// made: the bulk build ([`crate::Graph::from_edges`]) reverses the
+    /// first run with ≥ 2 entries, and the sorted insert behind every
+    /// mutator appends instead. This breaks the binary-search contracts of
+    /// `edge_between` and `neighbor_range`.
     CsrDrift = 5,
     /// The serving daemon's ingest coalescer treats every superseding
     /// relabel as a cancelled chain and drops the final write, silently

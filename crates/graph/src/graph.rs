@@ -78,8 +78,8 @@ pub struct VertexRemoval {
     pub moved_vertex: Option<VertexId>,
 }
 
-/// Run length at or below which the frozen-graph query paths scan linearly
-/// instead of binary-searching: on short sorted runs (sparse transaction
+/// Run length at or below which the query paths scan linearly instead of
+/// binary-searching: on short sorted runs (sparse transaction
 /// graphs hover around degree 2–4) the branch-predictable walk is cheaper
 /// than two `partition_point` probes.
 const LINEAR_RUN_CUTOFF: usize = 16;
@@ -134,9 +134,9 @@ fn csr_fill(n: usize, edges: &[Edge]) -> (Vec<u32>, Vec<Adjacency>) {
     (offsets, packed)
 }
 
-/// Sorts every run of a filled arena by [`adj_key`] — the one place a
-/// graph's frozen order is made, for [`Graph::freeze`] and
-/// [`Graph::from_edges`] alike.
+/// Sorts every run of a filled arena by [`adj_key`] — where
+/// [`Graph::from_edges`] makes run order in bulk; `Graph::csr_insert` keeps
+/// the same order one entry at a time.
 fn csr_sort_runs(vlabels: &[VLabel], offsets: &[u32], packed: &mut [Adjacency]) {
     for w in offsets.windows(2) {
         packed[w[0] as usize..w[1] as usize].sort_unstable_by_key(|a| adj_key(vlabels, a));
@@ -162,54 +162,45 @@ pub struct CsrScratch {
     triples: Vec<(VLabel, ELabel, VLabel)>,
 }
 
-/// Adjacency storage: nested lists while a graph is under construction,
-/// one flat CSR arena once frozen.
-#[derive(Debug, Clone)]
-enum AdjStore {
-    /// Construction representation: per-vertex vectors in insertion order.
-    Lists(Vec<Vec<Adjacency>>),
-    /// Frozen representation: `offsets.len() == vertex_count() + 1` and
-    /// vertex `v`'s neighbours are `packed[offsets[v]..offsets[v + 1]]`,
-    /// sorted by `(vlabel(to), elabel, to)`.
-    Csr { offsets: Vec<u32>, packed: Vec<Adjacency> },
-}
-
-impl Default for AdjStore {
-    fn default() -> Self {
-        AdjStore::Lists(Vec::new())
-    }
-}
-
 /// An undirected, labeled, simple graph `G = (V, E, L_V, L_E)` (Section 3 of
 /// the paper).
 ///
 /// Vertices are added with [`Graph::add_vertex`] and identified by dense
 /// `u32` ids; edges with [`Graph::add_edge`]. The structure is optimised for
-/// the read-mostly access pattern of subgraph mining: a graph under
-/// construction keeps plain per-vertex adjacency vectors, and
-/// [`Graph::freeze`] (applied automatically when a graph enters a
-/// [`crate::GraphDb`]) packs them into a flat CSR arena whose per-vertex
-/// runs are sorted by `(vlabel(to), elabel, to)`. The sorted order turns
-/// labeled-neighbour queries ([`Graph::neighbor_range`]) and edge lookup
+/// the read-mostly access pattern of subgraph mining: from the empty graph
+/// on, the adjacency is one flat CSR arena whose per-vertex runs are sorted
+/// by `(vlabel(to), elabel, to)`. The sorted order turns labeled-neighbour
+/// queries ([`Graph::neighbor_range`]) and edge lookup
 /// ([`Graph::edge_between`]) into binary searches, and a per-graph
 /// `(vlabel, elabel, vlabel)` triple index ([`Graph::triple_count`]) answers
-/// the support screens without rescanning edges. Mutation stays legal after
-/// freezing — the update workloads relabel and add edges in place — and
-/// every mutator maintains the sorted-run and triple-index invariants.
+/// the support screens without rescanning edges. Every mutator — the update
+/// workloads relabel, add and delete in place — maintains the sorted-run
+/// and triple-index invariants. A graph built in bulk comes from
+/// [`Graph::from_edges`].
 ///
 /// The *size* of a graph is its number of edges, per the paper.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     vlabels: Vec<VLabel>,
     edges: Vec<Edge>,
-    adj: AdjStore,
+    /// `offsets.len() == vertex_count() + 1`: vertex `v`'s neighbours are
+    /// `packed[offsets[v]..offsets[v + 1]]`, sorted by `(vlabel(to),
+    /// elabel, to)`.
+    offsets: Vec<u32>,
+    packed: Vec<Adjacency>,
     /// Sorted `(triple, multiplicity)` pairs over all edges.
     triples: Vec<((VLabel, ELabel, VLabel), u32)>,
 }
 
+impl Default for Graph {
+    fn default() -> Self {
+        Graph::with_capacity(0, 0)
+    }
+}
+
 /// Graphs are equal when they have the same vertices (ids and labels) and
-/// the same edges (ids, endpoints, labels). The adjacency representation is
-/// derived data: a frozen graph equals its unfrozen twin.
+/// the same edges (ids, endpoints, labels); the adjacency arena and the
+/// triple index are derived from those.
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.vlabels == other.vlabels && self.edges == other.edges
@@ -227,10 +218,13 @@ impl Graph {
     /// Creates an empty graph with room for `vertices` vertices and `edges`
     /// edges.
     pub fn with_capacity(vertices: usize, edges: usize) -> Self {
+        let mut offsets = Vec::with_capacity(vertices + 1);
+        offsets.push(0);
         Graph {
             vlabels: Vec::with_capacity(vertices),
             edges: Vec::with_capacity(edges),
-            adj: AdjStore::Lists(Vec::with_capacity(vertices)),
+            offsets,
+            packed: Vec::with_capacity(2 * edges),
             triples: Vec::new(),
         }
     }
@@ -239,17 +233,15 @@ impl Graph {
     pub fn add_vertex(&mut self, label: VLabel) -> VertexId {
         let id = self.vlabels.len() as VertexId;
         self.vlabels.push(label);
-        match &mut self.adj {
-            AdjStore::Lists(lists) => lists.push(Vec::new()),
-            AdjStore::Csr { offsets, .. } => {
-                let end = *offsets.last().expect("frozen offsets start at [0]");
-                offsets.push(end);
-            }
-        }
+        self.offsets.push(self.packed.len() as u32);
         id
     }
 
     /// Adds an undirected edge `(u, v)` with the given label.
+    ///
+    /// Costs `O(V + E)`: each half-edge is inserted at its sorted position
+    /// in the one packed arena, moving every entry after it. Builders that
+    /// hold a whole edge list use [`Graph::from_edges`] instead.
     ///
     /// # Errors
     ///
@@ -269,16 +261,8 @@ impl Graph {
         let eid = self.edges.len() as EdgeId;
         self.edges.push(Edge { u, v, label });
         self.bump_triple(edge_triple(self.vlabels[u as usize], label, self.vlabels[v as usize]), 1);
-        match &mut self.adj {
-            AdjStore::Lists(lists) => {
-                lists[u as usize].push(Adjacency { to: v, elabel: label, eid });
-                lists[v as usize].push(Adjacency { to: u, elabel: label, eid });
-            }
-            AdjStore::Csr { .. } => {
-                self.csr_insert(u, Adjacency { to: v, elabel: label, eid });
-                self.csr_insert(v, Adjacency { to: u, elabel: label, eid });
-            }
-        }
+        self.csr_insert(u, Adjacency { to: v, elabel: label, eid });
+        self.csr_insert(v, Adjacency { to: u, elabel: label, eid });
         Ok(eid)
     }
 
@@ -294,23 +278,8 @@ impl Graph {
             edge_triple(self.vlabels[u as usize], label, self.vlabels[v as usize]),
             -1,
         );
-        match &mut self.adj {
-            AdjStore::Lists(lists) => {
-                // The newest edge's entries sit at (or near) the list tails.
-                for w in [u, v] {
-                    let list = &mut lists[w as usize];
-                    let pos = list
-                        .iter()
-                        .rposition(|a| a.eid == eid)
-                        .expect("edge present in its endpoint's list");
-                    list.remove(pos);
-                }
-            }
-            AdjStore::Csr { .. } => {
-                self.csr_remove(u, eid);
-                self.csr_remove(v, eid);
-            }
-        }
+        self.csr_remove(u, eid);
+        self.csr_remove(v, eid);
         Some((u, v, label))
     }
 
@@ -322,16 +291,8 @@ impl Graph {
     /// Panics if the last vertex still has incident edges.
     pub fn pop_vertex(&mut self) -> Option<VLabel> {
         let v = self.vlabels.len().checked_sub(1)?;
-        match &mut self.adj {
-            AdjStore::Lists(lists) => {
-                assert!(lists[v].is_empty(), "pop_vertex requires an isolated vertex");
-                lists.pop();
-            }
-            AdjStore::Csr { offsets, .. } => {
-                assert_eq!(offsets[v], offsets[v + 1], "pop_vertex requires an isolated vertex");
-                offsets.pop();
-            }
-        }
+        assert!(self.neighbors(v as VertexId).is_empty(), "pop_vertex requires an isolated vertex");
+        self.offsets.pop();
         self.vlabels.pop()
     }
 
@@ -342,8 +303,8 @@ impl Graph {
     /// the highest id is renumbered to `e` (recorded as `moved:
     /// Some(old_id)`); deleting the highest id itself leaves every other id
     /// untouched (`moved: None`). Contrast with [`Graph::pop_edge`], which
-    /// only undoes the newest insertion. Works frozen or unfrozen; all
-    /// representation invariants are maintained.
+    /// only undoes the newest insertion. All representation invariants are
+    /// maintained.
     ///
     /// # Errors
     ///
@@ -357,22 +318,8 @@ impl Graph {
             edge_triple(self.vlabels[u as usize], label, self.vlabels[v as usize]),
             -1,
         );
-        match &mut self.adj {
-            AdjStore::Lists(lists) => {
-                for w in [u, v] {
-                    let list = &mut lists[w as usize];
-                    let pos = list
-                        .iter()
-                        .position(|a| a.eid == e)
-                        .expect("edge present in its endpoint's list");
-                    list.remove(pos);
-                }
-            }
-            AdjStore::Csr { .. } => {
-                self.csr_remove(u, e);
-                self.csr_remove(v, e);
-            }
-        }
+        self.csr_remove(u, e);
+        self.csr_remove(v, e);
         let last = m - 1;
         let moved = if e != last {
             // Swap-remove: the highest-id edge takes the freed slot. Its
@@ -380,27 +327,13 @@ impl Graph {
             // of the sort key, so run positions do not change.
             self.edges.swap_remove(e as usize);
             let Edge { u: mu, v: mv, .. } = self.edges[e as usize];
-            match &mut self.adj {
-                AdjStore::Lists(lists) => {
-                    for w in [mu, mv] {
-                        for a in &mut lists[w as usize] {
-                            if a.eid == last {
-                                a.eid = e;
-                            }
-                        }
-                    }
-                }
-                AdjStore::Csr { offsets, packed } => {
-                    for w in [mu, mv] {
-                        let run = &mut packed
-                            [offsets[w as usize] as usize..offsets[w as usize + 1] as usize];
-                        let a = run
-                            .iter_mut()
-                            .find(|a| a.eid == last)
-                            .expect("moved edge present in its endpoint's run");
-                        a.eid = e;
-                    }
-                }
+            for w in [mu, mv] {
+                let run = self.run(w);
+                let a = self.packed[run]
+                    .iter_mut()
+                    .find(|a| a.eid == last)
+                    .expect("moved edge present in its endpoint's run");
+                a.eid = e;
             }
             Some(last)
         } else {
@@ -419,7 +352,7 @@ impl Graph {
     /// never another not-yet-deleted incident edge. Then the vertex with the
     /// highest id is renumbered to `v` (`moved_vertex: Some(old_id)`) unless
     /// `v` already was the highest id. Vertex and edge ids stay dense
-    /// throughout. Works frozen or unfrozen.
+    /// throughout.
     ///
     /// # Errors
     ///
@@ -433,82 +366,42 @@ impl Graph {
         for e in incident {
             removed_edges.push(self.delete_edge(e).expect("incident edge in range"));
         }
+        debug_assert!(self.neighbors(v).is_empty(), "cascade left v isolated");
+        // Swap-remove: the highest-id vertex `w` takes the freed slot.
+        // Labels are preserved, so the triple index is untouched; `w`'s
+        // entries and those naming it are taken out, re-pointed at `v` and
+        // re-inserted (`to` is part of the sort key). When `v` is `w`
+        // there is nothing to move.
         let w = self.vlabels.len() as u32 - 1;
-        let moved_vertex = if v != w {
-            // Swap-remove: the highest-id vertex `w` takes the freed slot.
-            // Labels are preserved, so the triple index is untouched; the
-            // adjacency entries naming `w` are re-pointed at `v` (`to` is
-            // part of the sort key, so frozen entries are re-inserted).
-            let saved: Vec<Adjacency> = self.neighbors(w).to_vec();
-            if self.is_frozen() {
-                for a in &saved {
-                    self.csr_remove(w, a.eid);
-                    self.csr_remove(a.to, a.eid);
-                }
-                let AdjStore::Csr { offsets, .. } = &mut self.adj else { unreachable!() };
-                debug_assert_eq!(
-                    offsets[v as usize],
-                    offsets[v as usize + 1],
-                    "cascade left v isolated"
-                );
-                offsets.pop();
-            } else {
-                let AdjStore::Lists(lists) = &mut self.adj else { unreachable!() };
-                debug_assert!(lists[v as usize].is_empty(), "cascade left v isolated");
-                let run = std::mem::take(&mut lists[w as usize]);
-                lists.pop();
-                lists[v as usize] = run;
-                for a in &saved {
-                    for entry in &mut lists[a.to as usize] {
-                        if entry.eid == a.eid {
-                            entry.to = v;
-                        }
-                    }
-                }
+        let saved: Vec<Adjacency> = if v != w { self.neighbors(w).to_vec() } else { Vec::new() };
+        for a in &saved {
+            self.csr_remove(w, a.eid);
+            self.csr_remove(a.to, a.eid);
+        }
+        self.offsets.pop();
+        for a in &saved {
+            let edge = &mut self.edges[a.eid as usize];
+            if edge.u == w {
+                edge.u = v;
             }
-            for a in &saved {
-                let edge = &mut self.edges[a.eid as usize];
-                if edge.u == w {
-                    edge.u = v;
-                }
-                if edge.v == w {
-                    edge.v = v;
-                }
+            if edge.v == w {
+                edge.v = v;
             }
-            self.vlabels.swap_remove(v as usize);
-            if self.is_frozen() {
-                for a in &saved {
-                    self.csr_insert(v, Adjacency { to: a.to, elabel: a.elabel, eid: a.eid });
-                    self.csr_insert(a.to, Adjacency { to: v, elabel: a.elabel, eid: a.eid });
-                }
-            }
-            Some(w)
-        } else {
-            match &mut self.adj {
-                AdjStore::Lists(lists) => {
-                    debug_assert!(lists[v as usize].is_empty(), "cascade left v isolated");
-                    lists.pop();
-                }
-                AdjStore::Csr { offsets, .. } => {
-                    debug_assert_eq!(
-                        offsets[v as usize],
-                        offsets[v as usize + 1],
-                        "cascade left v isolated"
-                    );
-                    offsets.pop();
-                }
-            }
-            self.vlabels.pop();
-            None
-        };
+        }
+        self.vlabels.swap_remove(v as usize);
+        for a in &saved {
+            self.csr_insert(v, Adjacency { to: a.to, elabel: a.elabel, eid: a.eid });
+            self.csr_insert(a.to, Adjacency { to: v, elabel: a.elabel, eid: a.eid });
+        }
+        let moved_vertex = (v != w).then_some(w);
         Ok(VertexRemoval { label, removed_edges, moved_vertex })
     }
 
-    /// Builds a frozen graph from its vertex labels and edge list in one
-    /// pass — what `add_vertex` × n, `add_edge` × m and [`Graph::freeze`]
-    /// produce, without the per-vertex lists, the per-edge duplicate probe
-    /// and the sorted insert per edge into the triple index. Vertex `i` gets
-    /// `vlabels[i]`, edge `j` is `edges[j]` as `(u, v, label)`.
+    /// Builds a graph from its vertex labels and edge list in one pass —
+    /// what `add_vertex` × n and `add_edge` × m produce, without the
+    /// per-edge duplicate probe and the sorted insert per edge into the
+    /// arena and the triple index. Vertex `i` gets `vlabels[i]`, edge `j` is
+    /// `edges[j]` as `(u, v, label)`.
     ///
     /// # Errors
     ///
@@ -571,31 +464,7 @@ impl Graph {
         let mut triples = Vec::with_capacity(distinct.clone().count());
         triples.extend(distinct.map(|run| (run[0], run.len() as u32)));
 
-        Ok(Graph {
-            vlabels: vlabels.to_vec(),
-            edges,
-            adj: AdjStore::Csr { offsets, packed },
-            triples,
-        })
-    }
-
-    /// Packs the adjacency into the flat CSR arena with per-vertex runs
-    /// sorted by `(vlabel(to), elabel, to)`. Idempotent; `O(V + E)` plus
-    /// the per-run sorts. [`crate::GraphDb`] freezes every graph on
-    /// insertion, so mining always sees the CSR form.
-    pub fn freeze(&mut self) {
-        if self.is_frozen() {
-            return;
-        }
-        let (offsets, mut packed) = csr_fill(self.vlabels.len(), &self.edges);
-        csr_sort_runs(&self.vlabels, &offsets, &mut packed);
-        self.adj = AdjStore::Csr { offsets, packed };
-    }
-
-    /// `true` once [`Graph::freeze`] has packed the adjacency into CSR form.
-    #[inline]
-    pub fn is_frozen(&self) -> bool {
-        matches!(self.adj, AdjStore::Csr { .. })
+        Ok(Graph { vlabels: vlabels.to_vec(), edges, offsets, packed, triples })
     }
 
     /// Number of vertices.
@@ -650,9 +519,9 @@ impl Graph {
 
     /// Re-labels vertex `v` (used by the update workloads).
     ///
-    /// On a frozen graph this repositions `v`'s entry inside each
-    /// neighbour's sorted run (the sort key leads with the neighbour's
-    /// vertex label) and rewrites the triple index for every incident edge.
+    /// This repositions `v`'s entry inside each neighbour's sorted run (the
+    /// sort key leads with the neighbour's vertex label) and rewrites the
+    /// triple index for every incident edge.
     pub fn set_vlabel(&mut self, v: VertexId, label: VLabel) -> Result<(), GraphError> {
         self.check_vertex(v)?;
         let old = self.vlabels[v as usize];
@@ -666,20 +535,18 @@ impl Graph {
             self.bump_triple(edge_triple(label, a.elabel, nl), 1);
         }
         self.vlabels[v as usize] = label;
-        if self.is_frozen() {
-            for a in &incident {
-                let entry = self.csr_remove(a.to, a.eid);
-                self.csr_insert(a.to, entry);
-            }
+        for a in &incident {
+            let entry = self.csr_remove(a.to, a.eid);
+            self.csr_insert(a.to, entry);
         }
         Ok(())
     }
 
     /// Re-labels edge `e` (used by the update workloads).
     ///
-    /// On a frozen graph this repositions the edge's entry inside both
-    /// endpoints' sorted runs (the sort key includes the edge label), so the
-    /// sorted-adjacency invariant survives incremental relabel storms.
+    /// This repositions the edge's entry inside both endpoints' sorted runs
+    /// (the sort key includes the edge label), so the sorted-adjacency
+    /// invariant survives incremental relabel storms.
     pub fn set_elabel(&mut self, e: EdgeId, label: ELabel) -> Result<(), GraphError> {
         let m = self.edges.len() as u32;
         let edge =
@@ -693,23 +560,10 @@ impl Graph {
         let (lu, lv) = (self.vlabels[u as usize], self.vlabels[v as usize]);
         self.bump_triple(edge_triple(lu, old, lv), -1);
         self.bump_triple(edge_triple(lu, label, lv), 1);
-        match &mut self.adj {
-            AdjStore::Lists(lists) => {
-                for half in [u, v] {
-                    for a in &mut lists[half as usize] {
-                        if a.eid == e {
-                            a.elabel = label;
-                        }
-                    }
-                }
-            }
-            AdjStore::Csr { .. } => {
-                for half in [u, v] {
-                    let mut entry = self.csr_remove(half, e);
-                    entry.elabel = label;
-                    self.csr_insert(half, entry);
-                }
-            }
+        for half in [u, v] {
+            let mut entry = self.csr_remove(half, e);
+            entry.elabel = label;
+            self.csr_insert(half, entry);
         }
         Ok(())
     }
@@ -730,68 +584,51 @@ impl Graph {
         self.edges.iter().enumerate().map(|(i, e)| (i as EdgeId, e.u, e.v, e.label))
     }
 
-    /// Adjacency list of vertex `v`. On a frozen graph the slice is a run of
-    /// the CSR arena, sorted by `(vlabel(to), elabel, to)`.
+    /// Adjacency list of vertex `v`: its run of the CSR arena, sorted by
+    /// `(vlabel(to), elabel, to)`.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[Adjacency] {
-        match &self.adj {
-            AdjStore::Lists(lists) => &lists[v as usize],
-            AdjStore::Csr { offsets, packed } => {
-                &packed[offsets[v as usize] as usize..offsets[v as usize + 1] as usize]
-            }
-        }
+        &self.packed[self.run(v)]
     }
 
-    /// The index range within [`Graph::neighbors`]`(v)` that holds every
-    /// neighbour reached over an `elabel`-labeled edge and carrying vertex
-    /// label `to_label`.
-    ///
-    /// On a frozen graph the run is located by binary search and contains
-    /// *exactly* the matching entries; on an unfrozen graph the full list is
-    /// returned, so callers must keep filtering by label — the range is a
-    /// narrowing, not a guarantee.
+    /// The index range within [`Graph::neighbors`]`(v)` that holds exactly
+    /// the neighbours reached over an `elabel`-labeled edge and carrying
+    /// vertex label `to_label`.
     pub fn neighbor_range(
         &self,
         v: VertexId,
         to_label: VLabel,
         elabel: ELabel,
     ) -> std::ops::Range<usize> {
-        match &self.adj {
-            AdjStore::Lists(lists) => 0..lists[v as usize].len(),
-            AdjStore::Csr { .. } => {
-                let run = self.neighbors(v);
-                // The matching entries are contiguous either way; on the
-                // short runs typical of sparse transaction graphs a linear
-                // walk beats the two binary probes.
-                if run.len() <= LINEAR_RUN_CUTOFF {
-                    let mut lo = 0;
-                    while lo < run.len()
-                        && (self.vlabels[run[lo].to as usize], run[lo].elabel) < (to_label, elabel)
-                    {
-                        lo += 1;
-                    }
-                    let mut hi = lo;
-                    while hi < run.len()
-                        && (self.vlabels[run[hi].to as usize], run[hi].elabel) == (to_label, elabel)
-                    {
-                        hi += 1;
-                    }
-                    return lo..hi;
-                }
-                let lo = run.partition_point(|a| {
-                    (self.vlabels[a.to as usize], a.elabel) < (to_label, elabel)
-                });
-                let hi = lo
-                    + run[lo..].partition_point(|a| {
-                        (self.vlabels[a.to as usize], a.elabel) == (to_label, elabel)
-                    });
-                lo..hi
+        let run = self.neighbors(v);
+        // The matching entries are contiguous either way; on the short runs
+        // typical of sparse transaction graphs a linear walk beats the two
+        // binary probes.
+        if run.len() <= LINEAR_RUN_CUTOFF {
+            let mut lo = 0;
+            while lo < run.len()
+                && (self.vlabels[run[lo].to as usize], run[lo].elabel) < (to_label, elabel)
+            {
+                lo += 1;
             }
+            let mut hi = lo;
+            while hi < run.len()
+                && (self.vlabels[run[hi].to as usize], run[hi].elabel) == (to_label, elabel)
+            {
+                hi += 1;
+            }
+            return lo..hi;
         }
+        let lo =
+            run.partition_point(|a| (self.vlabels[a.to as usize], a.elabel) < (to_label, elabel));
+        let hi = lo
+            + run[lo..]
+                .partition_point(|a| (self.vlabels[a.to as usize], a.elabel) == (to_label, elabel));
+        lo..hi
     }
 
     /// Degree of vertex `v`.
@@ -800,21 +637,19 @@ impl Graph {
         self.neighbors(v).len()
     }
 
-    /// Looks up the edge between `u` and `v`, if present. On a frozen graph
-    /// the probe endpoint's run is binary-searched down to the block of
-    /// neighbours sharing the other endpoint's vertex label.
+    /// Looks up the edge between `u` and `v`, if present. A long probe run
+    /// is binary-searched down to the block of neighbours sharing the other
+    /// endpoint's vertex label.
     pub fn edge_between(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
         let (probe, other) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        let run = self.neighbors(probe);
-        match &self.adj {
-            AdjStore::Csr { .. } if run.len() > LINEAR_RUN_CUTOFF => {
-                let tl = self.vlabels[other as usize];
-                let lo = run.partition_point(|a| self.vlabels[a.to as usize] < tl);
-                let hi = lo + run[lo..].partition_point(|a| self.vlabels[a.to as usize] == tl);
-                run[lo..hi].iter().find(|a| a.to == other).map(|a| a.eid)
-            }
-            _ => run.iter().find(|a| a.to == other).map(|a| a.eid),
+        let mut run = self.neighbors(probe);
+        if run.len() > LINEAR_RUN_CUTOFF {
+            let tl = self.vlabels[other as usize];
+            let lo = run.partition_point(|a| self.vlabels[a.to as usize] < tl);
+            let hi = lo + run[lo..].partition_point(|a| self.vlabels[a.to as usize] == tl);
+            run = &run[lo..hi];
         }
+        run.iter().find(|a| a.to == other).map(|a| a.eid)
     }
 
     /// Multiplicity of the normalised edge triple `(lu, le, lv)` — how many
@@ -930,41 +765,35 @@ impl Graph {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if let AdjStore::Csr { offsets, packed } = &self.adj {
-            if offsets.len() != self.vlabels.len() + 1 {
-                return Err(format!(
-                    "offsets has {} entries for {} vertices (want V + 1)",
-                    offsets.len(),
-                    self.vlabels.len()
-                ));
-            }
-            if offsets.first() != Some(&0) || *offsets.last().unwrap() as usize != packed.len() {
-                return Err("offsets do not span the packed arena".into());
-            }
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err("offsets are not monotone".into());
-            }
-            if packed.len() != 2 * self.edges.len() {
-                return Err(format!(
-                    "packed arena has {} entries for {} edges (want 2E)",
-                    packed.len(),
-                    self.edges.len()
-                ));
-            }
+        let (offsets, packed) = (&self.offsets, &self.packed);
+        if offsets.len() != self.vlabels.len() + 1 {
+            return Err(format!(
+                "offsets has {} entries for {} vertices (want V + 1)",
+                offsets.len(),
+                self.vlabels.len()
+            ));
         }
-        let mut half_edges = 0usize;
+        if offsets.first() != Some(&0) || *offsets.last().unwrap() as usize != packed.len() {
+            return Err("offsets do not span the packed arena".into());
+        }
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err("offsets are not monotone".into());
+        }
+        if packed.len() != 2 * self.edges.len() {
+            return Err(format!(
+                "packed arena has {} entries for {} edges (want 2E)",
+                packed.len(),
+                self.edges.len()
+            ));
+        }
         for v in 0..self.vlabels.len() as u32 {
             let run = self.neighbors(v);
-            half_edges += run.len();
-            if self.is_frozen() {
-                for w in run.windows(2) {
-                    if adj_key(&self.vlabels, &w[0]) >= adj_key(&self.vlabels, &w[1]) {
-                        return Err(format!(
-                            "vertex {v}: run not strictly sorted at ({} e{} #{}) >= \
-                             ({} e{} #{})",
-                            w[0].to, w[0].elabel, w[0].eid, w[1].to, w[1].elabel, w[1].eid
-                        ));
-                    }
+            for w in run.windows(2) {
+                if adj_key(&self.vlabels, &w[0]) >= adj_key(&self.vlabels, &w[1]) {
+                    return Err(format!(
+                        "vertex {v}: run not strictly sorted at ({} e{} #{}) >= ({} e{} #{})",
+                        w[0].to, w[0].elabel, w[0].eid, w[1].to, w[1].elabel, w[1].eid
+                    ));
                 }
             }
             for a in run {
@@ -979,12 +808,6 @@ impl Graph {
                     ));
                 }
             }
-        }
-        if half_edges != 2 * self.edges.len() {
-            return Err(format!(
-                "{half_edges} adjacency entries for {} edges (want 2E)",
-                self.edges.len()
-            ));
         }
         let mut recount: Vec<((VLabel, ELabel, VLabel), u32)> = Vec::new();
         for e in &self.edges {
@@ -1003,34 +826,36 @@ impl Graph {
         Ok(())
     }
 
-    /// Inserts `a` at its sorted position in frozen vertex `v`'s run.
+    /// Vertex `v`'s run as an index range into the packed arena.
+    #[inline]
+    fn run(&self, v: VertexId) -> std::ops::Range<usize> {
+        self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
+    }
+
+    /// Inserts `a` at its sorted position in vertex `v`'s run.
     fn csr_insert(&mut self, v: VertexId, a: Adjacency) {
-        let AdjStore::Csr { offsets, packed } = &mut self.adj else {
-            unreachable!("csr_insert on an unfrozen graph")
-        };
-        let start = offsets[v as usize] as usize;
-        let end = offsets[v as usize + 1] as usize;
+        let run = self.run(v);
         let k = adj_key(&self.vlabels, &a);
-        let pos = packed[start..end].partition_point(|x| adj_key(&self.vlabels, x) < k);
-        packed.insert(start + pos, a);
-        for o in &mut offsets[v as usize + 1..] {
+        let pos = self.packed[run.clone()].partition_point(|x| adj_key(&self.vlabels, x) < k);
+        // Append instead — the insertion order a per-vertex list keeps —
+        // which leaves every run that gains a smaller entry unsorted.
+        #[cfg(feature = "fault-injection")]
+        let pos = if crate::fault::armed(crate::fault::Fault::CsrDrift) { run.len() } else { pos };
+        self.packed.insert(run.start + pos, a);
+        for o in &mut self.offsets[v as usize + 1..] {
             *o += 1;
         }
     }
 
-    /// Removes the entry for edge `e` from frozen vertex `v`'s run.
+    /// Removes the entry for edge `e` from vertex `v`'s run.
     fn csr_remove(&mut self, v: VertexId, e: EdgeId) -> Adjacency {
-        let AdjStore::Csr { offsets, packed } = &mut self.adj else {
-            unreachable!("csr_remove on an unfrozen graph")
-        };
-        let start = offsets[v as usize] as usize;
-        let end = offsets[v as usize + 1] as usize;
-        let pos = packed[start..end]
+        let run = self.run(v);
+        let pos = self.packed[run.clone()]
             .iter()
             .position(|a| a.eid == e)
             .expect("edge present in its endpoint's run");
-        let entry = packed.remove(start + pos);
-        for o in &mut offsets[v as usize + 1..] {
+        let entry = self.packed.remove(run.start + pos);
+        for o in &mut self.offsets[v as usize + 1..] {
             *o -= 1;
         }
         entry
@@ -1083,34 +908,25 @@ mod tests {
         assert!(g.is_connected());
     }
 
+    /// An empty graph is a valid CSR from birth, whichever way it is made —
+    /// including the empty slot `mem::take` leaves behind.
     #[test]
-    fn frozen_graph_answers_identically() {
-        let mut f = triangle();
-        f.freeze();
-        let g = triangle();
-        assert!(f.is_frozen() && !g.is_frozen());
-        assert_eq!(f, g);
-        assert_eq!(f.edge(1), g.edge(1));
-        for v in 0..3 {
-            assert_eq!(f.degree(v), g.degree(v));
-            let mut fs: Vec<_> = f.neighbors(v).to_vec();
-            let mut gs: Vec<_> = g.neighbors(v).to_vec();
-            fs.sort_by_key(|a| a.eid);
-            gs.sort_by_key(|a| a.eid);
-            assert_eq!(fs, gs);
-            for w in 0..3 {
-                assert_eq!(f.edge_between(v, w), g.edge_between(v, w));
-            }
-        }
-        f.check_invariants().unwrap();
-        g.check_invariants().unwrap();
+    fn empty_graphs_are_coherent() {
+        Graph::default().check_invariants().unwrap();
+        Graph::with_capacity(4, 9).check_invariants().unwrap();
+        let mut slot = triangle();
+        let taken = std::mem::take(&mut slot);
+        slot.check_invariants().unwrap();
+        assert_eq!(slot, Graph::new());
+        taken.check_invariants().unwrap();
+        let v = slot.add_vertex(3);
+        assert!(slot.neighbors(v).is_empty());
+        slot.check_invariants().unwrap();
     }
 
     #[test]
-    fn freeze_is_idempotent_and_mutation_after_freeze_keeps_invariants() {
+    fn mutation_keeps_invariants() {
         let mut g = triangle();
-        g.freeze();
-        g.freeze();
         let d = g.add_vertex(1);
         g.add_edge(d, 0, 10).unwrap();
         g.set_vlabel(2, 0).unwrap();
@@ -1213,7 +1029,7 @@ mod tests {
 
     /// A 5-vertex graph with enough edges that middle deletions exercise
     /// both the swap-remove remap and the no-remap (last id) paths.
-    fn path5(frozen: bool) -> Graph {
+    fn path5() -> Graph {
         let mut g = Graph::new();
         for l in [0u32, 1, 2, 3, 4] {
             g.add_vertex(l);
@@ -1223,87 +1039,76 @@ mod tests {
         g.add_edge(2, 3, 12).unwrap();
         g.add_edge(3, 4, 13).unwrap();
         g.add_edge(0, 4, 14).unwrap();
-        if frozen {
-            g.freeze();
-        }
         g
     }
 
     #[test]
     fn delete_edge_swap_removes_and_remaps() {
-        for frozen in [false, true] {
-            let mut g = path5(frozen);
-            let rec = g.delete_edge(1).unwrap();
-            assert_eq!((rec.u, rec.v, rec.label), (1, 2, 11));
-            assert_eq!(rec.moved, Some(4), "edge 4 renumbered into slot 1");
-            assert_eq!(g.edge_count(), 4);
-            assert_eq!(g.edge(1), (0, 4, 14), "moved edge answers under its new id");
-            assert_eq!(g.edge_between(1, 2), None);
-            assert_eq!(g.edge_between(0, 4), Some(1));
-            assert_eq!(g.triple_count(1, 11, 2), 0);
-            g.check_invariants().unwrap();
-        }
+        let mut g = path5();
+        let rec = g.delete_edge(1).unwrap();
+        assert_eq!((rec.u, rec.v, rec.label), (1, 2, 11));
+        assert_eq!(rec.moved, Some(4), "edge 4 renumbered into slot 1");
+        assert_eq!(g.edge_count(), 4);
+        assert_eq!(g.edge(1), (0, 4, 14), "moved edge answers under its new id");
+        assert_eq!(g.edge_between(1, 2), None);
+        assert_eq!(g.edge_between(0, 4), Some(1));
+        assert_eq!(g.triple_count(1, 11, 2), 0);
+        g.check_invariants().unwrap();
     }
 
     #[test]
     fn delete_last_edge_does_not_remap() {
-        for frozen in [false, true] {
-            let mut g = path5(frozen);
-            let rec = g.delete_edge(4).unwrap();
-            assert_eq!(rec.moved, None);
-            assert_eq!(g.edge_count(), 4);
-            assert_eq!(g.edge_between(0, 4), None);
-            g.check_invariants().unwrap();
-        }
+        let mut g = path5();
+        let rec = g.delete_edge(4).unwrap();
+        assert_eq!(rec.moved, None);
+        assert_eq!(g.edge_count(), 4);
+        assert_eq!(g.edge_between(0, 4), None);
+        g.check_invariants().unwrap();
     }
 
     #[test]
     fn delete_edge_rejects_out_of_range() {
-        let mut g = path5(true);
+        let mut g = path5();
         assert_eq!(g.delete_edge(9), Err(GraphError::EdgeOutOfRange { edge: 9, len: 5 }));
     }
 
     #[test]
     fn delete_vertex_cascades_and_remaps() {
-        for frozen in [false, true] {
-            let mut g = path5(frozen);
-            let rec = g.delete_vertex(1).unwrap();
-            assert_eq!(rec.label, 1);
-            assert_eq!(rec.removed_edges.len(), 2, "cascade removed both incident edges");
-            assert_eq!(rec.moved_vertex, Some(4), "vertex 4 renumbered into slot 1");
-            assert_eq!(g.vertex_count(), 4);
-            assert_eq!(g.edge_count(), 3);
-            assert_eq!(g.vlabel(1), 4, "moved vertex keeps its label");
-            // Survivors: 2-3 (was e2), 3-old4 and 0-old4 with old4 now id 1.
-            assert!(g.edge_between(2, 3).is_some());
-            assert!(g.edge_between(3, 1).is_some());
-            assert!(g.edge_between(0, 1).is_some());
-            g.check_invariants().unwrap();
-        }
+        let mut g = path5();
+        let rec = g.delete_vertex(1).unwrap();
+        assert_eq!(rec.label, 1);
+        assert_eq!(rec.removed_edges.len(), 2, "cascade removed both incident edges");
+        assert_eq!(rec.moved_vertex, Some(4), "vertex 4 renumbered into slot 1");
+        assert_eq!(g.vertex_count(), 4);
+        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.vlabel(1), 4, "moved vertex keeps its label");
+        // Survivors: 2-3 (was e2), 3-old4 and 0-old4 with old4 now id 1.
+        assert!(g.edge_between(2, 3).is_some());
+        assert!(g.edge_between(3, 1).is_some());
+        assert!(g.edge_between(0, 1).is_some());
+        g.check_invariants().unwrap();
     }
 
     #[test]
     fn delete_highest_vertex_does_not_remap() {
-        for frozen in [false, true] {
-            let mut g = path5(frozen);
-            let rec = g.delete_vertex(4).unwrap();
-            assert_eq!(rec.moved_vertex, None);
-            assert_eq!(rec.removed_edges.len(), 2);
-            assert_eq!(g.vertex_count(), 4);
-            assert_eq!(g.edge_count(), 3);
-            g.check_invariants().unwrap();
-        }
+        let mut g = path5();
+        let rec = g.delete_vertex(4).unwrap();
+        assert_eq!(rec.moved_vertex, None);
+        assert_eq!(rec.removed_edges.len(), 2);
+        assert_eq!(g.vertex_count(), 4);
+        assert_eq!(g.edge_count(), 3);
+        g.check_invariants().unwrap();
     }
 
     #[test]
     fn delete_vertex_rejects_out_of_range() {
-        let mut g = path5(false);
+        let mut g = path5();
         assert_eq!(g.delete_vertex(9), Err(GraphError::VertexOutOfRange { vertex: 9, len: 5 }));
     }
 
     #[test]
     fn delete_then_mutate_keeps_invariants() {
-        let mut g = path5(true);
+        let mut g = path5();
         g.delete_vertex(2).unwrap();
         let d = g.add_vertex(7);
         g.add_edge(d, 0, 20).unwrap();

@@ -55,7 +55,7 @@ impl From<std::io::Error> for ParseError {
 /// A line whose first non-blank byte is `#` is a comment; a `t` line takes
 /// its id from the token after the `#` marker, and a negative id ends the
 /// stream. Each graph is collected as a label vector and an edge list in
-/// buffers reused from graph to graph, then built frozen in one pass
+/// buffers reused from graph to graph, then built in one pass
 /// ([`Graph::from_edges`]).
 ///
 /// # Errors

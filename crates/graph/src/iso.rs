@@ -55,17 +55,12 @@ impl<'a> MatchState<'a> {
         };
         if e.is_forward() {
             let gu = self.map[e.from as usize];
-            // On a frozen graph this range is exactly the neighbours with
-            // the required vertex and edge labels; unfrozen it is the full
-            // list, so the label filters below stay load-bearing.
-            // Iterate indices to sidestep borrowing `self` across recursion.
+            // This range is exactly the neighbours with the required vertex
+            // and edge labels. Iterate indices to sidestep borrowing `self`
+            // across recursion.
             for ai in self.target.neighbor_range(gu, e.to_label, e.edge_label) {
                 let a = self.target.neighbors(gu)[ai];
-                if self.used[a.eid as usize]
-                    || self.mapped[a.to as usize]
-                    || a.elabel != e.edge_label
-                    || self.target.vlabel(a.to) != e.to_label
-                {
+                if self.used[a.eid as usize] || self.mapped[a.to as usize] {
                     continue;
                 }
                 self.map.push(a.to);

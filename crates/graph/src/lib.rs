@@ -3,7 +3,8 @@
 //! This crate provides everything the mining layers build on:
 //!
 //! * [`Graph`] — an undirected, vertex- and edge-labeled simple graph with
-//!   adjacency lists, the unit of storage in a transactional graph database;
+//!   sorted adjacency runs, the unit of storage in a transactional graph
+//!   database;
 //! * [`GraphDb`] — a database of `(gid, Graph)` tuples with support-counting
 //!   helpers;
 //! * [`DfsCode`] / [`dfscode::min_dfs_code`] — the gSpan DFS-code encoding
@@ -19,9 +20,9 @@
 //!
 //! The representation favours the access patterns of frequent-subgraph
 //! mining: transaction graphs are small (tens of edges), read-mostly during
-//! a mining pass, and probed millions of times by embedding searches, so a
-//! graph entering a [`GraphDb`] is *frozen* into a flat CSR arena with
-//! per-vertex neighbour runs sorted by `(vlabel(to), elabel, to)` — labeled
+//! a mining pass, and probed millions of times by embedding searches, so
+//! every graph is one flat CSR arena from birth, with per-vertex neighbour
+//! runs sorted by `(vlabel(to), elabel, to)` — labeled
 //! neighbour queries and `edge_between` become binary searches, and a
 //! per-graph `(vlabel, elabel, vlabel)` triple index answers the support
 //! screens — while all identifiers stay `u32` newtypes.

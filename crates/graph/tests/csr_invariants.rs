@@ -1,8 +1,9 @@
-//! Structural invariants of the frozen CSR graph core, checked from the
-//! public API: sorted-neighbor order, offset monotonicity, binary-search
-//! `edge_between` against a linear reference, exact `neighbor_range`
-//! boundaries (absent labels, single-label graphs, relabel-after-freeze),
-//! the intersection kernels against a naive `Vec::retain` reference, and a
+//! Structural invariants of the CSR graph core, checked from the public
+//! API against linear references: sorted-neighbor order, offset
+//! monotonicity, binary-search `edge_between` against a scan of the edge
+//! list, exact `neighbor_range` boundaries against a label filter over the
+//! whole run (absent labels, single-label graphs, relabels), the
+//! intersection kernels against a naive `Vec::retain` reference, and a
 //! relabel-storm regression for the sorted-adjacency repair in
 //! `set_elabel`/`set_vlabel`.
 
@@ -54,8 +55,8 @@ fn label_universe(vlabels: u32, elabels: u32) -> Vec<(u32, u32)> {
     out
 }
 
-/// `neighbor_range` answers must contain exactly the entries a label filter
-/// over the whole run selects — frozen or not.
+/// `neighbor_range` answers must hold exactly the entries a label filter
+/// over the whole run selects: every match, and nothing else.
 fn assert_ranges_exact(g: &Graph, vlabels: u32, elabels: u32) {
     for v in 0..g.vertex_count() as VertexId {
         let run = g.neighbors(v);
@@ -66,30 +67,16 @@ fn assert_ranges_exact(g: &Graph, vlabels: u32, elabels: u32) {
                 .filter(|a| g.vlabel(a.to) == tl && a.elabel == el)
                 .map(|a| a.eid)
                 .collect();
-            let got: Vec<u32> = run[range.clone()]
-                .iter()
-                .filter(|a| g.vlabel(a.to) == tl && a.elabel == el)
-                .map(|a| a.eid)
-                .collect();
+            let got: Vec<u32> = run[range.clone()].iter().map(|a| a.eid).collect();
             assert_eq!(got, expected, "vertex {v} range {range:?} for ({tl},{el})");
-            if g.is_frozen() {
-                // On a frozen graph the range is exact: no foreign entries.
-                assert_eq!(
-                    range.len(),
-                    expected.len(),
-                    "frozen range for vertex {v} ({tl},{el}) is not tight"
-                );
-            }
         }
     }
 }
 
 #[test]
 fn frozen_runs_are_sorted_and_offsets_monotone() {
-    let mut g = random_graph(11, 30, 4, 3, 80);
-    g.freeze();
-    assert!(g.is_frozen());
-    g.check_invariants().expect("freshly frozen graph is coherent");
+    let g = random_graph(11, 30, 4, 3, 80);
+    g.check_invariants().expect("freshly built graph is coherent");
     for v in 0..g.vertex_count() as VertexId {
         let run = g.neighbors(v);
         for w in run.windows(2) {
@@ -102,42 +89,47 @@ fn frozen_runs_are_sorted_and_offsets_monotone() {
 
 #[test]
 fn edge_between_binary_matches_linear_reference() {
-    let unfrozen = random_graph(23, 24, 3, 4, 60);
-    let mut frozen = unfrozen.clone();
-    frozen.freeze();
-    // The linear reference: scan the edge list itself.
-    let reference = |u: VertexId, v: VertexId| {
-        unfrozen
-            .edges()
-            .find(|&(_, a, b, _)| (a, b) == (u, v) || (a, b) == (v, u))
-            .map(|(eid, ..)| eid)
-    };
-    for u in 0..unfrozen.vertex_count() as VertexId {
-        for v in 0..unfrozen.vertex_count() as VertexId {
-            if u == v {
-                continue;
-            }
-            let want = reference(u, v);
-            assert_eq!(unfrozen.edge_between(u, v), want, "unfrozen {u}-{v}");
-            assert_eq!(frozen.edge_between(u, v), want, "frozen {u}-{v}");
-        }
+    // Dense enough that some runs pass the linear-scan cutoff and
+    // `edge_between` binary-searches them.
+    for (seed, n, edges) in [(23, 24, 60), (29, 20, 150)] {
+        let g = random_graph(seed, n, 3, 4, edges);
+        assert_eq!(edges_by_scan(&g), edges_by_lookup(&g), "graph seed {seed}");
     }
+}
+
+/// The linear reference: every ordered vertex pair's edge found by
+/// scanning the edge list itself.
+fn edges_by_scan(g: &Graph) -> Vec<Option<u32>> {
+    pairs(g)
+        .map(|(u, v)| {
+            g.edges()
+                .find(|&(_, a, b, _)| (a, b) == (u, v) || (a, b) == (v, u))
+                .map(|(eid, ..)| eid)
+        })
+        .collect()
+}
+
+fn edges_by_lookup(g: &Graph) -> Vec<Option<u32>> {
+    pairs(g).map(|(u, v)| g.edge_between(u, v)).collect()
+}
+
+fn pairs(g: &Graph) -> impl Iterator<Item = (VertexId, VertexId)> {
+    let n = g.vertex_count() as VertexId;
+    (0..n).flat_map(move |u| (0..n).filter(move |&v| v != u).map(move |v| (u, v)))
 }
 
 #[test]
 fn neighbor_range_boundaries_hold() {
-    let mut g = random_graph(37, 26, 4, 3, 70);
-    assert_ranges_exact(&g, 4, 3); // unfrozen: narrowing only
-    g.freeze();
-    assert_ranges_exact(&g, 4, 3); // frozen: exact
+    for (seed, n, edges) in [(37, 26, 70), (43, 18, 120)] {
+        assert_ranges_exact(&random_graph(seed, n, 4, 3, edges), 4, 3);
+    }
 }
 
 #[test]
 fn single_label_graph_ranges_cover_whole_runs() {
-    // One vertex label, one edge label: every frozen run is one giant
-    // matching block, and any other label must come back empty.
-    let mut g = random_graph(41, 20, 1, 1, 40);
-    g.freeze();
+    // One vertex label, one edge label: every run is one giant matching
+    // block, and any other label must come back empty.
+    let g = random_graph(41, 20, 1, 1, 40);
     for v in 0..g.vertex_count() as VertexId {
         assert_eq!(g.neighbor_range(v, 0, 0), 0..g.degree(v), "vertex {v} full run");
         assert!(g.neighbor_range(v, 1, 0).is_empty(), "absent vertex label");
@@ -148,7 +140,6 @@ fn single_label_graph_ranges_cover_whole_runs() {
 #[test]
 fn relabel_after_freeze_keeps_ranges_exact() {
     let mut g = random_graph(53, 22, 4, 3, 55);
-    g.freeze();
     g.set_vlabel(3, 9).unwrap();
     g.set_vlabel(7, 0).unwrap();
     let (eid, ..) = g.edges().next().expect("graph has edges");
@@ -158,63 +149,46 @@ fn relabel_after_freeze_keeps_ranges_exact() {
 }
 
 /// Regression for the stale-sort bug class `set_elabel` fixes: a storm of
-/// incremental relabels on a frozen graph must keep every run sorted (and
-/// the twin that applies the same storm unfrozen, then freezes, must agree
-/// on every query).
+/// incremental relabels must keep every run sorted, and leave the graph
+/// whose every query answers as the linear references do.
 #[test]
 fn relabel_storm_keeps_sorted_adjacency() {
-    let mut frozen = random_graph(67, 28, 4, 3, 70);
-    let mut twin = frozen.clone();
-    frozen.freeze();
+    let mut g = random_graph(67, 28, 4, 3, 70);
 
     let mut s = 0xC5_u64;
-    let edge_count = frozen.edge_count() as u64;
-    let vertex_count = frozen.vertex_count() as u64;
+    let edge_count = g.edge_count() as u64;
+    let vertex_count = g.vertex_count() as u64;
     for step in 0..200 {
         if splitmix(&mut s) % 2 == 0 {
             let e = (splitmix(&mut s) % edge_count) as u32;
             let el = (splitmix(&mut s) % 6) as u32;
-            frozen.set_elabel(e, el).unwrap();
-            twin.set_elabel(e, el).unwrap();
+            g.set_elabel(e, el).unwrap();
         } else {
             let v = (splitmix(&mut s) % vertex_count) as u32;
             let vl = (splitmix(&mut s) % 6) as u32;
-            frozen.set_vlabel(v, vl).unwrap();
-            twin.set_vlabel(v, vl).unwrap();
+            g.set_vlabel(v, vl).unwrap();
         }
-        frozen
-            .check_invariants()
-            .unwrap_or_else(|e| panic!("storm step {step} broke the CSR: {e}"));
+        g.check_invariants().unwrap_or_else(|e| panic!("storm step {step} broke the CSR: {e}"));
     }
 
-    assert_eq!(frozen, twin, "relabel storm diverged from the unfrozen twin");
-    twin.freeze();
-    for u in 0..frozen.vertex_count() as VertexId {
-        for v in 0..frozen.vertex_count() as VertexId {
-            if u != v {
-                assert_eq!(frozen.edge_between(u, v), twin.edge_between(u, v), "{u}-{v}");
-            }
-        }
-    }
-    assert_ranges_exact(&frozen, 6, 6);
+    assert_eq!(edges_by_lookup(&g), edges_by_scan(&g));
+    assert_ranges_exact(&g, 6, 6);
 }
 
 #[test]
 fn pop_edge_and_pop_vertex_undo_additions() {
-    for freeze_first in [false, true] {
-        let mut g = random_graph(71, 12, 3, 3, 20);
-        if freeze_first {
-            g.freeze();
-        }
-        let snapshot = g.clone();
-        let leaf = g.add_vertex(2);
-        g.add_edge(0, leaf, 1).unwrap();
-        assert_ne!(g, snapshot);
-        assert_eq!(g.pop_edge(), Some((0, leaf, 1)));
-        assert_eq!(g.pop_vertex(), Some(2));
-        assert_eq!(g, snapshot, "undo must restore the graph (frozen: {freeze_first})");
-        g.check_invariants().expect("undo kept the representation coherent");
+    let mut g = random_graph(71, 12, 3, 3, 20);
+    let snapshot = g.clone();
+    let leaf = g.add_vertex(2);
+    g.add_edge(0, leaf, 1).unwrap();
+    assert_ne!(g, snapshot);
+    assert_eq!(g.pop_edge(), Some((0, leaf, 1)));
+    assert_eq!(g.pop_vertex(), Some(2));
+    assert_eq!(g, snapshot, "undo must restore the graph");
+    for v in 0..g.vertex_count() as VertexId {
+        assert_eq!(g.neighbors(v), snapshot.neighbors(v), "run of vertex {v}");
     }
+    g.check_invariants().expect("undo kept the representation coherent");
 }
 
 #[test]

@@ -174,7 +174,7 @@ fn expect_same(
     Err(set_mismatch(check, label, got, reference))
 }
 
-/// Structural audit of the frozen CSR representation: every database graph
+/// Structural audit of the CSR representation: every database graph
 /// (and, when the case carries updates, every post-update graph) must
 /// satisfy [`Graph::check_invariants`] — monotone offsets, per-vertex runs
 /// strictly sorted by `(vlabel, elabel, to)`, adjacency/edge mirroring, and

@@ -66,10 +66,13 @@ fn drop_connective_edge_mutant_is_detected() {
     assert_detected_by_batch(Fault::DropConnectiveEdge);
 }
 
-/// Representation drift: [`Fault::CsrDrift`] makes `Graph::freeze` leave
-/// one per-vertex CSR run unsorted, silently voiding the binary-search
-/// contracts of `edge_between` and `neighbor_range`. The `csr-invariants`
-/// check must flag it before any miner comparison can be poisoned by it.
+/// Representation drift: [`Fault::CsrDrift`] leaves per-vertex CSR runs
+/// unsorted where run order is made — the bulk build's per-run sort and
+/// the sorted insert behind `add_edge` — silently voiding the
+/// binary-search contracts of `edge_between` and `neighbor_range`. Oracle
+/// cases are built edge by edge and replayed repros in bulk, so each site
+/// is what the batch, and its replay, catch. The `csr-invariants` check
+/// must flag it before any miner comparison can be poisoned by it.
 #[test]
 fn csr_drift_mutant_is_detected() {
     assert_detected_by_batch(Fault::CsrDrift);

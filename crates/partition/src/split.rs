@@ -54,7 +54,7 @@ pub struct Split {
 }
 
 /// Splits `g` along `sides` (`true` = `V*`), keeping connective edges in
-/// both pieces. The piece graphs come back frozen.
+/// both pieces. The piece graphs are built in bulk ([`Graph::from_edges`]).
 pub fn split_by_sides(g: &Graph, ufreq: &[f64], sides: &[bool]) -> Split {
     Splitter::default().split(g, ufreq, sides)
 }

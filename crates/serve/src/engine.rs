@@ -609,11 +609,7 @@ impl ServeEngine {
                 counters.bump(Counter::IngestBackpressure);
                 return Err(UpdateError::Backpressure { pending: q.windows.len() });
             }
-            let window = if shared.ingest_cfg.coalesce {
-                coalesce_window(&q.tail, ops)
-            } else {
-                ops.to_vec()
-            };
+            let window = coalesce_window(&q.tail, ops);
             counters.add(Counter::IngestOpsIn, ops.len() as u64);
             counters.add(Counter::IngestOpsCoalesced, (ops.len() - window.len()) as u64);
             match &q.tracker {
@@ -1076,7 +1072,6 @@ fn hold_only(db: &mut GraphDb, owned: &[GraphId]) -> usize {
         let g = db.graph_mut(gid as GraphId);
         if !keep && g.vertex_count() > 0 {
             *g = Graph::new();
-            g.freeze();
         }
     }
     keep.into_iter().filter(|&k| k).count()

@@ -53,13 +53,11 @@ pub struct IngestConfig {
     /// Staleness bound: maximum acked-but-unapplied windows before new
     /// submissions are shed with `backpressure`.
     pub max_pending: usize,
-    /// Coalesce each window before validation (see module docs).
-    pub coalesce: bool,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
-        IngestConfig { max_pending: 8, coalesce: true }
+        IngestConfig { max_pending: 8 }
     }
 }
 

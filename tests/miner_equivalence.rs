@@ -5,8 +5,10 @@
 use graphmine_adimine::{AdiConfig, AdiMine};
 use graphmine_core::{PartMiner, PartMinerConfig};
 use graphmine_datagen::{generate, GenParams};
+use graphmine_graph::iso::{supporting_gids, SupportIndex};
 use graphmine_graph::{EmbeddingMode, GraphDb};
 use graphmine_miner::{Apriori, GSpan, Gaston, MemoryMiner};
+use graphmine_telemetry::Counters;
 
 fn synthetic_db() -> GraphDb {
     generate(&GenParams::new(60, 8, 5, 10, 3))
@@ -52,9 +54,11 @@ fn all_systems_agree_on_synthetic_data() {
 /// Differential matrix for the embedding-list support engine: Apriori with
 /// its store {off, on}, and PartMiner's list-carrying walk under merge
 /// scheduling {serial, parallel}, must produce the exact pattern sets and
-/// supports of the reference miner, across several randomized databases. A
-/// failure message carries the datagen parameters so the offending
-/// database can be regenerated in isolation.
+/// supports of the reference miner, across several randomized databases;
+/// and the support screen's recount of every frequent pattern must name
+/// exactly its supporting graphs, in ascending gid order. A failure message
+/// carries the datagen parameters so the offending database can be
+/// regenerated in isolation.
 #[test]
 fn embedding_list_matrix_is_exact() {
     for seed in [3u64, 41, 977] {
@@ -90,6 +94,18 @@ fn embedding_list_matrix_is_exact() {
                 "PartMiner (parallel {parallel}) vs gSpan: {} vs {} — {repro}",
                 pm.patterns.len(),
                 reference.len()
+            );
+        }
+
+        let index = SupportIndex::build(&db);
+        for p in reference.iter() {
+            let (support, gids) = index.support_all_counted(&db, &p.code, sup, Counters::noop());
+            assert_eq!(support, p.support, "recount of {} disagrees with gSpan — {repro}", p.code);
+            assert_eq!(
+                gids,
+                supporting_gids(&db, &p.code),
+                "supporters of {} are not the ascending search list — {repro}",
+                p.code
             );
         }
     }
