@@ -136,7 +136,7 @@ impl DfsCode {
 
     /// Number of vertices in the encoded pattern.
     pub fn vertex_count(&self) -> usize {
-        self.0.iter().map(|e| e.from.max(e.to) + 1).max().unwrap_or(0) as usize
+        self.0.iter().map(|e| e.from.max(e.to) as usize + 1).max().unwrap_or(0)
     }
 
     /// Appends an entry (used by the miners' rightmost extension).
@@ -153,32 +153,38 @@ impl DfsCode {
     ///
     /// # Panics
     ///
-    /// Panics if the code is structurally invalid (a forward edge that does
-    /// not discover the next vertex index, or duplicate/loop edges).
+    /// Panics where [`DfsCode::try_to_graph`] returns an error.
     pub fn to_graph(&self) -> Graph {
-        let mut g = Graph::with_capacity(self.vertex_count(), self.len());
+        self.try_to_graph().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Rebuilds the pattern graph described by this code.
+    ///
+    /// # Errors
+    ///
+    /// The code is structurally invalid: a forward edge that does not
+    /// discover the next vertex index, or a duplicate or loop edge.
+    pub fn try_to_graph(&self) -> Result<Graph, String> {
+        // A valid code has at most one vertex more than it has edges, so a
+        // hostile vertex id cannot size the allocation.
+        let mut g = Graph::with_capacity(self.vertex_count().min(self.len() + 1), self.len());
         for e in &self.0 {
             if e.is_forward() {
                 if e.from as usize >= g.vertex_count() {
-                    assert_eq!(
-                        e.from as usize,
-                        g.vertex_count(),
-                        "invalid DFS code: gap before {e}"
-                    );
+                    if e.from as usize != g.vertex_count() {
+                        return Err(format!("invalid DFS code: gap before {e}"));
+                    }
                     g.add_vertex(e.from_label);
                 }
-                assert_eq!(
-                    e.to as usize,
-                    g.vertex_count(),
-                    "invalid DFS code: forward edge {e} out of order"
-                );
+                if e.to as usize != g.vertex_count() {
+                    return Err(format!("invalid DFS code: forward edge {e} out of order"));
+                }
                 g.add_vertex(e.to_label);
-                g.add_edge(e.from, e.to, e.edge_label).expect("invalid DFS code");
-            } else {
-                g.add_edge(e.from, e.to, e.edge_label).expect("invalid DFS code");
             }
+            g.add_edge(e.from, e.to, e.edge_label)
+                .map_err(|err| format!("invalid DFS code: {e}: {err}"))?;
         }
-        g
+        Ok(g)
     }
 
     /// The rightmost path of the encoded DFS tree as code vertices, from the

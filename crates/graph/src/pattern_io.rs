@@ -12,7 +12,7 @@
 
 use std::io::{BufRead, Write};
 
-use crate::dfscode::is_min;
+use crate::dfscode::is_min_with;
 use crate::{DfsCode, DfsEdge, Pattern, PatternSet};
 
 /// Errors from parsing the pattern format.
@@ -122,13 +122,16 @@ pub fn read_patterns(reader: impl BufRead) -> Result<PatternSet, PatternParseErr
             return Err(PatternParseError::Malformed { line: lineno, what: "empty code".into() });
         }
         let code = DfsCode(edges);
-        if !is_min(&code) {
+        let graph = code
+            .try_to_graph()
+            .map_err(|what| PatternParseError::Malformed { line: lineno, what })?;
+        if !is_min_with(&code, &graph) {
             return Err(PatternParseError::Malformed {
                 line: lineno,
                 what: "code is not a minimum DFS code".into(),
             });
         }
-        out.insert(Pattern::from_code(code, support));
+        out.insert(Pattern { code, graph, support });
     }
     Ok(out)
 }
@@ -180,6 +183,17 @@ mod tests {
         // starting with the 'wrong' orientation.
         let non_min = "5  0 1 1 0 0\n";
         assert!(read_patterns(non_min.as_bytes()).is_err(), "non-canonical rejected");
+        // Structurally invalid codes are errors, not panics.
+        for bad in [
+            "5  0 2 0 0 0\n",            // forward edge skips vertex 1
+            "5  0 1 0 0 0  0 1 0 0 0\n", // forward edge rediscovers vertex 1
+            "5  0 0 0 0 0\n",            // self-loop
+            "5  0 1 0 0 0  1 0 0 0 0\n", // duplicate edge as a backward one
+            "5  0 4294967295 0 0 0\n",   // vertex id at the top of u32
+        ] {
+            let err = read_patterns(bad.as_bytes()).unwrap_err();
+            assert!(err.to_string().starts_with("line 1: invalid DFS code"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

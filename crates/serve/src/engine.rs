@@ -52,11 +52,12 @@
 //!
 //! A clean stop drains the pipeline, folds the journal into a fresh
 //! snapshot, and truncates it. The snapshot file is epoch-named and
-//! `meta.json` — renamed into place — is the commit point, so a crash
-//! *during* the stop boots from either the old snapshot or the new one,
-//! never a mixture. Journal batches with `seq <= base_epoch` are
-//! already folded into the committed snapshot and are skipped on
-//! replay, which makes the journal truncation pure garbage collection.
+//! `meta.json` — renamed into place, then made durable by a directory
+//! fsync — is the commit point, so a crash *during* the stop boots from
+//! either the old snapshot or the new one, never a mixture. Journal
+//! batches with `seq <= base_epoch` are already folded into the committed
+//! snapshot and are skipped on replay, which makes the journal truncation
+//! pure garbage collection.
 //!
 //! [`kill -9`]: crate::ServerHandle::abort
 
@@ -81,6 +82,10 @@ use rustc_hash::FxHashMap;
 use crate::ingest::{coalesce_window, IngestConfig, IngestQueue, WindowTracker};
 use crate::protocol::{error_response, ok_response, pattern_to_json, AckMode, Request};
 
+/// Buffer-pool pages of the snapshot store, which is written once per
+/// clean stop and read once per boot.
+const SNAPSHOT_POOL_PAGES: usize = 64;
+
 /// Engine configuration. `min_support` is only honored when the data
 /// directory is fresh; an existing snapshot pins it (a serving result is
 /// only incremental against the threshold it was mined at).
@@ -94,7 +99,10 @@ pub struct EngineConfig {
     pub k: usize,
     /// Fan each walk out over a pool, one job per frequent-edge subtree.
     pub parallel: bool,
-    /// Buffer-pool pages for the snapshot store and the journal.
+    /// Read by nothing (the snapshot pool is fixed; the journal has none).
+    /// Declared only because `bench/e2e/src/stream.rs` reads it; the
+    /// benchmark PR of ROADMAP 1(a) deletes it.
+    #[doc(hidden)]
     pub pool_pages: usize,
     /// Byte budget for per-query embedding lists on the support path.
     pub embedding_budget: usize,
@@ -122,7 +130,7 @@ impl Default for EngineConfig {
             min_support: 2,
             k: 4,
             parallel: false,
-            pool_pages: 64,
+            pool_pages: SNAPSHOT_POOL_PAGES,
             embedding_budget: DEFAULT_EMBEDDING_BUDGET,
             ingest: IngestConfig::default(),
             owned: None,
@@ -289,7 +297,6 @@ struct EngineShared {
     dir: PathBuf,
     min_support: Support,
     embedding_budget: usize,
-    pool_pages: usize,
     ingest_cfg: IngestConfig,
     /// Sliding-window retention horizon (`None` = evolving mode).
     window: Option<usize>,
@@ -386,7 +393,7 @@ impl ServeEngine {
                 .field("snapshot")
                 .and_then(JsonValue::as_str)
                 .ok_or("meta: missing string field `snapshot`")?;
-            let store = GraphStore::open(&dir.join(snap_name), cfg.pool_pages)
+            let store = GraphStore::open(&dir.join(snap_name), SNAPSHOT_POOL_PAGES)
                 .map_err(|e| format!("snapshot: {e}"))?;
             let db = store.read_all().map_err(|e| format!("snapshot: {e}"))?;
             (db, num("min_support")? as Support, num("base_epoch")?)
@@ -404,14 +411,13 @@ impl ServeEngine {
             None => db.len(),
         };
         if !from_snapshot {
-            GraphStore::create(&dir.join("snapshot.0.gs"), &db, cfg.pool_pages)
+            GraphStore::create(&dir.join("snapshot.0.gs"), &db, SNAPSHOT_POOL_PAGES)
                 .map_err(|e| format!("snapshot: {e}"))?;
-            write_meta(&meta_path, min_support, 0, "snapshot.0.gs")?;
+            write_meta(dir, min_support, 0, "snapshot.0.gs")?;
         }
 
-        let (mut journal, batches) =
-            UpdateJournal::recover(&dir.join("journal.wal"), cfg.pool_pages)
-                .map_err(|e| format!("journal: {e}"))?;
+        let (mut journal, batches) = UpdateJournal::recover(&dir.join("journal.wal"), 0)
+            .map_err(|e| format!("journal: {e}"))?;
         // The journal is replayed as data, then mined once; in windowed
         // mode the tracker applies each batch, rebuilding its bookkeeping.
         // Windows a clean stop folded into the snapshot are base data, so
@@ -465,7 +471,6 @@ impl ServeEngine {
             dir: dir.to_path_buf(),
             min_support,
             embedding_budget: cfg.embedding_budget,
-            pool_pages: cfg.pool_pages,
             ingest_cfg: cfg.ingest.clone(),
             window: cfg.window,
             current: RwLock::new(Arc::new(ResultEpoch::new(epoch, db, patterns))),
@@ -705,7 +710,8 @@ impl ServeEngine {
     /// truncates it. The next boot mines that snapshot.
     ///
     /// Crash-safe: the new snapshot is written under an epoch-suffixed
-    /// name, then `meta.json` is atomically renamed to point at it. A
+    /// name, then `meta.json` is atomically renamed to point at it, and
+    /// the directory is fsynced before the journal is truncated. A
     /// crash before the rename boots from the old snapshot (re-replaying
     /// the journal); a crash after it boots from the new one (skipping
     /// the already-folded batches).
@@ -731,13 +737,14 @@ impl ServeEngine {
         let snap_name = format!("snapshot.{base_epoch}.gs");
 
         let served = self.current();
-        GraphStore::create(&shared.dir.join(&snap_name), &served.db, shared.pool_pages)
+        GraphStore::create(&shared.dir.join(&snap_name), &served.db, SNAPSHOT_POOL_PAGES)
             .map_err(|e| format!("snapshot: {e}"))?;
         // Commit point: once the rename lands, boots use the new snapshot.
-        write_meta(&shared.dir.join("meta.json"), shared.min_support, base_epoch, &snap_name)?;
+        write_meta(&shared.dir, shared.min_support, base_epoch, &snap_name)?;
 
         // Everything below is garbage collection; the directory is
-        // already consistent.
+        // already consistent, and its fsync made the rename durable, so no
+        // reordering can leave the truncation on disk without it.
         shared
             .journal
             .with_journal(|j| j.reset())
@@ -1099,19 +1106,14 @@ fn validate_batch(db: &GraphDb, ops: &[DbUpdate]) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes `bytes` to `path` and fsyncs before returning.
-fn write_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(bytes)?;
-    f.sync_all()
-}
-
-/// Writes the commit record: threshold, folded epoch, and the snapshot to
-/// boot from. Written to a temp file and renamed so the swap is atomic. A
-/// `k` left by an older daemon is never read.
+/// Writes the commit record `dir/meta.json`: threshold, folded epoch, and
+/// the snapshot to boot from. Written to a temp file and renamed so the
+/// swap is atomic. POSIX neither persists nor orders directory operations
+/// without a directory fsync: one before the rename puts the snapshot it
+/// names on disk first, one after it puts the commit on disk before the
+/// caller collects garbage. A `k` left by an older daemon is never read.
 fn write_meta(
-    path: &Path,
+    dir: &Path,
     min_support: Support,
     base_epoch: u64,
     snapshot: &str,
@@ -1121,10 +1123,14 @@ fn write_meta(
         ("base_epoch".to_string(), JsonValue::Num(base_epoch)),
         ("snapshot".to_string(), JsonValue::Str(snapshot.to_string())),
     ];
-    let tmp = path.with_extension("json.tmp");
-    write_durable(&tmp, JsonValue::Obj(fields).to_json().as_bytes())
-        .map_err(|e| format!("meta: {e}"))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("meta: {e}"))
+    let tmp = dir.join("meta.json.tmp");
+    let sync = |path: &Path| std::fs::File::open(path)?.sync_all();
+    std::fs::write(&tmp, JsonValue::Obj(fields).to_json())
+        .and_then(|()| sync(&tmp))
+        .and_then(|()| sync(dir))
+        .and_then(|()| std::fs::rename(&tmp, dir.join("meta.json")))
+        .and_then(|()| sync(dir))
+        .map_err(|e| format!("meta: {e}"))
 }
 
 #[cfg(test)]

@@ -406,6 +406,11 @@ fn pattern_from_code_json(value: &JsonValue) -> Result<Graph, String> {
         if from == to {
             return Err(format!("code edge {i}: self-loop on vertex {from}"));
         }
+        // A connected pattern with E edges has at most E + 1 vertices; a
+        // larger id must not size the label table.
+        if from.max(to) as usize > edges.len() {
+            return Err(format!("code edge {i}: vertex id past {} edges", edges.len()));
+        }
         for (v, l) in [(from, from_label), (to, to_label)] {
             let idx = v as usize;
             if idx >= labels.len() {
@@ -602,6 +607,9 @@ mod tests {
             r#"{"cmd":"support","code":[[0,1,5,1,6],[0,1,7,1,6]]}"#, // label conflict
             r#"{"cmd":"support","code":[[0,1,5,1,6],[0,1,5,2,6]]}"#, // duplicate edge
             r#"{"cmd":"support","code":[[0,1,1,1,1],[2,3,1,1,1]]}"#, // disconnected
+            // A vertex id past E + 1 vertices: the label table must not be
+            // sized by it (this one asked for 32 GB).
+            r#"{"cmd":"support","code":[[0,4000000000,1,1,1]]}"#,
         ] {
             assert!(parse_request(bad).is_err(), "accepted: {bad}");
         }

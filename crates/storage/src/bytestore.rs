@@ -2,8 +2,11 @@
 //!
 //! Records are opaque byte strings packed contiguously into the page
 //! stream; `append` returns the `(offset, len)` handle needed to `read` the
-//! record back. [`crate::GraphStore`] stores serialized graphs this way,
-//! and the ADI index stores its edge posting lists the same way.
+//! record back. The ADI index stores its edge posting lists this way, and
+//! [`crate::GraphStore`] lays out serialized graphs with the same stream
+//! helpers. A store lives for one process: it is created, written and read,
+//! never reopened — the update journal, the one durable log, is a plain
+//! file of its own ([`crate::UpdateJournal`]).
 
 use std::path::Path;
 use std::time::Duration;
@@ -40,32 +43,6 @@ impl ByteStore {
         let mut file = PageFile::create(path)?;
         file.set_io_latency(io_latency);
         Ok(ByteStore { pool: BufferPool::new(file, pool_pages), cursor: 0 })
-    }
-
-    /// Reopens an existing store at `path`, resuming appends at
-    /// `logical_len` (the number of valid bytes in the stream — callers
-    /// persist this out of band or rediscover it by scanning, as the
-    /// update journal does).
-    ///
-    /// # Errors
-    ///
-    /// File-system failures, a misaligned file, or a `logical_len` beyond
-    /// the file's capacity.
-    pub fn open(
-        path: &Path,
-        pool_pages: usize,
-        logical_len: u64,
-        io_latency: Duration,
-    ) -> Result<Self, StorageError> {
-        let mut file = PageFile::open(path)?;
-        file.set_io_latency(io_latency);
-        let capacity = file.page_count() * PAGE_SIZE as u64;
-        if logical_len > capacity {
-            return Err(StorageError::Corrupt(format!(
-                "logical length {logical_len} beyond file capacity {capacity}"
-            )));
-        }
-        Ok(ByteStore { pool: BufferPool::new(file, pool_pages), cursor: logical_len })
     }
 
     /// Appends a record, returning its handle.
@@ -115,16 +92,6 @@ impl ByteStore {
     /// I/O counters of the pool.
     pub fn stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// Resets the I/O counters.
-    pub fn reset_stats(&self) {
-        self.pool.reset_stats()
-    }
-
-    /// Pages backing the store.
-    pub fn page_count(&self) -> u64 {
-        self.pool.page_count()
     }
 }
 
@@ -203,35 +170,5 @@ mod tests {
         let mut s = store();
         let id = s.append(b"").unwrap();
         assert_eq!(s.read(id).unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn reopen_resumes_appends() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("b.db");
-        let (a, len) = {
-            let mut s = ByteStore::create(&path, 4, Duration::ZERO).unwrap();
-            let a = s.append(b"persisted").unwrap();
-            s.flush().unwrap();
-            (a, s.len_bytes())
-        };
-        let mut s = ByteStore::open(&path, 4, len, Duration::ZERO).unwrap();
-        assert_eq!(s.read(a).unwrap(), b"persisted");
-        let b = s.append(b"appended-after-reopen").unwrap();
-        assert_eq!(s.read(b).unwrap(), b"appended-after-reopen");
-        assert_eq!(b.offset, len, "cursor resumed at the logical end");
-    }
-
-    #[test]
-    fn reopen_rejects_len_beyond_capacity() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("b.db");
-        {
-            let mut s = ByteStore::create(&path, 4, Duration::ZERO).unwrap();
-            s.append(b"x").unwrap();
-            s.flush().unwrap();
-        }
-        let r = ByteStore::open(&path, 4, 10 * PAGE_SIZE as u64, Duration::ZERO);
-        assert!(matches!(r, Err(StorageError::Corrupt(_))));
     }
 }

@@ -65,11 +65,6 @@ impl PageFile {
         self.io_latency = latency;
     }
 
-    /// The simulated per-access latency.
-    pub fn io_latency(&self) -> Duration {
-        self.io_latency
-    }
-
     #[inline]
     fn charge_io(&self) {
         if !self.io_latency.is_zero() {
@@ -131,8 +126,8 @@ impl PageFile {
     }
 
     /// Flushes buffered writes and forces them to stable storage
-    /// (`fdatasync`). Durability paths — the update journal, snapshot
-    /// writes — rely on this being a real sync, not just a library flush.
+    /// (`fdatasync`). Snapshot writes rely on this being a real sync, not
+    /// just a library flush.
     ///
     /// # Errors
     ///

@@ -104,12 +104,19 @@ impl GraphStore {
         }
         let count = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
         let data_len = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-        let end = PAGE_SIZE as u64 + data_len;
-        if end > pool.page_count() * PAGE_SIZE as u64 {
+        if data_len > (pool.page_count() - 1) * PAGE_SIZE as u64 {
             return Err(StorageError::Corrupt(format!(
                 "header declares {data_len} data bytes beyond the file"
             )));
         }
+        // Every record is at least 8 bytes (`nv` and `ne`); a larger count
+        // is a corrupt header, refused before it sizes the directory.
+        if u64::from(count) > data_len / 8 {
+            return Err(StorageError::Corrupt(format!(
+                "header declares {count} graphs in {data_len} data bytes"
+            )));
+        }
+        let end = PAGE_SIZE as u64 + data_len;
         let mut offsets = Vec::with_capacity(count as usize);
         let mut lens = Vec::with_capacity(count as usize);
         let mut cursor = PAGE_SIZE as u64;
@@ -177,11 +184,6 @@ impl GraphStore {
     /// Resets the I/O counters.
     pub fn reset_stats(&self) {
         self.pool.reset_stats()
-    }
-
-    /// Total pages backing the store.
-    pub fn page_count(&self) -> u64 {
-        self.pool.page_count()
     }
 }
 
@@ -345,6 +347,19 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("junk.db");
         std::fs::write(&path, vec![0x5Au8; crate::PAGE_SIZE]).unwrap();
+        assert!(matches!(GraphStore::open(&path, 4), Err(StorageError::Corrupt(_))));
+    }
+
+    /// A flipped graph count is refused as corrupt before it sizes the
+    /// offset directory (`u32::MAX` entries would be a 34 GB allocation).
+    #[test]
+    fn open_rejects_a_count_the_data_cannot_hold() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("g.db");
+        drop(GraphStore::create(&path, &sample_db(5), 4).unwrap());
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(GraphStore::open(&path, 4), Err(StorageError::Corrupt(_))));
     }
 

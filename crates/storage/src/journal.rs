@@ -1,8 +1,8 @@
 //! Write-ahead journal for database update batches.
 //!
 //! The serving daemon acknowledges an `update` request only after the batch
-//! has reached stable storage. The journal provides that guarantee on top of
-//! [`ByteStore`]: each batch is framed as
+//! has reached stable storage. The journal provides that guarantee with
+//! one file and one `fdatasync` per barrier: each batch is framed as
 //!
 //! ```text
 //! [len: u32 LE] [crc32: u32 LE] [payload: len bytes]
@@ -25,14 +25,15 @@
 //! never replayed.
 
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use graphmine_graph::{DbUpdate, GraphUpdate};
 
-use crate::{ByteStore, StorageError, PAGE_SIZE};
+use crate::{StorageError, PAGE_SIZE};
 
 /// Frame header bytes: `len` + `crc32`.
 const FRAME_HEADER: usize = 8;
@@ -54,54 +55,56 @@ pub struct JournalBatch {
     pub expiry: Option<u64>,
 }
 
-/// An fsync-before-ack write-ahead log of [`DbUpdate`] batches.
+/// An fsync-before-ack write-ahead log of [`DbUpdate`] batches: one file,
+/// written at its logical end and kept a whole number of pages long.
 pub struct UpdateJournal {
-    store: ByteStore,
-    path: PathBuf,
-    pool_pages: usize,
+    file: File,
+    /// Bytes of intact frames; the next frame is written here.
+    len: u64,
+    /// File length: `len` rounded up to a whole page.
+    allocated: u64,
     next_seq: u64,
 }
 
 impl UpdateJournal {
     /// Creates an empty journal at `path` (truncating any existing file).
+    /// `pool_pages` is ignored; it stays for callers that still pass it.
     ///
     /// # Errors
     ///
     /// Propagates file-system failures.
-    pub fn create(path: &Path, pool_pages: usize) -> Result<Self, StorageError> {
-        let store = ByteStore::create(path, pool_pages, Duration::ZERO)?;
-        Ok(UpdateJournal { store, path: path.to_path_buf(), pool_pages, next_seq: 1 })
+    pub fn create(path: &Path, _pool_pages: usize) -> Result<Self, StorageError> {
+        Ok(UpdateJournal { file: File::create(path)?, len: 0, allocated: 0, next_seq: 1 })
     }
 
     /// Opens the journal at `path`, replaying every intact frame. Returns
     /// the journal (positioned after the last intact frame) and the
     /// recovered batches in order. A torn tail — a partially written frame
     /// left by a crash during `append_batch` — is zeroed and ignored. A
-    /// missing file yields an empty journal.
+    /// missing file yields an empty journal. `pool_pages` is ignored.
     ///
     /// # Errors
     ///
     /// Propagates file-system failures.
     pub fn recover(
         path: &Path,
-        pool_pages: usize,
+        _pool_pages: usize,
     ) -> Result<(Self, Vec<JournalBatch>), StorageError> {
-        if !path.exists() {
-            return Ok((Self::create(path, pool_pages)?, Vec::new()));
-        }
-        let bytes = std::fs::read(path)?;
+        let mut file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
         let (batches, valid_len) = scan_frames(&bytes);
-        let padded_len = (valid_len as u64).div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64;
-        if bytes[valid_len..].iter().any(|&b| b != 0) || bytes.len() as u64 != padded_len {
+        let len = valid_len as u64;
+        let allocated = len.next_multiple_of(PAGE_SIZE as u64);
+        if bytes[valid_len..].iter().any(|&b| b != 0) || bytes.len() as u64 != allocated {
             // Zero the torn tail so a later scan cannot resurrect it, and
-            // restore page alignment for the page file.
-            let mut clean = bytes[..valid_len].to_vec();
-            clean.resize(padded_len as usize, 0);
-            std::fs::write(path, &clean)?;
+            // restore the page padding.
+            file.set_len(len)?;
+            file.set_len(allocated)?;
         }
-        let store = ByteStore::open(path, pool_pages, valid_len as u64, Duration::ZERO)?;
         let next_seq = batches.last().map_or(1, |b| b.seq + 1);
-        Ok((UpdateJournal { store, path: path.to_path_buf(), pool_pages, next_seq }, batches))
+        Ok((UpdateJournal { file, len, allocated, next_seq }, batches))
     }
 
     /// Appends a batch and forces it to stable storage. The returned
@@ -133,25 +136,31 @@ impl UpdateJournal {
         expiry: Option<u64>,
     ) -> Result<u64, StorageError> {
         let seq = self.next_seq;
-        let payload = encode_payload(seq, updates, expiry);
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.store.append(&frame)?;
+        let mut frame = encode_frame(seq, updates, expiry);
+        let end = self.len + frame.len() as u64;
+        if end > self.allocated {
+            // Zero-pad to the page boundary, so a later frame that fits in
+            // the padding needs no file-size change in its `fdatasync`.
+            frame.resize((end.next_multiple_of(PAGE_SIZE as u64) - self.len) as usize, 0);
+        }
+        self.file.seek(SeekFrom::Start(self.len))?;
+        self.file.write_all(&frame)?;
+        self.allocated = self.allocated.max(self.len + frame.len() as u64);
+        self.len = end;
         self.next_seq = seq + 1;
         Ok(seq)
     }
 
     /// The fsync barrier: forces every frame appended so far to stable
-    /// storage. After `sync` returns, all sequence numbers handed out by
-    /// [`UpdateJournal::append_unsynced`] are durable.
+    /// storage (one `fdatasync`). After `sync` returns, all sequence
+    /// numbers handed out by [`UpdateJournal::append_unsynced`] are
+    /// durable.
     ///
     /// # Errors
     ///
-    /// Propagates write and fsync failures.
+    /// Propagates fsync failures.
     pub fn sync(&mut self) -> Result<(), StorageError> {
-        self.store.flush()
+        Ok(self.file.sync_data()?)
     }
 
     /// Truncates the journal after its contents have been folded into a
@@ -161,7 +170,8 @@ impl UpdateJournal {
     ///
     /// Propagates file-system failures.
     pub fn reset(&mut self) -> Result<(), StorageError> {
-        self.store = ByteStore::create(&self.path, self.pool_pages, Duration::ZERO)?;
+        self.file.set_len(0)?;
+        (self.len, self.allocated) = (0, 0);
         Ok(())
     }
 
@@ -182,7 +192,7 @@ impl UpdateJournal {
 
     /// Bytes of journaled frames (excluding page padding).
     pub fn len_bytes(&self) -> u64 {
-        self.store.len_bytes()
+        self.len
     }
 }
 
@@ -508,8 +518,10 @@ fn scan_frames(bytes: &[u8]) -> (Vec<JournalBatch>, usize) {
 /// Payload prefix bytes: `seq` + `expiry` + `n`.
 const PAYLOAD_PREFIX: usize = 20;
 
-fn encode_payload(seq: u64, updates: &[DbUpdate], expiry: Option<u64>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(PAYLOAD_PREFIX + OP_BYTES * updates.len());
+/// One frame: header (`len`, `crc32`) and payload.
+fn encode_frame(seq: u64, updates: &[DbUpdate], expiry: Option<u64>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER + PAYLOAD_PREFIX + OP_BYTES * updates.len());
+    out.extend_from_slice(&[0; FRAME_HEADER]); // `len` and `crc32`, filled in last
     out.extend_from_slice(&seq.to_le_bytes());
     // Window sequence numbers are 1-based, so 0 encodes "no expiry".
     out.extend_from_slice(&expiry.unwrap_or(0).to_le_bytes());
@@ -529,6 +541,9 @@ fn encode_payload(seq: u64, updates: &[DbUpdate], expiry: Option<u64>) -> Vec<u8
         out.extend_from_slice(&b.to_le_bytes());
         out.extend_from_slice(&c.to_le_bytes());
     }
+    let (len, crc) = ((out.len() - FRAME_HEADER) as u32, crc32(&out[FRAME_HEADER..]));
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
     out
 }
 

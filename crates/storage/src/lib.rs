@@ -1,4 +1,4 @@
-//! Disk substrate for the ADIMINE baseline.
+//! Disk substrate for the ADIMINE baseline, and the serving daemon's WAL.
 //!
 //! The authors of the paper ran ADIMINE — a miner for *large, disk-based*
 //! graph databases — on a 2.5 GB RAM / 73 GB disk machine. This crate
@@ -12,8 +12,8 @@
 //!   with per-graph random access (the access pattern of index-backed
 //!   mining), full scans, and reopen-from-disk for snapshot recovery;
 //! * [`UpdateJournal`] — an fsync-before-ack write-ahead log of update
-//!   batches with CRC-framed records and torn-tail recovery, the
-//!   durability substrate of the serving daemon;
+//!   batches in one plain file (not on the page stack), CRC-framed, with
+//!   torn-tail recovery: the durability substrate of the serving daemon;
 //! * [`GroupCommitJournal`] — a group-committing front end over the
 //!   journal: a committer thread batches concurrently submitted frames
 //!   into one fsync barrier and acks every waiter after it, amortizing
