@@ -369,27 +369,32 @@ mod tests {
         assert!(disk.same_codes_and_supports(&oracle));
     }
 
+    /// ADIMINE pays per page, exactly. The counts are pinned: they move
+    /// only if the store's write order, its format or the pool's LRU
+    /// policy does (ROADMAP 16(b); Figs. 14a and 16 rest on them).
     #[test]
     fn tiny_memory_forces_page_io() {
-        let dir = tempfile::tempdir().unwrap();
         // Big enough to span several pages (~300 graphs of ~10 edges).
         let db = generate(&GenParams::new(300, 10, 4, 6, 3));
-        let adi = AdiMine::build(
-            dir.path(),
-            &db,
-            AdiConfig { pool_pages: 1, decoded_cache: 2, ..AdiConfig::default() },
-        )
-        .unwrap();
-        adi.reset_io_stats();
-        adi.mine_capped(db.abs_support(0.3), Some(2)).unwrap();
-        let s = adi.io_stats();
-        assert!(s.disk_reads > 0, "tiny memory forces I/O: {s:?}");
-        // A generous pool on the same data should fault far less.
-        let dir2 = tempfile::tempdir().unwrap();
-        let big = AdiMine::build(dir2.path(), &db, AdiConfig::default()).unwrap();
-        big.reset_io_stats();
-        big.mine_capped(db.abs_support(0.3), Some(2)).unwrap();
-        assert!(big.io_stats().disk_reads <= s.disk_reads);
+        let stats = |hits, misses, disk_reads, disk_writes| PoolStats {
+            hits,
+            misses,
+            disk_reads,
+            disk_writes,
+        };
+        let tiny = AdiConfig { pool_pages: 1, decoded_cache: 2, ..AdiConfig::default() };
+        let pinned = [
+            (tiny, stats(288, 25, 25, 26), stats(2801, 254, 254, 0)),
+            (AdiConfig::default(), stats(313, 0, 0, 14), stats(312, 0, 0, 0)),
+        ];
+        for (config, after_build, after_mine) in pinned {
+            let dir = tempfile::tempdir().unwrap();
+            let adi = AdiMine::build(dir.path(), &db, config).unwrap();
+            assert_eq!(adi.io_stats(), after_build, "build, {} pool pages", config.pool_pages);
+            adi.reset_io_stats();
+            adi.mine_capped(db.abs_support(0.3), Some(2)).unwrap();
+            assert_eq!(adi.io_stats(), after_mine, "mine, {} pool pages", config.pool_pages);
+        }
     }
 
     #[test]

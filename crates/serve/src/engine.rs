@@ -4,7 +4,7 @@
 //! # Data directory
 //!
 //! ```text
-//! <dir>/snapshot.<E>.gs    GraphDb snapshot at epoch E (GraphStore)
+//! <dir>/snapshot.<E>.gs    GraphDb snapshot at epoch E (one image)
 //! <dir>/journal.wal        group-committed update journal (WAL)
 //! <dir>/meta.json          commit record naming the current snapshot
 //! ```
@@ -64,7 +64,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -74,17 +74,12 @@ use graphmine_graph::{
     apply_all, DbUpdate, DfsCode, EmbeddingStore, Graph, GraphDb, GraphId, PatternSet, Support,
     DEFAULT_EMBEDDING_BUDGET,
 };
-use graphmine_storage::{GraphStore, GroupCommitJournal, UpdateJournal};
+use graphmine_storage::{read_snapshot, write_snapshot, GroupCommitJournal, UpdateJournal};
 use graphmine_telemetry::{Counter, JsonValue, RunReport, Telemetry};
-use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
 
 use crate::ingest::{coalesce_window, IngestConfig, IngestQueue, WindowTracker};
 use crate::protocol::{error_response, ok_response, pattern_to_json, AckMode, Request};
-
-/// Buffer-pool pages of the snapshot store, which is written once per
-/// clean stop and read once per boot.
-const SNAPSHOT_POOL_PAGES: usize = 64;
 
 /// Engine configuration. `min_support` is only honored when the data
 /// directory is fresh; an existing snapshot pins it (a serving result is
@@ -99,8 +94,8 @@ pub struct EngineConfig {
     pub k: usize,
     /// Fan each walk out over a pool, one job per frequent-edge subtree.
     pub parallel: bool,
-    /// Read by nothing (the snapshot pool is fixed; the journal has none).
-    /// Declared only because `bench/e2e/src/stream.rs` reads it; the
+    /// Read by nothing (neither the snapshot nor the journal has a buffer
+    /// pool). Declared only because `bench/e2e/src/stream.rs` reads it; the
     /// benchmark PR of ROADMAP 1(a) deletes it.
     #[doc(hidden)]
     pub pool_pages: usize,
@@ -130,7 +125,7 @@ impl Default for EngineConfig {
             min_support: 2,
             k: 4,
             parallel: false,
-            pool_pages: SNAPSHOT_POOL_PAGES,
+            pool_pages: 0,
             embedding_budget: DEFAULT_EMBEDDING_BUDGET,
             ingest: IngestConfig::default(),
             owned: None,
@@ -321,14 +316,13 @@ struct EngineShared {
     /// Group-committing WAL: one fsync barrier covers every window
     /// submitted while the previous barrier was in flight.
     journal: GroupCommitJournal,
-    /// Pending-window queue; guarded by a std mutex because the applier
-    /// and `ack: applied` waiters need condition variables (the vendored
-    /// `parking_lot` shim has none).
-    queue: std::sync::Mutex<IngestQueue>,
+    /// Pending-window queue, waited on through the two condition
+    /// variables below by the applier and `ack: applied` waiters.
+    queue: Mutex<IngestQueue>,
     /// Signals the applier: a window was admitted (or stop was flagged).
-    submitted: std::sync::Condvar,
+    submitted: Condvar,
     /// Signals waiters: a window was applied (or the pipeline failed).
-    applied: std::sync::Condvar,
+    applied: Condvar,
 }
 
 impl EngineShared {
@@ -346,7 +340,7 @@ impl EngineShared {
 /// throughout.
 pub struct ServeEngine {
     shared: Arc<EngineShared>,
-    applier: Mutex<Option<JoinHandle<()>>>,
+    applier: Option<JoinHandle<()>>,
 }
 
 impl ServeEngine {
@@ -393,9 +387,7 @@ impl ServeEngine {
                 .field("snapshot")
                 .and_then(JsonValue::as_str)
                 .ok_or("meta: missing string field `snapshot`")?;
-            let store = GraphStore::open(&dir.join(snap_name), SNAPSHOT_POOL_PAGES)
-                .map_err(|e| format!("snapshot: {e}"))?;
-            let db = store.read_all().map_err(|e| format!("snapshot: {e}"))?;
+            let db = read_snapshot(&dir.join(snap_name)).map_err(|e| format!("snapshot: {e}"))?;
             (db, num("min_support")? as Support, num("base_epoch")?)
         } else {
             let db = initial.cloned().ok_or_else(|| {
@@ -411,8 +403,7 @@ impl ServeEngine {
             None => db.len(),
         };
         if !from_snapshot {
-            GraphStore::create(&dir.join("snapshot.0.gs"), &db, SNAPSHOT_POOL_PAGES)
-                .map_err(|e| format!("snapshot: {e}"))?;
+            commit_snapshot(dir, "snapshot.0.gs", &db)?;
             write_meta(dir, min_support, 0, "snapshot.0.gs")?;
         }
 
@@ -479,9 +470,9 @@ impl ServeEngine {
             global_epoch: AtomicU64::new(0),
             exec,
             journal: GroupCommitJournal::new(journal),
-            queue: std::sync::Mutex::new(queue),
-            submitted: std::sync::Condvar::new(),
-            applied: std::sync::Condvar::new(),
+            queue: Mutex::new(queue),
+            submitted: Condvar::new(),
+            applied: Condvar::new(),
         });
         let applier = {
             let shared = Arc::clone(&shared);
@@ -490,13 +481,13 @@ impl ServeEngine {
                 .spawn(move || applier_loop(&shared))
                 .map_err(|e| format!("spawn applier: {e}"))?
         };
-        let engine = ServeEngine { shared, applier: Mutex::new(Some(applier)) };
+        let engine = ServeEngine { shared, applier: Some(applier) };
         Ok((engine, BootReport { from_snapshot, replayed, epoch }))
     }
 
     /// The epoch currently being served.
     pub fn current(&self) -> Arc<ResultEpoch> {
-        Arc::clone(&self.shared.current.read())
+        entered(self.shared.current.read()).clone()
     }
 
     /// The engine's telemetry (request counters, mining spans).
@@ -524,14 +515,14 @@ impl ServeEngine {
             return (s, SupportSource::Patterns);
         }
         let key = (ep.epoch, code);
-        let cached = self.shared.support_memo.lock().get(&key).copied();
+        let cached = entered(self.shared.support_memo.lock()).get(&key).copied();
         if let Some((s, src)) = cached {
             self.shared.tel.counters().bump(src.counter());
             return (s, src);
         }
         let (support, source) =
             ep.support_of_code(&key.1, &self.shared.tel, self.shared.embedding_budget);
-        self.shared.support_memo.lock().insert(key, (support, source));
+        entered(self.shared.support_memo.lock()).insert(key, (support, source));
         self.shared.tel.counters().bump(source.counter());
         (support, source)
     }
@@ -541,7 +532,7 @@ impl ServeEngine {
     /// previous generations only, so it stays bounded under unbounded
     /// streaming ingest).
     pub fn memo_size(&self) -> usize {
-        self.shared.support_memo.lock().len()
+        entered(self.shared.support_memo.lock()).len()
     }
 
     /// The last router-committed global epoch (0 before any commit).
@@ -710,11 +701,12 @@ impl ServeEngine {
     /// truncates it. The next boot mines that snapshot.
     ///
     /// Crash-safe: the new snapshot is written under an epoch-suffixed
-    /// name, then `meta.json` is atomically renamed to point at it, and
-    /// the directory is fsynced before the journal is truncated. A
-    /// crash before the rename boots from the old snapshot (re-replaying
-    /// the journal); a crash after it boots from the new one (skipping
-    /// the already-folded batches).
+    /// name (to a temp file renamed over it, so a stop with nothing new
+    /// never rewrites the committed file in place), then `meta.json` is
+    /// atomically renamed to point at it, and the directory is fsynced
+    /// before the journal is truncated. A crash before the rename boots
+    /// from the old snapshot (re-replaying the journal); a crash after it
+    /// boots from the new one (skipping the already-folded batches).
     ///
     /// # Errors
     ///
@@ -737,9 +729,9 @@ impl ServeEngine {
         let snap_name = format!("snapshot.{base_epoch}.gs");
 
         let served = self.current();
-        GraphStore::create(&shared.dir.join(&snap_name), &served.db, SNAPSHOT_POOL_PAGES)
-            .map_err(|e| format!("snapshot: {e}"))?;
-        // Commit point: once the rename lands, boots use the new snapshot.
+        commit_snapshot(&shared.dir, &snap_name, &served.db)?;
+        // Commit point: once the `meta.json` rename lands, boots use the
+        // new snapshot.
         write_meta(&shared.dir, shared.min_support, base_epoch, &snap_name)?;
 
         // Everything below is garbage collection; the directory is
@@ -754,11 +746,11 @@ impl ServeEngine {
             for entry in entries.flatten() {
                 let name = entry.file_name();
                 let name = name.to_string_lossy();
-                // Pattern files are what daemons before this format left
-                // beside their snapshots; nothing reads them.
-                let stale =
-                    name.starts_with("snapshot.") && name.ends_with(".gs") && name != snap_name
-                        || name.starts_with("patterns.") && name.ends_with(".pat");
+                // Temp files are snapshot writes a crash cut short, pattern
+                // files what older daemons left. Nothing reads either.
+                let snapshot = name.ends_with(".gs") || name.ends_with(".gs.tmp");
+                let stale = name.starts_with("snapshot.") && snapshot && name != snap_name
+                    || name.starts_with("patterns.") && name.ends_with(".pat");
                 if stale {
                     let _ = std::fs::remove_file(entry.path());
                 }
@@ -941,7 +933,7 @@ impl Drop for ServeEngine {
         }
         self.shared.submitted.notify_all();
         self.shared.applied.notify_all();
-        if let Some(h) = self.applier.lock().take() {
+        if let Some(h) = self.applier.take() {
             let _ = h.join();
         }
     }
@@ -1002,7 +994,7 @@ fn applier_loop(shared: &Arc<EngineShared>) {
         // The fold. `old` is the epoch this one supersedes (only this
         // thread writes `current`); it is freed after waiters wake, not
         // under the write lock.
-        let old = Arc::clone(&shared.current.read());
+        let old = entered(shared.current.read()).clone();
         let mut db = GraphDb::clone(&old.db);
         if let Err(e) = apply_all(&mut db, &window) {
             fail_pipeline(shared, format!("apply (seq {seq}): {e}"));
@@ -1010,7 +1002,7 @@ fn applier_loop(shared: &Arc<EngineShared>) {
         }
         let patterns = walk(&db, shared.min_support, &shared.exec, &shared.tel);
         let summary = classify(seq, &old.patterns, &patterns, &shared.tel);
-        *shared.current.write() = Arc::new(ResultEpoch::new(seq, db, patterns));
+        *entered(shared.current.write()) = Arc::new(ResultEpoch::new(seq, db, patterns));
         shared.tel.counters().bump(Counter::EpochSwaps);
         // Superseded memo entries are dead weight, but readers that
         // grabbed the previous epoch's `Arc` before this swap are still
@@ -1019,7 +1011,7 @@ fn applier_loop(shared: &Arc<EngineShared>) {
         // re-inserting evicted entries, and evict everything older so a
         // long-running daemon under streaming ingest holds at most two
         // generations at any time.
-        shared.support_memo.lock().retain(|&(epoch, _), _| epoch + 1 >= seq);
+        entered(shared.support_memo.lock()).retain(|&(epoch, _), _| epoch + 1 >= seq);
         let mut q = shared.queue.lock().expect("ingest queue poisoned");
         q.windows.remove(&seq);
         q.applied_seq = seq;
@@ -1104,6 +1096,20 @@ fn validate_batch(db: &GraphDb, ops: &[DbUpdate]) -> Result<(), String> {
         up.update.apply(g).map_err(|e| format!("op {i}: {e}"))?;
     }
     Ok(())
+}
+
+/// Enters a lock despite poison: no holder leaves its value half updated.
+fn entered<G>(lock: LockResult<G>) -> G {
+    lock.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Writes `db` to `dir/name.tmp`, then renames it over `name`, so no crash
+/// tears a file `meta.json` names. [`write_meta`] orders the rename first.
+fn commit_snapshot(dir: &Path, name: &str, db: &GraphDb) -> Result<(), String> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    write_snapshot(&tmp, db)
+        .and_then(|()| Ok(std::fs::rename(&tmp, dir.join(name))?))
+        .map_err(|e| format!("snapshot: {e}"))
 }
 
 /// Writes the commit record `dir/meta.json`: threshold, folded epoch, and
@@ -1318,12 +1324,40 @@ mod tests {
         assert!(engine.current().patterns.same_codes_and_supports(&served.patterns));
         // A data directory is the snapshot, the journal and the commit
         // record: no mined result is left on disk.
-        let mut files: Vec<String> = std::fs::read_dir(dir.path())
+        let three = ["journal.wal", "meta.json", "snapshot.1.gs"];
+        assert_eq!(listing(dir.path()), three);
+
+        // A stop with nothing new names the committed file again. It must
+        // replace it by a rename, never rewrite it in place: a hard link
+        // to the committed inode keeps its backdated mtime and its bytes.
+        // The stop also collects a temp file an earlier crash left.
+        let elsewhere = tempfile::tempdir().unwrap();
+        let witness = elsewhere.path().join("witness.gs");
+        std::fs::hard_link(dir.path().join("snapshot.1.gs"), &witness).unwrap();
+        let backdated = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+        let file = std::fs::File::options().write(true).open(&witness).unwrap();
+        file.set_modified(backdated).unwrap();
+        let bytes = std::fs::read(&witness).unwrap();
+        std::fs::write(dir.path().join("snapshot.0.gs.tmp"), &bytes[..100]).unwrap();
+        engine.clean_stop().unwrap();
+        drop(engine);
+        assert_eq!(std::fs::metadata(&witness).unwrap().modified().unwrap(), backdated);
+        assert_eq!(std::fs::read(&witness).unwrap(), bytes);
+        assert_eq!(std::fs::read(dir.path().join("snapshot.1.gs")).unwrap(), bytes);
+        assert_eq!(listing(dir.path()), three);
+        let (engine, boot) = ServeEngine::boot(None, dir.path(), &cfg()).unwrap();
+        assert_eq!(boot.epoch, 1);
+        assert!(engine.current().patterns.same_codes_and_supports(&served.patterns));
+    }
+
+    /// The sorted file names in `dir`.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut files: Vec<String> = std::fs::read_dir(dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         files.sort();
-        assert_eq!(files, ["journal.wal", "meta.json", "snapshot.1.gs"]);
+        files
     }
 
     /// The commit record names no unit count, and one written by an older

@@ -96,9 +96,6 @@ impl Default for ServerConfig {
 }
 
 /// The bounded hand-off between the accept thread and the workers.
-///
-/// `std`'s `Mutex`/`Condvar` rather than the vendored `parking_lot`
-/// shim, which has no condition variables.
 struct ConnQueue {
     conns: Mutex<VecDeque<TcpStream>>,
     ready: Condvar,

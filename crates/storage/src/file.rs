@@ -34,22 +34,6 @@ impl PageFile {
         Ok(PageFile { file, pages: 0, io_latency: Duration::ZERO })
     }
 
-    /// Opens an existing page file.
-    ///
-    /// # Errors
-    ///
-    /// File-system errors, or a file whose size is not page-aligned.
-    pub fn open(path: &Path) -> Result<Self, StorageError> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.metadata()?.len();
-        if len % PAGE_SIZE as u64 != 0 {
-            return Err(StorageError::Corrupt(format!(
-                "file length {len} is not a multiple of the page size"
-            )));
-        }
-        Ok(PageFile { file, pages: len / PAGE_SIZE as u64, io_latency: Duration::ZERO })
-    }
-
     /// Number of allocated pages.
     pub fn page_count(&self) -> u64 {
         self.pages
@@ -126,8 +110,8 @@ impl PageFile {
     }
 
     /// Flushes buffered writes and forces them to stable storage
-    /// (`fdatasync`). Snapshot writes rely on this being a real sync, not
-    /// just a library flush.
+    /// (`fdatasync`), so a pool flush pays what a disk-resident store's
+    /// would.
     ///
     /// # Errors
     ///
@@ -170,32 +154,5 @@ mod tests {
         let mut buf = [0u8; PAGE_SIZE];
         assert!(matches!(f.read_page(0, &mut buf), Err(StorageError::PageOutOfRange { .. })));
         assert!(matches!(f.write_page(3, &buf), Err(StorageError::PageOutOfRange { .. })));
-    }
-
-    #[test]
-    fn reopen_preserves_pages() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("p.db");
-        {
-            let mut f = PageFile::create(&path).unwrap();
-            f.allocate().unwrap();
-            let mut buf = [0u8; PAGE_SIZE];
-            buf[7] = 7;
-            f.write_page(0, &buf).unwrap();
-            f.sync().unwrap();
-        }
-        let mut f = PageFile::open(&path).unwrap();
-        assert_eq!(f.page_count(), 1);
-        let mut out = [0u8; PAGE_SIZE];
-        f.read_page(0, &mut out).unwrap();
-        assert_eq!(out[7], 7);
-    }
-
-    #[test]
-    fn open_rejects_misaligned_file() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("bad.db");
-        std::fs::write(&path, [0u8; 100]).unwrap();
-        assert!(matches!(PageFile::open(&path), Err(StorageError::Corrupt(_))));
     }
 }

@@ -1,13 +1,16 @@
-//! Serialized graph databases over pages.
+//! Serialized graph databases: one format, two sinks.
 //!
-//! Graphs are encoded as little-endian `u32` records —
-//! `[nv, vlabel*nv, ne, (u, v, elabel)*ne]` — packed contiguously into a
-//! byte stream laid out across pages. The per-graph offset directory stays
-//! in memory (it is `O(|D|)`, the part of an index that fits in RAM);
-//! everything else is read through the buffer pool, so per-graph random
-//! access — the access pattern of index-backed mining — is properly charged
-//! page faults.
+//! A header page (magic, version, graph count, data length) is followed by
+//! little-endian `u32` records — `[nv, vlabel*nv, ne, (u, v, elabel)*ne]`
+//! — packed contiguously and zero-padded to a whole page.
+//! [`write_snapshot`] writes that image with one `write_all` (the serving
+//! daemon's snapshot); [`GraphStore::create_with_latency`] writes the same
+//! bytes page by page through a buffer pool for ADIMINE, keeping only the
+//! `O(|D|)` offset directory in memory, so per-graph random access — the
+//! access pattern of index-backed mining — is charged page faults.
 
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
@@ -20,6 +23,8 @@ use crate::{BufferPool, PageFile, PoolStats, StorageError, PAGE_SIZE};
 const MAGIC: [u8; 4] = *b"GMGS";
 /// On-disk format version.
 const VERSION: u32 = 1;
+/// Bytes of the header page that carry the header; the rest are zero.
+const HEADER_LEN: usize = 20;
 
 /// A read-mostly, page-resident graph database.
 pub struct GraphStore {
@@ -30,17 +35,8 @@ pub struct GraphStore {
 
 impl GraphStore {
     /// Serializes `db` into a fresh page file at `path`, buffered by a pool
-    /// of `pool_pages` pages.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system failures.
-    pub fn create(path: &Path, db: &GraphDb, pool_pages: usize) -> Result<Self, StorageError> {
-        Self::create_with_latency(path, db, pool_pages, Duration::ZERO)
-    }
-
-    /// Like [`GraphStore::create`] with a simulated per-page I/O latency
-    /// (see [`PageFile::set_io_latency`]); the serialization pass itself is
+    /// of `pool_pages` pages, with a simulated per-page I/O latency (see
+    /// [`PageFile::set_io_latency`]); the serialization pass itself is
     /// charged for its writes, as building a disk-resident index would be.
     ///
     /// # Errors
@@ -57,88 +53,20 @@ impl GraphStore {
         let pool = BufferPool::new(file, pool_pages);
         let mut offsets = Vec::with_capacity(db.len());
         let mut lens = Vec::with_capacity(db.len());
-        // Page 0 is the header; records start on the next page boundary so
-        // re-opening knows where to scan from.
+        // Records first, the header page last: the order ADIMINE's I/O
+        // counts were measured with.
         let mut cursor = PAGE_SIZE as u64;
+        let mut bytes = Vec::new();
         for (_, g) in db.iter() {
-            let bytes = encode(g);
+            bytes.clear();
+            encode(&mut bytes, g);
             offsets.push(cursor);
             lens.push(bytes.len() as u32);
             write_stream(&pool, cursor, &bytes)?;
             cursor += bytes.len() as u64;
         }
-        let mut header = Vec::with_capacity(20);
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&(db.len() as u32).to_le_bytes());
-        header.extend_from_slice(&(cursor - PAGE_SIZE as u64).to_le_bytes());
-        write_stream(&pool, 0, &header)?;
+        write_stream(&pool, 0, &header(db.len(), cursor - PAGE_SIZE as u64))?;
         pool.flush()?;
-        let store = GraphStore { pool, offsets, lens };
-        Ok(store)
-    }
-
-    /// Reopens a store previously written by [`GraphStore::create`],
-    /// rebuilding the in-memory offset directory by scanning the
-    /// self-delimiting records — the recovery path the serving daemon takes
-    /// to reload its snapshot.
-    ///
-    /// # Errors
-    ///
-    /// File-system failures, a missing/foreign header, or records that do
-    /// not span exactly the length the header declares.
-    pub fn open(path: &Path, pool_pages: usize) -> Result<Self, StorageError> {
-        let file = PageFile::open(path)?;
-        if file.page_count() == 0 {
-            return Err(StorageError::Corrupt("store file has no header page".into()));
-        }
-        let pool = BufferPool::new(file, pool_pages);
-        let mut header = [0u8; 20];
-        read_stream(&pool, 0, &mut header)?;
-        if header[..4] != MAGIC {
-            return Err(StorageError::Corrupt("not a graph store file (bad magic)".into()));
-        }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(StorageError::Corrupt(format!("unsupported store version {version}")));
-        }
-        let count = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        let data_len = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-        if data_len > (pool.page_count() - 1) * PAGE_SIZE as u64 {
-            return Err(StorageError::Corrupt(format!(
-                "header declares {data_len} data bytes beyond the file"
-            )));
-        }
-        // Every record is at least 8 bytes (`nv` and `ne`); a larger count
-        // is a corrupt header, refused before it sizes the directory.
-        if u64::from(count) > data_len / 8 {
-            return Err(StorageError::Corrupt(format!(
-                "header declares {count} graphs in {data_len} data bytes"
-            )));
-        }
-        let end = PAGE_SIZE as u64 + data_len;
-        let mut offsets = Vec::with_capacity(count as usize);
-        let mut lens = Vec::with_capacity(count as usize);
-        let mut cursor = PAGE_SIZE as u64;
-        for gid in 0..count {
-            let nv = read_u32_at(&pool, cursor, end)?;
-            let ne = read_u32_at(&pool, cursor + 4 + 4 * u64::from(nv), end)?;
-            let len = 8 + 4 * u64::from(nv) + 12 * u64::from(ne);
-            if cursor + len > end {
-                return Err(StorageError::Corrupt(format!(
-                    "record {gid} runs past the declared data length"
-                )));
-            }
-            offsets.push(cursor);
-            lens.push(len as u32);
-            cursor += len;
-        }
-        if cursor != end {
-            return Err(StorageError::Corrupt(format!(
-                "records cover {} bytes but the header declares {data_len}",
-                cursor - PAGE_SIZE as u64
-            )));
-        }
         Ok(GraphStore { pool, offsets, lens })
     }
 
@@ -164,7 +92,7 @@ impl GraphStore {
         }
         let mut bytes = vec![0u8; self.lens[idx] as usize];
         read_stream(&self.pool, self.offsets[idx], &mut bytes)?;
-        decode(&bytes)
+        decode(&bytes, &mut 0)
     }
 
     /// Reads the whole database back (a full scan).
@@ -187,45 +115,115 @@ impl GraphStore {
     }
 }
 
-/// Reads a little-endian `u32` at stream offset `off`, refusing to read
-/// past `end` (the declared end of record data).
-fn read_u32_at(pool: &BufferPool, off: u64, end: u64) -> Result<u32, StorageError> {
-    if off + 4 > end {
-        return Err(StorageError::Corrupt("record header runs past the data length".into()));
+/// Writes `db` to `path` as one snapshot image: one `write_all`, then one
+/// `sync_data`. The bytes are those [`GraphStore::create_with_latency`]
+/// writes for the same database.
+///
+/// # Errors
+///
+/// Propagates file-system failures.
+pub fn write_snapshot(path: &Path, db: &GraphDb) -> Result<(), StorageError> {
+    let data_len: usize =
+        db.iter().map(|(_, g)| 8 + 4 * (g.vertex_count() + 3 * g.edge_count())).sum();
+    let padded = (PAGE_SIZE + data_len).next_multiple_of(PAGE_SIZE);
+    let mut image = Vec::with_capacity(padded);
+    image.extend_from_slice(&header(db.len(), data_len as u64));
+    image.resize(PAGE_SIZE, 0);
+    for (_, g) in db.iter() {
+        encode(&mut image, g);
     }
-    let mut buf = [0u8; 4];
-    read_stream(pool, off, &mut buf)?;
-    Ok(u32::from_le_bytes(buf))
+    image.resize(padded, 0);
+    let mut file = File::create(path)?;
+    file.write_all(&image)?;
+    file.sync_data()?;
+    Ok(())
 }
 
-fn encode(g: &Graph) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 4 * (g.vertex_count() + 3 * g.edge_count()));
-    push_u32(&mut out, g.vertex_count() as u32);
-    for v in 0..g.vertex_count() as u32 {
-        push_u32(&mut out, g.vlabel(v));
+/// Reads a snapshot written by either sink back with one `fs::read` and
+/// one pass over its records.
+///
+/// # Errors
+///
+/// File-system failures; a length that is not whole pages; a missing or
+/// foreign header; a header whose data length or graph count the file
+/// cannot hold; records that do not tile the declared data exactly, or
+/// that do not decode to a graph.
+pub fn read_snapshot(path: &Path) -> Result<GraphDb, StorageError> {
+    let bytes = std::fs::read(path)?;
+    let corrupt = |what: String| Err(StorageError::Corrupt(what));
+    if bytes.len() % PAGE_SIZE != 0 {
+        return corrupt(format!("file length {} is not a multiple of the page size", bytes.len()));
     }
-    push_u32(&mut out, g.edge_count() as u32);
-    for (_, u, v, el) in g.edges() {
-        push_u32(&mut out, u);
-        push_u32(&mut out, v);
-        push_u32(&mut out, el);
+    if bytes.is_empty() {
+        return corrupt("store file has no header page".into());
     }
+    if bytes[..4] != MAGIC {
+        return corrupt("not a graph store file (bad magic)".into());
+    }
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    if word(4) != VERSION {
+        return corrupt(format!("unsupported store version {}", word(4)));
+    }
+    let count = word(8);
+    let data_len = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().expect("8 bytes"));
+    if data_len > (bytes.len() - PAGE_SIZE) as u64 {
+        return corrupt(format!("header declares {data_len} data bytes beyond the file"));
+    }
+    // Every record is at least 8 bytes (`nv` and `ne`); a larger count
+    // is a corrupt header, refused before it sizes the database.
+    if u64::from(count) > data_len / 8 {
+        return corrupt(format!("header declares {count} graphs in {data_len} data bytes"));
+    }
+    let data = &bytes[PAGE_SIZE..PAGE_SIZE + data_len as usize];
+    let mut pos = 0;
+    let mut graphs = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        graphs.push(decode(data, &mut pos)?);
+    }
+    if pos != data.len() {
+        return corrupt(format!("records cover {pos} bytes but the header declares {data_len}"));
+    }
+    Ok(GraphDb::from_graphs(graphs))
+}
+
+/// The 20 header bytes at offset 0: magic, version, count, data length.
+fn header(count: usize, data_len: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN);
+    out.extend_from_slice(&MAGIC);
+    push_u32(&mut out, VERSION);
+    push_u32(&mut out, count as u32);
+    out.extend_from_slice(&data_len.to_le_bytes());
     out
 }
 
-fn decode(bytes: &[u8]) -> Result<Graph, StorageError> {
-    let mut pos = 0usize;
-    let nv = take_u32(bytes, &mut pos)?;
-    let mut g = Graph::with_capacity(nv as usize, 0);
+/// Appends `g`'s record to `out`.
+fn encode(out: &mut Vec<u8>, g: &Graph) {
+    push_u32(out, g.vertex_count() as u32);
+    for v in 0..g.vertex_count() as u32 {
+        push_u32(out, g.vlabel(v));
+    }
+    push_u32(out, g.edge_count() as u32);
+    for (_, u, v, el) in g.edges() {
+        push_u32(out, u);
+        push_u32(out, v);
+        push_u32(out, el);
+    }
+}
+
+/// Decodes the record at `bytes[*pos..]` and moves `pos` past it.
+fn decode(bytes: &[u8], pos: &mut usize) -> Result<Graph, StorageError> {
+    let nv = take_u32(bytes, pos)?;
+    // Each vertex label takes 4 bytes, so what is left bounds the hint.
+    let mut g = Graph::with_capacity((nv as usize).min((bytes.len() - *pos) / 4), 0);
     for _ in 0..nv {
-        let l = take_u32(bytes, &mut pos)?;
+        let l = take_u32(bytes, pos)?;
         g.add_vertex(l);
     }
-    let ne = take_u32(bytes, &mut pos)?;
+    let ne = take_u32(bytes, pos)?;
     for _ in 0..ne {
-        let u = take_u32(bytes, &mut pos)?;
-        let v = take_u32(bytes, &mut pos)?;
-        let el = take_u32(bytes, &mut pos)?;
+        let u = take_u32(bytes, pos)?;
+        let v = take_u32(bytes, pos)?;
+        let el = take_u32(bytes, pos)?;
         g.add_edge(u, v, el).map_err(|e| StorageError::Corrupt(format!("bad edge record: {e}")))?;
     }
     Ok(g)
@@ -237,8 +235,9 @@ fn push_u32(out: &mut Vec<u8>, v: u32) {
 
 fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, StorageError> {
     let end = *pos + 4;
-    let slice =
-        bytes.get(*pos..end).ok_or_else(|| StorageError::Corrupt("truncated u32".into()))?;
+    let slice = bytes
+        .get(*pos..end)
+        .ok_or_else(|| StorageError::Corrupt("record runs past the data length".into()))?;
     *pos = end;
     Ok(u32::from_le_bytes(slice.try_into().expect("4-byte slice")))
 }
@@ -263,11 +262,35 @@ mod tests {
         GraphDb::from_graphs(graphs)
     }
 
+    /// ADIMINE's paged sink, with no simulated latency.
+    fn paged(path: &Path, db: &GraphDb, pool_pages: usize) -> GraphStore {
+        GraphStore::create_with_latency(path, db, pool_pages, Duration::ZERO).unwrap()
+    }
+
+    fn same_db(a: &GraphDb, b: &GraphDb) {
+        assert_eq!(a.len(), b.len());
+        for gid in 0..a.len() as u32 {
+            assert_eq!(a.graph(gid), b.graph(gid), "gid {gid}");
+        }
+    }
+
+    /// `sample_db(5)` written by the one-buffer sink, for the corruption
+    /// tests to edit.
+    fn snapshot_bytes(path: &Path) -> Vec<u8> {
+        write_snapshot(path, &sample_db(5)).unwrap();
+        std::fs::read(path).unwrap()
+    }
+
+    fn refused(path: &Path, bytes: &[u8]) -> bool {
+        std::fs::write(path, bytes).unwrap();
+        matches!(read_snapshot(path), Err(StorageError::Corrupt(_)))
+    }
+
     #[test]
     fn round_trip_every_graph() {
         let dir = tempfile::tempdir().unwrap();
         let db = sample_db(50);
-        let store = GraphStore::create(&dir.path().join("g.db"), &db, 8).unwrap();
+        let store = paged(&dir.path().join("g.db"), &db, 8);
         assert_eq!(store.len(), 50);
         for gid in 0..50u32 {
             let g = store.read_graph(gid).unwrap();
@@ -279,19 +302,15 @@ mod tests {
     fn read_all_round_trips() {
         let dir = tempfile::tempdir().unwrap();
         let db = sample_db(20);
-        let store = GraphStore::create(&dir.path().join("g.db"), &db, 4).unwrap();
-        let back = store.read_all().unwrap();
-        assert_eq!(back.len(), db.len());
-        for gid in 0..20u32 {
-            assert_eq!(back.graph(gid), db.graph(gid));
-        }
+        let store = paged(&dir.path().join("g.db"), &db, 4);
+        same_db(&store.read_all().unwrap(), &db);
     }
 
     #[test]
     fn small_pool_faults_pages() {
         let dir = tempfile::tempdir().unwrap();
         let db = sample_db(200);
-        let store = GraphStore::create(&dir.path().join("g.db"), &db, 1).unwrap();
+        let store = paged(&dir.path().join("g.db"), &db, 1);
         store.reset_stats();
         for gid in (0..200u32).rev() {
             store.read_graph(gid).unwrap();
@@ -303,17 +322,35 @@ mod tests {
     #[test]
     fn bad_gid_is_an_error() {
         let dir = tempfile::tempdir().unwrap();
-        let db = sample_db(3);
-        let store = GraphStore::create(&dir.path().join("g.db"), &db, 4).unwrap();
+        let store = paged(&dir.path().join("g.db"), &sample_db(3), 4);
         assert!(matches!(store.read_graph(9), Err(StorageError::GraphOutOfRange { .. })));
     }
 
     #[test]
     fn empty_database() {
         let dir = tempfile::tempdir().unwrap();
-        let store = GraphStore::create(&dir.path().join("g.db"), &GraphDb::new(), 4).unwrap();
+        let store = paged(&dir.path().join("g.db"), &GraphDb::new(), 4);
         assert!(store.is_empty());
         assert!(store.read_all().unwrap().is_empty());
+    }
+
+    /// One format, two sinks: the one-buffer write and ADIMINE's paged
+    /// write of the same database are the same bytes, and both read back.
+    /// 300 sample graphs are ~25 KB of records, seven pages.
+    #[test]
+    fn both_sinks_write_the_same_bytes() {
+        let dir = tempfile::tempdir().unwrap();
+        for db in [sample_db(300), GraphDb::new()] {
+            let (one, pages) = (dir.path().join("one.gs"), dir.path().join("paged.gs"));
+            write_snapshot(&one, &db).unwrap();
+            drop(paged(&pages, &db, 2));
+            let bytes = std::fs::read(&one).unwrap();
+            assert_eq!(bytes, std::fs::read(&pages).unwrap(), "{} graphs", db.len());
+            assert_eq!(bytes.len() % PAGE_SIZE, 0);
+            assert!(db.is_empty() || bytes.len() > 2 * PAGE_SIZE, "{} bytes", bytes.len());
+            same_db(&read_snapshot(&one).unwrap(), &db);
+            same_db(&read_snapshot(&pages).unwrap(), &db);
+        }
     }
 
     #[test]
@@ -321,53 +358,85 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("g.db");
         let db = sample_db(40);
-        {
-            let store = GraphStore::create(&path, &db, 8).unwrap();
-            assert_eq!(store.len(), 40);
-        } // dropped: only the file remains
-        let store = GraphStore::open(&path, 8).unwrap();
-        assert_eq!(store.len(), 40);
-        for gid in 0..40u32 {
-            assert_eq!(&store.read_graph(gid).unwrap(), db.graph(gid), "gid {gid}");
-        }
-        assert_eq!(store.read_all().unwrap().len(), db.len());
+        drop(paged(&path, &db, 8)); // dropped: only the file remains
+        same_db(&read_snapshot(&path).unwrap(), &db);
     }
 
     #[test]
     fn open_empty_store() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("g.db");
-        drop(GraphStore::create(&path, &GraphDb::new(), 4).unwrap());
-        let store = GraphStore::open(&path, 4).unwrap();
-        assert!(store.is_empty());
+        write_snapshot(&path, &GraphDb::new()).unwrap();
+        assert!(read_snapshot(&path).unwrap().is_empty());
     }
 
     #[test]
     fn open_rejects_foreign_files() {
         let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("junk.db");
-        std::fs::write(&path, vec![0x5Au8; crate::PAGE_SIZE]).unwrap();
-        assert!(matches!(GraphStore::open(&path, 4), Err(StorageError::Corrupt(_))));
+        assert!(refused(&dir.path().join("junk.db"), &[0x5Au8; PAGE_SIZE]));
     }
 
     /// A flipped graph count is refused as corrupt before it sizes the
-    /// offset directory (`u32::MAX` entries would be a 34 GB allocation).
+    /// database (`u32::MAX` graphs would be a multi-GB allocation).
     #[test]
     fn open_rejects_a_count_the_data_cannot_hold() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("g.db");
-        drop(GraphStore::create(&path, &sample_db(5), 4).unwrap());
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = snapshot_bytes(&path);
         bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(GraphStore::open(&path, 4), Err(StorageError::Corrupt(_))));
+        assert!(refused(&path, &bytes));
     }
 
     #[test]
     fn open_rejects_truncated_header() {
         let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("empty.db");
-        std::fs::write(&path, Vec::<u8>::new()).unwrap();
-        assert!(matches!(GraphStore::open(&path, 4), Err(StorageError::Corrupt(_))));
+        assert!(refused(&dir.path().join("empty.db"), &[]));
+    }
+
+    #[test]
+    fn open_rejects_misaligned_file() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("g.db");
+        assert!(refused(&path, &[0u8; 100]));
+        let mut bytes = snapshot_bytes(&path);
+        bytes.push(0);
+        assert!(refused(&path, &bytes));
+    }
+
+    #[test]
+    fn open_rejects_a_data_length_beyond_the_file() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("g.db");
+        let mut bytes = snapshot_bytes(&path);
+        let beyond = (bytes.len() - PAGE_SIZE + 1) as u64;
+        bytes[12..20].copy_from_slice(&beyond.to_le_bytes());
+        assert!(refused(&path, &bytes));
+    }
+
+    /// The header declares one byte short of the records, so the last
+    /// record runs past the data length (and a byte longer leaves a gap).
+    #[test]
+    fn open_rejects_records_that_do_not_tile_the_data() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("g.db");
+        let bytes = snapshot_bytes(&path);
+        let data_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+        for declared in [data_len - 1, data_len + 1] {
+            let mut edited = bytes.clone();
+            edited[12..20].copy_from_slice(&declared.to_le_bytes());
+            assert!(refused(&path, &edited), "declared {declared} of {data_len}");
+        }
+    }
+
+    #[test]
+    fn open_rejects_an_edge_endpoint_past_its_vertices() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("g.db");
+        let mut bytes = snapshot_bytes(&path);
+        // Graph 0 has 3 vertices and 2 edges: `[3, l0, l1, l2, 2, u, ...]`.
+        let first_u = PAGE_SIZE + 4 * 5;
+        assert_eq!(bytes[PAGE_SIZE..PAGE_SIZE + 4], 3u32.to_le_bytes());
+        bytes[first_u..first_u + 4].copy_from_slice(&3u32.to_le_bytes());
+        assert!(refused(&path, &bytes));
     }
 }

@@ -1,8 +1,8 @@
 //! An LRU buffer pool over a [`PageFile`].
 
 use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 
 use crate::{PageFile, PageId, StorageError, PAGE_SIZE};
@@ -56,13 +56,19 @@ impl BufferPool {
         }
     }
 
+    /// Enters the latch, ignoring poison: no frame-table or LRU update
+    /// spans a caller's closure, so a panicking closure leaves them whole.
+    fn latch(&self) -> MutexGuard<'_, PoolInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Allocates a fresh page (zeroed, resident, clean).
     ///
     /// # Errors
     ///
     /// Propagates allocation and eviction I/O failures.
     pub fn allocate(&self) -> Result<PageId, StorageError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.latch();
         let pid = inner.file.allocate()?;
         inner.evict_to(|cap| cap - 1)?;
         inner.frames.insert(pid, Frame { data: Box::new([0; PAGE_SIZE]), dirty: false });
@@ -80,7 +86,7 @@ impl BufferPool {
         pid: PageId,
         f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
     ) -> Result<R, StorageError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.latch();
         inner.fault_in(pid)?;
         let frame = inner.frames.get(&pid).expect("faulted in");
         Ok(f(&frame.data))
@@ -96,7 +102,7 @@ impl BufferPool {
         pid: PageId,
         f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
     ) -> Result<R, StorageError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.latch();
         inner.fault_in(pid)?;
         let frame = inner.frames.get_mut(&pid).expect("faulted in");
         frame.dirty = true;
@@ -109,7 +115,7 @@ impl BufferPool {
     ///
     /// Propagates write failures.
     pub fn flush(&self) -> Result<(), StorageError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.latch();
         let dirty: Vec<PageId> =
             inner.frames.iter().filter(|(_, fr)| fr.dirty).map(|(&pid, _)| pid).collect();
         for pid in dirty {
@@ -125,17 +131,17 @@ impl BufferPool {
 
     /// Snapshot of the I/O counters.
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().stats
+        self.latch().stats
     }
 
     /// Resets the I/O counters (per-experiment accounting).
     pub fn reset_stats(&self) {
-        self.inner.lock().stats = PoolStats::default();
+        self.latch().stats = PoolStats::default();
     }
 
     /// Number of allocated pages in the backing file.
     pub fn page_count(&self) -> u64 {
-        self.inner.lock().file.page_count()
+        self.latch().file.page_count()
     }
 }
 
