@@ -18,7 +18,6 @@ use rustc_hash::FxHashMap;
 
 use graphmine_core::PartMinerState;
 use graphmine_graph::enumerate::one_edge_deletions;
-use graphmine_graph::iso::SupportIndex;
 use graphmine_graph::{
     intersect_sorted, DfsCode, EmbeddingMode, EmbeddingStore, GraphDb, GraphId, Pattern,
     PatternSet, Support, DEFAULT_EMBEDDING_BUDGET,
@@ -93,26 +92,22 @@ enum Verdict {
     Rejected,
 }
 
-/// `CheckFrequency`, for every candidate of one invocation: the histogram
-/// index over `S` and the embedding-list store.
+/// `CheckFrequency`, for every candidate of one invocation: the
+/// embedding-list store over `S`.
 struct CheckFrequency<'a> {
-    index: SupportIndex,
     estore: EmbeddingStore<'a>,
 }
 
 impl<'a> CheckFrequency<'a> {
     fn new(ctx: &JoinContext<'a>) -> Self {
         let budget = EmbeddingMode::Auto.effective_budget(ctx.db, DEFAULT_EMBEDDING_BUDGET);
-        CheckFrequency {
-            index: SupportIndex::build(ctx.db),
-            estore: EmbeddingStore::new(ctx.db, budget),
-        }
+        CheckFrequency { estore: EmbeddingStore::new(ctx.db, budget) }
     }
 
-    /// Verifies one candidate: the unit-support shortcut, then an exact
-    /// count — answered from the embedding-list store when a list is
-    /// available, falling back to the histogram-screened search restricted
-    /// to the parent's supporter superset when the list spilled.
+    /// Verifies one candidate: the unit-support shortcut, then a count —
+    /// from the embedding-list store when the list fits, else the screened
+    /// search restricted to the parent's supporter superset. Either way a
+    /// count reaching `θ` is exact, and so is its supporter list.
     fn verify(
         &mut self,
         ctx: &JoinContext<'_>,
@@ -123,17 +118,10 @@ impl<'a> CheckFrequency<'a> {
         if let Some(lb) = seeds.support(code).filter(|&lb| lb >= ctx.min_support) {
             return Verdict::Bound(lb);
         }
-        let counters = Counters::noop();
-        let (sup, gids) = match (self.estore.support(code, counters), restrict) {
-            // The list answered: no per-graph search runs for this
-            // candidate. The supporter list is exact — tighter than the
-            // parent superset the search path would have scanned.
-            (Some(answer), _) => answer,
-            (None, Some(list)) => self.index.support_over(ctx.db, list, code, ctx.min_support),
-            (None, None) => self.index.support_all_counted(ctx.db, code, ctx.min_support, counters),
-        };
-        if sup >= ctx.min_support {
-            Verdict::Counted(sup, Arc::new(gids))
+        let over = restrict.map(|list| list.as_slice());
+        let count = self.estore.support(code, over, ctx.min_support, Counters::noop());
+        if count.support >= ctx.min_support {
+            Verdict::Counted(count.support, Arc::new(count.gids))
         } else {
             Verdict::Rejected
         }

@@ -12,20 +12,21 @@
 //!
 //! [`EmbeddingList`] is the compact occurrence arena: one `gid` plus flat
 //! vertex/edge image rows with fixed strides, no per-embedding allocation.
-//! [`EmbeddingStore`] caches lists keyed by DFS code so a level-wise counter
-//! (Apriori, the `Paper` merge-join, the daemon's `support`) can resolve
+//! [`EmbeddingStore`] caches lists keyed by DFS code so a counter (Apriori,
+//! the paper's generate-then-test join, the daemon's `support`) can resolve
 //! candidates by extending the list of the candidate code's prefix
 //! (every prefix of a minimum DFS code is itself minimal, so prefixes are
 //! shared across siblings). A byte budget bounds memory: a list that would
-//! exceed it is *spilled* — dropped, with the caller falling back to the
-//! [`crate::iso::SupportIndex`] search path.
+//! exceed it is *spilled* — dropped, and [`EmbeddingStore::support`] answers
+//! with the triple-screened search [`crate::iso::screened_support`] instead.
+//! That method is the one place the list-then-search rule is written.
 
 use std::sync::Arc;
 
 use graphmine_telemetry::{Counter, Counters};
 use rustc_hash::FxHashMap;
 
-use crate::{DfsCode, DfsEdge, GraphDb, GraphId, Support, VertexId};
+use crate::{iso, DfsCode, DfsEdge, GraphDb, GraphId, Support, VertexId};
 
 /// All embeddings of one pattern across a database, stored as a flat arena.
 ///
@@ -329,6 +330,19 @@ impl std::fmt::Display for EmbeddingMode {
 /// Default byte budget for cached embedding lists (64 MiB).
 pub const DEFAULT_EMBEDDING_BUDGET: usize = 64 << 20;
 
+/// What [`EmbeddingStore::support`] found.
+#[derive(Debug, PartialEq, Eq)]
+pub struct SupportCount {
+    /// The support: exact, unless the search stopped below the
+    /// `min_needed` it was asked for.
+    pub support: Support,
+    /// The supporting gids found, ascending.
+    pub gids: Vec<GraphId>,
+    /// `true` when the embedding list answered, `false` when it spilled
+    /// and the search did.
+    pub listed: bool,
+}
+
 /// A budgeted cache of embedding lists keyed by DFS code.
 ///
 /// `CheckFrequency` asks for the list of a candidate's code; the store
@@ -339,9 +353,9 @@ pub const DEFAULT_EMBEDDING_BUDGET: usize = 64 << 20;
 ///
 /// Lists are admitted against a total byte budget. A list that would push
 /// the cache over budget is *spilled*: recorded as unavailable (so the walk
-/// is not retried), counted in [`Counter::EmbeddingsSpilled`], and the
-/// caller falls back to the search path. Descendants of a spilled code are
-/// unavailable too, without counting further spills.
+/// is not retried), counted in [`Counter::EmbeddingsSpilled`], and
+/// [`EmbeddingStore::support`] answers by search instead. Descendants of a
+/// spilled code are unavailable too, without counting further spills.
 #[derive(Debug)]
 pub struct EmbeddingStore<'a> {
     db: &'a GraphDb,
@@ -432,15 +446,35 @@ impl<'a> EmbeddingStore<'a> {
         Some(cur)
     }
 
-    /// Exact support and supporter gids of `code`, answered from the cached
-    /// (or newly built) embedding list; `None` on spill.
+    /// The support of `code` — the paper's `CheckFrequency` decision, and
+    /// the one place it is written: the code's embedding list when it fits
+    /// the budget, else the triple-screened search over `over` (every graph
+    /// when `None`) that stops once `min_needed` is out of reach.
+    ///
+    /// A list answer is always exact, and tallies
+    /// [`Counter::SearchCallsAvoided`] with the per-graph searches it
+    /// replaced; a search answer is exact whenever it reaches `min_needed`
+    /// (pass `0` to always count exactly). `over` must hold every true
+    /// supporter, ascending.
     pub fn support(
         &mut self,
         code: &DfsCode,
+        over: Option<&[GraphId]>,
+        min_needed: Support,
         counters: &Counters,
-    ) -> Option<(Support, Vec<GraphId>)> {
-        let list = self.list(code, counters)?;
-        Some((list.support(), list.supporting_gids()))
+    ) -> SupportCount {
+        match self.list(code, counters) {
+            Some(list) => {
+                let replaced = over.map_or(self.db.len(), <[GraphId]>::len);
+                counters.add(Counter::SearchCallsAvoided, replaced as u64);
+                SupportCount { support: list.support(), gids: list.supporting_gids(), listed: true }
+            }
+            None => {
+                let (support, gids) =
+                    iso::screened_support(self.db, over, code, min_needed, counters);
+                SupportCount { support, gids, listed: false }
+            }
+        }
     }
 
     /// Drops cached lists (and spill markers) for codes shorter than
@@ -565,15 +599,15 @@ mod tests {
         let counters = Counters::new();
         let mut store = EmbeddingStore::new(&db, usize::MAX);
         let code = min_dfs_code(&path3([0, 1, 0], [3, 3]));
-        let (sup, gids) = store.support(&code, &counters).unwrap();
-        assert_eq!(sup, 2);
-        assert_eq!(gids, vec![0, 2]);
+        let count = store.support(&code, None, 0, &counters);
+        assert_eq!(count, SupportCount { support: 2, gids: vec![0, 2], listed: true });
         assert!(counters.get(Counter::EmbeddingsExtended) > 0);
         assert_eq!(counters.get(Counter::EmbeddingsSpilled), 0);
+        assert_eq!(counters.get(Counter::SearchCallsAvoided), 3);
+        assert_eq!(counters.get(Counter::SearchCalls), 0);
         // Second query hits the cache: no further extension rows.
         let before = counters.get(Counter::EmbeddingsExtended);
-        let (sup2, _) = store.support(&code, &counters).unwrap();
-        assert_eq!(sup2, sup);
+        assert_eq!(store.support(&code, None, 0, &counters), count);
         assert_eq!(counters.get(Counter::EmbeddingsExtended), before);
     }
 
@@ -584,11 +618,14 @@ mod tests {
         // A budget of one byte cannot even hold the roots.
         let mut store = EmbeddingStore::new(&db, 1);
         let code = min_dfs_code(&triangle());
-        assert!(store.support(&code, &counters).is_none());
+        assert!(store.list(&code, &counters).is_none());
         assert_eq!(counters.get(Counter::EmbeddingsSpilled), 1);
-        // The spill is remembered: retrying does not spill again.
-        assert!(store.support(&code, &counters).is_none());
+        // The spill is remembered: retrying does not spill again, and the
+        // count falls back to the screened search.
+        let count = store.support(&code, None, 0, &counters);
+        assert_eq!(count, SupportCount { support: 3, gids: vec![0, 1, 2], listed: false });
         assert_eq!(counters.get(Counter::EmbeddingsSpilled), 1);
+        assert_eq!(counters.get(Counter::IsoTestsRun), 3);
     }
 
     #[test]
@@ -597,13 +634,13 @@ mod tests {
         let counters = Counters::new();
         let mut store = EmbeddingStore::new(&db, usize::MAX);
         let code = min_dfs_code(&triangle());
-        store.support(&code, &counters).unwrap();
+        assert!(store.support(&code, None, 0, &counters).listed);
         let full = store.cached_bytes();
         assert!(full > 0);
         store.evict_below(3);
         assert!(store.cached_bytes() < full);
         // Roots survive and the evicted list can be rebuilt.
-        assert!(store.support(&code, &counters).is_some());
+        assert!(store.list(&code, &counters).is_some());
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Subgraph isomorphism: embedding search and support counting.
 //!
-//! The paper's `CheckFrequency` step (merge-join, Fig. 11) must decide, for
+//! The paper's `CheckFrequency` step (Sec. 4.3, Fig. 11) must decide, for
 //! each candidate pattern, how many database graphs contain it. We embed the
 //! pattern's DFS code edge-by-edge with backtracking; processing edges in
 //! code order keeps the partial image connected, so candidate vertices are
 //! always drawn from the neighbourhood of the current image — the classic
 //! cheap-and-effective search order for sparse labeled graphs.
 //!
-//! [`SupportIndex`] adds an edge-triple screen (backed by each graph's
+//! [`screened_support`] adds an edge-triple screen (backed by each graph's
 //! incrementally-maintained triple index) so that candidates are only
-//! matched against graphs that contain every edge triple the pattern needs.
+//! matched against graphs that contain every edge triple the pattern needs,
+//! and stops once a threshold is out of reach. It is the fallback behind
+//! [`crate::EmbeddingStore::support`], which answers from embedding lists
+//! whenever they fit its byte budget; [`support`] and [`supporting_gids`]
+//! are the plain reference search tests check both against.
 
 use graphmine_telemetry::{Counter, Counters};
 
@@ -108,8 +112,8 @@ pub fn contains_counted(target: &Graph, code: &DfsCode, counters: &Counters) -> 
     contains_with_scratch(target, code, counters, &mut MatchScratch::default())
 }
 
-/// [`contains_counted`] over caller-owned scratch buffers, so batch callers
-/// ([`SupportIndex::support_core`]) pay one allocation per pass rather than
+/// [`contains_counted`] over caller-owned scratch buffers, so a batch
+/// count ([`screened_support`]) pays one allocation per pass rather than
 /// one per tested graph.
 fn contains_with_scratch(
     target: &Graph,
@@ -166,9 +170,11 @@ pub fn contains_graph(target: &Graph, pattern: &Graph) -> bool {
     contains(target, &crate::dfscode::min_dfs_code(pattern))
 }
 
-/// Counts the support of `code` in `db` by scanning every graph.
+/// Counts the support of `code` in `db` by searching every graph: the plain
+/// reference count, with no screen and no early stop.
 ///
-/// For repeated counting over the same database prefer [`SupportIndex`].
+/// Counting callers go through [`crate::EmbeddingStore::support`], or
+/// [`screened_support`] when they keep no embedding lists.
 pub fn support(db: &GraphDb, code: &DfsCode) -> Support {
     db.iter().filter(|(_, g)| contains(g, code)).count() as Support
 }
@@ -178,144 +184,71 @@ pub fn supporting_gids(db: &GraphDb, code: &DfsCode) -> Vec<GraphId> {
     db.iter().filter(|(_, g)| contains(g, code)).map(|(gid, _)| gid).collect()
 }
 
-/// The edge-triple screen over a database, used to rule out graphs that
-/// cannot possibly contain a candidate before running the (much more
-/// expensive) embedding search.
+/// Counts the support of `code` over `over` (every graph of `db` when
+/// `None`), screening each graph by its edge-triple index before running
+/// the embedding search. Returns the supporters found, in `over`'s order.
 ///
-/// Since the CSR rewrite every [`Graph`] maintains its own sorted triple
-/// index incrementally ([`Graph::triple_count`]), so this type carries no
-/// data of its own — it keeps the batch-counting API (`support_*`) and the
-/// screen-then-search logic, and stays valid across in-place database
-/// updates that the old build-once histogram copy went stale under.
-#[derive(Debug, Clone)]
-pub struct SupportIndex {
-    graphs: usize,
+/// `over` restricts the count to a known superset of the true supporters
+/// (a parent pattern's supporter list, support being anti-monotone). With
+/// `min_needed > 0` the count stops once `min_needed` is out of reach; a
+/// returned support of at least `min_needed` is then still exact, and one
+/// below it only a lower bound. Tallies [`Counter::IsoTestsRun`] per search run
+/// and [`Counter::IsoTestsPruned`] per graph the screen ruled out.
+pub fn screened_support(
+    db: &GraphDb,
+    over: Option<&[GraphId]>,
+    code: &DfsCode,
+    min_needed: Support,
+    counters: &Counters,
+) -> (Support, Vec<GraphId>) {
+    match over {
+        Some(gids) => screened_core(db, gids.iter().copied(), code, min_needed, counters),
+        None => screened_core(db, 0..db.len() as GraphId, code, min_needed, counters),
+    }
 }
 
-impl SupportIndex {
-    /// Creates the screen for `db` (constant-time — the per-graph triple
-    /// indexes are maintained by [`Graph`] itself).
-    pub fn build(db: &GraphDb) -> Self {
-        SupportIndex { graphs: db.len() }
-    }
-
-    /// Counts the support of `code` in `db` (which must be the database the
-    /// index was built from), with the histogram screen applied first.
-    ///
-    /// `early_abort` stops counting once it is impossible to reach
-    /// `min_needed` (pass `0` to always count exactly).
-    pub fn support_bounded(&self, db: &GraphDb, code: &DfsCode, min_needed: Support) -> Support {
-        self.support_bounded_counted(db, code, min_needed, Counters::noop())
-    }
-
-    /// [`SupportIndex::support_bounded`] with telemetry: tallies
-    /// [`Counter::IsoTestsRun`] per embedding search executed and
-    /// [`Counter::IsoTestsPruned`] per graph screened out by the histogram.
-    pub fn support_bounded_counted(
-        &self,
-        db: &GraphDb,
-        code: &DfsCode,
-        min_needed: Support,
-        counters: &Counters,
-    ) -> Support {
-        self.support_core(db, 0..db.len() as GraphId, code, min_needed, counters).0
-    }
-
-    /// Exact support of `code` in `db`.
-    pub fn support(&self, db: &GraphDb, code: &DfsCode) -> Support {
-        self.support_bounded(db, code, 0)
-    }
-
-    /// Counts the support of `code` over a *candidate list* of graphs — the
-    /// Apriori TID-list optimisation: a pattern can only occur in graphs
-    /// that contain its sub-patterns, so counting is restricted to a known
-    /// superset of the true supporters. Returns the exact supporter list
-    /// when the threshold is reached; aborts early (with a partial list)
-    /// once `min_needed` is provably unreachable.
-    pub fn support_over(
-        &self,
-        db: &GraphDb,
-        candidates: &[GraphId],
-        code: &DfsCode,
-        min_needed: Support,
-    ) -> (Support, Vec<GraphId>) {
-        self.support_over_counted(db, candidates, code, min_needed, Counters::noop())
-    }
-
-    /// [`SupportIndex::support_over`] with telemetry: tallies
-    /// [`Counter::IsoTestsRun`] per embedding search executed and
-    /// [`Counter::IsoTestsPruned`] per candidate screened out by the
-    /// histogram.
-    pub fn support_over_counted(
-        &self,
-        db: &GraphDb,
-        candidates: &[GraphId],
-        code: &DfsCode,
-        min_needed: Support,
-        counters: &Counters,
-    ) -> (Support, Vec<GraphId>) {
-        self.support_core(db, candidates.iter().copied(), code, min_needed, counters)
-    }
-
-    /// Counts the support of `code` over the whole database, returning the
-    /// exact supporter list — [`SupportIndex::support_over_counted`] without
-    /// having to materialize a `0..len` candidate vector first.
-    pub fn support_all_counted(
-        &self,
-        db: &GraphDb,
-        code: &DfsCode,
-        min_needed: Support,
-        counters: &Counters,
-    ) -> (Support, Vec<GraphId>) {
-        self.support_core(db, 0..db.len() as GraphId, code, min_needed, counters)
-    }
-
-    /// The one counted implementation behind every `support_*` variant:
-    /// triple screen, embedding search, and threshold early-abort over an
-    /// arbitrary gid sequence. Returns the supporters seen before any abort.
-    fn support_core<I>(
-        &self,
-        db: &GraphDb,
-        gids: I,
-        code: &DfsCode,
-        min_needed: Support,
-        counters: &Counters,
-    ) -> (Support, Vec<GraphId>)
-    where
-        I: ExactSizeIterator<Item = GraphId>,
-    {
-        debug_assert_eq!(self.graphs, db.len(), "index built from another database");
-        // The pattern's required triple multiset, as a small sorted vec —
-        // DFS codes have at most a few dozen edges, so this beats hashing.
-        let mut needed: Vec<((VLabel, ELabel, VLabel), u32)> = Vec::with_capacity(code.len());
-        for e in &code.0 {
-            let t = edge_triple(e.from_label, e.edge_label, e.to_label);
-            match needed.binary_search_by_key(&t, |&(k, _)| k) {
-                Ok(i) => needed[i].1 += 1,
-                Err(i) => needed.insert(i, (t, 1)),
-            }
+/// [`screened_support`] over any gid sequence, so the whole-database count
+/// needs no `0..len` vector.
+fn screened_core<I>(
+    db: &GraphDb,
+    gids: I,
+    code: &DfsCode,
+    min_needed: Support,
+    counters: &Counters,
+) -> (Support, Vec<GraphId>)
+where
+    I: ExactSizeIterator<Item = GraphId>,
+{
+    // The pattern's required triple multiset, as a small sorted vec —
+    // DFS codes have at most a few dozen edges, so this beats hashing.
+    let mut needed: Vec<((VLabel, ELabel, VLabel), u32)> = Vec::with_capacity(code.len());
+    for e in &code.0 {
+        let t = edge_triple(e.from_label, e.edge_label, e.to_label);
+        match needed.binary_search_by_key(&t, |&(k, _)| k) {
+            Ok(i) => needed[i].1 += 1,
+            Err(i) => needed.insert(i, (t, 1)),
         }
-        let mut scratch = MatchScratch::default();
-        let mut supporters = Vec::new();
-        let mut remaining = gids.len() as Support;
-        for gid in gids {
-            remaining -= 1;
-            let g = db.graph(gid);
-            let feasible = needed.iter().all(|&((lu, le, lv), n)| g.triple_count(lu, le, lv) >= n);
-            if feasible {
-                counters.bump(Counter::IsoTestsRun);
-                if contains_with_scratch(g, code, counters, &mut scratch) {
-                    supporters.push(gid);
-                }
-            } else {
-                counters.bump(Counter::IsoTestsPruned);
-            }
-            if min_needed > 0 && supporters.len() as Support + remaining < min_needed {
-                break;
-            }
-        }
-        (supporters.len() as Support, supporters)
     }
+    let mut scratch = MatchScratch::default();
+    let mut supporters = Vec::new();
+    let mut remaining = gids.len() as Support;
+    for gid in gids {
+        remaining -= 1;
+        let g = db.graph(gid);
+        let feasible = needed.iter().all(|&((lu, le, lv), n)| g.triple_count(lu, le, lv) >= n);
+        if feasible {
+            counters.bump(Counter::IsoTestsRun);
+            if contains_with_scratch(g, code, counters, &mut scratch) {
+                supporters.push(gid);
+            }
+        } else {
+            counters.bump(Counter::IsoTestsPruned);
+        }
+        if min_needed > 0 && supporters.len() as Support + remaining < min_needed {
+            break;
+        }
+    }
+    (supporters.len() as Support, supporters)
 }
 
 #[cfg(test)]
@@ -395,27 +328,28 @@ mod tests {
             path3([0, 1, 2], [3, 4]),
             path3([1, 1, 1], [3, 3]),
         ]);
-        let idx = SupportIndex::build(&db);
         let codes = [
             DfsCode(vec![DfsEdge::new(0, 1, 0, 3, 1)]),
             DfsCode(vec![DfsEdge::new(0, 1, 1, 3, 1)]),
             DfsCode(vec![DfsEdge::new(0, 1, 0, 3, 1), DfsEdge::new(1, 2, 1, 3, 0)]),
         ];
         for code in &codes {
-            assert_eq!(idx.support(&db, code), support(&db, code), "code {code}");
+            let (sup, gids) = screened_support(&db, None, code, 0, Counters::noop());
+            assert_eq!(sup, support(&db, code), "code {code}");
+            assert_eq!(gids, supporting_gids(&db, code), "code {code}");
         }
     }
 
     #[test]
     fn support_bounded_early_abort_is_sound() {
         let db: GraphDb = (0..10).map(|_| path3([0, 1, 2], [3, 4])).collect();
-        let idx = SupportIndex::build(&db);
+        let bounded = |code: &DfsCode| screened_support(&db, None, code, 5, Counters::noop()).0;
         let code = DfsCode(vec![DfsEdge::new(0, 1, 0, 3, 1)]);
         // Threshold reachable: exact count returned.
-        assert_eq!(idx.support_bounded(&db, &code, 5), 10);
+        assert_eq!(bounded(&code), 10);
         let rare = DfsCode(vec![DfsEdge::new(0, 1, 9, 9, 9)]);
         // Unreachable threshold: may abort early but must stay below it.
-        assert!(idx.support_bounded(&db, &rare, 5) < 5);
+        assert!(bounded(&rare) < 5);
     }
 
     #[test]
@@ -425,17 +359,19 @@ mod tests {
             path3([0, 1, 2], [3, 4]),
             path3([0, 1, 2], [3, 4]),
         ]);
-        let idx = SupportIndex::build(&db);
+        let over = |gids: &[GraphId], code: &DfsCode, min_needed: Support| {
+            screened_support(&db, Some(gids), code, min_needed, Counters::noop())
+        };
         let code = DfsCode(vec![DfsEdge::new(0, 1, 0, 3, 1)]);
-        let (sup, gids) = idx.support_over(&db, &[0, 2], &code, 0);
+        let (sup, gids) = over(&[0, 2], &code, 0);
         assert_eq!(sup, 2);
         assert_eq!(gids, vec![0, 2]);
-        let (sup, gids) = idx.support_over(&db, &[0, 1, 2], &code, 0);
+        let (sup, gids) = over(&[0, 1, 2], &code, 0);
         assert_eq!(sup, 3);
         assert_eq!(gids, vec![0, 1, 2]);
         // Early abort stays below the threshold.
         let rare = DfsCode(vec![DfsEdge::new(0, 1, 9, 9, 9)]);
-        let (sup, _) = idx.support_over(&db, &[0, 1, 2], &rare, 2);
+        let (sup, _) = over(&[0, 1, 2], &rare, 2);
         assert!(sup < 2);
     }
 

@@ -77,7 +77,9 @@ pub mod update_io;
 
 pub use database::{GraphDb, GraphId};
 pub use dfscode::{DfsCode, DfsEdge};
-pub use embeddings::{EmbeddingList, EmbeddingMode, EmbeddingStore, DEFAULT_EMBEDDING_BUDGET};
+pub use embeddings::{
+    EmbeddingList, EmbeddingMode, EmbeddingStore, SupportCount, DEFAULT_EMBEDDING_BUDGET,
+};
 pub use error::GraphError;
 pub use graph::{
     edge_triple, Adjacency, CsrScratch, ELabel, EdgeId, EdgeRemoval, Graph, VLabel, VertexId,

@@ -2,12 +2,16 @@
 //! databases, incremental occurrence filtering must agree exactly with the
 //! backtracking embedding search — including graphs that embed a pattern
 //! through several overlapping images (edge multiplicity), and the
-//! spill/fallback path of the budgeted store.
+//! spill/fallback path of the budgeted store's one count,
+//! [`EmbeddingStore::support`].
 
 use proptest::prelude::*;
 
 use graphmine_graph::enumerate::connected_subgraph_codes;
-use graphmine_graph::{iso, DfsCode, EmbeddingList, EmbeddingStore, Graph, GraphDb};
+use graphmine_graph::{
+    iso, DfsCode, EmbeddingList, EmbeddingStore, Graph, GraphDb, GraphId, SupportCount,
+    DEFAULT_EMBEDDING_BUDGET,
+};
 use graphmine_telemetry::Counters;
 
 /// Strategy: a random connected labeled graph (spanning tree + extra edges).
@@ -80,15 +84,18 @@ proptest! {
         let code = &codes[pick % codes.len()];
         let counters = Counters::new();
         let mut store = EmbeddingStore::new(&db, 1 << 20);
-        let first = store.support(code, &counters);
+        let first = store.support(code, None, 0, &counters);
         let searched = iso::supporting_gids(&db, code);
-        prop_assert_eq!(first, Some((searched.len() as u32, searched)));
+        prop_assert_eq!(
+            &first,
+            &SupportCount { support: searched.len() as u32, gids: searched, listed: true }
+        );
         // Second query is served from cache and must not change the answer.
-        prop_assert_eq!(store.support(code, &counters), first);
+        prop_assert_eq!(store.support(code, None, 0, &counters), first);
     }
 
-    /// A zero-budget store spills everything: every query falls back to
-    /// `None` (the caller then re-searches) and never returns a wrong
+    /// A zero-budget store spills everything: every list query is `None`,
+    /// so the count falls back to the search, and never returns a wrong
     /// support instead.
     #[test]
     fn zero_budget_store_always_falls_back(
@@ -100,10 +107,50 @@ proptest! {
         let code = &codes[pick % codes.len()];
         let counters = Counters::new();
         let mut store = EmbeddingStore::new(&db, 0);
-        prop_assert_eq!(store.support(code, &counters), None);
+        prop_assert!(store.list(code, &counters).is_none());
         prop_assert_eq!(store.cached_bytes(), 0);
-        // The fallback the callers use stays exact.
-        let list = EmbeddingList::from_code(&db, code);
-        prop_assert_eq!(list.supporting_gids(), iso::supporting_gids(&db, code));
+        // The fallback the count takes stays exact.
+        let count = store.support(code, None, 0, &counters);
+        prop_assert!(!count.listed);
+        prop_assert_eq!(count.gids, iso::supporting_gids(&db, code));
+    }
+
+    /// The one count, [`EmbeddingStore::support`], at budgets that spill
+    /// every list, some lists and none: over the whole database and over
+    /// an ascending superset of the true supporters it returns the plain
+    /// search's support and supporter list, and with a threshold `s` every
+    /// support it reports at or above `s` is exact.
+    #[test]
+    fn one_count_agrees_with_search(
+        db in db_strategy(),
+        pick in any::<usize>(),
+        extra in proptest::collection::vec(any::<bool>(), 4),
+        s in 0..6u32,
+    ) {
+        let codes = patterns_of(&db, 4);
+        prop_assume!(!codes.is_empty());
+        let code = &codes[pick % codes.len()];
+        let truth = iso::supporting_gids(&db, code);
+        let superset: Vec<GraphId> = (0..db.len() as GraphId)
+            .filter(|gid| truth.contains(gid) || extra[*gid as usize])
+            .collect();
+        let counters = Counters::new();
+        for budget in [0, 4 << 10, DEFAULT_EMBEDDING_BUDGET] {
+            for over in [None, Some(superset.as_slice())] {
+                let exact = EmbeddingStore::new(&db, budget).support(code, over, 0, &counters);
+                prop_assert_eq!(exact.support, truth.len() as u32, "budget {}", budget);
+                prop_assert_eq!(&exact.gids, &truth, "budget {}", budget);
+                // The pattern occurs, so its roots never fit a zero budget;
+                // the default budget holds every list of these databases.
+                prop_assert!(budget > 0 || !exact.listed);
+                prop_assert!(budget < DEFAULT_EMBEDDING_BUDGET || exact.listed);
+                let bounded = EmbeddingStore::new(&db, budget).support(code, over, s, &counters);
+                prop_assert_eq!(bounded.support >= s, truth.len() as u32 >= s);
+                if bounded.support >= s {
+                    prop_assert_eq!(bounded.support, truth.len() as u32, "budget {}", budget);
+                    prop_assert_eq!(&bounded.gids, &truth, "budget {}", budget);
+                }
+            }
+        }
     }
 }

@@ -4,18 +4,20 @@
 //! AGM and FSG as the first complete graph miners; this module provides that
 //! baseline. Candidates at level `k+1` are generated by one-edge extension
 //! of every frequent `k`-edge pattern over the frequent-edge vocabulary
-//! ([`crate::extend`]), then counted against the database with the
-//! histogram-screened embedding search. It is slower than gSpan/Gaston (it
-//! pays an isolated support count per candidate) but structurally simple,
-//! which makes it a trustworthy mid-size oracle.
+//! ([`crate::extend`]), then counted against the database through
+//! [`EmbeddingStore::support`] — embedding lists under a byte budget, the
+//! triple-screened search on a spill — or, with lists off, through that
+//! search alone. It is slower than gSpan/Gaston (it pays an isolated
+//! support count per candidate) but structurally simple, which makes it a
+//! trustworthy mid-size oracle.
 
-use graphmine_graph::iso::SupportIndex;
+use graphmine_graph::iso::screened_support;
 use graphmine_graph::{
     EmbeddingMode, EmbeddingStore, GraphDb, Pattern, PatternSet, Support, DEFAULT_EMBEDDING_BUDGET,
 };
 use graphmine_telemetry::Counters;
 
-use crate::extend::{canonical_extensions, count_candidate, EdgeVocab};
+use crate::extend::{canonical_extensions, EdgeVocab};
 use crate::{within_cap, MemoryMiner};
 
 /// The Apriori-style level-wise miner.
@@ -60,7 +62,6 @@ impl Apriori {
         if db.is_empty() || min_support == 0 {
             return out;
         }
-        let index = SupportIndex::build(db);
         let budget = self.embedding_lists.effective_budget(db, DEFAULT_EMBEDDING_BUDGET);
         let mut store = self.embedding_lists.enabled().then(|| EmbeddingStore::new(db, budget));
         let vocab = EdgeVocab::frequent_in(db, min_support);
@@ -104,8 +105,10 @@ impl Apriori {
             }
             let mut next = Vec::new();
             for mut p in candidates.into_patterns() {
-                let sup =
-                    count_candidate(db, &index, store.as_mut(), &p.code, min_support, counters);
+                let sup = match store.as_mut() {
+                    Some(store) => store.support(&p.code, None, min_support, counters).support,
+                    None => screened_support(db, None, &p.code, min_support, counters).0,
+                };
                 if sup >= min_support {
                     p.support = sup;
                     out.insert(p.clone());

@@ -11,8 +11,11 @@
 //! Two vocabulary-driven generators implement it: [`canonical_extensions`]
 //! (rightmost-path extension of the canonical parent code — used by the
 //! [`Apriori`](crate::Apriori) miner, whose frontiers are complete) and the
-//! brute-force [`one_edge_extensions`] (used by the `Paper` join policy and
-//! FSG, whose frontiers are not). Both generate and then test.
+//! brute-force [`one_edge_extensions`] (used by FSG and by the paper's
+//! generate-then-test join in `graphmine-bench`, whose frontiers are not).
+//! Both generate and then test; the test is
+//! [`EmbeddingStore::support`](graphmine_graph::EmbeddingStore::support),
+//! or its fallback search [`graphmine_graph::iso::screened_support`] alone.
 //!
 //! The data-driven twin is [`crate::project`]: given a pattern's
 //! occurrences it reads off, in one pass, every rightmost extension that
@@ -22,11 +25,7 @@
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use graphmine_graph::dfscode::{is_min_with, min_dfs_code};
-use graphmine_graph::iso::SupportIndex;
-use graphmine_graph::{
-    edge_triple, DfsCode, DfsEdge, ELabel, EmbeddingStore, Graph, GraphDb, Support, VLabel,
-};
-use graphmine_telemetry::{Counter, Counters};
+use graphmine_graph::{edge_triple, DfsCode, DfsEdge, ELabel, Graph, GraphDb, Support, VLabel};
 
 /// The frequent-edge vocabulary: which `(l_u, l_e, l_v)` triples are worth
 /// extending with.
@@ -215,33 +214,6 @@ pub fn canonical_extensions(code: &DfsCode, g: &Graph, vocab: &EdgeVocab) -> Vec
         }
     }
     out
-}
-
-/// Counts one candidate's support, preferring the embedding-list engine and
-/// falling back to the histogram-screened search when no store is supplied
-/// or the candidate's list spilled over budget.
-///
-/// This is the counting kernel of every extend-and-count loop (the
-/// [`Apriori`](crate::Apriori) miner, and structurally the same decision the
-/// merge-join's `CheckFrequency` makes). A list answer is exact; the search
-/// answer may early-abort once `min_support` is provably unreachable.
-/// Tallies [`Counter::SearchCallsAvoided`] with the number of per-graph
-/// searches a list answer replaced.
-pub fn count_candidate(
-    db: &GraphDb,
-    index: &SupportIndex,
-    store: Option<&mut EmbeddingStore<'_>>,
-    code: &DfsCode,
-    min_support: Support,
-    counters: &Counters,
-) -> Support {
-    if let Some(store) = store {
-        if let Some((sup, _)) = store.support(code, counters) {
-            counters.add(Counter::SearchCallsAvoided, db.len() as u64);
-            return sup;
-        }
-    }
-    index.support_bounded_counted(db, code, min_support, counters)
 }
 
 #[cfg(test)]

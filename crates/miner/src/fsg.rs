@@ -23,8 +23,9 @@
 use rustc_hash::FxHashMap;
 
 use graphmine_graph::dfscode::min_dfs_code;
-use graphmine_graph::iso::SupportIndex;
+use graphmine_graph::iso::screened_support;
 use graphmine_graph::{DfsCode, Graph, GraphDb, GraphId, Pattern, PatternSet, Support};
+use graphmine_telemetry::Counters;
 
 use crate::extend::{one_edge_extensions, EdgeVocab};
 use crate::{within_cap, MemoryMiner};
@@ -71,7 +72,6 @@ impl MemoryMiner for Fsg {
         if db.is_empty() || min_support == 0 {
             return out;
         }
-        let index = SupportIndex::build(db);
 
         // F1 with TID lists.
         let mut tids: FxHashMap<DfsCode, Vec<GraphId>> = FxHashMap::default();
@@ -134,7 +134,8 @@ impl MemoryMiner for Fsg {
             // Count phase, restricted to the parent TID list.
             let mut next = Vec::new();
             for (code, parent_tids) in candidates {
-                let (sup, supporters) = index.support_over(db, &parent_tids, &code, min_support);
+                let (sup, supporters) =
+                    screened_support(db, Some(&parent_tids), &code, min_support, Counters::noop());
                 if sup >= min_support {
                     let p = Pattern::from_code(code, sup);
                     out.insert(p.clone());

@@ -13,12 +13,11 @@
 //! (`"partial":1`) or an error reply is never admitted in the first
 //! place.
 //!
-//! Admission mirrors [`EmbeddingStore`](graphmine_graph::EmbeddingStore):
-//! a byte budget, entries costed by their serialized length, and an
-//! entry that cannot fit is simply not cached. Unlike the store, making
-//! room is allowed — least-recently-used entries are evicted
-//! ([`Counter::RouterCacheEvictions`]) until the newcomer fits, which
-//! suits a serving tier where the hot set drifts with traffic.
+//! Admission is a byte budget over entries costed by their serialized
+//! length: least-recently-used entries are evicted
+//! ([`Counter::RouterCacheEvictions`]) until a newcomer fits, which suits
+//! a serving tier where the hot set drifts with traffic, and an entry
+//! larger than the whole budget is simply not cached.
 
 use std::collections::HashMap;
 

@@ -99,7 +99,11 @@ pub struct EngineConfig {
     /// benchmark PR of ROADMAP 1(a) deletes it.
     #[doc(hidden)]
     pub pool_pages: usize,
-    /// Byte budget for per-query embedding lists on the support path.
+    /// Read by nothing (a `support` miss counts under the fixed
+    /// [`DEFAULT_EMBEDDING_BUDGET`]). Declared only because
+    /// `bench/e2e/src/stream.rs` reads it; the benchmark PR of ROADMAP 1(a)
+    /// deletes it.
+    #[doc(hidden)]
     pub embedding_budget: usize,
     /// Streaming-ingest knobs (staleness bound, coalescing).
     pub ingest: IngestConfig,
@@ -141,7 +145,8 @@ pub enum SupportSource {
     Patterns,
     /// Counted exactly by the embedding-list engine.
     Embeddings,
-    /// Counted exactly by backtracking isomorphism search.
+    /// Counted exactly by the triple-screened isomorphism search: the
+    /// embedding list spilled over its byte budget.
     Search,
 }
 
@@ -179,42 +184,6 @@ pub struct ResultEpoch {
 impl ResultEpoch {
     fn new(epoch: u64, db: GraphDb, patterns: PatternSet) -> Self {
         ResultEpoch { epoch, db: Arc::new(db), patterns: Arc::new(patterns) }
-    }
-
-    /// Exact support of `pattern` in this epoch's database, cheapest
-    /// source first: the frequent set, then embedding lists, then plain
-    /// isomorphism search.
-    ///
-    /// This is a pure computation against the epoch's immutable data —
-    /// memoization lives in [`ServeEngine::support_of`], keyed by epoch
-    /// id, so a memo can never answer for the wrong generation.
-    pub fn support_of(
-        &self,
-        pattern: &Graph,
-        tel: &Telemetry,
-        budget: usize,
-    ) -> (Support, SupportSource) {
-        let code = min_dfs_code(pattern);
-        let (support, source) = self.support_of_code(&code, tel, budget);
-        tel.counters().bump(source.counter());
-        (support, source)
-    }
-
-    /// Counting core shared by [`ResultEpoch::support_of`] and the
-    /// engine-level memo; bumps no source counters.
-    fn support_of_code(
-        &self,
-        code: &DfsCode,
-        tel: &Telemetry,
-        budget: usize,
-    ) -> (Support, SupportSource) {
-        if let Some(s) = self.patterns.support(code) {
-            return (s, SupportSource::Patterns);
-        }
-        match EmbeddingStore::new(&self.db, budget).support(code, tel.counters()) {
-            Some((s, _gids)) => (s, SupportSource::Embeddings),
-            None => (graphmine_graph::iso::support(&self.db, code), SupportSource::Search),
-        }
     }
 }
 
@@ -291,7 +260,6 @@ struct EngineShared {
     started: Instant,
     dir: PathBuf,
     min_support: Support,
-    embedding_budget: usize,
     ingest_cfg: IngestConfig,
     /// Sliding-window retention horizon (`None` = evolving mode).
     window: Option<usize>,
@@ -461,7 +429,6 @@ impl ServeEngine {
             started: Instant::now(),
             dir: dir.to_path_buf(),
             min_support,
-            embedding_budget: cfg.embedding_budget,
             ingest_cfg: cfg.ingest.clone(),
             window: cfg.window,
             current: RwLock::new(Arc::new(ResultEpoch::new(epoch, db, patterns))),
@@ -500,8 +467,10 @@ impl ServeEngine {
         self.shared.min_support
     }
 
-    /// Exact support of `pattern` in epoch `ep`, memoized engine-wide
-    /// under the `(epoch, code)` key.
+    /// Exact support of `pattern` in epoch `ep`, cheapest source first:
+    /// `P(D)`, then the support memo, then a count through a fresh
+    /// [`EmbeddingStore`] under [`DEFAULT_EMBEDDING_BUDGET`], memoized
+    /// engine-wide under the `(epoch, code)` key.
     ///
     /// The caller passes the epoch it is answering from (usually
     /// [`ServeEngine::current`], grabbed once per request), so a reader
@@ -509,21 +478,33 @@ impl ServeEngine {
     /// holds — the epoch id in the key makes a cross-generation memo hit
     /// impossible by construction.
     pub fn support_of(&self, ep: &ResultEpoch, pattern: &Graph) -> (Support, SupportSource) {
+        self.support_under(ep, pattern, DEFAULT_EMBEDDING_BUDGET)
+    }
+
+    /// [`ServeEngine::support_of`] under an embedding-list byte budget of
+    /// `budget`, so a test can force the search fallback.
+    fn support_under(
+        &self,
+        ep: &ResultEpoch,
+        pattern: &Graph,
+        budget: usize,
+    ) -> (Support, SupportSource) {
+        let counters = self.shared.tel.counters();
         let code = min_dfs_code(pattern);
         if let Some(s) = ep.patterns.support(&code) {
-            self.shared.tel.counters().bump(SupportSource::Patterns.counter());
+            counters.bump(SupportSource::Patterns.counter());
             return (s, SupportSource::Patterns);
         }
         let key = (ep.epoch, code);
         let cached = entered(self.shared.support_memo.lock()).get(&key).copied();
-        if let Some((s, src)) = cached {
-            self.shared.tel.counters().bump(src.counter());
-            return (s, src);
-        }
-        let (support, source) =
-            ep.support_of_code(&key.1, &self.shared.tel, self.shared.embedding_budget);
-        entered(self.shared.support_memo.lock()).insert(key, (support, source));
-        self.shared.tel.counters().bump(source.counter());
+        let (support, source) = cached.unwrap_or_else(|| {
+            let count = EmbeddingStore::new(&ep.db, budget).support(&key.1, None, 0, counters);
+            let source =
+                if count.listed { SupportSource::Embeddings } else { SupportSource::Search };
+            entered(self.shared.support_memo.lock()).insert(key, (count.support, source));
+            (count.support, source)
+        });
+        counters.bump(source.counter());
         (support, source)
     }
 
@@ -1259,26 +1240,23 @@ mod tests {
         let db = small_db();
         let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &cfg()).unwrap();
         let ep = engine.current();
-        let tel = engine.telemetry();
 
         // Frequent pattern: answered from P(D).
         let mut frequent = Graph::new();
         let a = frequent.add_vertex(0);
         let b = frequent.add_vertex(1);
         frequent.add_edge(a, b, 10).unwrap();
-        let (s, src) = ep.support_of(&frequent, tel, DEFAULT_EMBEDDING_BUDGET);
-        assert_eq!((s, src), (4, SupportSource::Patterns));
+        assert_eq!(engine.support_of(&ep, &frequent), (4, SupportSource::Patterns));
 
         // Infrequent but present: the triangle edge, in graphs 0 and 2.
         let mut rare = Graph::new();
         let a = rare.add_vertex(2);
         let b = rare.add_vertex(0);
         rare.add_edge(a, b, 12).unwrap();
-        let (s, src) = ep.support_of(&rare, tel, DEFAULT_EMBEDDING_BUDGET);
+        let (s, src) = engine.support_of(&ep, &rare);
         assert_eq!(s, 2);
         assert_eq!(src, SupportSource::Embeddings);
-        // The engine-level memoized path agrees and keeps the source.
-        assert_eq!(engine.support_of(&ep, &rare), (2, src));
+        // The memo keeps the source.
         assert_eq!(engine.support_of(&ep, &rare), (2, src), "memo hit answers identically");
 
         // Zero embedding budget: the triangle's root edge list has
@@ -1292,9 +1270,14 @@ mod tests {
         tri.add_edge(a, b, 10).unwrap();
         tri.add_edge(b, c, 11).unwrap();
         tri.add_edge(c, a, 12).unwrap();
-        let (s, src) = ep.support_of(&tri, tel, 0);
+        let (s, src) = engine.support_under(&ep, &tri, 0);
         assert_eq!(s, 2);
         assert_eq!(src, SupportSource::Search);
+        // The search answer is screened: graphs 1 and 3 lack the closing
+        // edge, so only graphs 0 and 2 are searched.
+        let counters = engine.telemetry().counters();
+        assert_eq!(counters.get(Counter::IsoTestsRun), 2);
+        assert_eq!(counters.get(Counter::IsoTestsPruned), 2);
     }
 
     #[test]

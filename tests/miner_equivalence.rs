@@ -5,7 +5,7 @@
 use graphmine_adimine::{AdiConfig, AdiMine};
 use graphmine_core::{PartMiner, PartMinerConfig};
 use graphmine_datagen::{generate, GenParams};
-use graphmine_graph::iso::{supporting_gids, SupportIndex};
+use graphmine_graph::iso::{screened_support, supporting_gids};
 use graphmine_graph::{EmbeddingMode, GraphDb};
 use graphmine_miner::{Apriori, GSpan, Gaston, MemoryMiner};
 use graphmine_telemetry::Counters;
@@ -97,9 +97,8 @@ fn embedding_list_matrix_is_exact() {
             );
         }
 
-        let index = SupportIndex::build(&db);
         for p in reference.iter() {
-            let (support, gids) = index.support_all_counted(&db, &p.code, sup, Counters::noop());
+            let (support, gids) = screened_support(&db, None, &p.code, sup, Counters::noop());
             assert_eq!(support, p.support, "recount of {} disagrees with gSpan — {repro}", p.code);
             assert_eq!(
                 gids,
