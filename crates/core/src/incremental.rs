@@ -280,6 +280,23 @@ mod tests {
     }
 
     #[test]
+    fn an_update_copies_only_the_graph_it_touches() {
+        let (db, uf) = sample_db();
+        let pristine: GraphDb = db.iter().map(|(_, g)| g.clone()).collect();
+        let mut state = PartMiner::new(PartMinerConfig::with_k(3)).mine(&db, &uf, 2).state;
+        let updates = [DbUpdate { gid: 1, update: GraphUpdate::AddEdge { u: 1, v: 4, label: 7 } }];
+        IncPartMiner::update(&mut state, &updates).unwrap();
+        let root = &state.partition.root().db;
+        for gid in 0..db.len() as u32 {
+            assert_eq!(root.shares_graph(&db, gid), gid != 1, "gid {gid}");
+        }
+        assert_eq!(db, pristine, "the caller's database is unchanged");
+        let mut want = pristine;
+        graphmine_graph::update::apply_all(&mut want, &updates).unwrap();
+        assert_eq!(*root, want);
+    }
+
+    #[test]
     fn incremental_handles_deletes() {
         let (db, uf) = sample_db();
         let cfg = PartMinerConfig::with_k(3);

@@ -17,7 +17,7 @@ use graphmine_datagen::{generate, plan_updates, GenParams, UpdateKind, UpdatePar
 use graphmine_graph::{Graph, GraphDb};
 use graphmine_miner::{GSpan, MemoryMiner};
 use graphmine_partition::{
-    split_by_sides, Bipartitioner, Criteria, DbPartition, GraphPart, Inline, SPLIT_RANGE,
+    split_by_sides, Bipartitioner, Criteria, DbPartition, GraphPart, Inline, PartNode, SPLIT_RANGE,
 };
 use graphmine_telemetry::Telemetry;
 
@@ -113,14 +113,20 @@ fn assert_same_tree(got: &DbPartition, want: &DbPartition, what: &str) {
             (w.children, w.unit, w.depth),
             "{what}: node {n}"
         );
-        assert_eq!(g.db.graphs(), w.db.graphs(), "{what}: node {n} db");
-        for (gid, (gg, wg)) in g.db.graphs().iter().zip(w.db.graphs()).enumerate() {
+        assert_eq!(g.db, w.db, "{what}: node {n} db");
+        for ((gid, gg), (_, wg)) in g.db.iter().zip(w.db.iter()) {
             for v in 0..wg.vertex_count() as u32 {
                 assert_eq!(gg.neighbors(v), wg.neighbors(v), "{what}: node {n} gid {gid} run {v}");
             }
+            let vertex_map = |node: &PartNode| -> Vec<u32> {
+                (0..wg.vertex_count() as u32).map(|v| node.original_vertex(gid, v)).collect()
+            };
+            let edge_map = |node: &PartNode| -> Vec<u32> {
+                (0..wg.edge_count() as u32).map(|e| node.original_edge(gid, e)).collect()
+            };
+            assert_eq!(vertex_map(g), vertex_map(w), "{what}: node {n} gid {gid} vertex map");
+            assert_eq!(edge_map(g), edge_map(w), "{what}: node {n} gid {gid} edge map");
         }
-        assert_eq!(g.vertex_maps, w.vertex_maps, "{what}: node {n} vertex maps");
-        assert_eq!(g.edge_maps, w.edge_maps, "{what}: node {n} edge maps");
         assert_eq!(g.ufreq, w.ufreq, "{what}: node {n} ufreq");
     }
     got.check_invariants().unwrap_or_else(|e| panic!("{what}: {e}"));

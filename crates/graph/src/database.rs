@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use crate::{Graph, Support};
 
 /// Graph identifier within a [`GraphDb`]. Graph ids are stable across
@@ -12,9 +14,14 @@ pub type GraphId = u32;
 /// isomorphic copy of it (Section 3). Minimum support is usually given as a
 /// fraction; [`GraphDb::abs_support`] converts it to the absolute count used
 /// by the miners.
-#[derive(Debug, Clone, Default)]
+///
+/// Graphs are shared copy-on-write: [`Clone`] copies one pointer per gid,
+/// and [`GraphDb::graph_mut`] copies a graph only while another database
+/// still shares it. So a clone that one update batch then edits holds new
+/// memory for exactly the graphs the batch touched.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GraphDb {
-    graphs: Vec<Graph>,
+    graphs: Vec<Arc<Graph>>,
 }
 
 impl GraphDb {
@@ -26,13 +33,13 @@ impl GraphDb {
     /// Creates a database from pre-built graphs; the graph at index `i`
     /// receives gid `i`.
     pub fn from_graphs(graphs: Vec<Graph>) -> Self {
-        GraphDb { graphs }
+        GraphDb { graphs: graphs.into_iter().map(Arc::new).collect() }
     }
 
     /// Appends a graph, returning its gid.
     pub fn push(&mut self, g: Graph) -> GraphId {
         let id = self.graphs.len() as GraphId;
-        self.graphs.push(g);
+        self.graphs.push(Arc::new(g));
         id
     }
 
@@ -59,33 +66,41 @@ impl GraphDb {
     }
 
     /// Mutable access to the graph with the given gid (update workloads).
+    /// Copies the graph first if another database shares it, so only
+    /// call it for a graph that is about to change.
     #[inline]
     pub fn graph_mut(&mut self, gid: GraphId) -> &mut Graph {
-        &mut self.graphs[gid as usize]
+        Arc::make_mut(&mut self.graphs[gid as usize])
     }
 
     /// Iterates over `(gid, &Graph)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (GraphId, &Graph)> {
-        self.graphs.iter().enumerate().map(|(i, g)| (i as GraphId, g))
+        self.graphs.iter().enumerate().map(|(i, g)| (i as GraphId, &**g))
     }
 
-    /// All graphs as a slice, indexed by gid.
-    #[inline]
-    pub fn graphs(&self) -> &[Graph] {
-        &self.graphs
+    /// `true` when `self` and `other` hold graph `gid` in one allocation:
+    /// neither has copied it since they last shared it.
+    #[doc(hidden)]
+    pub fn shares_graph(&self, other: &GraphDb, gid: GraphId) -> bool {
+        Arc::ptr_eq(&self.graphs[gid as usize], &other.graphs[gid as usize])
     }
 
     /// Converts a relative minimum support (e.g. `0.04` for the paper's 4%)
     /// into the absolute graph count used by the miners, rounding up and
-    /// clamping to at least 1.
+    /// clamping to at least 1. A product within a few ulps of an integer is
+    /// that integer: in `f64`, `0.07 × 100` is `7.000000000000001`, whose
+    /// ceiling would ask for one graph more than ⌈θ·|D|⌉ = 7.
     pub fn abs_support(&self, min_sup: f64) -> Support {
-        let n = self.graphs.len() as f64;
-        ((min_sup * n).ceil() as Support).max(1)
+        let exact = min_sup * self.graphs.len() as f64;
+        let nearest = exact.round();
+        let snapped =
+            if (exact - nearest).abs() <= 4.0 * f64::EPSILON * nearest { nearest } else { exact };
+        (snapped.ceil() as Support).max(1)
     }
 
     /// Total number of edges across all member graphs.
     pub fn total_edges(&self) -> usize {
-        self.graphs.iter().map(Graph::edge_count).sum()
+        self.graphs.iter().map(|g| g.edge_count()).sum()
     }
 }
 
@@ -133,6 +148,12 @@ mod tests {
         assert_eq!(db.abs_support(0.041), 5);
         assert_eq!(db.abs_support(0.0), 1);
         assert_eq!(db.abs_support(1.0), 100);
+        // Products a rounding error above an integer are that integer.
+        assert_eq!(db.abs_support(0.07), 7);
+        let sized = |n: u32| -> GraphDb { (0..n).map(|i| edge_graph((i, i), 0)).collect() };
+        assert_eq!(sized(50).abs_support(0.14), 7);
+        assert_eq!(sized(25).abs_support(0.28), 7);
+        assert_eq!(sized(200).abs_support(0.035), 7);
     }
 
     #[test]

@@ -42,14 +42,19 @@ pub struct UpdateImpact {
 
 /// One node of the partition tree: a gid-aligned database of (sub)graphs
 /// plus provenance maps back to the *original* database.
+///
+/// The root's database is the original one (it shares every graph with the
+/// database the tree was built from), so its provenance is the identity and
+/// is not stored: [`PartNode::original_vertex`] and
+/// [`PartNode::original_edge`] answer for every node alike.
 #[derive(Debug, Clone)]
 pub struct PartNode {
     /// The (sub)graph of every original graph at this node, gid-aligned.
     pub db: GraphDb,
-    /// Per gid: node vertex -> original vertex.
-    pub vertex_maps: Vec<Vec<VertexId>>,
-    /// Per gid: node edge -> original edge.
-    pub edge_maps: Vec<Vec<EdgeId>>,
+    /// Per gid: node vertex -> original vertex (empty at the root).
+    vertex_maps: Vec<Vec<VertexId>>,
+    /// Per gid: node edge -> original edge (empty at the root).
+    edge_maps: Vec<Vec<EdgeId>>,
     /// Per gid: update frequency of each node vertex.
     pub ufreq: Vec<Vec<f64>>,
     /// Children in the split tree (`None` for unit leaves).
@@ -61,12 +66,73 @@ pub struct PartNode {
 }
 
 impl PartNode {
+    fn is_root(&self) -> bool {
+        self.depth == 0
+    }
+
+    /// The original vertex that vertex `pv` of this node's piece of `gid`
+    /// stands for.
+    pub fn original_vertex(&self, gid: GraphId, pv: VertexId) -> VertexId {
+        if self.is_root() {
+            pv
+        } else {
+            self.vertex_maps[gid as usize][pv as usize]
+        }
+    }
+
+    /// The original edge that edge `pe` of this node's piece of `gid`
+    /// stands for.
+    pub fn original_edge(&self, gid: GraphId, pe: EdgeId) -> EdgeId {
+        if self.is_root() {
+            pe
+        } else {
+            self.edge_maps[gid as usize][pe as usize]
+        }
+    }
+
     fn position_of_vertex(&self, gid: GraphId, orig_v: VertexId) -> Option<VertexId> {
+        if self.is_root() {
+            return (orig_v < self.db.graph(gid).vertex_count() as VertexId).then_some(orig_v);
+        }
         self.vertex_maps[gid as usize].iter().position(|&v| v == orig_v).map(|i| i as VertexId)
     }
 
     fn position_of_edge(&self, gid: GraphId, orig_e: EdgeId) -> Option<EdgeId> {
+        if self.is_root() {
+            return (orig_e < self.db.graph(gid).edge_count() as EdgeId).then_some(orig_e);
+        }
         self.edge_maps[gid as usize].iter().position(|&e| e == orig_e).map(|i| i as EdgeId)
+    }
+
+    /// Records a vertex just added to the piece of `gid`. At the root the
+    /// new vertex is its own original, so only its ufreq is kept.
+    fn push_vertex(&mut self, gid: GraphId, orig_v: VertexId, ufreq: f64) {
+        if !self.is_root() {
+            self.vertex_maps[gid as usize].push(orig_v);
+        }
+        self.ufreq[gid as usize].push(ufreq);
+    }
+
+    /// Records an edge just added to the piece of `gid`.
+    fn push_edge(&mut self, gid: GraphId, orig_e: EdgeId) {
+        if !self.is_root() {
+            self.edge_maps[gid as usize].push(orig_e);
+        }
+    }
+
+    /// Mirrors the piece graph's swap-remove of vertex `pv`.
+    fn swap_remove_vertex(&mut self, gid: GraphId, pv: VertexId) {
+        if !self.is_root() {
+            self.vertex_maps[gid as usize].swap_remove(pv as usize);
+        }
+        self.ufreq[gid as usize].swap_remove(pv as usize);
+    }
+
+    /// Mirrors the piece graph's swap-remove of edge `pe`.
+    fn swap_remove_edge(&mut self, gid: GraphId, pe: EdgeId) {
+        if !self.is_root() {
+            self.edge_maps[gid as usize].swap_remove(pe as usize);
+        }
     }
 }
 
@@ -156,8 +222,8 @@ impl DbPartition {
         }
         let root = PartNode {
             db: db.clone(),
-            vertex_maps: db.iter().map(|(_, g)| (0..g.vertex_count() as u32).collect()).collect(),
-            edge_maps: db.iter().map(|(_, g)| (0..g.edge_count() as u32).collect()).collect(),
+            vertex_maps: Vec::new(),
+            edge_maps: Vec::new(),
             ufreq: ufreq.to_vec(),
             children: None,
             unit: None,
@@ -307,14 +373,13 @@ impl DbPartition {
         for &n in &self.unit_nodes {
             let node = &self.nodes[n];
             let pg = node.db.graph(gid);
-            for (pv, &ov) in node.vertex_maps[gid as usize].iter().enumerate() {
-                g.set_vlabel(ov, pg.vlabel(pv as u32)).expect("original vertex in range");
+            for pv in 0..pg.vertex_count() as VertexId {
+                let ov = node.original_vertex(gid, pv);
+                g.set_vlabel(ov, pg.vlabel(pv)).expect("original vertex in range");
             }
-            for (pe, &oe) in node.edge_maps[gid as usize].iter().enumerate() {
-                let (u, v, el) = pg.edge(pe as u32);
-                let ou = node.vertex_maps[gid as usize][u as usize];
-                let ov = node.vertex_maps[gid as usize][v as usize];
-                edges[oe as usize] = Some((ou, ov, el));
+            for (pe, u, v, el) in pg.edges() {
+                let (ou, ov) = (node.original_vertex(gid, u), node.original_vertex(gid, v));
+                edges[node.original_edge(gid, pe) as usize] = Some((ou, ov, el));
             }
         }
         for e in edges.into_iter().flatten() {
@@ -367,37 +432,41 @@ impl DbPartition {
             for (j, &nid) in self.unit_nodes.iter().enumerate() {
                 let node = &self.nodes[nid];
                 let pg = node.db.graph(gid);
-                let vmap = &node.vertex_maps[gid as usize];
-                let emap = &node.edge_maps[gid as usize];
-                if vmap.len() != pg.vertex_count() || emap.len() != pg.edge_count() {
-                    return Err(format!(
-                        "unit {j} gid {gid}: provenance maps ({}, {}) disagree with piece ({}, {})",
-                        vmap.len(),
-                        emap.len(),
-                        pg.vertex_count(),
-                        pg.edge_count()
-                    ));
+                if !node.is_root() {
+                    let vmap = &node.vertex_maps[gid as usize];
+                    let emap = &node.edge_maps[gid as usize];
+                    if vmap.len() != pg.vertex_count() || emap.len() != pg.edge_count() {
+                        return Err(format!(
+                            "unit {j} gid {gid}: provenance maps ({}, {}) disagree with piece \
+                             ({}, {})",
+                            vmap.len(),
+                            emap.len(),
+                            pg.vertex_count(),
+                            pg.edge_count()
+                        ));
+                    }
                 }
-                for (pv, &ov) in vmap.iter().enumerate() {
+                for pv in 0..pg.vertex_count() as VertexId {
+                    let ov = node.original_vertex(gid, pv);
                     if ov as usize >= g.vertex_count() {
                         return Err(format!("unit {j} gid {gid}: vertex map points at {ov}"));
                     }
                     v_covered[ov as usize] = true;
-                    if pg.vlabel(pv as VertexId) != g.vlabel(ov) {
+                    if pg.vlabel(pv) != g.vlabel(ov) {
                         return Err(format!(
                             "unit {j} gid {gid}: piece vertex {pv} label {} != root vertex {ov} \
                              label {}",
-                            pg.vlabel(pv as VertexId),
+                            pg.vlabel(pv),
                             g.vlabel(ov)
                         ));
                     }
                 }
-                for (pe, &oe) in emap.iter().enumerate() {
+                for (pe, pu, pv, pel) in pg.edges() {
+                    let oe = node.original_edge(gid, pe);
                     if oe as usize >= g.edge_count() {
                         return Err(format!("unit {j} gid {gid}: edge map points at {oe}"));
                     }
                     covered[oe as usize] = true;
-                    let (pu, pv, pel) = pg.edge(pe as EdgeId);
                     let (ou, ov, oel) = g.edge(oe);
                     if pel != oel {
                         return Err(format!(
@@ -405,7 +474,7 @@ impl DbPartition {
                              label {oel}"
                         ));
                     }
-                    let (mu, mv) = (vmap[pu as usize], vmap[pv as usize]);
+                    let (mu, mv) = (node.original_vertex(gid, pu), node.original_vertex(gid, pv));
                     if (mu, mv) != (ou, ov) && (mu, mv) != (ov, ou) {
                         return Err(format!(
                             "unit {j} gid {gid}: piece edge {pe} maps to ({mu},{mv}), root edge \
@@ -649,7 +718,7 @@ impl DbPartition {
         };
         let node = &mut self.nodes[node_id];
         node.db.graph_mut(gid).delete_edge(pe).expect("mapped edge in range");
-        node.edge_maps[gid as usize].swap_remove(pe as usize);
+        node.swap_remove_edge(gid, pe);
         self.mark(node_id, touched);
         if let Some((a, b)) = self.nodes[node_id].children {
             self.delete_edge_rec(a, gid, orig_e, touched);
@@ -658,9 +727,10 @@ impl DbPartition {
     }
 
     /// Rewrites every node's edge map entry for original edge `old` to
-    /// `new` — the provenance mirror of the root graph's swap-remove.
+    /// `new` — the provenance mirror of the root graph's swap-remove (the
+    /// root itself keeps no map: its graph *is* the renumbered original).
     fn remap_edge(&mut self, gid: GraphId, old: EdgeId, new: EdgeId) {
-        for node in &mut self.nodes {
+        for node in self.nodes.iter_mut().filter(|n| !n.is_root()) {
             if let Some(pe) = node.edge_maps[gid as usize].iter().position(|&e| e == old) {
                 node.edge_maps[gid as usize][pe] = new;
             }
@@ -684,8 +754,7 @@ impl DbPartition {
         let node = &mut self.nodes[node_id];
         let removal = node.db.graph_mut(gid).delete_vertex(pv).expect("mapped vertex in range");
         debug_assert!(removal.removed_edges.is_empty(), "cascade already isolated the vertex");
-        node.vertex_maps[gid as usize].swap_remove(pv as usize);
-        node.ufreq[gid as usize].swap_remove(pv as usize);
+        node.swap_remove_vertex(gid, pv);
         self.mark(node_id, touched);
         if let Some((a, b)) = self.nodes[node_id].children {
             self.delete_vertex_rec(a, gid, orig_v, touched);
@@ -696,7 +765,7 @@ impl DbPartition {
     /// Rewrites every node's vertex map entry for original vertex `old` to
     /// `new` — the provenance mirror of the root graph's swap-remove.
     fn remap_vertex(&mut self, gid: GraphId, old: VertexId, new: VertexId) {
-        for node in &mut self.nodes {
+        for node in self.nodes.iter_mut().filter(|n| !n.is_root()) {
             if let Some(pv) = node.vertex_maps[gid as usize].iter().position(|&v| v == old) {
                 node.vertex_maps[gid as usize][pv] = new;
             }
@@ -718,8 +787,7 @@ impl DbPartition {
         }
         let node = &mut self.nodes[node_id];
         let pv = node.db.graph_mut(gid).add_vertex(label);
-        node.vertex_maps[gid as usize].push(orig_v);
-        node.ufreq[gid as usize].push(ufreq);
+        node.push_vertex(gid, orig_v, ufreq);
         pv
     }
 
@@ -738,7 +806,7 @@ impl DbPartition {
         let pv = self.ensure_vertex(node_id, gid, v.0, v.1, v.2);
         let node = &mut self.nodes[node_id];
         node.db.graph_mut(gid).add_edge(pu, pv, label).expect("validated: edge not present");
-        node.edge_maps[gid as usize].push(orig_e);
+        node.push_edge(gid, orig_e);
         self.mark(node_id, touched);
 
         let Some((a, b)) = self.nodes[node_id].children else {
@@ -790,7 +858,7 @@ impl DbPartition {
         let pn = self.ensure_vertex(node_id, gid, new_v.0, new_v.1, 0.0);
         let node = &mut self.nodes[node_id];
         node.db.graph_mut(gid).add_edge(pa, pn, elabel).expect("attaching edge is fresh");
-        node.edge_maps[gid as usize].push(orig_e);
+        node.push_edge(gid, orig_e);
         self.mark(node_id, touched);
 
         let Some((a, b)) = self.nodes[node_id].children else {
@@ -859,7 +927,8 @@ impl ChildColumns {
 
 /// One work item of a node's split: assign → clamp → split for every graph
 /// of the run of gids starting at `first` that `out` covers, the piece maps
-/// composed with the node's own so they lead back to the original database.
+/// composed with the node's own so they lead back to the original database
+/// (at the root, whose maps are the identity, they already do).
 fn split_range(
     node: &PartNode,
     first: usize,
@@ -875,11 +944,13 @@ fn split_range(
         clamp_sides(g, &mut sides);
         let split = splitter.split(g, uf, &sides);
         for (chunk, mut piece) in out.iter_mut().zip([split.side1, split.side2]) {
-            for v in &mut piece.vertex_map {
-                *v = node.vertex_maps[gid][*v as usize];
-            }
-            for e in &mut piece.edge_map {
-                *e = node.edge_maps[gid][*e as usize];
+            if !node.is_root() {
+                for v in &mut piece.vertex_map {
+                    *v = node.vertex_maps[gid][*v as usize];
+                }
+                for e in &mut piece.edge_map {
+                    *e = node.edge_maps[gid][*e as usize];
+                }
             }
             chunk.graphs[at] = piece.graph;
             chunk.vertex_maps[at] = piece.vertex_map;
@@ -949,6 +1020,29 @@ mod tests {
             assert_eq!(part.unit_count(), k);
             for j in 0..k {
                 assert_eq!(part.unit_node(j).db.len(), 4, "unit {j} gid-aligned");
+            }
+        }
+    }
+
+    #[test]
+    fn the_root_shares_every_graph_and_stores_no_provenance() {
+        let (db, uf) = sample_db();
+        for k in [1, 2, 5] {
+            let part = DbPartition::build(&db, &uf, &GraphPart::new(Criteria::COMBINED), k);
+            let root = part.root();
+            assert!(root.vertex_maps.is_empty() && root.edge_maps.is_empty(), "k={k}");
+            for (gid, g) in db.iter() {
+                assert!(root.db.shares_graph(&db, gid), "k={k} gid={gid}");
+                for v in 0..g.vertex_count() as VertexId {
+                    assert_eq!(root.original_vertex(gid, v), v);
+                    assert_eq!(root.position_of_vertex(gid, v), Some(v));
+                }
+                for e in 0..g.edge_count() as EdgeId {
+                    assert_eq!(root.original_edge(gid, e), e);
+                    assert_eq!(root.position_of_edge(gid, e), Some(e));
+                }
+                assert_eq!(root.position_of_vertex(gid, g.vertex_count() as VertexId), None);
+                assert_eq!(root.position_of_edge(gid, g.edge_count() as EdgeId), None);
             }
         }
     }

@@ -1049,9 +1049,10 @@ fn hold_only(db: &mut GraphDb, owned: &[GraphId]) -> usize {
         }
     }
     for (gid, &keep) in keep.iter().enumerate() {
-        let g = db.graph_mut(gid as GraphId);
-        if !keep && g.vertex_count() > 0 {
-            *g = Graph::new();
+        // `graph_mut` copies a shared graph, so only a slot that changes
+        // asks for it.
+        if !keep && db.graph(gid as GraphId).vertex_count() > 0 {
+            *db.graph_mut(gid as GraphId) = Graph::new();
         }
     }
     keep.into_iter().filter(|&k| k).count()
@@ -1182,6 +1183,31 @@ mod tests {
         assert!(summary.fi > 0, "relabeling a shared vertex demotes patterns");
         assert_eq!(engine.telemetry().counters().get(Counter::IngestWindows), 1);
         assert_eq!(engine.telemetry().counters().get(Counter::EpochSwaps), 1);
+    }
+
+    #[test]
+    fn a_fold_copies_only_the_graphs_its_window_touches() {
+        let dir = tempfile::tempdir().unwrap();
+        let db = small_db();
+        let pristine: GraphDb = db.iter().map(|(_, g)| g.clone()).collect();
+        let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &cfg()).unwrap();
+        let old = engine.current();
+        let window = [DbUpdate { gid: 2, update: GraphUpdate::RelabelVertex { v: 0, label: 7 } }];
+        engine.apply_update(&window).unwrap();
+        let new = engine.current();
+        assert_eq!(new.epoch, 1);
+        // A clone of the tail holds the tail's own graphs.
+        let tail = engine.shared.queue.lock().unwrap().tail.clone();
+        for gid in 0..db.len() as GraphId {
+            let untouched = gid != 2;
+            assert_eq!(new.db.shares_graph(&old.db, gid), untouched, "epochs, gid {gid}");
+            assert_eq!(tail.shares_graph(&new.db, gid), untouched, "tail, gid {gid}");
+            assert!(old.db.shares_graph(&db, gid), "boot epoch and caller, gid {gid}");
+        }
+        assert_eq!(*old.db, pristine, "the superseded epoch is unchanged");
+        assert_eq!(db, pristine, "the caller's database is unchanged");
+        assert_eq!(tail, *new.db, "the tail mirrors the served epoch");
+        assert_eq!(new.db.graph(2).vlabel(0), 7);
     }
 
     #[test]
@@ -1425,18 +1451,6 @@ mod tests {
         panic!("ingest pipeline failed to drain");
     }
 
-    fn assert_same_db(a: &GraphDb, b: &GraphDb, ctx: &str) {
-        assert_eq!(a.len(), b.len(), "{ctx}: graph count");
-        for gid in 0..a.len() as u32 {
-            let (ga, gb) = (a.graph(gid), b.graph(gid));
-            assert_eq!(ga.vlabels(), gb.vlabels(), "{ctx}: graph {gid} vertex labels");
-            assert_eq!(ga.edge_count(), gb.edge_count(), "{ctx}: graph {gid} edge count");
-            for e in 0..ga.edge_count() as u32 {
-                assert_eq!(ga.edge(e), gb.edge(e), "{ctx}: graph {gid} edge {e}");
-            }
-        }
-    }
-
     /// The four windows of the sliding-window tests: an edge + a relabel
     /// that expire, then the same shapes again on other graphs.
     fn window_stream() -> [Vec<DbUpdate>; 4] {
@@ -1476,7 +1490,7 @@ mod tests {
         apply_all(&mut live, &windows[2]).unwrap();
         apply_all(&mut live, &windows[3]).unwrap();
         let served = engine.current();
-        assert_same_db(&served.db, &live, "served tail after two expiries");
+        assert_eq!(*served.db, live, "served tail after two expiries");
         let reference = reference_epoch(&live);
         assert!(
             served.patterns.same_codes_and_supports(&reference.patterns),
@@ -1513,7 +1527,7 @@ mod tests {
         apply_all(&mut live, &windows[3]).unwrap();
         let (engine, boot) = ServeEngine::boot(None, dir.path(), &config).unwrap();
         assert_eq!(boot.replayed, 6, "four windows and two expiry frames");
-        assert_same_db(&engine.current().db, &live, "replayed windowed tail");
+        assert_eq!(*engine.current().db, live, "replayed windowed tail");
         drop(engine);
 
         // Rebooting with a tighter horizon expires the overhang at boot,
@@ -1522,7 +1536,7 @@ mod tests {
         let (engine, boot) = ServeEngine::boot(None, dir.path(), &shrunk).unwrap();
         let mut last = db.clone();
         apply_all(&mut last, &windows[3]).unwrap();
-        assert_same_db(&engine.current().db, &last, "tail after boot catch-up");
+        assert_eq!(*engine.current().db, last, "tail after boot catch-up");
         let reference = reference_epoch(&last);
         assert!(engine.current().patterns.same_codes_and_supports(&reference.patterns));
         assert_eq!(boot.epoch, 7, "the catch-up expiry frame took a seq");
@@ -1533,7 +1547,7 @@ mod tests {
         drop(engine);
         let (engine, boot) = ServeEngine::boot(None, dir.path(), &shrunk).unwrap();
         assert_eq!(boot.replayed, 0, "clean stop folded the journal away");
-        assert_same_db(&engine.current().db, &last, "frozen snapshot serves unchanged");
+        assert_eq!(*engine.current().db, last, "frozen snapshot serves unchanged");
         assert_eq!(
             engine.shared.queue.lock().unwrap().tracker.as_ref().unwrap().live_count(),
             0,
@@ -1593,6 +1607,7 @@ mod tests {
         let ep = engine.current();
         assert_eq!(ep.db.len(), 4, "gid alignment survives");
         assert_eq!(ep.db.graph(0).vertex_count() + ep.db.graph(2).vertex_count(), 0);
+        assert!(ep.db.shares_graph(&db, 1) && ep.db.shares_graph(&db, 3), "owned slots are shared");
 
         // The (0)-10-(1) edge is in all four graphs; two are owned, and the
         // owned count is frequent at 2, so `P(D)` answers it.

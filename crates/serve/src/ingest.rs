@@ -869,18 +869,6 @@ mod tests {
         DbUpdate { gid, update: GraphUpdate::AddEdge { u, v, label } }
     }
 
-    fn assert_same_db(a: &GraphDb, b: &GraphDb, ctx: &str) {
-        assert_eq!(a.len(), b.len(), "{ctx}: graph count");
-        for gid in 0..a.len() as u32 {
-            let (ga, gb) = (a.graph(gid), b.graph(gid));
-            assert_eq!(ga.vlabels(), gb.vlabels(), "{ctx}: graph {gid} vertex labels");
-            assert_eq!(ga.edge_count(), gb.edge_count(), "{ctx}: graph {gid} edge count");
-            for e in 0..ga.edge_count() as u32 {
-                assert_eq!(ga.edge(e), gb.edge(e), "{ctx}: graph {gid} edge {e}");
-            }
-        }
-    }
-
     /// Expiring every live window in order walks the tail back to the
     /// exact base database, through swap-remove fixups and last-writer
     /// relabel restores.
@@ -910,7 +898,7 @@ mod tests {
         tr.apply_expiry(&mut tail, &ops, expired).unwrap();
         let mut expect = base.clone();
         apply_all(&mut expect, &[w2[0], w3[0], w3[1]]).unwrap();
-        assert_same_db(&tail, &expect, "after expiring window 1");
+        assert_eq!(tail, expect, "after expiring window 1");
 
         // Expire window 2: its pendant edge now sits at the remapped id.
         let (expired, ops) = tr.synthesize_expiry();
@@ -925,7 +913,7 @@ mod tests {
         assert_eq!(ops, vec![rv(0, 0, 0), de(1, 2)]);
         tr.apply_expiry(&mut tail, &ops, expired).unwrap();
         assert_eq!(tr.live_count(), 0);
-        assert_same_db(&tail, &base, "after expiring every window");
+        assert_eq!(tail, base, "after expiring every window");
         assert!(tr.origins.is_empty(), "origin records must die with their last writer");
     }
 
@@ -957,7 +945,7 @@ mod tests {
         assert_eq!(expired, 2);
         assert_eq!(ops, vec![re(0, 1, 11)]);
         tr.apply_expiry(&mut tail, &ops, expired).unwrap();
-        assert_same_db(&tail, &base, "after expiring both windows");
+        assert_eq!(tail, base, "after expiring both windows");
     }
 
     /// Windowed validation enjoys stricter rules than the plain dry-run:

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use graphmine_datagen::{generate, plan_updates, GenParams, UpdateKind, UpdateParams};
-use graphmine_graph::{apply_all, DbUpdate, GraphDb, GraphUpdate};
+use graphmine_graph::{apply_all, DbUpdate, GraphUpdate};
 use graphmine_miner::{GSpan, MemoryMiner};
 use graphmine_serve::{start, EngineConfig, ServeEngine, ServerConfig};
 use graphmine_storage::UpdateJournal;
@@ -79,7 +79,7 @@ fn boot_replays_the_journal_as_data_then_walks_once() {
     assert_eq!(boot.replayed, WINDOWS);
     assert_eq!(boot.epoch, WINDOWS as u64);
     let served = engine.current();
-    assert_same_db(&served.db, &expected);
+    assert_eq!(*served.db, expected);
     let truth = GSpan::new().mine(&expected, cfg.min_support);
     assert!(served.patterns.same_codes_and_supports(&truth));
     let tel = engine.telemetry();
@@ -97,11 +97,4 @@ fn boot_replays_the_journal_as_data_then_walks_once() {
     let err =
         ServeEngine::boot(None, dir.path(), &cfg).err().expect("the bad batch fails the boot");
     assert!(err.starts_with(&format!("journal replay (batch {seq}): ")), "{err}");
-}
-
-fn assert_same_db(a: &GraphDb, b: &GraphDb) {
-    assert_eq!(a.len(), b.len());
-    for (gid, g) in a.iter() {
-        assert!(g == b.graph(gid), "graph {gid} differs");
-    }
 }

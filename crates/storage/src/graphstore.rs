@@ -267,13 +267,6 @@ mod tests {
         GraphStore::create_with_latency(path, db, pool_pages, Duration::ZERO).unwrap()
     }
 
-    fn same_db(a: &GraphDb, b: &GraphDb) {
-        assert_eq!(a.len(), b.len());
-        for gid in 0..a.len() as u32 {
-            assert_eq!(a.graph(gid), b.graph(gid), "gid {gid}");
-        }
-    }
-
     /// `sample_db(5)` written by the one-buffer sink, for the corruption
     /// tests to edit.
     fn snapshot_bytes(path: &Path) -> Vec<u8> {
@@ -303,7 +296,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let db = sample_db(20);
         let store = paged(&dir.path().join("g.db"), &db, 4);
-        same_db(&store.read_all().unwrap(), &db);
+        assert_eq!(store.read_all().unwrap(), db);
     }
 
     #[test]
@@ -348,8 +341,8 @@ mod tests {
             assert_eq!(bytes, std::fs::read(&pages).unwrap(), "{} graphs", db.len());
             assert_eq!(bytes.len() % PAGE_SIZE, 0);
             assert!(db.is_empty() || bytes.len() > 2 * PAGE_SIZE, "{} bytes", bytes.len());
-            same_db(&read_snapshot(&one).unwrap(), &db);
-            same_db(&read_snapshot(&pages).unwrap(), &db);
+            assert_eq!(read_snapshot(&one).unwrap(), db);
+            assert_eq!(read_snapshot(&pages).unwrap(), db);
         }
     }
 
@@ -359,7 +352,7 @@ mod tests {
         let path = dir.path().join("g.db");
         let db = sample_db(40);
         drop(paged(&path, &db, 8)); // dropped: only the file remains
-        same_db(&read_snapshot(&path).unwrap(), &db);
+        assert_eq!(read_snapshot(&path).unwrap(), db);
     }
 
     #[test]
