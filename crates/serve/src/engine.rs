@@ -29,19 +29,21 @@
 //! Updates flow through a pipeline (see `docs/SERVICE.md`):
 //!
 //! 1. **Admission** (under the queue lock): the window is
-//!    [coalesced](crate::ingest::coalesce_window), dry-run validated
-//!    against the *tail mirror* — the database with every admitted
-//!    window applied — applied to the tail, and handed to the WAL with
-//!    its sequence number assigned. Admission is refused with
-//!    `backpressure` when `max_pending` windows are already waiting.
+//!    [coalesced](crate::ingest::coalesce_window) and applied, once, to a
+//!    copy of the *tail* — the database with every admitted window
+//!    applied ([`IngestQueue::stage`]). A rejection drops the copy; an
+//!    accepted window is handed to the WAL, and the database it produced
+//!    becomes the tail and is queued under its sequence number. Admission
+//!    is refused with `backpressure` when `max_pending` windows are
+//!    already waiting.
 //! 2. **Durability** (outside the lock): the submitter blocks on the
 //!    [`GroupCommitJournal`]'s shared fsync barrier; concurrent windows
 //!    share one fsync.
 //! 3. **Application**: a dedicated applier thread folds durable windows
-//!    strictly in sequence order — clone the served database, apply the
-//!    window, walk it once on the shared `graphmine-exec` pool — and
-//!    swaps one [`ResultEpoch`] per window. Readers are served by the
-//!    worker pool and never wait on a re-mine.
+//!    strictly in sequence order — walk the window's queued database once
+//!    on the shared `graphmine-exec` pool — and swaps one [`ResultEpoch`]
+//!    per window, whose `db` is that very database. Readers are served by
+//!    the worker pool and never wait on a re-mine.
 //!
 //! An `ack: applied` update (the default) is acknowledged after its
 //! epoch is visible; an `ack: durable` update is acknowledged at the
@@ -78,7 +80,7 @@ use graphmine_storage::{read_snapshot, write_snapshot, GroupCommitJournal, Updat
 use graphmine_telemetry::{Counter, JsonValue, RunReport, Telemetry};
 use rustc_hash::FxHashMap;
 
-use crate::ingest::{coalesce_window, IngestConfig, IngestQueue, WindowTracker};
+use crate::ingest::{IngestConfig, IngestQueue, WindowTracker};
 use crate::protocol::{error_response, ok_response, pattern_to_json, AckMode, Request};
 
 /// Engine configuration. `min_support` is only honored when the data
@@ -181,12 +183,6 @@ pub struct ResultEpoch {
     pub patterns: Arc<PatternSet>,
 }
 
-impl ResultEpoch {
-    fn new(epoch: u64, db: GraphDb, patterns: PatternSet) -> Self {
-        ResultEpoch { epoch, db: Arc::new(db), patterns: Arc::new(patterns) }
-    }
-}
-
 /// What an acknowledged update window did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateSummary {
@@ -225,8 +221,8 @@ pub enum UpdateError {
     /// The window failed validation; nothing was journaled and the
     /// served state is unchanged.
     Rejected(String),
-    /// The pipeline failed (journal or apply error) — the engine no
-    /// longer accepts updates.
+    /// The pipeline failed (a journal error, or an expiry frame that would
+    /// not apply) — the engine no longer accepts updates.
     Failed(String),
 }
 
@@ -390,10 +386,9 @@ impl ServeEngine {
             if batch.seq <= base_epoch {
                 continue;
             }
-            match (tracker.as_mut(), batch.expiry) {
-                (Some(tr), Some(w)) => tr.apply_expiry(&mut db, &batch.updates, w),
-                (Some(tr), None) => tr.apply_and_track(batch.seq, &mut db, &batch.updates),
-                (None, _) => apply_all(&mut db, &batch.updates),
+            match tracker.as_mut() {
+                Some(tr) => tr.replay(batch.seq, &mut db, &batch.updates, batch.expiry),
+                None => apply_all(&mut db, &batch.updates),
             }
             .map_err(|e| format!("journal replay (batch {}): {e}", batch.seq))?;
             tel.counters().bump(Counter::WalBatchesReplayed);
@@ -411,19 +406,19 @@ impl ServeEngine {
         if let (Some(n), Some(tr)) = (cfg.window, tracker.as_mut()) {
             while tr.live_count() > n {
                 let (expired, ops) = tr.synthesize_expiry();
-                journal
+                let seq = journal
                     .append_unsynced(&ops, Some(expired))
                     .map_err(|e| format!("journal: boot expiry: {e}"))?;
                 journal.sync().map_err(|e| format!("journal: boot expiry: {e}"))?;
-                tr.apply_expiry(&mut db, &ops, expired)
+                tr.replay(seq, &mut db, &ops, Some(expired))
                     .map_err(|e| format!("boot expiry (window {expired}): {e}"))?;
             }
         }
         let epoch = journal.next_seq() - 1;
 
-        let patterns = walk(&db, min_support, &exec, &tel);
-        let mut queue = IngestQueue::new(db.clone(), epoch);
-        queue.tracker = tracker;
+        let patterns = Arc::new(walk(&db, min_support, &exec, &tel));
+        let db = Arc::new(db);
+        let queue = IngestQueue::new(Arc::clone(&db), epoch, tracker);
         let shared = Arc::new(EngineShared {
             tel,
             started: Instant::now(),
@@ -431,7 +426,7 @@ impl ServeEngine {
             min_support,
             ingest_cfg: cfg.ingest.clone(),
             window: cfg.window,
-            current: RwLock::new(Arc::new(ResultEpoch::new(epoch, db, patterns))),
+            current: RwLock::new(Arc::new(ResultEpoch { epoch, db, patterns })),
             support_memo: Mutex::new(FxHashMap::default()),
             owned_graphs,
             global_epoch: AtomicU64::new(0),
@@ -544,8 +539,9 @@ impl ServeEngine {
     }
 
     /// Dry-run validation of a window against the journal tail (2PC
-    /// phase 0): exactly the verdict [`ServeEngine::submit_window`]
-    /// would reach, with nothing admitted, journaled, or applied.
+    /// phase 0): the window is staged exactly as
+    /// [`ServeEngine::submit_window`] stages it, then dropped, so the
+    /// verdict is the same and nothing is admitted, journaled, or served.
     ///
     /// # Errors
     ///
@@ -556,10 +552,8 @@ impl ServeEngine {
         if let Some(msg) = &q.failed {
             return Err(UpdateError::Failed(msg.clone()));
         }
-        match &q.tracker {
-            Some(tr) => tr.validate_window(&q.tail, ops).map_err(UpdateError::Rejected),
-            None => validate_batch(&q.tail, ops).map_err(UpdateError::Rejected),
-        }
+        let staged = q.stage(self.shared.journal.next_seq(), ops, None);
+        staged.map(drop).map_err(UpdateError::Rejected)
     }
 
     /// Admits one window into the streaming pipeline and blocks until it
@@ -586,37 +580,16 @@ impl ServeEngine {
                 counters.bump(Counter::IngestBackpressure);
                 return Err(UpdateError::Backpressure { pending: q.windows.len() });
             }
-            let window = coalesce_window(&q.tail, ops);
+            // Only the queue lock's holder enqueues, so this is the seq the
+            // journal gives the window: staging, journal and tail order agree.
+            let seq = shared.journal.next_seq();
             counters.add(Counter::IngestOpsIn, ops.len() as u64);
-            counters.add(Counter::IngestOpsCoalesced, (ops.len() - window.len()) as u64);
-            match &q.tracker {
-                Some(tr) => tr.validate_window(&q.tail, &window).map_err(UpdateError::Rejected)?,
-                None => validate_batch(&q.tail, &window).map_err(UpdateError::Rejected)?,
-            }
-            // Seq assignment and tail application happen under the queue
-            // lock, so validation order, tail order, and journal order
-            // all agree.
-            let seq = shared
-                .journal
-                .enqueue(&window)
-                .map_err(|e| UpdateError::Failed(format!("journal: {e}")))?;
-            let applied = match q.tracker.as_mut() {
-                Some(_) => {
-                    // Split the borrow: the tracker applies to the tail.
-                    let IngestQueue { tail, tracker, .. } = &mut *q;
-                    tracker.as_mut().expect("checked above").apply_and_track(seq, tail, &window)
-                }
-                None => apply_all(&mut q.tail, &window),
-            };
-            if let Err(e) = applied {
-                // Validation passed but the tail refused: the pipeline's
-                // tail no longer mirrors the journal — poison it.
-                let msg = format!("tail apply (seq {seq}): {e}");
-                q.failed = Some(msg.clone());
-                shared.applied.notify_all();
-                return Err(UpdateError::Failed(msg));
-            }
-            q.windows.insert(seq, window);
+            let staged = q.stage(seq, ops, None).map_err(UpdateError::Rejected)?;
+            counters.add(Counter::IngestOpsCoalesced, (ops.len() - staged.ops.len()) as u64);
+            let enqueued = shared.journal.enqueue(&staged.ops);
+            let enqueued = enqueued.map_err(|e| UpdateError::Failed(format!("journal: {e}")))?;
+            debug_assert_eq!(enqueued, seq);
+            q.push(seq, staged);
             counters.max(Counter::IngestPendingPeak, q.windows.len() as u64);
             (seq, q.windows.len())
         };
@@ -947,20 +920,20 @@ fn classify(seq: u64, old: &PatternSet, new: &PatternSet, tel: &Telemetry) -> Up
 }
 
 /// The applier: folds durable windows into the served epoch strictly in
-/// sequence order, one [`ResultEpoch`] swap per window. Runs until the
-/// engine drops; a failed window poisons the pipeline (the tail mirror
-/// and the served database would diverge otherwise).
+/// sequence order, one [`ResultEpoch`] swap per window, publishing the
+/// database admission built for it. Runs until the engine drops; a
+/// journal failure poisons the pipeline.
 fn applier_loop(shared: &Arc<EngineShared>) {
     loop {
-        let (seq, window) = {
+        let (seq, db) = {
             let mut q = shared.queue.lock().expect("ingest queue poisoned");
             loop {
                 if q.stop {
                     return;
                 }
                 let next = q.applied_seq + 1;
-                if let Some(w) = q.windows.get(&next) {
-                    break (next, w.clone());
+                if let Some(db) = q.windows.get(&next) {
+                    break (next, Arc::clone(db));
                 }
                 q = shared.submitted.wait(q).expect("ingest queue poisoned");
             }
@@ -976,14 +949,9 @@ fn applier_loop(shared: &Arc<EngineShared>) {
         // thread writes `current`); it is freed after waiters wake, not
         // under the write lock.
         let old = entered(shared.current.read()).clone();
-        let mut db = GraphDb::clone(&old.db);
-        if let Err(e) = apply_all(&mut db, &window) {
-            fail_pipeline(shared, format!("apply (seq {seq}): {e}"));
-            return;
-        }
-        let patterns = walk(&db, shared.min_support, &shared.exec, &shared.tel);
+        let patterns = Arc::new(walk(&db, shared.min_support, &shared.exec, &shared.tel));
         let summary = classify(seq, &old.patterns, &patterns, &shared.tel);
-        *entered(shared.current.write()) = Arc::new(ResultEpoch::new(seq, db, patterns));
+        *entered(shared.current.write()) = Arc::new(ResultEpoch { epoch: seq, db, patterns });
         shared.tel.counters().bump(Counter::EpochSwaps);
         // Superseded memo entries are dead weight, but readers that
         // grabbed the previous epoch's `Arc` before this swap are still
@@ -998,11 +966,11 @@ fn applier_loop(shared: &Arc<EngineShared>) {
         q.applied_seq = seq;
         q.record_summary(summary);
         // Sliding-window retention: with the newest window now visible,
-        // expire windows past the horizon. Each expiry is journaled as a
-        // tagged frame *before* the tail moves (journal-first, still
-        // under the queue lock so its seq slots in order); the frame then
-        // rides the normal pipeline — durable before visible, exactly
-        // like a submitted window. A crash between enqueue and the fsync
+        // expire windows past the horizon. Each expiry frame is staged like
+        // a submitted window and journaled as a tagged frame *before* the
+        // tail moves (journal-first, still under the queue lock so its seq
+        // slots in order); the frame then rides the normal pipeline —
+        // durable before visible. A crash between enqueue and the fsync
         // barrier just loses the frame, and boot re-synthesizes it.
         if let Some(n) = shared.window {
             while q.tracker.as_ref().is_some_and(|tr| tr.live_count() > n) {
@@ -1010,26 +978,20 @@ fn applier_loop(shared: &Arc<EngineShared>) {
                 if graphmine_graph::fault::armed(graphmine_graph::fault::Fault::SkipExpiry) {
                     break;
                 }
-                let (expired, ops) = q.tracker.as_mut().expect("checked above").synthesize_expiry();
-                let eseq = match shared.journal.enqueue_expiry(&ops, expired) {
-                    Ok(eseq) => eseq,
+                let (expired, ops) = q.tracker.as_ref().expect("checked above").synthesize_expiry();
+                let eseq = shared.journal.next_seq();
+                let frame = q.stage(eseq, &ops, Some(expired)).and_then(|staged| {
+                    let enqueued = shared.journal.enqueue_expiry(&staged.ops, expired);
+                    enqueued.map(|_| staged).map_err(|e| format!("journal: {e}"))
+                });
+                match frame {
+                    Ok(staged) => q.push(eseq, staged),
                     Err(e) => {
-                        q.failed = Some(format!("journal (expiry of window {expired}): {e}"));
                         drop(q);
-                        shared.applied.notify_all();
+                        fail_pipeline(shared, format!("expiry of window {expired}: {e}"));
                         return;
                     }
-                };
-                let IngestQueue { tail, tracker, .. } = &mut *q;
-                if let Err(e) =
-                    tracker.as_mut().expect("windowed mode").apply_expiry(tail, &ops, expired)
-                {
-                    q.failed = Some(format!("tail apply (expiry seq {eseq}): {e}"));
-                    drop(q);
-                    shared.applied.notify_all();
-                    return;
                 }
-                q.windows.insert(eseq, ops);
                 shared.tel.counters().bump(Counter::IngestWindowsExpired);
             }
         }
@@ -1063,21 +1025,6 @@ fn fail_pipeline(shared: &EngineShared, msg: String) {
     q.failed = Some(msg);
     drop(q);
     shared.applied.notify_all();
-}
-
-/// Rejects a window that would fail mid-application: a fold applies
-/// updates one by one and an error would leave it half applied, so the
-/// whole window is dry-run against clones of the touched graphs first.
-fn validate_batch(db: &GraphDb, ops: &[DbUpdate]) -> Result<(), String> {
-    let mut scratch: FxHashMap<GraphId, Graph> = FxHashMap::default();
-    for (i, up) in ops.iter().enumerate() {
-        if (up.gid as usize) >= db.len() {
-            return Err(format!("op {i}: graph {} out of range ({} graphs)", up.gid, db.len()));
-        }
-        let g = scratch.entry(up.gid).or_insert_with(|| db.graph(up.gid).clone());
-        up.update.apply(g).map_err(|e| format!("op {i}: {e}"))?;
-    }
-    Ok(())
 }
 
 /// Enters a lock despite poison: no holder leaves its value half updated.
@@ -1196,18 +1143,151 @@ mod tests {
         engine.apply_update(&window).unwrap();
         let new = engine.current();
         assert_eq!(new.epoch, 1);
-        // A clone of the tail holds the tail's own graphs.
-        let tail = engine.shared.queue.lock().unwrap().tail.clone();
+        // The served epoch is the database admission built: the tail itself.
+        let tail = Arc::clone(&engine.shared.queue.lock().unwrap().tail);
+        assert!(Arc::ptr_eq(&tail, &new.db), "the served epoch is the tail");
         for gid in 0..db.len() as GraphId {
-            let untouched = gid != 2;
-            assert_eq!(new.db.shares_graph(&old.db, gid), untouched, "epochs, gid {gid}");
-            assert_eq!(tail.shares_graph(&new.db, gid), untouched, "tail, gid {gid}");
+            assert_eq!(new.db.shares_graph(&old.db, gid), gid != 2, "epochs, gid {gid}");
             assert!(old.db.shares_graph(&db, gid), "boot epoch and caller, gid {gid}");
         }
         assert_eq!(*old.db, pristine, "the superseded epoch is unchanged");
         assert_eq!(db, pristine, "the caller's database is unchanged");
-        assert_eq!(tail, *new.db, "the tail mirrors the served epoch");
         assert_eq!(new.db.graph(2).vlabel(0), 7);
+    }
+
+    /// After windows touching different gids (and, under a retention
+    /// window, the expiry frames they cause), the caught-up tail and the
+    /// served epoch hold one copy of every graph between them.
+    #[test]
+    fn a_caught_up_tail_and_epoch_share_every_graph() {
+        let db = small_db();
+        for window in [None, Some(2)] {
+            let dir = tempfile::tempdir().unwrap();
+            let config = EngineConfig { window, ..cfg() };
+            let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &config).unwrap();
+            let boot = engine.current();
+            for (round, gid) in [0, 1, 0, 2].into_iter().enumerate() {
+                let label = 20 + round as u32;
+                let ops = [up(gid, GraphUpdate::RelabelVertex { v: 1, label })];
+                engine.submit_window(&ops).unwrap();
+            }
+            drain(&engine);
+            let served = engine.current();
+            let tail = Arc::clone(&engine.shared.queue.lock().unwrap().tail);
+            assert!(Arc::ptr_eq(&tail, &served.db), "window {window:?}");
+            for gid in 0..db.len() as GraphId {
+                assert!(tail.shares_graph(&served.db, gid), "window {window:?}, gid {gid}");
+                assert_eq!(served.db.shares_graph(&boot.db, gid), gid == 3, "gid {gid}");
+            }
+        }
+    }
+
+    fn up(gid: GraphId, update: GraphUpdate) -> DbUpdate {
+        DbUpdate { gid, update }
+    }
+
+    /// Every way a window is refused, in both modes and through both entry
+    /// points. A refusal names the failing op by its index in the window
+    /// the client sent, takes no seq, and moves neither the epoch, the tail
+    /// nor the tracker.
+    #[test]
+    fn rejections_keep_their_verdicts_and_change_nothing() {
+        use GraphUpdate::*;
+        let rv = |gid, v, label| up(gid, RelabelVertex { v, label });
+        let ae = |gid, u, v, label| up(gid, AddEdge { u, v, label });
+        let av = |gid, attach_to| up(gid, AddVertex { label: 5, attach_to, elabel: 6 });
+        let (de, dv) = (|gid, e| up(gid, DeleteEdge { e }), |gid, v| up(gid, DeleteVertex { v }));
+        let earlier = "op 0: windowed mode: vertex 3 belongs to an earlier live window";
+        // (window, verdict, windowed mode's verdict where its id rules
+        // refuse what plain mode admits); `None` admits.
+        let table: Vec<(Vec<DbUpdate>, Option<&str>, Option<&str>)> = vec![
+            (vec![rv(9, 0, 1)], Some("op 0: graph 9 out of range (4 graphs)"), None),
+            (
+                vec![rv(1, 7, 1)],
+                Some("op 0: vertex id 7 out of range (graph has 3 vertices)"),
+                None,
+            ),
+            (
+                vec![up(1, RelabelEdge { e: 9, label: 1 })],
+                Some("op 0: edge id 9 out of range (graph has 2 edges)"),
+                None,
+            ),
+            (vec![ae(1, 0, 0, 1)], Some("op 0: self-loop on vertex 0 is not allowed"), None),
+            (vec![ae(1, 0, 1, 5)], Some("op 0: edge (0, 1) already exists"), None),
+            (vec![de(1, 5)], Some("op 0: edge id 5 out of range (graph has 2 edges)"), None),
+            (
+                vec![rv(1, 0, 7), up(2, RelabelEdge { e: 0, label: 3 }), ae(1, 0, 99, 1)],
+                Some("op 2: vertex id 99 out of range (graph has 3 vertices)"),
+                None,
+            ),
+            (
+                vec![av(1, 0), dv(1, 3), dv(1, 3)],
+                Some("op 2: vertex id 3 out of range (graph has 3 vertices)"),
+                None,
+            ),
+            (vec![dv(0, 9)], Some("op 0: vertex id 9 out of range (graph has 4 vertices)"), None),
+            (vec![rv(0, 3, 1)], None, Some(earlier)),
+            (
+                vec![up(0, RelabelEdge { e: 3, label: 1 })],
+                None,
+                Some("op 0: windowed mode: edge 3 belongs to an earlier live window"),
+            ),
+            (vec![ae(0, 1, 3, 1)], None, Some(earlier)),
+            (vec![av(0, 3)], None, Some(earlier)),
+            (vec![de(0, 0)], None, Some("op 0: windowed mode: cannot delete base edge 0")),
+            (
+                vec![de(0, 3)],
+                None,
+                Some("op 0: windowed mode: cannot delete edge 3 of an earlier live window"),
+            ),
+            (vec![dv(0, 1)], None, Some("op 0: windowed mode: cannot delete base vertex 1")),
+            (
+                vec![dv(0, 3)],
+                None,
+                Some("op 0: windowed mode: cannot delete vertex 3 of an earlier live window"),
+            ),
+            (
+                vec![rv(0, 3, 1), rv(0, 3, 2)],
+                None,
+                Some("op 1: windowed mode: vertex 3 belongs to an earlier live window"),
+            ),
+            // Coalesced to nothing: the dry run admits what submit admits.
+            (vec![rv(0, 3, 1), rv(0, 3, 9)], None, None),
+        ];
+        for window in [None, Some(8)] {
+            let dir = tempfile::tempdir().unwrap();
+            let config = EngineConfig { window, ..cfg() };
+            let (engine, _) = ServeEngine::boot(Some(&small_db()), dir.path(), &config).unwrap();
+            // Window 1 grows vertex 3 and edge 3 on graph 0.
+            engine
+                .apply_update(&[up(0, AddVertex { label: 9, attach_to: 0, elabel: 13 })])
+                .unwrap();
+            let state = || {
+                let q = engine.shared.queue.lock().unwrap();
+                let live = q.tracker.as_ref().map(WindowTracker::live_count);
+                (
+                    engine.shared.journal.next_seq(),
+                    engine.current().epoch,
+                    Arc::clone(&q.tail),
+                    live,
+                )
+            };
+            for (ops, both, windowed) in &table {
+                let before = state();
+                let verdict = if window.is_some() { windowed.or(*both) } else { *both };
+                match verdict {
+                    None => assert_eq!(engine.validate_window(ops), Ok(()), "{ops:?}"),
+                    Some(msg) => {
+                        let refused = Err(UpdateError::Rejected(msg.to_string()));
+                        assert_eq!(engine.validate_window(ops), refused, "{ops:?}");
+                        assert_eq!(engine.submit_window(ops).map(drop), refused, "{ops:?}");
+                    }
+                }
+                let after = state();
+                assert_eq!((after.0, after.1, after.3), (before.0, before.1, before.3), "{ops:?}");
+                assert!(Arc::ptr_eq(&after.2, &before.2), "{ops:?}");
+            }
+        }
     }
 
     #[test]
@@ -1242,7 +1322,8 @@ mod tests {
         // stopping the applier first.
         {
             let mut q = engine.shared.queue.lock().unwrap();
-            q.windows.insert(1, Vec::new());
+            let tail = Arc::clone(&q.tail);
+            q.windows.insert(1, tail);
         }
         let ops = vec![DbUpdate { gid: 0, update: GraphUpdate::RelabelVertex { v: 0, label: 3 } }];
         match engine.submit_window(&ops) {

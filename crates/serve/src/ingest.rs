@@ -4,7 +4,7 @@
 //! # Coalescing laws
 //!
 //! An ingest *window* is one submitted update batch. Before the window is
-//! validated and journaled, [`coalesce_window`] rewrites it into a
+//! applied and journaled, [`coalesce_window`] rewrites it into a
 //! minimal equivalent sequence — the re-mine then sees the smallest diff:
 //!
 //! 1. **Last write wins** — relabel-after-relabel on the same vertex or
@@ -23,10 +23,10 @@
 //!    edge to be the top edge, so the cascade is exactly that pop.
 //!
 //! Ops are only dropped or folded when their target is verifiably in
-//! range and the rewrite provably preserves every surviving id, so a
-//! window is rejected by the dry-run validator exactly when the raw
-//! window would have been. Ops addressing invalid targets are kept
-//! untouched for the validator to reject. A delete that is *not* a pure
+//! range and the rewrite provably preserves every surviving id, so
+//! admission (`IngestQueue::stage`) refuses a window exactly when applying
+//! the raw window would fail. Ops addressing invalid targets are kept
+//! untouched for admission to reject. A delete that is *not* a pure
 //! pop renumbers ids (swap-remove moves the highest id into the hole),
 //! which would invalidate every id the coalescer has tracked for that
 //! graph — such deletes pass through untouched and turn coalescing off
@@ -41,6 +41,7 @@
 //! `overloaded` shed — and counted under `ingest_backpressure`.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use graphmine_graph::{DbUpdate, Graph, GraphDb, GraphError, GraphUpdate};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -100,9 +101,13 @@ impl TargetState {
 /// against base database `db` (see the module docs for the laws).
 ///
 /// Applying the returned sequence to `db` yields the same database as
-/// applying `ops`, and it is rejected by validation exactly when `ops`
-/// would be.
+/// applying `ops`, and it fails exactly when `ops` would.
 pub fn coalesce_window(db: &GraphDb, ops: &[DbUpdate]) -> Vec<DbUpdate> {
+    coalesce(db, ops).into_iter().map(|(_, op)| op).collect()
+}
+
+/// [`coalesce_window`], with each surviving op's index in `ops`.
+fn coalesce(db: &GraphDb, ops: &[DbUpdate]) -> Vec<(usize, DbUpdate)> {
     let mut kept: Vec<Option<DbUpdate>> = ops.iter().map(|op| Some(*op)).collect();
     // Window-local vertex/edge counts per touched graph.
     let mut vcount: FxHashMap<u32, u32> = FxHashMap::default();
@@ -116,7 +121,7 @@ pub fn coalesce_window(db: &GraphDb, ops: &[DbUpdate]) -> Vec<DbUpdate> {
     for (i, op) in ops.iter().enumerate() {
         let gid = op.gid;
         if gid as usize >= db.len() {
-            continue; // kept untouched; validation rejects the window
+            continue; // kept untouched; admission rejects the window
         }
         if dirty.contains(&gid) {
             continue;
@@ -129,7 +134,7 @@ pub fn coalesce_window(db: &GraphDb, ops: &[DbUpdate]) -> Vec<DbUpdate> {
         match op.update {
             GraphUpdate::RelabelVertex { v, label } => {
                 if v >= vc {
-                    continue; // out of range: validator's business
+                    continue; // out of range: admission's business
                 }
                 let st = verts.entry((gid, v)).or_insert_with(|| TargetState::base(g.vlabel(v)));
                 coalesce_relabel(&mut kept, st, i, label);
@@ -143,8 +148,8 @@ pub fn coalesce_window(db: &GraphDb, ops: &[DbUpdate]) -> Vec<DbUpdate> {
             }
             GraphUpdate::AddEdge { u, v, label } => {
                 // Structurally plausible adds claim their id; anything the
-                // validator would reject (range, self-loop, duplicate)
-                // rejects the whole window with the op kept in place.
+                // graph would refuse (range, self-loop, duplicate) rejects
+                // the whole window with the op kept in place.
                 if u >= vc || v >= vc || u == v {
                     continue;
                 }
@@ -162,7 +167,7 @@ pub fn coalesce_window(db: &GraphDb, ops: &[DbUpdate]) -> Vec<DbUpdate> {
             }
             GraphUpdate::DeleteEdge { e } => {
                 if e >= ec {
-                    continue; // out of range: validator's business
+                    continue; // out of range: admission's business
                 }
                 if e + 1 != ec {
                     // Swap-remove moves edge ec-1 into slot e: every
@@ -216,7 +221,7 @@ pub fn coalesce_window(db: &GraphDb, ops: &[DbUpdate]) -> Vec<DbUpdate> {
         }
     }
 
-    kept.into_iter().flatten().collect()
+    kept.into_iter().enumerate().filter_map(|(i, op)| Some((i, op?))).collect()
 }
 
 /// Applies the three coalescing laws to one relabel op (vertex or edge —
@@ -271,7 +276,7 @@ enum TargetKind {
 
 /// Vertices and edges a live window created, by their *current* ids
 /// (fixed up whenever a swap-remove delete renumbers the graph).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct WindowEntities {
     vertices: Vec<(u32, u32)>,
     edges: Vec<(u32, u32)>,
@@ -283,7 +288,7 @@ struct WindowEntities {
 ///
 /// # The base-id-stability contract
 ///
-/// Windowed validation ([`WindowTracker::validate_window`]) only admits
+/// Windowed admission ([`WindowTracker::check`]) only admits
 /// ops whose targets are **base entities** (present in the boot
 /// snapshot) or entities created by the *same* window; deletes may only
 /// target same-window entities. Two structural facts follow:
@@ -307,6 +312,7 @@ struct WindowEntities {
 /// it applies (a swap-remove only moves ids from above). Cross-window
 /// references being rejected at admission guarantees the cascades are
 /// empty and no other window's work is disturbed.
+#[derive(Clone)]
 pub(crate) struct WindowTracker {
     /// Per-graph vertex counts of the boot snapshot.
     base_vcount: Vec<u32>,
@@ -334,110 +340,81 @@ impl WindowTracker {
         self.windows.len()
     }
 
-    /// Strict windowed admission: every referenced id must be a base
-    /// entity or created by this very window, and deletes may only
-    /// target same-window entities. On top of that, the whole batch is
-    /// dry-run applied like the plain validator, so nothing can fail
-    /// mid-application.
-    pub(crate) fn validate_window(&self, db: &GraphDb, ops: &[DbUpdate]) -> Result<(), String> {
-        let mut scratch: FxHashMap<u32, Graph> = FxHashMap::default();
-        let mut starts: FxHashMap<u32, (u32, u32)> = FxHashMap::default();
-        for (i, up) in ops.iter().enumerate() {
-            let gid = up.gid;
-            if (gid as usize) >= db.len() {
-                return Err(format!("op {i}: graph {gid} out of range ({} graphs)", db.len()));
+    /// The windowed id rules for one op: every id it references must be
+    /// a base entity or created by its own window, and it may delete only
+    /// what its own window created. `before` is the op's graph as its
+    /// window found it, so ids at or past its counts are the window's own.
+    fn check(&self, before: &Graph, op: &DbUpdate) -> Result<(), String> {
+        let (bv, be) = (self.base_vcount[op.gid as usize], self.base_ecount[op.gid as usize]);
+        let (sv, se) = (before.vertex_count() as u32, before.edge_count() as u32);
+        let earlier = |kind: &str, id: u32, base: u32, start: u32| {
+            if id >= base && id < start {
+                Err(format!("{kind} {id} belongs to an earlier live window"))
+            } else {
+                Ok(())
             }
-            let &mut (sv, se) = starts.entry(gid).or_insert_with(|| {
-                let g = db.graph(gid);
-                (g.vertex_count() as u32, g.edge_count() as u32)
-            });
-            let bv = self.base_vcount[gid as usize];
-            let be = self.base_ecount[gid as usize];
-            let fail = |what: String| Err(format!("op {i}: windowed mode: {what}"));
-            let check_v = |v: u32| {
-                if v >= bv && v < sv {
-                    fail(format!("vertex {v} belongs to an earlier live window"))
-                } else {
-                    Ok(())
-                }
-            };
-            let check_e = |e: u32| {
-                if e >= be && e < se {
-                    fail(format!("edge {e} belongs to an earlier live window"))
-                } else {
-                    Ok(())
-                }
-            };
-            match up.update {
-                GraphUpdate::RelabelVertex { v, .. } => check_v(v)?,
-                GraphUpdate::RelabelEdge { e, .. } => check_e(e)?,
-                GraphUpdate::AddEdge { u, v, .. } => {
-                    check_v(u)?;
-                    check_v(v)?;
-                }
-                GraphUpdate::AddVertex { attach_to, .. } => check_v(attach_to)?,
-                GraphUpdate::DeleteEdge { e } => {
-                    if e < be {
-                        fail(format!("cannot delete base edge {e}"))?;
-                    } else if e < se {
-                        fail(format!("cannot delete edge {e} of an earlier live window"))?;
-                    }
-                }
-                GraphUpdate::DeleteVertex { v } => {
-                    if v < bv {
-                        fail(format!("cannot delete base vertex {v}"))?;
-                    } else if v < sv {
-                        fail(format!("cannot delete vertex {v} of an earlier live window"))?;
-                    }
-                }
+        };
+        match op.update {
+            GraphUpdate::RelabelVertex { v, .. } => earlier("vertex", v, bv, sv),
+            GraphUpdate::RelabelEdge { e, .. } => earlier("edge", e, be, se),
+            GraphUpdate::AddEdge { u, v, .. } => {
+                earlier("vertex", u, bv, sv).and_then(|()| earlier("vertex", v, bv, sv))
             }
-            let g = scratch.entry(gid).or_insert_with(|| db.graph(gid).clone());
-            up.update.apply(g).map_err(|e| format!("op {i}: {e}"))?;
+            GraphUpdate::AddVertex { attach_to, .. } => earlier("vertex", attach_to, bv, sv),
+            GraphUpdate::DeleteEdge { e } if e < be => Err(format!("cannot delete base edge {e}")),
+            GraphUpdate::DeleteEdge { e } if e < se => {
+                Err(format!("cannot delete edge {e} of an earlier live window"))
+            }
+            GraphUpdate::DeleteVertex { v } if v < bv => {
+                Err(format!("cannot delete base vertex {v}"))
+            }
+            GraphUpdate::DeleteVertex { v } if v < sv => {
+                Err(format!("cannot delete vertex {v} of an earlier live window"))
+            }
+            GraphUpdate::DeleteEdge { .. } | GraphUpdate::DeleteVertex { .. } => Ok(()),
         }
-        Ok(())
     }
 
-    /// Applies an admitted window to the tail, recording what it created
-    /// and relabeled so it can be erased at expiry.
+    /// Applies journal frame `seq` to `db` in place, as boot replays it. A
+    /// window (`expiry` is `None`) is tracked so it can be erased at
+    /// expiry; an expiry frame erasing live window `expiry` retires it. A
+    /// running engine stages frames with [`IngestQueue::stage`] instead.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing op; the tail is then half-applied,
-    /// exactly like `apply_all` — the engine poisons the pipeline.
-    pub(crate) fn apply_and_track(
+    /// Propagates the first failing op, leaving `db` half applied.
+    pub(crate) fn replay(
         &mut self,
         seq: u64,
-        tail: &mut GraphDb,
+        db: &mut GraphDb,
         ops: &[DbUpdate],
+        expiry: Option<u64>,
     ) -> Result<(), GraphError> {
-        self.windows.entry(seq).or_default();
-        for op in ops {
-            self.apply_op(tail, op, Some(seq))?;
-        }
+        let record = self.open(seq, expiry);
+        ops.iter().try_for_each(|op| self.apply_op(db, op, record))?;
+        self.close(expiry);
         Ok(())
     }
 
-    /// Applies a window-expiry inverse batch to the tail (with id
-    /// fixups for the surviving windows) and retires the expired
-    /// window's records. Used both when the engine synthesizes the
-    /// batch and when boot replays a journaled expiry frame.
-    pub(crate) fn apply_expiry(
-        &mut self,
-        tail: &mut GraphDb,
-        ops: &[DbUpdate],
-        expired: u64,
-    ) -> Result<(), GraphError> {
-        for op in ops {
-            self.apply_op(tail, op, None)?;
+    /// Opens the records of frame `seq` if it is a window (`expiry` is
+    /// `None`), returning the key its ops are tracked under.
+    fn open(&mut self, seq: u64, expiry: Option<u64>) -> Option<u64> {
+        expiry.is_none().then(|| {
+            self.windows.entry(seq).or_default();
+            seq
+        })
+    }
+
+    /// Drops the records of the window an expiry frame erased.
+    fn close(&mut self, expiry: Option<u64>) {
+        if let Some(expired) = expiry {
+            self.windows.remove(&expired);
+            self.origins.retain(|_, &mut (_, writer)| writer != expired);
         }
-        self.windows.remove(&expired);
-        self.origins.retain(|_, &mut (_, writer)| writer != expired);
-        Ok(())
     }
 
     /// The inverse batch erasing the oldest live window, plus that
-    /// window's seq. Must be followed by [`WindowTracker::apply_expiry`]
-    /// once the batch is journaled.
+    /// window's seq; replaying or staging it retires the window.
     pub(crate) fn synthesize_expiry(&self) -> (u64, Vec<DbUpdate>) {
         let (&expired, entities) =
             self.windows.iter().next().expect("synthesize_expiry on zero live windows");
@@ -538,8 +515,10 @@ impl WindowTracker {
             GraphUpdate::DeleteVertex { v } => {
                 // The cascade mirrors Graph::delete_vertex: incident
                 // edges go in descending id order, each a swap-remove
-                // pulling the current last edge into the hole.
+                // pulling the current last edge into the hole. The range
+                // check comes first: `neighbors` has none.
                 let g = tail.graph(gid);
+                g.check_vertex(v)?;
                 let mut eids: Vec<u32> = g.neighbors(v).iter().map(|a| a.eid).collect();
                 eids.sort_unstable_by(|a, b| b.cmp(a));
                 let mut last = g.edge_count() as u32;
@@ -562,7 +541,7 @@ impl WindowTracker {
     }
 
     fn window_mut(&mut self, seq: u64) -> &mut WindowEntities {
-        self.windows.get_mut(&seq).expect("apply_and_track inserted the window entry")
+        self.windows.get_mut(&seq).expect("the window's entry is inserted before its ops")
     }
 
     fn untrack_edge(&mut self, gid: u32, e: u32) {
@@ -600,32 +579,48 @@ impl WindowTracker {
 
 /// The pending-window queue between submitters and the applier thread.
 ///
-/// Windows are admitted (validated against `tail`, applied to it, and
-/// handed to the WAL) under the queue lock, then folded into the served
+/// Windows are admitted under the queue lock ([`IngestQueue::stage`],
+/// journal enqueue, [`IngestQueue::push`]), then published as the served
 /// epoch strictly in sequence order by the applier.
 pub(crate) struct IngestQueue {
-    /// The database with every *admitted* window applied — ahead of the
-    /// served epoch by the windows still in `windows`. Admission
-    /// validates against this, so seq order equals validation order.
-    pub tail: GraphDb,
-    /// Admitted windows not yet folded into the served epoch, by seq.
-    pub windows: BTreeMap<u64, Vec<DbUpdate>>,
+    /// The database with every *admitted* window applied. Each window is
+    /// staged against it, so seq order equals admission order; once the
+    /// applier catches up, the served epoch holds this very `Arc`.
+    pub tail: Arc<GraphDb>,
+    /// The database each admitted window produced, by seq, until the
+    /// applier publishes it. Graphs no window touched are shared by all.
+    pub windows: BTreeMap<u64, Arc<GraphDb>>,
     /// Highest seq folded into the served epoch.
     pub applied_seq: u64,
     /// Per-window outcomes for `ack: applied` waiters (bounded; see
     /// [`IngestQueue::record_summary`]).
     pub summaries: BTreeMap<u64, UpdateSummary>,
-    /// Sticky pipeline failure (journal or apply); set once, fatal.
+    /// Sticky pipeline failure (journal, or an expiry frame that would
+    /// not apply); set once, fatal.
     pub failed: Option<String>,
     /// Applier shutdown flag.
     pub stop: bool,
-    /// Sliding-window bookkeeping; `Some` iff the engine runs with a
-    /// retention window ([`crate::engine::EngineConfig::window`]).
+    /// Sliding-window bookkeeping as of `tail`; `Some` iff the engine runs
+    /// with a retention window ([`crate::engine::EngineConfig::window`]).
     pub(crate) tracker: Option<WindowTracker>,
 }
 
+/// A window applied to copies of the tail and the tracker
+/// ([`IngestQueue::stage`]), ready to journal and [`IngestQueue::push`].
+pub(crate) struct Staged {
+    /// The ops to journal: the coalesced window, or an expiry frame as
+    /// synthesized.
+    pub ops: Vec<DbUpdate>,
+    db: GraphDb,
+    tracker: Option<WindowTracker>,
+}
+
 impl IngestQueue {
-    pub(crate) fn new(tail: GraphDb, applied_seq: u64) -> Self {
+    pub(crate) fn new(
+        tail: Arc<GraphDb>,
+        applied_seq: u64,
+        tracker: Option<WindowTracker>,
+    ) -> Self {
         IngestQueue {
             tail,
             windows: BTreeMap::new(),
@@ -633,8 +628,63 @@ impl IngestQueue {
             summaries: BTreeMap::new(),
             failed: None,
             stop: false,
-            tracker: None,
+            tracker,
         }
+    }
+
+    /// How a window becomes a database: applies it op by op to a copy of
+    /// the tail, and in windowed mode to a copy of the tracker, leaving the
+    /// queue untouched. A client window (`expiry` is `None`) is coalesced
+    /// first, and in windowed mode each op must pass the id rules before
+    /// it applies and is tracked under `seq`, the seq the journal gives
+    /// the window next. An expiry frame erasing live window `expiry`
+    /// applies as synthesized and retires that window.
+    ///
+    /// # Errors
+    ///
+    /// The first op that fails, named by its index in `ops`.
+    pub(crate) fn stage(
+        &self,
+        seq: u64,
+        ops: &[DbUpdate],
+        expiry: Option<u64>,
+    ) -> Result<Staged, String> {
+        let window = match expiry {
+            None => coalesce(&self.tail, ops),
+            Some(_) => ops.iter().copied().enumerate().collect(),
+        };
+        let mut db = GraphDb::clone(&self.tail);
+        let mut tracker = self.tracker.clone();
+        let record = tracker.as_mut().and_then(|tr| tr.open(seq, expiry));
+        for &(i, op) in &window {
+            let gid = op.gid;
+            if gid as usize >= db.len() {
+                return Err(format!("op {i}: graph {gid} out of range ({} graphs)", db.len()));
+            }
+            let applied = match tracker.as_mut() {
+                Some(tr) => {
+                    if record.is_some() {
+                        let rules = tr.check(self.tail.graph(gid), &op);
+                        rules.map_err(|what| format!("op {i}: windowed mode: {what}"))?;
+                    }
+                    tr.apply_op(&mut db, &op, record)
+                }
+                None => op.update.apply(db.graph_mut(gid)).map(drop),
+            };
+            applied.map_err(|e| format!("op {i}: {e}"))?;
+        }
+        if let Some(tr) = tracker.as_mut() {
+            tr.close(expiry);
+        }
+        Ok(Staged { ops: window.into_iter().map(|(_, op)| op).collect(), db, tracker })
+    }
+
+    /// Makes a staged window the tail and queues its database under
+    /// `seq`, the seq the journal gave it.
+    pub(crate) fn push(&mut self, seq: u64, staged: Staged) {
+        self.tail = Arc::new(staged.db);
+        self.tracker = staged.tracker;
+        self.windows.insert(seq, Arc::clone(&self.tail));
     }
 
     /// Records a window's outcome, keeping the map bounded: durable-ack
@@ -869,14 +919,33 @@ mod tests {
         DbUpdate { gid, update: GraphUpdate::AddEdge { u, v, label } }
     }
 
+    /// A windowed queue over `base`, at seq 0.
+    fn windowed(base: &GraphDb) -> IngestQueue {
+        IngestQueue::new(Arc::new(base.clone()), 0, Some(WindowTracker::new(base)))
+    }
+
+    /// Stages `ops` as frame `seq` (an expiry frame when `expiry` is set)
+    /// and makes it the tail.
+    fn admit(q: &mut IngestQueue, seq: u64, ops: &[DbUpdate], expiry: Option<u64>) {
+        let staged = q.stage(seq, ops, expiry).unwrap();
+        q.push(seq, staged);
+    }
+
+    /// Synthesizes the oldest live window's expiry frame and admits it as
+    /// frame `seq`.
+    fn expire(q: &mut IngestQueue, seq: u64) -> (u64, Vec<DbUpdate>) {
+        let (expired, ops) = q.tracker.as_ref().unwrap().synthesize_expiry();
+        admit(q, seq, &ops, Some(expired));
+        (expired, ops)
+    }
+
     /// Expiring every live window in order walks the tail back to the
     /// exact base database, through swap-remove fixups and last-writer
     /// relabel restores.
     #[test]
     fn tracker_expiry_round_trips_to_base() {
         let base = base_db();
-        let mut tail = base.clone();
-        let mut tr = WindowTracker::new(&base);
+        let mut q = windowed(&base);
         // Window 1: relabel a base vertex, add an edge (gid 0 id 2).
         let w1 = [rv(0, 0, 50), ae(0, 0, 2, 30)];
         // Window 2: grow a pendant vertex (gid 0 vertex 3, edge 3).
@@ -884,89 +953,118 @@ mod tests {
         // Window 3: rewrite the same base vertex, add an edge on gid 1.
         let w3 = [rv(0, 0, 60), ae(1, 0, 2, 40)];
         for (seq, w) in [(1u64, &w1[..]), (2, &w2[..]), (3, &w3[..])] {
-            tr.validate_window(&tail, w).unwrap();
-            tr.apply_and_track(seq, &mut tail, w).unwrap();
+            admit(&mut q, seq, w, None);
         }
-        assert_eq!(tr.live_count(), 3);
+        assert_eq!(q.tracker.as_ref().unwrap().live_count(), 3);
 
         // Expire window 1. Vertex 0's last writer is window 3, so no
         // restore yet; its edge 2 is swap-removed, pulling window 2's
         // edge 3 into slot 2 (the tracker must follow the move).
-        let (expired, ops) = tr.synthesize_expiry();
-        assert_eq!(expired, 1);
-        assert_eq!(ops, vec![de(0, 2)]);
-        tr.apply_expiry(&mut tail, &ops, expired).unwrap();
+        assert_eq!(expire(&mut q, 4), (1, vec![de(0, 2)]));
         let mut expect = base.clone();
         apply_all(&mut expect, &[w2[0], w3[0], w3[1]]).unwrap();
-        assert_eq!(tail, expect, "after expiring window 1");
+        assert_eq!(*q.tail, expect, "after expiring window 1");
 
         // Expire window 2: its pendant edge now sits at the remapped id.
-        let (expired, ops) = tr.synthesize_expiry();
-        assert_eq!(expired, 2);
-        assert_eq!(ops, vec![de(0, 2), dv(0, 3)]);
-        tr.apply_expiry(&mut tail, &ops, expired).unwrap();
+        assert_eq!(expire(&mut q, 5), (2, vec![de(0, 2), dv(0, 3)]));
 
         // Expire window 3: vertex 0 restores to its pre-window-1 label
         // (the origin outlives intermediate writers), gid 1's edge pops.
-        let (expired, ops) = tr.synthesize_expiry();
-        assert_eq!(expired, 3);
-        assert_eq!(ops, vec![rv(0, 0, 0), de(1, 2)]);
-        tr.apply_expiry(&mut tail, &ops, expired).unwrap();
+        assert_eq!(expire(&mut q, 6), (3, vec![rv(0, 0, 0), de(1, 2)]));
+        let tr = q.tracker.as_ref().unwrap();
         assert_eq!(tr.live_count(), 0);
-        assert_eq!(tail, base, "after expiring every window");
+        assert_eq!(*q.tail, base, "after expiring every window");
         assert!(tr.origins.is_empty(), "origin records must die with their last writer");
+        // Every frame queued the database it produced, sharing the graphs
+        // it did not touch with the frame before it.
+        assert_eq!(q.windows.keys().copied().collect::<Vec<_>>(), [1, 2, 3, 4, 5, 6]);
+        assert!(Arc::ptr_eq(&q.windows[&6], &q.tail));
+        assert!(q.windows[&2].shares_graph(&q.windows[&1], 1), "window 2 left gid 1 alone");
+        assert!(!q.windows[&2].shares_graph(&q.windows[&1], 0), "window 2 wrote gid 0");
     }
 
     /// A window deleting its own additions leaves nothing to expire, and
     /// a vertex delete's cascade fixups keep later windows' ids honest.
+    /// Boot replay applies the same frames in place, to the same ends.
     #[test]
     fn tracker_follows_delete_cascades_within_windows() {
         let base = base_db();
-        let mut tail = base.clone();
-        let mut tr = WindowTracker::new(&base);
+        let mut q = windowed(&base);
         // Window 1: pendant vertex (attach edge 2), extra base-to-base
         // edge (id 3), then delete the vertex — the cascade swap-removes
         // its attach edge, pulling the extra edge from id 3 down to 2.
         let w1 = [av(0, 7, 1, 8), ae(0, 0, 2, 30), dv(0, 3)];
-        tr.validate_window(&tail, &w1).unwrap();
-        tr.apply_and_track(1, &mut tail, &w1).unwrap();
+        admit(&mut q, 1, &w1, None);
         // Window 2: relabel a base edge (restored at its expiry).
         let w2 = [re(0, 1, 99)];
-        tr.validate_window(&tail, &w2).unwrap();
-        tr.apply_and_track(2, &mut tail, &w2).unwrap();
+        admit(&mut q, 2, &w2, None);
 
         // Window 1's survivors: only the extra edge, now at id 2.
-        let (expired, ops) = tr.synthesize_expiry();
-        assert_eq!(expired, 1);
-        assert_eq!(ops, vec![de(0, 2)]);
-        tr.apply_expiry(&mut tail, &ops, expired).unwrap();
+        assert_eq!(expire(&mut q, 3), (1, vec![de(0, 2)]));
+        assert_eq!(expire(&mut q, 4), (2, vec![re(0, 1, 11)]));
+        assert_eq!(*q.tail, base, "after expiring both windows");
 
-        let (expired, ops) = tr.synthesize_expiry();
-        assert_eq!(expired, 2);
-        assert_eq!(ops, vec![re(0, 1, 11)]);
-        tr.apply_expiry(&mut tail, &ops, expired).unwrap();
-        assert_eq!(tail, base, "after expiring both windows");
+        let mut tail = base.clone();
+        let mut tr = WindowTracker::new(&base);
+        tr.replay(1, &mut tail, &w1, None).unwrap();
+        tr.replay(2, &mut tail, &w2, None).unwrap();
+        for seq in [3, 4] {
+            let (expired, ops) = tr.synthesize_expiry();
+            tr.replay(seq, &mut tail, &ops, Some(expired)).unwrap();
+        }
+        assert_eq!(tail, base, "after replaying both windows and both expiries");
     }
 
-    /// Windowed validation enjoys stricter rules than the plain dry-run:
-    /// cross-window references and base deletes are rejected up front.
+    /// Windowed admission enjoys stricter rules than plain admission:
+    /// cross-window references and base deletes are rejected up front,
+    /// and a rejection leaves the tail and the tracker as they were.
     #[test]
     fn tracker_validation_rejects_cross_window_and_base_deletes() {
         let base = base_db();
-        let mut tail = base.clone();
-        let mut tr = WindowTracker::new(&base);
-        let w1 = [av(0, 7, 1, 8)];
-        tr.apply_and_track(1, &mut tail, &w1).unwrap();
+        let mut q = windowed(&base);
+        admit(&mut q, 1, &[av(0, 7, 1, 8)], None);
+        let tail = Arc::clone(&q.tail);
 
-        let err = |ops: &[DbUpdate]| tr.validate_window(&tail, ops).unwrap_err();
+        let err = |ops: &[DbUpdate]| q.stage(2, ops, None).err().expect("rejected");
         assert!(err(&[rv(0, 3, 5)]).contains("belongs to an earlier live window"));
         assert!(err(&[ae(0, 0, 3, 9)]).contains("belongs to an earlier live window"));
         assert!(err(&[de(0, 2)]).contains("earlier live window"));
         assert!(err(&[de(0, 0)]).contains("cannot delete base edge"));
         assert!(err(&[dv(0, 1)]).contains("cannot delete base vertex"));
         assert_eq!(err(&[rv(9, 0, 1)]), "op 0: graph 9 out of range (2 graphs)");
+        // An out-of-range delete passes the id rules and is refused by the
+        // graph's own range check, not by a panic under the queue lock.
+        assert_eq!(err(&[dv(0, 9)]), "op 0: vertex id 9 out of range (graph has 4 vertices)");
+        assert!(Arc::ptr_eq(&q.tail, &tail));
+        assert_eq!(q.tracker.as_ref().unwrap().live_count(), 1);
         // Same-window self-references and base relabels stay legal.
-        tr.validate_window(&tail, &[av(0, 4, 0, 6), rv(0, 4, 5), dv(0, 4)]).unwrap();
-        tr.validate_window(&tail, &[rv(0, 0, 41), re(1, 0, 42)]).unwrap();
+        admit(&mut q, 2, &[av(0, 4, 0, 6), rv(0, 4, 5), dv(0, 4)], None);
+        admit(&mut q, 3, &[rv(0, 0, 41), re(1, 0, 42)], None);
+        assert_eq!(q.tracker.as_ref().unwrap().live_count(), 3);
+    }
+
+    /// Boot replay trusts the journal, so the in-place path has no id
+    /// rules in front of it: a bad vertex id must still come back as the
+    /// graph's own error.
+    #[test]
+    fn in_place_delete_vertex_checks_its_id() {
+        let base = base_db();
+        let mut tail = base.clone();
+        let mut tr = WindowTracker::new(&base);
+        let err = tr.replay(1, &mut tail, &[dv(1, 3)], None).unwrap_err();
+        assert_eq!(err, GraphError::VertexOutOfRange { vertex: 3, len: 3 });
+        assert_eq!(tail, base);
+    }
+
+    /// A rejection names the op the client sent, not its place in the
+    /// coalesced window: here the add-vertex and the first delete cancel.
+    #[test]
+    fn a_rejection_names_the_clients_op() {
+        let base = base_db();
+        for q in [IngestQueue::new(Arc::new(base.clone()), 0, None), windowed(&base)] {
+            let err = q.stage(1, &[av(0, 5, 0, 6), dv(0, 3), dv(0, 3)], None).err();
+            let msg = "op 2: vertex id 3 out of range (graph has 3 vertices)";
+            assert_eq!(err.as_deref(), Some(msg));
+        }
     }
 }

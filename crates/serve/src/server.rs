@@ -14,8 +14,9 @@
 //!
 //! Shutdown has two flavors. A client `shutdown` request (or
 //! [`ServerHandle::wait`] returning) stops the threads and runs
-//! [`Handler::clean_stop`] — for the engine: snapshot, persist patterns,
-//! truncate the journal. [`ServerHandle::abort`] stops the threads
+//! [`Handler::clean_stop`] — for the engine: drain, snapshot, truncate
+//! the journal (no pattern file: the next boot mines the snapshot).
+//! [`ServerHandle::abort`] stops the threads
 //! *without* the clean stop, leaving the data directory exactly as a
 //! `kill -9` would; tests use it to exercise journal recovery.
 
