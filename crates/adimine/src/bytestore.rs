@@ -3,46 +3,49 @@
 //! Records are opaque byte strings packed contiguously into the page
 //! stream; `append` returns the `(offset, len)` handle needed to `read` the
 //! record back. The ADI index stores its edge posting lists this way, and
-//! [`crate::GraphStore`] lays out serialized graphs with the same stream
-//! helpers. A store lives for one process: it is created, written and read,
-//! never reopened — the update journal, the one durable log, is a plain
-//! file of its own ([`crate::UpdateJournal`]).
+//! [`crate::graphstore::GraphStore`] its serialized graphs, behind a header
+//! page. A store lives for one process: it is created, written and read,
+//! never reopened.
 
 use std::path::Path;
 use std::time::Duration;
 
-use crate::{BufferPool, PageFile, PoolStats, StorageError, PAGE_SIZE};
+use graphmine_storage::{StorageError, PAGE_SIZE};
+
+use crate::file::PageFile;
+use crate::pool::{BufferPool, PoolStats};
 
 /// Handle to a stored record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordId {
+pub(crate) struct RecordId {
     /// Byte offset of the record in the stream.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Record length in bytes.
-    pub len: u32,
+    pub(crate) len: u32,
 }
 
 /// An append-only byte-record store backed by a buffer pool.
-pub struct ByteStore {
+pub(crate) struct ByteStore {
     pool: BufferPool,
     cursor: u64,
 }
 
 impl ByteStore {
     /// Creates an empty store at `path` with a pool of `pool_pages` pages
-    /// and a simulated per-page I/O latency.
+    /// and a simulated per-page I/O latency. Records start after the first
+    /// `header` bytes, which [`ByteStore::write_header`] fills.
     ///
     /// # Errors
     ///
     /// Propagates file-system failures.
-    pub fn create(
+    pub(crate) fn create(
         path: &Path,
         pool_pages: usize,
         io_latency: Duration,
+        header: usize,
     ) -> Result<Self, StorageError> {
-        let mut file = PageFile::create(path)?;
-        file.set_io_latency(io_latency);
-        Ok(ByteStore { pool: BufferPool::new(file, pool_pages), cursor: 0 })
+        let file = PageFile::create(path, io_latency)?;
+        Ok(ByteStore { pool: BufferPool::new(file, pool_pages), cursor: header as u64 })
     }
 
     /// Appends a record, returning its handle.
@@ -50,7 +53,7 @@ impl ByteStore {
     /// # Errors
     ///
     /// Propagates allocation and write failures.
-    pub fn append(&mut self, bytes: &[u8]) -> Result<RecordId, StorageError> {
+    pub(crate) fn append(&mut self, bytes: &[u8]) -> Result<RecordId, StorageError> {
         let id = RecordId { offset: self.cursor, len: bytes.len() as u32 };
         write_stream(&self.pool, self.cursor, bytes)?;
         self.cursor += bytes.len() as u64;
@@ -62,7 +65,7 @@ impl ByteStore {
     /// # Errors
     ///
     /// Out-of-range handles and read failures.
-    pub fn read(&self, id: RecordId) -> Result<Vec<u8>, StorageError> {
+    pub(crate) fn read(&self, id: RecordId) -> Result<Vec<u8>, StorageError> {
         if id.offset + u64::from(id.len) > self.cursor {
             return Err(StorageError::Corrupt(format!(
                 "record at {}+{} beyond stream end {}",
@@ -74,9 +77,14 @@ impl ByteStore {
         Ok(buf)
     }
 
-    /// Total bytes appended.
-    pub fn len_bytes(&self) -> u64 {
-        self.cursor
+    /// Writes `bytes` at offset 0, into the header space
+    /// [`ByteStore::create`] kept before the records.
+    ///
+    /// # Errors
+    ///
+    /// Propagates allocation and write failures.
+    pub(crate) fn write_header(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        write_stream(&self.pool, 0, bytes)
     }
 
     /// Writes all dirty pages back and syncs them to stable storage (the
@@ -85,18 +93,23 @@ impl ByteStore {
     /// # Errors
     ///
     /// Propagates write failures.
-    pub fn flush(&self) -> Result<(), StorageError> {
+    pub(crate) fn flush(&self) -> Result<(), StorageError> {
         self.pool.flush()
     }
 
     /// I/O counters of the pool.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         self.pool.stats()
+    }
+
+    /// Resets the I/O counters.
+    pub(crate) fn reset_stats(&self) {
+        self.pool.reset_stats()
     }
 }
 
 /// Writes `bytes` at stream offset `off`, allocating pages as needed.
-pub(crate) fn write_stream(pool: &BufferPool, off: u64, bytes: &[u8]) -> Result<(), StorageError> {
+fn write_stream(pool: &BufferPool, off: u64, bytes: &[u8]) -> Result<(), StorageError> {
     let end = off + bytes.len() as u64;
     let pages_needed = end.div_ceil(PAGE_SIZE as u64);
     while pool.page_count() < pages_needed {
@@ -118,7 +131,7 @@ pub(crate) fn write_stream(pool: &BufferPool, off: u64, bytes: &[u8]) -> Result<
 }
 
 /// Reads `buf.len()` bytes at stream offset `off`.
-pub(crate) fn read_stream(pool: &BufferPool, off: u64, buf: &mut [u8]) -> Result<(), StorageError> {
+fn read_stream(pool: &BufferPool, off: u64, buf: &mut [u8]) -> Result<(), StorageError> {
     let mut read = 0usize;
     let mut cur = off;
     while read < buf.len() {
@@ -137,12 +150,13 @@ pub(crate) fn read_stream(pool: &BufferPool, off: u64, buf: &mut [u8]) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn store() -> ByteStore {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("b.db");
         std::mem::forget(dir);
-        ByteStore::create(&path, 4, Duration::ZERO).unwrap()
+        ByteStore::create(&path, 4, Duration::ZERO, 0).unwrap()
     }
 
     #[test]
@@ -154,7 +168,7 @@ mod tests {
         assert_eq!(s.read(a).unwrap(), b"hello");
         assert_eq!(s.read(b).unwrap(), vec![0u8; 10_000]);
         assert_eq!(s.read(c).unwrap(), b"world");
-        assert_eq!(s.len_bytes(), 5 + 10_000 + 5);
+        assert_eq!((a.offset, b.offset, c.offset), (0, 5, 5 + 10_000));
     }
 
     #[test]
@@ -170,5 +184,26 @@ mod tests {
         let mut s = store();
         let id = s.append(b"").unwrap();
         assert_eq!(s.read(id).unwrap(), Vec::<u8>::new());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bytestore_round_trips_random_records(
+            records in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..2000),
+                1..20,
+            ),
+            capacity in 1usize..4,
+        ) {
+            let dir = tempfile::tempdir().unwrap();
+            let mut s =
+                ByteStore::create(&dir.path().join("b.db"), capacity, Duration::ZERO, 0).unwrap();
+            let ids: Vec<_> = records.iter().map(|r| s.append(r).unwrap()).collect();
+            for (id, expect) in ids.iter().zip(records.iter()) {
+                prop_assert_eq!(&s.read(*id).unwrap(), expect);
+            }
+        }
     }
 }

@@ -5,48 +5,41 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::time::Duration;
 
-use crate::StorageError;
-
-/// Page size in bytes. 4 KiB matches the usual filesystem block size.
-pub const PAGE_SIZE: usize = 4096;
+use graphmine_storage::{StorageError, PAGE_SIZE};
 
 /// Identifier of a page within a [`PageFile`].
-pub type PageId = u64;
+pub(crate) type PageId = u64;
 
 /// A file divided into fixed-size pages, the unit of I/O for the buffer
 /// pool. All reads and writes are whole pages.
 #[derive(Debug)]
-pub struct PageFile {
+pub(crate) struct PageFile {
     file: File,
     pages: u64,
     io_latency: Duration,
 }
 
 impl PageFile {
-    /// Creates (truncating) a page file at `path`.
+    /// Creates (truncating) a page file at `path` whose every page read
+    /// and write is charged a simulated `io_latency`.
+    ///
+    /// Modern page caches make file I/O effectively free at benchmark
+    /// scale; experiments that model the paper's 2006 disk/CPU ratio (a
+    /// spinning 73 GB disk against a P4) set a latency to restore the cost
+    /// of a genuine disk access. Zero disables the simulation.
     ///
     /// # Errors
     ///
     /// Any file-system error opening the file.
-    pub fn create(path: &Path) -> Result<Self, StorageError> {
+    pub(crate) fn create(path: &Path, io_latency: Duration) -> Result<Self, StorageError> {
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(PageFile { file, pages: 0, io_latency: Duration::ZERO })
+        Ok(PageFile { file, pages: 0, io_latency })
     }
 
     /// Number of allocated pages.
-    pub fn page_count(&self) -> u64 {
+    pub(crate) fn page_count(&self) -> u64 {
         self.pages
-    }
-
-    /// Sets a simulated latency charged to every page read and write.
-    ///
-    /// Modern page caches make file I/O effectively free at benchmark
-    /// scale; experiments that model the paper's 2006 disk/CPU ratio (a
-    /// spinning 73 GB disk against a P4) set this to restore the cost of a
-    /// genuine disk access. Zero (the default) disables the simulation.
-    pub fn set_io_latency(&mut self, latency: Duration) {
-        self.io_latency = latency;
     }
 
     #[inline]
@@ -67,7 +60,7 @@ impl PageFile {
     /// # Errors
     ///
     /// Propagates write failures.
-    pub fn allocate(&mut self) -> Result<PageId, StorageError> {
+    pub(crate) fn allocate(&mut self) -> Result<PageId, StorageError> {
         let pid = self.pages;
         self.file.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
         self.file.write_all(&[0u8; PAGE_SIZE])?;
@@ -80,7 +73,7 @@ impl PageFile {
     /// # Errors
     ///
     /// Out-of-range page ids and read failures.
-    pub fn read_page(
+    pub(crate) fn read_page(
         &mut self,
         pid: PageId,
         buf: &mut [u8; PAGE_SIZE],
@@ -99,7 +92,11 @@ impl PageFile {
     /// # Errors
     ///
     /// Out-of-range page ids and write failures.
-    pub fn write_page(&mut self, pid: PageId, buf: &[u8; PAGE_SIZE]) -> Result<(), StorageError> {
+    pub(crate) fn write_page(
+        &mut self,
+        pid: PageId,
+        buf: &[u8; PAGE_SIZE],
+    ) -> Result<(), StorageError> {
         if pid >= self.pages {
             return Err(StorageError::PageOutOfRange { page: pid, len: self.pages });
         }
@@ -116,7 +113,7 @@ impl PageFile {
     /// # Errors
     ///
     /// Propagates `fsync` failures.
-    pub fn sync(&mut self) -> Result<(), StorageError> {
+    pub(crate) fn sync(&mut self) -> Result<(), StorageError> {
         self.file.flush()?;
         self.file.sync_data()?;
         Ok(())
@@ -130,7 +127,7 @@ mod tests {
     #[test]
     fn allocate_write_read_round_trip() {
         let dir = tempfile::tempdir().unwrap();
-        let mut f = PageFile::create(&dir.path().join("p.db")).unwrap();
+        let mut f = PageFile::create(&dir.path().join("p.db"), Duration::ZERO).unwrap();
         let p0 = f.allocate().unwrap();
         let p1 = f.allocate().unwrap();
         assert_eq!((p0, p1), (0, 1));
@@ -150,7 +147,7 @@ mod tests {
     #[test]
     fn out_of_range_is_an_error() {
         let dir = tempfile::tempdir().unwrap();
-        let mut f = PageFile::create(&dir.path().join("p.db")).unwrap();
+        let mut f = PageFile::create(&dir.path().join("p.db"), Duration::ZERO).unwrap();
         let mut buf = [0u8; PAGE_SIZE];
         assert!(matches!(f.read_page(0, &mut buf), Err(StorageError::PageOutOfRange { .. })));
         assert!(matches!(f.write_page(3, &buf), Err(StorageError::PageOutOfRange { .. })));

@@ -1,26 +1,26 @@
 //! The ADI-style edge table.
 
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 
-use graphmine_graph::{ELabel, GraphDb, GraphId, Support, VLabel};
+use graphmine_graph::{ELabel, GraphDb, Support, VLabel};
 
 /// The memory-resident level of the ADI index: for every distinct edge
-/// triple `(l_u, l_e, l_v)` (orientation-normalised), the sorted list of
-/// graphs containing it. Built by one scan of the database; rebuilding it
-/// (plus re-serializing the adjacency pages) is what makes ADIMINE pay for
-/// every update.
+/// triple `(l_u, l_e, l_v)` (orientation-normalised), the number of graphs
+/// containing it. Built by one scan of the database; rebuilding it (plus
+/// re-serializing the adjacency pages) is what makes ADIMINE pay for every
+/// update. Which graphs hold a triple, and where, is the posting level's
+/// ([`crate::postings::EdgePostings`]).
 #[derive(Debug, Clone, Default)]
-pub struct AdiIndex {
-    table: FxHashMap<(VLabel, ELabel, VLabel), Vec<GraphId>>,
+pub(crate) struct AdiIndex {
+    table: FxHashMap<(VLabel, ELabel, VLabel), Support>,
 }
 
 impl AdiIndex {
     /// Builds the edge table with one database scan.
-    pub fn build(db: &GraphDb) -> Self {
-        let mut table: FxHashMap<(VLabel, ELabel, VLabel), Vec<GraphId>> = FxHashMap::default();
-        for (gid, g) in db.iter() {
-            let mut seen: rustc_hash::FxHashSet<(VLabel, ELabel, VLabel)> =
-                rustc_hash::FxHashSet::default();
+    pub(crate) fn build(db: &GraphDb) -> Self {
+        let mut table: FxHashMap<(VLabel, ELabel, VLabel), Support> = FxHashMap::default();
+        for (_, g) in db.iter() {
+            let mut seen: FxHashSet<(VLabel, ELabel, VLabel)> = FxHashSet::default();
             for (_, u, v, el) in g.edges() {
                 let (a, b) = if g.vlabel(u) <= g.vlabel(v) {
                     (g.vlabel(u), g.vlabel(v))
@@ -28,48 +28,37 @@ impl AdiIndex {
                     (g.vlabel(v), g.vlabel(u))
                 };
                 if seen.insert((a, el, b)) {
-                    table.entry((a, el, b)).or_default().push(gid);
+                    *table.entry((a, el, b)).or_default() += 1;
                 }
             }
         }
         AdiIndex { table }
     }
 
-    /// Support of an edge triple (orientation independent).
-    pub fn edge_support(&self, lu: VLabel, le: ELabel, lv: VLabel) -> Support {
-        let key = if lu <= lv { (lu, le, lv) } else { (lv, le, lu) };
-        self.table.get(&key).map_or(0, |v| v.len() as Support)
-    }
-
-    /// The graphs containing an edge triple.
-    pub fn graphs_with(&self, lu: VLabel, le: ELabel, lv: VLabel) -> &[GraphId] {
-        let key = if lu <= lv { (lu, le, lv) } else { (lv, le, lu) };
-        self.table.get(&key).map_or(&[], Vec::as_slice)
-    }
-
-    /// All edge triples with support at least `min_support`.
-    pub fn frequent_edges(&self, min_support: Support) -> Vec<((VLabel, ELabel, VLabel), Support)> {
+    /// All edge triples with support at least `min_support`, sorted.
+    pub(crate) fn frequent_edges(
+        &self,
+        min_support: Support,
+    ) -> Vec<((VLabel, ELabel, VLabel), Support)> {
         let mut out: Vec<_> = self
             .table
             .iter()
-            .filter(|(_, gids)| gids.len() as Support >= min_support)
-            .map(|(&t, gids)| (t, gids.len() as Support))
+            .filter(|(_, &support)| support >= min_support)
+            .map(|(&t, &support)| (t, support))
             .collect();
         out.sort_unstable();
         out
-    }
-
-    /// Number of distinct edge triples.
-    pub fn distinct_edges(&self) -> usize {
-        self.table.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postings::EdgePostings;
     use graphmine_graph::Graph;
 
+    /// Three graphs hold `(0)-5-(1)`, the last two `(1)-6-(2)`; graph 1
+    /// adds its `5` edge from the label-1 end.
     fn db() -> GraphDb {
         let mut graphs = Vec::new();
         for i in 0..3u32 {
@@ -77,7 +66,11 @@ mod tests {
             let a = g.add_vertex(0);
             let b = g.add_vertex(1);
             let c = g.add_vertex(2);
-            g.add_edge(a, b, 5).unwrap();
+            if i == 1 {
+                g.add_edge(b, a, 5).unwrap();
+            } else {
+                g.add_edge(a, b, 5).unwrap();
+            }
             if i > 0 {
                 g.add_edge(b, c, 6).unwrap();
             }
@@ -89,17 +82,23 @@ mod tests {
     #[test]
     fn edge_supports() {
         let idx = AdiIndex::build(&db());
-        assert_eq!(idx.edge_support(0, 5, 1), 3);
-        assert_eq!(idx.edge_support(1, 5, 0), 3, "orientation independent");
-        assert_eq!(idx.edge_support(1, 6, 2), 2);
-        assert_eq!(idx.edge_support(0, 9, 0), 0);
-        assert_eq!(idx.distinct_edges(), 2);
+        // Orientation independent: graph 1's `1 -> 0` edge counts under
+        // the normalised `(0, 5, 1)`.
+        assert_eq!(idx.frequent_edges(1), vec![((0, 5, 1), 3), ((1, 6, 2), 2)]);
     }
 
+    /// The graphs holding a triple come from the posting level.
     #[test]
     fn graphs_with_lists_gids() {
-        let idx = AdiIndex::build(&db());
-        assert_eq!(idx.graphs_with(1, 6, 2), &[1, 2]);
+        let dir = tempfile::tempdir().unwrap();
+        let postings =
+            EdgePostings::build(&dir.path().join("p"), &db(), 8, std::time::Duration::ZERO)
+                .unwrap();
+        let gids = |lu, le, lv| -> Vec<u32> {
+            postings.read(lu, le, lv).unwrap().iter().map(|inst| inst.gid).collect()
+        };
+        assert_eq!(gids(1, 6, 2), [1, 2]);
+        assert_eq!(gids(1, 5, 0), [0, 1, 2]);
     }
 
     #[test]
@@ -119,6 +118,6 @@ mod tests {
         g.add_edge(a, b, 1).unwrap();
         g.add_edge(b, c, 1).unwrap();
         let idx = AdiIndex::build(&GraphDb::from_graphs(vec![g]));
-        assert_eq!(idx.edge_support(0, 1, 0), 1);
+        assert_eq!(idx.frequent_edges(1), vec![((0, 1, 0), 1)]);
     }
 }

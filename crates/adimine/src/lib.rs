@@ -3,12 +3,16 @@
 //!
 //! The paper compares PartMiner against ADIMINE, obtained from its authors
 //! as a closed executable; this crate rebuilds the published design from
-//! scratch on our own storage substrate:
+//! scratch, on a simulated 2006 disk of its own:
 //!
-//! * an **ADI-style index** ([`AdiIndex`]): the memory-resident *edge
-//!   table* maps each distinct edge triple to the list of graphs containing
-//!   it (with supports), while the adjacency information of every graph
-//!   lives on disk pages ([`graphmine_storage::GraphStore`]);
+//! * a **page file and buffer pool**: 4 KiB pages behind an LRU pool with
+//!   dirty write-back and hit/miss/I/O accounting ([`PoolStats`]), each
+//!   page access charged a simulated latency ([`AdiConfig::io_latency`]),
+//!   so experiments report both wall-clock time and I/O volume;
+//! * an **ADI-style index**: the memory-resident *edge table* counts the
+//!   graphs holding each distinct edge triple, the on-disk *posting
+//!   level* lists every occurrence, and the adjacency information of every
+//!   graph lives on disk pages in `graphmine-storage`'s snapshot format;
 //! * a **disk-backed gSpan-style search** ([`AdiMine::mine`]): pattern
 //!   growth identical to the memory miner, but every graph access goes
 //!   through a bounded decoded-graph cache backed by the buffer pool, so
@@ -21,10 +25,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod bytestore;
+mod file;
+mod graphstore;
 mod index;
 mod miner;
+mod pool;
 mod postings;
 
-pub use index::AdiIndex;
 pub use miner::{AdiConfig, AdiMine};
-pub use postings::{EdgeInstance, EdgePostings};
+pub use pool::PoolStats;

@@ -10,10 +10,13 @@ use graphmine_graph::dfscode::is_min;
 use graphmine_graph::{
     DfsCode, DfsEdge, EdgeId, Graph, GraphDb, GraphId, Pattern, PatternSet, Support, VertexId,
 };
-use graphmine_storage::{GraphStore, PoolStats, StorageError};
+use graphmine_storage::StorageError;
 use graphmine_telemetry::{Counter, Counters};
 
-use crate::{AdiIndex, EdgePostings};
+use crate::graphstore::GraphStore;
+use crate::index::AdiIndex;
+use crate::pool::PoolStats;
+use crate::postings::EdgePostings;
 
 /// Resource knobs simulating the paper's memory-constrained machine.
 #[derive(Debug, Clone, Copy)]
@@ -22,10 +25,10 @@ pub struct AdiConfig {
     pub pool_pages: usize,
     /// Decoded-graph cache capacity in graphs.
     pub decoded_cache: usize,
-    /// Simulated latency per disk page access (see
-    /// [`graphmine_storage::PageFile::set_io_latency`]). Zero disables the
-    /// simulation; experiments reproducing the paper's disk-bound setting
-    /// use a spinning-disk-scale value.
+    /// Simulated latency charged to every disk page read and write, which
+    /// restores the cost of a genuine disk access that page caches make
+    /// free. Zero disables the simulation; experiments reproducing the
+    /// paper's disk-bound setting use a spinning-disk-scale value.
     pub io_latency: std::time::Duration,
 }
 
@@ -53,24 +56,14 @@ impl AdiMine {
     ///
     /// Propagates storage failures.
     pub fn build(dir: &Path, db: &GraphDb, config: AdiConfig) -> Result<Self, StorageError> {
-        let store = GraphStore::create_with_latency(
-            &dir.join("adi-gen0.pages"),
-            db,
-            config.pool_pages,
-            config.io_latency,
-        )?;
-        let postings = EdgePostings::build(
-            &dir.join("adi-gen0.postings"),
-            db,
-            config.pool_pages,
-            config.io_latency,
-        )?;
+        let (store, postings) = write_generation(dir, 0, db, &config)?;
         let index = AdiIndex::build(db);
         Ok(AdiMine { dir: dir.to_path_buf(), config, store, postings, index, generation: 0 })
     }
 
     /// Rebuilds the entire structure for an updated database — the cost
-    /// ADIMINE pays on *every* update, per Section 2.
+    /// ADIMINE pays on *every* update, per Section 2. The replaced
+    /// generation's files are deleted once the new one is in place.
     ///
     /// # Errors
     ///
@@ -79,27 +72,14 @@ impl AdiMine {
         // Rebuilding starts by scanning the existing structure — the ADI
         // paper's construction reads the database it is indexing.
         self.store.read_all()?;
-        self.generation += 1;
-        let path = self.dir.join(format!("adi-gen{}.pages", self.generation));
-        self.store = GraphStore::create_with_latency(
-            &path,
-            db,
-            self.config.pool_pages,
-            self.config.io_latency,
-        )?;
-        self.postings = EdgePostings::build(
-            &self.dir.join(format!("adi-gen{}.postings", self.generation)),
-            db,
-            self.config.pool_pages,
-            self.config.io_latency,
-        )?;
+        let old = self.generation;
+        (self.store, self.postings) = write_generation(&self.dir, old + 1, db, &self.config)?;
         self.index = AdiIndex::build(db);
+        self.generation = old + 1;
+        for path in generation_files(&self.dir, old) {
+            std::fs::remove_file(path)?;
+        }
         Ok(())
-    }
-
-    /// The edge table.
-    pub fn index(&self) -> &AdiIndex {
-        &self.index
     }
 
     /// I/O counters of the backing store.
@@ -112,36 +92,15 @@ impl AdiMine {
         self.store.reset_stats()
     }
 
-    /// Mines all frequent subgraphs at `min_support` (absolute count).
-    ///
-    /// # Errors
-    ///
-    /// Propagates page faults from the store.
-    pub fn mine(&self, min_support: Support) -> Result<PatternSet, StorageError> {
-        self.mine_capped(min_support, None)
-    }
-
-    /// Like [`AdiMine::mine`] with an optional pattern-size cap.
-    ///
-    /// # Errors
-    ///
-    /// Propagates page faults from the store.
-    pub fn mine_capped(
-        &self,
-        min_support: Support,
-        max_edges: Option<usize>,
-    ) -> Result<PatternSet, StorageError> {
-        self.mine_counted(min_support, max_edges, Counters::noop())
-    }
-
-    /// Like [`AdiMine::mine_capped`] while tallying miner telemetry counters
+    /// Mines all frequent subgraphs at `min_support` (absolute count) of
+    /// at most `max_edges` edges, tallying miner telemetry counters
     /// (extensions generated, support tests, patterns emitted) so baseline
     /// runs report the same statistics the PartMiner pipeline does.
     ///
     /// # Errors
     ///
     /// Propagates page faults from the store.
-    pub fn mine_counted(
+    pub fn mine(
         &self,
         min_support: Support,
         max_edges: Option<usize>,
@@ -266,6 +225,24 @@ impl AdiMine {
     }
 }
 
+/// The two files of generation `n` under `dir`: graph pages, postings.
+fn generation_files(dir: &Path, n: u64) -> [PathBuf; 2] {
+    [dir.join(format!("adi-gen{n}.pages")), dir.join(format!("adi-gen{n}.postings"))]
+}
+
+/// Writes generation `n` of the on-disk structure for `db`.
+fn write_generation(
+    dir: &Path,
+    n: u64,
+    db: &GraphDb,
+    config: &AdiConfig,
+) -> Result<(GraphStore, EdgePostings), StorageError> {
+    let [pages, postings] = generation_files(dir, n);
+    let store = GraphStore::create(&pages, db, config.pool_pages, config.io_latency)?;
+    let postings = EdgePostings::build(&postings, db, config.pool_pages, config.io_latency)?;
+    Ok((store, postings))
+}
+
 #[derive(Debug, Clone)]
 struct Embedding {
     gid: GraphId,
@@ -301,6 +278,13 @@ fn distinct_gids(embeddings: &[Embedding]) -> Support {
 /// that will be needed one cycle later); keeping a stable resident set is
 /// both scan-resistant and what a real system pinning its working set
 /// would do.
+///
+/// It is a second cache beside the buffer pool on purpose. The pool holds
+/// raw pages under LRU and is where page I/O is charged; this one holds
+/// decoded graphs and saves decode work. A hit here touches no page, so
+/// folding the two into one would change what [`PoolStats`] counts — the
+/// figures pinned by `tiny_memory_forces_page_io` and reported by
+/// Figs. 14a and 16.
 struct Cache<'a> {
     store: &'a GraphStore,
     cap: usize,
@@ -342,7 +326,7 @@ mod tests {
         let db = tiny_db();
         let adi = AdiMine::build(dir.path(), &db, AdiConfig::default()).unwrap();
         for sup in [2u32, 4, 8] {
-            let disk = adi.mine(sup).unwrap();
+            let disk = adi.mine(sup, None, Counters::noop()).unwrap();
             let mem = GSpan::new().mine(&db, sup);
             assert!(
                 disk.same_codes_and_supports(&mem),
@@ -364,7 +348,7 @@ mod tests {
             AdiConfig { pool_pages: 1, decoded_cache: 2, ..AdiConfig::default() },
         )
         .unwrap();
-        let disk = adi.mine_capped(5, Some(4)).unwrap();
+        let disk = adi.mine(5, Some(4), Counters::noop()).unwrap();
         let oracle = frequent_bruteforce(&db, 5, 4);
         assert!(disk.same_codes_and_supports(&oracle));
     }
@@ -392,7 +376,7 @@ mod tests {
             let adi = AdiMine::build(dir.path(), &db, config).unwrap();
             assert_eq!(adi.io_stats(), after_build, "build, {} pool pages", config.pool_pages);
             adi.reset_io_stats();
-            adi.mine_capped(db.abs_support(0.3), Some(2)).unwrap();
+            adi.mine(db.abs_support(0.3), Some(2), Counters::noop()).unwrap();
             assert_eq!(adi.io_stats(), after_mine, "mine, {} pool pages", config.pool_pages);
         }
     }
@@ -402,7 +386,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let mut db = tiny_db();
         let mut adi = AdiMine::build(dir.path(), &db, AdiConfig::default()).unwrap();
-        let before = adi.mine(3).unwrap();
+        let before = adi.mine(3, None, Counters::noop()).unwrap();
         // Re-label every vertex of every graph to a single label: patterns
         // change drastically.
         for gid in 0..db.len() as u32 {
@@ -412,7 +396,7 @@ mod tests {
             }
         }
         adi.rebuild(&db).unwrap();
-        let after = adi.mine(3).unwrap();
+        let after = adi.mine(3, None, Counters::noop()).unwrap();
         let mem = GSpan::new().mine(&db, 3);
         assert!(after.same_codes_and_supports(&mem));
         assert!(!before.same_codes(&after));
@@ -422,6 +406,27 @@ mod tests {
     fn empty_database_mines_nothing() {
         let dir = tempfile::tempdir().unwrap();
         let adi = AdiMine::build(dir.path(), &GraphDb::new(), AdiConfig::default()).unwrap();
-        assert!(adi.mine(1).unwrap().is_empty());
+        assert!(adi.mine(1, None, Counters::noop()).unwrap().is_empty());
+    }
+
+    /// Each rebuild deletes the generation it replaces: after three, only
+    /// generation 3's pages and postings are left, and they still mine
+    /// what gSpan does.
+    #[test]
+    fn rebuild_deletes_the_replaced_generation() {
+        let dir = tempfile::tempdir().unwrap();
+        let db = tiny_db();
+        let mut adi = AdiMine::build(dir.path(), &db, AdiConfig::default()).unwrap();
+        for _ in 0..3 {
+            adi.rebuild(&db).unwrap();
+        }
+        let mut files: Vec<String> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["adi-gen3.pages", "adi-gen3.postings"]);
+        let disk = adi.mine(3, None, Counters::noop()).unwrap();
+        assert!(disk.same_codes_and_supports(&GSpan::new().mine(&db, 3)));
     }
 }

@@ -5,7 +5,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rustc_hash::FxHashMap;
 
-use crate::{PageFile, PageId, StorageError, PAGE_SIZE};
+use graphmine_storage::{StorageError, PAGE_SIZE};
+
+use crate::file::{PageFile, PageId};
 
 /// I/O accounting for experiment reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,13 +40,13 @@ struct PoolInner {
 /// A single-writer LRU buffer pool. Access is closure-scoped
 /// ([`BufferPool::with_page`] / [`BufferPool::with_page_mut`]) so pages are
 /// never pinned across calls, which keeps eviction trivially safe.
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     inner: Mutex<PoolInner>,
 }
 
 impl BufferPool {
     /// Wraps `file` with a pool of `capacity` pages (at least 1).
-    pub fn new(file: PageFile, capacity: usize) -> Self {
+    pub(crate) fn new(file: PageFile, capacity: usize) -> Self {
         BufferPool {
             inner: Mutex::new(PoolInner {
                 file,
@@ -67,10 +69,10 @@ impl BufferPool {
     /// # Errors
     ///
     /// Propagates allocation and eviction I/O failures.
-    pub fn allocate(&self) -> Result<PageId, StorageError> {
+    pub(crate) fn allocate(&self) -> Result<PageId, StorageError> {
         let mut inner = self.latch();
         let pid = inner.file.allocate()?;
-        inner.evict_to(|cap| cap - 1)?;
+        inner.make_room()?;
         inner.frames.insert(pid, Frame { data: Box::new([0; PAGE_SIZE]), dirty: false });
         inner.lru.push_back(pid);
         Ok(pid)
@@ -81,7 +83,7 @@ impl BufferPool {
     /// # Errors
     ///
     /// Propagates faults from reading the page in.
-    pub fn with_page<R>(
+    pub(crate) fn with_page<R>(
         &self,
         pid: PageId,
         f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
@@ -97,7 +99,7 @@ impl BufferPool {
     /// # Errors
     ///
     /// Propagates faults from reading the page in.
-    pub fn with_page_mut<R>(
+    pub(crate) fn with_page_mut<R>(
         &self,
         pid: PageId,
         f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
@@ -114,7 +116,7 @@ impl BufferPool {
     /// # Errors
     ///
     /// Propagates write failures.
-    pub fn flush(&self) -> Result<(), StorageError> {
+    pub(crate) fn flush(&self) -> Result<(), StorageError> {
         let mut inner = self.latch();
         let dirty: Vec<PageId> =
             inner.frames.iter().filter(|(_, fr)| fr.dirty).map(|(&pid, _)| pid).collect();
@@ -130,17 +132,17 @@ impl BufferPool {
     }
 
     /// Snapshot of the I/O counters.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         self.latch().stats
     }
 
     /// Resets the I/O counters (per-experiment accounting).
-    pub fn reset_stats(&self) {
+    pub(crate) fn reset_stats(&self) {
         self.latch().stats = PoolStats::default();
     }
 
     /// Number of allocated pages in the backing file.
-    pub fn page_count(&self) -> u64 {
+    pub(crate) fn page_count(&self) -> u64 {
         self.latch().file.page_count()
     }
 }
@@ -156,7 +158,7 @@ impl PoolInner {
             return Ok(());
         }
         self.stats.misses += 1;
-        self.evict_to(|cap| cap - 1)?;
+        self.make_room()?;
         let mut data = Box::new([0u8; PAGE_SIZE]);
         self.file.read_page(pid, &mut data)?;
         self.stats.disk_reads += 1;
@@ -178,11 +180,10 @@ impl PoolInner {
         self.lru = kept;
     }
 
-    /// Evicts least-recently-used frames until at most `target(capacity)`
-    /// remain resident.
-    fn evict_to(&mut self, target: impl Fn(usize) -> usize) -> Result<(), StorageError> {
-        let want = target(self.capacity);
-        while self.frames.len() > want {
+    /// Evicts least-recently-used frames until at most `capacity - 1`
+    /// remain resident, leaving room for one more.
+    fn make_room(&mut self) -> Result<(), StorageError> {
+        while self.frames.len() >= self.capacity {
             let Some(pid) = self.lru.pop_front() else { break };
             // Stale LRU entry: the page was touched again later.
             if self.lru.contains(&pid) {
@@ -202,11 +203,13 @@ impl PoolInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::time::Duration;
 
     fn pool(capacity: usize) -> BufferPool {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("pool.db");
-        let file = PageFile::create(&path).unwrap();
+        let file = PageFile::create(&path, Duration::ZERO).unwrap();
         // Leak the tempdir so the file outlives the test body.
         std::mem::forget(dir);
         BufferPool::new(file, capacity)
@@ -271,5 +274,70 @@ mod tests {
         p.with_page_mut(b, |pg| pg[0] = 2).unwrap();
         assert_eq!(p.with_page(a, |pg| pg[0]).unwrap(), 1);
         assert_eq!(p.with_page(b, |pg| pg[0]).unwrap(), 2);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Allocate,
+        Write { page: usize, at: usize, byte: u8 },
+        Read { page: usize, at: usize },
+        Flush,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            2 => Just(Op::Allocate),
+            4 => (0..8usize, 0..PAGE_SIZE, any::<u8>())
+                .prop_map(|(page, at, byte)| Op::Write { page, at, byte }),
+            4 => (0..8usize, 0..PAGE_SIZE).prop_map(|(page, at)| Op::Read { page, at }),
+            1 => Just(Op::Flush),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The pool behaves like an in-memory mirror of its pages under
+        /// arbitrary operation sequences.
+        #[test]
+        fn pool_matches_in_memory_mirror(
+            ops in proptest::collection::vec(op_strategy(), 1..60),
+            capacity in 1usize..5,
+        ) {
+            let dir = tempfile::tempdir().unwrap();
+            let file = PageFile::create(&dir.path().join("p.db"), Duration::ZERO).unwrap();
+            let p = BufferPool::new(file, capacity);
+            let mut mirror: Vec<[u8; PAGE_SIZE]> = Vec::new();
+            for op in &ops {
+                match *op {
+                    Op::Allocate => {
+                        let pid = p.allocate().unwrap();
+                        prop_assert_eq!(pid as usize, mirror.len());
+                        mirror.push([0u8; PAGE_SIZE]);
+                    }
+                    Op::Write { page, at, byte } => {
+                        if page < mirror.len() {
+                            p.with_page_mut(page as u64, |pg| pg[at] = byte).unwrap();
+                            mirror[page][at] = byte;
+                        } else {
+                            prop_assert!(p.with_page_mut(page as u64, |_| ()).is_err());
+                        }
+                    }
+                    Op::Read { page, at } => {
+                        if page < mirror.len() {
+                            let v = p.with_page(page as u64, |pg| pg[at]).unwrap();
+                            prop_assert_eq!(v, mirror[page][at]);
+                        } else {
+                            prop_assert!(p.with_page(page as u64, |_| ()).is_err());
+                        }
+                    }
+                    Op::Flush => p.flush().unwrap(),
+                }
+            }
+            for (pid, expect) in mirror.iter().enumerate() {
+                let ok = p.with_page(pid as u64, |pg| pg == expect).unwrap();
+                prop_assert!(ok, "page {} diverged", pid);
+            }
+        }
     }
 }

@@ -12,24 +12,26 @@
 use rustc_hash::FxHashMap;
 
 use graphmine_graph::{ELabel, EdgeId, GraphDb, GraphId, VLabel, VertexId};
-use graphmine_storage::{ByteStore, PoolStats, RecordId, StorageError};
+use graphmine_storage::StorageError;
+
+use crate::bytestore::{ByteStore, RecordId};
 
 /// One occurrence of an edge triple, oriented so that
 /// `vlabel(u) = l_u, vlabel(v) = l_v`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeInstance {
+pub(crate) struct EdgeInstance {
     /// Containing graph.
-    pub gid: GraphId,
+    pub(crate) gid: GraphId,
     /// Source vertex (label `l_u`).
-    pub u: VertexId,
+    pub(crate) u: VertexId,
     /// Target vertex (label `l_v`).
-    pub v: VertexId,
+    pub(crate) v: VertexId,
     /// The edge's id within the graph.
-    pub eid: EdgeId,
+    pub(crate) eid: EdgeId,
 }
 
 /// Disk-resident posting lists keyed by normalised edge triple.
-pub struct EdgePostings {
+pub(crate) struct EdgePostings {
     store: ByteStore,
     directory: FxHashMap<(VLabel, ELabel, VLabel), RecordId>,
 }
@@ -42,7 +44,7 @@ impl EdgePostings {
     /// # Errors
     ///
     /// Propagates storage failures.
-    pub fn build(
+    pub(crate) fn build(
         path: &std::path::Path,
         db: &GraphDb,
         pool_pages: usize,
@@ -68,7 +70,7 @@ impl EdgePostings {
                 }
             }
         }
-        let mut store = ByteStore::create(path, pool_pages, io_latency)?;
+        let mut store = ByteStore::create(path, pool_pages, io_latency, 0)?;
         let mut directory = FxHashMap::default();
         // Deterministic order keeps the layout reproducible.
         let mut keys: Vec<_> = lists.keys().copied().collect();
@@ -96,7 +98,7 @@ impl EdgePostings {
     /// # Errors
     ///
     /// Propagates page faults.
-    pub fn read(
+    pub(crate) fn read(
         &self,
         lu: VLabel,
         le: ELabel,
@@ -122,16 +124,6 @@ impl EdgePostings {
             out.push(inst);
         }
         Ok(out)
-    }
-
-    /// Number of distinct triples with postings.
-    pub fn distinct_edges(&self) -> usize {
-        self.directory.len()
-    }
-
-    /// I/O counters of the posting store.
-    pub fn stats(&self) -> PoolStats {
-        self.store.stats()
     }
 }
 
@@ -166,7 +158,7 @@ mod tests {
     fn postings_cover_all_oriented_matches() {
         let db = db();
         let p = build(&db);
-        assert_eq!(p.distinct_edges(), 2);
+        assert_eq!(p.directory.len(), 2);
         let l = p.read(0, 5, 1).unwrap();
         // Three (0)-5-(1) oriented instances: g1 a->b, g1 c->b, g2 y->x.
         assert_eq!(l.len(), 3);

@@ -28,6 +28,7 @@ use graphmine_datagen::{
 use graphmine_graph::update::apply_all;
 use graphmine_graph::{DbUpdate, GraphDb, Support};
 use graphmine_partition::Criteria;
+use graphmine_telemetry::Counters;
 
 /// How much the paper's dataset sizes are divided by.
 #[derive(Debug, Clone, Copy)]
@@ -175,7 +176,7 @@ impl AdiHarness {
 
     /// Times one static mining pass.
     fn mine_time(&self, sup: Support) -> Duration {
-        time(|| self.adi.mine(sup).expect("adimine")).1
+        time(|| self.adi.mine(sup, None, Counters::noop()).expect("adimine")).1
     }
 
     /// Times the dynamic refresh: full index rebuild + full re-mine — the
@@ -183,7 +184,7 @@ impl AdiHarness {
     fn refresh_time(&mut self, updated: &GraphDb, sup: Support) -> Duration {
         time(|| {
             self.adi.rebuild(updated).expect("rebuild");
-            self.adi.mine(sup).expect("adimine");
+            self.adi.mine(sup, None, Counters::noop()).expect("adimine");
         })
         .1
     }

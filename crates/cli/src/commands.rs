@@ -487,7 +487,7 @@ pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
             };
             let res = {
                 let _span = tel.span("mine");
-                adi.mine_counted(sup, max_edges, tel.counters()).map_err(|e| e.to_string())?
+                adi.mine(sup, max_edges, tel.counters()).map_err(|e| e.to_string())?
             };
             std::fs::remove_dir_all(&dir).ok();
             res

@@ -1,21 +1,10 @@
-//! Disk substrate for the ADIMINE baseline, and the serving daemon's files.
+//! The serving daemon's files: the snapshot and the update journal.
 //!
-//! The authors of the paper ran ADIMINE — a miner for *large, disk-based*
-//! graph databases — on a 2.5 GB RAM / 73 GB disk machine. This crate
-//! rebuilds the storage layer that role needs; only ADIMINE sits on it:
-//!
-//! * [`PageFile`] — a page-granular file store (4 KiB pages);
-//! * [`BufferPool`] — an LRU buffer pool over a page file with pin-free
-//!   closure access, dirty-page write-back, and hit/miss/IO accounting, so
-//!   experiments can report both wall-clock time and I/O volume;
-//! * [`GraphStore`] — a graph database written through the pool, with
-//!   per-graph random access (the access pattern of index-backed mining)
-//!   and full scans.
-//!
-//! The serving daemon's two files are plain files beside that stack:
-//!
-//! * [`write_snapshot`] / [`read_snapshot`] — the snapshot, the bytes a
-//!   [`GraphStore`] holds, written and read as one image;
+//! * [`write_snapshot`] / [`read_snapshot`] — the snapshot, a serialized
+//!   graph database written and read as one image. Its record codec
+//!   ([`encode_graph`], [`decode_graph`], [`snapshot_header`]) is public
+//!   because ADIMINE's paged store (`graphmine-adimine`) writes the same
+//!   bytes through its buffer pool;
 //! * [`UpdateJournal`] — an fsync-before-ack write-ahead log of update
 //!   batches, CRC-framed, with torn-tail recovery;
 //! * [`GroupCommitJournal`] — a group-committing front end over the
@@ -29,16 +18,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod bytestore;
 mod error;
-mod file;
-mod graphstore;
 mod journal;
-mod pool;
+mod snapshot;
 
-pub use bytestore::{ByteStore, RecordId};
 pub use error::StorageError;
-pub use file::{PageFile, PageId, PAGE_SIZE};
-pub use graphstore::{read_snapshot, write_snapshot, GraphStore};
 pub use journal::{GroupCommitJournal, GroupStats, JournalBatch, UpdateJournal};
-pub use pool::{BufferPool, PoolStats};
+pub use snapshot::{decode_graph, encode_graph, read_snapshot, snapshot_header, write_snapshot};
+
+/// Page size in bytes. 4 KiB matches the usual filesystem block size; the
+/// journal and the snapshot are whole pages long, and ADIMINE's page file
+/// is made of them.
+pub const PAGE_SIZE: usize = 4096;

@@ -14,6 +14,7 @@ use graphmine_datagen::{
 };
 use graphmine_graph::update::apply_all;
 use graphmine_partition::Criteria;
+use graphmine_telemetry::Counters;
 
 fn main() {
     let params = GenParams::new(300, 12, 8, 20, 4);
@@ -69,11 +70,11 @@ fn main() {
     };
     let t = Instant::now();
     let mut adi = AdiMine::build(&dir, &db, adi_config).unwrap();
-    let base = adi.mine(min_sup).unwrap();
+    let base = adi.mine(min_sup, None, Counters::noop()).unwrap();
     let init = t.elapsed();
     let t = Instant::now();
     adi.rebuild(&updated).unwrap();
-    let after = adi.mine(min_sup).unwrap();
+    let after = adi.mine(min_sup, None, Counters::noop()).unwrap();
     let upd = t.elapsed();
     println!(
         "{:<12} {:>12.1} {:>14.1} {:>12} {:>10}",

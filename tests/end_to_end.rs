@@ -9,6 +9,7 @@ use graphmine_datagen::{
 };
 use graphmine_graph::update::apply_all;
 use graphmine_miner::{GSpan, MemoryMiner};
+use graphmine_telemetry::Counters;
 
 #[test]
 fn dynamic_lifecycle_stays_consistent_across_batches() {
@@ -48,7 +49,7 @@ fn dynamic_lifecycle_stays_consistent_across_batches() {
         );
 
         adi.rebuild(&current).unwrap();
-        let disk = adi.mine(sup).unwrap();
+        let disk = adi.mine(sup, None, Counters::noop()).unwrap();
         assert!(disk.same_codes_and_supports(&direct), "round {round}: ADIMINE diverged");
 
         // The incremental round touched strictly fewer units than exist

@@ -36,7 +36,7 @@ fn all_systems_agree_on_synthetic_data() {
 
         let dir = tempfile::tempdir().unwrap();
         let adi = AdiMine::build(dir.path(), &db, AdiConfig::default()).unwrap();
-        let disk = adi.mine(sup).unwrap();
+        let disk = adi.mine(sup, None, Counters::noop()).unwrap();
         assert!(disk.same_codes_and_supports(&reference), "ADIMINE vs gSpan at {rel_sup}");
 
         for k in [2usize, 4] {
@@ -121,7 +121,7 @@ fn miners_agree_at_low_support_with_cap() {
     assert!(gaston.same_codes_and_supports(&reference));
     let dir = tempfile::tempdir().unwrap();
     let adi = AdiMine::build(dir.path(), &db, AdiConfig::default()).unwrap();
-    let disk = adi.mine_capped(sup, Some(5)).unwrap();
+    let disk = adi.mine(sup, Some(5), Counters::noop()).unwrap();
     assert!(disk.same_codes_and_supports(&reference));
 }
 
