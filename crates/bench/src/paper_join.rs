@@ -19,7 +19,7 @@ use rustc_hash::FxHashMap;
 use graphmine_core::PartMinerState;
 use graphmine_graph::enumerate::one_edge_deletions;
 use graphmine_graph::{
-    intersect_sorted, DfsCode, EmbeddingMode, EmbeddingStore, GraphDb, GraphId, Pattern,
+    intersect_sorted, Change, DfsCode, EmbeddingMode, EmbeddingStore, GraphDb, GraphId, Pattern,
     PatternSet, Support, DEFAULT_EMBEDDING_BUDGET,
 };
 use graphmine_miner::extend::{one_edge_extensions, EdgeVocab};
@@ -60,11 +60,21 @@ fn join(ctx: &JoinContext<'_>, p0: &PatternSet, p1: &PatternSet) -> PatternSet {
 
     // Piece results with max-support union: the tightest available lower
     // bound on each pattern's support in S.
-    let mut seeds = p0.clone();
-    seeds.union(p1);
+    let seeds = union_max(p0, p1);
 
     paper_levels(ctx, &vocab, p0, p1, &seeds, &mut out);
     out
+}
+
+/// Both piece results, keeping the larger support where both hold a code:
+/// piece supports are lower bounds on the support in `S`.
+fn union_max(p0: &PatternSet, p1: &PatternSet) -> PatternSet {
+    p0.changes_to(p1)
+        .map(|c| match c {
+            Change::Unchanged(a, b) => if a.support >= b.support { a } else { b }.clone(),
+            Change::Lost(p) | Change::Gained(p) => p.clone(),
+        })
+        .collect()
 }
 
 fn within_cap(ctx: &JoinContext<'_>, size: usize) -> bool {
@@ -126,6 +136,42 @@ impl<'a> CheckFrequency<'a> {
             Verdict::Rejected
         }
     }
+
+    /// `P^k(S0) ∪ P^k(S1)` — the seeds of `k` edges — into `out`, each code
+    /// not already there verified against `S`.
+    fn piece_level(
+        &mut self,
+        ctx: &JoinContext<'_>,
+        seeds: &PatternSet,
+        k: usize,
+        out: &mut PatternSet,
+    ) {
+        for p in seeds.iter().filter(|p| p.size() == k) {
+            if !out.contains(&p.code) {
+                let verdict = self.verify(ctx, seeds, &p.code, None);
+                accept(p.code.clone(), verdict, None, out);
+            }
+        }
+    }
+}
+
+/// Records a verified candidate in `out` and returns it as a member of the
+/// next `F^k`; one accepted on a bound keeps `inherited` as its supporter
+/// superset.
+fn accept(
+    code: DfsCode,
+    verdict: Verdict,
+    inherited: Option<Arc<Vec<GraphId>>>,
+    out: &mut PatternSet,
+) -> Option<Live> {
+    let (support, supporters) = match verdict {
+        Verdict::Counted(sup, gids) => (sup, Some(gids)),
+        Verdict::Bound(sup) => (sup, inherited),
+        Verdict::Rejected => return None,
+    };
+    let pattern = Pattern::from_code(code, support);
+    out.insert(pattern.clone());
+    Some(Live { pattern, supporters })
 }
 
 /// Combines two optional parent supporter lists into the tightest sound
@@ -162,24 +208,11 @@ fn paper_levels(
     out: &mut PatternSet,
 ) {
     let mut check = CheckFrequency::new(ctx);
-    let max_piece = p0.max_size().max(p1.max_size());
+    let max_piece = seeds.max_size();
 
     // Level 2: P^2(S) = P^2(S0) ∪ P^2(S1), verified against S.
     if within_cap(ctx, 2) {
-        let mut piece2: Vec<&Pattern> = p0.of_size(2).chain(p1.of_size(2)).collect();
-        piece2.sort_by(|a, b| a.code.cmp(&b.code));
-        piece2.dedup_by(|a, b| a.code == b.code);
-        for p in piece2 {
-            if out.contains(&p.code) {
-                continue;
-            }
-            match check.verify(ctx, seeds, &p.code, None) {
-                Verdict::Counted(sup, _) | Verdict::Bound(sup) => {
-                    out.insert(Pattern::from_code(p.code.clone(), sup));
-                }
-                Verdict::Rejected => {}
-            }
-        }
+        check.piece_level(ctx, seeds, 2, out);
     }
 
     // C^3 = Join(P^2(S0), P^2(S1)): extensions of one side with a partner
@@ -189,7 +222,7 @@ fn paper_levels(
         let mut c3: FxHashMap<DfsCode, ()> = FxHashMap::default();
         let sides: [(&PatternSet, &PatternSet); 2] = [(p0, p1), (p1, p0)];
         for (mine, other) in sides {
-            for p in mine.of_size(2) {
+            for p in mine.iter().filter(|p| p.size() == 2) {
                 for code in one_edge_extensions(&p.graph, vocab) {
                     if out.contains(&code) || c3.contains_key(&code) {
                         continue;
@@ -203,19 +236,8 @@ fn paper_levels(
             }
         }
         for (code, ()) in c3 {
-            match check.verify(ctx, seeds, &code, None) {
-                Verdict::Counted(sup, gids) => {
-                    let p = Pattern::from_code(code, sup);
-                    out.insert(p.clone());
-                    f_k.push(Live { pattern: p, supporters: Some(gids) });
-                }
-                Verdict::Bound(sup) => {
-                    let p = Pattern::from_code(code, sup);
-                    out.insert(p.clone());
-                    f_k.push(Live { pattern: p, supporters: None });
-                }
-                Verdict::Rejected => {}
-            }
+            let verdict = check.verify(ctx, seeds, &code, None);
+            f_k.extend(accept(code, verdict, None, out));
         }
     }
 
@@ -227,20 +249,7 @@ fn paper_levels(
         if !within_cap(ctx, k) {
             break;
         }
-        let mut piece_k: Vec<&Pattern> = p0.of_size(k).chain(p1.of_size(k)).collect();
-        piece_k.sort_by(|a, b| a.code.cmp(&b.code));
-        piece_k.dedup_by(|a, b| a.code == b.code);
-        for p in piece_k {
-            if out.contains(&p.code) {
-                continue;
-            }
-            match check.verify(ctx, seeds, &p.code, None) {
-                Verdict::Counted(sup, _) | Verdict::Bound(sup) => {
-                    out.insert(Pattern::from_code(p.code.clone(), sup));
-                }
-                Verdict::Rejected => {}
-            }
-        }
+        check.piece_level(ctx, seeds, k, out);
 
         if f_k.is_empty() && k > max_piece {
             break;
@@ -260,19 +269,8 @@ fn paper_levels(
         }
         let mut next_f = Vec::new();
         for (code, restrict) in candidates {
-            match check.verify(ctx, seeds, &code, restrict.as_ref()) {
-                Verdict::Counted(sup, gids) => {
-                    let p = Pattern::from_code(code, sup);
-                    out.insert(p.clone());
-                    next_f.push(Live { pattern: p, supporters: Some(gids) });
-                }
-                Verdict::Bound(sup) => {
-                    let p = Pattern::from_code(code, sup);
-                    out.insert(p.clone());
-                    next_f.push(Live { pattern: p, supporters: restrict });
-                }
-                Verdict::Rejected => {}
-            }
+            let verdict = check.verify(ctx, seeds, &code, restrict.as_ref());
+            next_f.extend(accept(code, verdict, restrict, out));
         }
         f_k = next_f;
         k += 1;
@@ -339,6 +337,20 @@ mod tests {
                 p.support
             );
         }
+    }
+
+    #[test]
+    fn union_keeps_max_support() {
+        let edge = |label: u32, support: Support| {
+            let e = graphmine_graph::DfsEdge::new(0, 1, label, 0, label);
+            Pattern::from_code(DfsCode(vec![e]), support)
+        };
+        let a: PatternSet = vec![edge(1, 5), edge(3, 2)].into_iter().collect();
+        let b: PatternSet = vec![edge(1, 8), edge(2, 3), edge(3, 1)].into_iter().collect();
+        let u = union_max(&a, &b);
+        assert_eq!(u.len(), 3);
+        assert_eq!(u.support(&edge(1, 0).code), Some(8));
+        assert_eq!(u.support(&edge(3, 0).code), Some(2));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use graphmine_adimine::{AdiConfig, AdiMine};
 use graphmine_core::{IncPartMiner, PartMiner, PartMinerConfig, PartitionerKind};
 use graphmine_datagen::{plan_updates, ufreq_from_updates, GenParams, UpdateKind, UpdateParams};
 use graphmine_graph::{
-    io as gio, pattern_io, update_io, DbUpdate, DfsCode, DfsEdge, EmbeddingMode, GraphDb,
+    io as gio, pattern_io, update_io, Change, DbUpdate, DfsCode, DfsEdge, EmbeddingMode, GraphDb,
     PatternSet, Support,
 };
 use graphmine_miner::{
@@ -55,7 +55,8 @@ USAGE:
   graphmine incremental FILE UPDATES --minsup FRAC [--k K] [--threads T]
                  [--criteria 1|2|3|metis] [--report REPORT]
       Mine, apply the updates incrementally, and report the UF/FI/IF
-      pattern classes. --threads above 1 re-mines touched units on a
+      pattern classes, listing up to ten IF and ten FI patterns in
+      DFS-code order. --threads above 1 re-mines touched units on a
       work-stealing pool of that size. --report writes the incremental
       round's run report as JSON.
 
@@ -122,7 +123,9 @@ USAGE:
       Print database statistics (sizes, labels, connectivity).
 
   graphmine diff PATTERNS_A PATTERNS_B
-      Compare two pattern files written by `mine -o`.
+      Compare two pattern files written by `mine -o`: support changes
+      (~), then codes only in A (-), then codes only in B (+), each in
+      DFS-code order. A file that names a code twice is refused.
 
   graphmine check [--seed 42] [--cases 100] [--quick] [--out-dir DIR]
                  [--threads T] [--replay FILE]
@@ -389,21 +392,22 @@ pub fn diff(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     };
     let a = load(a_path)?;
     let b = load(b_path)?;
-    let only_a = a.difference(&b);
-    let only_b = b.difference(&a);
-    let mut support_changed = 0;
-    for p in a.iter() {
-        if let Some(sb) = b.support(&p.code) {
-            if sb != p.support {
-                support_changed += 1;
-                say!(stdout, "~ support {} -> {}  {}", p.support, sb, p.code);
-            }
+    let (mut changed, mut only_a, mut only_b) = (Vec::new(), Vec::new(), Vec::new());
+    for change in a.changes_to(&b) {
+        match change {
+            Change::Unchanged(p, q) if p.support != q.support => changed.push((p, q.support)),
+            Change::Unchanged(..) => {}
+            Change::Lost(p) => only_a.push(p),
+            Change::Gained(p) => only_b.push(p),
         }
     }
-    for p in only_a.iter() {
+    for (p, sb) in &changed {
+        say!(stdout, "~ support {} -> {}  {}", p.support, sb, p.code);
+    }
+    for p in &only_a {
         say!(stdout, "- support {:>6}  {}", p.support, p.code);
     }
-    for p in only_b.iter() {
+    for p in &only_b {
         say!(stdout, "+ support {:>6}  {}", p.support, p.code);
     }
     say!(
@@ -417,7 +421,7 @@ pub fn diff(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         only_a.len(),
         b_path,
         only_b.len(),
-        support_changed
+        changed.len()
     );
     Ok(())
 }

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use rustc_hash::FxHashSet;
 
 use graphmine_exec::{Executor, Job};
-use graphmine_graph::{DbUpdate, GraphError, PatternSet};
+use graphmine_graph::{Change, DbUpdate, GraphError, PatternSet};
 use graphmine_miner::{GSpan, MemoryMiner};
 use graphmine_partition::NodeId;
 use graphmine_telemetry::{Counter, ReportSource, StageTotal, Telemetry};
@@ -199,11 +199,17 @@ impl IncPartMiner {
         let merge_time = t_merge.elapsed();
         mirror_exec_counters(tel, exec, exec_before);
 
-        // 4. Classify (lines 13-15).
+        // 4. Classify (lines 13-15): one merge of the old and new results.
         let new_pd = state.node_results[&root].clone();
-        let if_new = new_pd.difference(&old_pd);
-        let uf = new_pd.difference(&if_new);
-        let fi = old_pd.difference(&new_pd);
+        let (mut uf, mut fi, mut if_new) =
+            (PatternSet::new(), PatternSet::new(), PatternSet::new());
+        for change in old_pd.changes_to(&new_pd) {
+            match change {
+                Change::Unchanged(_, p) => uf.insert(p.clone()),
+                Change::Lost(p) => fi.insert(p.clone()),
+                Change::Gained(p) => if_new.insert(p.clone()),
+            };
+        }
         tel.counters().add(Counter::IncUnchangedFrequent, uf.len() as u64);
         tel.counters().add(Counter::IncFrequentToInfrequent, fi.len() as u64);
         tel.counters().add(Counter::IncInfrequentToFrequent, if_new.len() as u64);

@@ -93,8 +93,9 @@ impl ReportSource for MergeStats {
 /// and folds with.
 ///
 /// The frequent-edge subtrees share nothing, so with an executor each is
-/// one job; folding the jobs' results in root order makes stats and output
-/// identical to the serial walk.
+/// one job. Each job's patterns are one root's subtree in code order, so
+/// concatenating them in root order is the serial walk's output, already
+/// sorted; the stats fold in the same order.
 pub fn merge_join(ctx: &MergeContext<'_>, pieces: &[&PatternSet]) -> (PatternSet, MergeStats) {
     let view = EdgeView::build(ctx.db, &EdgeVocab::frequent_in(ctx.db, ctx.min_support));
     let mut known = KnownCodes::default();
@@ -126,15 +127,13 @@ pub fn merge_join(ctx: &MergeContext<'_>, pieces: &[&PatternSet]) -> (PatternSet
                 .collect();
             let subtrees =
                 exec.map_indexed(jobs).unwrap_or_else(|e| panic!("merge-join walk failed: {e}"));
-            let mut out = PatternSet::new();
             let mut stats = WalkStats::default();
+            let mut out = Vec::new();
             for (found, local) in subtrees {
                 stats.absorb(local);
-                for p in found.into_patterns() {
-                    out.insert(p);
-                }
+                out.extend(found.into_patterns());
             }
-            (out, stats)
+            (out.into_iter().collect(), stats)
         }
     };
 

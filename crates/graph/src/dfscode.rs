@@ -111,8 +111,8 @@ impl fmt::Display for DfsEdge {
 ///
 /// Codes grown by rightmost extension are always valid DFS codes of the
 /// pattern they describe; [`DfsCode::to_graph`] rebuilds that pattern.
-/// `DfsCode` implements `Ord` with the gSpan lexicographic order, and `Hash`,
-/// so minimum codes can key pattern hash maps directly.
+/// `DfsCode` implements `Ord` with the gSpan lexicographic order (the order
+/// a [`crate::PatternSet`] keeps), and `Hash`, so codes can key hash maps.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct DfsCode(pub Vec<DfsEdge>);
 

@@ -86,7 +86,7 @@ pub use graph::{
     VertexRemoval,
 };
 pub use intersect::intersect_sorted;
-pub use pattern::{Pattern, PatternSet};
+pub use pattern::{Change, Pattern, PatternSet};
 pub use update::{apply_all, DbUpdate, GraphUpdate};
 
 /// Absolute support count (number of database graphs containing a pattern).

@@ -71,13 +71,15 @@ pub fn write_patterns(mut writer: impl Write, set: &PatternSet) -> std::io::Resu
 }
 
 /// Parses a pattern set. Codes are validated: they must parse as integer
-/// 5-tuples, rebuild into a graph, and be canonical (minimum DFS codes).
+/// 5-tuples, rebuild into a graph, be canonical (minimum DFS codes), and
+/// appear once.
 ///
 /// # Errors
 ///
-/// I/O failures and malformed or non-canonical lines.
+/// I/O failures, malformed or non-canonical lines, and a code on a second
+/// line (the earliest such line is named).
 pub fn read_patterns(reader: impl BufRead) -> Result<PatternSet, PatternParseError> {
-    let mut out = PatternSet::new();
+    let mut read: Vec<(usize, Pattern)> = Vec::new();
     for (i, line) in reader.lines().enumerate() {
         let line = line?;
         let lineno = i + 1;
@@ -131,9 +133,18 @@ pub fn read_patterns(reader: impl BufRead) -> Result<PatternSet, PatternParseErr
                 what: "code is not a minimum DFS code".into(),
             });
         }
-        out.insert(Pattern { code, graph, support });
+        read.push((lineno, Pattern { code, graph, support }));
     }
-    Ok(out)
+    // The stable sort keeps a repeated code's lines in file order.
+    read.sort_by(|a, b| a.1.code.cmp(&b.1.code));
+    let repeats = read.windows(2).filter(|w| w[0].1.code == w[1].1.code);
+    if let Some((line, first)) = repeats.map(|w| (w[1].0, w[0].0)).min() {
+        return Err(PatternParseError::Malformed {
+            line,
+            what: format!("duplicate code (first on line {first})"),
+        });
+    }
+    Ok(read.into_iter().map(|(_, p)| p).collect())
 }
 
 #[cfg(test)]
@@ -194,6 +205,10 @@ mod tests {
             let err = read_patterns(bad.as_bytes()).unwrap_err();
             assert!(err.to_string().starts_with("line 1: invalid DFS code"), "{bad:?}: {err}");
         }
+        // One code on two lines is refused, naming both lines.
+        let dup = "5  0 1 0 5 1\n4  0 1 0 0 0\n9  0 1 0 5 1\n";
+        let err = read_patterns(dup.as_bytes()).unwrap_err();
+        assert_eq!(err.to_string(), "line 3: duplicate code (first on line 1)");
     }
 
     #[test]

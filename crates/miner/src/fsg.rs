@@ -22,9 +22,9 @@
 
 use rustc_hash::FxHashMap;
 
-use graphmine_graph::dfscode::min_dfs_code;
+use graphmine_graph::enumerate::one_edge_deletions;
 use graphmine_graph::iso::screened_support;
-use graphmine_graph::{DfsCode, Graph, GraphDb, GraphId, Pattern, PatternSet, Support};
+use graphmine_graph::{DfsCode, GraphDb, GraphId, Pattern, PatternSet, Support};
 use graphmine_telemetry::Counters;
 
 use crate::extend::{one_edge_extensions, EdgeVocab};
@@ -49,23 +49,6 @@ impl Fsg {
     }
 }
 
-/// All connected one-edge deletions of `g`, as canonical codes.
-fn connected_deletions(g: &Graph) -> Vec<DfsCode> {
-    let m = g.edge_count() as u32;
-    let mut out = Vec::new();
-    if m < 2 {
-        return out;
-    }
-    for drop in 0..m {
-        let keep: Vec<u32> = (0..m).filter(|&e| e != drop).collect();
-        let (sub, _) = g.edge_subgraph(&keep).expect("edge ids valid");
-        if sub.is_connected() {
-            out.push(min_dfs_code(&sub));
-        }
-    }
-    out
-}
-
 impl MemoryMiner for Fsg {
     fn mine(&self, db: &GraphDb, min_support: Support) -> PatternSet {
         let mut out = PatternSet::new();
@@ -73,19 +56,11 @@ impl MemoryMiner for Fsg {
             return out;
         }
 
-        // F1 with TID lists.
+        // F1 with TID lists, off each graph's index of distinct edge triples.
         let mut tids: FxHashMap<DfsCode, Vec<GraphId>> = FxHashMap::default();
         for (gid, g) in db.iter() {
-            let mut in_graph: rustc_hash::FxHashSet<DfsCode> = rustc_hash::FxHashSet::default();
-            for (_, u, v, el) in g.edges() {
-                let (la, lb) = if g.vlabel(u) <= g.vlabel(v) {
-                    (g.vlabel(u), g.vlabel(v))
-                } else {
-                    (g.vlabel(v), g.vlabel(u))
-                };
-                in_graph.insert(DfsCode(vec![graphmine_graph::DfsEdge::new(0, 1, la, el, lb)]));
-            }
-            for code in in_graph {
+            for &((la, el, lb), _) in g.triples() {
+                let code = DfsCode(vec![graphmine_graph::DfsEdge::new(0, 1, la, el, lb)]);
                 tids.entry(code).or_default().push(gid);
             }
         }
@@ -120,7 +95,7 @@ impl MemoryMiner for Fsg {
                     }
                     let cand_graph = code.to_graph();
                     // Downward closure: every connected k-subgraph frequent.
-                    let dels = connected_deletions(&cand_graph);
+                    let dels = one_edge_deletions(&cand_graph);
                     debug_assert!(!dels.is_empty());
                     if !dels.iter().all(|d| out.contains(d)) {
                         continue;
@@ -156,7 +131,9 @@ impl MemoryMiner for Fsg {
 mod tests {
     use super::*;
     use crate::{GSpan, MemoryMiner};
+    use graphmine_graph::dfscode::min_dfs_code;
     use graphmine_graph::enumerate::frequent_bruteforce;
+    use graphmine_graph::Graph;
 
     fn db() -> GraphDb {
         let mut graphs = Vec::new();

@@ -79,10 +79,11 @@ impl MemoryMiner for Gaston {
 
 impl Gaston {
     fn mine_with(&self, db: &GraphDb, min_support: Support, counters: &Counters) -> PatternSet {
-        let mut out = PatternSet::new();
         if db.is_empty() || min_support == 0 {
-            return out;
+            return PatternSet::new();
         }
+        // Found out of code order: collected, and sorted once at the end.
+        let mut out: Vec<Pattern> = Vec::new();
 
         // ---- level 1: frequent edges --------------------------------------
         let mut groups: FxHashMap<(VLabel, ELabel, VLabel), EmbeddingList> = FxHashMap::default();
@@ -107,7 +108,7 @@ impl Gaston {
             let a = g.add_vertex(la);
             let b = g.add_vertex(lb);
             g.add_edge(a, b, el).expect("fresh edge");
-            out.insert(Pattern::from_code(min_dfs_code(&g), occs.support()));
+            out.push(Pattern::from_code(min_dfs_code(&g), occs.support()));
             level.push(Node { graph: g, occs });
         }
 
@@ -159,7 +160,7 @@ impl Gaston {
                     if !seen_this_level.insert(code.clone()) {
                         continue; // automorphic duplicate within this level
                     }
-                    out.insert(Pattern::from_code(code, occs.support()));
+                    out.push(Pattern::from_code(code, occs.support()));
                     next.push(Node { graph: candidate, occs });
                 }
             }
@@ -216,11 +217,12 @@ impl Gaston {
                 if !seen_cyclic.insert(code.clone()) {
                     continue;
                 }
-                out.insert(Pattern::from_code(code, occs.support()));
+                out.push(Pattern::from_code(code, occs.support()));
                 cycle_queue.push_back(Node { graph: candidate, occs });
             }
         }
 
+        let out: PatternSet = out.into_iter().collect();
         counters.add(Counter::MinerPatterns, out.len() as u64);
         out
     }

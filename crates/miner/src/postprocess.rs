@@ -30,31 +30,21 @@ pub fn maximal_patterns(all: &PatternSet) -> PatternSet {
 /// Keeps patterns not subsumed by any *relevant* (per `relevant`) strictly
 /// larger pattern containing them.
 fn filter_subsumed(all: &PatternSet, relevant: impl Fn(&Pattern, &Pattern) -> bool) -> PatternSet {
-    // Stratify by size once; supergraphs are strictly larger.
-    let max_size = all.max_size();
-    let mut by_size: Vec<Vec<&Pattern>> = vec![Vec::new(); max_size + 1];
-    for p in all.iter() {
-        by_size[p.size()].push(p);
-    }
-    let mut out = PatternSet::new();
-    for p in all.iter() {
-        let mut subsumed = false;
-        'outer: for bigger in &by_size[p.size() + 1..] {
-            for candidate in bigger {
-                if relevant(p, candidate)
-                    && candidate.graph.vertex_count() >= p.graph.vertex_count()
-                    && iso::contains(&candidate.graph, &p.code)
-                {
-                    subsumed = true;
-                    break 'outer;
-                }
-            }
-        }
-        if !subsumed {
-            out.insert(p.clone());
-        }
-    }
-    out
+    // By size, then code: supergraphs are strictly larger, and the patterns
+    // extending `p`'s code, all supergraphs of `p`, sort right after it
+    // among those one edge larger, so each scan starts there.
+    let mut by_size: Vec<&Pattern> = all.iter().collect();
+    by_size.sort_by_key(|p| p.size());
+    let subsumed = |p: &Pattern| {
+        let larger = by_size.partition_point(|q| q.size() <= p.size());
+        let start = by_size.partition_point(|q| (q.size(), &q.code) < (p.size() + 1, &p.code));
+        by_size[start..].iter().chain(&by_size[larger..start]).any(|candidate| {
+            relevant(p, candidate)
+                && candidate.graph.vertex_count() >= p.graph.vertex_count()
+                && iso::contains(&candidate.graph, &p.code)
+        })
+    };
+    all.iter().filter(|p| !subsumed(p)).cloned().collect()
 }
 
 #[cfg(test)]
@@ -112,7 +102,7 @@ mod tests {
         // The single edge (support 4) is closed because its extension has
         // support 2; the path (support 2) is closed; the 6-edge (support 2)
         // is NOT closed (the path contains it with equal support).
-        assert_eq!(closed.len(), 2, "{:?}", closed.codes_sorted());
+        assert_eq!(closed.len(), 2, "{:?}", closed.codes().collect::<Vec<_>>());
         let maximal = maximal_patterns(&all);
         // Only the path is maximal: the 5-edge has a frequent supergraph.
         assert_eq!(maximal.len(), 1);

@@ -60,7 +60,7 @@ use graphmine_graph::{
     enumerate::{frequent_bruteforce, one_edge_deletions},
     iso,
     update::apply_all,
-    DfsCode, EmbeddingMode, Graph, GraphDb, GraphUpdate, PatternSet,
+    Change, DfsCode, EmbeddingMode, Graph, GraphDb, GraphUpdate, PatternSet,
 };
 use graphmine_miner::{Apriori, GSpan, Gaston, MemoryMiner};
 use graphmine_partition::{split_by_sides, Bipartitioner, Criteria, DbPartition, GraphPart};
@@ -128,21 +128,17 @@ fn zeros(db: &GraphDb) -> Vec<Vec<f64>> {
 /// First code in `a` missing from `b`, or carrying a different support —
 /// the payload of every set-mismatch message.
 fn first_disagreement(a: &PatternSet, b: &PatternSet) -> String {
-    for code in a.codes_sorted() {
-        match (a.support(&code), b.support(&code)) {
-            (Some(sa), Some(sb)) if sa != sb => {
-                return format!("support of {code:?}: {sa} vs {sb}");
-            }
-            (Some(sa), None) => return format!("{code:?} (support {sa}) missing from the other"),
-            _ => {}
+    let first = a.changes_to(b).find_map(|change| match change {
+        Change::Unchanged(p, q) if p.support != q.support => {
+            Some(format!("support of {:?}: {} vs {}", p.code, p.support, q.support))
         }
-    }
-    for code in b.codes_sorted() {
-        if !a.contains(&code) {
-            return format!("{code:?} only in the other set");
+        Change::Unchanged(..) => None,
+        Change::Lost(p) => {
+            Some(format!("{:?} (support {}) missing from the other", p.code, p.support))
         }
-    }
-    "sets agree".to_string()
+        Change::Gained(p) => Some(format!("{:?} only in the other set", p.code)),
+    });
+    first.unwrap_or_else(|| "sets agree".to_string())
 }
 
 fn set_mismatch(

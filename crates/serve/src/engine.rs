@@ -73,8 +73,8 @@ use std::time::Instant;
 use graphmine_core::{merge_join, Executor, MergeContext, PartMinerConfig};
 use graphmine_graph::dfscode::min_dfs_code;
 use graphmine_graph::{
-    apply_all, DbUpdate, DfsCode, EmbeddingStore, Graph, GraphDb, GraphId, PatternSet, Support,
-    DEFAULT_EMBEDDING_BUDGET,
+    apply_all, Change, DbUpdate, DfsCode, EmbeddingStore, Graph, GraphDb, GraphId, PatternSet,
+    Support, DEFAULT_EMBEDDING_BUDGET,
 };
 use graphmine_storage::{read_snapshot, write_snapshot, GroupCommitJournal, UpdateJournal};
 use graphmine_telemetry::{Counter, JsonValue, RunReport, Telemetry};
@@ -906,10 +906,10 @@ fn walk(db: &GraphDb, min_support: Support, exec: &Executor, tel: &Telemetry) ->
     merge_join(&ctx, &[]).0
 }
 
-/// UF/FI/IF of a fold by set difference against the superseded result,
+/// UF/FI/IF of a fold, counted in one merge with the superseded result and
 /// tallied into the `inc_*` counters.
 fn classify(seq: u64, old: &PatternSet, new: &PatternSet, tel: &Telemetry) -> UpdateSummary {
-    let uf = new.iter().filter(|p| old.contains(&p.code)).count();
+    let uf = old.changes_to(new).filter(|c| matches!(c, Change::Unchanged(..))).count();
     let fi = old.len() - uf;
     let if_new = new.len() - uf;
     let counters = tel.counters();
