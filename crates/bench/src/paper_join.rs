@@ -294,8 +294,8 @@ mod tests {
         let mut d1 = GraphDb::new();
         for (_, g) in db.iter() {
             let uf = vec![0.0; g.vertex_count()];
-            let sides = part.assign(g, &uf);
-            let split = split_by_sides(g, &uf, &sides);
+            let sides = part.sides(g, &uf);
+            let split = split_by_sides(g, &sides);
             d0.push(split.side1.graph);
             d1.push(split.side2.graph);
         }

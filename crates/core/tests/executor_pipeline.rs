@@ -17,7 +17,8 @@ use graphmine_datagen::{generate, plan_updates, GenParams, UpdateKind, UpdatePar
 use graphmine_graph::{Graph, GraphDb};
 use graphmine_miner::{GSpan, MemoryMiner};
 use graphmine_partition::{
-    split_by_sides, Bipartitioner, Criteria, DbPartition, GraphPart, Inline, PartNode, SPLIT_RANGE,
+    split_by_sides, AssignScratch, Bipartitioner, Criteria, DbPartition, GraphPart, Inline,
+    PartNode, SPLIT_RANGE,
 };
 use graphmine_telemetry::Telemetry;
 
@@ -29,8 +30,8 @@ fn split_db(db: &GraphDb) -> (GraphDb, GraphDb) {
     let mut d1 = GraphDb::new();
     for (_, g) in db.iter() {
         let uf = vec![0.0; g.vertex_count()];
-        let sides = part.assign(g, &uf);
-        let split = split_by_sides(g, &uf, &sides);
+        let sides = part.sides(g, &uf);
+        let split = split_by_sides(g, &sides);
         d0.push(split.side1.graph);
         d1.push(split.side2.graph);
     }
@@ -126,8 +127,16 @@ fn assert_same_tree(got: &DbPartition, want: &DbPartition, what: &str) {
             };
             assert_eq!(vertex_map(g), vertex_map(w), "{what}: node {n} gid {gid} vertex map");
             assert_eq!(edge_map(g), edge_map(w), "{what}: node {n} gid {gid} edge map");
+            // The tree keeps the root's table alone; a node's per-vertex
+            // frequencies are derived from it through the vertex map.
+            let ufreq = |part: &DbPartition, node: &PartNode| -> Vec<f64> {
+                vertex_map(node).iter().map(|&v| part.ufreq(gid)[v as usize]).collect()
+            };
+            assert_eq!(ufreq(got, g), ufreq(want, w), "{what}: node {n} gid {gid} ufreq");
         }
-        assert_eq!(g.ufreq, w.ufreq, "{what}: node {n} ufreq");
+    }
+    for gid in 0..want.root().db.len() as u32 {
+        assert_eq!(got.ufreq(gid), want.ufreq(gid), "{what}: gid {gid} root ufreq");
     }
     got.check_invariants().unwrap_or_else(|e| panic!("{what}: {e}"));
 }
@@ -200,9 +209,9 @@ fn the_split_submits_the_same_items_at_any_budget() {
 struct DiesOn(usize);
 
 impl Bipartitioner for DiesOn {
-    fn assign(&self, g: &Graph, _ufreq: &[f64]) -> Vec<bool> {
+    fn assign(&self, g: &Graph, _ufreq: &[f64], sides: &mut Vec<bool>, _: &mut AssignScratch) {
         assert_ne!(g.vertex_count(), self.0, "no side for a graph of {} vertices", self.0);
-        (0..g.vertex_count()).map(|v| v % 2 == 0).collect()
+        *sides = (0..g.vertex_count()).map(|v| v % 2 == 0).collect();
     }
 
     fn name(&self) -> &'static str {

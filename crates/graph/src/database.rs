@@ -118,6 +118,13 @@ impl FromIterator<Graph> for GraphDb {
     }
 }
 
+/// Graphs already shared: gid `i` is the `i`-th, held as it comes.
+impl FromIterator<Arc<Graph>> for GraphDb {
+    fn from_iter<T: IntoIterator<Item = Arc<Graph>>>(iter: T) -> Self {
+        GraphDb { graphs: iter.into_iter().collect() }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

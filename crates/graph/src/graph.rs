@@ -158,8 +158,10 @@ pub struct CsrScratch {
     /// Per vertex, where in the arena an entry naming it was last seen (the
     /// duplicate-edge screen; stale entries are harmless, see its use).
     seen: Vec<u32>,
-    /// One normalised triple per edge, sorted to run-length encode the index.
-    triples: Vec<(VLabel, ELabel, VLabel)>,
+    /// One normalised triple `(lu, le, lv)` per edge, packed as
+    /// `lu << 64 | le << 32 | lv` (integer order is triple order) and sorted
+    /// to run-length encode the index.
+    triples: Vec<u128>,
 }
 
 /// An undirected, labeled, simple graph `G = (V, E, L_V, L_E)` (Section 3 of
@@ -452,17 +454,21 @@ impl Graph {
         }
         csr_sort_runs(vlabels, &offsets, &mut packed);
 
+        // The index, run-length encoded from every edge's triple sorted as
+        // one integer: a key compare is one instruction, not three.
         let keys = &mut scratch.triples;
         keys.clear();
-        keys.extend(
-            edges
-                .iter()
-                .map(|e| edge_triple(vlabels[e.u as usize], e.label, vlabels[e.v as usize])),
-        );
+        keys.extend(edges.iter().map(|e| {
+            let (lu, le, lv) = edge_triple(vlabels[e.u as usize], e.label, vlabels[e.v as usize]);
+            u128::from(lu) << 64 | u128::from(le) << 32 | u128::from(lv)
+        }));
         keys.sort_unstable();
         let distinct = keys.chunk_by(|a, b| a == b);
         let mut triples = Vec::with_capacity(distinct.clone().count());
-        triples.extend(distinct.map(|run| (run[0], run.len() as u32)));
+        triples.extend(distinct.map(|run| {
+            let k = run[0];
+            (((k >> 64) as VLabel, (k >> 32) as ELabel, k as VLabel), run.len() as u32)
+        }));
 
         Ok(Graph { vlabels: vlabels.to_vec(), edges, offsets, packed, triples })
     }

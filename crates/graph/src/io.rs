@@ -10,8 +10,9 @@
 //! ...
 //! ```
 //!
-//! Lines whose first non-blank character is `#` (and blank lines) are
-//! ignored; a `t # -1` sentinel (emitted by some tools) ends the stream.
+//! Lines whose first non-blank byte is `#` (and blank lines) are ignored; a
+//! `t # -1` sentinel (emitted by some tools) ends the stream. Separators are
+//! ASCII whitespace.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
@@ -52,11 +53,12 @@ impl From<std::io::Error> for ParseError {
 
 /// Parses a graph database from gSpan-format text.
 ///
-/// A line whose first non-blank byte is `#` is a comment; a `t` line takes
-/// its id from the token after the `#` marker, and a negative id ends the
-/// stream. Each graph is collected as a label vector and an edge list in
-/// buffers reused from graph to graph, then built in one pass
-/// ([`Graph::from_edges`]).
+/// Lines are read as bytes and split on ASCII whitespace; nothing is decoded
+/// as UTF-8, so a comment may hold any bytes. A line whose first non-blank
+/// byte is `#` is a comment; a `t` line takes its id from the token after the
+/// `#` marker, and a negative id ends the stream. Each graph is collected as
+/// a label vector and an edge list in buffers reused from graph to graph,
+/// then built in one pass ([`Graph::from_edges`]).
 ///
 /// # Errors
 ///
@@ -65,25 +67,43 @@ impl From<std::io::Error> for ParseError {
 pub fn read_db(mut reader: impl BufRead) -> Result<GraphDb, ParseError> {
     let mut db = GraphDb::new();
     let mut pending = Pending::default();
-    let mut line = String::new();
+    // The start of a line the last buffer ended inside.
+    let mut carry = Vec::new();
     let mut lineno = 0;
-    while reader.read_line(&mut line)? != 0 {
-        lineno += 1;
-        match pending.record(&line, lineno, &mut db) {
-            Ok(Flow::Continue) => line.clear(),
-            Ok(Flow::EndOfStream) => return Ok(db),
-            Err(e) => {
-                // Duplicate edges surface when their graph is built; one on
-                // an earlier line of the open graph is the first error.
-                pending.finish(&mut db)?;
-                return Err(e);
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            break;
+        }
+        let mut rest = buf;
+        while let Some(end) = rest.iter().position(|&b| b == b'\n') {
+            let (mut line, tail) = rest.split_at(end + 1);
+            rest = tail;
+            if !carry.is_empty() {
+                carry.extend_from_slice(line);
+                line = &carry;
             }
+            lineno += 1;
+            if pending.step(line, lineno, &mut db)? == Flow::EndOfStream {
+                return Ok(db);
+            }
+            carry.clear();
+        }
+        carry.extend_from_slice(rest);
+        let read = buf.len();
+        reader.consume(read);
+    }
+    if !carry.is_empty() {
+        lineno += 1;
+        if pending.step(&carry, lineno, &mut db)? == Flow::EndOfStream {
+            return Ok(db);
         }
     }
     pending.finish(&mut db)?;
     Ok(db)
 }
 
+#[derive(PartialEq)]
 enum Flow {
     Continue,
     EndOfStream,
@@ -102,27 +122,34 @@ struct Pending {
 }
 
 impl Pending {
-    fn record(&mut self, line: &str, lineno: usize, db: &mut GraphDb) -> Result<Flow, ParseError> {
+    /// [`Pending::record`], except that an error first builds the open
+    /// graph: a duplicate edge on an earlier line of it is the first error.
+    fn step(&mut self, line: &[u8], lineno: usize, db: &mut GraphDb) -> Result<Flow, ParseError> {
+        self.record(line, lineno, db).or_else(|e| {
+            self.finish(db)?;
+            Err(e)
+        })
+    }
+
+    fn record(&mut self, line: &[u8], lineno: usize, db: &mut GraphDb) -> Result<Flow, ParseError> {
         let malformed = |what: String| ParseError::Malformed { line: lineno, what };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            return Ok(Flow::Continue);
-        }
-        let mut parts = trimmed.split_whitespace();
+        let mut parts = line.split(u8::is_ascii_whitespace).filter(|t| !t.is_empty());
         match parts.next() {
-            Some("t") => {
+            None => {}
+            Some([b'#', ..]) => {}
+            Some(b"t") => {
                 // `t # <id>`; a negative id is the end-of-stream sentinel.
                 let id = match parts.next() {
-                    Some("#") => parts.next(),
+                    Some(b"#") => parts.next(),
                     unmarked => unmarked,
                 };
                 self.finish(db)?;
-                if id.is_some_and(|id| id.starts_with('-')) {
+                if id.is_some_and(|id| id.starts_with(b"-")) {
                     return Ok(Flow::EndOfStream);
                 }
                 self.open = true;
             }
-            Some("v") => {
+            Some(b"v") => {
                 if !self.open {
                     return Err(malformed("vertex before any `t` line".into()));
                 }
@@ -136,7 +163,7 @@ impl Pending {
                 }
                 self.vlabels.push(label);
             }
-            Some("e") => {
+            Some(b"e") => {
                 if !self.open {
                     return Err(malformed("edge before any `t` line".into()));
                 }
@@ -149,8 +176,10 @@ impl Pending {
                 self.edges.push((u, v, label));
                 self.edge_lines.push(lineno);
             }
-            Some(other) => return Err(malformed(format!("unknown record type `{other}`"))),
-            None => {}
+            Some(other) => {
+                let other = String::from_utf8_lossy(other);
+                return Err(malformed(format!("unknown record type `{other}`")));
+            }
         }
         Ok(Flow::Continue)
     }
@@ -193,10 +222,26 @@ pub fn write_db(mut writer: impl Write, db: &GraphDb) -> std::io::Result<()> {
     Ok(())
 }
 
-fn parse(token: Option<&str>, line: usize, what: &str) -> Result<u32, ParseError> {
+fn parse(token: Option<&[u8]>, line: usize, what: &str) -> Result<u32, ParseError> {
     token
-        .and_then(|t| t.parse().ok())
+        .and_then(parse_u32)
         .ok_or_else(|| ParseError::Malformed { line, what: format!("missing or invalid {what}") })
+}
+
+/// A decimal `u32` with an optional leading `+` — what `str::parse::<u32>`
+/// accepts — or `None`.
+fn parse_u32(token: &[u8]) -> Option<u32> {
+    let digits = token.strip_prefix(b"+").unwrap_or(token);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u32, |n, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u32::from(d))
+    })
 }
 
 #[cfg(test)]

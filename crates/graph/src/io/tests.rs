@@ -84,3 +84,26 @@ fn rejects_malformed_input() {
     assert_eq!(line_of("t # 0\nv 0 1\nv 1 2\ne 0 1 4\ne 0 1 4\ne 0 7 1\n").0, 5);
     assert_eq!(line_of("t # 0\nv 0 1\nv 1 2\ne 0 1 4\ne 0 7 1\ne 0 1 4\n").0, 5);
 }
+
+#[test]
+fn comments_may_hold_any_bytes() {
+    // A Latin-1 `é` (not UTF-8) in a full-line and in a trailing comment.
+    let text = b"t # 0\n# caf\xe9\nv 0 1\nv 1 2  # caf\xe9\ne 0 1 3\n";
+    let db = read_db(&text[..]).unwrap();
+    assert_eq!(db.len(), 1);
+    assert_eq!(db.graph(0).vlabels(), &[1, 2]);
+    assert_eq!(db.graph(0).edge(0), (0, 1, 3));
+}
+
+#[test]
+fn non_ascii_bytes_in_a_record_are_malformed() {
+    let line_of = |text: &[u8]| match read_db(text) {
+        Err(ParseError::Malformed { line, what }) => (line, what),
+        other => panic!("{:?} parsed as {other:?}", String::from_utf8_lossy(text)),
+    };
+    assert_eq!(line_of(b"t # 0\nv 0 1\nv 1 \xe9\n"), (3, "missing or invalid vertex label".into()));
+    assert_eq!(line_of(b"t # 0\n\xe9 0 1\n"), (2, "unknown record type `\u{fffd}`".into()));
+    // Separators are ASCII whitespace: U+3000 (ideographic space) is not one.
+    let ideographic = "t # 0\nv 0\u{3000}1\n";
+    assert_eq!(line_of(ideographic.as_bytes()), (2, "missing or invalid vertex id".into()));
+}

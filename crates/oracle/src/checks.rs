@@ -373,8 +373,8 @@ fn check_partition_invariants(case: &Case) -> Result<(), CheckFailure> {
     // exactly one side, or in both sides and the connective set.
     for (gid, g) in case.db.iter() {
         let per_graph = &uf[gid as usize];
-        let sides = partitioner.assign(g, per_graph);
-        let split = split_by_sides(g, per_graph, &sides);
+        let sides = partitioner.sides(g, per_graph);
+        let split = split_by_sides(g, &sides);
         for (eid, u, v, _) in g.edges() {
             let in1 = split.side1.edge_map.contains(&eid);
             let in2 = split.side2.edge_map.contains(&eid);

@@ -18,6 +18,7 @@
 //! re-mine (Fig. 12, line 4).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use graphmine_graph::{
     DbUpdate, ELabel, EdgeId, Graph, GraphDb, GraphError, GraphId, GraphUpdate, VLabel, VertexId,
@@ -25,7 +26,7 @@ use graphmine_graph::{
 use graphmine_telemetry::Telemetry;
 
 use crate::split::Splitter;
-use crate::{BatchRunner, Bipartitioner, Inline, WorkItem};
+use crate::{AssignScratch, BatchRunner, Bipartitioner, Inline, WorkItem};
 
 /// Index of a node in the partition tree.
 pub type NodeId = usize;
@@ -55,8 +56,9 @@ pub struct PartNode {
     vertex_maps: Vec<Vec<VertexId>>,
     /// Per gid: node edge -> original edge (empty at the root).
     edge_maps: Vec<Vec<EdgeId>>,
-    /// Per gid: update frequency of each node vertex.
-    pub ufreq: Vec<Vec<f64>>,
+    /// Per gid: update frequency of each original vertex (at the root only,
+    /// empty below it: a piece vertex's is its original's).
+    ufreq: Vec<Vec<f64>>,
     /// Children in the split tree (`None` for unit leaves).
     pub children: Option<(NodeId, NodeId)>,
     /// Unit index for leaves.
@@ -107,10 +109,11 @@ impl PartNode {
     /// Records a vertex just added to the piece of `gid`. At the root the
     /// new vertex is its own original, so only its ufreq is kept.
     fn push_vertex(&mut self, gid: GraphId, orig_v: VertexId, ufreq: f64) {
-        if !self.is_root() {
+        if self.is_root() {
+            self.ufreq[gid as usize].push(ufreq);
+        } else {
             self.vertex_maps[gid as usize].push(orig_v);
         }
-        self.ufreq[gid as usize].push(ufreq);
     }
 
     /// Records an edge just added to the piece of `gid`.
@@ -122,10 +125,11 @@ impl PartNode {
 
     /// Mirrors the piece graph's swap-remove of vertex `pv`.
     fn swap_remove_vertex(&mut self, gid: GraphId, pv: VertexId) {
-        if !self.is_root() {
+        if self.is_root() {
+            self.ufreq[gid as usize].swap_remove(pv as usize);
+        } else {
             self.vertex_maps[gid as usize].swap_remove(pv as usize);
         }
-        self.ufreq[gid as usize].swap_remove(pv as usize);
     }
 
     /// Mirrors the piece graph's swap-remove of edge `pe`.
@@ -272,6 +276,7 @@ impl DbPartition {
         range: usize,
     ) -> (NodeId, NodeId) {
         let node = &self.nodes[node_id];
+        let ufreq = &self.nodes[self.root].ufreq;
         let n_graphs = node.db.len();
         // The items fill disjoint gid ranges of the children's columns in
         // place: nothing to gather, whatever order they finish in.
@@ -285,7 +290,9 @@ impl DbPartition {
                 let first = i * range;
                 WorkItem {
                     label: format!("split:{node_id}:{first}..{}", first + chunk1.graphs.len()),
-                    run: Box::new(move || split_range(node, first, [chunk1, chunk2], partitioner)),
+                    run: Box::new(move || {
+                        split_range(node, ufreq, first, [chunk1, chunk2], partitioner)
+                    }),
                 }
             })
             .collect();
@@ -293,10 +300,10 @@ impl DbPartition {
         let depth = node.depth + 1;
         let [a, b] = halves.map(|half| {
             self.nodes.push(PartNode {
-                db: GraphDb::from_graphs(half.graphs),
+                db: half.graphs.into_iter().map(|g| g.expect("every gid was split")).collect(),
                 vertex_maps: half.vertex_maps,
                 edge_maps: half.edge_maps,
-                ufreq: half.ufreq,
+                ufreq: Vec::new(),
                 children: None,
                 unit: None,
                 depth,
@@ -536,8 +543,8 @@ impl DbPartition {
                 let orig_e = root_g.edge_count() as EdgeId;
                 let lu = root_g.vlabel(u);
                 let lv = root_g.vlabel(v);
-                let uf_u = self.ufreq_of(gid, u);
-                let uf_v = self.ufreq_of(gid, v);
+                let uf_u = self.ufreq(gid)[u as usize];
+                let uf_v = self.ufreq(gid)[v as usize];
                 self.add_edge_rec(
                     self.root,
                     gid,
@@ -553,7 +560,7 @@ impl DbPartition {
                 let new_orig_v = root_g.vertex_count() as VertexId;
                 let orig_e = root_g.edge_count() as EdgeId;
                 let l_at = root_g.vlabel(attach_to);
-                let uf_at = self.ufreq_of(gid, attach_to);
+                let uf_at = self.ufreq(gid)[attach_to as usize];
                 self.add_vertex_rec(
                     self.root,
                     gid,
@@ -601,9 +608,12 @@ impl DbPartition {
         Ok(UpdateImpact { units, nodes: touched })
     }
 
-    fn ufreq_of(&self, gid: GraphId, orig_v: VertexId) -> f64 {
-        let root = &self.nodes[self.root];
-        root.ufreq[gid as usize][orig_v as usize]
+    /// The update frequency of every original vertex of graph `gid`, as
+    /// the build was given it and updates have kept it (a vertex an update
+    /// adds starts at 0). The one table the tree keeps: a piece vertex's
+    /// frequency is its original vertex's.
+    pub fn ufreq(&self, gid: GraphId) -> &[f64] {
+        &self.nodes[self.root].ufreq[gid as usize]
     }
 
     fn validate(&self, gid: GraphId, update: &GraphUpdate) -> Result<(), GraphError> {
@@ -887,63 +897,71 @@ pub const SPLIT_RANGE: usize = 512;
 
 /// What a child node holds per gid, as the split fills it in.
 struct ChildColumns {
-    graphs: Vec<Graph>,
+    /// `None` until the gid's split writes it.
+    graphs: Vec<Option<Arc<Graph>>>,
     vertex_maps: Vec<Vec<VertexId>>,
     edge_maps: Vec<Vec<EdgeId>>,
-    ufreq: Vec<Vec<f64>>,
 }
 
 /// The same columns over one run of consecutive gids.
 struct ChildChunk<'a> {
-    graphs: &'a mut [Graph],
+    graphs: &'a mut [Option<Arc<Graph>>],
     vertex_maps: &'a mut [Vec<VertexId>],
     edge_maps: &'a mut [Vec<EdgeId>],
-    ufreq: &'a mut [Vec<f64>],
 }
 
 impl ChildColumns {
     /// Columns of `n` empty entries (none of which allocates).
     fn blank(n: usize) -> Self {
         ChildColumns {
-            graphs: vec![Graph::new(); n],
+            graphs: vec![None; n],
             vertex_maps: vec![Vec::new(); n],
             edge_maps: vec![Vec::new(); n],
-            ufreq: vec![Vec::new(); n],
         }
     }
 
     fn chunks_mut(&mut self, size: usize) -> impl Iterator<Item = ChildChunk<'_>> {
         let maps = self.vertex_maps.chunks_mut(size).zip(self.edge_maps.chunks_mut(size));
-        self.graphs.chunks_mut(size).zip(maps).zip(self.ufreq.chunks_mut(size)).map(
-            |((graphs, (vertex_maps, edge_maps)), ufreq)| ChildChunk {
-                graphs,
-                vertex_maps,
-                edge_maps,
-                ufreq,
-            },
-        )
+        self.graphs
+            .chunks_mut(size)
+            .zip(maps)
+            .map(|(graphs, (vertex_maps, edge_maps))| ChildChunk { graphs, vertex_maps, edge_maps })
     }
 }
 
 /// One work item of a node's split: assign → clamp → split for every graph
 /// of the run of gids starting at `first` that `out` covers, the piece maps
 /// composed with the node's own so they lead back to the original database
-/// (at the root, whose maps are the identity, they already do).
+/// (at the root, whose maps are the identity, they already do). `ufreq` is
+/// the root's table; below the root a graph's row is gathered through the
+/// node's vertex map. Every buffer lives as long as the item, so a graph
+/// allocates only what its pieces keep.
 fn split_range(
     node: &PartNode,
+    ufreq: &[Vec<f64>],
     first: usize,
     mut out: [ChildChunk<'_>; 2],
     partitioner: &dyn Bipartitioner,
 ) {
     let mut splitter = Splitter::default();
-    for at in 0..out[0].graphs.len() {
+    let mut scratch = AssignScratch::default();
+    let (mut sides, mut node_uf) = (Vec::new(), Vec::new());
+    let len = out[0].graphs.len();
+    let mut graphs = [Vec::with_capacity(len), Vec::with_capacity(len)];
+    for at in 0..len {
         let gid = first + at;
         let g = node.db.graph(gid as GraphId);
-        let uf = &node.ufreq[gid];
-        let mut sides = partitioner.assign(g, uf);
+        let uf = if node.is_root() {
+            &ufreq[gid]
+        } else {
+            node_uf.clear();
+            node_uf.extend(node.vertex_maps[gid].iter().map(|&v| ufreq[gid][v as usize]));
+            &node_uf
+        };
+        partitioner.assign(g, uf, &mut sides, &mut scratch);
         clamp_sides(g, &mut sides);
-        let split = splitter.split(g, uf, &sides);
-        for (chunk, mut piece) in out.iter_mut().zip([split.side1, split.side2]) {
+        let pieces = splitter.split(g, &sides);
+        for ((chunk, kept), mut piece) in out.iter_mut().zip(&mut graphs).zip(pieces) {
             if !node.is_root() {
                 for v in &mut piece.vertex_map {
                     *v = node.vertex_maps[gid][*v as usize];
@@ -952,10 +970,17 @@ fn split_range(
                     *e = node.edge_maps[gid][*e as usize];
                 }
             }
-            chunk.graphs[at] = piece.graph;
+            kept.push(piece.graph);
             chunk.vertex_maps[at] = piece.vertex_map;
             chunk.edge_maps[at] = piece.edge_map;
-            chunk.ufreq[at] = piece.ufreq;
+        }
+    }
+    // Each side's graphs take their `Arc`s in one run, so a unit's graph
+    // headers lie side by side for the miner's walks over them rather than
+    // between the arrays of both pieces.
+    for (chunk, kept) in out.iter_mut().zip(graphs) {
+        for (slot, g) in chunk.graphs.iter_mut().zip(kept) {
+            *slot = Some(Arc::new(g));
         }
     }
 }

@@ -4,6 +4,24 @@ use graphmine_graph::Graph;
 
 use crate::Bipartitioner;
 
+/// The working buffers of [`Bipartitioner::assign`], kept by its caller
+/// from one graph to the next. Their contents between calls mean nothing.
+#[derive(Debug, Default)]
+pub struct AssignScratch {
+    /// Vertices by descending update frequency.
+    order: Vec<u32>,
+    /// The candidate subset being grown.
+    in_subset: Vec<bool>,
+    /// Vertices the candidate's DFS has reached.
+    visited: Vec<bool>,
+    /// The candidate's DFS stack.
+    stack: Vec<u32>,
+    /// One vertex's unvisited neighbours, in push order.
+    nbrs: Vec<u32>,
+    /// Vertices the refinement has already flipped.
+    locked: Vec<bool>,
+}
+
 /// The `(λ1, λ2)` weights of equation (1), controlling the trade-off between
 /// isolating frequently-updated vertices (first term) and minimising the
 /// connectivity between the two sides (second term).
@@ -94,12 +112,16 @@ impl Objective<'_> {
 }
 
 impl Bipartitioner for GraphPart {
-    fn assign(&self, g: &Graph, ufreq: &[f64]) -> Vec<bool> {
+    fn assign(&self, g: &Graph, ufreq: &[f64], sides: &mut Vec<bool>, scratch: &mut AssignScratch) {
         let n = g.vertex_count();
         assert_eq!(ufreq.len(), n, "one update frequency per vertex");
+        sides.clear();
         if n < 2 {
-            return vec![true; n];
+            sides.resize(n, true);
+            return;
         }
+        sides.resize(n, false);
+        let AssignScratch { order, in_subset, visited, stack, nbrs, locked } = scratch;
         let objective = Objective {
             criteria: self.criteria,
             ufreq,
@@ -108,7 +130,8 @@ impl Bipartitioner for GraphPart {
         };
         // Line 1: vertices sorted by descending update frequency
         // (ties broken by id for determinism).
-        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.clear();
+        order.extend(0..n as u32);
         order.sort_by(|&a, &b| {
             ufreq[b as usize]
                 .partial_cmp(&ufreq[a as usize])
@@ -119,15 +142,14 @@ impl Bipartitioner for GraphPart {
         let half = (n / 2).max(1);
         // Best candidate so far: weight, subset, its size and its cut.
         let mut best_w = f64::NEG_INFINITY;
-        let mut sides = vec![false; n];
         let (mut size, mut cut) = (0usize, 0usize);
 
         // Lines 4-12: one greedy DFS per candidate start vertex in the
         // upper (high-ufreq) half of the order, all over the same buffers.
-        let mut in_subset = vec![false; n];
-        let mut visited = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        let mut nbrs: Vec<u32> = Vec::new();
+        for buf in [&mut *in_subset, &mut *visited, &mut *locked] {
+            buf.clear();
+            buf.resize(n, false);
+        }
         for (i, &start) in order.iter().take(half).enumerate() {
             in_subset.fill(false);
             visited.fill(false);
@@ -154,15 +176,15 @@ impl Bipartitioner for GraphPart {
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(b.cmp(&a))
                 });
-                for &w in &nbrs {
+                for &w in nbrs.iter() {
                     visited[w as usize] = true;
                     stack.push(w);
                 }
             }
-            let w = objective.weight(&in_subset, cand_size, cand_cut);
+            let w = objective.weight(in_subset, cand_size, cand_cut);
             if i == 0 || w > best_w {
                 best_w = w;
-                sides.copy_from_slice(&in_subset);
+                sides.copy_from_slice(in_subset);
                 (size, cut) = (cand_size, cand_cut);
             }
         }
@@ -177,7 +199,6 @@ impl Bipartitioner for GraphPart {
         // being so.
         let lo = (n / 4).max(1);
         let hi = n - lo;
-        let mut locked = vec![false; n];
         loop {
             // Best improving flip of this round: weight, vertex, new cut.
             let mut step: Option<(f64, usize, usize)> = None;
@@ -193,7 +214,7 @@ impl Bipartitioner for GraphPart {
                 let same = run.iter().filter(|a| sides[a.to as usize] == sides[v]).count();
                 let new_cut = cut + same - (run.len() - same);
                 sides[v] = !sides[v];
-                let w = objective.weight(&sides, new_size, new_cut);
+                let w = objective.weight(sides, new_size, new_cut);
                 sides[v] = !sides[v];
                 if w > best_w && step.is_none_or(|(sw, ..)| w > sw) {
                     step = Some((w, v, new_cut));
@@ -206,7 +227,6 @@ impl Bipartitioner for GraphPart {
             best_w = w;
             cut = new_cut;
         }
-        sides
     }
 
     fn name(&self) -> &'static str {
@@ -239,7 +259,7 @@ mod tests {
     #[test]
     fn min_connectivity_finds_the_bridge() {
         let g = barbell();
-        let sides = GraphPart::new(Criteria::MIN_CONNECTIVITY).assign(&g, &[0.0; 6]);
+        let sides = GraphPart::new(Criteria::MIN_CONNECTIVITY).sides(&g, &[0.0; 6]);
         assert_eq!(cut_size(&g, &sides), 1, "sides: {sides:?}");
         // Each triangle lands on one side.
         assert_eq!(sides[0], sides[1]);
@@ -261,7 +281,7 @@ mod tests {
         g.add_edge(1, 2, 0).unwrap();
         g.add_edge(2, 3, 0).unwrap();
         let ufreq = [0.0, 5.0, 5.0, 0.0];
-        let sides = GraphPart::new(Criteria::ISOLATE_UPDATES).assign(&g, &ufreq);
+        let sides = GraphPart::new(Criteria::ISOLATE_UPDATES).sides(&g, &ufreq);
         assert!(sides[1] && sides[2], "hot vertices in V*: {sides:?}");
         assert!(!sides[0] || !sides[3], "some cold vertex outside V*");
     }
@@ -272,7 +292,7 @@ mod tests {
         // Hot vertices are one triangle; combined criteria should isolate
         // that triangle AND cut only the bridge.
         let ufreq = [3.0, 3.0, 3.0, 0.0, 0.0, 0.0];
-        let sides = GraphPart::new(Criteria::COMBINED).assign(&g, &ufreq);
+        let sides = GraphPart::new(Criteria::COMBINED).sides(&g, &ufreq);
         assert_eq!(cut_size(&g, &sides), 1);
         assert!(sides[0] && sides[1] && sides[2]);
         assert!(!sides[3] && !sides[4] && !sides[5]);
@@ -282,15 +302,15 @@ mod tests {
     fn tiny_graphs() {
         let mut g = Graph::new();
         g.add_vertex(0);
-        assert_eq!(GraphPart::default().assign(&g, &[1.0]), vec![true]);
+        assert_eq!(GraphPart::default().sides(&g, &[1.0]), vec![true]);
         let empty = Graph::new();
-        assert!(GraphPart::default().assign(&empty, &[]).is_empty());
+        assert!(GraphPart::default().sides(&empty, &[]).is_empty());
     }
 
     #[test]
     fn subset_size_is_at_most_half() {
         let g = barbell();
-        let sides = GraphPart::default().assign(&g, &[1.0; 6]);
+        let sides = GraphPart::default().sides(&g, &[1.0; 6]);
         let side1 = sides.iter().filter(|&&s| s).count();
         assert!((1..=3).contains(&side1), "side1 size {side1}");
     }
@@ -299,6 +319,6 @@ mod tests {
     #[should_panic(expected = "one update frequency per vertex")]
     fn ufreq_length_mismatch_panics() {
         let g = barbell();
-        GraphPart::default().assign(&g, &[0.0; 2]);
+        GraphPart::default().sides(&g, &[0.0; 2]);
     }
 }

@@ -27,7 +27,7 @@ mod metis;
 mod split;
 
 pub use dbpart::{DbPartition, NodeId, PartNode, UpdateImpact, SPLIT_RANGE};
-pub use graphpart::{Criteria, GraphPart};
+pub use graphpart::{AssignScratch, Criteria, GraphPart};
 pub use metis::MetisLike;
 pub use split::{split_by_sides, Piece, Split};
 
@@ -35,11 +35,23 @@ use graphmine_graph::Graph;
 
 /// A graph bi-partitioner: assigns every vertex to side 1 (`true`, the
 /// paper's `V*`) or side 2 (`false`). Shareable across threads: a database
-/// split calls it for many graphs at once.
+/// split calls it for many graphs at once, each caller with its own buffers.
 pub trait Bipartitioner: Send + Sync {
-    /// Computes the side assignment for `g`; `ufreq[v]` is the update
-    /// frequency of vertex `v` (ignored by partitioners that do not use it).
-    fn assign(&self, g: &Graph, ufreq: &[f64]) -> Vec<bool>;
+    /// Writes the side assignment for `g` into `sides`, replacing what it
+    /// held; `ufreq[v]` is the update frequency of vertex `v` (ignored by
+    /// partitioners that do not use it). `scratch` is working space the
+    /// partitioner may reuse: what one call leaves there never changes the
+    /// next call's result, so a loop over many graphs passes the same
+    /// buffers every time and allocates nothing once they have grown.
+    fn assign(&self, g: &Graph, ufreq: &[f64], sides: &mut Vec<bool>, scratch: &mut AssignScratch);
+
+    /// [`Bipartitioner::assign`] into fresh buffers, for a caller that
+    /// assigns one graph.
+    fn sides(&self, g: &Graph, ufreq: &[f64]) -> Vec<bool> {
+        let mut sides = Vec::new();
+        self.assign(g, ufreq, &mut sides, &mut AssignScratch::default());
+        sides
+    }
 
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;

@@ -14,7 +14,7 @@
 
 use graphmine_graph::Graph;
 
-use crate::Bipartitioner;
+use crate::{AssignScratch, Bipartitioner};
 
 /// The multilevel bisection baseline. Ignores update frequencies — it
 /// optimises cut size only, which is exactly why it loses to `GraphPart`'s
@@ -34,7 +34,20 @@ struct Level {
 const COARSE_ENOUGH: usize = 24;
 
 impl Bipartitioner for MetisLike {
-    fn assign(&self, g: &Graph, _ufreq: &[f64]) -> Vec<bool> {
+    /// Builds its levels afresh for every graph: the baseline keeps no
+    /// buffers in `scratch`.
+    fn assign(&self, g: &Graph, _ufreq: &[f64], sides: &mut Vec<bool>, _: &mut AssignScratch) {
+        *sides = Self::bisect(g);
+    }
+
+    fn name(&self) -> &'static str {
+        "METIS"
+    }
+}
+
+impl MetisLike {
+    /// The multilevel bisection of `g`.
+    fn bisect(g: &Graph) -> Vec<bool> {
         let n = g.vertex_count();
         if n < 2 {
             return vec![true; n];
@@ -87,10 +100,6 @@ impl Bipartitioner for MetisLike {
             sides[0] = true;
         }
         sides
-    }
-
-    fn name(&self) -> &'static str {
-        "METIS"
     }
 }
 
@@ -251,7 +260,7 @@ mod tests {
         clique(&mut g, &[0, 1, 2, 3]);
         clique(&mut g, &[4, 5, 6, 7]);
         g.add_edge(3, 4, 0).unwrap();
-        let sides = MetisLike.assign(&g, &[0.0; 8]);
+        let sides = MetisLike.sides(&g, &[0.0; 8]);
         assert_eq!(cut_size(&g, &sides), 1, "{sides:?}");
     }
 
@@ -265,7 +274,7 @@ mod tests {
         for i in 0..64u32 {
             g.add_edge(i, (i + 1) % 64, 0).unwrap();
         }
-        let sides = MetisLike.assign(&g, &[0.0; 64]);
+        let sides = MetisLike.sides(&g, &[0.0; 64]);
         let cut = cut_size(&g, &sides);
         assert!((2..=6).contains(&cut), "ring cut {cut}");
         let side1 = sides.iter().filter(|&&s| s).count();
@@ -280,7 +289,7 @@ mod tests {
         }
         g.add_edge(0, 1, 0).unwrap();
         g.add_edge(1, 2, 0).unwrap();
-        let sides = MetisLike.assign(&g, &[0.0; 3]);
+        let sides = MetisLike.sides(&g, &[0.0; 3]);
         assert!(sides.iter().any(|&s| s) && sides.iter().any(|&s| !s));
     }
 
@@ -288,6 +297,6 @@ mod tests {
     fn single_vertex() {
         let mut g = Graph::new();
         g.add_vertex(0);
-        assert_eq!(MetisLike.assign(&g, &[0.0]), vec![true]);
+        assert_eq!(MetisLike.sides(&g, &[0.0]), vec![true]);
     }
 }

@@ -26,8 +26,6 @@ pub struct Piece {
     pub vertex_map: Vec<VertexId>,
     /// piece edge -> parent edge.
     pub edge_map: Vec<EdgeId>,
-    /// Update frequency of each piece vertex (inherited from the parent).
-    pub ufreq: Vec<f64>,
 }
 
 impl Piece {
@@ -55,12 +53,19 @@ pub struct Split {
 
 /// Splits `g` along `sides` (`true` = `V*`), keeping connective edges in
 /// both pieces. The piece graphs are built in bulk ([`Graph::from_edges`]).
-pub fn split_by_sides(g: &Graph, ufreq: &[f64], sides: &[bool]) -> Split {
-    Splitter::default().split(g, ufreq, sides)
+pub fn split_by_sides(g: &Graph, sides: &[bool]) -> Split {
+    let [side1, side2] = Splitter::default().split(g, sides);
+    let connective = g
+        .edges()
+        .filter(|&(_, u, v, _)| sides[u as usize] != sides[v as usize])
+        .map(|(eid, ..)| eid)
+        .collect();
+    Split { side1, side2, connective }
 }
 
-/// [`split_by_sides`] with the buffers it works in kept from one graph to
-/// the next: a loop over a database allocates only what the pieces keep.
+/// The two pieces of [`split_by_sides`], with the buffers they are built in
+/// kept from one graph to the next: a loop over a database allocates only
+/// what the pieces keep.
 #[derive(Debug, Default)]
 pub(crate) struct Splitter {
     side1: PieceBuilder,
@@ -69,13 +74,11 @@ pub(crate) struct Splitter {
 }
 
 impl Splitter {
-    pub(crate) fn split(&mut self, g: &Graph, ufreq: &[f64], sides: &[bool]) -> Split {
+    pub(crate) fn split(&mut self, g: &Graph, sides: &[bool]) -> [Piece; 2] {
         assert_eq!(sides.len(), g.vertex_count());
-        assert_eq!(ufreq.len(), g.vertex_count());
         let Splitter { side1, side2, csr } = self;
         side1.reset(g.vertex_count());
         side2.reset(g.vertex_count());
-        let mut connective = Vec::new();
         #[cfg(feature = "fault-injection")]
         let mut drop_budget = 1usize;
         for (eid, u, v, el) in g.edges() {
@@ -83,11 +86,10 @@ impl Splitter {
                 (true, true) => side1.add_edge(eid, u, v, el),
                 (false, false) => side2.add_edge(eid, u, v, el),
                 _ => {
-                    connective.push(eid);
                     #[cfg(feature = "fault-injection")]
                     if drop_budget > 0 && fault::armed(fault::Fault::DropConnectiveEdge) {
-                        // Mutant: the edge is recorded as connective but copied
-                        // into neither piece, so it vanishes from the units.
+                        // Mutant: the edge is connective but copied into
+                        // neither piece, so it vanishes from the units.
                         drop_budget -= 1;
                         continue;
                     }
@@ -106,7 +108,7 @@ impl Splitter {
                 side.vertex(v);
             }
         }
-        Split { side1: side1.finish(g, ufreq, csr), side2: side2.finish(g, ufreq, csr), connective }
+        [side1.finish(g, csr), side2.finish(g, csr)]
     }
 }
 
@@ -150,17 +152,12 @@ impl PieceBuilder {
         self.edge_map.push(parent_e);
     }
 
-    fn finish(&mut self, parent: &Graph, parent_ufreq: &[f64], csr: &mut CsrScratch) -> Piece {
+    fn finish(&mut self, parent: &Graph, csr: &mut CsrScratch) -> Piece {
         self.vlabels.clear();
         self.vlabels.extend(self.vertex_map.iter().map(|&v| parent.vlabel(v)));
         let graph = Graph::from_edges(&self.vlabels, &self.edges, csr)
             .unwrap_or_else(|(e, err)| panic!("parent edges are unique, piece edge {e}: {err}"));
-        Piece {
-            graph,
-            vertex_map: self.vertex_map.clone(),
-            edge_map: self.edge_map.clone(),
-            ufreq: self.vertex_map.iter().map(|&v| parent_ufreq[v as usize]).collect(),
-        }
+        Piece { graph, vertex_map: self.vertex_map.clone(), edge_map: self.edge_map.clone() }
     }
 }
 
@@ -169,7 +166,7 @@ mod tests {
     use super::*;
 
     /// A 4-path 0-1-2-3 with distinct labels.
-    fn path4() -> (Graph, Vec<f64>) {
+    fn path4() -> Graph {
         let mut g = Graph::new();
         for l in 0..4 {
             g.add_vertex(l);
@@ -177,13 +174,13 @@ mod tests {
         g.add_edge(0, 1, 10).unwrap();
         g.add_edge(1, 2, 11).unwrap();
         g.add_edge(2, 3, 12).unwrap();
-        (g, vec![0.5, 1.5, 2.5, 3.5])
+        g
     }
 
     #[test]
     fn connective_edge_lands_in_both_pieces() {
-        let (g, uf) = path4();
-        let split = split_by_sides(&g, &uf, &[true, true, false, false]);
+        let g = path4();
+        let split = split_by_sides(&g, &[true, true, false, false]);
         assert_eq!(split.connective, vec![1]); // edge 1-2
         assert_eq!(split.side1.graph.edge_count(), 2); // 0-1 and 1-2
         assert_eq!(split.side2.graph.edge_count(), 2); // 1-2 and 2-3
@@ -196,20 +193,19 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_ufreq_are_inherited() {
-        let (g, uf) = path4();
-        let split = split_by_sides(&g, &uf, &[true, false, false, false]);
+    fn labels_are_inherited() {
+        let g = path4();
+        let split = split_by_sides(&g, &[true, false, false, false]);
         let s2 = &split.side2;
         for (pv, &parent) in s2.vertex_map.iter().enumerate() {
             assert_eq!(s2.graph.vlabel(pv as u32), g.vlabel(parent));
-            assert_eq!(s2.ufreq[pv], uf[parent as usize]);
         }
     }
 
     #[test]
     fn union_of_pieces_recovers_all_edges() {
-        let (g, uf) = path4();
-        let split = split_by_sides(&g, &uf, &[true, false, true, false]);
+        let g = path4();
+        let split = split_by_sides(&g, &[true, false, true, false]);
         let mut covered: Vec<EdgeId> =
             split.side1.edge_map.iter().chain(split.side2.edge_map.iter()).copied().collect();
         covered.sort_unstable();
@@ -219,8 +215,8 @@ mod tests {
 
     #[test]
     fn all_on_one_side_leaves_other_empty() {
-        let (g, uf) = path4();
-        let split = split_by_sides(&g, &uf, &[true; 4]);
+        let g = path4();
+        let split = split_by_sides(&g, &[true; 4]);
         assert_eq!(split.side1.graph.edge_count(), 3);
         assert!(split.side2.graph.is_empty());
         assert!(split.connective.is_empty());
@@ -234,17 +230,14 @@ mod tests {
         g.add_edge(0, 1, 5).unwrap();
         let iso1 = g.add_vertex(30); // isolated, side 1
         let iso2 = g.add_vertex(40); // isolated, side 2
-        let uf = vec![0.0, 0.0, 9.0, 0.25];
-        let split = split_by_sides(&g, &uf, &[true, true, true, false]);
+        let split = split_by_sides(&g, &[true, true, true, false]);
         assert_eq!(split.side1.vertex_of(iso1), Some(2));
         assert!(split.side2.vertex_of(iso1).is_none());
         assert_eq!(split.side2.vertex_of(iso2), Some(0));
         assert!(split.side1.vertex_of(iso2).is_none());
-        // Labels and ufreq travel with the isolated vertices.
+        // Labels travel with the isolated vertices.
         assert_eq!(split.side1.graph.vlabel(2), 30);
-        assert_eq!(split.side1.ufreq[2], 9.0);
         assert_eq!(split.side2.graph.vlabel(0), 40);
-        assert_eq!(split.side2.ufreq[0], 0.25);
         // The edge-bearing vertices are unaffected.
         assert_eq!(split.side1.graph.edge_count(), 1);
         assert_eq!(split.side2.graph.edge_count(), 0);
@@ -252,8 +245,8 @@ mod tests {
 
     #[test]
     fn piece_lookup_helpers() {
-        let (g, uf) = path4();
-        let split = split_by_sides(&g, &uf, &[true, true, false, false]);
+        let g = path4();
+        let split = split_by_sides(&g, &[true, true, false, false]);
         let s1 = &split.side1;
         let pv = s1.vertex_of(1).unwrap();
         assert_eq!(s1.graph.vlabel(pv), 1);

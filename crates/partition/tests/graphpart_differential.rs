@@ -155,7 +155,7 @@ proptest! {
     fn assign_equals_the_quadratic_reference(case in any_case()) {
         let (g, ufreq) = case;
         for c in [Criteria::ISOLATE_UPDATES, Criteria::MIN_CONNECTIVITY, Criteria::COMBINED] {
-            let got = GraphPart::new(c).assign(&g, &ufreq);
+            let got = GraphPart::new(c).sides(&g, &ufreq);
             let want = reference_assign(c, &g, &ufreq);
             prop_assert_eq!(got, want, "{:?} on {:?} with ufreq {:?}", c, g, ufreq);
         }
