@@ -163,7 +163,8 @@ impl DbPartition {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or if `ufreq` is not shaped like `db`.
+    /// Panics if `k == 0`, if `ufreq` is not shaped like `db`, or if an
+    /// entry is not finite (the message names its gid and vertex).
     pub fn build(
         db: &GraphDb,
         ufreq: &[Vec<f64>],
@@ -218,11 +219,11 @@ impl DbPartition {
         assert!(range >= 1, "at least one graph per work item");
         assert_eq!(ufreq.len(), db.len(), "one ufreq vector per graph");
         for (gid, g) in db.iter() {
-            assert_eq!(
-                ufreq[gid as usize].len(),
-                g.vertex_count(),
-                "one ufreq entry per vertex of graph {gid}"
-            );
+            let row = &ufreq[gid as usize];
+            assert_eq!(row.len(), g.vertex_count(), "one ufreq entry per vertex of graph {gid}");
+            if let Some(v) = row.iter().position(|f| !f.is_finite()) {
+                panic!("non-finite ufreq {} at graph {gid}, vertex {v}", row[v]);
+            }
         }
         let root = PartNode {
             db: db.clone(),
@@ -1036,6 +1037,14 @@ mod tests {
     fn build_k(k: usize) -> DbPartition {
         let (db, uf) = sample_db();
         DbPartition::build(&db, &uf, &GraphPart::new(Criteria::COMBINED), k)
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite ufreq NaN at graph 2, vertex 4")]
+    fn a_non_finite_ufreq_is_refused_with_its_gid_and_vertex() {
+        let (db, mut uf) = sample_db();
+        uf[2][4] = f64::NAN;
+        DbPartition::build(&db, &uf, &GraphPart::new(Criteria::COMBINED), 2);
     }
 
     #[test]

@@ -129,15 +129,12 @@ impl Bipartitioner for GraphPart {
             edges: g.edge_count(),
         };
         // Line 1: vertices sorted by descending update frequency
-        // (ties broken by id for determinism).
+        // (ties broken by id for determinism). `total_cmp` keeps the order
+        // total whatever the caller passes; `DbPartition::build` refuses a
+        // non-finite frequency before it gets here.
         order.clear();
         order.extend(0..n as u32);
-        order.sort_by(|&a, &b| {
-            ufreq[b as usize]
-                .partial_cmp(&ufreq[a as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| ufreq[b as usize].total_cmp(&ufreq[a as usize]).then(a.cmp(&b)));
 
         let half = (n / 2).max(1);
         // Best candidate so far: weight, subset, its size and its cut.
@@ -171,10 +168,7 @@ impl Bipartitioner for GraphPart {
                 nbrs.clear();
                 nbrs.extend(g.neighbors(v).iter().map(|a| a.to).filter(|&w| !visited[w as usize]));
                 nbrs.sort_by(|&a, &b| {
-                    ufreq[a as usize]
-                        .partial_cmp(&ufreq[b as usize])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(b.cmp(&a))
+                    ufreq[a as usize].total_cmp(&ufreq[b as usize]).then(b.cmp(&a))
                 });
                 for &w in nbrs.iter() {
                     visited[w as usize] = true;
@@ -313,6 +307,36 @@ mod tests {
         let sides = GraphPart::default().sides(&g, &[1.0; 6]);
         let side1 = sides.iter().filter(|&&s| s).count();
         assert!((1..=3).contains(&side1), "side1 size {side1}");
+    }
+
+    /// A NaN update frequency once made the comparator non-total, and
+    /// `sort_by` panicked on most graphs of this size.
+    #[test]
+    fn nan_ufreq_orders_without_panicking() {
+        let mut state = 3u64;
+        let mut next = |bound: u32| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) % u64::from(bound)) as u32
+        };
+        for _ in 0..50 {
+            let mut g = Graph::new();
+            for _ in 0..40 {
+                g.add_vertex(next(5));
+            }
+            for v in 1..40 {
+                g.add_edge(v, next(v), next(3)).unwrap();
+            }
+            for _ in 0..20 {
+                let (u, v) = (next(40), next(40));
+                if u != v && g.edge_between(u, v).is_none() {
+                    g.add_edge(u, v, next(3)).unwrap();
+                }
+            }
+            let uf: Vec<f64> =
+                (0..40).map(|v| if v % 3 == 0 { f64::NAN } else { f64::from(next(7)) }).collect();
+            let sides = GraphPart::default().sides(&g, &uf);
+            assert_eq!(sides.len(), 40);
+        }
     }
 
     #[test]
