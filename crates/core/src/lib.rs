@@ -78,11 +78,13 @@
 #![warn(rust_2018_idioms)]
 
 mod config;
+mod fold;
 mod incremental;
 mod merge_join;
 mod partminer;
 
 pub use config::{ConfigError, PartMinerConfig, PartitionerKind, MAX_THREADS};
+pub use fold::{fold_delta, touched_graphs, walk_with_border, Border};
 pub use incremental::{IncOutcome, IncPartMiner, IncStats};
 pub use merge_join::{merge_join, MergeContext, MergeStats};
 pub use partminer::{MineOutcome, MineStats, PartMiner, PartMinerState, PoolRunner};

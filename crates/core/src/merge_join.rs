@@ -18,9 +18,9 @@
 //! not a production path; `repro ablation` carries them in `crates/bench`.
 
 use graphmine_exec::{Executor, Job};
-use graphmine_graph::{GraphDb, PatternSet, Support};
+use graphmine_graph::{DfsCode, GraphDb, PatternSet, Support};
 use graphmine_miner::extend::EdgeVocab;
-use graphmine_miner::project::EdgeView;
+use graphmine_miner::project::{Child, EdgeView, Occurrences};
 use graphmine_miner::walk::{KnownCodes, Walk, WalkStats};
 use graphmine_telemetry::{Counter, Counters, ReportSource, Telemetry};
 
@@ -103,37 +103,46 @@ pub fn merge_join(ctx: &MergeContext<'_>, pieces: &[&PatternSet]) -> (PatternSet
         let vouched = known.entry(&p.code).or_insert(p.support);
         *vouched = (*vouched).max(p.support);
     }
-    let walk = Walk {
-        view: &view,
-        min_support: ctx.min_support,
-        max_edges: ctx.max_edges,
-        known: (!known.is_empty()).then_some(&known),
-    };
+    let (out, _, stats) = walk_view(ctx, &view, (!known.is_empty()).then_some(&known), false);
+    (out, stats)
+}
+
+/// The walk of [`merge_join`] over a view of `ctx.db`, fanned out and
+/// tallied as it describes; with `border`, also every child it counted and
+/// rejected, in code order ([`Walk::subtrees_with_border`]).
+pub(crate) fn walk_view(
+    ctx: &MergeContext<'_>,
+    view: &EdgeView,
+    known: Option<&KnownCodes<'_>>,
+    border: bool,
+) -> (PatternSet, Vec<(DfsCode, Support)>, MergeStats) {
+    let walk = Walk { view, min_support: ctx.min_support, max_edges: ctx.max_edges, known };
 
     // Below the roots the walk checks frequency; a cap of one edge stops it
     // at the roots.
     let deep = ctx.max_edges.is_none_or(|cap| cap >= 2);
     let _check_span = ctx.telemetry.filter(|_| deep).map(|t| t.span("check_frequency"));
-    let (out, stats) = match ctx.executor.filter(|exec| deep && exec.threads() > 1) {
-        None => walk.subtrees(view.roots()),
+    let (out, counted, stats) = match ctx.executor.filter(|exec| deep && exec.threads() > 1) {
+        None => subtrees(&walk, view.roots(), border),
         Some(exec) => {
             let walk = &walk;
-            let jobs: Vec<Job<'_, (PatternSet, WalkStats)>> = view
+            let jobs: Vec<Job<'_, _>> = view
                 .roots()
                 .map(|(root, occ)| {
                     let subtree = std::iter::once((root, occ));
-                    Job::new(format!("walk:{}", root.edge), move || walk.subtrees(subtree))
+                    Job::new(format!("walk:{}", root.edge), move || subtrees(walk, subtree, border))
                 })
                 .collect();
             let subtrees =
                 exec.map_indexed(jobs).unwrap_or_else(|e| panic!("merge-join walk failed: {e}"));
             let mut stats = WalkStats::default();
-            let mut out = Vec::new();
-            for (found, local) in subtrees {
+            let (mut out, mut counted) = (Vec::new(), Vec::new());
+            for (found, rejected, local) in subtrees {
                 stats.absorb(local);
                 out.extend(found.into_patterns());
+                counted.extend(rejected);
             }
-            (out.into_iter().collect(), stats)
+            (out.into_iter().collect(), counted, stats)
         }
     };
 
@@ -150,7 +159,21 @@ pub fn merge_join(ctx: &MergeContext<'_>, pieces: &[&PatternSet]) -> (PatternSet
         counted: (stats.frequent + stats.infrequent) as usize,
         shortcut: stats.known as usize,
     };
-    (out, stats)
+    (out, counted, stats)
+}
+
+/// One serial walk from `roots`, with or without its border.
+fn subtrees<'v>(
+    walk: &Walk<'_>,
+    roots: impl IntoIterator<Item = (&'v Child, Occurrences<'v>)>,
+    border: bool,
+) -> (PatternSet, Vec<(DfsCode, Support)>, WalkStats) {
+    if border {
+        walk.subtrees_with_border(roots)
+    } else {
+        let (out, stats) = walk.subtrees(roots);
+        (out, Vec::new(), stats)
+    }
 }
 
 #[cfg(test)]

@@ -78,9 +78,18 @@ impl GraphDb {
         self.graphs.iter().enumerate().map(|(i, g)| (i as GraphId, &**g))
     }
 
+    /// The graphs `gids` names, sharing them with `self`: the graph at index
+    /// `i` of the result is graph `gids[i]` here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gid is out of range.
+    pub fn select(&self, gids: &[GraphId]) -> GraphDb {
+        GraphDb { graphs: gids.iter().map(|&gid| Arc::clone(&self.graphs[gid as usize])).collect() }
+    }
+
     /// `true` when `self` and `other` hold graph `gid` in one allocation:
     /// neither has copied it since they last shared it.
-    #[doc(hidden)]
     pub fn shares_graph(&self, other: &GraphDb, gid: GraphId) -> bool {
         Arc::ptr_eq(&self.graphs[gid as usize], &other.graphs[gid as usize])
     }

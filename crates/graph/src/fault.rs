@@ -72,6 +72,15 @@ pub enum Fault {
     /// about a candidate that shard did not report, so graphs a shard
     /// holds below its local threshold drop out of the gathered support.
     SkipUnreportedRecount = 13,
+    /// The daemon's delta fold adds the touched graphs' new occurrences to
+    /// the border but never subtracts their old ones, so border supports
+    /// only grow. `P(D)` stays exact in the window it happens; only a check
+    /// that compares the border with a cold walk's sees it.
+    StaleBorderSupport = 14,
+    /// The daemon's delta fold leaves a minimal border code that reaches θ
+    /// in the border instead of handing the window to a cold walk, so an
+    /// infrequent-to-frequent pattern and its subtree never enter `P(D)`.
+    SkipBorderExpansion = 15,
 }
 
 static ACTIVE: AtomicU8 = AtomicU8::new(0);

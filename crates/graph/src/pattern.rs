@@ -7,6 +7,7 @@
 //! of the DFS-code tree the walk emits, so the walk only ever appends.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use crate::{DfsCode, Graph, Support};
 
@@ -15,8 +16,9 @@ use crate::{DfsCode, Graph, Support};
 pub struct Pattern {
     /// Minimum DFS code (canonical identity).
     pub code: DfsCode,
-    /// The pattern graph (as rebuilt from the code).
-    pub graph: Graph,
+    /// The pattern graph (as rebuilt from the code), shared by every copy
+    /// of the pattern: a copy costs its code, not a graph.
+    pub graph: Arc<Graph>,
     /// Support in the database the pattern was mined from.
     pub support: Support,
 }
@@ -24,7 +26,7 @@ pub struct Pattern {
 impl Pattern {
     /// Builds a pattern from its canonical code and support.
     pub fn from_code(code: DfsCode, support: Support) -> Self {
-        let graph = code.to_graph();
+        let graph = Arc::new(code.to_graph());
         Pattern { code, graph, support }
     }
 

@@ -11,6 +11,7 @@
 //! ```
 
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 use crate::dfscode::is_min_with;
 use crate::{DfsCode, DfsEdge, Pattern, PatternSet};
@@ -133,7 +134,7 @@ pub fn read_patterns(reader: impl BufRead) -> Result<PatternSet, PatternParseErr
                 what: "code is not a minimum DFS code".into(),
             });
         }
-        read.push((lineno, Pattern { code, graph, support }));
+        read.push((lineno, Pattern { code, graph: Arc::new(graph), support }));
     }
     // The stable sort keeps a repeated code's lines in file order.
     read.sort_by(|a, b| a.1.code.cmp(&b.1.code));

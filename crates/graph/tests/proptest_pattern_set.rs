@@ -117,7 +117,7 @@ fn assert_matches(pool: &[DfsCode], set: &PatternSet, model: &Model) {
     for code in pool {
         assert_eq!(set.support(code), model.get(code).copied(), "support of {code}");
         assert_eq!(set.contains(code), model.contains_key(code), "contains {code}");
-        assert!(set.get(code).is_none_or(|p| p.graph == code.to_graph()), "graph of {code}");
+        assert!(set.get(code).is_none_or(|p| *p.graph == code.to_graph()), "graph of {code}");
     }
 }
 

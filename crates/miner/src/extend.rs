@@ -62,14 +62,8 @@ impl EdgeVocab {
     /// `min_support` in `db`, read off each graph's edge-triple index
     /// instead of rescanning and deduplicating edge lists.
     pub fn frequent_in(db: &GraphDb, min_support: Support) -> Self {
-        let mut per_triple: FxHashMap<(VLabel, ELabel, VLabel), Support> = FxHashMap::default();
-        for (_, g) in db.iter() {
-            for &(t, _) in g.triples() {
-                *per_triple.entry(t).or_insert(0) += 1;
-            }
-        }
         Self::from_triples(
-            per_triple.into_iter().filter(|&(_, s)| s >= min_support).map(|(t, _)| t),
+            triple_supports(db).into_iter().filter(|&(_, s)| s >= min_support).map(|(t, _)| t),
         )
     }
 
@@ -106,6 +100,18 @@ impl EdgeVocab {
     pub fn is_empty(&self) -> bool {
         self.triples.is_empty()
     }
+}
+
+/// The support of every normalised edge triple of `db`: the number of
+/// graphs whose edge-triple index holds it.
+pub fn triple_supports(db: &GraphDb) -> FxHashMap<(VLabel, ELabel, VLabel), Support> {
+    let mut per_triple: FxHashMap<(VLabel, ELabel, VLabel), Support> = FxHashMap::default();
+    for (_, g) in db.iter() {
+        for &(t, _) in g.triples() {
+            *per_triple.entry(t).or_insert(0) += 1;
+        }
+    }
+    per_triple
 }
 
 /// All distinct canonical codes obtainable by adding one vocabulary edge to

@@ -405,6 +405,98 @@ fn skip_expiry_mutant_is_detected() {
     run_single(&case, &exec, None).expect("the crafted case is clean without the mutant");
 }
 
+/// Arms `fault`, runs the crafted `case` and requires `fold-equivalence` to
+/// trip first, with a repro that fails armed and passes disarmed.
+fn assert_fold_mutant_detected(fault: Fault, case: &Case) {
+    let _lock = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tempfile::tempdir().unwrap();
+    let exec = Executor::new(2);
+
+    let guard = arm(fault);
+    let record = run_single(case, &exec, Some(dir.path()))
+        .expect_err("the armed fold mutant must leave a detectable divergence");
+    assert_eq!(record.check, "fold-equivalence", "wrong check tripped: {}", record.message);
+    let repro = record.repro.clone().expect("repro written");
+    assert!(replay_file(&repro, &exec).is_err(), "repro keeps failing while armed");
+    drop(guard);
+
+    replay_file(&repro, &exec)
+        .unwrap_or_else(|f| panic!("repro fails disarmed [{}]: {}", f.check, f.message));
+    run_single(case, &exec, None).expect("the crafted case is clean without the mutant");
+}
+
+/// Three copies of the path `(0)-5-(1)-6-(2)` at min_support 2. Under the
+/// root `(1)-6-(2)` the walk counts the path again under a non-minimal
+/// code: a border entry of support 3. Relabelling gid 0's `(2)` to 9 moves
+/// no edge across θ, so the fold is a delta one, and the entry must fall to
+/// 2. With [`Fault::StaleBorderSupport`] armed it stays at 3 while `P(D)`
+/// is still exact, so only the border comparison sees it.
+fn crafted_stale_border_case() -> Case {
+    let mut db = GraphDb::new();
+    for _ in 0..3 {
+        let mut g = Graph::new();
+        for l in [0u32, 1, 2] {
+            g.add_vertex(l);
+        }
+        g.add_edge(0, 1, 5).unwrap();
+        g.add_edge(1, 2, 6).unwrap();
+        db.push(g);
+    }
+    let updates = vec![DbUpdate { gid: 0, update: GraphUpdate::RelabelVertex { v: 2, label: 9 } }];
+    Case {
+        name: "crafted-stale-border".to_string(),
+        seed: 0,
+        min_support: 2,
+        max_edges: 3,
+        db,
+        updates,
+    }
+}
+
+#[test]
+fn stale_border_support_mutant_is_detected() {
+    assert_fold_mutant_detected(Fault::StaleBorderSupport, &crafted_stale_border_case());
+}
+
+/// The path `(0)-5-(1)-6-(2)` in gid 0, and in gid 1 its two edges apart.
+/// At min_support 2 both edges are frequent and the path is a border entry
+/// of support 1; an edge in gid 1 that joins its `(1)` to its `(2)` raises
+/// the path to θ without moving any edge across it: a minimal border code
+/// reaching θ, which only a cold walk can expand. With
+/// [`Fault::SkipBorderExpansion`] armed the fold keeps it in the border and
+/// `P(D)` misses the path.
+fn crafted_border_expansion_case() -> Case {
+    let mut db = GraphDb::new();
+    let mut g = Graph::new();
+    for l in [0u32, 1, 2] {
+        g.add_vertex(l);
+    }
+    g.add_edge(0, 1, 5).unwrap();
+    g.add_edge(1, 2, 6).unwrap();
+    db.push(g);
+    let mut g = Graph::new();
+    for l in [0u32, 1, 1, 2] {
+        g.add_vertex(l);
+    }
+    g.add_edge(0, 1, 5).unwrap();
+    g.add_edge(2, 3, 6).unwrap();
+    db.push(g);
+    let updates = vec![DbUpdate { gid: 1, update: GraphUpdate::AddEdge { u: 1, v: 3, label: 6 } }];
+    Case {
+        name: "crafted-border-expansion".to_string(),
+        seed: 0,
+        min_support: 2,
+        max_edges: 3,
+        db,
+        updates,
+    }
+}
+
+#[test]
+fn skip_border_expansion_mutant_is_detected() {
+    assert_fold_mutant_detected(Fault::SkipBorderExpansion, &crafted_border_expansion_case());
+}
+
 /// The labeled-panic path end to end: a panic injected inside one unit's
 /// mining job must surface as a failure that names the exact job
 /// (`unit-mine:{j}`) and carries the payload — and the unit id in the

@@ -93,6 +93,9 @@ fn readers_stay_consistent_through_an_inflight_update() {
     assert_eq!(get("req_errors"), 0);
     assert_eq!(get("wal_batches_appended"), 1);
     assert_eq!(get("epoch_swaps"), 1);
+    assert_eq!(get("fold_delta") + get("fold_cold"), get("epoch_swaps"), "one fold per swap");
+    let graphs: std::collections::BTreeSet<_> = ops.iter().map(|op| op.gid).collect();
+    assert_eq!(get("fold_graphs_touched"), graphs.len() as u64, "the graphs the window names");
 
     writer.shutdown().unwrap();
     handle.wait().unwrap();
@@ -208,6 +211,7 @@ fn concurrent_writers_and_readers_reconcile_exactly() {
     assert_eq!(get("ingest_windows"), total);
     assert_eq!(get("wal_batches_appended"), total);
     assert_eq!(get("epoch_swaps"), total);
+    assert_eq!(get("fold_delta") + get("fold_cold"), get("epoch_swaps"), "one fold per swap");
     assert_eq!(get("req_update"), total, "sheds must not count as served updates");
     assert_eq!(get("ingest_ops_in"), total, "one op per window, sheds admitted nothing");
     assert_eq!(

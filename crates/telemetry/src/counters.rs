@@ -81,6 +81,14 @@ pub enum Counter {
     SupportFromSearch,
     /// Serve: result-epoch swaps installed after update re-mines.
     EpochSwaps,
+    /// Serve: windows folded by the delta walk over the graphs they
+    /// touched (`fold_delta + fold_cold == epoch_swaps`).
+    FoldDelta,
+    /// Serve: windows folded by a cold walk of the whole database, because
+    /// an edge triple rose to θ or a minimal border code reached it.
+    FoldCold,
+    /// Serve: graphs folds found touched (summed over delta and cold folds).
+    FoldGraphsTouched,
     /// Ingest: update windows acknowledged through the streaming
     /// pipeline (admitted, journaled, and made durable).
     IngestWindows,
@@ -141,7 +149,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in slot order.
-    pub const ALL: [Counter; 54] = [
+    pub const ALL: [Counter; 57] = [
         Counter::CandidatesGenerated,
         Counter::IsoTestsRun,
         Counter::IsoTestsPruned,
@@ -174,6 +182,9 @@ impl Counter {
         Counter::SupportFromEmbeddings,
         Counter::SupportFromSearch,
         Counter::EpochSwaps,
+        Counter::FoldDelta,
+        Counter::FoldCold,
+        Counter::FoldGraphsTouched,
         Counter::IngestWindows,
         Counter::IngestOpsIn,
         Counter::IngestOpsCoalesced,
@@ -233,6 +244,9 @@ impl Counter {
             Counter::SupportFromEmbeddings => "support_from_embeddings",
             Counter::SupportFromSearch => "support_from_search",
             Counter::EpochSwaps => "epoch_swaps",
+            Counter::FoldDelta => "fold_delta",
+            Counter::FoldCold => "fold_cold",
+            Counter::FoldGraphsTouched => "fold_graphs_touched",
             Counter::IngestWindows => "ingest_windows",
             Counter::IngestOpsIn => "ingest_ops_in",
             Counter::IngestOpsCoalesced => "ingest_ops_coalesced",
