@@ -114,7 +114,7 @@ pub fn fold_delta(
     let mut shift: FxHashMap<Triple, i64> = FxHashMap::default();
     for (db, sign) in [(&before, -1), (&after, 1)] {
         for (_, g) in db.iter() {
-            for &(t, _) in g.triples() {
+            for (t, _) in g.triples() {
                 *shift.entry(t).or_insert(0) += sign;
             }
         }

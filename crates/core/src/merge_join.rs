@@ -193,8 +193,8 @@ mod tests {
             let uf = vec![0.0; g.vertex_count()];
             let sides = part.sides(g, &uf);
             let split = split_by_sides(g, &sides);
-            d0.push(split.side1.graph);
-            d1.push(split.side2.graph);
+            d0.push(split.side1.into_graph());
+            d1.push(split.side2.into_graph());
         }
         (d0, d1)
     }

@@ -32,8 +32,8 @@ fn split_db(db: &GraphDb) -> (GraphDb, GraphDb) {
         let uf = vec![0.0; g.vertex_count()];
         let sides = part.sides(g, &uf);
         let split = split_by_sides(g, &sides);
-        d0.push(split.side1.graph);
-        d1.push(split.side2.graph);
+        d0.push(split.side1.into_graph());
+        d1.push(split.side2.into_graph());
     }
     (d0, d1)
 }
@@ -130,13 +130,15 @@ fn assert_same_tree(got: &DbPartition, want: &DbPartition, what: &str) {
             // The tree keeps the root's table alone; a node's per-vertex
             // frequencies are derived from it through the vertex map.
             let ufreq = |part: &DbPartition, node: &PartNode| -> Vec<f64> {
-                vertex_map(node).iter().map(|&v| part.ufreq(gid)[v as usize]).collect()
+                vertex_map(node).iter().map(|&v| part.ufreq(gid, v)).collect()
             };
             assert_eq!(ufreq(got, g), ufreq(want, w), "{what}: node {n} gid {gid} ufreq");
         }
     }
-    for gid in 0..want.root().db.len() as u32 {
-        assert_eq!(got.ufreq(gid), want.ufreq(gid), "{what}: gid {gid} root ufreq");
+    for (gid, g) in want.root().db.iter() {
+        for v in 0..g.vertex_count() as u32 {
+            assert_eq!(got.ufreq(gid, v), want.ufreq(gid, v), "{what}: gid {gid} root ufreq");
+        }
     }
     got.check_invariants().unwrap_or_else(|e| panic!("{what}: {e}"));
 }

@@ -1,13 +1,15 @@
 //! The allocation budget of `mine`'s front half: parsing a database and
 //! splitting it into units allocate, per graph, only what the result keeps.
 //!
-//! * `read_db` keeps, per graph, the graph's five arrays (labels, edges,
-//!   offsets, adjacency arena, triple index) and its `Arc`: six allocations,
-//!   plus the database's vector growing in doublings.
-//! * `DbPartition::build` at k = 2 keeps, per graph, two pieces of eight
-//!   (the graph's five arrays, a vertex map, an edge map, an `Arc`) and the
-//!   root's copy of the graph's ufreq row: seventeen, plus the buffers each
-//!   work item reuses from graph to graph and what each tree node holds.
+//! * `read_db` keeps, per graph, the graph's two blocks (one of `u32`
+//!   words: labels, offsets, edges and triple index back to back; one the
+//!   adjacency arena) and its `Arc`: three allocations, plus the database's
+//!   vector growing in doublings.
+//! * `DbPartition::build` at k = 2 keeps, per graph, two pieces of four
+//!   (the graph's two blocks, its `Arc`, and one block holding the vertex
+//!   map and then the edge map): eight, plus the buffers each work item
+//!   reuses from graph to graph and what each tree node holds. A static
+//!   database's all-zero ufreq table is not copied.
 //!
 //! A counting global allocator tallies the calling thread alone, so the
 //! other tests of this binary cannot disturb the count; the split runs on
@@ -85,7 +87,7 @@ fn the_front_half_allocates_only_what_it_keeps() {
     // Beyond the graphs: the database's vector doubling, and the reused
     // buffers growing to the largest graph.
     let doublings = u64::from(d.ilog2()) + 1;
-    let budget = 6 * d + doublings + 32;
+    let budget = 3 * d + doublings + 32;
     assert!(n <= budget, "read_db: {n} allocations for {d} graphs, budget {budget}");
 
     let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
@@ -95,7 +97,7 @@ fn the_front_half_allocates_only_what_it_keeps() {
         allocations(|| DbPartition::build_on(&db, &ufreq, &partitioner, 2, &tel, &Inline));
     assert_eq!(part.unit_count(), 2);
     let items = d.div_ceil(SPLIT_RANGE as u64);
-    let budget = 17 * d + 64 * items + 64;
+    let budget = 8 * d + 64 * items + 64;
     assert!(
         n <= budget,
         "DbPartition::build: {n} allocations for {d} graphs in {items} work items, budget {budget} \

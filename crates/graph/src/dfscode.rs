@@ -15,12 +15,23 @@
 //! traversal may only backtrack past *finished* vertices — so every prefix
 //! the search visits is completable and the greedy choice is exact.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::fmt;
 
 use rustc_hash::FxHashSet;
 
-use crate::{ELabel, Graph, VLabel, VertexId};
+use crate::{CsrScratch, ELabel, Graph, GraphError, VLabel, VertexId};
+
+/// The label list, edge list and [`CsrScratch`] that
+/// [`DfsCode::try_to_graph`] builds in, kept from call to call on each
+/// thread: every canonical test ([`is_min`]) builds its code's graph, so the
+/// graph's two blocks are all a build allocates.
+type BuildBuffers = (Vec<VLabel>, Vec<(VertexId, VertexId, ELabel)>, CsrScratch);
+
+thread_local! {
+    static BUILD_BUFFERS: RefCell<BuildBuffers> = RefCell::default();
+}
 
 /// One DFS-code entry `(i, j, l_i, l_(i,j), l_j)`.
 ///
@@ -158,33 +169,66 @@ impl DfsCode {
         self.try_to_graph().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Rebuilds the pattern graph described by this code.
+    /// Rebuilds the pattern graph described by this code, in one
+    /// [`Graph::from_edges`] over its labels and edges.
     ///
     /// # Errors
     ///
     /// The code is structurally invalid: a forward edge that does not
-    /// discover the next vertex index, or a duplicate or loop edge.
+    /// discover the next vertex index, or a duplicate or loop edge. The
+    /// first fault in code order is reported, as adding the edges one by one
+    /// would meet it.
     pub fn try_to_graph(&self) -> Result<Graph, String> {
-        // A valid code has at most one vertex more than it has edges, so a
-        // hostile vertex id cannot size the allocation.
-        let mut g = Graph::with_capacity(self.vertex_count().min(self.len() + 1), self.len());
+        BUILD_BUFFERS.with(|buffers| {
+            let (vlabels, edges, scratch) = &mut *buffers.borrow_mut();
+            vlabels.clear();
+            edges.clear();
+            self.build_into(vlabels, edges, scratch)
+        })
+    }
+
+    /// [`DfsCode::try_to_graph`] in the buffers given. A vertex label is
+    /// pushed only for a forward edge that discovers it, so a hostile vertex
+    /// id cannot size them.
+    fn build_into(
+        &self,
+        vlabels: &mut Vec<VLabel>,
+        edges: &mut Vec<(VertexId, VertexId, ELabel)>,
+        scratch: &mut CsrScratch,
+    ) -> Result<Graph, String> {
+        let mut build = |vlabels: &[VLabel], edges: &[(VertexId, VertexId, ELabel)]| {
+            Graph::from_edges(vlabels, edges, scratch)
+                .map_err(|(i, err)| format!("invalid DFS code: {}: {err}", self.0[i]))
+        };
         for e in &self.0 {
-            if e.is_forward() {
-                if e.from as usize >= g.vertex_count() {
-                    if e.from as usize != g.vertex_count() {
-                        return Err(format!("invalid DFS code: gap before {e}"));
+            let n = vlabels.len() as u32;
+            let refused = if e.is_forward() {
+                if e.from > n {
+                    Some(format!("invalid DFS code: gap before {e}"))
+                } else if e.to != n + u32::from(e.from == n) {
+                    Some(format!("invalid DFS code: forward edge {e} out of order"))
+                } else {
+                    if e.from == n {
+                        vlabels.push(e.from_label);
                     }
-                    g.add_vertex(e.from_label);
+                    vlabels.push(e.to_label);
+                    None
                 }
-                if e.to as usize != g.vertex_count() {
-                    return Err(format!("invalid DFS code: forward edge {e} out of order"));
-                }
-                g.add_vertex(e.to_label);
+            } else if e.from >= n {
+                // A backward edge names vertices discovered before it.
+                let err = GraphError::VertexOutOfRange { vertex: e.from, len: n };
+                Some(format!("invalid DFS code: {e}: {err}"))
+            } else {
+                None
+            };
+            if let Some(refused) = refused {
+                // A duplicate among the edges before `e` is the earlier fault.
+                build(vlabels, edges)?;
+                return Err(refused);
             }
-            g.add_edge(e.from, e.to, e.edge_label)
-                .map_err(|err| format!("invalid DFS code: {e}: {err}"))?;
+            edges.push((e.from, e.to, e.edge_label));
         }
-        Ok(g)
+        build(vlabels, edges)
     }
 
     /// The rightmost path of the encoded DFS tree as code vertices, from the
@@ -722,6 +766,29 @@ pub fn is_min(code: &DfsCode) -> bool {
     is_min_with(code, &code.to_graph())
 }
 
+/// `true` when the last entry of `code`, in its smaller orientation, sorts
+/// below the first: a DFS code can then start from that edge, so `code` is
+/// not minimal. This is [`is_min`]'s first step — the least oriented edge
+/// of the graph against the code's first entry — for the one edge a
+/// rightmost extension adds to a minimal code, in O(1) and without building
+/// the graph. `false` decides nothing.
+pub fn last_edge_undercuts_first(code: &DfsCode) -> bool {
+    let (Some(first), Some(last)) = (code.0.first(), code.0.last()) else {
+        return false;
+    };
+    let least = (last.from_label, last.edge_label, last.to_label).min((
+        last.to_label,
+        last.edge_label,
+        last.from_label,
+    ));
+    let first = (first.from_label, first.edge_label, first.to_label);
+    #[cfg(feature = "fault-injection")]
+    if crate::fault::armed(crate::fault::Fault::PrecheckRejectsMinimal) {
+        return least <= first;
+    }
+    least < first
+}
+
 /// [`is_min`] with the code's graph supplied by the caller.
 ///
 /// Candidate generation probes many one-edge extensions of one pattern; a
@@ -814,6 +881,36 @@ mod tests {
         ]);
         assert!(!is_min(&t3));
         assert!(isomorphic(&t3.to_graph(), &figure1_graph()));
+    }
+
+    /// A duplicate edge and an endpoint past the vertices discovered so far
+    /// are refused with the error `Graph::add_edge` gives, and a fault
+    /// earlier in the code wins over a structural one after it.
+    #[test]
+    fn invalid_codes_are_refused_at_their_first_fault() {
+        let fwd = DfsEdge::new(0, 1, 0, 0, 0);
+        let cases = [
+            (
+                vec![fwd, DfsEdge::new(1, 0, 0, 0, 0)],
+                "invalid DFS code: (1,0,0,0,0): edge (1, 0) already exists",
+            ),
+            (
+                vec![fwd, DfsEdge::new(3, 0, 0, 0, 0), DfsEdge::new(1, 2, 0, 0, 0)],
+                "invalid DFS code: (3,0,0,0,0): vertex id 3 out of range (graph has 2 vertices)",
+            ),
+            (
+                vec![fwd, DfsEdge::new(1, 0, 0, 0, 0), DfsEdge::new(5, 6, 0, 0, 0)],
+                "invalid DFS code: (1,0,0,0,0): edge (1, 0) already exists",
+            ),
+            (vec![fwd, DfsEdge::new(5, 6, 0, 0, 0)], "invalid DFS code: gap before (5,6,0,0,0)"),
+            (
+                vec![fwd, DfsEdge::new(1, 3, 0, 0, 0)],
+                "invalid DFS code: forward edge (1,3,0,0,0) out of order",
+            ),
+        ];
+        for (edges, want) in cases {
+            assert_eq!(DfsCode(edges.clone()).try_to_graph().unwrap_err(), want, "{edges:?}");
+        }
     }
 
     #[test]

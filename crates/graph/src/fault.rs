@@ -81,6 +81,13 @@ pub enum Fault {
     /// in the border instead of handing the window to a cold walk, so an
     /// infrequent-to-frequent pattern and its subtree never enter `P(D)`.
     SkipBorderExpansion = 15,
+    /// The walk's O(1) minimality pre-check
+    /// ([`crate::dfscode::last_edge_undercuts_first`]) rejects a child
+    /// whose new edge *ties* the code's first edge as well as one that sorts
+    /// below it, so minimal children whose new edge repeats the first
+    /// edge's labels are lost, with their subtrees, by every miner that
+    /// walks.
+    PrecheckRejectsMinimal = 16,
 }
 
 static ACTIVE: AtomicU8 = AtomicU8::new(0);

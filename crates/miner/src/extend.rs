@@ -107,7 +107,7 @@ impl EdgeVocab {
 pub fn triple_supports(db: &GraphDb) -> FxHashMap<(VLabel, ELabel, VLabel), Support> {
     let mut per_triple: FxHashMap<(VLabel, ELabel, VLabel), Support> = FxHashMap::default();
     for (_, g) in db.iter() {
-        for &(t, _) in g.triples() {
+        for (t, _) in g.triples() {
             *per_triple.entry(t).or_insert(0) += 1;
         }
     }

@@ -59,7 +59,7 @@ impl MemoryMiner for Fsg {
         // F1 with TID lists, off each graph's index of distinct edge triples.
         let mut tids: FxHashMap<DfsCode, Vec<GraphId>> = FxHashMap::default();
         for (gid, g) in db.iter() {
-            for &((la, el, lb), _) in g.triples() {
+            for ((la, el, lb), _) in g.triples() {
                 let code = DfsCode(vec![graphmine_graph::DfsEdge::new(0, 1, la, el, lb)]);
                 tids.entry(code).or_default().push(gid);
             }

@@ -14,7 +14,7 @@
 
 use rustc_hash::FxHashMap;
 
-use graphmine_graph::dfscode::is_min;
+use graphmine_graph::dfscode::{is_min, last_edge_undercuts_first};
 use graphmine_graph::{DfsCode, DfsEdge, Pattern, PatternSet, Support};
 
 use crate::project::{Child, EdgeView, Occurrences, Scratch};
@@ -172,7 +172,9 @@ impl Walk<'_> {
             graphmine_graph::fault::armed(graphmine_graph::fault::Fault::SkipWalkMinCheck);
         #[cfg(not(feature = "fault-injection"))]
         let skip_min = false;
-        if !skip_min && !is_min(code) {
+        // The O(1) pre-check settles most non-minimal children before
+        // `is_min` builds the child's graph to search it.
+        if !skip_min && (last_edge_undercuts_first(code) || !is_min(code)) {
             return None;
         }
         stats.frequent += 1;

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use graphmine_graph::dfscode::is_min;
+use graphmine_graph::dfscode::{is_min, last_edge_undercuts_first, min_dfs_code};
 use graphmine_graph::{iso, DfsCode, DfsEdge, EmbeddingList, Graph, GraphDb, Support};
 use graphmine_miner::extend::EdgeVocab;
 use graphmine_miner::project::{EdgeView, Occurrences, Scratch};
@@ -182,9 +182,74 @@ fn check_subtree(
     prop_assert_eq!(children.total_rows(), total_rows, "rows over all children of {}", code);
 }
 
+/// Every rightmost extension of `code` over `labels` vertex and edge
+/// labels, whatever the database: backward edges from the rightmost vertex
+/// to the path vertices past the last one it already closed to, forward
+/// edges from every path vertex to a new one.
+fn rightmost_extensions(code: &DfsCode, labels: u32) -> Vec<DfsEdge> {
+    let pattern = code.to_graph();
+    let path = code.rightmost_path();
+    let rm = *path.last().unwrap();
+    let floor = code
+        .0
+        .iter()
+        .rev()
+        .take_while(|e| !e.is_forward())
+        .filter(|e| e.from == rm)
+        .map(|e| e.to + 1)
+        .max()
+        .unwrap_or(0);
+    let (lrm, new_vertex) = (pattern.vlabel(rm), pattern.vertex_count() as u32);
+    let mut out = Vec::new();
+    for el in 0..labels {
+        for &pv in &path[..path.len() - 1] {
+            if pv >= floor && pattern.edge_between(rm, pv).is_none() {
+                out.push(DfsEdge::new(rm, pv, lrm, el, pattern.vlabel(pv)));
+            }
+        }
+        for &pv in &path {
+            for vl in 0..labels {
+                out.push(DfsEdge::new(pv, new_vertex, pattern.vlabel(pv), el, vl));
+            }
+        }
+    }
+    out
+}
+
 // No explicit case count: `PROPTEST_CASES` sizes the run (CI repeats it at
 // 2000 in release).
 proptest! {
+    /// The walk's O(1) pre-check against the canonical test it runs ahead
+    /// of. On every rightmost extension of a minimal code it must fire
+    /// exactly when an orientation of some edge of the child's graph sorts
+    /// below the first entry — `is_min`'s first step, done on the whole
+    /// graph — and a child it fires on must not be minimal.
+    #[test]
+    fn precheck_rejects_only_non_minimal_children(g in connected_graph(6)) {
+        let code = min_dfs_code(&g);
+        let f = code.0[0];
+        let first = (f.from_label, f.edge_label, f.to_label);
+        for e in rightmost_extensions(&code, 2) {
+            let mut child = code.clone();
+            child.push(e);
+            let child_graph = child.to_graph();
+            let least = child_graph
+                .edges()
+                .flat_map(|(_, u, v, el)| {
+                    let (lu, lv) = (child_graph.vlabel(u), child_graph.vlabel(v));
+                    [(lu, el, lv), (lv, el, lu)]
+                })
+                .min()
+                .expect("a child has edges");
+            let undercut = last_edge_undercuts_first(&child);
+            prop_assert_eq!(undercut, least < first, "{}", child);
+            if undercut {
+                prop_assert!(!is_min(&child), "pre-check rejects minimal {}", child);
+            }
+        }
+    }
+
+
     /// Vocabulary threshold 1 makes every edge of the database a vocabulary
     /// edge; 2 leaves some out, so the filter has something to drop. The
     /// list threshold `theta` is the walk's own: at 1 every child keeps its

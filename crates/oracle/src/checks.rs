@@ -385,8 +385,8 @@ fn check_partition_invariants(case: &Case) -> Result<(), CheckFailure> {
         let sides = partitioner.sides(g, per_graph);
         let split = split_by_sides(g, &sides);
         for (eid, u, v, _) in g.edges() {
-            let in1 = split.side1.edge_map.contains(&eid);
-            let in2 = split.side2.edge_map.contains(&eid);
+            let in1 = split.side1.edge_map().contains(&eid);
+            let in2 = split.side2.edge_map().contains(&eid);
             let conn = split.connective.contains(&eid);
             let ok = if conn { in1 && in2 } else { in1 ^ in2 };
             if !ok {

@@ -99,6 +99,16 @@ fn skip_walk_min_check_mutant_is_detected() {
     assert_eq!(assert_detected_by_batch(Fault::SkipWalkMinCheck), "reference-matrix");
 }
 
+/// The walk's O(1) pre-check, off by one: it rejects a child whose new
+/// edge ties the first edge too, so minimal patterns that repeat their first
+/// edge's labels vanish with their subtrees. gSpan loses them as PartMiner
+/// does; Gaston, Apriori and brute force do not walk, so `reference-matrix`
+/// sees the codes they have and the reference lacks.
+#[test]
+fn precheck_rejects_minimal_mutant_is_detected() {
+    assert_eq!(assert_detected_by_batch(Fault::PrecheckRejectsMinimal), "reference-matrix");
+}
+
 /// The removed lower-bound-supports mode, back as a mutant: the walk
 /// reports a unit-shortcut hit with the unit's lower bound instead of the
 /// exact support it holds. Codes stay right, and gSpan knows no codes in

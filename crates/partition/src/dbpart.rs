@@ -17,7 +17,7 @@
 //! touched, which is the `set` word IncPartMiner uses to decide what to
 //! re-mine (Fig. 12, line 4).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use graphmine_graph::{
@@ -52,13 +52,10 @@ pub struct UpdateImpact {
 pub struct PartNode {
     /// The (sub)graph of every original graph at this node, gid-aligned.
     pub db: GraphDb,
-    /// Per gid: node vertex -> original vertex (empty at the root).
-    vertex_maps: Vec<Vec<VertexId>>,
-    /// Per gid: node edge -> original edge (empty at the root).
-    edge_maps: Vec<Vec<EdgeId>>,
-    /// Per gid: update frequency of each original vertex (at the root only,
-    /// empty below it: a piece vertex's is its original's).
-    ufreq: Vec<Vec<f64>>,
+    /// Per gid, one block: node vertex -> original vertex, then node edge
+    /// -> original edge, split at the piece's vertex count (empty at the
+    /// root).
+    maps: Vec<Vec<u32>>,
     /// Children in the split tree (`None` for unit leaves).
     pub children: Option<(NodeId, NodeId)>,
     /// Unit index for leaves.
@@ -78,7 +75,7 @@ impl PartNode {
         if self.is_root() {
             pv
         } else {
-            self.vertex_maps[gid as usize][pv as usize]
+            self.vertex_map(gid)[pv as usize]
         }
     }
 
@@ -88,54 +85,85 @@ impl PartNode {
         if self.is_root() {
             pe
         } else {
-            self.edge_maps[gid as usize][pe as usize]
+            self.edge_map(gid)[pe as usize]
         }
+    }
+
+    /// Where the maps block of `gid` splits: the piece's vertex count.
+    fn map_split(&self, gid: GraphId) -> usize {
+        self.db.graph(gid).vertex_count()
+    }
+
+    /// The piece of `gid`'s vertex map (below the root only).
+    fn vertex_map(&self, gid: GraphId) -> &[VertexId] {
+        &self.maps[gid as usize][..self.map_split(gid)]
+    }
+
+    /// The piece of `gid`'s edge map (below the root only).
+    fn edge_map(&self, gid: GraphId) -> &[EdgeId] {
+        &self.maps[gid as usize][self.map_split(gid)..]
     }
 
     fn position_of_vertex(&self, gid: GraphId, orig_v: VertexId) -> Option<VertexId> {
         if self.is_root() {
             return (orig_v < self.db.graph(gid).vertex_count() as VertexId).then_some(orig_v);
         }
-        self.vertex_maps[gid as usize].iter().position(|&v| v == orig_v).map(|i| i as VertexId)
+        self.vertex_map(gid).iter().position(|&v| v == orig_v).map(|i| i as VertexId)
     }
 
     fn position_of_edge(&self, gid: GraphId, orig_e: EdgeId) -> Option<EdgeId> {
         if self.is_root() {
             return (orig_e < self.db.graph(gid).edge_count() as EdgeId).then_some(orig_e);
         }
-        self.edge_maps[gid as usize].iter().position(|&e| e == orig_e).map(|i| i as EdgeId)
+        self.edge_map(gid).iter().position(|&e| e == orig_e).map(|i| i as EdgeId)
     }
 
-    /// Records a vertex just added to the piece of `gid`. At the root the
-    /// new vertex is its own original, so only its ufreq is kept.
-    fn push_vertex(&mut self, gid: GraphId, orig_v: VertexId, ufreq: f64) {
-        if self.is_root() {
-            self.ufreq[gid as usize].push(ufreq);
-        } else {
-            self.vertex_maps[gid as usize].push(orig_v);
+    /// Records a vertex just added to the piece of `gid`: its entry goes at
+    /// the vertex map's end, before the edge map. At the root the new
+    /// vertex is its own original, so there is nothing to record.
+    fn push_vertex(&mut self, gid: GraphId, orig_v: VertexId) {
+        if !self.is_root() {
+            let at = self.map_split(gid) - 1;
+            self.maps[gid as usize].insert(at, orig_v);
         }
     }
 
     /// Records an edge just added to the piece of `gid`.
     fn push_edge(&mut self, gid: GraphId, orig_e: EdgeId) {
         if !self.is_root() {
-            self.edge_maps[gid as usize].push(orig_e);
+            self.maps[gid as usize].push(orig_e);
         }
     }
 
-    /// Mirrors the piece graph's swap-remove of vertex `pv`.
+    /// Mirrors the piece graph's swap-remove of vertex `pv`: the entry of
+    /// the vertex that took `pv`'s id moves into its slot, and the vertex
+    /// map's last slot goes.
     fn swap_remove_vertex(&mut self, gid: GraphId, pv: VertexId) {
-        if self.is_root() {
-            self.ufreq[gid as usize].swap_remove(pv as usize);
-        } else {
-            self.vertex_maps[gid as usize].swap_remove(pv as usize);
+        if !self.is_root() {
+            let last = self.map_split(gid);
+            let maps = &mut self.maps[gid as usize];
+            maps[pv as usize] = maps[last];
+            maps.remove(last);
         }
     }
 
-    /// Mirrors the piece graph's swap-remove of edge `pe`.
+    /// Mirrors the piece graph's swap-remove of edge `pe` (the edge map
+    /// ends the block, so the block's swap-remove is the edge map's).
     fn swap_remove_edge(&mut self, gid: GraphId, pe: EdgeId) {
         if !self.is_root() {
-            self.edge_maps[gid as usize].swap_remove(pe as usize);
+            let at = self.map_split(gid) + pe as usize;
+            self.maps[gid as usize].swap_remove(at);
+        }
+    }
+
+    /// Renames original element `old` to `new` in the vertex map
+    /// (`vertices`) or the edge map of `gid`, where it appears.
+    fn rename(&mut self, gid: GraphId, vertices: bool, old: u32, new: u32) {
+        let split = self.map_split(gid);
+        let maps = &mut self.maps[gid as usize];
+        let map = if vertices { &mut maps[..split] } else { &mut maps[split..] };
+        if let Some(slot) = map.iter_mut().find(|x| **x == old) {
+            *slot = new;
         }
     }
 }
@@ -147,6 +175,10 @@ pub struct DbPartition {
     nodes: Vec<PartNode>,
     root: NodeId,
     unit_nodes: Vec<NodeId>,
+    /// Per gid, the update frequency of each original vertex, for the graphs
+    /// with one that is not zero; every other graph's read as zeros. A
+    /// piece vertex's is its original's.
+    ufreq: BTreeMap<GraphId, Vec<f64>>,
     /// `true` once a delete update has been applied. Deletes can legally
     /// empty a unit's piece (the build-time non-emptiness clamp only
     /// governs splits), so [`DbPartition::check_invariants`] relaxes the
@@ -159,7 +191,8 @@ impl DbPartition {
     ///
     /// `ufreq[gid][v]` is the update frequency of vertex `v` of graph `gid`
     /// (the workload knowledge the paper's criteria consume); pass zeros for
-    /// a static database.
+    /// a static database. The tree keeps a copy of the rows that hold
+    /// anything but zeros, so for a static database it keeps none.
     ///
     /// # Panics
     ///
@@ -225,19 +258,19 @@ impl DbPartition {
                 panic!("non-finite ufreq {} at graph {gid}, vertex {v}", row[v]);
             }
         }
-        let root = PartNode {
-            db: db.clone(),
-            vertex_maps: Vec::new(),
-            edge_maps: Vec::new(),
-            ufreq: ufreq.to_vec(),
-            children: None,
-            unit: None,
-            depth: 0,
-        };
+        let root =
+            PartNode { db: db.clone(), maps: Vec::new(), children: None, unit: None, depth: 0 };
+        let ufreq = ufreq
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| row.iter().any(|f| !is_zero(*f)))
+            .map(|(gid, row)| (gid as GraphId, row.clone()))
+            .collect();
         let mut part = DbPartition {
             nodes: vec![root],
             root: 0,
             unit_nodes: Vec::new(),
+            ufreq,
             deletes_applied: false,
         };
 
@@ -277,7 +310,7 @@ impl DbPartition {
         range: usize,
     ) -> (NodeId, NodeId) {
         let node = &self.nodes[node_id];
-        let ufreq = &self.nodes[self.root].ufreq;
+        let ufreq = &self.ufreq;
         let n_graphs = node.db.len();
         // The items fill disjoint gid ranges of the children's columns in
         // place: nothing to gather, whatever order they finish in.
@@ -302,9 +335,7 @@ impl DbPartition {
         let [a, b] = halves.map(|half| {
             self.nodes.push(PartNode {
                 db: half.graphs.into_iter().map(|g| g.expect("every gid was split")).collect(),
-                vertex_maps: half.vertex_maps,
-                edge_maps: half.edge_maps,
-                ufreq: Vec::new(),
+                maps: half.maps,
                 children: None,
                 unit: None,
                 depth,
@@ -441,14 +472,11 @@ impl DbPartition {
                 let node = &self.nodes[nid];
                 let pg = node.db.graph(gid);
                 if !node.is_root() {
-                    let vmap = &node.vertex_maps[gid as usize];
-                    let emap = &node.edge_maps[gid as usize];
-                    if vmap.len() != pg.vertex_count() || emap.len() != pg.edge_count() {
+                    let maps = node.maps[gid as usize].len();
+                    if maps != pg.vertex_count() + pg.edge_count() {
                         return Err(format!(
-                            "unit {j} gid {gid}: provenance maps ({}, {}) disagree with piece \
-                             ({}, {})",
-                            vmap.len(),
-                            emap.len(),
+                            "unit {j} gid {gid}: provenance maps hold {maps} entries for a piece \
+                             of ({}, {})",
                             pg.vertex_count(),
                             pg.edge_count()
                         ));
@@ -544,8 +572,8 @@ impl DbPartition {
                 let orig_e = root_g.edge_count() as EdgeId;
                 let lu = root_g.vlabel(u);
                 let lv = root_g.vlabel(v);
-                let uf_u = self.ufreq(gid)[u as usize];
-                let uf_v = self.ufreq(gid)[v as usize];
+                let uf_u = self.ufreq(gid, u);
+                let uf_v = self.ufreq(gid, v);
                 self.add_edge_rec(
                     self.root,
                     gid,
@@ -561,7 +589,7 @@ impl DbPartition {
                 let new_orig_v = root_g.vertex_count() as VertexId;
                 let orig_e = root_g.edge_count() as EdgeId;
                 let l_at = root_g.vlabel(attach_to);
-                let uf_at = self.ufreq(gid)[attach_to as usize];
+                let uf_at = self.ufreq(gid, attach_to);
                 self.add_vertex_rec(
                     self.root,
                     gid,
@@ -609,12 +637,12 @@ impl DbPartition {
         Ok(UpdateImpact { units, nodes: touched })
     }
 
-    /// The update frequency of every original vertex of graph `gid`, as
-    /// the build was given it and updates have kept it (a vertex an update
-    /// adds starts at 0). The one table the tree keeps: a piece vertex's
-    /// frequency is its original vertex's.
-    pub fn ufreq(&self, gid: GraphId) -> &[f64] {
-        &self.nodes[self.root].ufreq[gid as usize]
+    /// The update frequency of original vertex `v` of graph `gid`, as the
+    /// build was given it and updates have kept it (a vertex an update adds
+    /// starts at 0). The one table the tree keeps: a piece vertex's
+    /// frequency is its original's.
+    pub fn ufreq(&self, gid: GraphId, v: VertexId) -> f64 {
+        self.ufreq.get(&gid).map_or(0.0, |row| row[v as usize])
     }
 
     fn validate(&self, gid: GraphId, update: &GraphUpdate) -> Result<(), GraphError> {
@@ -742,16 +770,14 @@ impl DbPartition {
     /// root itself keeps no map: its graph *is* the renumbered original).
     fn remap_edge(&mut self, gid: GraphId, old: EdgeId, new: EdgeId) {
         for node in self.nodes.iter_mut().filter(|n| !n.is_root()) {
-            if let Some(pe) = node.edge_maps[gid as usize].iter().position(|&e| e == old) {
-                node.edge_maps[gid as usize][pe] = new;
-            }
+            node.rename(gid, false, old, new);
         }
     }
 
     /// Deletes original vertex `orig_v` — already isolated by the cascade —
     /// from every piece containing it, recursing from `node_id`. The piece
-    /// graph's vertex swap-remove is mirrored by `Vec::swap_remove` on the
-    /// node's vertex map and ufreq.
+    /// graph's vertex swap-remove is mirrored on the node's vertex map, and
+    /// at the root on the graph's ufreq row.
     fn delete_vertex_rec(
         &mut self,
         node_id: NodeId,
@@ -766,6 +792,14 @@ impl DbPartition {
         let removal = node.db.graph_mut(gid).delete_vertex(pv).expect("mapped vertex in range");
         debug_assert!(removal.removed_edges.is_empty(), "cascade already isolated the vertex");
         node.swap_remove_vertex(gid, pv);
+        if node.is_root() {
+            if let Some(row) = self.ufreq.get_mut(&gid) {
+                row.swap_remove(pv as usize);
+                if row.iter().all(|f| is_zero(*f)) {
+                    self.ufreq.remove(&gid);
+                }
+            }
+        }
         self.mark(node_id, touched);
         if let Some((a, b)) = self.nodes[node_id].children {
             self.delete_vertex_rec(a, gid, orig_v, touched);
@@ -777,9 +811,7 @@ impl DbPartition {
     /// `new` — the provenance mirror of the root graph's swap-remove.
     fn remap_vertex(&mut self, gid: GraphId, old: VertexId, new: VertexId) {
         for node in self.nodes.iter_mut().filter(|n| !n.is_root()) {
-            if let Some(pv) = node.vertex_maps[gid as usize].iter().position(|&v| v == old) {
-                node.vertex_maps[gid as usize][pv] = new;
-            }
+            node.rename(gid, true, old, new);
         }
     }
 
@@ -798,7 +830,18 @@ impl DbPartition {
         }
         let node = &mut self.nodes[node_id];
         let pv = node.db.graph_mut(gid).add_vertex(label);
-        node.push_vertex(gid, orig_v, ufreq);
+        node.push_vertex(gid, orig_v);
+        if node.is_root() {
+            // The new vertex is the row's last: a row kept gains it; a
+            // graph read as zeros gets a row only for a frequency that is not.
+            if let Some(row) = self.ufreq.get_mut(&gid) {
+                row.push(ufreq);
+            } else if !is_zero(ufreq) {
+                let mut row = vec![0.0; pv as usize];
+                row.push(ufreq);
+                self.ufreq.insert(gid, row);
+            }
+        }
         pv
     }
 
@@ -900,46 +943,47 @@ pub const SPLIT_RANGE: usize = 512;
 struct ChildColumns {
     /// `None` until the gid's split writes it.
     graphs: Vec<Option<Arc<Graph>>>,
-    vertex_maps: Vec<Vec<VertexId>>,
-    edge_maps: Vec<Vec<EdgeId>>,
+    /// The piece's maps block: vertex map, then edge map.
+    maps: Vec<Vec<u32>>,
 }
 
 /// The same columns over one run of consecutive gids.
 struct ChildChunk<'a> {
     graphs: &'a mut [Option<Arc<Graph>>],
-    vertex_maps: &'a mut [Vec<VertexId>],
-    edge_maps: &'a mut [Vec<EdgeId>],
+    maps: &'a mut [Vec<u32>],
 }
 
 impl ChildColumns {
     /// Columns of `n` empty entries (none of which allocates).
     fn blank(n: usize) -> Self {
-        ChildColumns {
-            graphs: vec![None; n],
-            vertex_maps: vec![Vec::new(); n],
-            edge_maps: vec![Vec::new(); n],
-        }
+        ChildColumns { graphs: vec![None; n], maps: vec![Vec::new(); n] }
     }
 
     fn chunks_mut(&mut self, size: usize) -> impl Iterator<Item = ChildChunk<'_>> {
-        let maps = self.vertex_maps.chunks_mut(size).zip(self.edge_maps.chunks_mut(size));
         self.graphs
             .chunks_mut(size)
-            .zip(maps)
-            .map(|(graphs, (vertex_maps, edge_maps))| ChildChunk { graphs, vertex_maps, edge_maps })
+            .zip(self.maps.chunks_mut(size))
+            .map(|(graphs, maps)| ChildChunk { graphs, maps })
     }
+}
+
+/// `true` for `+0.0` alone: a row of these is the row the tree does not
+/// store. `-0.0` orders below it under `total_cmp`, so it is kept.
+fn is_zero(f: f64) -> bool {
+    f.to_bits() == 0
 }
 
 /// One work item of a node's split: assign → clamp → split for every graph
 /// of the run of gids starting at `first` that `out` covers, the piece maps
 /// composed with the node's own so they lead back to the original database
 /// (at the root, whose maps are the identity, they already do). `ufreq` is
-/// the root's table; below the root a graph's row is gathered through the
-/// node's vertex map. Every buffer lives as long as the item, so a graph
-/// allocates only what its pieces keep.
+/// the tree's table; below the root a graph's row is gathered through the
+/// node's vertex map, and a graph without a row reads as zeros. Every
+/// buffer lives as long as the item, so a graph allocates only what its
+/// pieces keep.
 fn split_range(
     node: &PartNode,
-    ufreq: &[Vec<f64>],
+    ufreq: &BTreeMap<GraphId, Vec<f64>>,
     first: usize,
     mut out: [ChildChunk<'_>; 2],
     partitioner: &dyn Bipartitioner,
@@ -950,30 +994,36 @@ fn split_range(
     let len = out[0].graphs.len();
     let mut graphs = [Vec::with_capacity(len), Vec::with_capacity(len)];
     for at in 0..len {
-        let gid = first + at;
-        let g = node.db.graph(gid as GraphId);
-        let uf = if node.is_root() {
-            &ufreq[gid]
-        } else {
-            node_uf.clear();
-            node_uf.extend(node.vertex_maps[gid].iter().map(|&v| ufreq[gid][v as usize]));
-            &node_uf
+        let gid = (first + at) as GraphId;
+        let g = node.db.graph(gid);
+        node_uf.clear();
+        let uf = match ufreq.get(&gid) {
+            Some(row) if node.is_root() => row,
+            Some(row) => {
+                node_uf.extend(node.vertex_map(gid).iter().map(|&v| row[v as usize]));
+                &node_uf
+            }
+            None => {
+                node_uf.resize(g.vertex_count(), 0.0);
+                &node_uf
+            }
         };
         partitioner.assign(g, uf, &mut sides, &mut scratch);
         clamp_sides(g, &mut sides);
         let pieces = splitter.split(g, &sides);
-        for ((chunk, kept), mut piece) in out.iter_mut().zip(&mut graphs).zip(pieces) {
+        for ((chunk, kept), piece) in out.iter_mut().zip(&mut graphs).zip(pieces) {
+            let (graph, mut maps) = piece.into_parts();
             if !node.is_root() {
-                for v in &mut piece.vertex_map {
-                    *v = node.vertex_maps[gid][*v as usize];
+                let (vertex_map, edge_map) = maps.split_at_mut(graph.vertex_count());
+                for v in vertex_map {
+                    *v = node.original_vertex(gid, *v);
                 }
-                for e in &mut piece.edge_map {
-                    *e = node.edge_maps[gid][*e as usize];
+                for e in edge_map {
+                    *e = node.original_edge(gid, *e);
                 }
             }
-            kept.push(piece.graph);
-            chunk.vertex_maps[at] = piece.vertex_map;
-            chunk.edge_maps[at] = piece.edge_map;
+            kept.push(graph);
+            chunk.maps[at] = maps;
         }
     }
     // Each side's graphs take their `Arc`s in one run, so a unit's graph
@@ -1047,6 +1097,39 @@ mod tests {
         DbPartition::build(&db, &uf, &GraphPart::new(Criteria::COMBINED), 2);
     }
 
+    /// The tree keeps a ufreq row only for a graph with a frequency that is
+    /// not `+0.0`: none for a static database, a row for `-0.0` (which
+    /// `total_cmp` orders apart), none for a vertex an update adds at 0, and
+    /// none once deletes leave a row all zeros.
+    #[test]
+    fn only_rows_with_a_frequency_are_kept() {
+        let (db, mut uf) = sample_db();
+        let zeros: Vec<Vec<f64>> = uf.iter().map(|row| vec![0.0; row.len()]).collect();
+        let part = DbPartition::build(&db, &zeros, &GraphPart::new(Criteria::COMBINED), 2);
+        assert!(part.ufreq.is_empty());
+        uf[1] = vec![0.0; 6];
+        uf[2] = vec![-0.0; 6];
+        let mut part = DbPartition::build(&db, &uf, &GraphPart::new(Criteria::COMBINED), 3);
+        assert_eq!(part.ufreq.keys().copied().collect::<Vec<_>>(), vec![0, 2, 3]);
+        for (gid, row) in uf.iter().enumerate() {
+            for (v, &f) in row.iter().enumerate() {
+                assert_eq!(part.ufreq(gid as GraphId, v as VertexId).to_bits(), f.to_bits());
+            }
+        }
+        let add = GraphUpdate::AddVertex { label: 8, attach_to: 4, elabel: 3 };
+        part.apply_update(DbUpdate { gid: 1, update: add }).unwrap();
+        assert!(!part.ufreq.contains_key(&1));
+        assert_eq!(part.ufreq(1, 6), 0.0);
+        part.apply_update(DbUpdate { gid: 0, update: add }).unwrap();
+        assert_eq!(part.ufreq[&0], vec![0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 0.0]);
+        for v in [6, 5, 4, 3] {
+            part.apply_update(DbUpdate { gid: 0, update: GraphUpdate::DeleteVertex { v } })
+                .unwrap();
+        }
+        assert!(!part.ufreq.contains_key(&0), "an all-zero row is dropped");
+        part.check_invariants().unwrap();
+    }
+
     #[test]
     fn builds_k_units_gid_aligned() {
         for k in 1..=6 {
@@ -1064,7 +1147,7 @@ mod tests {
         for k in [1, 2, 5] {
             let part = DbPartition::build(&db, &uf, &GraphPart::new(Criteria::COMBINED), k);
             let root = part.root();
-            assert!(root.vertex_maps.is_empty() && root.edge_maps.is_empty(), "k={k}");
+            assert!(root.maps.is_empty(), "k={k}");
             for (gid, g) in db.iter() {
                 assert!(root.db.shares_graph(&db, gid), "k={k} gid={gid}");
                 for v in 0..g.vertex_count() as VertexId {

@@ -20,23 +20,47 @@ use graphmine_graph::{CsrScratch, EdgeId, Graph, VertexId};
 /// One piece of a split graph, with provenance maps back to the parent.
 #[derive(Debug, Clone, Default)]
 pub struct Piece {
-    /// The piece graph.
-    pub graph: Graph,
-    /// piece vertex -> parent vertex.
-    pub vertex_map: Vec<VertexId>,
-    /// piece edge -> parent edge.
-    pub edge_map: Vec<EdgeId>,
+    graph: Graph,
+    /// The vertex map (piece vertex -> parent vertex), then the edge map
+    /// (piece edge -> parent edge), in one block: it splits at the piece's
+    /// vertex count.
+    maps: Vec<u32>,
 }
 
 impl Piece {
+    /// The piece graph.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// The piece graph, without its maps.
+    pub fn into_graph(self) -> Graph {
+        self.graph
+    }
+
+    /// piece vertex -> parent vertex.
+    pub fn vertex_map(&self) -> &[VertexId] {
+        &self.maps[..self.graph.vertex_count()]
+    }
+
+    /// piece edge -> parent edge.
+    pub fn edge_map(&self) -> &[EdgeId] {
+        &self.maps[self.graph.vertex_count()..]
+    }
+
     /// Finds the piece vertex corresponding to a parent vertex.
     pub fn vertex_of(&self, parent_vertex: VertexId) -> Option<VertexId> {
-        self.vertex_map.iter().position(|&v| v == parent_vertex).map(|i| i as VertexId)
+        self.vertex_map().iter().position(|&v| v == parent_vertex).map(|i| i as VertexId)
     }
 
     /// Finds the piece edge corresponding to a parent edge.
     pub fn edge_of(&self, parent_edge: EdgeId) -> Option<EdgeId> {
-        self.edge_map.iter().position(|&e| e == parent_edge).map(|i| i as EdgeId)
+        self.edge_map().iter().position(|&e| e == parent_edge).map(|i| i as EdgeId)
+    }
+
+    /// The graph and the maps block, the vertex map first.
+    pub(crate) fn into_parts(self) -> (Graph, Vec<u32>) {
+        (self.graph, self.maps)
     }
 }
 
@@ -157,7 +181,10 @@ impl PieceBuilder {
         self.vlabels.extend(self.vertex_map.iter().map(|&v| parent.vlabel(v)));
         let graph = Graph::from_edges(&self.vlabels, &self.edges, csr)
             .unwrap_or_else(|(e, err)| panic!("parent edges are unique, piece edge {e}: {err}"));
-        Piece { graph, vertex_map: self.vertex_map.clone(), edge_map: self.edge_map.clone() }
+        let mut maps = Vec::with_capacity(self.vertex_map.len() + self.edge_map.len());
+        maps.extend_from_slice(&self.vertex_map);
+        maps.extend_from_slice(&self.edge_map);
+        Piece { graph, maps }
     }
 }
 
@@ -182,14 +209,14 @@ mod tests {
         let g = path4();
         let split = split_by_sides(&g, &[true, true, false, false]);
         assert_eq!(split.connective, vec![1]); // edge 1-2
-        assert_eq!(split.side1.graph.edge_count(), 2); // 0-1 and 1-2
-        assert_eq!(split.side2.graph.edge_count(), 2); // 1-2 and 2-3
-                                                       // Edge maps point at the parent edges.
-        assert_eq!(split.side1.edge_map, vec![0, 1]);
-        assert_eq!(split.side2.edge_map, vec![1, 2]);
+        assert_eq!(split.side1.graph().edge_count(), 2); // 0-1 and 1-2
+        assert_eq!(split.side2.graph().edge_count(), 2); // 1-2 and 2-3
+                                                         // Edge maps point at the parent edges.
+        assert_eq!(split.side1.edge_map(), vec![0, 1]);
+        assert_eq!(split.side2.edge_map(), vec![1, 2]);
         // Both pieces carry the boundary vertices of the connective edge.
-        assert!(split.side1.vertex_map.contains(&2));
-        assert!(split.side2.vertex_map.contains(&1));
+        assert!(split.side1.vertex_map().contains(&2));
+        assert!(split.side2.vertex_map().contains(&1));
     }
 
     #[test]
@@ -197,8 +224,8 @@ mod tests {
         let g = path4();
         let split = split_by_sides(&g, &[true, false, false, false]);
         let s2 = &split.side2;
-        for (pv, &parent) in s2.vertex_map.iter().enumerate() {
-            assert_eq!(s2.graph.vlabel(pv as u32), g.vlabel(parent));
+        for (pv, &parent) in s2.vertex_map().iter().enumerate() {
+            assert_eq!(s2.graph().vlabel(pv as u32), g.vlabel(parent));
         }
     }
 
@@ -207,7 +234,7 @@ mod tests {
         let g = path4();
         let split = split_by_sides(&g, &[true, false, true, false]);
         let mut covered: Vec<EdgeId> =
-            split.side1.edge_map.iter().chain(split.side2.edge_map.iter()).copied().collect();
+            split.side1.edge_map().iter().chain(split.side2.edge_map()).copied().collect();
         covered.sort_unstable();
         covered.dedup();
         assert_eq!(covered, vec![0, 1, 2]);
@@ -217,8 +244,8 @@ mod tests {
     fn all_on_one_side_leaves_other_empty() {
         let g = path4();
         let split = split_by_sides(&g, &[true; 4]);
-        assert_eq!(split.side1.graph.edge_count(), 3);
-        assert!(split.side2.graph.is_empty());
+        assert_eq!(split.side1.graph().edge_count(), 3);
+        assert!(split.side2.graph().is_empty());
         assert!(split.connective.is_empty());
     }
 
@@ -236,11 +263,11 @@ mod tests {
         assert_eq!(split.side2.vertex_of(iso2), Some(0));
         assert!(split.side1.vertex_of(iso2).is_none());
         // Labels travel with the isolated vertices.
-        assert_eq!(split.side1.graph.vlabel(2), 30);
-        assert_eq!(split.side2.graph.vlabel(0), 40);
+        assert_eq!(split.side1.graph().vlabel(2), 30);
+        assert_eq!(split.side2.graph().vlabel(0), 40);
         // The edge-bearing vertices are unaffected.
-        assert_eq!(split.side1.graph.edge_count(), 1);
-        assert_eq!(split.side2.graph.edge_count(), 0);
+        assert_eq!(split.side1.graph().edge_count(), 1);
+        assert_eq!(split.side2.graph().edge_count(), 0);
     }
 
     #[test]
@@ -249,7 +276,7 @@ mod tests {
         let split = split_by_sides(&g, &[true, true, false, false]);
         let s1 = &split.side1;
         let pv = s1.vertex_of(1).unwrap();
-        assert_eq!(s1.graph.vlabel(pv), 1);
+        assert_eq!(s1.graph().vlabel(pv), 1);
         assert!(s1.vertex_of(3).is_none());
         assert_eq!(s1.edge_of(0), Some(0));
         assert!(s1.edge_of(2).is_none());

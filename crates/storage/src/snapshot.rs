@@ -12,7 +12,7 @@ use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
-use graphmine_graph::{Graph, GraphDb};
+use graphmine_graph::{CsrScratch, Graph, GraphDb};
 
 use crate::{StorageError, PAGE_SIZE};
 
@@ -127,20 +127,34 @@ pub fn encode_graph(out: &mut Vec<u8>, g: &Graph) {
 /// vertices.
 pub fn decode_graph(bytes: &[u8], pos: &mut usize) -> Result<Graph, StorageError> {
     let nv = take_u32(bytes, pos)?;
-    // Each vertex label takes 4 bytes, so what is left bounds the hint.
-    let mut g = Graph::with_capacity((nv as usize).min((bytes.len() - *pos) / 4), 0);
+    // Each vertex label takes 4 bytes, so what is left bounds the allocation.
+    let mut vlabels = Vec::with_capacity((nv as usize).min((bytes.len() - *pos) / 4));
     for _ in 0..nv {
-        let l = take_u32(bytes, pos)?;
-        g.add_vertex(l);
+        vlabels.push(take_u32(bytes, pos)?);
     }
     let ne = take_u32(bytes, pos)?;
+    // And each edge record 12.
+    let mut edges = Vec::with_capacity((ne as usize).min((bytes.len() - *pos) / 12));
+    let mut scratch = CsrScratch::default();
+    let mut build = |edges: &[(u32, u32, u32)]| {
+        Graph::from_edges(&vlabels, edges, &mut scratch)
+            .map_err(|(_, e)| StorageError::Corrupt(format!("bad edge record: {e}")))
+    };
     for _ in 0..ne {
-        let u = take_u32(bytes, pos)?;
-        let v = take_u32(bytes, pos)?;
-        let el = take_u32(bytes, pos)?;
-        g.add_edge(u, v, el).map_err(|e| StorageError::Corrupt(format!("bad edge record: {e}")))?;
+        match take_edge(bytes, pos) {
+            Ok(edge) => edges.push(edge),
+            Err(cut) => {
+                // A bad edge record before the cut is the first fault.
+                build(&edges)?;
+                return Err(cut);
+            }
+        }
     }
-    Ok(g)
+    build(&edges)
+}
+
+fn take_edge(bytes: &[u8], pos: &mut usize) -> Result<(u32, u32, u32), StorageError> {
+    Ok((take_u32(bytes, pos)?, take_u32(bytes, pos)?, take_u32(bytes, pos)?))
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -264,5 +278,44 @@ mod tests {
         assert_eq!(bytes[PAGE_SIZE..PAGE_SIZE + 4], 3u32.to_le_bytes());
         bytes[first_u..first_u + 4].copy_from_slice(&3u32.to_le_bytes());
         assert!(refused(&path, &bytes));
+    }
+
+    /// A record of two vertices declaring `declared` edges and holding
+    /// `edges`.
+    fn record(edges: &[(u32, u32, u32)], declared: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        for w in [2, 3, 4, declared as u32] {
+            push_u32(&mut out, w);
+        }
+        for &(u, v, el) in edges {
+            for w in [u, v, el] {
+                push_u32(&mut out, w);
+            }
+        }
+        out
+    }
+
+    /// A duplicate edge and an endpoint past the vertices are refused with
+    /// the error `Graph::add_edge` gives, also when the data is cut short
+    /// after the bad record.
+    #[test]
+    fn a_bad_edge_record_is_refused_with_its_graph_error() {
+        let cases = [
+            (vec![(0, 1, 5), (1, 0, 6)], "bad edge record: edge (1, 0) already exists"),
+            (vec![(0, 7, 0)], "bad edge record: vertex id 7 out of range (graph has 2 vertices)"),
+        ];
+        for (edges, want) in cases {
+            for declared in [edges.len(), edges.len() + 1] {
+                match decode_graph(&record(&edges, declared), &mut 0) {
+                    Err(StorageError::Corrupt(got)) => assert_eq!(got, want, "{declared}"),
+                    other => panic!("{edges:?} declaring {declared}: {other:?}"),
+                }
+            }
+        }
+        let cut = decode_graph(&record(&[(0, 1, 5)], 2), &mut 0);
+        assert!(
+            matches!(&cut, Err(StorageError::Corrupt(e)) if e == "record runs past the data length"),
+            "{cut:?}"
+        );
     }
 }
