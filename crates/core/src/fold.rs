@@ -113,10 +113,8 @@ pub fn fold_delta(
 
     let mut shift: FxHashMap<Triple, i64> = FxHashMap::default();
     for (db, sign) in [(&before, -1), (&after, 1)] {
-        for (_, g) in db.iter() {
-            for (t, _) in g.triples() {
-                *shift.entry(t).or_insert(0) += sign;
-            }
+        for (t, support) in triple_supports(db) {
+            *shift.entry(t).or_insert(0) += sign * i64::from(support);
         }
     }
     // Edges that leave the vocabulary: no cold walk of the new database

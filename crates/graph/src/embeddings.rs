@@ -63,11 +63,6 @@ impl EmbeddingList {
         debug_assert!(edge.is_forward() && edge.from == 0 && edge.to == 1, "not a root edge");
         let mut list = EmbeddingList::empty(2, 1);
         for (gid, g) in db.iter() {
-            // Triple screen: skip graphs without the root's edge triple at
-            // all before scanning their edge lists.
-            if g.triple_count(edge.from_label, edge.edge_label, edge.to_label) == 0 {
-                continue;
-            }
             for (eid, u, v, el) in g.edges() {
                 if el != edge.edge_label {
                     continue;

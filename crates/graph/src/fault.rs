@@ -88,6 +88,11 @@ pub enum Fault {
     /// edge's labels are lost, with their subtrees, by every miner that
     /// walks.
     PrecheckRejectsMinimal = 16,
+    /// The edge-triple screen in front of the embedding search
+    /// ([`crate::iso::screened_support`]) counts each triple at most once
+    /// per graph, so a graph holding both edges a code needs with one
+    /// triple is pruned as if it held one, and the code's support drops.
+    ScreenCountsOnce = 17,
 }
 
 static ACTIVE: AtomicU8 = AtomicU8::new(0);

@@ -7,10 +7,11 @@
 //! always drawn from the neighbourhood of the current image — the classic
 //! cheap-and-effective search order for sparse labeled graphs.
 //!
-//! [`screened_support`] adds an edge-triple screen (backed by each graph's
-//! incrementally-maintained triple index) so that candidates are only
-//! matched against graphs that contain every edge triple the pattern needs,
-//! and stops once a threshold is out of reach. It is the fallback behind
+//! [`screened_support`] adds an edge-triple screen (one pass over each
+//! graph's edges, tallied into the pattern's needed triples) so that
+//! candidates are only matched against graphs that contain every edge
+//! triple the pattern needs, as often as it needs it, and stops once a
+//! threshold is out of reach. It is the fallback behind
 //! [`crate::EmbeddingStore::support`], which answers from embedding lists
 //! whenever they fit its byte budget; [`support`] and [`supporting_gids`]
 //! are the plain reference search tests check both against.
@@ -185,8 +186,9 @@ pub fn supporting_gids(db: &GraphDb, code: &DfsCode) -> Vec<GraphId> {
 }
 
 /// Counts the support of `code` over `over` (every graph of `db` when
-/// `None`), screening each graph by its edge-triple index before running
-/// the embedding search. Returns the supporters found, in `over`'s order.
+/// `None`), screening each graph by its edge triples ([`has_triples`])
+/// before running the embedding search. Returns the supporters found, in
+/// `over`'s order.
 ///
 /// `over` restricts the count to a known superset of the true supporters
 /// (a parent pattern's supporter list, support being anti-monotone). With
@@ -229,14 +231,15 @@ where
             Err(i) => needed.insert(i, (t, 1)),
         }
     }
+    let mask = needed.iter().fold(0, |m, &(t, _)| m | triple_bit(t));
+    let mut have = vec![0; needed.len()];
     let mut scratch = MatchScratch::default();
     let mut supporters = Vec::new();
     let mut remaining = gids.len() as Support;
     for gid in gids {
         remaining -= 1;
         let g = db.graph(gid);
-        let feasible = needed.iter().all(|&((lu, le, lv), n)| g.triple_count(lu, le, lv) >= n);
-        if feasible {
+        if has_triples(g, &needed, mask, &mut have) {
             counters.bump(Counter::IsoTestsRun);
             if contains_with_scratch(g, code, counters, &mut scratch) {
                 supporters.push(gid);
@@ -249,6 +252,50 @@ where
         }
     }
     (supporters.len() as Support, supporters)
+}
+
+/// The bit of a one-word filter over normalised triples that `t` sets.
+#[inline]
+fn triple_bit((lu, le, lv): (VLabel, ELabel, VLabel)) -> u64 {
+    1 << (lu.wrapping_add(le.wrapping_mul(7)).wrapping_add(lv.wrapping_mul(49)) % 64)
+}
+
+/// The screen: `true` when `g` has, for every triple of `needed` (sorted,
+/// with multiplicities), at least that many edges carrying it. One pass
+/// over `g`'s edges, tallied into `have` (one slot per `needed` entry) and
+/// left as soon as the last triple is met. An edge whose triple misses
+/// `mask` (the needed triples' [`triple_bit`]s) is passed over without a
+/// search.
+fn has_triples(
+    g: &Graph,
+    needed: &[((VLabel, ELabel, VLabel), u32)],
+    mask: u64,
+    have: &mut [u32],
+) -> bool {
+    have.fill(0);
+    let mut short = needed.len();
+    for t in g.edge_triples() {
+        if short == 0 {
+            break;
+        }
+        if triple_bit(t) & mask == 0 {
+            continue;
+        }
+        let Ok(i) = needed.binary_search_by_key(&t, |&(k, _)| k) else {
+            continue;
+        };
+        // A second copy of a triple goes uncounted, so a code that needs
+        // two prunes every graph.
+        #[cfg(feature = "fault-injection")]
+        if have[i] > 0 && crate::fault::armed(crate::fault::Fault::ScreenCountsOnce) {
+            continue;
+        }
+        if have[i] < needed[i].1 {
+            have[i] += 1;
+            short -= usize::from(have[i] == needed[i].1);
+        }
+    }
+    short == 0
 }
 
 #[cfg(test)]

@@ -23,9 +23,9 @@
 //! a mining pass, and probed millions of times by embedding searches, so
 //! every graph is one flat CSR arena from birth, with per-vertex neighbour
 //! runs sorted by `(vlabel(to), elabel, to)` — labeled
-//! neighbour queries and `edge_between` become binary searches, and a
-//! per-graph `(vlabel, elabel, vlabel)` triple index answers the support
-//! screens — while all identifiers stay `u32` newtypes.
+//! neighbour queries and `edge_between` become binary searches, and the
+//! support screens count `(vlabel, elabel, vlabel)` triples off the edges
+//! they already read — while all identifiers stay `u32` newtypes.
 //!
 //! # Example
 //!

@@ -25,7 +25,9 @@
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use graphmine_graph::dfscode::{is_min_with, min_dfs_code};
-use graphmine_graph::{edge_triple, DfsCode, DfsEdge, ELabel, Graph, GraphDb, Support, VLabel};
+use graphmine_graph::{
+    edge_triple, DfsCode, DfsEdge, ELabel, Graph, GraphDb, GraphId, Support, VLabel,
+};
 
 /// The frequent-edge vocabulary: which `(l_u, l_e, l_v)` triples are worth
 /// extending with.
@@ -59,8 +61,7 @@ impl EdgeVocab {
     }
 
     /// Builds the vocabulary from the edges with support at least
-    /// `min_support` in `db`, read off each graph's edge-triple index
-    /// instead of rescanning and deduplicating edge lists.
+    /// `min_support` in `db` ([`triple_supports`]).
     pub fn frequent_in(db: &GraphDb, min_support: Support) -> Self {
         Self::from_triples(
             triple_supports(db).into_iter().filter(|&(_, s)| s >= min_support).map(|(t, _)| t),
@@ -103,15 +104,21 @@ impl EdgeVocab {
 }
 
 /// The support of every normalised edge triple of `db`: the number of
-/// graphs whose edge-triple index holds it.
+/// graphs with an edge that carries it. One hash per edge; each triple
+/// keeps the last gid that counted it, so a graph with two such edges
+/// counts once.
 pub fn triple_supports(db: &GraphDb) -> FxHashMap<(VLabel, ELabel, VLabel), Support> {
-    let mut per_triple: FxHashMap<(VLabel, ELabel, VLabel), Support> = FxHashMap::default();
-    for (_, g) in db.iter() {
-        for (t, _) in g.triples() {
-            *per_triple.entry(t).or_insert(0) += 1;
+    let mut per_triple: FxHashMap<(VLabel, ELabel, VLabel), (Support, GraphId)> =
+        FxHashMap::default();
+    for (gid, g) in db.iter() {
+        for t in g.edge_triples() {
+            let (support, last) = per_triple.entry(t).or_insert((0, GraphId::MAX));
+            if *last != gid {
+                (*support, *last) = (*support + 1, gid);
+            }
         }
     }
-    per_triple
+    per_triple.into_iter().map(|(t, (support, _))| (t, support)).collect()
 }
 
 /// All distinct canonical codes obtainable by adding one vocabulary edge to

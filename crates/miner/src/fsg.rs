@@ -24,7 +24,7 @@ use rustc_hash::FxHashMap;
 
 use graphmine_graph::enumerate::one_edge_deletions;
 use graphmine_graph::iso::screened_support;
-use graphmine_graph::{DfsCode, GraphDb, GraphId, Pattern, PatternSet, Support};
+use graphmine_graph::{DfsCode, ELabel, GraphDb, GraphId, Pattern, PatternSet, Support, VLabel};
 use graphmine_telemetry::Counters;
 
 use crate::extend::{one_edge_extensions, EdgeVocab};
@@ -56,23 +56,26 @@ impl MemoryMiner for Fsg {
             return out;
         }
 
-        // F1 with TID lists, off each graph's index of distinct edge triples.
-        let mut tids: FxHashMap<DfsCode, Vec<GraphId>> = FxHashMap::default();
+        // F1 with TID lists, one per edge triple. Gids arrive ascending, so
+        // a graph with two edges of one triple is listed once.
+        let mut tids: FxHashMap<(VLabel, ELabel, VLabel), Vec<GraphId>> = FxHashMap::default();
         for (gid, g) in db.iter() {
-            for ((la, el, lb), _) in g.triples() {
-                let code = DfsCode(vec![graphmine_graph::DfsEdge::new(0, 1, la, el, lb)]);
-                tids.entry(code).or_default().push(gid);
+            for t in g.edge_triples() {
+                let list = tids.entry(t).or_default();
+                if list.last() != Some(&gid) {
+                    list.push(gid);
+                }
             }
         }
         tids.retain(|_, g| g.len() as Support >= min_support);
-        let vocab = EdgeVocab::from_triples(tids.keys().map(|c| {
-            let e = c.0[0];
-            (e.from_label, e.edge_label, e.to_label)
-        }));
+        let vocab = EdgeVocab::from_triples(tids.keys().copied());
 
         let mut frontier: Vec<(Pattern, Vec<GraphId>)> = tids
             .into_iter()
-            .map(|(code, gids)| (Pattern::from_code(code, gids.len() as Support), gids))
+            .map(|((la, el, lb), gids)| {
+                let code = DfsCode(vec![graphmine_graph::DfsEdge::new(0, 1, la, el, lb)]);
+                (Pattern::from_code(code, gids.len() as Support), gids)
+            })
             .collect();
         for (p, _) in &frontier {
             out.insert(p.clone());

@@ -175,12 +175,15 @@ pub struct EdgeView {
     exts: Vec<(VLabel, ELabel, VLabel)>,
     /// Per graph, the index of its vertex 0 in `offsets`.
     base: Vec<u32>,
-    /// One CSR over all graphs' vertices: vertex `v` of graph `gid` owns
+    /// One CSR over the vertices of every graph with a vocabulary edge:
+    /// vertex `v` of such a graph `gid` owns
     /// `halves[offsets[base[gid] + v]..offsets[base[gid] + v + 1]]`, a
-    /// subsequence of [`graphmine_graph::Graph::neighbors`]`(v)`.
+    /// subsequence of [`graphmine_graph::Graph::neighbors`]`(v)`. A graph
+    /// with no vocabulary edge has no root row, so no row ever names it and
+    /// its `base` entry is never read: it gets no offsets.
     offsets: Vec<u32>,
     halves: Vec<HalfEdge>,
-    /// Largest vertex count of any graph.
+    /// Largest vertex count of a graph with a vocabulary edge.
     max_vertices: usize,
     roots: Children,
 }
@@ -197,6 +200,12 @@ impl EdgeView {
             }
         }
         exts.sort_unstable();
+        // One word each of the vertex and edge labels the vocabulary names,
+        // bit `l % 64` for label `l`: an edge with a label outside them is
+        // in no triple, and is not hashed.
+        let bit = |l: u32| 1u64 << (l % 64);
+        let (vmask, emask) =
+            exts.iter().fold((0, 0), |(v, e), &(from, el, _)| (v | bit(from), e | bit(el)));
         // Normalised triple -> the ids of its two orientations, smaller
         // label first; one lookup per edge serves both half-edges.
         let mut ids: FxHashMap<(VLabel, ELabel, VLabel), (u32, u32)> = FxHashMap::default();
@@ -224,12 +233,16 @@ impl EdgeView {
         let mut oriented: Vec<(u32, u32)> = Vec::new();
         for (gid, g) in db.iter() {
             oriented.clear();
+            let mut any = false;
             for (eid, u, v, el) in g.edges() {
                 let (lu, lv) = (g.vlabel(u), g.vlabel(v));
-                let Some(&(low_first, high_first)) = ids.get(&edge_triple(lu, el, lv)) else {
+                let named = bit(lu) & vmask != 0 && bit(lv) & vmask != 0 && bit(el) & emask != 0;
+                let found = if named { ids.get(&edge_triple(lu, el, lv)) } else { None };
+                let Some(&(low_first, high_first)) = found else {
                     oriented.push((NONE, NONE));
                     continue;
                 };
+                any = true;
                 // A root code runs from the smaller label to the larger;
                 // between equal labels both orientations occur.
                 let ((a, b), uv_vu) = if lu <= lv {
@@ -244,6 +257,9 @@ impl EdgeView {
                 }
             }
             view.base.push(view.offsets.len() as u32);
+            if !any {
+                continue;
+            }
             view.max_vertices = view.max_vertices.max(g.vertex_count());
             for v in 0..g.vertex_count() as VertexId {
                 view.offsets.push(view.halves.len() as u32);
@@ -524,6 +540,44 @@ mod tests {
             assert_eq!([r.edge], reference.edges(i));
         }
         assert_eq!(EdgeView::build(&db, &EdgeVocab::frequent_in(&db, 3)).roots().len(), 0);
+    }
+
+    /// Only graphs with a vocabulary edge get offsets in the view. The one
+    /// between the two that do has none of its own: five vertices whose
+    /// edges carry labels the vocabulary lacks, or a triple it lacks over
+    /// labels it names. No row names it, so the view is read as if it
+    /// were not there.
+    #[test]
+    fn a_graph_without_a_vocabulary_edge_gets_no_offsets() {
+        let mut off = Graph::new();
+        for l in [0, 0, 7, 8, 9] {
+            off.add_vertex(l);
+        }
+        off.add_edge(0, 1, 3).unwrap(); // 0 and 3 are named, (0, 3, 0) is not
+        off.add_edge(2, 3, 3).unwrap();
+        off.add_edge(3, 4, 3).unwrap();
+        let mut g2 = single_edge(1, 3, 0);
+        let c = g2.add_vertex(1);
+        g2.add_edge(1, c, 3).unwrap();
+        let db = GraphDb::from_graphs(vec![single_edge(0, 3, 1), off, g2]);
+        let view = EdgeView::build(&db, &EdgeVocab::from_triples([(0, 3, 1)]));
+        assert_eq!(view.offsets.len(), 2 + 3 + 1, "offsets for graphs 0 and 2 only");
+        assert_eq!(view.halves.len(), 2 * 3);
+        assert_eq!((view.base[0], view.base[2]), (0, 2));
+        assert_eq!(view.max_vertices, 3, "the skipped graph's 5 vertices do not count");
+
+        let (root, occ) = view.roots().next().expect("one root");
+        assert_eq!((root.support, root.rows), (2, 3));
+        let code = DfsCode(vec![root.edge]);
+        let children = view.project(&code, &occ, 1, &mut view.scratch());
+        let all: Vec<_> = children.iter().collect();
+        assert_eq!(all.len(), 1);
+        let (child, rows) = all[0];
+        assert_eq!(child.edge, DfsEdge::new(0, 2, 0, 3, 1));
+        let reference = EmbeddingList::from_code(&db, &DfsCode(vec![root.edge, child.edge]));
+        let rows = rows.expect("kept at threshold 1");
+        assert_eq!(rows.len(), reference.len());
+        assert!(rows.iter().enumerate().all(|(i, r)| r.gid == reference.gid(i)));
     }
 
     #[test]

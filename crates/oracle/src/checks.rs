@@ -5,11 +5,11 @@
 //! transformed output). The full battery for one [`Case`]:
 //!
 //! 0. **csr-invariants** — every database graph (and the post-update
-//!    mirror) passes [`Graph::check_invariants`]: CSR offsets monotone and
-//!    spanning, per-vertex runs sorted, adjacency mirroring the edge list,
-//!    triple index consistent. Every later check leans on the sorted-run
-//!    binary-search contracts, so a drifted run is caught by name here
-//!    first.
+//!    mirror) passes [`Graph::check_invariants`]: a word block of exactly
+//!    the vertices, offsets and edges, CSR offsets monotone and spanning,
+//!    per-vertex runs sorted, adjacency mirroring the edge list. Every
+//!    later check leans on the sorted-run binary-search contracts, so a
+//!    drifted run is caught by name here first.
 //! 1. **edge-rejection** — self-loops and duplicate edges are rejected by
 //!    the graph, and a rejected update leaves the partition intact.
 //! 2. **reference-matrix** — gSpan vs Gaston vs Apriori (embedding lists
@@ -181,11 +181,11 @@ fn expect_same(
 
 /// Structural audit of the CSR representation: every database graph
 /// (and, when the case carries updates, every post-update graph) must
-/// satisfy [`Graph::check_invariants`] — monotone offsets, per-vertex runs
-/// strictly sorted by `(vlabel, elabel, to)`, adjacency/edge mirroring, and
-/// an edge-triple index that matches a recount. This is the check that
-/// catches representation drift *before* it shows up as a wrong answer in a
-/// downstream miner comparison.
+/// satisfy [`Graph::check_invariants`] — a word block with nothing past
+/// the edges, monotone offsets, per-vertex runs strictly sorted by
+/// `(vlabel, elabel, to)`, and adjacency/edge mirroring. This is the check
+/// that catches representation drift *before* it shows up as a wrong answer
+/// in a downstream miner comparison.
 fn check_csr_invariants(case: &Case) -> Result<(), CheckFailure> {
     const CHECK: &str = "csr-invariants";
     for (gid, g) in case.db.iter() {

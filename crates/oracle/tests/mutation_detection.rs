@@ -109,6 +109,17 @@ fn precheck_rejects_minimal_mutant_is_detected() {
     assert_eq!(assert_detected_by_batch(Fault::PrecheckRejectsMinimal), "reference-matrix");
 }
 
+/// The edge-triple screen in front of the embedding search, counting each
+/// triple at most once per graph: a code that needs two edges of one
+/// triple prunes every graph, its supporters included. Search-mode Apriori
+/// counts every candidate through that screen, so it loses such patterns
+/// while gSpan, Gaston and brute force keep them, and `reference-matrix`
+/// sees the difference.
+#[test]
+fn screen_counts_once_mutant_is_detected() {
+    assert_eq!(assert_detected_by_batch(Fault::ScreenCountsOnce), "reference-matrix");
+}
+
 /// The removed lower-bound-supports mode, back as a mutant: the walk
 /// reports a unit-shortcut hit with the unit's lower bound instead of the
 /// exact support it holds. Codes stay right, and gSpan knows no codes in

@@ -41,7 +41,7 @@ fn criteria() -> impl Strategy<Value = Criteria> {
 }
 
 /// Node `n` of both trees, gid by gid: the piece graphs with their sorted
-/// runs and triple index, and the maps back to the original database.
+/// runs and exact blocks, and the maps back to the original database.
 fn assert_same_node(got: &PartNode, want: &PartNode, n: usize) {
     assert_eq!((got.children, got.unit, got.depth), (want.children, want.unit, want.depth));
     assert_eq!(got.db, want.db, "node {n}");
@@ -53,7 +53,7 @@ fn assert_same_node(got: &PartNode, want: &PartNode, n: usize) {
         for e in 0..wg.edge_count() as u32 {
             assert_eq!(got.original_edge(gid, e), want.original_edge(gid, e));
         }
-        assert!(gg.triples().eq(wg.triples()), "node {n} gid {gid} triples");
+        assert_eq!(gg.check_invariants(), Ok(()), "node {n} gid {gid}");
     }
 }
 
