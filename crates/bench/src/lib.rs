@@ -130,10 +130,6 @@ fn dataset(
     (params, db)
 }
 
-fn zero_ufreq(db: &GraphDb) -> Vec<Vec<f64>> {
-    db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect()
-}
-
 /// ADIMINE harness: the index is built once per dataset (amortised, as a
 /// deployed disk-based miner would); static runs time the mining pass,
 /// dynamic runs time rebuild + re-mine.
@@ -318,7 +314,6 @@ pub fn fig13b(scale: Scale) -> FigureResult {
 /// ADIMINE vs PartMiner (k = 2, Partition2 — the best static criteria).
 pub fn fig14a(scale: Scale) -> FigureResult {
     let (params, db) = dataset(scale, 50_000, 20, 20, 200, 5);
-    let ufreq = zero_ufreq(&db);
     let sups = [0.01, 0.015, 0.02, 0.03, 0.04, 0.05, 0.06];
     let adi = AdiHarness::new(&db);
     let cfg = bench_config(2, PartitionerKind::GraphPart(Criteria::MIN_CONNECTIVITY));
@@ -327,7 +322,7 @@ pub fn fig14a(scale: Scale) -> FigureResult {
     for &s in &sups {
         let sup = db.abs_support(s);
         adimine.push((s * 100.0, ms(adi.mine_time(sup))));
-        partminer.push((s * 100.0, ms(partminer_time(&db, &ufreq, cfg, sup))));
+        partminer.push((s * 100.0, ms(partminer_time(&db, &[], cfg, sup))));
     }
     FigureResult {
         id: "fig14a",
@@ -348,8 +343,6 @@ pub fn fig14b(scale: Scale) -> FigureResult {
     let ufreq = ufreq_from_updates(&db, &plan);
     let mut updated = db.clone();
     apply_all(&mut updated, &plan).expect("plan applies");
-    let updated_ufreq: Vec<Vec<f64>> =
-        updated.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
     let sups = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06];
     let cfg = bench_config(2, PartitionerKind::GraphPart(Criteria::COMBINED));
 
@@ -360,7 +353,7 @@ pub fn fig14b(scale: Scale) -> FigureResult {
         let sup = db.abs_support(s);
         let mut adi = AdiHarness::new(&db);
         s_adi.push((s * 100.0, ms(adi.refresh_time(&updated, sup))));
-        s_pm.push((s * 100.0, ms(partminer_time(&updated, &updated_ufreq, cfg, sup))));
+        s_pm.push((s * 100.0, ms(partminer_time(&updated, &[], cfg, sup))));
         let mut state = partminer_state(&db, &ufreq, cfg, sup);
         s_inc.push((s * 100.0, ms(incpartminer_time(&mut state, &plan))));
     }
@@ -384,7 +377,6 @@ pub fn fig14b(scale: Scale) -> FigureResult {
 /// (flat) vs PartMiner aggregate (serial) vs parallel time (max unit).
 pub fn fig15a(scale: Scale) -> FigureResult {
     let (params, db) = dataset(scale, 100_000, 20, 20, 200, 9);
-    let ufreq = zero_ufreq(&db);
     let sup = db.abs_support(0.04);
     let adi = AdiHarness::new(&db);
     let adi_dt = ms(adi.mine_time(sup));
@@ -395,7 +387,7 @@ pub fn fig15a(scale: Scale) -> FigureResult {
     let mut s_par = Vec::new();
     for &k in &ks {
         let cfg = bench_config(k, PartitionerKind::GraphPart(Criteria::MIN_CONNECTIVITY));
-        let outcome = PartMiner::new(cfg).mine(&db, &ufreq, sup);
+        let outcome = PartMiner::new(cfg).mine(&db, &[], sup);
         s_adi.push((k as f64, adi_dt));
         s_agg.push((k as f64, ms(outcome.stats.aggregate_time())));
         s_par.push((k as f64, ms(outcome.stats.parallel_time())));
@@ -468,12 +460,11 @@ pub fn fig16a(scale: Scale) -> FigureResult {
     let mut s_pm = Vec::new();
     for &t in &ts {
         let (_, db) = dataset(scale, 100_000, t, 20, 200, 5);
-        let ufreq = zero_ufreq(&db);
         let sup = db.abs_support(0.04);
         let adi = AdiHarness::new(&db);
         s_adi.push((t as f64, ms(adi.mine_time(sup))));
         let cfg = bench_config(2, PartitionerKind::GraphPart(Criteria::MIN_CONNECTIVITY));
-        s_pm.push((t as f64, ms(partminer_time(&db, &ufreq, cfg, sup))));
+        s_pm.push((t as f64, ms(partminer_time(&db, &[], cfg, sup))));
     }
     FigureResult {
         id: "fig16a",
@@ -494,13 +485,12 @@ pub fn fig16b(scale: Scale) -> FigureResult {
     let mut s_pm = Vec::new();
     for &paper_d in &paper_ds {
         let (_, db) = dataset(scale, paper_d, 20, 20, 200, 5);
-        let ufreq = zero_ufreq(&db);
         let sup = db.abs_support(0.04);
         let adi = AdiHarness::new(&db);
         let x = (paper_d / 1000) as f64; // the paper's x-axis is in thousands
         s_adi.push((x, ms(adi.mine_time(sup))));
         let cfg = bench_config(2, PartitionerKind::GraphPart(Criteria::MIN_CONNECTIVITY));
-        s_pm.push((x, ms(partminer_time(&db, &ufreq, cfg, sup))));
+        s_pm.push((x, ms(partminer_time(&db, &[], cfg, sup))));
     }
     FigureResult {
         id: "fig16b",

@@ -374,8 +374,7 @@ mod tests {
         let db = generate(&GenParams::new(50, 9, 4, 8, 3));
         let sup = db.abs_support(0.15);
         let reference = GSpan::new().mine(&db, sup);
-        let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-        let state = PartMiner::new(PartMinerConfig::with_k(2)).mine(&db, &uf, sup).state;
+        let state = PartMiner::new(PartMinerConfig::with_k(2)).mine(&db, &[], sup).state;
         let joined = paper_join(&state);
         assert_sound(&joined, &reference, sup);
         // The paper's joins may miss cross-only patterns, but must find at

@@ -221,10 +221,6 @@ fn load_db(path: &str) -> Result<GraphDb, String> {
     gio::read_db(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
 }
 
-fn zero_ufreq(db: &GraphDb) -> Vec<Vec<f64>> {
-    db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect()
-}
-
 /// Parses `--threads` and validates the budget it would resolve to, so a
 /// misconfiguration (absurd value, bad `GRAPHMINE_THREADS`) fails before
 /// any mining starts instead of panicking mid-run. `0` (the default)
@@ -506,16 +502,17 @@ pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
                 max_edges,
                 ..PartMinerConfig::default()
             };
-            let outcome = PartMiner::new(cfg).mine_instrumented(&db, &zero_ufreq(&db), sup, &tel);
+            let outcome = PartMiner::new(cfg).mine_instrumented(&db, &[], sup, &tel);
+            let (stats, merge) = (&outcome.stats, outcome.stats.merge);
             say!(
                 stdout,
                 "  partition {:.1?} | units {:.1?} | merge {:.1?} ({} candidates, {} counted, {} shortcut)",
-                outcome.stats.partition_time,
-                outcome.stats.unit_times,
-                outcome.stats.merge_time,
-                outcome.stats.merge.candidates,
-                outcome.stats.merge.counted,
-                outcome.stats.merge.shortcut,
+                stats.partition_time,
+                stats.unit_times,
+                stats.merge_time,
+                merge.extensions,
+                merge.frequent + merge.infrequent,
+                merge.shortcut,
             );
             outcome.patterns
         }

@@ -103,7 +103,7 @@ pub fn fold_delta(
     if old_db.len() != new_db.len() {
         return None;
     }
-    let _span = ctx.telemetry.map(|t| t.span("check_frequency"));
+    let _span = ctx.telemetry.span("check_frequency");
     let Border { children, mut edges } = border;
     let theta = i64::from(min_support);
     // Both views are built over today's vocabulary: what the old database's

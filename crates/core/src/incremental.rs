@@ -14,56 +14,29 @@ use std::time::{Duration, Instant};
 
 use rustc_hash::FxHashSet;
 
-use graphmine_exec::{Executor, Job};
+use graphmine_exec::Executor;
 use graphmine_graph::{Change, DbUpdate, GraphError, PatternSet};
-use graphmine_miner::{GSpan, MemoryMiner};
+use graphmine_miner::walk::WalkStats;
 use graphmine_partition::NodeId;
-use graphmine_telemetry::{Counter, ReportSource, StageTotal, Telemetry};
+use graphmine_telemetry::{Counter, Telemetry};
 
-use crate::merge_join::MergeStats;
 use crate::partminer::{
-    executor_for, fault_panic_hook, merge_subtree, mirror_exec_counters, PartMinerState,
+    executor_for, merge_subtree, mine_units, mirror_exec_counters, PartMinerState,
 };
-use crate::PartMinerConfig;
 
 /// Work counters of one incremental update round.
 #[derive(Debug, Clone, Default)]
 pub struct IncStats {
     /// Units whose pieces changed and were re-mined.
     pub units_remined: usize,
-    /// Internal tree nodes re-merged.
-    pub nodes_remerged: usize,
     /// Time spent re-mining units.
     pub unit_time: Duration,
     /// Time spent re-merging.
     pub merge_time: Duration,
     /// Total elapsed time.
     pub wall: Duration,
-    /// Merge-join counters of the re-merged nodes.
-    pub merge: MergeStats,
-}
-
-impl ReportSource for IncStats {
-    fn stage_totals(&self) -> Vec<StageTotal> {
-        vec![
-            StageTotal {
-                name: "inc_remine".into(),
-                total_ns: self.unit_time.as_nanos() as u64,
-                count: self.units_remined as u64,
-            },
-            StageTotal {
-                name: "merge_join".into(),
-                total_ns: self.merge_time.as_nanos() as u64,
-                count: self.nodes_remerged as u64,
-            },
-        ]
-    }
-
-    fn counter_totals(&self) -> Vec<(&'static str, u64)> {
-        let mut out = self.merge.counter_totals();
-        out.push((Counter::UnitsMined.name(), self.units_remined as u64));
-        out
-    }
+    /// The merge-join walks' work over the re-merged nodes.
+    pub merge: WalkStats,
 }
 
 /// Result of one incremental round: the paper's three pattern classes plus
@@ -152,38 +125,21 @@ impl IncPartMiner {
             .skip(stale)
             .collect();
         let units_remined = touched_units.len();
-        let partition = &state.partition;
-        let miner = &GSpan { max_edges: cfg.max_edges };
-        let jobs: Vec<Job<'_, PatternSet>> = touched_units
-            .iter()
-            .map(|&n| {
-                let node = partition.node(n);
-                let unit = node.unit.expect("leaf");
-                let sup = PartMinerConfig::depth_support(state.min_support, node.depth);
-                Job::new(format!("inc-remine:{unit}"), move || {
-                    let span = tel.span_node("inc_remine", n as u64);
-                    fault_panic_hook(unit);
-                    let res = miner.mine_counted(&node.db, sup, tel.counters());
-                    drop(span);
-                    tel.counters().bump(Counter::UnitsMined);
-                    res
-                })
-            })
-            .collect();
+        let names = ("inc_remine", "inc-remine");
         let remined =
-            exec.map_indexed(jobs).unwrap_or_else(|e| panic!("incremental re-mining failed: {e}"));
+            mine_units(&cfg, &state.partition, &touched_units, state.min_support, names, exec, tel)
+                .unwrap_or_else(|e| panic!("incremental re-mining failed: {e}"));
+        let remined = remined.into_iter().map(|(res, _)| res);
         state.node_results.extend(touched_units.into_iter().zip(remined));
         let unit_time = t_units.elapsed();
 
         // 3. Re-merge the touched internal nodes bottom-up (lines 11-12);
         // untouched subtrees keep their cached results.
         let t_merge = Instant::now();
-        let mut merge = MergeStats::default();
-        let mut nodes_remerged = 0;
+        let mut merge = WalkStats::default();
         for &n in &touched {
             if state.partition.node(n).children.is_some() {
                 state.node_results.remove(&n);
-                nodes_remerged += 1;
             }
         }
         merge_subtree(
@@ -214,14 +170,7 @@ impl IncPartMiner {
         tel.counters().add(Counter::IncFrequentToInfrequent, fi.len() as u64);
         tel.counters().add(Counter::IncInfrequentToFrequent, if_new.len() as u64);
 
-        let stats = IncStats {
-            units_remined,
-            nodes_remerged,
-            unit_time,
-            merge_time,
-            wall: start.elapsed(),
-            merge,
-        };
+        let stats = IncStats { units_remined, unit_time, merge_time, wall: start.elapsed(), merge };
         Ok(IncOutcome { uf, fi, if_new, patterns: new_pd, stats })
     }
 }
@@ -231,6 +180,7 @@ mod tests {
     use super::*;
     use crate::{PartMiner, PartMinerConfig};
     use graphmine_graph::{Graph, GraphDb, GraphUpdate};
+    use graphmine_miner::{GSpan, MemoryMiner};
 
     fn sample_db() -> (GraphDb, Vec<Vec<f64>>) {
         let mut graphs = Vec::new();

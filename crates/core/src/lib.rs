@@ -59,10 +59,10 @@
 //!         g
 //!     })
 //!     .collect();
-//! let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
 //!
-//! // Mine with 2 units; everything appearing in all 3 graphs is frequent.
-//! let outcome = PartMiner::new(PartMinerConfig::with_k(2)).mine(&db, &ufreq, 3);
+//! // Mine with 2 units (a static database: no update frequencies);
+//! // everything appearing in all 3 graphs is frequent.
+//! let outcome = PartMiner::new(PartMinerConfig::with_k(2)).mine(&db, &[], 3);
 //! assert_eq!(outcome.patterns.len(), 3); // two edges + the 2-edge path
 //!
 //! // Update one graph and refresh incrementally.
@@ -86,10 +86,11 @@ mod partminer;
 pub use config::{ConfigError, PartMinerConfig, PartitionerKind, MAX_THREADS};
 pub use fold::{fold_delta, touched_graphs, walk_with_border, Border};
 pub use incremental::{IncOutcome, IncPartMiner, IncStats};
-pub use merge_join::{merge_join, MergeContext, MergeStats};
+pub use merge_join::{merge_join, MergeContext};
 pub use partminer::{MineOutcome, MineStats, PartMiner, PartMinerState, PoolRunner};
 
 // The shared work-stealing pool, re-exported so pipeline callers (CLI,
-// oracle, serving daemon) can build one pool and thread it through
-// [`PartMiner::mine_on`] / [`IncPartMiner::update_on`] / [`MergeContext`].
+// oracle, serving daemon) can build one pool and lend it to
+// [`PartMiner::mine_on`] / [`IncPartMiner::update_on`] / [`MergeContext`],
+// which holds it by reference (a one-thread pool walks serially).
 pub use graphmine_exec::{ExecCounters, ExecError, Executor, Job};

@@ -22,7 +22,7 @@ use graphmine_graph::{DfsCode, GraphDb, PatternSet, Support};
 use graphmine_miner::extend::EdgeVocab;
 use graphmine_miner::project::{Child, EdgeView, Occurrences};
 use graphmine_miner::walk::{KnownCodes, Walk, WalkStats};
-use graphmine_telemetry::{Counter, Counters, ReportSource, Telemetry};
+use graphmine_telemetry::{Counter, Telemetry};
 
 /// Everything a merge-join invocation needs to know about its node.
 pub struct MergeContext<'a> {
@@ -33,53 +33,13 @@ pub struct MergeContext<'a> {
     /// Optional pattern-size cap (edges).
     pub max_edges: Option<usize>,
     /// The shared executor the walk fans out on, one job per frequent-edge
-    /// subtree (the subtrees are independent). `None` runs serially; the
-    /// thread budget was resolved once when the executor was built, never
-    /// per batch.
-    pub executor: Option<&'a Executor>,
-    /// Optional telemetry sink: counters mirror [`MergeStats`] and a
-    /// `check_frequency` span wraps the walk.
-    pub telemetry: Option<&'a Telemetry>,
-}
-
-impl MergeContext<'_> {
-    /// The telemetry counter table, or the shared no-op sink.
-    pub fn counters(&self) -> &Counters {
-        self.telemetry.map_or(Counters::noop(), Telemetry::counters)
-    }
-}
-
-/// Work counters of one merge-join invocation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Candidates generated: the children the walk read off frequent
-    /// parents, before the canonical test.
-    pub candidates: usize,
-    /// Candidates accepted or rejected on their exact support in `S` (and,
-    /// when frequent, the canonical test).
-    pub counted: usize,
-    /// Candidates accepted as frequent and canonical on a unit result's
-    /// word, without the canonical test.
-    pub shortcut: usize,
-}
-
-impl MergeStats {
-    /// Accumulates another invocation's counters.
-    pub fn absorb(&mut self, other: MergeStats) {
-        self.candidates += other.candidates;
-        self.counted += other.counted;
-        self.shortcut += other.shortcut;
-    }
-}
-
-impl ReportSource for MergeStats {
-    fn counter_totals(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            (Counter::CandidatesGenerated.name(), self.candidates as u64),
-            (Counter::BoundShortcut.name(), self.shortcut as u64),
-            ("support_counts", self.counted as u64),
-        ]
-    }
+    /// subtree (the subtrees are independent); a one-thread budget runs
+    /// serially. The budget was resolved once when the executor was built,
+    /// never per batch.
+    pub executor: &'a Executor,
+    /// The telemetry sink: its counters mirror the [`WalkStats`] the walk
+    /// returns, and a `check_frequency` span wraps the walk.
+    pub telemetry: &'a Telemetry,
 }
 
 /// Combines the frequent-pattern sets of the pieces of `ctx.db` into the
@@ -96,7 +56,7 @@ impl ReportSource for MergeStats {
 /// one job. Each job's patterns are one root's subtree in code order, so
 /// concatenating them in root order is the serial walk's output, already
 /// sorted; the stats fold in the same order.
-pub fn merge_join(ctx: &MergeContext<'_>, pieces: &[&PatternSet]) -> (PatternSet, MergeStats) {
+pub fn merge_join(ctx: &MergeContext<'_>, pieces: &[&PatternSet]) -> (PatternSet, WalkStats) {
     let view = EdgeView::build(ctx.db, &EdgeVocab::frequent_in(ctx.db, ctx.min_support));
     let mut known = KnownCodes::default();
     for p in pieces.iter().flat_map(|s| s.iter()).filter(|p| p.support >= ctx.min_support) {
@@ -115,50 +75,46 @@ pub(crate) fn walk_view(
     view: &EdgeView,
     known: Option<&KnownCodes<'_>>,
     border: bool,
-) -> (PatternSet, Vec<(DfsCode, Support)>, MergeStats) {
+) -> (PatternSet, Vec<(DfsCode, Support)>, WalkStats) {
     let walk = Walk { view, min_support: ctx.min_support, max_edges: ctx.max_edges, known };
 
     // Below the roots the walk checks frequency; a cap of one edge stops it
     // at the roots.
     let deep = ctx.max_edges.is_none_or(|cap| cap >= 2);
-    let _check_span = ctx.telemetry.filter(|_| deep).map(|t| t.span("check_frequency"));
-    let (out, counted, stats) = match ctx.executor.filter(|exec| deep && exec.threads() > 1) {
-        None => subtrees(&walk, view.roots(), border),
-        Some(exec) => {
-            let walk = &walk;
-            let jobs: Vec<Job<'_, _>> = view
-                .roots()
-                .map(|(root, occ)| {
-                    let subtree = std::iter::once((root, occ));
-                    Job::new(format!("walk:{}", root.edge), move || subtrees(walk, subtree, border))
-                })
-                .collect();
-            let subtrees =
-                exec.map_indexed(jobs).unwrap_or_else(|e| panic!("merge-join walk failed: {e}"));
-            let mut stats = WalkStats::default();
-            let (mut out, mut counted) = (Vec::new(), Vec::new());
-            for (found, rejected, local) in subtrees {
-                stats.absorb(local);
-                out.extend(found.into_patterns());
-                counted.extend(rejected);
-            }
-            (out.into_iter().collect(), counted, stats)
+    let _check_span = deep.then(|| ctx.telemetry.span("check_frequency"));
+    let (out, counted, stats) = if !deep || ctx.executor.threads() == 1 {
+        subtrees(&walk, view.roots(), border)
+    } else {
+        let walk = &walk;
+        let jobs: Vec<Job<'_, _>> = view
+            .roots()
+            .map(|(root, occ)| {
+                let subtree = std::iter::once((root, occ));
+                Job::new(format!("walk:{}", root.edge), move || subtrees(walk, subtree, border))
+            })
+            .collect();
+        let subtrees = ctx
+            .executor
+            .map_indexed(jobs)
+            .unwrap_or_else(|e| panic!("merge-join walk failed: {e}"));
+        let mut stats = WalkStats::default();
+        let (mut out, mut counted) = (Vec::new(), Vec::new());
+        for (found, rejected, local) in subtrees {
+            stats.absorb(local);
+            out.extend(found.into_patterns());
+            counted.extend(rejected);
         }
+        (out.into_iter().collect(), counted, stats)
     };
 
-    let counters = ctx.counters();
+    let counters = ctx.telemetry.counters();
     // The roots are counted exactly and frequent by construction, so
     // verified_frequent accounts for every pattern in the output.
-    counters.add(Counter::VerifiedFrequent, stats.roots + stats.frequent + stats.known);
+    counters.add(Counter::VerifiedFrequent, stats.roots + stats.frequent + stats.shortcut);
     counters.add(Counter::VerifiedInfrequent, stats.infrequent);
-    counters.add(Counter::BoundShortcut, stats.known);
+    counters.add(Counter::BoundShortcut, stats.shortcut);
     counters.add(Counter::CandidatesGenerated, stats.extensions);
     counters.add(Counter::EmbeddingsExtended, stats.rows);
-    let stats = MergeStats {
-        candidates: stats.extensions as usize,
-        counted: (stats.frequent + stats.infrequent) as usize,
-        shortcut: stats.known as usize,
-    };
     (out, counted, stats)
 }
 
@@ -234,8 +190,8 @@ mod tests {
                 db: &db,
                 min_support: sup,
                 max_edges: None,
-                executor: None,
-                telemetry: None,
+                executor: &Executor::new(1),
+                telemetry: &Telemetry::new(),
             };
             let (merged, _) = merge_join(&ctx, &[&p0, &p1]);
             let direct = GSpan::new().mine(&db, sup);
@@ -259,8 +215,8 @@ mod tests {
             db: &db,
             min_support: sup,
             max_edges: None,
-            executor: None,
-            telemetry: None,
+            executor: &Executor::new(1),
+            telemetry: &Telemetry::new(),
         };
         let (merged, stats) = merge_join(&ctx, &[&p0, &p1]);
         let direct = GSpan::new().mine(&db, sup);
@@ -279,8 +235,8 @@ mod tests {
             db: &db,
             min_support: 2,
             max_edges: Some(2),
-            executor: None,
-            telemetry: None,
+            executor: &Executor::new(1),
+            telemetry: &Telemetry::new(),
         };
         let (merged, _) = merge_join(&ctx, &[&p0, &p1]);
         assert!(merged.iter().all(|p| p.size() <= 2));
@@ -312,8 +268,8 @@ mod tests {
                 db: &db,
                 min_support: sup,
                 max_edges: None,
-                executor: None,
-                telemetry: None,
+                executor: &Executor::new(1),
+                telemetry: &Telemetry::new(),
             };
             let (merged, _) = merge_join(&ctx, &[&p0, &p1]);
             let direct = GSpan::new().mine(&db, sup);

@@ -4,13 +4,14 @@ use std::time::{Duration, Instant};
 
 use rustc_hash::FxHashMap;
 
-use graphmine_exec::{ExecCounters, Executor, Job};
+use graphmine_exec::{ExecCounters, ExecError, Executor, Job};
 use graphmine_graph::{GraphDb, PatternSet, Support};
+use graphmine_miner::walk::WalkStats;
 use graphmine_miner::{GSpan, MemoryMiner};
 use graphmine_partition::{BatchRunner, DbPartition, NodeId, WorkItem};
-use graphmine_telemetry::{Counter, ReportSource, StageTotal, Telemetry};
+use graphmine_telemetry::{Counter, Telemetry};
 
-use crate::merge_join::{merge_join, MergeContext, MergeStats};
+use crate::merge_join::{merge_join, MergeContext};
 use crate::PartMinerConfig;
 
 /// Oracle mutant hook: a unit-mining job that dies mid-run, proving the
@@ -18,7 +19,7 @@ use crate::PartMinerConfig;
 /// relaxed atomic load) unless the `fault-injection` feature is on and the
 /// fault is armed.
 #[inline]
-pub(crate) fn fault_panic_hook(unit: usize) {
+fn fault_panic_hook(unit: usize) {
     #[cfg(feature = "fault-injection")]
     if graphmine_graph::fault::armed(graphmine_graph::fault::Fault::PanicUnitMiner) {
         panic!("injected unit-miner fault in unit {unit}");
@@ -87,8 +88,8 @@ pub struct MineStats {
     pub merge_time: Duration,
     /// Actual elapsed wall time of the whole run.
     pub wall: Duration,
-    /// Merge-join work counters, accumulated over all tree nodes.
-    pub merge: MergeStats,
+    /// The merge-join walks' work, accumulated over all tree nodes.
+    pub merge: WalkStats,
 }
 
 impl MineStats {
@@ -104,32 +105,6 @@ impl MineStats {
         self.partition_time
             + self.unit_times.iter().max().copied().unwrap_or_default()
             + self.merge_time
-    }
-}
-
-impl ReportSource for MineStats {
-    fn stage_totals(&self) -> Vec<StageTotal> {
-        vec![
-            StageTotal {
-                name: "partition".into(),
-                total_ns: self.partition_time.as_nanos() as u64,
-                count: 1,
-            },
-            StageTotal {
-                name: "unit_mine".into(),
-                total_ns: self.unit_times.iter().sum::<Duration>().as_nanos() as u64,
-                count: self.unit_times.len() as u64,
-            },
-            StageTotal {
-                name: "merge_join".into(),
-                total_ns: self.merge_time.as_nanos() as u64,
-                count: 1,
-            },
-        ]
-    }
-
-    fn counter_totals(&self) -> Vec<(&'static str, u64)> {
-        self.merge.counter_totals()
     }
 }
 
@@ -181,12 +156,13 @@ impl PartMiner {
     /// Mines all frequent subgraphs of `db` at the absolute threshold
     /// `min_support`.
     ///
-    /// `ufreq[gid][v]` is the update frequency of each vertex (zeros for a
-    /// static database).
+    /// `ufreq[gid][v]` is the update frequency of each vertex; a static
+    /// database passes an empty table (`&[]`).
     ///
     /// # Panics
     ///
-    /// Panics if `ufreq` is not shaped like `db` or `config.k == 0`.
+    /// Panics if a non-empty `ufreq` is not shaped like `db`, or if
+    /// `config.k == 0`.
     pub fn mine(&self, db: &GraphDb, ufreq: &[Vec<f64>], min_support: Support) -> MineOutcome {
         self.mine_instrumented(db, ufreq, min_support, &Telemetry::new())
     }
@@ -231,42 +207,20 @@ impl PartMiner {
         drop(span);
         let partition_time = t.elapsed();
 
-        // Phase 2a: mine the units at the reduced support sup/2^depth, one
-        // executor job per unit (inline on a single-thread budget). The
-        // precomputed unit→node map replaces the old per-unit scan over
-        // every tree node.
+        // Phase 2a: mine the units, in unit order, at the reduced support
+        // sup/2^depth.
         let unit_nodes: Vec<NodeId> =
             (0..partition.unit_count()).map(|j| partition.unit_node_id(j)).collect();
-        let mut node_results: FxHashMap<NodeId, PatternSet> = FxHashMap::default();
-        let mut unit_times = vec![Duration::default(); unit_nodes.len()];
-
-        let miner = &GSpan { max_edges: cfg.max_edges };
-        let jobs: Vec<Job<'_, (PatternSet, Duration)>> = unit_nodes
-            .iter()
-            .map(|&n| {
-                let node = partition.node(n);
-                let unit = node.unit.expect("leaf");
-                let sup = PartMinerConfig::depth_support(min_support, node.depth);
-                Job::new(format!("unit-mine:{unit}"), move || {
-                    let t = Instant::now();
-                    let span = tel.span_node("unit_mine", n as u64);
-                    fault_panic_hook(unit);
-                    let res = miner.mine_counted(&node.db, sup, tel.counters());
-                    drop(span);
-                    tel.counters().bump(Counter::UnitsMined);
-                    (res, t.elapsed())
-                })
-            })
-            .collect();
-        let results = exec.map_indexed(jobs).unwrap_or_else(|e| panic!("unit mining failed: {e}"));
-        for (&n, (res, dt)) in unit_nodes.iter().zip(results) {
-            unit_times[partition.node(n).unit.expect("leaf")] = dt;
-            node_results.insert(n, res);
-        }
+        let names = ("unit_mine", "unit-mine");
+        let mined = mine_units(cfg, &partition, &unit_nodes, min_support, names, exec, tel)
+            .unwrap_or_else(|e| panic!("unit mining failed: {e}"));
+        let (results, unit_times): (Vec<PatternSet>, Vec<Duration>) = mined.into_iter().unzip();
+        let mut node_results: FxHashMap<NodeId, PatternSet> =
+            unit_nodes.into_iter().zip(results).collect();
 
         // Phase 2b: combine bottom-up with the merge-join.
         let t = Instant::now();
-        let mut merge = MergeStats::default();
+        let mut merge = WalkStats::default();
         merge_subtree(
             cfg,
             &partition,
@@ -288,6 +242,40 @@ impl PartMiner {
     }
 }
 
+/// Mines the units backing the tree nodes `nodes`, one executor job each
+/// (inline on a single-thread budget): unit `j` at its depth's support, in
+/// a `span` span, as the job `{label}:{j}`. Returns each unit's patterns
+/// and mining time in `nodes` order, or the first panicking job's error.
+pub(crate) fn mine_units(
+    cfg: &PartMinerConfig,
+    partition: &DbPartition,
+    nodes: &[NodeId],
+    min_support: Support,
+    (span, label): (&'static str, &str),
+    exec: &Executor,
+    tel: &Telemetry,
+) -> Result<Vec<(PatternSet, Duration)>, ExecError> {
+    let miner = &GSpan { max_edges: cfg.max_edges };
+    let jobs = nodes
+        .iter()
+        .map(|&n| {
+            let node = partition.node(n);
+            let unit = node.unit.expect("leaf");
+            let sup = PartMinerConfig::depth_support(min_support, node.depth);
+            Job::new(format!("{label}:{unit}"), move || {
+                let t = Instant::now();
+                let span = tel.span_node(span, n as u64);
+                fault_panic_hook(unit);
+                let res = miner.mine_counted(&node.db, sup, tel.counters());
+                drop(span);
+                tel.counters().bump(Counter::UnitsMined);
+                (res, t.elapsed())
+            })
+        })
+        .collect();
+    exec.map_indexed(jobs)
+}
+
 /// Post-order merge of a subtree; fills `node_results` for every internal
 /// node that does not already have a result.
 #[allow(clippy::too_many_arguments)]
@@ -297,7 +285,7 @@ pub(crate) fn merge_subtree(
     node_id: NodeId,
     min_support: Support,
     node_results: &mut FxHashMap<NodeId, PatternSet>,
-    stats: &mut MergeStats,
+    stats: &mut WalkStats,
     exec: &Executor,
     tel: &Telemetry,
 ) {
@@ -314,8 +302,8 @@ pub(crate) fn merge_subtree(
         db: &node.db,
         min_support: sup,
         max_edges: cfg.max_edges,
-        executor: (exec.threads() > 1).then_some(exec),
-        telemetry: Some(tel),
+        executor: exec,
+        telemetry: tel,
     };
     let (result, mstats) = merge_join(&ctx, &[&node_results[&a], &node_results[&b]]);
     tel.counters().bump(Counter::NodesMerged);
@@ -388,7 +376,7 @@ mod tests {
         let parallel = PartMiner::new(cfg).mine(&db, &uf, 2);
         assert!(serial.patterns.same_codes_and_supports(&parallel.patterns));
         assert_eq!(parallel.stats.unit_times.len(), 4);
-        // The merged MergeStats must not depend on the thread schedule.
+        // The merge-join walks' stats must not depend on the thread schedule.
         assert_eq!(serial.stats.merge, parallel.stats.merge);
     }
 

@@ -3,7 +3,7 @@
 //! re-mining), and a standalone merge-join verification batch — in that
 //! order, in one run. Every pooled result must match its serial
 //! counterpart, and the pool's counters must show it actually ran the
-//! jobs. This is the reuse story the ad-hoc crossbeam scopes could not
+//! jobs. This is the reuse story the ad-hoc thread scopes could not
 //! offer: one thread budget resolved once, shared by the whole pipeline.
 //!
 //! The database split is the fourth call site. Its work items are fixed gid
@@ -41,15 +41,14 @@ fn split_db(db: &GraphDb) -> (GraphDb, GraphDb) {
 #[test]
 fn one_pool_serves_mining_incremental_and_verification() {
     let db = generate(&GenParams::new(24, 9, 3, 8, 4).with_seed(1234));
-    let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
     let sup = 3;
     let exec = Executor::new(3);
 
     // Call site 1: unit mining (and the merge verification under it).
     let cfg = PartMinerConfig::with_k(3);
     let miner = PartMiner::new(cfg);
-    let serial = miner.mine(&db, &uf, sup);
-    let pooled = miner.mine_on(&db, &uf, sup, &exec, &Telemetry::new());
+    let serial = miner.mine(&db, &[], sup);
+    let pooled = miner.mine_on(&db, &[], sup, &exec, &Telemetry::new());
     assert!(
         serial.patterns.same_codes_and_supports(&pooled.patterns),
         "mine: serial {} vs pooled {} patterns",
@@ -81,13 +80,13 @@ fn one_pool_serves_mining_incremental_and_verification() {
     let (d0, d1) = split_db(&db);
     let p0 = GSpan::new().mine(&d0, 1);
     let p1 = GSpan::new().mine(&d1, 1);
-    let run = |executor: Option<&Executor>| {
-        let ctx =
-            MergeContext { db: &db, min_support: 2, max_edges: Some(4), executor, telemetry: None };
+    let run = |executor: &Executor| {
+        let telemetry = &Telemetry::new();
+        let ctx = MergeContext { db: &db, min_support: 2, max_edges: Some(4), executor, telemetry };
         merge_join(&ctx, &[&p0, &p1])
     };
-    let (merged_serial, stats_serial) = run(None);
-    let (merged_pooled, stats_pooled) = run(Some(&exec));
+    let (merged_serial, stats_serial) = run(&Executor::new(1));
+    let (merged_pooled, stats_pooled) = run(&exec);
     assert!(
         merged_serial.same_codes_and_supports(&merged_pooled),
         "verify: serial {} vs pooled {} patterns",
@@ -186,24 +185,25 @@ fn one_range_and_many_ranges_build_the_same_tree() {
 }
 
 /// A serial run and a pooled run submit the same items: the executor counts
-/// one job per range and tree node either way.
+/// one job per range and tree node either way. A static database may pass
+/// an empty update-frequency table instead of an all-zero one: the same
+/// tree, from the same items.
 #[test]
 fn the_split_submits_the_same_items_at_any_budget() {
     let db = generate(&GenParams::new(SPLIT_RANGE + 40, 6, 3, 6, 3).with_seed(5));
-    let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
+    let zeros: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
     for threads in [1, 2] {
         let exec = Executor::new(threads);
-        let part = DbPartition::build_on(
-            &db,
-            &uf,
-            &GraphPart::default(),
-            4,
-            &Telemetry::new(),
-            &PoolRunner(&exec),
-        );
+        let build = |uf: &[Vec<f64>]| {
+            let runner = &PoolRunner(&exec);
+            DbPartition::build_on(&db, uf, &GraphPart::default(), 4, &Telemetry::new(), runner)
+        };
+        let part = build(&zeros);
         assert_eq!(part.unit_count(), 4);
         // Three nodes were split, two ranges each.
         assert_eq!(exec.counters().jobs, 6, "threads={threads}");
+        assert_same_tree(&build(&[]), &part, &format!("threads={threads} empty table"));
+        assert_eq!(exec.counters().jobs, 12, "threads={threads} empty table");
     }
 }
 
@@ -231,11 +231,10 @@ fn path(n: u32) -> Graph {
 fn a_panicking_partitioner_is_reported_under_its_gid_range() {
     // 1100 small paths; the one at gid 700 is the only one 9 vertices long.
     let db: GraphDb = (0..1100).map(|gid| path(if gid == 700 { 9 } else { 3 + gid % 4 })).collect();
-    let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
     for threads in [1, 2] {
         let exec = Executor::new(threads);
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            DbPartition::build_on(&db, &uf, &DiesOn(9), 2, &Telemetry::new(), &PoolRunner(&exec))
+            DbPartition::build_on(&db, &[], &DiesOn(9), 2, &Telemetry::new(), &PoolRunner(&exec))
         }));
         let payload = died.expect_err("the partitioner panics on gid 700");
         let message = payload.downcast_ref::<String>().expect("a formatted panic message");
@@ -248,6 +247,6 @@ fn a_panicking_partitioner_is_reported_under_its_gid_range() {
         assert_eq!(exec.counters().panics, 1);
     }
     // Without a pool the panic is the partitioner's own.
-    let plain = std::panic::catch_unwind(|| DbPartition::build(&db, &uf, &DiesOn(9), 2));
+    let plain = std::panic::catch_unwind(|| DbPartition::build(&db, &[], &DiesOn(9), 2));
     assert!(plain.is_err());
 }

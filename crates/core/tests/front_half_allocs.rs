@@ -2,7 +2,7 @@
 //! splitting it into units allocate, per graph, only what the result keeps.
 //!
 //! * `read_db` keeps, per graph, the graph's two blocks (one of `u32`
-//!   words: labels, offsets, edges and triple index back to back; one the
+//!   words: labels, offsets and edges back to back; one the
 //!   adjacency arena) and its `Arc`: three allocations, plus the database's
 //!   vector growing in doublings.
 //! * `DbPartition::build` at k = 2 keeps, per graph, two pieces of four

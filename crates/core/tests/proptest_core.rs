@@ -90,7 +90,7 @@ proptest! {
 
     /// The executor-backed merge-join is a pure scheduling change: it must
     /// produce the same pattern set, the same telemetry counter totals
-    /// *and* the same `MergeStats` as the serial run — per-job stats fold
+    /// *and* the same `WalkStats` as the serial run — per-job stats fold
     /// in submission order, so no steal schedule may show through.
     #[test]
     fn parallel_merge_join_matches_serial(
@@ -102,20 +102,20 @@ proptest! {
         let p0 = GSpan::new().mine(&d0, unit_sup);
         let p1 = GSpan::new().mine(&d1, unit_sup);
         let exec = Executor::new(4);
-        let run = |executor: Option<&Executor>| {
+        let run = |executor: &Executor| {
             let tel = Telemetry::new();
             let ctx = MergeContext {
                 db: &db,
                 min_support: sup,
                 max_edges: None,
                 executor,
-                telemetry: Some(&tel),
+                telemetry: &tel,
             };
             let (merged, stats) = merge_join(&ctx, &[&p0, &p1]);
             (merged, stats, tel.counters().snapshot())
         };
-        let (serial, serial_stats, serial_counts) = run(None);
-        let (parallel, parallel_stats, parallel_counts) = run(Some(&exec));
+        let (serial, serial_stats, serial_counts) = run(&Executor::new(1));
+        let (parallel, parallel_stats, parallel_counts) = run(&exec);
         prop_assert!(
             serial.same_codes_and_supports(&parallel),
             "sup={}: serial {} parallel {}",
@@ -127,7 +127,7 @@ proptest! {
 
     /// A whole executor-backed run ([`PartMiner::mine_on`]) is a pure
     /// scheduling change over the serial [`PartMiner::mine`]: identical
-    /// pattern sets and identical `MergeStats`, whatever the pool size.
+    /// pattern sets and identical `WalkStats`, whatever the pool size.
     #[test]
     fn executor_backed_mine_matches_serial(
         db in db_strategy(),
@@ -135,12 +135,11 @@ proptest! {
         sup in 1u32..4,
         threads in 2usize..5,
     ) {
-        let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
         let cfg = PartMinerConfig::with_k(k);
         let miner = PartMiner::new(cfg);
-        let serial = miner.mine(&db, &uf, sup);
+        let serial = miner.mine(&db, &[], sup);
         let exec = Executor::new(threads);
-        let pooled = miner.mine_on(&db, &uf, sup, &exec, &Telemetry::new());
+        let pooled = miner.mine_on(&db, &[], sup, &exec, &Telemetry::new());
         prop_assert!(
             serial.patterns.same_codes_and_supports(&pooled.patterns),
             "k={} sup={} threads={}: serial {} pooled {}",
@@ -151,9 +150,8 @@ proptest! {
 
     #[test]
     fn partminer_is_lossless_on_random_databases(db in db_strategy(), k in 1usize..5, sup in 1u32..4) {
-        let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
         let cfg = PartMinerConfig::with_k(k);
-        let outcome = PartMiner::new(cfg).mine(&db, &uf, sup);
+        let outcome = PartMiner::new(cfg).mine(&db, &[], sup);
         let direct = GSpan::new().mine(&db, sup);
         prop_assert!(
             outcome.patterns.same_codes_and_supports(&direct),
@@ -168,9 +166,8 @@ proptest! {
         k in 2usize..4,
         picks in proptest::collection::vec(any::<u64>(), 1..8),
     ) {
-        let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
         let cfg = PartMinerConfig::with_k(k);
-        let outcome = PartMiner::new(cfg).mine(&db, &uf, 2);
+        let outcome = PartMiner::new(cfg).mine(&db, &[], 2);
         let mut state = outcome.state;
 
         // Build a batch of applicable updates against a mirror.

@@ -5,15 +5,20 @@
 
 use proptest::prelude::*;
 
-use graphmine_core::{fold_delta, touched_graphs, walk_with_border, Border, MergeContext};
+use graphmine_core::{
+    fold_delta, touched_graphs, walk_with_border, Border, Executor, MergeContext,
+};
 use graphmine_graph::{apply_all, DbUpdate, Graph, GraphDb, GraphUpdate, PatternSet, Support};
+use graphmine_telemetry::Telemetry;
 
-fn ctx(db: &GraphDb, min_support: Support) -> MergeContext<'_> {
-    MergeContext { db, min_support, max_edges: None, executor: None, telemetry: None }
+/// Runs `f` on the uncapped, serial context of `db` at `min_support`.
+fn with_ctx<R>(db: &GraphDb, min_support: Support, f: impl FnOnce(&MergeContext<'_>) -> R) -> R {
+    let (executor, telemetry) = (&Executor::new(1), &Telemetry::new());
+    f(&MergeContext { db, min_support, max_edges: None, executor, telemetry })
 }
 
 fn cold(db: &GraphDb, min_support: Support) -> (PatternSet, Border) {
-    walk_with_border(&ctx(db, min_support))
+    with_ctx(db, min_support, walk_with_border)
 }
 
 /// How a window was folded.
@@ -35,7 +40,8 @@ fn fold_and_check(
 ) -> Result<(PatternSet, Border, Path), String> {
     let truth = cold(next, min_support);
     let touched = touched_graphs(db, next);
-    let Some(folded) = fold_delta(&ctx(next, min_support), db, &touched, patterns, border) else {
+    let fold = |ctx: &MergeContext<'_>| fold_delta(ctx, db, &touched, patterns, border);
+    let Some(folded) = with_ctx(next, min_support, fold) else {
         return Ok((truth.0, truth.1, Path::Cold));
     };
     if !folded.0.iter().eq(truth.0.iter()) {
@@ -212,7 +218,8 @@ fn an_empty_window_folds_to_the_same_state() {
     let (patterns, border) = cold(&db, 2);
     let next = db.clone();
     assert!(touched_graphs(&db, &next).is_empty());
-    let (p, b) = fold_delta(&ctx(&next, 2), &db, &[], &patterns, border.clone()).expect("delta");
+    let fold = |ctx: &MergeContext<'_>| fold_delta(ctx, &db, &[], &patterns, border.clone());
+    let (p, b) = with_ctx(&next, 2, fold).expect("delta");
     assert!(p.iter().eq(patterns.iter()));
     assert_eq!(b, border);
 }

@@ -2,12 +2,12 @@
 //!
 //! The paper's parallel mode treats the `k` units, the merge-join's
 //! frequent-edge subtrees (once: its candidate verifications) and the
-//! incremental re-mines as independent work items. Before this crate each of those three fan-out sites
-//! hand-rolled its own `crossbeam::thread::scope` with a different (and
-//! differently buggy) policy: one thread per unit regardless of core
-//! count, fixed-size verify chunks that strand workers behind one
-//! expensive candidate, and bare `expect` joins that lose all context
-//! when a worker panics. [`Executor::map_indexed`] replaces all of them:
+//! incremental re-mines as independent work items. Before this crate each
+//! of those three fan-out sites hand-rolled its own thread scope with a
+//! different (and differently buggy) policy: one thread per unit
+//! regardless of core count, fixed-size verify chunks that strand workers
+//! behind one expensive candidate, and bare `expect` joins that lose all
+//! context when a worker panics. [`Executor::map_indexed`] replaces all of them:
 //!
 //! * **bounded** — at most the configured thread budget runs at once, no
 //!   matter how many jobs a batch carries;
@@ -17,16 +17,15 @@
 //!   hundreds of cheap ones) no longer stalls the whole level;
 //! * **deterministic** — results come back in submission order, so a
 //!   caller folding per-job statistics in result order observes exactly
-//!   the serial schedule (`MergeStats` serial == parallel);
+//!   the serial schedule (the merge-join's `WalkStats` serial == parallel);
 //! * **diagnosable** — every job carries a label; a panicking job
 //!   surfaces as [`ExecError`]`{ label, payload }` instead of aborting
 //!   the process through an anonymous `join().expect(..)`.
 //!
-//! The crate is std + the vendored `crossbeam` shim only. Scheduling
-//! counters (jobs run, steals, peak queue depth, panics) accumulate on
-//! the executor itself; the pipeline mirrors them into its telemetry
-//! counters (`exec_jobs`, `exec_steals`, `exec_queue_peak`,
-//! `exec_panics`).
+//! The crate is std only. Scheduling counters (jobs run, steals, peak
+//! queue depth, panics) accumulate on the executor itself; the pipeline
+//! mirrors them into its telemetry counters (`exec_jobs`, `exec_steals`,
+//! `exec_queue_peak`, `exec_panics`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -177,10 +176,10 @@ impl Executor {
         let poisoned = &AtomicBool::new(false);
         let first_error: &Mutex<Option<ExecError>> = &Mutex::new(None);
 
-        let per_worker: Vec<Vec<(usize, T)>> = crossbeam::thread::scope(|scope| {
+        let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|me| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut local: Vec<(usize, T)> = Vec::new();
                         while !poisoned.load(Ordering::Acquire) {
                             let Some((idx, job)) = self.next_job(me, workers, queues) else {
@@ -204,8 +203,7 @@ impl Executor {
                 .into_iter()
                 .map(|h| h.join().expect("executor workers catch job panics"))
                 .collect()
-        })
-        .expect("executor scope");
+        });
 
         if let Some(err) = first_error.lock().expect("error slot").take() {
             return Err(err);

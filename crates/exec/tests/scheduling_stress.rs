@@ -44,15 +44,25 @@ fn ordering_holds_under_adversarial_durations() {
 
 #[test]
 fn skewed_batch_triggers_steals() {
-    // Job 0 is a straggler sitting on worker 0's queue; the rest of
-    // worker 0's deal must be stolen by the idle workers, so the steal
-    // counter has to move.
+    // Job 0 is a straggler at the front of worker 0's queue: it waits until
+    // the other 63 jobs have run. A quarter of them are dealt behind it on
+    // that queue, so they run only if the idle workers steal them. Without
+    // a steal, job 0 waits out its bound and the steal counter stays at 0.
     let exec = Executor::new(4);
+    let left = &(Mutex::new(63usize), Condvar::new());
     let jobs: Vec<Job<'_, u64>> = (0..64)
         .map(|i| {
             Job::new(format!("skew:{i}"), move || {
+                let (count, done) = left;
+                let mut count = count.lock().unwrap();
                 if i == 0 {
-                    std::thread::sleep(Duration::from_millis(40));
+                    let bound = Duration::from_secs(10);
+                    drop(done.wait_timeout_while(count, bound, |n| *n > 0).unwrap());
+                } else {
+                    *count -= 1;
+                    if *count == 0 {
+                        done.notify_all();
+                    }
                 }
                 i
             })

@@ -38,8 +38,9 @@ pub struct WalkStats {
     pub frequent: u64,
     /// Children rejected on their exact support.
     pub infrequent: u64,
-    /// Children accepted because their code is known.
-    pub known: u64,
+    /// Children accepted because their code is known: the merge-join's
+    /// unit-support shortcut.
+    pub shortcut: u64,
 }
 
 impl WalkStats {
@@ -50,7 +51,7 @@ impl WalkStats {
         self.rows += other.rows;
         self.frequent += other.frequent;
         self.infrequent += other.infrequent;
-        self.known += other.known;
+        self.shortcut += other.shortcut;
     }
 }
 
@@ -155,7 +156,7 @@ impl Walk<'_> {
     /// meets the pattern under its minimum code elsewhere.
     fn verdict(&self, code: &DfsCode, sup: Support, stats: &mut WalkStats) -> Option<Support> {
         if let Some(&vouched) = self.known.and_then(|known| known.get(code)) {
-            stats.known += 1;
+            stats.shortcut += 1;
             #[cfg(feature = "fault-injection")]
             let report_vouched =
                 graphmine_graph::fault::armed(graphmine_graph::fault::Fault::ReportUnitBound);

@@ -130,10 +130,6 @@ fn validated_mirror(case: &Case) -> Option<GraphDb> {
     apply_all(&mut mirror, &case.updates).ok().map(|()| mirror)
 }
 
-fn zeros(db: &GraphDb) -> Vec<Vec<f64>> {
-    db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect()
-}
-
 /// First code in `a` missing from `b`, or carrying a different support —
 /// the payload of every set-mismatch message.
 fn first_disagreement(a: &PatternSet, b: &PatternSet) -> String {
@@ -220,8 +216,7 @@ fn check_edge_rejection(case: &Case) -> Result<(), CheckFailure> {
         return Err(fail(CHECK, format!("graph {gid}: duplicate edge {v}-{u} was accepted")));
     }
 
-    let uf = zeros(&case.db);
-    let mut part = DbPartition::build(&case.db, &uf, &GraphPart::new(Criteria::COMBINED), 2);
+    let mut part = DbPartition::build(&case.db, &[], &GraphPart::new(Criteria::COMBINED), 2);
     for (what, update) in [
         ("self-loop", GraphUpdate::AddEdge { u, v: u, label: el }),
         ("duplicate edge", GraphUpdate::AddEdge { u: v, v: u, label: el + 1 }),
@@ -301,19 +296,18 @@ fn check_partminer_matrix(
     exec: &Executor,
 ) -> Result<(), CheckFailure> {
     const CHECK: &str = "partminer-matrix";
-    let uf = zeros(&case.db);
     for k in [2usize, 3, 4] {
         let miner = || {
             let mut cfg = PartMinerConfig::with_k(k);
             cfg.max_edges = Some(case.max_edges);
             PartMiner::new(cfg)
         };
-        let serial = miner().mine(&case.db, &uf, case.min_support);
+        let serial = miner().mine(&case.db, &[], case.min_support);
         // The parallel leg fans out over the run-wide shared pool — the
         // same `Executor` every other case (and every other `k`) uses, so
         // a pool poisoned or corrupted by an earlier batch would surface
         // here.
-        let parallel = miner().mine_on(&case.db, &uf, case.min_support, exec, &Telemetry::new());
+        let parallel = miner().mine_on(&case.db, &[], case.min_support, exec, &Telemetry::new());
         for (schedule, outcome) in [("serial", &serial), ("parallel", &parallel)] {
             let label = format!("PartMiner k={k} {schedule} vs gSpan");
             expect_same(CHECK, &label, &outcome.patterns, reference)?;
@@ -334,7 +328,7 @@ fn check_partminer_matrix(
     let tel = Telemetry::new();
     let mut cfg = PartMinerConfig::with_k(2);
     cfg.max_edges = Some(case.max_edges);
-    let outcome = PartMiner::new(cfg).mine_instrumented(&case.db, &uf, case.min_support, &tel);
+    let outcome = PartMiner::new(cfg).mine_instrumented(&case.db, &[], case.min_support, &tel);
     let report = RunReport::capture("oracle-partminer", &tel);
     let units = outcome.state.partition.unit_count() as u64;
     if report.counter(Counter::UnitsMined) != units {
@@ -351,10 +345,9 @@ fn check_partminer_matrix(
 
 fn check_partition_invariants(case: &Case) -> Result<(), CheckFailure> {
     const CHECK: &str = "partition-invariants";
-    let uf = zeros(&case.db);
     let partitioner = GraphPart::new(Criteria::COMBINED);
     for k in [2usize, 3] {
-        let part = DbPartition::build(&case.db, &uf, &partitioner, k);
+        let part = DbPartition::build(&case.db, &[], &partitioner, k);
         part.check_invariants().map_err(|e| fail(CHECK, format!("k={k}: {e}")))?;
         for (gid, g) in case.db.iter() {
             let recovered = part.recovered_graph(gid);
@@ -381,8 +374,7 @@ fn check_partition_invariants(case: &Case) -> Result<(), CheckFailure> {
     // One-split law on the raw bi-partitioner output: every edge is in
     // exactly one side, or in both sides and the connective set.
     for (gid, g) in case.db.iter() {
-        let per_graph = &uf[gid as usize];
-        let sides = partitioner.sides(g, per_graph);
+        let sides = partitioner.sides(g, &vec![0.0; g.vertex_count()]);
         let split = split_by_sides(g, &sides);
         for (eid, u, v, _) in g.edges() {
             let in1 = split.side1.edge_map().contains(&eid);
@@ -566,12 +558,13 @@ fn check_fold_equivalence(
         planned.push(db.clone());
     }
     let streams = [mirror.into_iter().cloned().collect(), planned];
+    let (executor, telemetry) = (&Executor::new(1), &Telemetry::new());
     let ctx = |db| MergeContext {
         db,
         min_support: case.min_support,
         max_edges: None,
-        executor: None,
-        telemetry: None,
+        executor,
+        telemetry,
     };
     let cold = |db| walk_with_border(&ctx(db));
     for (stream, dbs) in ["the case's batch", "planned window"].into_iter().zip(&streams) {

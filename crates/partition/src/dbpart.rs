@@ -190,14 +190,15 @@ impl DbPartition {
     /// Partitions `db` into `k >= 1` units with the given bi-partitioner.
     ///
     /// `ufreq[gid][v]` is the update frequency of vertex `v` of graph `gid`
-    /// (the workload knowledge the paper's criteria consume); pass zeros for
-    /// a static database. The tree keeps a copy of the rows that hold
-    /// anything but zeros, so for a static database it keeps none.
+    /// (the workload knowledge the paper's criteria consume); a static
+    /// database passes an empty table, which reads as zeros everywhere. The
+    /// tree keeps a copy of the rows that hold anything but zeros, so for a
+    /// static database it keeps none.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`, if `ufreq` is not shaped like `db`, or if an
-    /// entry is not finite (the message names its gid and vertex).
+    /// Panics if `k == 0`, if a non-empty `ufreq` is not shaped like `db`,
+    /// or if an entry is not finite (the message names its gid and vertex).
     pub fn build(
         db: &GraphDb,
         ufreq: &[Vec<f64>],
@@ -250,9 +251,11 @@ impl DbPartition {
     ) -> Self {
         assert!(k >= 1, "at least one unit");
         assert!(range >= 1, "at least one graph per work item");
-        assert_eq!(ufreq.len(), db.len(), "one ufreq vector per graph");
-        for (gid, g) in db.iter() {
-            let row = &ufreq[gid as usize];
+        if !ufreq.is_empty() {
+            assert_eq!(ufreq.len(), db.len(), "one ufreq vector per graph");
+        }
+        for (gid, row) in ufreq.iter().enumerate() {
+            let g = db.graph(gid as GraphId);
             assert_eq!(row.len(), g.vertex_count(), "one ufreq entry per vertex of graph {gid}");
             if let Some(v) = row.iter().position(|f| !f.is_finite()) {
                 panic!("non-finite ufreq {} at graph {gid}, vertex {v}", row[v]);

@@ -68,10 +68,9 @@ proptest! {
 
     #[test]
     fn recovery_is_exact_for_random_databases(db in db_strategy(), k in 1usize..6) {
-        let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
         for part in [
-            DbPartition::build(&db, &uf, &GraphPart::new(Criteria::COMBINED), k),
-            DbPartition::build(&db, &uf, &MetisLike, k),
+            DbPartition::build(&db, &[], &GraphPart::new(Criteria::COMBINED), k),
+            DbPartition::build(&db, &[], &MetisLike, k),
         ] {
             for gid in 0..db.len() as u32 {
                 let rec = part.recovered_graph(gid);
@@ -95,8 +94,7 @@ proptest! {
         k in 2usize..5,
         picks in proptest::collection::vec(any::<u64>(), 1..12),
     ) {
-        let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-        let mut part = DbPartition::build(&db, &uf, &GraphPart::new(Criteria::COMBINED), k);
+        let mut part = DbPartition::build(&db, &[], &GraphPart::new(Criteria::COMBINED), k);
         for (i, &pick) in picks.iter().enumerate() {
             let gid = (pick % db.len() as u64) as u32;
             let _ = apply_random_update(&mut part, gid, pick.wrapping_add(i as u64));
@@ -120,8 +118,7 @@ proptest! {
 
     #[test]
     fn touched_units_contain_the_updated_vertex(db in db_strategy(), k in 2usize..5, seed in any::<u64>()) {
-        let uf: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-        let mut part = DbPartition::build(&db, &uf, &GraphPart::new(Criteria::COMBINED), k);
+        let mut part = DbPartition::build(&db, &[], &GraphPart::new(Criteria::COMBINED), k);
         let gid = (seed % db.len() as u64) as u32;
         let nv = db.graph(gid).vertex_count() as u32;
         let v = (seed as u32 / 8) % nv;

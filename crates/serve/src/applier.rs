@@ -30,7 +30,7 @@ fn context<'a>(
     exec: &'a Executor,
     tel: &'a Telemetry,
 ) -> MergeContext<'a> {
-    MergeContext { db, min_support, max_edges: None, executor: Some(exec), telemetry: Some(tel) }
+    MergeContext { db, min_support, max_edges: None, executor: exec, telemetry: tel }
 }
 
 /// `P(db)` and its border from the served epoch's: the delta walk over the

@@ -40,8 +40,7 @@ fn two_batches(db: &GraphDb, seed: u64) -> (Vec<DbUpdate>, Vec<DbUpdate>) {
 /// `incremental` command runs).
 fn batch_incremental(db: &GraphDb, min_support: Support, batches: &[Vec<DbUpdate>]) -> PatternSet {
     let cfg = PartMinerConfig::with_k(2);
-    let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-    let mut state = PartMiner::new(cfg).mine(db, &ufreq, min_support).state;
+    let mut state = PartMiner::new(cfg).mine(db, &[], min_support).state;
     for batch in batches {
         IncPartMiner::update(&mut state, batch).expect("reference update applies");
     }

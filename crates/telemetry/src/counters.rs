@@ -271,11 +271,6 @@ impl Counter {
             Counter::RouterPhase2Recounts => "router_phase2_recounts",
         }
     }
-
-    /// Looks a counter up by its report identifier.
-    pub fn from_name(name: &str) -> Option<Counter> {
-        Counter::ALL.iter().copied().find(|c| c.name() == name)
-    }
 }
 
 /// A fixed table of relaxed atomic event counters.
@@ -351,11 +346,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip() {
-        for c in Counter::ALL {
-            assert_eq!(Counter::from_name(c.name()), Some(c));
-        }
-        assert_eq!(Counter::from_name("nonsense"), None);
+    fn names_are_distinct_and_non_empty() {
+        let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        assert!(names.iter().all(|n| !n.is_empty()));
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Counter::ALL.len(), "two counters share a name");
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //! * [`RunReport`] — a serializable summary built from a [`Telemetry`]
 //!   handle: per-stage wall-time totals (from top-level spans), the final
 //!   counter table, and the raw span log. [`RunReport::to_json`] emits JSON
-//!   with no external dependencies and [`RunReport::from_json`] parses it
-//!   back, so reports round-trip through files and test harnesses.
+//!   with no external dependencies; [`JsonValue::parse`] reads any of it
+//!   back.
 //!
-//! Pipeline stats structs (`MineStats`, `IncStats`, …) expose their totals
-//! through the [`ReportSource`] trait so reports and tests can reconcile
-//! the ad-hoc per-phase timings against the span log.
+//! The pipeline's stats structs (`MineStats`, `IncStats`) hold no counter
+//! of their own beside this table: the merge-join's counters mirror the
+//! walk's `WalkStats` that `MineStats::merge` and `IncStats::merge` keep.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,5 +31,5 @@ mod spans;
 
 pub use counters::{Counter, CounterSnapshot, Counters};
 pub use json::{JsonError, JsonValue};
-pub use report::{ReportSource, RunReport, StageTotal};
+pub use report::{RunReport, StageTotal};
 pub use spans::{SpanGuard, SpanRecord, Telemetry};

@@ -1,7 +1,7 @@
 //! Machine-readable run reports.
 
 use crate::counters::Counter;
-use crate::json::{JsonError, JsonValue};
+use crate::json::JsonValue;
 use crate::spans::{SpanRecord, Telemetry};
 
 /// Aggregated wall time for one pipeline stage.
@@ -13,20 +13,6 @@ pub struct StageTotal {
     pub total_ns: u64,
     /// Number of spans contributing to the total.
     pub count: u64,
-}
-
-/// A source of per-stage timings and counter totals — the common face of
-/// the pipeline's ad-hoc stats structs (`MineStats`, `IncStats`, …).
-pub trait ReportSource {
-    /// Stage wall-time totals this source can vouch for.
-    fn stage_totals(&self) -> Vec<StageTotal> {
-        Vec::new()
-    }
-
-    /// Counter totals this source can vouch for, by report name.
-    fn counter_totals(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
-    }
 }
 
 /// A serializable summary of one mining run.
@@ -74,26 +60,6 @@ impl RunReport {
                 .map(|(name, v)| (name.to_string(), v))
                 .collect(),
             spans,
-        }
-    }
-
-    /// Folds a stats struct's totals in: stages merge by name, counters
-    /// add by name (unknown counter names are appended verbatim).
-    pub fn absorb(&mut self, src: &dyn ReportSource) {
-        for st in src.stage_totals() {
-            match self.stages.iter_mut().find(|s| s.name == st.name) {
-                Some(existing) => {
-                    existing.total_ns += st.total_ns;
-                    existing.count += st.count;
-                }
-                None => self.stages.push(st),
-            }
-        }
-        for (name, v) in src.counter_totals() {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, existing)) => *existing += v,
-                None => self.counters.push((name.to_string(), v)),
-            }
         }
     }
 
@@ -159,55 +125,6 @@ impl RunReport {
         ])
         .to_json()
     }
-
-    /// Parses a report previously produced by [`RunReport::to_json`].
-    pub fn from_json(text: &str) -> Result<RunReport, JsonError> {
-        let bad = |msg: &'static str| JsonError { at: 0, msg };
-        let v = JsonValue::parse(text)?;
-        let num = |v: Option<&JsonValue>, msg| v.and_then(JsonValue::as_num).ok_or(bad(msg));
-        let opt_num = |v: Option<&JsonValue>, msg: &'static str| match v {
-            Some(JsonValue::Null) | None => Ok(None),
-            Some(other) => other.as_num().map(Some).ok_or(bad(msg)),
-        };
-        let text_of = |v: Option<&JsonValue>, msg| {
-            v.and_then(JsonValue::as_str).map(str::to_string).ok_or(bad(msg))
-        };
-
-        let mut stages = Vec::new();
-        for s in v.field("stages").and_then(JsonValue::as_arr).ok_or(bad("missing stages"))? {
-            stages.push(StageTotal {
-                name: text_of(s.field("name"), "stage name")?,
-                total_ns: num(s.field("total_ns"), "stage total_ns")?,
-                count: num(s.field("count"), "stage count")?,
-            });
-        }
-        let counters = v
-            .field("counters")
-            .and_then(JsonValue::as_obj)
-            .ok_or(bad("missing counters"))?
-            .iter()
-            .map(|(n, v)| Ok((n.clone(), v.as_num().ok_or(bad("counter value"))?)))
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let mut spans = Vec::new();
-        for s in v.field("spans").and_then(JsonValue::as_arr).ok_or(bad("missing spans"))? {
-            spans.push(SpanRecord {
-                id: num(s.field("id"), "span id")?,
-                parent: opt_num(s.field("parent"), "span parent")?,
-                name: text_of(s.field("name"), "span name")?,
-                node: opt_num(s.field("node"), "span node")?,
-                thread: text_of(s.field("thread"), "span thread")?,
-                start_ns: num(s.field("start_ns"), "span start_ns")?,
-                dur_ns: num(s.field("dur_ns"), "span dur_ns")?,
-            });
-        }
-        Ok(RunReport {
-            algo: text_of(v.field("algo"), "missing algo")?,
-            total_ns: num(v.field("total_ns"), "missing total_ns")?,
-            stages,
-            counters,
-            spans,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -252,31 +169,39 @@ mod tests {
         tel.counters().add(Counter::IsoTestsRun, 11);
         tel.counters().add(Counter::VerifiedFrequent, 3);
         let report = RunReport::capture("incpartminer", &tel);
-        let parsed = RunReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed, report);
-    }
-
-    #[test]
-    fn absorb_merges_stats() {
-        struct Fake;
-        impl ReportSource for Fake {
-            fn stage_totals(&self) -> Vec<StageTotal> {
-                vec![StageTotal { name: "partition".into(), total_ns: 50, count: 1 }]
-            }
-            fn counter_totals(&self) -> Vec<(&'static str, u64)> {
-                vec![(Counter::CandidatesGenerated.name(), 5), ("custom_total", 2)]
-            }
+        let json = JsonValue::parse(&report.to_json()).unwrap();
+        fn num(v: &JsonValue, key: &str) -> Option<u64> {
+            v.field(key).and_then(JsonValue::as_num)
         }
-        let tel = Telemetry::new();
-        {
-            let _p = tel.span("partition");
+        fn text<'v>(v: &'v JsonValue, key: &str) -> Option<&'v str> {
+            v.field(key).and_then(JsonValue::as_str)
         }
-        tel.counters().add(Counter::CandidatesGenerated, 1);
-        let mut report = RunReport::capture("partminer", &tel);
-        let base_partition = report.stage_ns("partition");
-        report.absorb(&Fake);
-        assert_eq!(report.stage_ns("partition"), base_partition + 50);
-        assert_eq!(report.counter(Counter::CandidatesGenerated), 6);
-        assert!(report.counters.iter().any(|(n, v)| n == "custom_total" && *v == 2));
+        assert_eq!(text(&json, "algo"), Some("incpartminer"));
+        assert_eq!(num(&json, "total_ns"), Some(report.total_ns));
+        let stages = json.field("stages").and_then(JsonValue::as_arr).unwrap();
+        let stages: Vec<_> = stages
+            .iter()
+            .map(|s| StageTotal {
+                name: text(s, "name").unwrap().into(),
+                total_ns: num(s, "total_ns").unwrap(),
+                count: num(s, "count").unwrap(),
+            })
+            .collect();
+        assert_eq!(stages, report.stages);
+        let counters = json.field("counters").and_then(JsonValue::as_obj).unwrap();
+        let counters: Vec<_> =
+            counters.iter().map(|(n, v)| (n.clone(), v.as_num().unwrap())).collect();
+        assert_eq!(counters, report.counters);
+        let spans = json.field("spans").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(spans.len(), report.spans.len());
+        for (got, want) in spans.iter().zip(&report.spans) {
+            assert_eq!(num(got, "id"), Some(want.id));
+            assert_eq!(num(got, "parent"), want.parent);
+            assert_eq!(text(got, "name"), Some(want.name.as_str()));
+            assert_eq!(num(got, "node"), want.node);
+            assert_eq!(text(got, "thread"), Some(want.thread.as_str()));
+            assert_eq!(num(got, "start_ns"), Some(want.start_ns));
+            assert_eq!(num(got, "dur_ns"), Some(want.dur_ns));
+        }
     }
 }

@@ -200,16 +200,15 @@ mod tests {
     fn worker_thread_spans_root_at_their_thread() {
         let tel = Telemetry::new();
         let _root = tel.span("mine");
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for unit in 0..4u64 {
                 let tel = &tel;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let _s = tel.span_node("unit_mine", unit);
                     tel.counters().bump(Counter::UnitsMined);
                 });
             }
-        })
-        .expect("scope");
+        });
         drop(_root);
         let spans = tel.spans();
         let workers: Vec<_> = spans.iter().filter(|s| s.name == "unit_mine").collect();
@@ -226,18 +225,17 @@ mod tests {
     #[test]
     fn counters_accumulate_across_threads() {
         let tel = Telemetry::new();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..8 {
                 let tel = &tel;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..1000 {
                         tel.counters().bump(Counter::IsoTestsRun);
                     }
                     tel.counters().add(Counter::CandidatesGenerated, 5);
                 });
             }
-        })
-        .expect("scope");
+        });
         assert_eq!(tel.counters().get(Counter::IsoTestsRun), 8000);
         assert_eq!(tel.counters().get(Counter::CandidatesGenerated), 40);
     }

@@ -14,20 +14,21 @@ fn main() {
     let db = generate(&params);
     println!("dataset {}: {} graphs, {} edges total", params.name(), db.len(), db.total_edges());
 
-    // Static database: all update frequencies are zero.
-    let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
-
-    // Mine at 5% minimum support with k = 2 units.
+    // Mine at 5% minimum support with k = 2 units. The database is static,
+    // so the table of vertex update frequencies is empty.
     let min_sup = db.abs_support(0.05);
     let miner = PartMiner::new(PartMinerConfig::with_k(2));
-    let outcome = miner.mine(&db, &ufreq, min_sup);
+    let outcome = miner.mine(&db, &[], min_sup);
 
+    // The merge-join walks' work: children generated, children decided on
+    // their exact support, and children accepted on a unit's result.
+    let merge = outcome.stats.merge;
     println!(
         "found {} frequent subgraphs at support >= {min_sup} ({} candidates, {} counted, {} via unit shortcut)",
         outcome.patterns.len(),
-        outcome.stats.merge.candidates,
-        outcome.stats.merge.counted,
-        outcome.stats.merge.shortcut,
+        merge.extensions,
+        merge.frequent + merge.infrequent,
+        merge.shortcut,
     );
     println!(
         "partition {:.1?} | units {:.1?} | merge {:.1?} | total {:.1?}",

@@ -62,10 +62,9 @@ fn dynamic_lifecycle_stays_consistent_across_batches() {
 fn quickstart_api_surface() {
     // The README's quickstart, as a test: mine, inspect, update, re-mine.
     let db = generate(&GenParams::new(30, 6, 4, 6, 3));
-    let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
     let sup = db.abs_support(0.2);
 
-    let outcome = PartMiner::new(PartMinerConfig::with_k(2)).mine(&db, &ufreq, sup);
+    let outcome = PartMiner::new(PartMinerConfig::with_k(2)).mine(&db, &[], sup);
     assert!(!outcome.patterns.is_empty());
     for p in outcome.patterns.iter() {
         assert!(p.support >= sup);

@@ -18,14 +18,9 @@ fn synthetic_db() -> GraphDb {
     generate(&GenParams::new(50, 9, 4, 8, 3))
 }
 
-fn zero_ufreq(db: &GraphDb) -> Vec<Vec<f64>> {
-    db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect()
-}
-
 #[test]
 fn partition_tree_recovers_graphs_for_every_partitioner() {
     let db = synthetic_db();
-    let uf = zero_ufreq(&db);
     let partitioners: Vec<Box<dyn graphmine_partition::Bipartitioner>> = vec![
         Box::new(GraphPart::new(Criteria::ISOLATE_UPDATES)),
         Box::new(GraphPart::new(Criteria::MIN_CONNECTIVITY)),
@@ -34,7 +29,7 @@ fn partition_tree_recovers_graphs_for_every_partitioner() {
     ];
     for p in &partitioners {
         for k in [2, 3, 5] {
-            let part = DbPartition::build(&db, &uf, p.as_ref(), k);
+            let part = DbPartition::build(&db, &[], p.as_ref(), k);
             for gid in 0..db.len() as u32 {
                 let rec = part.recovered_graph(gid);
                 let orig = db.graph(gid);
@@ -85,8 +80,7 @@ fn shortcut_supports_are_sound_lower_bounds() {
     let db = synthetic_db();
     let sup = db.abs_support(0.15);
     let reference = GSpan::new().mine(&db, sup);
-    let uf = zero_ufreq(&db);
-    let outcome = PartMiner::new(PartMinerConfig::with_k(4)).mine(&db, &uf, sup);
+    let outcome = PartMiner::new(PartMinerConfig::with_k(4)).mine(&db, &[], sup);
     // A unit result is a lower bound the walk leans on for the canonical
     // test only: what is reported is the exact support.
     assert!(outcome.patterns.same_codes_and_supports(&reference));

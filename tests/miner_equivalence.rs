@@ -17,7 +17,6 @@ fn synthetic_db() -> GraphDb {
 #[test]
 fn all_systems_agree_on_synthetic_data() {
     let db = synthetic_db();
-    let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
 
     for rel_sup in [0.10, 0.25] {
         let sup = db.abs_support(rel_sup);
@@ -40,7 +39,7 @@ fn all_systems_agree_on_synthetic_data() {
         assert!(disk.same_codes_and_supports(&reference), "ADIMINE vs gSpan at {rel_sup}");
 
         for k in [2usize, 4] {
-            let pm = PartMiner::new(PartMinerConfig::with_k(k)).mine(&db, &ufreq, sup);
+            let pm = PartMiner::new(PartMinerConfig::with_k(k)).mine(&db, &[], sup);
             assert!(
                 pm.patterns.same_codes_and_supports(&reference),
                 "PartMiner k={k} vs gSpan at {rel_sup}: {} vs {}",
@@ -64,7 +63,6 @@ fn embedding_list_matrix_is_exact() {
     for seed in [3u64, 41, 977] {
         let params = GenParams::new(40, 8, 5, 12, 3).with_seed(seed);
         let db = generate(&params);
-        let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
         let sup = db.abs_support(0.15);
         let reference = GSpan::new().mine(&db, sup);
         let repro = format!(
@@ -88,7 +86,7 @@ fn embedding_list_matrix_is_exact() {
         for parallel in [false, true] {
             let mut cfg = PartMinerConfig::with_k(2);
             cfg.parallel = parallel;
-            let pm = PartMiner::new(cfg).mine(&db, &ufreq, sup);
+            let pm = PartMiner::new(cfg).mine(&db, &[], sup);
             assert!(
                 pm.patterns.same_codes_and_supports(&reference),
                 "PartMiner (parallel {parallel}) vs gSpan: {} vs {} — {repro}",
@@ -133,7 +131,6 @@ fn miners_agree_at_low_support_with_cap() {
 fn support_boundaries_across_the_miner_matrix() {
     let params = GenParams::new(8, 5, 4, 6, 3).with_seed(99);
     let db = generate(&params);
-    let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
     let cap = 4;
     let d = db.len() as u32;
 
@@ -171,7 +168,7 @@ fn support_boundaries_across_the_miner_matrix() {
                 let mut cfg = PartMinerConfig::with_k(k);
                 cfg.max_edges = Some(cap);
                 cfg.parallel = parallel;
-                let pm = PartMiner::new(cfg).mine(&db, &ufreq, sup);
+                let pm = PartMiner::new(cfg).mine(&db, &[], sup);
                 assert!(
                     pm.patterns.same_codes_and_supports(&reference),
                     "PartMiner (k={k}, parallel {parallel}) at sup {sup}: {} vs {} — {repro}",

@@ -1,4 +1,4 @@
-//! Regression: the parallel merge-join folded `MergeStats` in thread
+//! Regression: the parallel merge-join folded its stats in thread
 //! *completion* order and could drop or double-absorb a chunk's counters
 //! under racy schedules. The executor now returns per-job results in
 //! submission order, so the totals are a pure function of the work list —
@@ -45,20 +45,15 @@ fn parallel_merge_stats_match_serial_on_a_large_batch() {
     );
 
     let exec = Executor::new(4);
-    let run = |executor: Option<&Executor>| {
+    let run = |executor: &Executor| {
         let tel = Telemetry::new();
-        let ctx = MergeContext {
-            db: &db,
-            min_support: 2,
-            max_edges: Some(4),
-            executor,
-            telemetry: Some(&tel),
-        };
+        let ctx =
+            MergeContext { db: &db, min_support: 2, max_edges: Some(4), executor, telemetry: &tel };
         let (merged, stats) = merge_join(&ctx, &[&p0, &p1]);
         (merged, stats, tel.counters().snapshot())
     };
-    let (serial, serial_stats, serial_counts) = run(None);
-    let (parallel, parallel_stats, parallel_counts) = run(Some(&exec));
+    let (serial, serial_stats, serial_counts) = run(&Executor::new(1));
+    let (parallel, parallel_stats, parallel_counts) = run(&exec);
     assert!(
         serial.same_codes_and_supports(&parallel),
         "serial {} vs parallel {} patterns",

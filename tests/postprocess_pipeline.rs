@@ -9,10 +9,9 @@ use graphmine_miner::{closed_patterns, maximal_patterns};
 #[test]
 fn closed_and_maximal_from_partminer_output() {
     let db = generate(&GenParams::new(50, 8, 4, 8, 3));
-    let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
     let sup = db.abs_support(0.2);
     let cfg = PartMinerConfig::with_k(2);
-    let all = PartMiner::new(cfg).mine(&db, &ufreq, sup).patterns;
+    let all = PartMiner::new(cfg).mine(&db, &[], sup).patterns;
 
     let closed = closed_patterns(&all);
     let maximal = maximal_patterns(&all);
@@ -35,9 +34,8 @@ fn closed_and_maximal_from_partminer_output() {
 #[test]
 fn pattern_file_round_trips_partminer_results() {
     let db = generate(&GenParams::new(40, 7, 4, 8, 3));
-    let ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
     let cfg = PartMinerConfig::with_k(3);
-    let all = PartMiner::new(cfg).mine(&db, &ufreq, db.abs_support(0.25)).patterns;
+    let all = PartMiner::new(cfg).mine(&db, &[], db.abs_support(0.25)).patterns;
 
     let mut bytes = Vec::new();
     pattern_io::write_patterns(&mut bytes, &all).unwrap();

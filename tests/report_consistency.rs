@@ -1,5 +1,6 @@
 //! Integration: the telemetry `RunReport` must reconcile with the pattern
-//! sets and ad-hoc stats the pipeline returns — counters are not decorative.
+//! sets and the walk stats the pipeline returns — counters are not
+//! decorative.
 
 use graphmine_core::{
     merge_join, Executor, IncPartMiner, MergeContext, PartMiner, PartMinerConfig,
@@ -9,14 +10,36 @@ use graphmine_datagen::{
 };
 use graphmine_graph::GraphDb;
 use graphmine_miner::{GSpan, MemoryMiner};
-use graphmine_telemetry::{Counter, RunReport, Telemetry};
+use graphmine_telemetry::{Counter, JsonValue, RunReport, Telemetry};
 
 fn synthetic_db() -> GraphDb {
     generate(&GenParams::new(60, 10, 5, 10, 4))
 }
 
-fn zero_ufreq(db: &GraphDb) -> Vec<Vec<f64>> {
-    db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect()
+/// Asserts that the JSON form of `report` (what `mine --report` writes)
+/// carries its stages and counters, in order.
+fn assert_json_carries(report: &RunReport) {
+    let json = JsonValue::parse(&report.to_json()).expect("a report is JSON");
+    let stages = json.field("stages").and_then(JsonValue::as_arr).expect("stages");
+    let stages: Vec<(&str, u64, u64)> = stages
+        .iter()
+        .map(|s| {
+            let num = |key| s.field(key).and_then(JsonValue::as_num).expect(key);
+            (
+                s.field("name").and_then(JsonValue::as_str).expect("name"),
+                num("total_ns"),
+                num("count"),
+            )
+        })
+        .collect();
+    let want: Vec<_> =
+        report.stages.iter().map(|s| (s.name.as_str(), s.total_ns, s.count)).collect();
+    assert_eq!(stages, want, "stages");
+    let counters = json.field("counters").and_then(JsonValue::as_obj).expect("counters");
+    let counters: Vec<(&str, u64)> =
+        counters.iter().map(|(n, v)| (n.as_str(), v.as_num().expect("a count"))).collect();
+    let want: Vec<_> = report.counters.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+    assert_eq!(counters, want, "counters");
 }
 
 /// With `k = 2` exactly one merge-join runs and its output *is* the final
@@ -33,10 +56,9 @@ fn partminer_report_reconciles_exact() {
     let db = generate(&GenParams::new(1000, 10, 5, 10, 4));
     let sup = db.abs_support(0.1);
     let cfg = PartMinerConfig::with_k(2);
-    let ufreq = zero_ufreq(&db);
 
     let tel = Telemetry::new();
-    let outcome = PartMiner::new(cfg).mine_instrumented(&db, &ufreq, sup, &tel);
+    let outcome = PartMiner::new(cfg).mine_instrumented(&db, &[], sup, &tel);
     let report = RunReport::capture("partminer", &tel);
 
     assert_eq!(
@@ -47,9 +69,9 @@ fn partminer_report_reconciles_exact() {
     assert_eq!(report.counter(Counter::UnitsMined), 2);
     assert_eq!(report.counter(Counter::NodesMerged), 1);
 
-    // The ad-hoc MergeStats and the telemetry counters tally the same events.
-    assert_eq!(report.counter(Counter::CandidatesGenerated), outcome.stats.merge.candidates as u64);
-    assert_eq!(report.counter(Counter::BoundShortcut), outcome.stats.merge.shortcut as u64);
+    // The counters mirror the merge-join walk's own stats.
+    assert_eq!(report.counter(Counter::CandidatesGenerated), outcome.stats.merge.extensions);
+    assert_eq!(report.counter(Counter::BoundShortcut), outcome.stats.merge.shortcut);
 
     // Serial run: the top-level stages partition the wall time, and they
     // are these three — a step's inner span (`partition_split`,
@@ -67,9 +89,7 @@ fn partminer_report_reconciles_exact() {
         report.total_ns
     );
 
-    // The JSON form is lossless.
-    let parsed = RunReport::from_json(&report.to_json()).unwrap();
-    assert_eq!(parsed, report);
+    assert_json_carries(&report);
 }
 
 #[test]
@@ -101,8 +121,7 @@ fn incpartminer_report_reconciles() {
     assert_eq!(remine.count, inc.stats.units_remined as u64);
     assert_eq!(report.stages.iter().find(|s| s.name == "merge_join").unwrap().count, 1);
 
-    let parsed = RunReport::from_json(&report.to_json()).unwrap();
-    assert_eq!(parsed, report);
+    assert_json_carries(&report);
 }
 
 /// The work counters of the projected walk, in the order the pins below
@@ -139,7 +158,7 @@ fn walk_counters_are_pinned() {
     let partminer = |k: usize| {
         counted(&|tel| {
             let cfg = PartMinerConfig::with_k(k);
-            PartMiner::new(cfg).mine_instrumented(&db, &zero_ufreq(&db), sup, tel);
+            PartMiner::new(cfg).mine_instrumented(&db, &[], sup, tel);
         })
     };
     // A daemon boot: the merge-join with no piece results, on the pool.
@@ -149,8 +168,8 @@ fn walk_counters_are_pinned() {
             db: &db,
             min_support: sup,
             max_edges: None,
-            executor: Some(&exec),
-            telemetry: Some(tel),
+            executor: &exec,
+            telemetry: tel,
         };
         merge_join(&ctx, &[]);
     });
