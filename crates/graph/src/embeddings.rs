@@ -187,12 +187,6 @@ impl EmbeddingList {
         self.edges(row).contains(&eid)
     }
 
-    /// The code vertex that row `row` maps onto subject vertex `v`, if any.
-    #[inline]
-    pub fn code_vertex_of(&self, row: usize, v: VertexId) -> Option<u32> {
-        self.vertices(row).iter().position(|&x| x == v).map(|i| i as u32)
-    }
-
     /// Appends a row. Rows must arrive in non-decreasing gid order.
     pub fn push(&mut self, gid: GraphId, vertices: &[VertexId], edges: &[u32]) {
         debug_assert_eq!(vertices.len(), self.vcount);

@@ -42,12 +42,15 @@ pub fn edge_triple(lu: VLabel, le: ELabel, lv: VLabel) -> (VLabel, ELabel, VLabe
 /// Words of the block one edge takes: `u`, `v`, label.
 const EDGE_WORDS: usize = 3;
 
-/// Record of one [`Graph::delete_edge`]: the removed edge's endpoints and
-/// label, plus the id-remap it caused. Deletion is a swap-remove — when
+/// Record of one [`Graph::delete_edge`]: the removed edge's id, endpoints
+/// and label, plus the id-remap it caused. Deletion is a swap-remove — when
 /// `moved` is `Some(old)`, the edge previously identified by `old` (the
 /// highest id at the time of the call) now carries the deleted edge's id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeRemoval {
+    /// Id of the removed edge (at the time of the call), which the moved
+    /// edge, if any, now carries.
+    pub e: EdgeId,
     /// First endpoint of the removed edge (id at the time of the call).
     pub u: VertexId,
     /// Second endpoint of the removed edge (id at the time of the call).
@@ -345,7 +348,7 @@ impl Graph {
             last
         });
         self.drop_last_edge();
-        Ok(EdgeRemoval { u, v, label, moved })
+        Ok(EdgeRemoval { e, u, v, label, moved })
     }
 
     /// Deletes vertex `v`, cascading to its incident edges, and returns a
@@ -1059,7 +1062,7 @@ mod tests {
     fn delete_edge_swap_removes_and_remaps() {
         let mut g = path5();
         let rec = g.delete_edge(1).unwrap();
-        assert_eq!((rec.u, rec.v, rec.label), (1, 2, 11));
+        assert_eq!((rec.e, rec.u, rec.v, rec.label), (1, 1, 2, 11));
         assert_eq!(rec.moved, Some(4), "edge 4 renumbered into slot 1");
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.edge(1), (0, 4, 14), "moved edge answers under its new id");

@@ -263,9 +263,11 @@ fn triple_bit((lu, le, lv): (VLabel, ELabel, VLabel)) -> u64 {
 /// The screen: `true` when `g` has, for every triple of `needed` (sorted,
 /// with multiplicities), at least that many edges carrying it. One pass
 /// over `g`'s edges, tallied into `have` (one slot per `needed` entry) and
-/// left as soon as the last triple is met. An edge whose triple misses
-/// `mask` (the needed triples' [`triple_bit`]s) is passed over without a
-/// search.
+/// left as soon as the last triple is met, or as soon as the edges left
+/// are fewer than the copies still missing — so a graph with fewer edges
+/// than the code is ruled out before its first edge is read. An edge
+/// whose triple misses `mask` (the needed triples' [`triple_bit`]s) is
+/// passed over without a search.
 fn has_triples(
     g: &Graph,
     needed: &[((VLabel, ELabel, VLabel), u32)],
@@ -273,11 +275,13 @@ fn has_triples(
     have: &mut [u32],
 ) -> bool {
     have.fill(0);
-    let mut short = needed.len();
-    for t in g.edge_triples() {
-        if short == 0 {
+    let mut missing: usize = needed.iter().map(|&(_, n)| n as usize).sum();
+    let (mut triples, mut left) = (g.edge_triples(), g.edge_count());
+    while missing > 0 && left >= missing {
+        let Some(t) = triples.next() else {
             break;
-        }
+        };
+        left -= 1;
         if triple_bit(t) & mask == 0 {
             continue;
         }
@@ -292,10 +296,10 @@ fn has_triples(
         }
         if have[i] < needed[i].1 {
             have[i] += 1;
-            short -= usize::from(have[i] == needed[i].1);
+            missing -= 1;
         }
     }
-    short == 0
+    missing == 0
 }
 
 #[cfg(test)]

@@ -12,11 +12,16 @@
 //! # Id stability under deletion
 //!
 //! Vertex and edge ids stay dense across deletions via swap-remove: the
-//! highest id is renumbered into the freed slot (see
-//! [`Graph::delete_edge`] / [`Graph::delete_vertex`] and their removal
-//! records). Identifiers in an update sequence therefore refer to the
-//! graph's state *at the moment that update applies*, including any
-//! renumbering performed by earlier deletes in the same sequence.
+//! highest id is renumbered into the freed slot. Identifiers in an update
+//! sequence therefore refer to the graph's state *at the moment that update
+//! applies*, including any renumbering performed by earlier deletes in the
+//! same sequence.
+//!
+//! The removal records of [`Graph::delete_edge`] and
+//! [`Graph::delete_vertex`] are the one description of how a delete
+//! renumbers ids: which edges a cascade removed, in which order, and which
+//! ids moved. Whatever follows a graph (the partition tree's pieces, the
+//! daemon's window tracker) replays that record rather than re-deriving it.
 
 use crate::{ELabel, EdgeId, Graph, GraphError, GraphId, VLabel, VertexId};
 
@@ -72,47 +77,30 @@ pub enum GraphUpdate {
 }
 
 impl GraphUpdate {
-    /// Applies the update to `g`. For `AddVertex` the new vertex id is
-    /// returned; for `AddEdge` nothing is — the new edge's id is
-    /// `g.edge_count() - 1` immediately afterwards, but that id is stable
-    /// only until the next `DeleteEdge`/`DeleteVertex`, which may renumber
-    /// it via swap-remove (see the module docs).
+    /// Applies the update to `g`. An added vertex or edge takes the next
+    /// id (`g.vertex_count() - 1` or `g.edge_count() - 1` immediately
+    /// afterwards), stable only until the next `DeleteEdge`/`DeleteVertex`,
+    /// which may renumber it via swap-remove (see the module docs).
     ///
     /// # Errors
     ///
     /// Propagates [`GraphError`] for out-of-range ids, self-loops, and
     /// duplicate edges. Failed updates never half-apply.
-    pub fn apply(&self, g: &mut Graph) -> Result<Option<VertexId>, GraphError> {
+    pub fn apply(&self, g: &mut Graph) -> Result<(), GraphError> {
         match *self {
-            GraphUpdate::RelabelVertex { v, label } => {
-                g.set_vlabel(v, label)?;
-                Ok(None)
-            }
-            GraphUpdate::RelabelEdge { e, label } => {
-                g.set_elabel(e, label)?;
-                Ok(None)
-            }
-            GraphUpdate::AddEdge { u, v, label } => {
-                g.add_edge(u, v, label)?;
-                Ok(None)
-            }
+            GraphUpdate::RelabelVertex { v, label } => g.set_vlabel(v, label),
+            GraphUpdate::RelabelEdge { e, label } => g.set_elabel(e, label),
+            GraphUpdate::AddEdge { u, v, label } => g.add_edge(u, v, label).map(drop),
             GraphUpdate::AddVertex { label, attach_to, elabel } => {
                 // Pre-check with the same shared bounds check `add_edge`
                 // uses, so the vertex push below cannot half-apply (and the
                 // reported `len` matches the pre-update graph).
                 g.check_vertex(attach_to)?;
                 let nv = g.add_vertex(label);
-                g.add_edge(attach_to, nv, elabel)?;
-                Ok(Some(nv))
+                g.add_edge(attach_to, nv, elabel).map(drop)
             }
-            GraphUpdate::DeleteEdge { e } => {
-                g.delete_edge(e)?;
-                Ok(None)
-            }
-            GraphUpdate::DeleteVertex { v } => {
-                g.delete_vertex(v)?;
-                Ok(None)
-            }
+            GraphUpdate::DeleteEdge { e } => g.delete_edge(e).map(drop),
+            GraphUpdate::DeleteVertex { v } => g.delete_vertex(v).map(drop),
         }
     }
 
@@ -193,10 +181,8 @@ mod tests {
         assert_eq!(g.vlabel(0), 9);
         GraphUpdate::RelabelEdge { e: 0, label: 6 }.apply(&mut g).unwrap();
         assert_eq!(g.edge(0).2, 6);
-        let nv = GraphUpdate::AddVertex { label: 2, attach_to: 1, elabel: 7 }
-            .apply(&mut g)
-            .unwrap()
-            .unwrap();
+        GraphUpdate::AddVertex { label: 2, attach_to: 1, elabel: 7 }.apply(&mut g).unwrap();
+        let nv = g.vertex_count() as VertexId - 1;
         assert_eq!(g.vlabel(nv), 2);
         GraphUpdate::AddEdge { u: 0, v: nv, label: 8 }.apply(&mut g).unwrap();
         assert_eq!(g.edge_count(), 3);

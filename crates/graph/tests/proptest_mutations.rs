@@ -87,7 +87,7 @@ fn step(g: &mut Graph, model: &mut Model, op: &Op) {
             let e = e % m;
             let rec = g.delete_edge(e).expect("in range");
             let (u, v, label) = model.edges[e as usize];
-            prop_assert_eq!((rec.u, rec.v, rec.label), (u, v, label));
+            prop_assert_eq!((rec.e, rec.u, rec.v, rec.label), (e, u, v, label));
             prop_assert_eq!(rec.moved, (e != m - 1).then_some(m - 1));
             model.edges.swap_remove(e as usize);
         }
@@ -102,7 +102,10 @@ fn step(g: &mut Graph, model: &mut Model, op: &Op) {
             for (j, removal) in incident.into_iter().zip(&rec.removed_edges) {
                 let (u, v, label) = model.edges[j];
                 let last = model.edges.len() - 1;
-                prop_assert_eq!((removal.u, removal.v, removal.label), (u, v, label));
+                prop_assert_eq!(
+                    (removal.e, removal.u, removal.v, removal.label),
+                    (j as u32, u, v, label)
+                );
                 prop_assert_eq!(removal.moved, (j != last).then_some(last as u32));
                 model.edges.swap_remove(j);
             }

@@ -8,14 +8,17 @@
 //! levels, then the first `k − 2^l` nodes of the last level are split once
 //! more).
 //!
-//! The tree also supports **incremental maintenance** under the paper's
-//! three update types ([`DbPartition::apply_update`]): an update is applied
-//! to the root database and propagated down to exactly the pieces that
-//! contain the touched vertices/edges — new cross edges become connective
-//! edges (present in both children), new vertices grow the single piece
-//! their attachment point lives in. The method reports which units were
-//! touched, which is the `set` word IncPartMiner uses to decide what to
-//! re-mine (Fig. 12, line 4).
+//! The tree also supports **incremental maintenance**
+//! ([`DbPartition::apply_update`]). The root applies each update through
+//! the graph's own mutators, which refuse an invalid one before any piece
+//! changes; the pieces then follow what the root did. A relabel or a delete
+//! reaches exactly the pieces that hold its vertex or edge, and a delete
+//! replays the root graph's removal record (the edges a cascade removed,
+//! and every id a swap-remove moved). A new cross edge becomes a connective
+//! edge (present in both children); a new vertex grows the single piece its
+//! attachment point lives in. The method reports which units were touched,
+//! which is the `set` word IncPartMiner uses to decide what to re-mine
+//! (Fig. 12, line 4).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -118,42 +121,53 @@ impl PartNode {
         self.edge_map(gid).iter().position(|&e| e == orig_e).map(|i| i as EdgeId)
     }
 
-    /// Records a vertex just added to the piece of `gid`: its entry goes at
-    /// the vertex map's end, before the edge map. At the root the new
-    /// vertex is its own original, so there is nothing to record.
-    fn push_vertex(&mut self, gid: GraphId, orig_v: VertexId) {
-        if !self.is_root() {
-            let at = self.map_split(gid) - 1;
-            self.maps[gid as usize].insert(at, orig_v);
-        }
+    /// Adds original edge `orig_e` between the original vertices of
+    /// `ends` (each with its label) to the piece of `gid`, first adding an
+    /// end the piece lacks; the maps record every addition (a vertex entry
+    /// goes at the vertex map's end, before the edge map).
+    fn add_edge(
+        &mut self,
+        gid: GraphId,
+        ends: [(VertexId, VLabel); 2],
+        label: ELabel,
+        orig_e: EdgeId,
+    ) {
+        let [pu, pv] = ends.map(|(orig_v, vlabel)| {
+            self.position_of_vertex(gid, orig_v).unwrap_or_else(|| {
+                let pv = self.db.graph_mut(gid).add_vertex(vlabel);
+                self.maps[gid as usize].insert(pv as usize, orig_v);
+                pv
+            })
+        });
+        self.db.graph_mut(gid).add_edge(pu, pv, label).expect("the root took the edge: it is new");
+        self.maps[gid as usize].push(orig_e);
     }
 
-    /// Records an edge just added to the piece of `gid`.
-    fn push_edge(&mut self, gid: GraphId, orig_e: EdgeId) {
-        if !self.is_root() {
-            self.maps[gid as usize].push(orig_e);
+    /// Applies a relabel or a delete, in this piece's ids, to the piece of
+    /// `gid`. A delete's swap-remove is mirrored on the maps: the entry of
+    /// the element that took the freed id moves into its slot, and the
+    /// map's last slot goes (the edge map ends the block, so the block's
+    /// swap-remove is the edge map's).
+    fn apply(&mut self, gid: GraphId, update: GraphUpdate) {
+        let g = self.db.graph_mut(gid);
+        update.apply(g).expect("a mapped id is in range");
+        let (split, edges) = (g.vertex_count(), g.edge_count());
+        let maps = &mut self.maps[gid as usize];
+        match update {
+            GraphUpdate::DeleteEdge { e } => {
+                maps.swap_remove(split + e as usize);
+            }
+            GraphUpdate::DeleteVertex { v } => {
+                maps[v as usize] = maps[split];
+                maps.remove(split);
+            }
+            _ => {}
         }
-    }
-
-    /// Mirrors the piece graph's swap-remove of vertex `pv`: the entry of
-    /// the vertex that took `pv`'s id moves into its slot, and the vertex
-    /// map's last slot goes.
-    fn swap_remove_vertex(&mut self, gid: GraphId, pv: VertexId) {
-        if !self.is_root() {
-            let last = self.map_split(gid);
-            let maps = &mut self.maps[gid as usize];
-            maps[pv as usize] = maps[last];
-            maps.remove(last);
-        }
-    }
-
-    /// Mirrors the piece graph's swap-remove of edge `pe` (the edge map
-    /// ends the block, so the block's swap-remove is the edge map's).
-    fn swap_remove_edge(&mut self, gid: GraphId, pe: EdgeId) {
-        if !self.is_root() {
-            let at = self.map_split(gid) + pe as usize;
-            self.maps[gid as usize].swap_remove(at);
-        }
+        debug_assert_eq!(
+            maps.len(),
+            split + edges,
+            "the maps cover the piece's vertices and edges"
+        );
     }
 
     /// Renames original element `old` to `new` in the vertex map
@@ -553,83 +567,57 @@ impl DbPartition {
     /// Returns a [`GraphError`] (and changes nothing) if the update is not
     /// applicable to the current root database.
     pub fn apply_update_impact(&mut self, up: DbUpdate) -> Result<UpdateImpact, GraphError> {
-        let gid = up.gid;
-        if gid as usize >= self.nodes[self.root].db.len() {
-            return Err(GraphError::GraphOutOfRange {
-                graph: gid,
-                len: self.nodes[self.root].db.len() as u32,
-            });
+        let DbUpdate { gid, update } = up;
+        let root = &mut self.nodes[self.root].db;
+        if gid as usize >= root.len() {
+            return Err(GraphError::GraphOutOfRange { graph: gid, len: root.len() as u32 });
         }
-        self.validate(gid, &up.update)?;
-
-        let mut touched: Vec<NodeId> = Vec::new();
-        match up.update {
-            GraphUpdate::RelabelVertex { v, label } => {
-                self.relabel_vertex_rec(self.root, gid, v, label, &mut touched);
-            }
-            GraphUpdate::RelabelEdge { e, label } => {
-                self.relabel_edge_rec(self.root, gid, e, label, &mut touched);
+        // The root applies the update through the graph's own mutators,
+        // which refuse an invalid one before anything changes; the pieces
+        // then follow what the root did.
+        let root_g = root.graph_mut(gid);
+        let mut touched = vec![self.root];
+        match update {
+            GraphUpdate::RelabelVertex { .. } | GraphUpdate::RelabelEdge { .. } => {
+                update.apply(root_g)?;
+                self.follow(gid, update, None, &mut touched);
             }
             GraphUpdate::AddEdge { u, v, label } => {
-                let root_g = self.nodes[self.root].db.graph(gid);
-                let orig_e = root_g.edge_count() as EdgeId;
-                let lu = root_g.vlabel(u);
-                let lv = root_g.vlabel(v);
-                let uf_u = self.ufreq(gid, u);
-                let uf_v = self.ufreq(gid, v);
-                self.add_edge_rec(
-                    self.root,
-                    gid,
-                    (u, lu, uf_u),
-                    (v, lv, uf_v),
-                    label,
-                    orig_e,
-                    &mut touched,
-                );
+                update.apply(root_g)?;
+                let ends = [(u, root_g.vlabel(u)), (v, root_g.vlabel(v))];
+                let orig_e = root_g.edge_count() as EdgeId - 1;
+                self.add_edge_below(self.root, gid, ends, label, orig_e, &mut touched);
             }
             GraphUpdate::AddVertex { label, attach_to, elabel } => {
-                let root_g = self.nodes[self.root].db.graph(gid);
-                let new_orig_v = root_g.vertex_count() as VertexId;
-                let orig_e = root_g.edge_count() as EdgeId;
-                let l_at = root_g.vlabel(attach_to);
-                let uf_at = self.ufreq(gid, attach_to);
-                self.add_vertex_rec(
-                    self.root,
-                    gid,
-                    (attach_to, l_at, uf_at),
-                    (new_orig_v, label),
-                    elabel,
-                    orig_e,
-                    &mut touched,
-                );
+                update.apply(root_g)?;
+                let ends = [
+                    (attach_to, root_g.vlabel(attach_to)),
+                    (root_g.vertex_count() as VertexId - 1, label),
+                ];
+                let orig_e = root_g.edge_count() as EdgeId - 1;
+                self.add_vertex_below(gid, ends, elabel, orig_e, &mut touched);
+                // A new vertex starts at 0 (no further planned updates).
+                if let Some(row) = self.ufreq.get_mut(&gid) {
+                    row.push(0.0);
+                }
             }
             GraphUpdate::DeleteEdge { e } => {
-                let last = self.nodes[self.root].db.graph(gid).edge_count() as EdgeId - 1;
-                self.delete_edge_rec(self.root, gid, e, &mut touched);
-                if e != last {
-                    self.remap_edge(gid, last, e);
-                }
+                let removal = root_g.delete_edge(e)?;
+                self.follow(gid, update, removal.moved, &mut touched);
                 self.deletes_applied = true;
             }
             GraphUpdate::DeleteVertex { v } => {
-                let root_g = self.nodes[self.root].db.graph(gid);
-                let last_v = root_g.vertex_count() as VertexId - 1;
-                // Cascade exactly like `Graph::delete_vertex`: incident
-                // edges highest original id first, each a swap-remove whose
-                // renumbering is mirrored into every node's edge map.
-                let mut incident: Vec<EdgeId> = root_g.neighbors(v).iter().map(|a| a.eid).collect();
-                incident.sort_unstable_by(|a, b| b.cmp(a));
-                let mut m = root_g.edge_count() as EdgeId;
-                for e in incident {
-                    self.delete_edge_rec(self.root, gid, e, &mut touched);
-                    m -= 1;
-                    if e != m {
-                        self.remap_edge(gid, m, e);
-                    }
+                let removal = root_g.delete_vertex(v)?;
+                for edge in removal.removed_edges {
+                    let delete = GraphUpdate::DeleteEdge { e: edge.e };
+                    self.follow(gid, delete, edge.moved, &mut touched);
                 }
-                self.delete_vertex_rec(self.root, gid, v, &mut touched);
-                if v != last_v {
-                    self.remap_vertex(gid, last_v, v);
+                self.follow(gid, update, removal.moved_vertex, &mut touched);
+                if let Some(row) = self.ufreq.get_mut(&gid) {
+                    row.swap_remove(v as usize);
+                    if row.iter().all(|f| is_zero(*f)) {
+                        self.ufreq.remove(&gid);
+                    }
                 }
                 self.deletes_applied = true;
             }
@@ -648,230 +636,67 @@ impl DbPartition {
         self.ufreq.get(&gid).map_or(0.0, |row| row[v as usize])
     }
 
-    fn validate(&self, gid: GraphId, update: &GraphUpdate) -> Result<(), GraphError> {
-        let g = self.nodes[self.root].db.graph(gid);
-        let n = g.vertex_count() as u32;
-        match *update {
-            GraphUpdate::RelabelVertex { v, .. } => {
-                if v >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: v, len: n });
-                }
-            }
-            GraphUpdate::RelabelEdge { e, .. } => {
-                if e >= g.edge_count() as u32 {
-                    return Err(GraphError::EdgeOutOfRange { edge: e, len: g.edge_count() as u32 });
-                }
-            }
-            GraphUpdate::AddEdge { u, v, .. } => {
-                if u >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: u, len: n });
-                }
-                if v >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: v, len: n });
-                }
-                if u == v {
-                    return Err(GraphError::SelfLoop { vertex: u });
-                }
-                if g.edge_between(u, v).is_some() {
-                    return Err(GraphError::DuplicateEdge { u, v });
-                }
-            }
-            GraphUpdate::AddVertex { attach_to, .. } => {
-                if attach_to >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: attach_to, len: n });
-                }
-            }
-            GraphUpdate::DeleteEdge { e } => {
-                if e >= g.edge_count() as u32 {
-                    return Err(GraphError::EdgeOutOfRange { edge: e, len: g.edge_count() as u32 });
-                }
-            }
-            GraphUpdate::DeleteVertex { v } => {
-                if v >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: v, len: n });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn mark(&self, node_id: NodeId, touched: &mut Vec<NodeId>) {
-        touched.push(node_id);
-    }
-
-    fn relabel_vertex_rec(
+    /// Makes the pieces below the root follow what the root just did to
+    /// one original vertex or edge of `gid`: a relabel or a delete, named
+    /// by its root id. A piece holds an element only where its parent's
+    /// does, so the descent leaves a subtree at the first piece without
+    /// it. When the root's swap-remove renumbered original `moved` into
+    /// the freed id, every map naming `moved` is then renamed.
+    fn follow(
         &mut self,
-        node_id: NodeId,
         gid: GraphId,
-        orig_v: VertexId,
-        label: VLabel,
+        update: GraphUpdate,
+        moved: Option<u32>,
         touched: &mut Vec<NodeId>,
     ) {
-        let Some(pv) = self.nodes[node_id].position_of_vertex(gid, orig_v) else {
-            return;
-        };
-        self.nodes[node_id]
-            .db
-            .graph_mut(gid)
-            .set_vlabel(pv, label)
-            .expect("mapped vertex in range");
-        self.mark(node_id, touched);
-        if let Some((a, b)) = self.nodes[node_id].children {
-            self.relabel_vertex_rec(a, gid, orig_v, label, touched);
-            self.relabel_vertex_rec(b, gid, orig_v, label, touched);
+        // The same update in each piece's ids.
+        let mut piece = update;
+        let (&mut orig, of_vertex) = target(&mut piece);
+        let mut stack = vec![self.root];
+        while let Some(n) = stack.pop() {
+            let node = &mut self.nodes[n];
+            if n != self.root {
+                let at = if of_vertex {
+                    node.position_of_vertex(gid, orig)
+                } else {
+                    node.position_of_edge(gid, orig)
+                };
+                let Some(at) = at else {
+                    continue;
+                };
+                *target(&mut piece).0 = at;
+                node.apply(gid, piece);
+                touched.push(n);
+            }
+            stack.extend(node.children.into_iter().flat_map(|(a, b)| [a, b]));
         }
-    }
-
-    fn relabel_edge_rec(
-        &mut self,
-        node_id: NodeId,
-        gid: GraphId,
-        orig_e: EdgeId,
-        label: ELabel,
-        touched: &mut Vec<NodeId>,
-    ) {
-        let Some(pe) = self.nodes[node_id].position_of_edge(gid, orig_e) else {
-            return;
-        };
-        self.nodes[node_id].db.graph_mut(gid).set_elabel(pe, label).expect("mapped edge in range");
-        self.mark(node_id, touched);
-        if let Some((a, b)) = self.nodes[node_id].children {
-            self.relabel_edge_rec(a, gid, orig_e, label, touched);
-            self.relabel_edge_rec(b, gid, orig_e, label, touched);
-        }
-    }
-
-    /// Deletes original edge `orig_e` from every piece containing it,
-    /// recursing from `node_id`. The piece graph's swap-remove renumbering
-    /// is mirrored by `Vec::swap_remove` on the node's edge map — identical
-    /// movement, so provenance stays aligned. Any piece entries still
-    /// *naming* the root's highest edge id are left for the caller's
-    /// [`DbPartition::remap_edge`] pass (piece graphs do not change for
-    /// those nodes, so they are not marked touched).
-    fn delete_edge_rec(
-        &mut self,
-        node_id: NodeId,
-        gid: GraphId,
-        orig_e: EdgeId,
-        touched: &mut Vec<NodeId>,
-    ) {
-        let Some(pe) = self.nodes[node_id].position_of_edge(gid, orig_e) else {
-            return;
-        };
-        let node = &mut self.nodes[node_id];
-        node.db.graph_mut(gid).delete_edge(pe).expect("mapped edge in range");
-        node.swap_remove_edge(gid, pe);
-        self.mark(node_id, touched);
-        if let Some((a, b)) = self.nodes[node_id].children {
-            self.delete_edge_rec(a, gid, orig_e, touched);
-            self.delete_edge_rec(b, gid, orig_e, touched);
-        }
-    }
-
-    /// Rewrites every node's edge map entry for original edge `old` to
-    /// `new` — the provenance mirror of the root graph's swap-remove (the
-    /// root itself keeps no map: its graph *is* the renumbered original).
-    fn remap_edge(&mut self, gid: GraphId, old: EdgeId, new: EdgeId) {
-        for node in self.nodes.iter_mut().filter(|n| !n.is_root()) {
-            node.rename(gid, false, old, new);
-        }
-    }
-
-    /// Deletes original vertex `orig_v` — already isolated by the cascade —
-    /// from every piece containing it, recursing from `node_id`. The piece
-    /// graph's vertex swap-remove is mirrored on the node's vertex map, and
-    /// at the root on the graph's ufreq row.
-    fn delete_vertex_rec(
-        &mut self,
-        node_id: NodeId,
-        gid: GraphId,
-        orig_v: VertexId,
-        touched: &mut Vec<NodeId>,
-    ) {
-        let Some(pv) = self.nodes[node_id].position_of_vertex(gid, orig_v) else {
-            return;
-        };
-        let node = &mut self.nodes[node_id];
-        let removal = node.db.graph_mut(gid).delete_vertex(pv).expect("mapped vertex in range");
-        debug_assert!(removal.removed_edges.is_empty(), "cascade already isolated the vertex");
-        node.swap_remove_vertex(gid, pv);
-        if node.is_root() {
-            if let Some(row) = self.ufreq.get_mut(&gid) {
-                row.swap_remove(pv as usize);
-                if row.iter().all(|f| is_zero(*f)) {
-                    self.ufreq.remove(&gid);
-                }
+        if let Some(old) = moved {
+            for node in self.nodes.iter_mut().filter(|n| !n.is_root()) {
+                node.rename(gid, of_vertex, old, orig);
             }
         }
-        self.mark(node_id, touched);
-        if let Some((a, b)) = self.nodes[node_id].children {
-            self.delete_vertex_rec(a, gid, orig_v, touched);
-            self.delete_vertex_rec(b, gid, orig_v, touched);
-        }
     }
 
-    /// Rewrites every node's vertex map entry for original vertex `old` to
-    /// `new` — the provenance mirror of the root graph's swap-remove.
-    fn remap_vertex(&mut self, gid: GraphId, old: VertexId, new: VertexId) {
-        for node in self.nodes.iter_mut().filter(|n| !n.is_root()) {
-            node.rename(gid, true, old, new);
-        }
-    }
-
-    /// Ensures `orig_v` (with `label` and `ufreq`) exists in the node's
-    /// piece of `gid`, returning its piece id.
-    fn ensure_vertex(
+    /// Places original edge `orig_e` between the original vertices of
+    /// `ends` in the pieces below `node_id` it belongs to: in each child
+    /// holding both ends; else, a cross edge, in both children as a
+    /// connective edge; else in the child holding one end (the left child
+    /// when neither holds either).
+    fn add_edge_below(
         &mut self,
         node_id: NodeId,
         gid: GraphId,
-        orig_v: VertexId,
-        label: VLabel,
-        ufreq: f64,
-    ) -> VertexId {
-        if let Some(pv) = self.nodes[node_id].position_of_vertex(gid, orig_v) {
-            return pv;
-        }
-        let node = &mut self.nodes[node_id];
-        let pv = node.db.graph_mut(gid).add_vertex(label);
-        node.push_vertex(gid, orig_v);
-        if node.is_root() {
-            // The new vertex is the row's last: a row kept gains it; a
-            // graph read as zeros gets a row only for a frequency that is not.
-            if let Some(row) = self.ufreq.get_mut(&gid) {
-                row.push(ufreq);
-            } else if !is_zero(ufreq) {
-                let mut row = vec![0.0; pv as usize];
-                row.push(ufreq);
-                self.ufreq.insert(gid, row);
-            }
-        }
-        pv
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn add_edge_rec(
-        &mut self,
-        node_id: NodeId,
-        gid: GraphId,
-        u: (VertexId, VLabel, f64),
-        v: (VertexId, VLabel, f64),
+        ends: [(VertexId, VLabel); 2],
         label: ELabel,
         orig_e: EdgeId,
         touched: &mut Vec<NodeId>,
     ) {
-        let pu = self.ensure_vertex(node_id, gid, u.0, u.1, u.2);
-        let pv = self.ensure_vertex(node_id, gid, v.0, v.1, v.2);
-        let node = &mut self.nodes[node_id];
-        node.db.graph_mut(gid).add_edge(pu, pv, label).expect("validated: edge not present");
-        node.push_edge(gid, orig_e);
-        self.mark(node_id, touched);
-
         let Some((a, b)) = self.nodes[node_id].children else {
             return;
         };
-        let has = |n: NodeId, ov: VertexId| self.nodes[n].position_of_vertex(gid, ov).is_some();
-        let (au, av) = (has(a, u.0), has(a, v.0));
-        let (bu, bv) = (has(b, u.0), has(b, v.0));
+        let has = |n: NodeId, i: usize| self.nodes[n].position_of_vertex(gid, ends[i].0).is_some();
+        let (au, av) = (has(a, 0), has(a, 1));
+        let (bu, bv) = (has(b, 0), has(b, 1));
         let targets: Vec<NodeId> = if au && av || bu && bv {
             // Internal to one (or both, if all endpoints are boundary) side.
             let mut t = Vec::new();
@@ -895,43 +720,43 @@ impl DbPartition {
             vec![a]
         };
         for t in targets {
-            self.add_edge_rec(t, gid, u, v, label, orig_e, touched);
+            self.nodes[t].add_edge(gid, ends, label, orig_e);
+            touched.push(t);
+            self.add_edge_below(t, gid, ends, label, orig_e, touched);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn add_vertex_rec(
+    /// Places a new vertex's attaching edge `orig_e` (`ends`: the
+    /// attachment point, then the new vertex) below the root. Exactly one
+    /// side grows at each split: the first child holding the attachment
+    /// point (the left child if it was isolated everywhere) — this is what
+    /// keeps vertex additions localised to a single unit.
+    fn add_vertex_below(
         &mut self,
-        node_id: NodeId,
         gid: GraphId,
-        attach: (VertexId, VLabel, f64),
-        new_v: (VertexId, VLabel),
+        ends: [(VertexId, VLabel); 2],
         elabel: ELabel,
         orig_e: EdgeId,
         touched: &mut Vec<NodeId>,
     ) {
-        let pa = self.ensure_vertex(node_id, gid, attach.0, attach.1, attach.2);
-        // New vertices start with ufreq 0 (no further planned updates).
-        let pn = self.ensure_vertex(node_id, gid, new_v.0, new_v.1, 0.0);
-        let node = &mut self.nodes[node_id];
-        node.db.graph_mut(gid).add_edge(pa, pn, elabel).expect("attaching edge is fresh");
-        node.push_edge(gid, orig_e);
-        self.mark(node_id, touched);
+        let mut node_id = self.root;
+        while let Some((a, b)) = self.nodes[node_id].children {
+            let holds = |n: NodeId| self.nodes[n].position_of_vertex(gid, ends[0].0).is_some();
+            node_id = if holds(a) || !holds(b) { a } else { b };
+            self.nodes[node_id].add_edge(gid, ends, elabel, orig_e);
+            touched.push(node_id);
+        }
+    }
+}
 
-        let Some((a, b)) = self.nodes[node_id].children else {
-            return;
-        };
-        // Grow exactly one side: the first child containing the attachment
-        // point (left child if it was isolated everywhere) — this is what
-        // keeps vertex additions localised to a single unit.
-        let target = if self.nodes[a].position_of_vertex(gid, attach.0).is_some() {
-            a
-        } else if self.nodes[b].position_of_vertex(gid, attach.0).is_some() {
-            b
-        } else {
-            a
-        };
-        self.add_vertex_rec(target, gid, attach, new_v, elabel, orig_e, touched);
+/// The id a relabel or a delete names, and whether it is a vertex's.
+fn target(update: &mut GraphUpdate) -> (&mut u32, bool) {
+    match update {
+        GraphUpdate::RelabelVertex { v, .. } | GraphUpdate::DeleteVertex { v } => (v, true),
+        GraphUpdate::RelabelEdge { e, .. } | GraphUpdate::DeleteEdge { e } => (e, false),
+        GraphUpdate::AddEdge { .. } | GraphUpdate::AddVertex { .. } => {
+            unreachable!("an addition is placed, not followed")
+        }
     }
 }
 

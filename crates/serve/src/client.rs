@@ -348,15 +348,6 @@ impl Client {
         self.request_line(&protocol::encode_support_batch(codes))
     }
 
-    /// An `epoch-commit` request (router 2PC commit).
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request_line`].
-    pub fn epoch_commit(&mut self, global: u64, seq: u64) -> Result<JsonValue, String> {
-        self.request_line(&protocol::encode_epoch_commit(global, seq))
-    }
-
     /// A `shutdown` request.
     ///
     /// # Errors

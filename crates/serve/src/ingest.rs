@@ -298,8 +298,9 @@ struct WindowEntities {
 ///   always itself window-created (ids grow past the base counts), so
 ///   label-restore undos can hold base ids forever.
 /// * Window-created entity ids *do* move, but only when a delete fires —
-///   and every removal record is observed here, so tracked ids are
-///   patched in lockstep ([`WindowTracker::remap`]-style fixups).
+///   and the tracker replays every delete's removal record (the graph's
+///   own account of which ids went and which moved), so tracked ids are
+///   patched in lockstep.
 ///
 /// # Expiry
 ///
@@ -507,34 +508,14 @@ impl WindowTracker {
             }
             GraphUpdate::DeleteEdge { e } => {
                 let removal = tail.graph_mut(gid).delete_edge(e)?;
-                self.untrack_edge(gid, e);
-                if let Some(from) = removal.moved {
-                    self.remap_edge(gid, from, e);
-                }
+                self.follow_removal(gid, false, e, removal.moved);
             }
             GraphUpdate::DeleteVertex { v } => {
-                // The cascade mirrors Graph::delete_vertex: incident
-                // edges go in descending id order, each a swap-remove
-                // pulling the current last edge into the hole. The range
-                // check comes first: `neighbors` has none.
-                let g = tail.graph(gid);
-                g.check_vertex(v)?;
-                let mut eids: Vec<u32> = g.neighbors(v).iter().map(|a| a.eid).collect();
-                eids.sort_unstable_by(|a, b| b.cmp(a));
-                let mut last = g.edge_count() as u32;
-                let last_v = g.vertex_count() as u32 - 1;
-                tail.graph_mut(gid).delete_vertex(v)?;
-                for e in eids {
-                    last -= 1;
-                    self.untrack_edge(gid, e);
-                    if e != last {
-                        self.remap_edge(gid, last, e);
-                    }
+                let removal = tail.graph_mut(gid).delete_vertex(v)?;
+                for edge in removal.removed_edges {
+                    self.follow_removal(gid, false, edge.e, edge.moved);
                 }
-                self.untrack_vertex(gid, v);
-                if v != last_v {
-                    self.remap_vertex(gid, last_v, v);
-                }
+                self.follow_removal(gid, true, v, removal.moved_vertex);
             }
         }
         Ok(())
@@ -544,33 +525,17 @@ impl WindowTracker {
         self.windows.get_mut(&seq).expect("the window's entry is inserted before its ops")
     }
 
-    fn untrack_edge(&mut self, gid: u32, e: u32) {
+    /// Follows a swap-remove of vertex (`vertices`) or edge id `freed` of
+    /// `gid` in every live window's tracked ids: the entry naming `freed`
+    /// goes, and the one naming `moved`, the id renumbered into the freed
+    /// slot, takes its id.
+    fn follow_removal(&mut self, gid: u32, vertices: bool, freed: u32, moved: Option<u32>) {
         for w in self.windows.values_mut() {
-            w.edges.retain(|&(g, id)| g != gid || id != e);
-        }
-    }
-
-    fn untrack_vertex(&mut self, gid: u32, v: u32) {
-        for w in self.windows.values_mut() {
-            w.vertices.retain(|&(g, id)| g != gid || id != v);
-        }
-    }
-
-    fn remap_edge(&mut self, gid: u32, from: u32, to: u32) {
-        for w in self.windows.values_mut() {
-            for slot in w.edges.iter_mut() {
-                if slot.0 == gid && slot.1 == from {
-                    slot.1 = to;
-                }
-            }
-        }
-    }
-
-    fn remap_vertex(&mut self, gid: u32, from: u32, to: u32) {
-        for w in self.windows.values_mut() {
-            for slot in w.vertices.iter_mut() {
-                if slot.0 == gid && slot.1 == from {
-                    slot.1 = to;
+            let ids = if vertices { &mut w.vertices } else { &mut w.edges };
+            ids.retain(|&id| id != (gid, freed));
+            if let Some(from) = moved {
+                for slot in ids.iter_mut().filter(|id| **id == (gid, from)) {
+                    slot.1 = freed;
                 }
             }
         }
@@ -669,7 +634,7 @@ impl IngestQueue {
                     }
                     tr.apply_op(&mut db, &op, record)
                 }
-                None => op.update.apply(db.graph_mut(gid)).map(drop),
+                None => op.update.apply(db.graph_mut(gid)),
             };
             applied.map_err(|e| format!("op {i}: {e}"))?;
         }

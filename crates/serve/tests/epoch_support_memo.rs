@@ -7,8 +7,9 @@
 //! self-checking assertion: any cross-epoch memo leak shows up as a
 //! support that disagrees with the epoch it was reported for.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use graphmine_graph::{DbUpdate, Graph, GraphDb, GraphUpdate};
 use graphmine_serve::{EngineConfig, ServeEngine};
@@ -122,6 +123,8 @@ fn memo_size_is_pinned_across_a_hundred_swaps() {
 /// Reader threads hammer the support path while the main thread applies
 /// four epoch-stepping batches. Every observation must satisfy
 /// `support == 4 - epoch` — a cross-epoch memo hit breaks the equation.
+/// The main thread moves on from an epoch only once a reader has answered
+/// at it, so every epoch 0–4 is observed whatever the scheduler does.
 #[test]
 fn racing_readers_never_see_a_stale_memo() {
     const READERS: usize = 4;
@@ -129,11 +132,14 @@ fn racing_readers_never_see_a_stale_memo() {
     let dir = tempfile::tempdir().unwrap();
     let engine = Arc::new(boot(dir.path()));
     let stop = Arc::new(AtomicBool::new(false));
+    // Bit `e` is set once a reader has answered at epoch `e`.
+    let observed = Arc::new(AtomicU64::new(0));
 
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let engine = Arc::clone(&engine);
             let stop = Arc::clone(&stop);
+            let observed = Arc::clone(&observed);
             std::thread::spawn(move || {
                 let probe = probe();
                 let mut observations = 0usize;
@@ -146,6 +152,7 @@ fn racing_readers_never_see_a_stale_memo() {
                         "epoch {} answered with support {support}",
                         ep.epoch
                     );
+                    observed.fetch_or(1 << ep.epoch, Ordering::Release);
                     observations += 1;
                 }
                 observations
@@ -153,12 +160,24 @@ fn racing_readers_never_see_a_stale_memo() {
         })
         .collect();
 
+    let wait_for_answer_at = |epoch: u64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while observed.load(Ordering::Acquire) & (1 << epoch) == 0 {
+            if Instant::now() > deadline {
+                stop.store(true, Ordering::Relaxed);
+                panic!("no reader answered at epoch {epoch} within 10 s");
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    wait_for_answer_at(0);
     for gid in 0..4 {
         engine.apply_update(&batch(gid)).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        wait_for_answer_at(u64::from(gid) + 1);
     }
     stop.store(true, Ordering::Relaxed);
     let total: usize = readers.into_iter().map(|h| h.join().unwrap()).sum();
-    assert!(total > 0, "readers observed at least one answer");
+    assert!(total >= 5, "readers answered {total} times");
+    assert_eq!(observed.load(Ordering::Acquire), 0b1_1111, "every epoch 0–4 was observed");
     assert_eq!(engine.current().epoch, 4);
 }
