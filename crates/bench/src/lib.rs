@@ -248,7 +248,7 @@ pub fn fig13a(scale: Scale) -> FigureResult {
     // ufreq comes from a planned workload even in the static figure — the
     // update-aware criteria need something to look at (the paper's setup).
     let plan = standard_updates(&db, 0.4, UpdateKind::Mixed, 20);
-    let ufreq = ufreq_from_updates(&db, &plan);
+    let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
     let sups = [0.02, 0.03, 0.04, 0.05, 0.06];
 
     let mut series = vec![Series { label: "ADIMINE".into(), points: vec![] }];
@@ -278,7 +278,7 @@ pub fn fig13a(scale: Scale) -> FigureResult {
 pub fn fig13b(scale: Scale) -> FigureResult {
     let (params, db) = dataset(scale, 50_000, 20, 20, 200, 5);
     let plan = standard_updates(&db, 0.4, UpdateKind::Mixed, 20);
-    let ufreq = ufreq_from_updates(&db, &plan);
+    let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
     let mut updated = db.clone();
     apply_all(&mut updated, &plan).expect("plan applies");
     let sups = [0.02, 0.03, 0.04, 0.05, 0.06];
@@ -340,7 +340,7 @@ pub fn fig14a(scale: Scale) -> FigureResult {
 pub fn fig14b(scale: Scale) -> FigureResult {
     let (params, db) = dataset(scale, 50_000, 20, 20, 200, 5);
     let plan = standard_updates(&db, 0.4, UpdateKind::Mixed, 20);
-    let ufreq = ufreq_from_updates(&db, &plan);
+    let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
     let mut updated = db.clone();
     apply_all(&mut updated, &plan).expect("plan applies");
     let sups = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06];
@@ -409,7 +409,7 @@ pub fn fig15a(scale: Scale) -> FigureResult {
 pub fn fig15b(scale: Scale) -> FigureResult {
     let (params, db) = dataset(scale, 100_000, 20, 20, 200, 9);
     let plan = standard_updates(&db, 0.4, UpdateKind::Mixed, 20);
-    let ufreq = ufreq_from_updates(&db, &plan);
+    let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
     let mut updated = db.clone();
     apply_all(&mut updated, &plan).expect("plan applies");
     let sup = db.abs_support(0.04);
@@ -518,7 +518,7 @@ fn fig17(scale: Scale, kind: UpdateKind, id: &'static str, what: &str) -> Figure
     let mut s_inc = Vec::new();
     for &f in &fractions {
         let plan = standard_updates(&db, f, kind, 20);
-        let ufreq = ufreq_from_updates(&db, &plan);
+        let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
         let mut updated = db.clone();
         apply_all(&mut updated, &plan).expect("plan applies");
 
@@ -560,7 +560,7 @@ pub fn fig17b(scale: Scale) -> FigureResult {
 pub fn ablation(scale: Scale) -> FigureResult {
     let (params, db) = dataset(scale, 50_000, 20, 20, 200, 5);
     let plan = standard_updates(&db, 0.4, UpdateKind::Mixed, 20);
-    let ufreq = ufreq_from_updates(&db, &plan);
+    let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
     let sup = db.abs_support(0.02);
     let base = bench_config(2, PartitionerKind::GraphPart(Criteria::COMBINED));
 

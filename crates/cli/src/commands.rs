@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use graphmine_adimine::{AdiConfig, AdiMine};
-use graphmine_core::{IncPartMiner, PartMiner, PartMinerConfig, PartitionerKind};
+use graphmine_core::{resolve_threads, IncPartMiner, PartMiner, PartMinerConfig, PartitionerKind};
 use graphmine_datagen::{plan_updates, ufreq_from_updates, GenParams, UpdateKind, UpdateParams};
 use graphmine_graph::{
     io as gio, pattern_io, update_io, Change, DbUpdate, DfsCode, DfsEdge, EmbeddingMode, GraphDb,
@@ -30,16 +30,15 @@ USAGE:
       Generate a synthetic database (paper Table 1 parameters) in gSpan
       text format.
 
-  graphmine mine FILE --minsup FRAC [--algo ALGO] [--k K] [--parallel]
-                 [--threads T] [--criteria 1|2|3|metis] [--max-edges M]
+  graphmine mine FILE --minsup FRAC [--algo ALGO] [--k K] [--threads T]
+                 [--criteria 1|2|3|metis] [--max-edges M]
                  [--embedding-lists on|off|auto]
                  [--closed | --maximal] [-o PATTERNS] [--report REPORT]
       Mine frequent subgraphs. ALGO: partminer (default), gspan, gaston,
       apriori, fsg, adimine. FRAC is relative (0.04 = 4%). K (units,
       default 2) and M (edges per pattern) are at least 1.
-      --threads sets the work-stealing pool budget for parallel runs
-      (0 = auto: GRAPHMINE_THREADS, then the machine); a value above 1
-      implies --parallel.
+      --threads T runs PartMiner on a pool of T workers: 1 (the default)
+      runs inline, 0 uses every core. Every T writes the same patterns.
       --embedding-lists (--algo apriori only) controls the
       embedding-list store level-wise candidate counting keeps; `auto`
       (default) sizes its cache from the database, `off` always
@@ -56,19 +55,20 @@ USAGE:
                  [--criteria 1|2|3|metis] [--report REPORT]
       Mine, apply the updates incrementally, and report the UF/FI/IF
       pattern classes, listing up to ten IF and ten FI patterns in
-      DFS-code order. --threads above 1 re-mines touched units on a
-      work-stealing pool of that size. --report writes the incremental
-      round's run report as JSON.
+      DFS-code order. --threads T mines and re-mines touched units on a
+      pool of T workers (1, the default, runs inline; 0 uses every core).
+      --report writes the incremental round's run report as JSON.
 
   graphmine serve FILE --minsup FRAC [--data-dir DIR] [--addr 127.0.0.1:7878]
-                 [--workers W] [--queue-depth Q] [--parallel]
+                 [--workers W] [--queue-depth Q] [--threads T]
                  [--ingest-capacity N] [--window N]
       Run the resident pattern-serving daemon on FILE. Mines at boot,
       keeps P(D) warm, and answers queries over a newline-delimited JSON
       protocol while `update` windows stream in (coalesced, then
       group-committed to the journal; one fsync barrier covers concurrent
       windows). Boot and every window mine with one walk over the whole
-      database at minsup; --parallel fans the walk out over a thread pool.
+      database at minsup; --threads T fans each walk out over a pool of T
+      workers (1, the default, walks inline; 0 uses every core).
       --ingest-capacity bounds the acked-but-unapplied windows (the
       staleness bound, default 8) — beyond it updates are shed with a
       `backpressure` reply. --window N serves the sliding-window result:
@@ -90,7 +90,7 @@ USAGE:
 
   graphmine serve --shard-from TOPOLOGY --shard-id I [--replica R]
                  [--data-dir DIR] [--workers W] [--queue-depth Q]
-                 [--parallel]
+                 [--threads T]
       Boot one shard (replica R, default 0) of a planned fleet: loads
       the shard database next to TOPOLOGY, mines its owned graphs at the
       topology's local_min_support, and binds
@@ -136,8 +136,8 @@ USAGE:
       with internal invariants, incremental UF/FI/IF consistency and the
       serving daemon's epoch behaviour. Each failure writes a
       self-contained repro file into --out-dir (default: oracle-repros);
-      --replay re-runs one repro file. --threads sizes the shared
-      work-stealing pool the parallel legs run on. See
+      --replay re-runs one repro file. --threads T sizes the shared pool
+      the parallel legs run on (0, the default, uses every core). See
       docs/CORRECTNESS.md.
 ";
 
@@ -221,15 +221,23 @@ fn load_db(path: &str) -> Result<GraphDb, String> {
     gio::read_db(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Parses `--threads` and validates the budget it would resolve to, so a
-/// misconfiguration (absurd value, bad `GRAPHMINE_THREADS`) fails before
-/// any mining starts instead of panicking mid-run. `0` (the default)
-/// resolves from `GRAPHMINE_THREADS`, then the machine.
-fn threads_arg(args: &mut Args<'_>) -> Result<usize, String> {
-    let threads: usize = args.parsed("--threads")?.unwrap_or(0);
-    let cfg = PartMinerConfig { threads, ..PartMinerConfig::default() };
-    cfg.thread_budget().map_err(|e| e.to_string())?;
+/// Parses `--threads` (`default` when absent) and resolves it, so a value
+/// past the cap fails before anything is loaded instead of panicking
+/// mid-run. `1` runs inline, `n` runs `n` workers, `0` uses every core.
+fn threads_arg(args: &mut Args<'_>, default: usize) -> Result<usize, String> {
+    let threads = args.parsed("--threads")?.unwrap_or(default);
+    resolve_threads(threads).map_err(|e| format!("threads: {e}"))?;
     Ok(threads)
+}
+
+/// Refuses `--parallel` by name: `--threads` alone sets the pool.
+fn refuse_parallel(raw: &[String]) -> CmdResult {
+    if raw.iter().any(|a| a == "--parallel") {
+        return Err("--parallel was removed: --threads T alone sets the pool (1, the default, \
+                    runs inline; 0 uses every core)"
+            .into());
+    }
+    Ok(())
 }
 
 /// Parses the required `--minsup`, a fraction of the database's graphs in
@@ -429,12 +437,12 @@ pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
                     gSpan runs (--algo gaston still mines the whole database with Gaston)"
             .into());
     }
+    refuse_parallel(raw)?;
     let mut args = Args::new(raw);
     let minsup = minsup_arg(&mut args)?;
     let algo = args.value("--algo").unwrap_or("partminer").to_string();
     let k = at_least_one(&mut args, "--k", "PartMiner needs at least one unit")?.unwrap_or(2);
-    let parallel = args.flag("--parallel");
-    let threads = threads_arg(&mut args)?;
+    let threads = threads_arg(&mut args, 1)?;
     let partitioner = criteria_arg(&mut args)?;
     let max_edges = at_least_one(&mut args, "--max-edges", "a pattern has at least one edge")?;
     let embedding_lists: EmbeddingMode = args.parsed("--embedding-lists")?.unwrap_or_default();
@@ -496,8 +504,6 @@ pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
             let cfg = PartMinerConfig {
                 k,
                 partitioner,
-                // An explicit multi-thread budget implies parallel mode.
-                parallel: parallel || threads > 1,
                 threads,
                 max_edges,
                 ..PartMinerConfig::default()
@@ -585,9 +591,10 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
                     window lands on the database the raw one does)"
             .into());
     }
+    refuse_parallel(raw)?;
     let mut args = Args::new(raw);
     let shard_from: Option<String> = args.parsed("--shard-from")?;
-    let parallel = args.flag("--parallel");
+    let threads = threads_arg(&mut args, 1)?;
     let ingest_capacity: Option<usize> = args.parsed("--ingest-capacity")?;
     let window: Option<usize> = args.parsed("--window")?;
     let data_dir: Option<String> = args.parsed("--data-dir")?;
@@ -626,7 +633,7 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         });
         let cfg = EngineConfig {
             min_support: topo.local_min_support,
-            parallel,
+            threads,
             owned: Some(spec.owned.clone()),
             ..EngineConfig::default()
         };
@@ -648,7 +655,7 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
         let dir = data_dir.unwrap_or_else(|| format!("{path}.serve"));
         let cfg = EngineConfig {
             min_support: db.abs_support(minsup),
-            parallel,
+            threads,
             ..EngineConfig::default()
         };
         (db, addr, dir, cfg)
@@ -853,7 +860,7 @@ pub fn incremental(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let minsup = minsup_arg(&mut args)?;
     let k = at_least_one(&mut args, "--k", "PartMiner needs at least one unit")?.unwrap_or(2);
-    let threads = threads_arg(&mut args)?;
+    let threads = threads_arg(&mut args, 1)?;
     let partitioner = criteria_arg(&mut args)?;
     let report_path: Option<String> = args.parsed("--report")?;
     let pos = args.positionals()?;
@@ -864,18 +871,10 @@ pub fn incremental(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let db = load_db(db_path)?;
     let upd_file = File::open(upd_path).map_err(|e| format!("{upd_path}: {e}"))?;
     let plan = update_io::read_updates(BufReader::new(upd_file))?;
-    let ufreq = ufreq_from_updates(&db, &plan);
+    let ufreq = ufreq_from_updates(&db, &plan).map_err(|e| format!("{upd_path}: {e}"))?;
     let sup = db.abs_support(minsup);
 
-    let cfg = PartMinerConfig {
-        k,
-        partitioner,
-        // `incremental` has no --parallel flag; asking for more than one
-        // thread is the opt-in.
-        parallel: threads > 1,
-        threads,
-        ..PartMinerConfig::default()
-    };
+    let cfg = PartMinerConfig { k, partitioner, threads, ..PartMinerConfig::default() };
     let t = Instant::now();
     let outcome = PartMiner::new(cfg).mine(&db, &ufreq, sup);
     say!(
@@ -922,7 +921,7 @@ pub fn incremental(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
 /// `graphmine check` — the differential correctness oracle.
 pub fn check(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
-    let threads = threads_arg(&mut args)?;
+    let threads = threads_arg(&mut args, 0)?;
     if let Some(path) = args.value("--replay") {
         let exec = graphmine_oracle::OracleConfig { threads, ..Default::default() }
             .executor()

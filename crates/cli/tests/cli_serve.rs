@@ -118,10 +118,9 @@ fn serve_bin(args: &[&str]) -> Command {
     cmd
 }
 
-/// A thread budget the environment gets wrong is a usage error like under
-/// `mine` and `incremental` — reported before the boot mine, which would
-/// otherwise meet it as a panic. The variable is set in the child's
-/// environment only.
+/// A thread budget past the cap is a usage error like under `mine` and
+/// `incremental` — reported before the database is read or any thread
+/// starts, in both serve modes.
 #[test]
 fn serve_reports_a_bad_thread_budget() {
     let dir = tempfile::tempdir().unwrap();
@@ -137,19 +136,22 @@ fn serve_reports_a_bad_thread_budget() {
     let topology = plan.join("topology.json");
 
     let cases: [&[&str]; 2] = [
-        &[db_s, "--minsup", "0.3", "--parallel"],
-        &["--shard-from", topology.to_str().unwrap(), "--shard-id", "0", "--parallel"],
+        &[db_s, "--minsup", "0.3", "--threads", "5000"],
+        &["--shard-from", topology.to_str().unwrap(), "--shard-id", "0", "--threads", "5000"],
     ];
     for args in cases {
         let out = serve_bin(args)
             .args(["--data-dir", dir.path().join("d").to_str().unwrap()])
-            .env("GRAPHMINE_THREADS", "bogus")
             .output()
             .expect("run graphmine");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("error: threads: "), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: threads: thread budget 5000 exceeds the maximum of 1024"),
+            "{args:?}: {stderr}"
+        );
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!dir.path().join("d").exists(), "{args:?}: made its data directory");
     }
 }
 

@@ -186,6 +186,35 @@ fn zero_units_and_zero_edge_caps_are_usage_errors() {
     }
 }
 
+/// An update file that does not apply to the database is a usage error
+/// naming the file and the update's fault, reported by the binary with exit
+/// 2 before anything is mined, never a panic.
+#[test]
+fn incremental_refuses_a_plan_that_does_not_apply() {
+    let dir = tempfile::tempdir().unwrap();
+    let db = dir.path().join("db.txt");
+    let upd = dir.path().join("bad.upd");
+    let (db_s, upd_s) = (db.to_str().unwrap(), upd.to_str().unwrap());
+    commands::generate(&s(&["--d", "300", "--seed", "42", "-o", db_s]), &mut sink())
+        .expect("generate");
+    for (plan, fault) in [
+        ("7 delete-edge 999", "edge id 999 out of range"),
+        ("3 add-edge 0 0 1", "self-loop on vertex 0"),
+        ("400 relabel-vertex 0 1", "graph id 400 out of range"),
+    ] {
+        std::fs::write(&upd, format!("{plan}\n")).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_graphmine"))
+            .args(["incremental", db_s, upd_s, "--minsup", "0.05"])
+            .output()
+            .expect("run graphmine");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{plan}: {stderr}");
+        assert!(stderr.starts_with(&format!("error: {upd_s}: {fault}")), "{plan}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{plan}: {stderr}");
+        assert!(out.stdout.is_empty(), "{plan}: mined before refusing the plan");
+    }
+}
+
 /// Units are mined with the walk gSpan runs; `--unit-miner` is refused by
 /// name, before a file is opened, whatever its value.
 #[test]
@@ -196,6 +225,24 @@ fn mine_refuses_the_removed_unit_miner_flag() {
         assert!(err.starts_with("--unit-miner was removed"), "{err}");
         assert!(!err.contains("no-"), "{value}: got as far as opening a file: {err}");
     }
+}
+
+/// `--threads` alone sets the pool; `--parallel` is refused by name, before
+/// a file is opened or a data directory made, wherever it stands.
+#[test]
+fn mine_and_serve_refuse_the_removed_parallel_flag() {
+    let mine = ["no-db.txt", "--minsup", "0.05", "--parallel"];
+    let serve = ["--parallel", "no-db.txt", "--minsup", "0.5", "--data-dir", "no-dir"];
+    let shard = ["--shard-from", "no-dir/topology.json", "--shard-id", "0", "--parallel"];
+    for err in [
+        commands::mine(&s(&mine), &mut sink()).unwrap_err(),
+        commands::serve(&s(&serve), &mut sink()).unwrap_err(),
+        commands::serve(&s(&shard), &mut sink()).unwrap_err(),
+    ] {
+        assert!(err.starts_with("--parallel was removed"), "{err}");
+        assert!(!err.contains("no-"), "got as far as opening a file: {err}");
+    }
+    assert!(!std::path::Path::new("no-dir").exists());
 }
 
 /// Every window is coalesced; `--no-coalesce` is refused by name, before
@@ -234,7 +281,7 @@ fn partminer_pattern_files_are_gspan_pattern_files() {
 
     let gspan = mine(&["--algo", "gspan"], "g.pat");
     assert!(gspan.iter().filter(|&&b| b == b'\n').count() > 100, "degenerate database");
-    for flags in [&[][..], &["--k", "4"], &["--k", "4", "--parallel", "--threads", "2"]] {
+    for flags in [&[][..], &["--k", "4"], &["--k", "4", "--threads", "2"]] {
         assert!(mine(flags, "p.pat") == gspan, "mine {flags:?} differs from --algo gspan");
     }
     for filter in ["--closed", "--maximal"] {

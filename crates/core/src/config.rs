@@ -45,7 +45,10 @@ pub struct PartMinerConfig {
     pub k: usize,
     /// Phase-1 partitioner.
     pub partitioner: PartitionerKind,
-    /// Mine units concurrently (the paper's "parallel mode").
+    /// Read by nothing: `threads` alone decides the schedule. Declared only
+    /// because `bench/e2e` still names it; the benchmark PR of ROADMAP 1(a)
+    /// deletes it.
+    #[doc(hidden)]
     pub parallel: bool,
     /// Optional pattern-size cap (edges).
     pub max_edges: Option<usize>,
@@ -59,10 +62,9 @@ pub struct PartMinerConfig {
     /// of ROADMAP 1(a) deletes it.
     #[doc(hidden)]
     pub embedding_budget_bytes: usize,
-    /// Thread budget for the shared executor in parallel mode. `0` means
-    /// auto: the `GRAPHMINE_THREADS` environment variable if set, else
-    /// `std::thread::available_parallelism()`. Resolved once per run via
-    /// [`PartMinerConfig::thread_budget`], never per batch.
+    /// Workers of the run's executor: `1` (the default) runs inline, `n`
+    /// runs `n` workers, `0` uses every core. Resolved once per run by
+    /// [`resolve_threads`](crate::resolve_threads), never per batch.
     pub threads: usize,
 }
 
@@ -75,78 +77,15 @@ impl Default for PartMinerConfig {
             max_edges: None,
             exact_supports: true,
             embedding_budget_bytes: DEFAULT_EMBEDDING_BUDGET,
-            threads: 0,
+            threads: 1,
         }
     }
 }
-
-/// A rejected configuration value, reported instead of panicking deep in
-/// the pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// `threads` (or `GRAPHMINE_THREADS`) exceeds the sanity cap.
-    ThreadsOutOfRange {
-        /// The rejected value.
-        requested: usize,
-        /// The largest accepted budget.
-        max: usize,
-    },
-    /// `GRAPHMINE_THREADS` is set but not a non-negative integer.
-    ThreadsEnvInvalid {
-        /// The unparsable value.
-        value: String,
-    },
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::ThreadsOutOfRange { requested, max } => {
-                write!(f, "thread budget {requested} exceeds the maximum of {max}")
-            }
-            ConfigError::ThreadsEnvInvalid { value } => {
-                write!(f, "GRAPHMINE_THREADS is not a non-negative integer: `{value}`")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Sanity cap on the thread budget — anything larger is a unit mix-up
-/// (e.g. a byte budget landing in `threads`), not a real machine.
-pub const MAX_THREADS: usize = 1024;
 
 impl PartMinerConfig {
     /// A configuration with `k` units and defaults elsewhere.
     pub fn with_k(k: usize) -> Self {
         PartMinerConfig { k, ..Default::default() }
-    }
-
-    /// Resolves the executor's thread budget, once per run:
-    /// `self.threads` if nonzero, else `GRAPHMINE_THREADS` if set, else
-    /// `std::thread::available_parallelism()`, else 1. Rejects budgets
-    /// above [`MAX_THREADS`] and unparsable environment values.
-    pub fn thread_budget(&self) -> Result<usize, ConfigError> {
-        let resolved = if self.threads != 0 {
-            self.threads
-        } else if let Ok(value) = std::env::var("GRAPHMINE_THREADS") {
-            let parsed: usize = value
-                .trim()
-                .parse()
-                .map_err(|_| ConfigError::ThreadsEnvInvalid { value: value.clone() })?;
-            if parsed == 0 {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            } else {
-                parsed
-            }
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        };
-        if resolved > MAX_THREADS {
-            return Err(ConfigError::ThreadsOutOfRange { requested: resolved, max: MAX_THREADS });
-        }
-        Ok(resolved)
     }
 
     /// The unit-level support threshold for a node at `depth` in the split
@@ -173,32 +112,22 @@ mod tests {
 
     #[test]
     fn thread_budget_resolution_order() {
-        // Explicit nonzero config wins without consulting the environment.
+        use crate::{resolve_threads, ThreadsOutOfRange, MAX_THREADS};
+        // The default runs inline; an explicit count is taken as given.
+        assert_eq!(resolve_threads(PartMinerConfig::default().threads), Ok(1));
         let cfg = PartMinerConfig { threads: 3, ..Default::default() };
-        assert_eq!(cfg.thread_budget(), Ok(3));
+        assert_eq!(resolve_threads(cfg.threads), Ok(3));
+        assert_eq!(resolve_threads(MAX_THREADS), Ok(MAX_THREADS));
 
         // Out-of-range budgets are rejected, not clamped or panicked on.
         let cfg = PartMinerConfig { threads: MAX_THREADS + 1, ..Default::default() };
-        assert_eq!(
-            cfg.thread_budget(),
-            Err(ConfigError::ThreadsOutOfRange { requested: MAX_THREADS + 1, max: MAX_THREADS })
-        );
+        let err = resolve_threads(cfg.threads).unwrap_err();
+        assert_eq!(err, ThreadsOutOfRange { requested: MAX_THREADS + 1 });
+        assert_eq!(err.to_string(), "thread budget 1025 exceeds the maximum of 1024");
 
-        // 0 → auto: env var, then available_parallelism. One test owns the
-        // env var to avoid cross-test races.
-        let auto = PartMinerConfig::default();
-        std::env::set_var("GRAPHMINE_THREADS", "5");
-        assert_eq!(auto.thread_budget(), Ok(5));
-        std::env::set_var("GRAPHMINE_THREADS", "bogus");
-        assert_eq!(
-            auto.thread_budget(),
-            Err(ConfigError::ThreadsEnvInvalid { value: "bogus".to_string() })
-        );
-        std::env::set_var("GRAPHMINE_THREADS", "0");
-        let detected = auto.thread_budget().unwrap();
-        assert!(detected >= 1);
-        std::env::remove_var("GRAPHMINE_THREADS");
-        assert!(auto.thread_budget().unwrap() >= 1);
+        // 0 → every core the machine reports.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_threads(0), Ok(cores));
     }
 
     #[test]

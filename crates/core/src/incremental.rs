@@ -14,15 +14,13 @@ use std::time::{Duration, Instant};
 
 use rustc_hash::FxHashSet;
 
-use graphmine_exec::Executor;
+use graphmine_exec::{resolve_threads, Executor};
 use graphmine_graph::{Change, DbUpdate, GraphError, PatternSet};
 use graphmine_miner::walk::WalkStats;
 use graphmine_partition::NodeId;
 use graphmine_telemetry::{Counter, Telemetry};
 
-use crate::partminer::{
-    executor_for, merge_subtree, mine_units, mirror_exec_counters, PartMinerState,
-};
+use crate::partminer::{merge_subtree, mine_units, mirror_exec_counters, PartMinerState};
 
 /// Work counters of one incremental update round.
 #[derive(Debug, Clone, Default)]
@@ -76,19 +74,25 @@ impl IncPartMiner {
 
     /// [`IncPartMiner::update`] recording spans and counters into `tel`:
     /// one `inc_remine` span per re-mined unit, `merge_join` spans for the
-    /// re-merged nodes, and the UF/FI/IF tallies.
+    /// re-merged nodes, and the UF/FI/IF tallies. Runs on an executor of
+    /// `config.threads` workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a `config.threads` above [`crate::MAX_THREADS`].
     pub fn update_instrumented(
         state: &mut PartMinerState,
         updates: &[DbUpdate],
         tel: &Telemetry,
     ) -> Result<IncOutcome, GraphError> {
-        let exec = executor_for(&state.config);
-        IncPartMiner::update_on(state, updates, &exec, tel)
+        let threads = resolve_threads(state.config.threads)
+            .unwrap_or_else(|e| panic!("invalid thread configuration: {e}"));
+        IncPartMiner::update_on(state, updates, &Executor::new(threads), tel)
     }
 
     /// [`IncPartMiner::update_instrumented`] on a caller-provided
     /// executor: touched-unit re-mining and the merge-join's walk fan
-    /// out over `exec`'s budget regardless of `config.parallel`, so one
+    /// out over `exec`'s workers regardless of `config.threads`, so one
     /// pool serves initial mining, merging, and update rounds alike.
     pub fn update_on(
         state: &mut PartMinerState,
@@ -384,9 +388,9 @@ mod tests {
             .map(|gid| DbUpdate { gid, update: GraphUpdate::RelabelVertex { v: 2, label: 7 } })
             .collect();
         let mut results = Vec::new();
-        for parallel in [false, true] {
+        for threads in [1, 0] {
             let mut cfg = PartMinerConfig::with_k(4);
-            cfg.parallel = parallel;
+            cfg.threads = threads;
             let outcome = PartMiner::new(cfg).mine(&db, &uf, 2);
             let mut state = outcome.state;
             let inc = IncPartMiner::update(&mut state, &updates).unwrap();

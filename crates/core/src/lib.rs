@@ -83,14 +83,16 @@ mod incremental;
 mod merge_join;
 mod partminer;
 
-pub use config::{ConfigError, PartMinerConfig, PartitionerKind, MAX_THREADS};
+pub use config::{PartMinerConfig, PartitionerKind};
 pub use fold::{fold_delta, touched_graphs, walk_with_border, Border};
 pub use incremental::{IncOutcome, IncPartMiner, IncStats};
 pub use merge_join::{merge_join, MergeContext};
 pub use partminer::{MineOutcome, MineStats, PartMiner, PartMinerState, PoolRunner};
 
-// The shared work-stealing pool, re-exported so pipeline callers (CLI,
-// oracle, serving daemon) can build one pool and lend it to
+// The shared pool and its one `threads` resolver, re-exported so pipeline
+// callers (CLI, oracle, serving daemon) can build one pool and lend it to
 // [`PartMiner::mine_on`] / [`IncPartMiner::update_on`] / [`MergeContext`],
 // which holds it by reference (a one-thread pool walks serially).
-pub use graphmine_exec::{ExecCounters, ExecError, Executor, Job};
+pub use graphmine_exec::{
+    resolve_threads, ExecCounters, ExecError, Executor, Job, ThreadsOutOfRange, MAX_THREADS,
+};

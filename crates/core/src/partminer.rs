@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use rustc_hash::FxHashMap;
 
-use graphmine_exec::{ExecCounters, ExecError, Executor, Job};
+use graphmine_exec::{resolve_threads, ExecCounters, ExecError, Executor, Job};
 use graphmine_graph::{GraphDb, PatternSet, Support};
 use graphmine_miner::walk::WalkStats;
 use graphmine_miner::{GSpan, MemoryMiner};
@@ -26,24 +26,6 @@ fn fault_panic_hook(unit: usize) {
     }
     #[cfg(not(feature = "fault-injection"))]
     let _ = unit;
-}
-
-/// Builds the executor a `config.parallel`-driven entry point runs on: the
-/// budget from [`PartMinerConfig::thread_budget`] in parallel mode, a
-/// single inline worker otherwise.
-///
-/// # Panics
-///
-/// Panics with the [`crate::ConfigError`] message on a rejected `threads`
-/// setting — user-facing callers (the CLI) validate with `thread_budget()`
-/// first and report the error properly.
-pub(crate) fn executor_for(cfg: &PartMinerConfig) -> Executor {
-    if !cfg.parallel {
-        return Executor::new(1);
-    }
-    let budget =
-        cfg.thread_budget().unwrap_or_else(|e| panic!("invalid thread configuration: {e}"));
-    Executor::new(budget)
 }
 
 /// An [`Executor`] as the partition crate's [`BatchRunner`]: each work item
@@ -72,7 +54,6 @@ pub(crate) fn mirror_exec_counters(tel: &Telemetry, exec: &Executor, before: Exe
     let after = exec.counters();
     let c = tel.counters();
     c.add(Counter::ExecJobs, after.jobs - before.jobs);
-    c.add(Counter::ExecSteals, after.steals - before.steals);
     c.add(Counter::ExecPanics, after.panics - before.panics);
     c.max(Counter::ExecQueuePeak, after.queue_peak);
 }
@@ -161,15 +142,18 @@ impl PartMiner {
     ///
     /// # Panics
     ///
-    /// Panics if a non-empty `ufreq` is not shaped like `db`, or if
-    /// `config.k == 0`.
+    /// Panics if a non-empty `ufreq` is not shaped like `db`, if
+    /// `config.k == 0`, or if `config.threads` is above
+    /// [`crate::MAX_THREADS`] (the CLI refuses one with [`resolve_threads`]
+    /// before anything is loaded).
     pub fn mine(&self, db: &GraphDb, ufreq: &[Vec<f64>], min_support: Support) -> MineOutcome {
         self.mine_instrumented(db, ufreq, min_support, &Telemetry::new())
     }
 
     /// [`PartMiner::mine`] recording spans and counters into `tel`:
     /// `partition`, one `unit_mine` span per unit, a `merge_join` span per
-    /// tree node, and the merge/miner work counters.
+    /// tree node, and the merge/miner work counters. Runs on an executor of
+    /// `config.threads` workers.
     pub fn mine_instrumented(
         &self,
         db: &GraphDb,
@@ -177,12 +161,14 @@ impl PartMiner {
         min_support: Support,
         tel: &Telemetry,
     ) -> MineOutcome {
-        self.mine_on(db, ufreq, min_support, &executor_for(&self.config), tel)
+        let threads = resolve_threads(self.config.threads)
+            .unwrap_or_else(|e| panic!("invalid thread configuration: {e}"));
+        self.mine_on(db, ufreq, min_support, &Executor::new(threads), tel)
     }
 
     /// [`PartMiner::mine_instrumented`] on a caller-provided executor:
     /// unit mining and the merge-join's walk fan out over `exec`'s
-    /// budget regardless of `config.parallel`, and the same pool can be
+    /// workers regardless of `config.threads`, and the same pool can be
     /// shared across runs (the oracle reuses one for its whole PartMiner
     /// matrix) instead of re-resolving a parallelism degree per batch.
     pub fn mine_on(
@@ -372,7 +358,7 @@ mod tests {
         let (db, uf) = sample_db();
         let mut cfg = PartMinerConfig::with_k(4);
         let serial = PartMiner::new(cfg).mine(&db, &uf, 2);
-        cfg.parallel = true;
+        cfg.threads = 0;
         let parallel = PartMiner::new(cfg).mine(&db, &uf, 2);
         assert!(serial.patterns.same_codes_and_supports(&parallel.patterns));
         assert_eq!(parallel.stats.unit_times.len(), 4);

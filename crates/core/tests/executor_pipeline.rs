@@ -99,7 +99,6 @@ fn one_pool_serves_mining_incremental_and_verification() {
     let end = exec.counters();
     assert!(end.jobs > after_mine.jobs, "later call sites never reached the pool");
     assert_eq!(end.panics, 0);
-    assert!(end.steals <= end.jobs, "more steals than jobs");
 }
 
 /// Every field of every node, and the frozen order of every piece graph.
@@ -249,4 +248,24 @@ fn a_panicking_partitioner_is_reported_under_its_gid_range() {
     // Without a pool the panic is the partitioner's own.
     let plain = std::panic::catch_unwind(|| DbPartition::build(&db, &[], &DiesOn(9), 2));
     assert!(plain.is_err());
+}
+
+/// `threads` alone decides where a configuration-driven mine runs its
+/// units: at 2 every `unit_mine` span is recorded on a pool worker, at 1
+/// every one on the calling thread. No timing is involved.
+#[test]
+fn the_threads_setting_alone_decides_where_units_run() {
+    let db = generate(&GenParams::new(40, 8, 3, 8, 4).with_seed(21));
+    let caller = format!("{:?}", std::thread::current().id());
+    for threads in [2, 1] {
+        let tel = Telemetry::new();
+        let cfg = PartMinerConfig { threads, ..PartMinerConfig::with_k(4) };
+        PartMiner::new(cfg).mine_instrumented(&db, &[], 3, &tel);
+        let units: Vec<String> =
+            tel.spans().into_iter().filter(|s| s.name == "unit_mine").map(|s| s.thread).collect();
+        assert_eq!(units.len(), 4, "threads={threads}: one span per unit");
+        for thread in &units {
+            assert_eq!(*thread == caller, threads == 1, "threads={threads}: unit on {thread}");
+        }
+    }
 }

@@ -91,7 +91,7 @@ proptest! {
     /// The executor-backed merge-join is a pure scheduling change: it must
     /// produce the same pattern set, the same telemetry counter totals
     /// *and* the same `WalkStats` as the serial run — per-job stats fold
-    /// in submission order, so no steal schedule may show through.
+    /// in submission order, so no thread schedule may show through.
     #[test]
     fn parallel_merge_join_matches_serial(
         db in db_strategy(),

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rustc_hash::FxHashSet;
 
-use graphmine_graph::{DbUpdate, GraphDb, GraphUpdate};
+use graphmine_graph::{apply_all, DbUpdate, GraphDb, GraphError, GraphUpdate};
 
 /// Which of the paper's update types a workload draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -354,12 +354,23 @@ pub fn plan_windows(db: &GraphDb, params: &UpdateParams, n_windows: usize) -> Ve
 /// Edge re-labels are attributed to both endpoints (isolating the endpoints
 /// isolates the edge), resolved against a scratch copy that replays the
 /// plan so evolving edge ids stay meaningful.
-pub fn ufreq_from_updates(db: &GraphDb, plan: &[DbUpdate]) -> Vec<Vec<f64>> {
+///
+/// # Errors
+///
+/// Fails with the [`GraphError`] [`apply_all`] gives for the first update
+/// that does not apply to the replayed database: a gid past its end, an
+/// out-of-range vertex or edge id, a self-loop or a duplicate edge.
+pub fn ufreq_from_updates(db: &GraphDb, plan: &[DbUpdate]) -> Result<Vec<Vec<f64>>, GraphError> {
     let mut ufreq: Vec<Vec<f64>> = db.iter().map(|(_, g)| vec![0.0; g.vertex_count()]).collect();
     let mut scratch = db.clone();
     for up in plan {
+        let touched = if (up.gid as usize) < scratch.len() {
+            up.update.touched_vertices(scratch.graph(up.gid))
+        } else {
+            Vec::new()
+        };
+        apply_all(&mut scratch, std::slice::from_ref(up))?;
         let per_graph = &mut ufreq[up.gid as usize];
-        let touched = up.update.touched_vertices(scratch.graph(up.gid));
         for v in touched {
             // Vertices added by *earlier planned updates* are beyond the
             // pre-update vertex count; they have no pre-update slot.
@@ -367,9 +378,8 @@ pub fn ufreq_from_updates(db: &GraphDb, plan: &[DbUpdate]) -> Vec<Vec<f64>> {
                 per_graph[v as usize] += 1.0;
             }
         }
-        up.update.apply(scratch.graph_mut(up.gid)).expect("plan replays cleanly");
     }
-    ufreq
+    Ok(ufreq)
 }
 
 #[cfg(test)]
@@ -442,7 +452,7 @@ mod tests {
     fn ufreq_counts_touched_vertices() {
         let db = small_db();
         let plan = plan_updates(&db, &UpdateParams::new(0.4, 3, UpdateKind::Mixed, 6));
-        let ufreq = ufreq_from_updates(&db, &plan);
+        let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
         assert_eq!(ufreq.len(), db.len());
         let total: f64 = ufreq.iter().flatten().sum();
         assert!(total > 0.0);
@@ -452,6 +462,28 @@ mod tests {
             if !updated.contains(&(gid as u32)) {
                 assert!(uf.iter().all(|&x| x == 0.0));
             }
+        }
+    }
+
+    #[test]
+    fn a_plan_that_does_not_apply_is_the_error_apply_all_gives() {
+        let db = small_db();
+        let edges = db.graph(7).edge_count() as u32;
+        for update in [
+            DbUpdate { gid: 7, update: GraphUpdate::DeleteEdge { e: edges } },
+            DbUpdate { gid: 3, update: GraphUpdate::AddEdge { u: 0, v: 0, label: 1 } },
+            DbUpdate {
+                gid: db.len() as u32,
+                update: GraphUpdate::RelabelVertex { v: 0, label: 1 },
+            },
+        ] {
+            // Behind a valid update, so the replay has started.
+            let plan = [
+                DbUpdate { gid: 0, update: GraphUpdate::RelabelVertex { v: 0, label: 1 } },
+                update,
+            ];
+            let want = apply_all(&mut db.clone(), &plan).unwrap_err();
+            assert_eq!(ufreq_from_updates(&db, &plan), Err(want), "{update:?}");
         }
     }
 
@@ -469,7 +501,7 @@ mod tests {
         let spread = |locality: f64| -> usize {
             let p = UpdateParams::new(1.0, 6, UpdateKind::Relabel, 6).with_locality(locality);
             let plan = plan_updates(&db, &p);
-            let uf = ufreq_from_updates(&db, &plan);
+            let uf = ufreq_from_updates(&db, &plan).expect("the plan applies");
             // Count distinct touched vertices across all graphs.
             uf.iter().flatten().filter(|&&x| x > 0.0).count()
         };
@@ -554,7 +586,7 @@ mod tests {
         g.add_edge(a, b, 0).unwrap();
         let db = GraphDb::from_graphs(vec![g]);
         let plan = [DbUpdate { gid: 0, update: GraphUpdate::RelabelEdge { e: 0, label: 9 } }];
-        let uf = ufreq_from_updates(&db, &plan);
+        let uf = ufreq_from_updates(&db, &plan).expect("the plan applies");
         assert_eq!(uf[0], vec![1.0, 1.0, 0.0]);
     }
 }

@@ -1,20 +1,15 @@
-//! A bounded work-stealing executor for the PartMiner pipeline.
+//! A bounded thread pool for the PartMiner pipeline.
 //!
 //! The paper's parallel mode treats the `k` units, the merge-join's
-//! frequent-edge subtrees (once: its candidate verifications) and the
-//! incremental re-mines as independent work items. Before this crate each
-//! of those three fan-out sites hand-rolled its own thread scope with a
-//! different (and differently buggy) policy: one thread per unit
-//! regardless of core count, fixed-size verify chunks that strand workers
-//! behind one expensive candidate, and bare `expect` joins that lose all
-//! context when a worker panics. [`Executor::map_indexed`] replaces all of them:
+//! frequent-edge subtrees and the incremental re-mines as independent work
+//! items. [`Executor::map_indexed`] runs each batch of them:
 //!
-//! * **bounded** — at most the configured thread budget runs at once, no
-//!   matter how many jobs a batch carries;
-//! * **work-stealing** — jobs are dealt round-robin onto per-worker
-//!   queues; a worker that drains its own queue steals from the back of
-//!   its neighbours', so a skewed batch (one expensive candidate among
-//!   hundreds of cheap ones) no longer stalls the whole level;
+//! * **bounded** — at most the configured number of workers runs at once,
+//!   no matter how many jobs a batch carries;
+//! * **one shared queue** — workers take jobs from a single queue in
+//!   submission order, so a worker that finishes early takes the next job
+//!   and a skewed batch (one expensive candidate among hundreds of cheap
+//!   ones) never strands cheap jobs behind the expensive one;
 //! * **deterministic** — results come back in submission order, so a
 //!   caller folding per-job statistics in result order observes exactly
 //!   the serial schedule (the merge-join's `WalkStats` serial == parallel);
@@ -22,19 +17,57 @@
 //!   surfaces as [`ExecError`]`{ label, payload }` instead of aborting
 //!   the process through an anonymous `join().expect(..)`.
 //!
-//! The crate is std only. Scheduling counters (jobs run, steals, peak
-//! queue depth, panics) accumulate on the executor itself; the pipeline
-//! mirrors them into its telemetry counters (`exec_jobs`, `exec_steals`,
-//! `exec_queue_peak`, `exec_panics`).
+//! A `threads` setting (`1` inline, `n` workers, `0` every core) becomes a
+//! worker count in one place, [`resolve_threads`]; the mining pipeline,
+//! the serving daemon, the CLI and the oracle all call it.
+//!
+//! The crate is std only. Scheduling counters (jobs run, peak queue depth,
+//! panics) accumulate on the executor itself; the pipeline mirrors them
+//! into its telemetry counters (`exec_jobs`, `exec_queue_peak`,
+//! `exec_panics`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// Sanity cap on a `threads` setting: anything larger is a unit mix-up
+/// (e.g. a byte budget landing in `threads`), not a real machine.
+pub const MAX_THREADS: usize = 1024;
+
+/// A `threads` setting above [`MAX_THREADS`], refused before any thread
+/// starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadsOutOfRange {
+    /// The rejected setting.
+    pub requested: usize,
+}
+
+impl fmt::Display for ThreadsOutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "thread budget {} exceeds the maximum of {MAX_THREADS}", self.requested)
+    }
+}
+
+impl std::error::Error for ThreadsOutOfRange {}
+
+/// Turns a `threads` setting into the worker count of an [`Executor`]:
+/// `1` runs inline, `n` runs `n` workers and `0` uses every core
+/// (`std::thread::available_parallelism()`, else 1).
+///
+/// # Errors
+///
+/// Refuses a setting above [`MAX_THREADS`].
+pub fn resolve_threads(threads: usize) -> Result<usize, ThreadsOutOfRange> {
+    match threads {
+        0 => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        n if n > MAX_THREADS => Err(ThreadsOutOfRange { requested: n }),
+        n => Ok(n),
+    }
+}
 
 /// One schedulable unit of work: a label (carried into panic payloads and
 /// telemetry) plus the closure to run.
@@ -85,39 +118,34 @@ impl std::error::Error for ExecError {}
 pub struct ExecCounters {
     /// Jobs executed (including jobs that panicked).
     pub jobs: u64,
-    /// Jobs a worker took from another worker's queue.
-    pub steals: u64,
     /// Largest batch ever submitted (peak pending-queue depth).
     pub queue_peak: u64,
     /// Jobs whose closure panicked.
     pub panics: u64,
 }
 
-/// A bounded work-stealing thread pool.
+/// A bounded thread pool over one shared job queue.
 ///
-/// The thread budget is resolved **once** when the executor is built (the
-/// pipeline resolves it from `PartMinerConfig::threads`, the
-/// `GRAPHMINE_THREADS` environment variable, or
-/// `std::thread::available_parallelism`, in that order) and reused by
-/// every batch submitted through [`Executor::map_indexed`] — unit mining,
-/// the merge-join's walk and incremental re-mining all share one pool
-/// per run instead of re-deriving a parallelism degree per batch.
+/// The worker count is fixed when the executor is built (callers resolve a
+/// `threads` setting with [`resolve_threads`]) and reused by every batch
+/// submitted through [`Executor::map_indexed`] — unit mining, the
+/// merge-join's walk and incremental re-mining all share one pool per run
+/// instead of re-deriving a parallelism degree per batch.
 #[derive(Debug, Default)]
 pub struct Executor {
     threads: usize,
     jobs: AtomicU64,
-    steals: AtomicU64,
     queue_peak: AtomicU64,
     panics: AtomicU64,
 }
 
 impl Executor {
-    /// An executor with a budget of `threads` workers (clamped to ≥ 1).
+    /// An executor of `threads` workers (clamped to ≥ 1).
     pub fn new(threads: usize) -> Self {
         Executor { threads: threads.max(1), ..Executor::default() }
     }
 
-    /// The resolved thread budget.
+    /// The worker count.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -126,7 +154,6 @@ impl Executor {
     pub fn counters(&self) -> ExecCounters {
         ExecCounters {
             jobs: self.jobs.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
             queue_peak: self.queue_peak.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
         }
@@ -134,10 +161,11 @@ impl Executor {
 
     /// Runs every job and returns their results **in submission order**.
     ///
-    /// With a budget of one worker (or a single job) the batch runs
-    /// inline on the calling thread — the serial schedule is literally
-    /// the parallel one restricted to one worker, so callers need no
-    /// separate serial code path.
+    /// With one worker (or a single job) the batch runs inline on the
+    /// calling thread — the serial schedule is literally the parallel one
+    /// restricted to one worker, so callers need no separate serial code
+    /// path. Otherwise the workers take jobs from one shared queue in
+    /// submission order.
     ///
     /// On the first job panic the batch is poisoned: workers finish the
     /// job they are on, pending jobs are dropped, and the first panic is
@@ -162,27 +190,17 @@ impl Executor {
             return Ok(out);
         }
 
-        // Deal jobs round-robin onto per-worker queues. Workers pop their
-        // own queue from the front and steal from the back of others', so
-        // contiguous cheap jobs stay local while an expensive one only
-        // ever occupies its own worker.
-        let mut queues: Vec<WorkerQueue<'a, T>> = (0..workers)
-            .map(|_| Mutex::new(VecDeque::with_capacity(n.div_ceil(workers))))
-            .collect();
-        for (idx, job) in jobs.into_iter().enumerate() {
-            queues[idx % workers].get_mut().expect("fresh queue").push_back((idx, job));
-        }
-        let queues = &queues;
+        let queue = &Mutex::new(jobs.into_iter().enumerate());
         let poisoned = &AtomicBool::new(false);
         let first_error: &Mutex<Option<ExecError>> = &Mutex::new(None);
 
         let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|me| {
+                .map(|_| {
                     scope.spawn(move || {
                         let mut local: Vec<(usize, T)> = Vec::new();
                         while !poisoned.load(Ordering::Acquire) {
-                            let Some((idx, job)) = self.next_job(me, workers, queues) else {
+                            let Some((idx, job)) = queue.lock().expect("queue lock").next() else {
                                 break;
                             };
                             self.jobs.fetch_add(1, Ordering::Relaxed);
@@ -216,27 +234,6 @@ impl Executor {
         Ok(slots.into_iter().map(|s| s.expect("every job ran exactly once")).collect())
     }
 
-    /// Pops the next job: own queue first (front), then a steal sweep
-    /// over the other workers' queues (back).
-    fn next_job<'a, T>(
-        &self,
-        me: usize,
-        workers: usize,
-        queues: &[WorkerQueue<'a, T>],
-    ) -> Option<(usize, Job<'a, T>)> {
-        if let Some(item) = queues[me].lock().expect("queue lock").pop_front() {
-            return Some(item);
-        }
-        for off in 1..workers {
-            let victim = (me + off) % workers;
-            if let Some(item) = queues[victim].lock().expect("queue lock").pop_back() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(item);
-            }
-        }
-        None
-    }
-
     /// Runs one job under `catch_unwind`, converting a panic into a
     /// labeled [`ExecError`].
     fn run_job<'a, T>(&self, job: Job<'a, T>) -> Result<T, ExecError> {
@@ -247,9 +244,6 @@ impl Executor {
         })
     }
 }
-
-/// One worker's deque of `(submission index, job)` pairs.
-type WorkerQueue<'a, T> = Mutex<VecDeque<(usize, Job<'a, T>)>>;
 
 /// Best-effort stringification of a panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -297,7 +291,6 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(out, vec![true, true]);
-        assert_eq!(exec.counters().steals, 0);
     }
 
     #[test]

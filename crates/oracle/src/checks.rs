@@ -22,8 +22,8 @@
 //!    supports in every cell — a unit result spares a pattern the
 //!    canonical test, never the exact support. Serial and parallel merge
 //!    stats fold to identical totals. The parallel legs all fan out over
-//!    one run-wide work-stealing [`Executor`], so pool reuse across cases
-//!    is exercised for free.
+//!    one run-wide [`Executor`], so pool reuse across cases is exercised
+//!    for free.
 //! 5. **partition-invariants** — `DbPartition::check_invariants`, lossless
 //!    graph recovery, the one-split law (each edge lands in exactly one
 //!    side, or in both sides and the connective set), and the precomputed
@@ -96,9 +96,9 @@ fn fail(check: &'static str, message: String) -> CheckFailure {
 /// Runs the whole battery on one case. The first failing check aborts the
 /// case and is reported; a clean case returns `Ok(())`.
 ///
-/// `exec` is the work-stealing pool the parallel PartMiner legs fan out
-/// on; the runner builds one per oracle run and reuses it across every
-/// case, so pool reuse itself is under test here.
+/// `exec` is the pool the parallel PartMiner legs fan out on; the runner
+/// builds one per oracle run and reuses it across every case, so pool
+/// reuse itself is under test here.
 pub fn run_case(case: &Case, exec: &Executor) -> Result<(), CheckFailure> {
     check_csr_invariants(case)?;
     let reference = GSpan::capped(case.max_edges).mine(&case.db, case.min_support);
@@ -420,7 +420,8 @@ fn same_graph(a: &Graph, b: &Graph) -> Result<(), String> {
 
 fn check_incremental_verify(case: &Case, mirror: &GraphDb) -> Result<(), CheckFailure> {
     const CHECK: &str = "incremental-verify";
-    let uf = graphmine_datagen::ufreq_from_updates(&case.db, &case.updates);
+    let uf = graphmine_datagen::ufreq_from_updates(&case.db, &case.updates)
+        .map_err(|e| fail(CHECK, format!("applicable batch rejected by the ufreq replay: {e}")))?;
     for k in [2usize, 3] {
         let mut cfg = PartMinerConfig::with_k(k);
         cfg.max_edges = Some(case.max_edges);

@@ -3,7 +3,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use graphmine_core::{ConfigError, Executor, PartMinerConfig};
+use graphmine_core::{resolve_threads, Executor, ThreadsOutOfRange};
 
 use crate::case::{generate_case, Case};
 use crate::checks::{run_case, CheckFailure};
@@ -20,9 +20,8 @@ pub struct OracleConfig {
     pub quick: bool,
     /// Where failing cases are written as repro files (`None` disables).
     pub out_dir: Option<PathBuf>,
-    /// Thread budget of the shared pool the parallel check legs fan out
-    /// on; `0` resolves like the mining pipeline (`GRAPHMINE_THREADS`,
-    /// then the machine).
+    /// Workers of the shared pool the parallel check legs fan out on:
+    /// `0` (the default) uses every core, `n` runs `n` workers.
     pub threads: usize,
 }
 
@@ -33,12 +32,10 @@ impl Default for OracleConfig {
 }
 
 impl OracleConfig {
-    /// Builds the run-wide work-stealing pool. The budget resolves exactly
-    /// like [`PartMinerConfig::thread_budget`], so `graphmine check` and
-    /// `graphmine mine` read the same knobs.
-    pub fn executor(&self) -> Result<Executor, ConfigError> {
-        let cfg = PartMinerConfig { threads: self.threads, ..PartMinerConfig::default() };
-        Ok(Executor::new(cfg.thread_budget()?))
+    /// Builds the run-wide pool. `threads` resolves through
+    /// [`resolve_threads`], as every `threads` setting does.
+    pub fn executor(&self) -> Result<Executor, ThreadsOutOfRange> {
+        Ok(Executor::new(resolve_threads(self.threads)?))
     }
 }
 

@@ -219,23 +219,12 @@ impl DbPartition {
         partitioner: &dyn Bipartitioner,
         k: usize,
     ) -> Self {
-        Self::build_instrumented(db, ufreq, partitioner, k, &Telemetry::new())
+        Self::build_on(db, ufreq, partitioner, k, &Telemetry::new(), &Inline)
     }
 
-    /// [`DbPartition::build`] with telemetry: records one `partition_split`
-    /// span per bi-partitioned tree node (these nest under the caller's
-    /// `partition` span when one is open).
-    pub fn build_instrumented(
-        db: &GraphDb,
-        ufreq: &[Vec<f64>],
-        partitioner: &dyn Bipartitioner,
-        k: usize,
-        tel: &Telemetry,
-    ) -> Self {
-        Self::build_on(db, ufreq, partitioner, k, tel, &Inline)
-    }
-
-    /// [`DbPartition::build_instrumented`] with every node's split handed to
+    /// [`DbPartition::build`] recording one `partition_split` span per
+    /// bi-partitioned tree node into `tel` (nested under the caller's
+    /// `partition` span when one is open), with every node's split handed to
     /// `runner` as independent work items, one per [`SPLIT_RANGE`] gids,
     /// labeled `split:{node}:{first gid}..{end gid}`. The items and their
     /// order do not depend on the runner, and neither does the result.

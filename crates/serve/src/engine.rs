@@ -75,7 +75,7 @@ use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use graphmine_core::{Executor, PartMinerConfig};
+use graphmine_core::{resolve_threads, Executor};
 use graphmine_graph::dfscode::min_dfs_code;
 use graphmine_graph::{
     apply_all, DbUpdate, DfsCode, EmbeddingStore, Graph, GraphDb, GraphId, PatternSet, Support,
@@ -100,8 +100,15 @@ pub struct EngineConfig {
     /// reads `cfg.k`; the benchmark PR of ROADMAP 1(a) deletes it.
     #[doc(hidden)]
     pub k: usize,
-    /// Fan each walk out over a pool, one job per frequent-edge subtree.
+    /// Read by nothing: `threads` alone decides the schedule. Declared only
+    /// because `bench/e2e/src/stream.rs` reads it; the benchmark PR of
+    /// ROADMAP 1(a) deletes it.
+    #[doc(hidden)]
     pub parallel: bool,
+    /// Workers each walk fans out over, one job per frequent-edge subtree:
+    /// `1` (the default) walks inline, `n` runs `n` workers, `0` uses every
+    /// core.
+    pub threads: usize,
     /// Read by nothing (neither the snapshot nor the journal has a buffer
     /// pool). Declared only because `bench/e2e/src/stream.rs` reads it; the
     /// benchmark PR of ROADMAP 1(a) deletes it.
@@ -137,6 +144,7 @@ impl Default for EngineConfig {
             min_support: 2,
             k: 4,
             parallel: false,
+            threads: 1,
             pool_pages: 0,
             embedding_budget: DEFAULT_EMBEDDING_BUDGET,
             ingest: IngestConfig::default(),
@@ -279,7 +287,7 @@ pub(crate) struct EngineShared {
     /// Last router-committed global epoch (0 until a commit arrives).
     /// In-memory only — the router republishes it on re-admission.
     global_epoch: AtomicU64,
-    /// The shared work-stealing pool the walks run on. Sized once at
+    /// The shared pool the walks run on. Sized once at
     /// boot; the applier submits labeled jobs here, so epoch rebuilds
     /// never occupy a request worker.
     pub(crate) exec: Executor,
@@ -334,14 +342,9 @@ impl ServeEngine {
         cfg: &EngineConfig,
     ) -> Result<(ServeEngine, BootReport), String> {
         let tel = Telemetry::new();
-        // One pool for the boot walk and every fold after; sized like the
-        // mining config would size its own.
-        let budget = if cfg.parallel {
-            PartMinerConfig::default().thread_budget().map_err(|e| format!("threads: {e}"))?
-        } else {
-            1
-        };
-        let exec = Executor::new(budget);
+        // One pool for the boot walk and every fold after.
+        let threads = resolve_threads(cfg.threads).map_err(|e| format!("threads: {e}"))?;
+        let exec = Executor::new(threads);
 
         let meta_path = dir.join("meta.json");
         let from_snapshot = meta_path.exists();

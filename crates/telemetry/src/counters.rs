@@ -110,9 +110,11 @@ pub enum Counter {
     WalGroupCommits,
     /// WAL group commit: frames made durable across all barriers.
     WalGroupFrames,
-    /// Executor: jobs run through the shared work-stealing pool.
+    /// Executor: jobs run through the shared pool.
     ExecJobs,
-    /// Executor: jobs a worker took from another worker's queue.
+    /// Bumped by nothing: the pool has one shared queue, so no worker
+    /// steals. Declared only because `bench/e2e` still reads it; the
+    /// benchmark PR of ROADMAP 1(a) deletes it.
     ExecSteals,
     /// Executor: peak batch size submitted to the pool (a high-water
     /// gauge maintained with [`Counters::max`], not a sum).

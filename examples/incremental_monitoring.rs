@@ -25,7 +25,7 @@ fn main() {
     // One update batch, known in advance (the ufreq premise of Section 4.1).
     let upd_params = UpdateParams::new(0.4, 2, UpdateKind::Mixed, 8);
     let plan = plan_updates(&db, &upd_params);
-    let ufreq = ufreq_from_updates(&db, &plan);
+    let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
     let mut updated = db.clone();
     apply_all(&mut updated, &plan).unwrap();
 

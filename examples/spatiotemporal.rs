@@ -92,7 +92,7 @@ fn main() {
     // derive ufreq from a few ticks' worth of planned movement so every
     // mobile object registers as update-prone.
     let forecast: Vec<DbUpdate> = (0..3).flat_map(|t| tick_updates(&db, t)).collect();
-    let ufreq = ufreq_from_updates(&db, &forecast);
+    let ufreq = ufreq_from_updates(&db, &forecast).expect("the plan applies");
 
     let min_sup = db.abs_support(0.08);
     let mut cfg = PartMinerConfig::with_k(4);

@@ -26,7 +26,7 @@ fn dynamic_lifecycle_stays_consistent_across_batches() {
         batches.push(plan);
     }
     // ufreq from the first batch (what the partitioner can know up front).
-    let ufreq = ufreq_from_updates(&db0, &batches[0]);
+    let ufreq = ufreq_from_updates(&db0, &batches[0]).expect("the plan applies");
 
     // Initial mining.
     let cfg = PartMinerConfig::with_k(3);

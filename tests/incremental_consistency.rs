@@ -17,7 +17,7 @@ fn run_workload(kind: UpdateKind, fraction: f64) {
     let db = synthetic_db();
     let params = UpdateParams::new(fraction, 2, kind, 4);
     let plan = plan_updates(&db, &params);
-    let ufreq = ufreq_from_updates(&db, &plan);
+    let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
     let sup = db.abs_support(0.15);
 
     let cfg = PartMinerConfig::with_k(3);
@@ -84,7 +84,7 @@ fn incremental_work_scales_with_update_amount() {
     for fraction in [0.2, 0.8] {
         let params = UpdateParams::new(fraction, 2, UpdateKind::Relabel, 4);
         let plan = plan_updates(&db, &params);
-        let ufreq = ufreq_from_updates(&db, &plan);
+        let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
         let cfg = PartMinerConfig::with_k(4);
         let outcome = PartMiner::new(cfg).mine(&db, &ufreq, sup);
         let mut state = outcome.state;
@@ -105,7 +105,7 @@ fn ufreq_aware_partitioning_localises_updates() {
     let db = synthetic_db();
     let params = UpdateParams::new(0.3, 2, UpdateKind::Relabel, 4);
     let plan = plan_updates(&db, &params);
-    let ufreq = ufreq_from_updates(&db, &plan);
+    let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
     let sup = db.abs_support(0.15);
 
     let touched_units = |criteria: Criteria| -> usize {

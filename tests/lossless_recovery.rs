@@ -51,7 +51,7 @@ fn merge_join_is_lossless_for_all_criteria_and_k() {
     // A realistic ufreq (from a planned update workload) exercises the
     // update-aware criteria.
     let plan = plan_updates(&db, &UpdateParams::new(0.4, 2, UpdateKind::Mixed, 4));
-    let ufreq = ufreq_from_updates(&db, &plan);
+    let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
 
     let settings = [
         PartitionerKind::GraphPart(Criteria::ISOLATE_UPDATES),

@@ -51,8 +51,8 @@ fn all_systems_agree_on_synthetic_data() {
 }
 
 /// Differential matrix for the embedding-list support engine: Apriori with
-/// its store {off, on}, and PartMiner's list-carrying walk under merge
-/// scheduling {serial, parallel}, must produce the exact pattern sets and
+/// its store {off, on}, and PartMiner's list-carrying walk at threads
+/// {1, 2}, must produce the exact pattern sets and
 /// supports of the reference miner, across several randomized databases;
 /// and the support screen's recount of every frequent pattern must name
 /// exactly its supporting graphs, in ascending gid order. A failure message
@@ -83,13 +83,12 @@ fn embedding_list_matrix_is_exact() {
             );
         }
 
-        for parallel in [false, true] {
-            let mut cfg = PartMinerConfig::with_k(2);
-            cfg.parallel = parallel;
+        for threads in [1, 2] {
+            let cfg = PartMinerConfig { threads, ..PartMinerConfig::with_k(2) };
             let pm = PartMiner::new(cfg).mine(&db, &[], sup);
             assert!(
                 pm.patterns.same_codes_and_supports(&reference),
-                "PartMiner (parallel {parallel}) vs gSpan: {} vs {} — {repro}",
+                "PartMiner (threads {threads}) vs gSpan: {} vs {} — {repro}",
                 pm.patterns.len(),
                 reference.len()
             );
@@ -164,14 +163,13 @@ fn support_boundaries_across_the_miner_matrix() {
         }
 
         for k in [2usize, 3, 4] {
-            for parallel in [false, true] {
-                let mut cfg = PartMinerConfig::with_k(k);
-                cfg.max_edges = Some(cap);
-                cfg.parallel = parallel;
+            for threads in [1, 2] {
+                let cfg =
+                    PartMinerConfig { max_edges: Some(cap), threads, ..PartMinerConfig::with_k(k) };
                 let pm = PartMiner::new(cfg).mine(&db, &[], sup);
                 assert!(
                     pm.patterns.same_codes_and_supports(&reference),
-                    "PartMiner (k={k}, parallel {parallel}) at sup {sup}: {} vs {} — {repro}",
+                    "PartMiner (k={k}, threads {threads}) at sup {sup}: {} vs {} — {repro}",
                     pm.patterns.len(),
                     reference.len()
                 );

@@ -86,7 +86,7 @@ fn relabel_edge_touches_both_endpoints() {
 #[test]
 fn ufreq_attributes_edge_relabels_to_endpoints() {
     let db = build_db();
-    let uf = ufreq_from_updates(&db, &relabel_batch());
+    let uf = ufreq_from_updates(&db, &relabel_batch()).expect("the plan applies");
     for gid in [0usize, 1] {
         assert_eq!(uf[gid][1], 1.0, "gid {gid}: endpoint 1 of edge 1 got no heat");
         assert_eq!(uf[gid][2], 1.0, "gid {gid}: endpoint 2 of edge 1 got no heat");

@@ -96,7 +96,7 @@ fn partminer_report_reconciles_exact() {
 fn incpartminer_report_reconciles() {
     let db = synthetic_db();
     let plan = plan_updates(&db, &UpdateParams::new(0.3, 2, UpdateKind::Mixed, 5));
-    let ufreq = ufreq_from_updates(&db, &plan);
+    let ufreq = ufreq_from_updates(&db, &plan).expect("the plan applies");
     let sup = db.abs_support(0.1);
     let cfg = PartMinerConfig::with_k(2);
 
