@@ -39,6 +39,7 @@ USAGE:
       default 2) and M (edges per pattern) are at least 1.
       --threads T runs PartMiner on a pool of T workers: 1 (the default)
       runs inline, 0 uses every core. Every T writes the same patterns.
+      The other algorithms mine inline and refuse --threads.
       --embedding-lists (--algo apriori only) controls the
       embedding-list store level-wise candidate counting keeps; `auto`
       (default) sizes its cache from the database, `off` always
@@ -441,6 +442,11 @@ pub fn mine(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     let mut args = Args::new(raw);
     let minsup = minsup_arg(&mut args)?;
     let algo = args.value("--algo").unwrap_or("partminer").to_string();
+    if algo != "partminer" && raw.iter().any(|a| a == "--threads") {
+        return Err(format!(
+            "--threads sizes PartMiner's pool: --algo {algo} mines inline and does not read it"
+        ));
+    }
     let k = at_least_one(&mut args, "--k", "PartMiner needs at least one unit")?.unwrap_or(2);
     let threads = threads_arg(&mut args, 1)?;
     let partitioner = criteria_arg(&mut args)?;

@@ -245,6 +245,16 @@ fn mine_and_serve_refuse_the_removed_parallel_flag() {
     assert!(!std::path::Path::new("no-dir").exists());
 }
 
+/// `--threads` sizes PartMiner's pool and nothing else: under any other
+/// `--algo` it is refused by name, before a file is opened.
+#[test]
+fn mine_refuses_threads_under_another_algo() {
+    let args = ["no-db.txt", "--minsup", "0.05", "--algo", "gspan", "--threads", "2"];
+    let err = commands::mine(&s(&args), &mut sink()).unwrap_err();
+    assert!(err.starts_with("--threads sizes PartMiner's pool"), "{err}");
+    assert!(!err.contains("no-"), "got as far as opening a file: {err}");
+}
+
 /// Every window is coalesced; `--no-coalesce` is refused by name, before
 /// a file is opened or a data directory made, wherever it stands.
 #[test]

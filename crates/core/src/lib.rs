@@ -87,7 +87,9 @@ pub use config::{PartMinerConfig, PartitionerKind};
 pub use fold::{fold_delta, touched_graphs, walk_with_border, Border};
 pub use incremental::{IncOutcome, IncPartMiner, IncStats};
 pub use merge_join::{merge_join, MergeContext};
-pub use partminer::{MineOutcome, MineStats, PartMiner, PartMinerState, PoolRunner};
+pub use partminer::{
+    mirror_exec_counters, MineOutcome, MineStats, PartMiner, PartMinerState, PoolRunner,
+};
 
 // The shared pool and its one `threads` resolver, re-exported so pipeline
 // callers (CLI, oracle, serving daemon) can build one pool and lend it to

@@ -48,9 +48,10 @@ impl BatchRunner for PoolRunner<'_> {
 
 /// Mirrors the executor's scheduling-counter deltas for one run into the
 /// telemetry table. The pool may be shared across runs (the oracle reuses
-/// one for its whole matrix), so only the delta belongs to this report;
-/// the queue peak is a high-water mark and is folded with `max`.
-pub(crate) fn mirror_exec_counters(tel: &Telemetry, exec: &Executor, before: ExecCounters) {
+/// one for its whole matrix, a daemon one for its boot walk and every fold
+/// after), so only the delta belongs to this report; the queue peak is a
+/// high-water mark and is folded with `max`.
+pub fn mirror_exec_counters(tel: &Telemetry, exec: &Executor, before: ExecCounters) {
     let after = exec.counters();
     let c = tel.counters();
     c.add(Counter::ExecJobs, after.jobs - before.jobs);

@@ -143,8 +143,11 @@ fn csr_fill(offsets: &mut [u32], edges: &[(VertexId, VertexId, ELabel)]) -> Vec<
 }
 
 /// Sorts every run of a filled arena by [`adj_key`] — where
-/// [`Graph::from_edges`] makes run order in bulk; `Graph::csr_insert` keeps
-/// the same order one entry at a time.
+/// [`Graph::from_edges`] makes run order in bulk, and [`Graph::subgraph`]
+/// mends it after a renumbering; `Graph::csr_insert` keeps the same order
+/// one entry at a time. `#[inline]`: with two callers it would otherwise be
+/// called out of line from the parser's per-graph loop.
+#[inline]
 fn csr_sort_runs(vlabels: &[VLabel], offsets: &[u32], packed: &mut [Adjacency]) {
     for w in offsets.windows(2) {
         packed[w[0] as usize..w[1] as usize].sort_unstable_by_key(|a| adj_key(vlabels, a));
@@ -159,13 +162,44 @@ fn csr_sort_runs(vlabels: &[VLabel], offsets: &[u32], packed: &mut [Adjacency]) 
     }
 }
 
-/// Scratch space [`Graph::from_edges`] reuses from one graph to the next, so
-/// a loop building many graphs allocates only what the graphs keep.
+/// Scratch space [`Graph::from_edges`] and [`Graph::subgraph`] reuse from
+/// one graph to the next, so a loop building many graphs allocates only
+/// what the graphs keep.
 #[derive(Debug, Default)]
 pub struct CsrScratch {
     /// Per vertex, where in the arena an entry naming it was last seen (the
     /// duplicate-edge screen; stale entries are harmless, see its use).
     seen: Vec<u32>,
+    /// Per parent vertex, its place in a subgraph's vertex list (trusted
+    /// only as [`listed_at`] checks it, so stale entries are harmless).
+    vertex_slot: Vec<u32>,
+    /// Per parent edge, its place in a subgraph's edge list, likewise.
+    edge_slot: Vec<u32>,
+}
+
+/// Points `slots[x]` at `i` for every `xs[i]`, growing `slots` to `len`
+/// entries first.
+///
+/// # Panics
+///
+/// Panics if an `x` is not below `len` or is listed twice; `what` names it.
+fn mark_slots(slots: &mut Vec<u32>, len: u32, xs: &[u32], what: &str) {
+    if slots.len() < len as usize {
+        slots.resize(len as usize, 0);
+    }
+    for (i, &x) in xs.iter().enumerate() {
+        assert!(x < len, "{what} {x} out of range ({len})");
+        assert!(listed_at(slots, &xs[..i], x).is_none(), "{what} {x} listed twice");
+        slots[x as usize] = i as u32;
+    }
+}
+
+/// Where `x` is in `xs`, read off the slot [`mark_slots`] set: whatever an
+/// earlier list left in `slots[x]` is trusted only if `xs` holds `x` there.
+#[inline]
+fn listed_at(slots: &[u32], xs: &[u32], x: u32) -> Option<u32> {
+    let i = slots[x as usize];
+    (xs.get(i as usize) == Some(&x)).then_some(i)
 }
 
 /// An undirected, labeled, simple graph `G = (V, E, L_V, L_E)` (Section 3 of
@@ -474,6 +508,59 @@ impl Graph {
         Ok(Graph { words, packed, n: n as u32, m: edges.len() as u32 })
     }
 
+    /// The subgraph of `self` on the listed vertices and edges: vertex `i`
+    /// is `vertices[i]` with its label, edge `j` is `edges[j]` with its
+    /// label and its endpoints in the same order — the graph
+    /// [`Graph::from_edges`] builds from those lists. Each vertex's run is
+    /// copied from its run here, which is sorted already, so nothing is
+    /// counting-sorted and no edge is screened again: `self`'s edges passed
+    /// those checks when they were added. When `vertices` ascends, the
+    /// renumbering keeps every run's order and nothing is sorted at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a vertex or an edge is out of range or listed twice, or if
+    /// an endpoint of a listed edge is not listed.
+    pub fn subgraph(
+        &self,
+        vertices: &[VertexId],
+        edges: &[EdgeId],
+        scratch: &mut CsrScratch,
+    ) -> Graph {
+        let (n, m) = (vertices.len(), edges.len());
+        let CsrScratch { vertex_slot, edge_slot, .. } = scratch;
+        mark_slots(vertex_slot, self.n, vertices, "vertex");
+        mark_slots(edge_slot, self.m, edges, "edge");
+        let mut words = Vec::with_capacity(2 * n + 1 + EDGE_WORDS * m);
+        words.extend(vertices.iter().map(|&v| self.vlabel(v)));
+        words.push(0);
+        let mut packed = Vec::with_capacity(2 * m);
+        for &v in vertices {
+            for a in self.neighbors(v) {
+                if let Some(eid) = listed_at(edge_slot, edges, a.eid) {
+                    // `a.to` is listed: the edge loop below panics if not.
+                    let to = vertex_slot[a.to as usize];
+                    packed.push(Adjacency { to, elabel: a.elabel, eid });
+                }
+            }
+            words.push(packed.len() as u32);
+        }
+        if !vertices.is_sorted() {
+            // A run keeps its order but among neighbours that tie on both
+            // labels, which the renumbering may reorder.
+            csr_sort_runs(&words[..n], &words[n..], &mut packed);
+        }
+        for &e in edges {
+            let [u, v, label] = self.edge_record(e).expect("edge ids are checked");
+            for w in [u, v] {
+                let at = listed_at(vertex_slot, vertices, w);
+                words.push(at.unwrap_or_else(|| panic!("endpoint {w} of edge {e} is not listed")));
+            }
+            words.push(label);
+        }
+        Graph { words, packed, n: n as u32, m: m as u32 }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn vertex_count(&self) -> usize {
@@ -717,32 +804,34 @@ impl Graph {
         out
     }
 
-    /// Builds the subgraph induced by the given edge ids.
+    /// Builds the subgraph induced by the given edge ids ([`Graph::subgraph`]
+    /// on their endpoints).
     ///
     /// Vertices incident to any selected edge are kept and renumbered
-    /// densely; the returned map gives, for each new vertex id, the original
-    /// vertex id (`new -> old`).
+    /// densely, in the order they first appear; the returned map gives, for
+    /// each new vertex id, the original vertex id (`new -> old`).
     ///
     /// # Errors
     ///
     /// Returns an error if any edge id is out of range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge id is listed twice.
     pub fn edge_subgraph(&self, edge_ids: &[EdgeId]) -> Result<(Graph, Vec<VertexId>), GraphError> {
-        let mut old_to_new = vec![u32::MAX; self.vertex_count()];
+        let mut kept = vec![false; self.vertex_count()];
         let mut new_to_old = Vec::new();
-        let mut g = Graph::new();
         for &eid in edge_ids {
-            if eid >= self.m {
-                return Err(GraphError::EdgeOutOfRange { edge: eid, len: self.m });
-            }
-            let (u, v, label) = self.edge(eid);
+            let [u, v, _] = self
+                .edge_record(eid)
+                .ok_or(GraphError::EdgeOutOfRange { edge: eid, len: self.m })?;
             for w in [u, v] {
-                if old_to_new[w as usize] == u32::MAX {
-                    old_to_new[w as usize] = g.add_vertex(self.vlabel(w));
+                if !std::mem::replace(&mut kept[w as usize], true) {
                     new_to_old.push(w);
                 }
             }
-            g.add_edge(old_to_new[u as usize], old_to_new[v as usize], label)?;
         }
+        let g = self.subgraph(&new_to_old, edge_ids, &mut CsrScratch::default());
         Ok((g, new_to_old))
     }
 

@@ -4,7 +4,9 @@
 //! `add_edge` × m (one sorted insert per half-edge) build — the same edges,
 //! the same sorted runs, no word past the edges — and on a list `add_edge`
 //! would refuse part-way (duplicate, self-loop, endpoint out of range) it
-//! must refuse the same edge with the same error.
+//! must refuse the same edge with the same error. `Graph::subgraph`, which
+//! copies runs out of a built graph instead, must build what
+//! `Graph::from_edges` builds from the same lists.
 
 use proptest::prelude::*;
 
@@ -93,6 +95,88 @@ proptest! {
             }
         }
     }
+}
+
+/// A simple graph with a subgraph of it: a subset of its edges, and a vertex
+/// list holding their endpoints and some other vertices, in ascending order
+/// (which `subgraph` copies runs in unsorted) or shuffled (which it must
+/// mend where neighbours tie on both labels).
+fn graph_and_subgraph() -> impl Strategy<Value = ((Vec<u32>, EdgeList), Vec<u32>, Vec<u32>)> {
+    parts(9, true).prop_flat_map(|(vl, edges)| {
+        let (n, m) = (vl.len(), edges.len());
+        let keep_edge = proptest::collection::vec(any::<bool>(), m);
+        let keep_vertex = proptest::collection::vec(any::<bool>(), n);
+        let keys = proptest::collection::vec(any::<u32>(), n);
+        (Just((vl, edges)), keep_edge, keep_vertex, keys, any::<bool>()).prop_map(
+            |(parts, keep_edge, keep_vertex, keys, shuffle)| {
+                let es: Vec<u32> =
+                    (0..keep_edge.len() as u32).filter(|&e| keep_edge[e as usize]).collect();
+                let mut listed = keep_vertex;
+                for &e in &es {
+                    let (u, v, _) = parts.1[e as usize];
+                    listed[u as usize] = true;
+                    listed[v as usize] = true;
+                }
+                let mut vs: Vec<u32> =
+                    (0..listed.len() as u32).filter(|&v| listed[v as usize]).collect();
+                if shuffle {
+                    vs.sort_by_key(|&v| keys[v as usize]);
+                }
+                (parts, vs, es)
+            },
+        )
+    })
+}
+
+proptest! {
+    /// One scratch across the sequence, as a database split passes it.
+    #[test]
+    fn subgraph_equals_the_bulk_build_of_its_lists(
+        cases in proptest::collection::vec(graph_and_subgraph(), 1..6),
+    ) {
+        let mut scratch = CsrScratch::default();
+        for ((vl, edges), vs, es) in &cases {
+            let parent = Graph::from_edges(vl, edges, &mut scratch).expect("simple");
+            let got = parent.subgraph(vs, es, &mut scratch);
+            let at = |v: u32| vs.iter().position(|&w| w == v).expect("endpoint listed") as u32;
+            let labels: Vec<u32> = vs.iter().map(|&v| vl[v as usize]).collect();
+            let piece_edges: EdgeList = es
+                .iter()
+                .map(|&e| edges[e as usize])
+                .map(|(u, v, el)| (at(u), at(v), el))
+                .collect();
+            let want = Graph::from_edges(&labels, &piece_edges, &mut scratch).expect("simple");
+            prop_assert_eq!(&got, &want);
+            for v in 0..vs.len() as u32 {
+                prop_assert_eq!(got.neighbors(v), want.neighbors(v), "run of vertex {}", v);
+            }
+            prop_assert_eq!(got.check_invariants(), Ok(()));
+        }
+    }
+}
+
+/// A path 0-1-2-3, to take subgraphs of.
+fn path4() -> Graph {
+    Graph::from_edges(&[0, 1, 2, 3], &[(0, 1, 0), (1, 2, 0), (2, 3, 0)], &mut CsrScratch::default())
+        .expect("simple")
+}
+
+#[test]
+#[should_panic(expected = "vertex 1 listed twice")]
+fn subgraph_refuses_a_vertex_listed_twice() {
+    path4().subgraph(&[0, 1, 1], &[0], &mut CsrScratch::default());
+}
+
+#[test]
+#[should_panic(expected = "edge 3 out of range")]
+fn subgraph_refuses_an_edge_out_of_range() {
+    path4().subgraph(&[0, 1], &[3], &mut CsrScratch::default());
+}
+
+#[test]
+#[should_panic(expected = "endpoint 2 of edge 1 is not listed")]
+fn subgraph_refuses_an_edge_without_its_endpoints() {
+    path4().subgraph(&[0, 1], &[0, 1], &mut CsrScratch::default());
 }
 
 /// Three copies of one edge, a second repeated pair and a self-loop behind

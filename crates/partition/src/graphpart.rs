@@ -6,6 +6,8 @@ use crate::Bipartitioner;
 
 /// The working buffers of [`Bipartitioner::assign`], kept by its caller
 /// from one graph to the next. Their contents between calls mean nothing.
+/// A graph of at most [`WORD`] vertices uses `order` alone; its vertex sets
+/// are words on the stack.
 #[derive(Debug, Default)]
 pub struct AssignScratch {
     /// Vertices by descending update frequency.
@@ -20,6 +22,35 @@ pub struct AssignScratch {
     nbrs: Vec<u32>,
     /// Vertices the refinement has already flipped.
     locked: Vec<bool>,
+}
+
+/// The most vertices a graph may have for [`GraphPart`] to hold its vertex
+/// sets in one `u64` each — every graph of the benchmark's databases (at
+/// most 22 vertices at T10, 39 at T20). A larger graph runs on `bool`
+/// vectors, the same steps in the same order.
+const WORD: usize = 64;
+
+/// The one-vertex set `{v}`.
+#[inline]
+fn bit(v: u32) -> u64 {
+    1 << v
+}
+
+/// The members of `set`, in ascending vertex id.
+fn members(mut set: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let v = set.trailing_zeros();
+        set &= set.wrapping_sub(1);
+        (v < u64::BITS).then_some(v)
+    })
+}
+
+/// Orders `a` before `b` when `a` has the higher update frequency, ties by
+/// lower id (line 1 of Fig. 5). `total_cmp` keeps the order total whatever
+/// the caller passes; `DbPartition::build` refuses a non-finite frequency
+/// before it gets here.
+fn hotter_first(ufreq: &[f64], a: u32, b: u32) -> std::cmp::Ordering {
+    ufreq[b as usize].total_cmp(&ufreq[a as usize]).then(a.cmp(&b))
 }
 
 /// The `(λ1, λ2)` weights of equation (1), controlling the trade-off between
@@ -97,17 +128,32 @@ impl Objective<'_> {
     /// the ufreq sum is taken afresh, in vertex-id order, because a running
     /// floating-point sum would round differently from move to move.
     fn weight(&self, subset: &[bool], size: usize, cut: usize) -> f64 {
+        self.score(size, cut, || {
+            (0..subset.len()).filter(|&v| subset[v]).map(|v| self.ufreq[v]).sum()
+        })
+    }
+
+    /// `w(V1)`, taking the subset's ufreq sum from `ufreq_sum` only when a
+    /// frequency is positive. A one-word subset sums over the same vertices
+    /// in the same order as [`Objective::weight`], so it rounds the same.
+    fn score(&self, size: usize, cut: usize, ufreq_sum: impl FnOnce() -> f64) -> f64 {
         if size == 0 {
             return f64::NEG_INFINITY;
         }
-        let uf_term = if self.max_uf > 0.0 {
-            let sum: f64 = (0..subset.len()).filter(|&v| subset[v]).map(|v| self.ufreq[v]).sum();
-            (sum / size as f64) / self.max_uf
-        } else {
-            0.0
-        };
+        let uf_term =
+            if self.max_uf > 0.0 { (ufreq_sum() / size as f64) / self.max_uf } else { 0.0 };
         let cut_term = if self.edges > 0 { cut as f64 / self.edges as f64 } else { 0.0 };
         self.criteria.lambda1 * uf_term - self.criteria.lambda2 * cut_term
+    }
+
+    /// Whether the weight is a non-increasing function of the cut alone,
+    /// `w = λ1·0 − λ2·cut/m`: no update frequency is positive (so the
+    /// first term is `λ1·0`, the same `±0` for every subset), `λ1` is
+    /// finite (so that product is not NaN), and `0 < λ2 < ∞` (so `λ2·x` is
+    /// finite and, rounded, non-decreasing in `x`, as `cut/m` is in `cut`).
+    fn falls_with_cut(&self) -> bool {
+        let Criteria { lambda1, lambda2 } = self.criteria;
+        self.max_uf <= 0.0 && lambda1.is_finite() && lambda2 > 0.0 && lambda2.is_finite()
     }
 }
 
@@ -121,20 +167,21 @@ impl Bipartitioner for GraphPart {
             return;
         }
         sides.resize(n, false);
-        let AssignScratch { order, in_subset, visited, stack, nbrs, locked } = scratch;
         let objective = Objective {
             criteria: self.criteria,
             ufreq,
             max_uf: ufreq.iter().copied().fold(0.0_f64, f64::max),
             edges: g.edge_count(),
         };
+        if n <= WORD {
+            return assign_on_words(g, &objective, sides, scratch);
+        }
+        let AssignScratch { order, in_subset, visited, stack, nbrs, locked } = scratch;
         // Line 1: vertices sorted by descending update frequency
-        // (ties broken by id for determinism). `total_cmp` keeps the order
-        // total whatever the caller passes; `DbPartition::build` refuses a
-        // non-finite frequency before it gets here.
+        // (ties broken by id for determinism).
         order.clear();
         order.extend(0..n as u32);
-        order.sort_by(|&a, &b| ufreq[b as usize].total_cmp(&ufreq[a as usize]).then(a.cmp(&b)));
+        order.sort_by(|&a, &b| hotter_first(ufreq, a, b));
 
         let half = (n / 2).max(1);
         // Best candidate so far: weight, subset, its size and its cut.
@@ -167,9 +214,7 @@ impl Bipartitioner for GraphPart {
                 // Push unvisited neighbours, highest ufreq on top (line 21).
                 nbrs.clear();
                 nbrs.extend(g.neighbors(v).iter().map(|a| a.to).filter(|&w| !visited[w as usize]));
-                nbrs.sort_by(|&a, &b| {
-                    ufreq[a as usize].total_cmp(&ufreq[b as usize]).then(b.cmp(&a))
-                });
+                nbrs.sort_by(|&a, &b| hotter_first(ufreq, b, a));
                 for &w in nbrs.iter() {
                     visited[w as usize] = true;
                     stack.push(w);
@@ -226,6 +271,164 @@ impl Bipartitioner for GraphPart {
     fn name(&self) -> &'static str {
         "GraphPart"
     }
+}
+
+/// [`Bipartitioner::assign`] for a graph of `2..=WORD` vertices: the steps
+/// of the `bool`-vector body in the same order, on one-word vertex sets.
+/// Vertex `v`'s neighbours are the set `adj[v]`, so a vertex's edges into
+/// a set are a popcount. Nothing here is quadratic: a graph costs a few
+/// 64-word arrays on the stack whatever its size.
+///
+/// The greedy DFS runs on ranks: rank `r` is vertex `order[r]`, so "highest
+/// update frequency first, ties by lower id" — the order of the starts and
+/// the pop order among one vertex's pushed neighbours (line 21 of Fig. 5)
+/// — is "lowest rank first". A vertex's unvisited neighbours are pushed as
+/// one set and popped lowest bit first, which is the order the `bool`-vector
+/// body pops them in after sorting. When every vertex has the same update
+/// frequency (the same bits, as `total_cmp` orders them) the ranks are the
+/// ids and nothing is sorted.
+///
+/// The DFS starts stop early when the weight falls with the cut alone
+/// ([`Objective::falls_with_cut`]) and the best cut so far is the least any
+/// candidate can have: 1 if the graph is connected (a candidate holds at
+/// least one vertex, its start, and at most `n/2 < n`, so some edge leaves
+/// it), 0 otherwise. A later candidate is taken only if its weight is
+/// strictly greater; its cut is at least that bound, so its weight is at
+/// most the best one, and it would not be taken. The skipped starts would
+/// change nothing — not the best subset, its weight, size or cut, which are
+/// all the refinement reads. For the same reason the refinement scores no
+/// flip that leaves the cut as large or larger.
+fn assign_on_words(
+    g: &Graph,
+    objective: &Objective<'_>,
+    sides: &mut [bool],
+    scratch: &mut AssignScratch,
+) {
+    let n = sides.len();
+    let ufreq = objective.ufreq;
+    let mut adj = [0u64; WORD];
+    for (v, set) in (0..n as u32).zip(&mut adj) {
+        *set = g.neighbors(v).iter().fold(0, |set, a| set | bit(a.to));
+    }
+    let degree = |set: &[u64; WORD], v: u32| set[v as usize].count_ones() as usize;
+    let order = &mut scratch.order;
+    order.clear();
+    order.extend(0..n as u32);
+    let uniform = ufreq.iter().all(|f| f.to_bits() == ufreq[0].to_bits());
+    let mut ranked = adj;
+    if !uniform {
+        order.sort_by(|&a, &b| hotter_first(ufreq, a, b));
+        let mut rank = [0u32; WORD];
+        for (r, &v) in (0..n as u32).zip(order.iter()) {
+            rank[v as usize] = r;
+        }
+        for (set, &v) in ranked.iter_mut().zip(order.iter()) {
+            *set = members(adj[v as usize]).fold(0, |set, w| set | bit(rank[w as usize]));
+        }
+    }
+    let vertices = |ranks: u64| {
+        if uniform {
+            ranks
+        } else {
+            members(ranks).fold(0, |set, r| set | bit(order[r as usize]))
+        }
+    };
+    let falls = objective.falls_with_cut();
+    let least_cut = falls.then(|| usize::from(connected(&adj[..n])));
+
+    let half = (n / 2).max(1);
+    let mut best_w = f64::NEG_INFINITY;
+    let (mut best, mut size, mut cut) = (0u64, 0usize, 0usize);
+    // The DFS stack as a stack of sets: one per popped vertex, of the
+    // neighbours it pushed, so at most `half + 1` of them.
+    let mut pushed = [0u64; WORD];
+    for start in 0..half as u32 {
+        let (mut subset, mut visited) = (0u64, bit(start));
+        pushed[0] = bit(start);
+        let mut depth = 1;
+        let (mut cand_size, mut cand_cut) = (0usize, 0usize);
+        while cand_size < half {
+            while depth > 0 && pushed[depth - 1] == 0 {
+                depth -= 1;
+            }
+            if depth == 0 {
+                break;
+            }
+            let top = &mut pushed[depth - 1];
+            let v = top.trailing_zeros();
+            *top &= *top - 1;
+            subset |= bit(v);
+            cand_size += 1;
+            let inside = (ranked[v as usize] & subset).count_ones() as usize;
+            cand_cut = cand_cut + degree(&ranked, v) - 2 * inside;
+            let fresh = ranked[v as usize] & !visited;
+            visited |= fresh;
+            pushed[depth] = fresh;
+            depth += 1;
+        }
+        let w = objective.score(cand_size, cand_cut, || {
+            members(vertices(subset)).map(|v| ufreq[v as usize]).sum()
+        });
+        if start == 0 || w > best_w {
+            best_w = w;
+            (best, size, cut) = (subset, cand_size, cand_cut);
+        }
+        if least_cut == Some(cut) {
+            break;
+        }
+    }
+    let mut best = vertices(best);
+
+    // The local refinement of the `bool`-vector body, flip for flip.
+    let lo = (n / 4).max(1);
+    let hi = n - lo;
+    let mut locked = 0u64;
+    loop {
+        let mut step: Option<(f64, u32, usize)> = None;
+        for v in 0..n as u32 {
+            if locked & bit(v) != 0 {
+                continue;
+            }
+            let on = best & bit(v) != 0;
+            let new_size = if on { size.saturating_sub(1) } else { size + 1 };
+            if new_size < lo || new_size > hi {
+                continue;
+            }
+            let own_side = if on { best } else { !best };
+            let same = (adj[v as usize] & own_side).count_ones() as usize;
+            let new_cut = cut + same - (degree(&adj, v) - same);
+            if falls && new_cut >= cut {
+                continue;
+            }
+            let w = objective.score(new_size, new_cut, || {
+                members(best ^ bit(v)).map(|v| ufreq[v as usize]).sum()
+            });
+            if w > best_w && step.is_none_or(|(sw, ..)| w > sw) {
+                step = Some((w, v, new_cut));
+            }
+        }
+        let Some((w, v, new_cut)) = step else { break };
+        size = if best & bit(v) != 0 { size - 1 } else { size + 1 };
+        best ^= bit(v);
+        locked |= bit(v);
+        best_w = w;
+        cut = new_cut;
+    }
+    for (v, side) in (0..n as u32).zip(sides) {
+        *side = best & bit(v) != 0;
+    }
+}
+
+/// Whether the graph whose adjacency sets are `adj` is connected: the
+/// vertices reachable from vertex 0 are all of them.
+fn connected(adj: &[u64]) -> bool {
+    let (mut reached, mut frontier) = (1u64, 1u64);
+    while frontier != 0 {
+        let next = members(frontier).fold(0, |next, v| next | adj[v as usize]);
+        frontier = next & !reached;
+        reached |= frontier;
+    }
+    reached.count_ones() as usize == adj.len()
 }
 
 #[cfg(test)]

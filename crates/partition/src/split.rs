@@ -76,7 +76,8 @@ pub struct Split {
 }
 
 /// Splits `g` along `sides` (`true` = `V*`), keeping connective edges in
-/// both pieces. The piece graphs are built in bulk ([`Graph::from_edges`]).
+/// both pieces. The piece graphs are copied from `g`'s sorted runs
+/// ([`Graph::subgraph`]).
 pub fn split_by_sides(g: &Graph, sides: &[bool]) -> Split {
     let [side1, side2] = Splitter::default().split(g, sides);
     let connective = g
@@ -105,10 +106,10 @@ impl Splitter {
         side2.reset(g.vertex_count());
         #[cfg(feature = "fault-injection")]
         let mut drop_budget = 1usize;
-        for (eid, u, v, el) in g.edges() {
+        for (eid, u, v, _) in g.edges() {
             match (sides[u as usize], sides[v as usize]) {
-                (true, true) => side1.add_edge(eid, u, v, el),
-                (false, false) => side2.add_edge(eid, u, v, el),
+                (true, true) => side1.add_edge(eid, u, v),
+                (false, false) => side2.add_edge(eid, u, v),
                 _ => {
                     #[cfg(feature = "fault-injection")]
                     if drop_budget > 0 && fault::armed(fault::Fault::DropConnectiveEdge) {
@@ -117,8 +118,8 @@ impl Splitter {
                         drop_budget -= 1;
                         continue;
                     }
-                    side1.add_edge(eid, u, v, el);
-                    side2.add_edge(eid, u, v, el);
+                    side1.add_edge(eid, u, v);
+                    side2.add_edge(eid, u, v);
                 }
             }
         }
@@ -136,8 +137,9 @@ impl Splitter {
     }
 }
 
-/// One piece under construction, as the plain lists
-/// [`Graph::from_edges`] takes.
+/// One piece under construction, as the vertex and edge lists
+/// [`Graph::subgraph`] takes: a vertex is numbered where it first appears
+/// in the parent's edge order, the isolated vertices last.
 #[derive(Debug, Default)]
 struct PieceBuilder {
     /// parent vertex -> piece vertex (or MAX)
@@ -146,9 +148,6 @@ struct PieceBuilder {
     vertex_map: Vec<VertexId>,
     /// piece edge -> parent edge
     edge_map: Vec<EdgeId>,
-    /// piece edges, over piece vertex ids
-    edges: Vec<(VertexId, VertexId, u32)>,
-    vlabels: Vec<u32>,
 }
 
 impl PieceBuilder {
@@ -157,7 +156,6 @@ impl PieceBuilder {
         self.lookup.resize(parent_vertices, u32::MAX);
         self.vertex_map.clear();
         self.edge_map.clear();
-        self.edges.clear();
     }
 
     fn vertex(&mut self, parent_v: VertexId) -> VertexId {
@@ -169,21 +167,17 @@ impl PieceBuilder {
         *slot
     }
 
-    fn add_edge(&mut self, parent_e: EdgeId, u: VertexId, v: VertexId, label: u32) {
-        let pu = self.vertex(u);
-        let pv = self.vertex(v);
-        self.edges.push((pu, pv, label));
+    fn add_edge(&mut self, parent_e: EdgeId, u: VertexId, v: VertexId) {
+        self.vertex(u);
+        self.vertex(v);
         self.edge_map.push(parent_e);
     }
 
     fn finish(&mut self, parent: &Graph, csr: &mut CsrScratch) -> Piece {
-        self.vlabels.clear();
-        self.vlabels.extend(self.vertex_map.iter().map(|&v| parent.vlabel(v)));
-        let graph = Graph::from_edges(&self.vlabels, &self.edges, csr)
-            .unwrap_or_else(|(e, err)| panic!("parent edges are unique, piece edge {e}: {err}"));
         let mut maps = Vec::with_capacity(self.vertex_map.len() + self.edge_map.len());
         maps.extend_from_slice(&self.vertex_map);
         maps.extend_from_slice(&self.edge_map);
+        let graph = parent.subgraph(&self.vertex_map, &self.edge_map, csr);
         Piece { graph, maps }
     }
 }

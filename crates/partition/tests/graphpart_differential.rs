@@ -2,9 +2,13 @@
 //!
 //! The reference below is the quadratic `assign` as it stood before the
 //! running cut: every candidate flip scored by a recount over all edges,
-//! every DFS start over fresh buffers. The shipped one must return the same
-//! `sides` vector, vertex for vertex — the weights are compared by `>`, so
-//! one differently rounded sum or one stale cut picks another flip.
+//! every DFS start over fresh buffers, every DFS start run. The shipped one
+//! must return the same `sides` vector, vertex for vertex — the weights
+//! are compared by `>`, so one differently rounded sum, one stale cut or
+//! one DFS start skipped that could have won picks another subset or
+//! flip. Graphs of up to 64 vertices run on one-word vertex sets and stop
+//! the DFS starts early; larger ones do neither, so the sparse graphs drawn
+//! here straddle that limit.
 
 use proptest::prelude::*;
 
@@ -39,13 +43,10 @@ fn reference_assign(c: Criteria, g: &Graph, ufreq: &[f64]) -> Vec<bool> {
     if n < 2 {
         return vec![true; n];
     }
+    // Frequencies order by `total_cmp`, as shipped since a NaN made
+    // `partial_cmp` non-total: `+0.0` ranks above `-0.0`.
     let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| {
-        ufreq[b as usize]
-            .partial_cmp(&ufreq[a as usize])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    order.sort_by(|&a, &b| ufreq[b as usize].total_cmp(&ufreq[a as usize]).then(a.cmp(&b)));
 
     let half = (n / 2).max(1);
     let mut best: Option<(f64, Vec<bool>)> = None;
@@ -63,12 +64,7 @@ fn reference_assign(c: Criteria, g: &Graph, ufreq: &[f64]) -> Vec<bool> {
             size += 1;
             let mut nbrs: Vec<u32> =
                 g.neighbors(v).iter().map(|a| a.to).filter(|&w| !visited[w as usize]).collect();
-            nbrs.sort_by(|&a, &b| {
-                ufreq[a as usize]
-                    .partial_cmp(&ufreq[b as usize])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.cmp(&a))
-            });
+            nbrs.sort_by(|&a, &b| ufreq[a as usize].total_cmp(&ufreq[b as usize]).then(b.cmp(&a)));
             for w in nbrs {
                 visited[w as usize] = true;
                 stack.push(w);
@@ -132,29 +128,66 @@ fn any_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// A sparse graph of 60–130 vertices, most often 63, 64 or 65 — around
+/// the one-word limit — with up to `2n` random edges: connected when a
+/// random spanning tree comes first, and most often not when it does not.
+fn sparse_graph() -> impl Strategy<Value = Graph> {
+    let n = prop_oneof![Just(63usize), Just(64), Just(65), 60..=130usize];
+    (n, any::<bool>()).prop_flat_map(|(n, connected)| {
+        let tree = proptest::collection::vec(any::<u32>(), n);
+        let extra = proptest::collection::vec((0..n as u32, 0..n as u32), 0..=2 * n);
+        (tree, extra).prop_map(move |(tree, extra)| {
+            let mut g = Graph::new();
+            for _ in 0..n {
+                g.add_vertex(0);
+            }
+            // Vertex v > 0 hangs off one of the vertices before it.
+            let tree = (1..n as u32).filter(|_| connected).map(|v| (v, tree[v as usize] % v));
+            for (u, v) in tree.chain(extra) {
+                if u != v && g.edge_between(u, v).is_none() {
+                    g.add_edge(u, v, 0).unwrap();
+                }
+            }
+            g
+        })
+    })
+}
+
 /// Update frequencies of the kinds the pipeline sees: all zero (a static
 /// database), drawn from three values (so most weights tie), or spread out
-/// over values whose sums round.
+/// over values whose sums round — and the kinds it should survive: one
+/// non-zero value everywhere, and zeros of both signs, which `total_cmp`
+/// orders but `==` does not tell apart.
 fn any_ufreq(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop_oneof![
         Just(vec![0.0; n]),
         proptest::collection::vec((0..3u32).prop_map(f64::from), n),
         proptest::collection::vec((0..1000u32).prop_map(|x| f64::from(x) / 7.0), n),
+        prop_oneof![Just(1.0), Just(2.5), Just(-1.0)].prop_map(move |f| vec![f; n]),
+        proptest::collection::vec(prop_oneof![Just(0.0), Just(-0.0)], n),
     ]
 }
 
-fn any_case() -> impl Strategy<Value = (Graph, Vec<f64>)> {
-    any_graph(12).prop_flat_map(|g| {
+/// A weighting beside the paper's three: `λ2 = 0` (the cut does not count),
+/// `λ2 < 0` (a larger cut scores higher, so no cut is a floor to stop at),
+/// and weights other than one.
+fn any_criteria() -> impl Strategy<Value = Criteria> {
+    let lambda = || prop_oneof![Just(-1.0), Just(0.0), Just(0.5), Just(1.0), Just(3.0)];
+    (lambda(), lambda()).prop_map(|(lambda1, lambda2)| Criteria { lambda1, lambda2 })
+}
+
+fn any_case() -> impl Strategy<Value = (Graph, Vec<f64>, Criteria)> {
+    prop_oneof![3 => any_graph(12), 1 => sparse_graph()].prop_flat_map(|g| {
         let n = g.vertex_count();
-        (Just(g), any_ufreq(n))
+        (Just(g), any_ufreq(n), any_criteria())
     })
 }
 
 proptest! {
     #[test]
     fn assign_equals_the_quadratic_reference(case in any_case()) {
-        let (g, ufreq) = case;
-        for c in [Criteria::ISOLATE_UPDATES, Criteria::MIN_CONNECTIVITY, Criteria::COMBINED] {
+        let (g, ufreq, drawn) = case;
+        for c in [Criteria::ISOLATE_UPDATES, Criteria::MIN_CONNECTIVITY, Criteria::COMBINED, drawn] {
             let got = GraphPart::new(c).sides(&g, &ufreq);
             let want = reference_assign(c, &g, &ufreq);
             prop_assert_eq!(got, want, "{:?} on {:?} with ufreq {:?}", c, g, ufreq);

@@ -14,9 +14,12 @@ use graphmine_partition::{
 use graphmine_telemetry::Telemetry;
 
 /// A simple graph of any shape (disconnected, isolated vertices, no edge
-/// at all) with a small-integer ufreq per vertex, so ties are common.
+/// at all) with a small-integer ufreq per vertex, so ties are common. Most
+/// have at most nine vertices; the rest 60–70, on both sides of the 64
+/// that `GraphPart` holds in one-word sets, so a sequence switches between
+/// the word body and the vector body and back.
 fn graph_and_ufreq() -> impl Strategy<Value = (Graph, Vec<f64>)> {
-    (0..=9usize).prop_flat_map(|n| {
+    prop_oneof![3 => 0..=9usize, 1 => 60..=70usize].prop_flat_map(|n| {
         let ids = 0..(n as u32).max(1);
         let vl = proptest::collection::vec(0..3u32, n);
         let uf = proptest::collection::vec(0..4u32, n);

@@ -4,7 +4,8 @@
 use std::sync::Arc;
 
 use graphmine_core::{
-    fold_delta, touched_graphs, walk_with_border, Border, Executor, MergeContext,
+    fold_delta, mirror_exec_counters, touched_graphs, walk_with_border, Border, Executor,
+    MergeContext,
 };
 use graphmine_graph::{Change, GraphDb, PatternSet, Support};
 use graphmine_telemetry::{Counter, Telemetry};
@@ -13,14 +14,18 @@ use crate::engine::{entered, fail_pipeline, EngineShared, ResultEpoch, UpdateSum
 
 /// `P(db)` and its border: the merge-join with no piece results, so every
 /// child is decided on its exact support and the canonical-code test alone,
-/// keeping what it counted and rejected for the next [`fold`].
+/// keeping what it counted and rejected for the next [`fold`]. The pool's
+/// work on it is mirrored into `tel`.
 pub(crate) fn walk(
     db: &GraphDb,
     min_support: Support,
     exec: &Executor,
     tel: &Telemetry,
 ) -> (PatternSet, Border) {
-    walk_with_border(&context(db, min_support, exec, tel))
+    let before = exec.counters();
+    let walked = walk_with_border(&context(db, min_support, exec, tel));
+    mirror_exec_counters(tel, exec, before);
+    walked
 }
 
 /// The daemon's walks: uncapped, on its pool, into its telemetry.
@@ -35,7 +40,8 @@ fn context<'a>(
 
 /// `P(db)` and its border from the served epoch's: the delta walk over the
 /// graphs `db` does not share with `old.db`, or, where that needs
-/// occurrences outside them, a cold [`walk`].
+/// occurrences outside them, a cold [`walk`]. The pool's work on either is
+/// mirrored into the daemon's telemetry.
 fn fold(
     shared: &EngineShared,
     old: &ResultEpoch,
@@ -45,8 +51,9 @@ fn fold(
     let counters = shared.tel.counters();
     let touched = touched_graphs(&old.db, db);
     counters.add(Counter::FoldGraphsTouched, touched.len() as u64);
+    let before = shared.exec.counters();
     let ctx = context(db, shared.min_support, &shared.exec, &shared.tel);
-    match fold_delta(&ctx, &old.db, &touched, &old.patterns, border) {
+    let folded = match fold_delta(&ctx, &old.db, &touched, &old.patterns, border) {
         Some(folded) => {
             counters.bump(Counter::FoldDelta);
             folded
@@ -55,7 +62,9 @@ fn fold(
             counters.bump(Counter::FoldCold);
             walk_with_border(&ctx)
         }
-    }
+    };
+    mirror_exec_counters(&shared.tel, &shared.exec, before);
+    folded
 }
 
 /// UF/FI/IF of a fold, counted in one merge with the superseded result and

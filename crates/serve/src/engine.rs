@@ -1649,6 +1649,48 @@ mod tests {
         assert_eq!(status.field("global_epoch").and_then(JsonValue::as_num), Some(5));
     }
 
+    /// The pool's work shows in `status`: the boot walk's jobs, then each
+    /// fold's, mirrored as deltas, so `exec_jobs` is the pool's own count.
+    /// A delta fold over a few graphs runs inline; a cold one uses the pool.
+    #[test]
+    fn status_counts_the_pools_jobs() {
+        let dir = tempfile::tempdir().unwrap();
+        let db = graphmine_datagen::generate(&graphmine_datagen::GenParams::new(40, 8, 5, 12, 3));
+        let config = EngineConfig {
+            min_support: db.abs_support(0.2),
+            threads: 2,
+            ..EngineConfig::default()
+        };
+        let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &config).unwrap();
+        let exec_jobs = |engine: &ServeEngine| {
+            let status = engine.handle(&Request::Status { report: false });
+            let counters = status.field("counters").expect("status has counters");
+            counters.field("exec_jobs").and_then(JsonValue::as_num).expect("exec_jobs")
+        };
+        let booted = exec_jobs(&engine);
+        assert!(booted > 0, "the boot walk ran on the pool");
+        assert_eq!(booted, engine.shared.exec.counters().jobs);
+
+        // New labels on both ends of an edge of every graph make a new
+        // frequent edge: the fold walks the whole database cold, on the pool.
+        let ops: Vec<DbUpdate> = db
+            .iter()
+            .filter_map(|(gid, g)| Some((gid, g.edges().next()?)))
+            .flat_map(|(gid, (_, u, v, _))| {
+                [(u, 98), (v, 99)].map(|(v, label)| DbUpdate {
+                    gid,
+                    update: GraphUpdate::RelabelVertex { v, label },
+                })
+            })
+            .collect();
+        engine.apply_update(&ops).unwrap();
+        let counters = engine.telemetry().counters();
+        assert_eq!(counters.get(Counter::FoldCold), 1, "the fold walked cold");
+        let folded = exec_jobs(&engine);
+        assert!(folded > booted, "the cold walk ran on the pool");
+        assert_eq!(folded, engine.shared.exec.counters().jobs);
+    }
+
     #[test]
     fn dry_run_validates_without_admitting() {
         let dir = tempfile::tempdir().unwrap();
