@@ -676,7 +676,7 @@ pub fn serve(raw: &[String], stdout: &mut dyn Write) -> CmdResult {
     }
     std::fs::create_dir_all(&dir).map_err(|e| format!("{dir}: {e}"))?;
     if let Some(cap) = ingest_capacity {
-        cfg.ingest.max_pending = cap;
+        cfg.max_pending = cap;
     }
     if let Some(n) = window {
         if n == 0 {

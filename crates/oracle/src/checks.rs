@@ -714,7 +714,7 @@ fn check_serve(
     }
 
     // New-epoch probes answer from the new data; the old epoch's Arc must
-    // still answer from its own generation (the memo is epoch-keyed).
+    // still answer from its own generation (each epoch owns its memo).
     for p in direct.iter().take(2) {
         let (support, _) = engine.support_of(&ep1, &p.graph);
         if support != p.support {

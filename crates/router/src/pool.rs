@@ -40,13 +40,6 @@ pub struct RouterConfig {
     pub retry: RetryPolicy,
     /// Byte budget for the epoch-keyed result cache; `0` disables it.
     pub cache_budget: usize,
-    /// SON phase-1 overprovision factor: a bounded `patterns` query for
-    /// the top `k` asks each shard for its top `k · overprovision`
-    /// candidates and re-counts that many merged survivors in phase 2.
-    /// The slack absorbs candidates that are locally mediocre everywhere
-    /// but globally frequent; when even the widened bound cuts the merge
-    /// the answer is tagged `"truncated":1`.
-    pub phase1_overprovision: usize,
 }
 
 impl Default for RouterConfig {
@@ -57,7 +50,6 @@ impl Default for RouterConfig {
             hedge_after: Duration::from_millis(250),
             retry: RetryPolicy::default(),
             cache_budget: crate::cache::DEFAULT_CACHE_BUDGET,
-            phase1_overprovision: 4,
         }
     }
 }

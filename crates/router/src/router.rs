@@ -338,7 +338,7 @@ impl Router {
     /// (optionally raised by the query's own floor).
     ///
     /// A bounded query (`top < ALL_PATTERNS`) caps the phase-1 union at
-    /// `top · phase1_overprovision` candidates per shard and after the
+    /// `top · PHASE1_OVERPROVISION` candidates per shard and after the
     /// merge; when that cap actually cuts anything the answer is tagged
     /// `"truncated":1` ([`Counter::RouterPhase1Truncated`]) because a
     /// locally mediocre, globally frequent pattern may have been cut.
@@ -355,13 +355,18 @@ impl Router {
         reply
     }
 
+    /// SON phase-1 overprovision: a bounded query for the top `k` takes
+    /// `k · 4` candidates per shard, slack for locally mediocre but
+    /// globally frequent ones.
+    const PHASE1_OVERPROVISION: u64 = 4;
+
     fn patterns_uncached(&self, top: usize, floor: u64) -> JsonValue {
         // Phase 1: union of the shards' locally frequent patterns,
         // bounded per shard when the query itself is bounded.
         let bound = if top >= ALL_PATTERNS as usize {
             ALL_PATTERNS
         } else {
-            (top as u64).saturating_mul(self.cfg.phase1_overprovision.max(1) as u64)
+            (top as u64).saturating_mul(Self::PHASE1_OVERPROVISION)
         };
         let line = encode_patterns(Some(bound), None);
         let all: Vec<usize> = (0..self.shards.len()).collect();

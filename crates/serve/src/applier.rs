@@ -112,19 +112,11 @@ pub(crate) fn applier_loop(shared: &Arc<EngineShared>, mut border: Border) {
         // under the write lock.
         let old = entered(shared.current.read()).clone();
         let (patterns, next) = fold(shared, &old, &db, border);
-        let patterns = Arc::new(patterns);
-        border = next;
         let summary = classify(seq, &old.patterns, &patterns, &shared.tel);
-        *entered(shared.current.write()) = Arc::new(ResultEpoch { epoch: seq, db, patterns });
+        let served = ResultEpoch::new(seq, db, patterns, &next);
+        border = next;
+        *entered(shared.current.write()) = Arc::new(served);
         shared.tel.counters().bump(Counter::EpochSwaps);
-        // Superseded memo entries are dead weight, but readers that
-        // grabbed the previous epoch's `Arc` before this swap are still
-        // answering from it — keep exactly one generation of slack (N-1)
-        // so those in-flight readers hit their memo instead of
-        // re-inserting evicted entries, and evict everything older so a
-        // long-running daemon under streaming ingest holds at most two
-        // generations at any time.
-        entered(shared.support_memo.lock()).retain(|&(epoch, _), _| epoch + 1 >= seq);
         let mut q = shared.queue.lock().expect("ingest queue poisoned");
         q.windows.remove(&seq);
         q.applied_seq = seq;

@@ -75,7 +75,7 @@ use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use graphmine_core::{resolve_threads, Executor};
+use graphmine_core::{resolve_threads, Border, Executor};
 use graphmine_graph::dfscode::min_dfs_code;
 use graphmine_graph::{
     apply_all, DbUpdate, DfsCode, EmbeddingStore, Graph, GraphDb, GraphId, PatternSet, Support,
@@ -86,7 +86,7 @@ use graphmine_telemetry::{Counter, JsonValue, RunReport, Telemetry};
 use rustc_hash::FxHashMap;
 
 use crate::applier::{applier_loop, walk};
-use crate::ingest::{IngestConfig, IngestQueue, WindowTracker};
+use crate::ingest::{IngestQueue, WindowTracker};
 use crate::protocol::{error_response, ok_response, pattern_to_json, AckMode, Request};
 
 /// Engine configuration. `min_support` is only honored when the data
@@ -120,8 +120,9 @@ pub struct EngineConfig {
     /// deletes it.
     #[doc(hidden)]
     pub embedding_budget: usize,
-    /// Streaming-ingest knobs (staleness bound, coalescing).
-    pub ingest: IngestConfig,
+    /// Staleness bound: acked-but-unapplied windows beyond which a new
+    /// submission is shed with `backpressure` (8 by default).
+    pub max_pending: usize,
     /// Gids this shard owns (`None` = single-process mode, every gid
     /// owned). Boot empties every other slot of the database, so every
     /// count the engine answers is over owned graphs only — the router's
@@ -147,7 +148,7 @@ impl Default for EngineConfig {
             threads: 1,
             pool_pages: 0,
             embedding_budget: DEFAULT_EMBEDDING_BUDGET,
-            ingest: IngestConfig::default(),
+            max_pending: 8,
             owned: None,
             window: None,
         }
@@ -195,6 +196,23 @@ pub struct ResultEpoch {
     pub db: Arc<GraphDb>,
     /// `P(D)` at this epoch.
     pub patterns: Arc<PatternSet>,
+    /// Exact supports of the misses this epoch counted, with the source
+    /// that counted each. Only a reader holding this epoch reaches it, and
+    /// it is freed with the epoch.
+    memo: Mutex<FxHashMap<DfsCode, (Support, SupportSource)>>,
+    /// Misses the memo keeps at most (one past it is counted and answered,
+    /// not kept): |`P(D)`| plus the border's entry count at publication.
+    pub memo_bound: usize,
+}
+
+impl ResultEpoch {
+    /// The epoch `epoch` serving `patterns` over `db`, whose border is
+    /// `border`; its memo starts empty.
+    pub(crate) fn new(epoch: u64, db: Arc<GraphDb>, patterns: PatternSet, border: &Border) -> Self {
+        let memo_bound = patterns.len() + border.children().len() + border.edges().len();
+        let patterns = Arc::new(patterns);
+        ResultEpoch { epoch, db, patterns, memo: Mutex::default(), memo_bound }
+    }
 }
 
 /// What an acknowledged update window did.
@@ -270,17 +288,11 @@ pub(crate) struct EngineShared {
     started: Instant,
     dir: PathBuf,
     pub(crate) min_support: Support,
-    ingest_cfg: IngestConfig,
+    max_pending: usize,
     /// Sliding-window retention horizon (`None` = evolving mode).
     pub(crate) window: Option<usize>,
     /// The served epoch; written by the applier alone.
     pub(crate) current: RwLock<Arc<ResultEpoch>>,
-    /// Memoized exact supports of infrequent query patterns, keyed by
-    /// `(epoch, code)`: a reader that grabbed its `Arc<ResultEpoch>`
-    /// right before an epoch swap looks up under *its* epoch id and can
-    /// never be answered from another generation's memo. Entries of
-    /// superseded epochs are evicted on swap.
-    pub(crate) support_memo: Mutex<FxHashMap<(u64, DfsCode), (Support, SupportSource)>>,
     /// Graphs this engine holds: the owned gids of a shard, every gid in
     /// single-process mode.
     owned_graphs: usize,
@@ -426,18 +438,16 @@ impl ServeEngine {
         let epoch = journal.next_seq() - 1;
 
         let (patterns, border) = walk(&db, min_support, &exec, &tel);
-        let patterns = Arc::new(patterns);
-        let db = Arc::new(db);
-        let queue = IngestQueue::new(Arc::clone(&db), epoch, tracker);
+        let served = ResultEpoch::new(epoch, Arc::new(db), patterns, &border);
+        let queue = IngestQueue::new(Arc::clone(&served.db), epoch, tracker);
         let shared = Arc::new(EngineShared {
             tel,
             started: Instant::now(),
             dir: dir.to_path_buf(),
             min_support,
-            ingest_cfg: cfg.ingest.clone(),
+            max_pending: cfg.max_pending,
             window: cfg.window,
-            current: RwLock::new(Arc::new(ResultEpoch { epoch, db, patterns })),
-            support_memo: Mutex::new(FxHashMap::default()),
+            current: RwLock::new(Arc::new(served)),
             owned_graphs,
             global_epoch: AtomicU64::new(0),
             exec,
@@ -473,14 +483,16 @@ impl ServeEngine {
     }
 
     /// Exact support of `pattern` in epoch `ep`, cheapest source first:
-    /// `P(D)`, then the support memo, then a count through a fresh
-    /// [`EmbeddingStore`] under [`DEFAULT_EMBEDDING_BUDGET`], memoized
-    /// engine-wide under the `(epoch, code)` key.
+    /// `P(D)`, then `ep`'s memo, then a count through a fresh
+    /// [`EmbeddingStore`] under [`DEFAULT_EMBEDDING_BUDGET`], kept in
+    /// `ep`'s memo while it holds fewer than [`ResultEpoch::memo_bound`]
+    /// entries. A memo hit answers with the source that counted it and is
+    /// tallied under `support_memo_hits` alone.
     ///
     /// The caller passes the epoch it is answering from (usually
     /// [`ServeEngine::current`], grabbed once per request), so a reader
     /// racing an epoch swap still gets the answer for the snapshot it
-    /// holds — the epoch id in the key makes a cross-generation memo hit
+    /// holds: each epoch owns its memo, so a cross-generation hit is
     /// impossible by construction.
     pub fn support_of(&self, ep: &ResultEpoch, pattern: &Graph) -> (Support, SupportSource) {
         self.support_under(ep, pattern, DEFAULT_EMBEDDING_BUDGET)
@@ -500,25 +512,24 @@ impl ServeEngine {
             counters.bump(SupportSource::Patterns.counter());
             return (s, SupportSource::Patterns);
         }
-        let key = (ep.epoch, code);
-        let cached = entered(self.shared.support_memo.lock()).get(&key).copied();
-        let (support, source) = cached.unwrap_or_else(|| {
-            let count = EmbeddingStore::new(&ep.db, budget).support(&key.1, None, 0, counters);
-            let source =
-                if count.listed { SupportSource::Embeddings } else { SupportSource::Search };
-            entered(self.shared.support_memo.lock()).insert(key, (count.support, source));
-            (count.support, source)
-        });
+        if let Some(hit) = entered(ep.memo.lock()).get(&code).copied() {
+            counters.bump(Counter::SupportMemoHits);
+            return hit;
+        }
+        let count = EmbeddingStore::new(&ep.db, budget).support(&code, None, 0, counters);
+        let source = if count.listed { SupportSource::Embeddings } else { SupportSource::Search };
         counters.bump(source.counter());
-        (support, source)
+        let mut memo = entered(ep.memo.lock());
+        if memo.len() < ep.memo_bound {
+            memo.insert(code, (count.support, source));
+        }
+        (count.support, source)
     }
 
-    /// Live entry count of the support memo — observability for the
-    /// epoch-swap eviction policy (each swap keeps the current and
-    /// previous generations only, so it stays bounded under unbounded
-    /// streaming ingest).
+    /// Entries in the served epoch's support memo: at most its
+    /// [`ResultEpoch::memo_bound`], and freed with the epoch.
     pub fn memo_size(&self) -> usize {
-        entered(self.shared.support_memo.lock()).len()
+        entered(self.current().memo.lock()).len()
     }
 
     /// The last router-committed global epoch (0 before any commit).
@@ -586,7 +597,7 @@ impl ServeEngine {
             if let Some(msg) = &q.failed {
                 return Err(UpdateError::Failed(msg.clone()));
             }
-            if q.windows.len() >= shared.ingest_cfg.max_pending.max(1) {
+            if q.windows.len() >= shared.max_pending.max(1) {
                 counters.bump(Counter::IngestBackpressure);
                 return Err(UpdateError::Backpressure { pending: q.windows.len() });
             }
@@ -837,9 +848,7 @@ impl ServeEngine {
             ("counters", counters),
         ];
         if report {
-            let dump = RunReport::capture("serve", &shared.tel).to_json();
-            let parsed = JsonValue::parse(&dump).unwrap_or(JsonValue::Null);
-            fields.push(("report", parsed));
+            fields.push(("report", RunReport::capture("serve", &shared.tel).to_value()));
         }
         ok_response(fields)
     }
@@ -1219,7 +1228,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let db = small_db();
         let mut config = cfg();
-        config.ingest.max_pending = 1;
+        config.max_pending = 1;
         let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &config).unwrap();
         // Fill the bound from underneath: park a window in the queue by
         // stopping the applier first.
@@ -1670,6 +1679,12 @@ mod tests {
         let booted = exec_jobs(&engine);
         assert!(booted > 0, "the boot walk ran on the pool");
         assert_eq!(booted, engine.shared.exec.counters().jobs);
+        // `"report":1` embeds the run report itself, counters included.
+        let status = engine.handle(&Request::Status { report: true });
+        let report = status.field("report").expect("status has a report");
+        assert_eq!(report.field("algo").and_then(JsonValue::as_str), Some("serve"));
+        let reported = report.field("counters").and_then(|c| c.field("exec_jobs"));
+        assert_eq!(reported.and_then(JsonValue::as_num), Some(booted));
 
         // New labels on both ends of an edge of every graph make a new
         // frequent edge: the fold walks the whole database cold, on the pool.
@@ -1748,6 +1763,41 @@ mod tests {
                 .collect();
             assert_eq!(supports, vec![2, 2], "owned: {owned}");
         }
+    }
+
+    /// Every code asked through `support` or `support-batch` is answered
+    /// by exactly one of `P(D)`, a count, or the memo, so `status` adds up
+    /// to the codes asked, and a hit replies with the bytes its miss did.
+    #[test]
+    fn memo_hits_and_sources_add_up_to_the_codes_asked() {
+        let dir = tempfile::tempdir().unwrap();
+        let (engine, _) = ServeEngine::boot(Some(&small_db()), dir.path(), &cfg()).unwrap();
+        let edge = |l: [u32; 3]| {
+            let mut g = Graph::new();
+            let (a, b) = (g.add_vertex(l[0]), g.add_vertex(l[1]));
+            g.add_edge(a, b, l[2]).unwrap();
+            g
+        };
+        let (frequent, rare, absent) = (edge([0, 1, 10]), edge([2, 0, 12]), edge([5, 5, 5]));
+        let support = |g: &Graph| {
+            engine.handle(&Request::Support { graph: g.clone(), owned: false }).to_json()
+        };
+        let miss = support(&rare);
+        assert!(miss.contains(r#""source":"embeddings""#), "{miss}");
+        assert_eq!(support(&rare), miss, "a hit replies with its miss's bytes");
+        support(&frequent);
+        let graphs = vec![rare.clone(), absent.clone(), frequent, absent, rare];
+        engine.handle(&Request::SupportBatch { graphs, owned: false });
+
+        let status = engine.handle(&Request::Status { report: false });
+        let counters = status.field("counters").expect("status has counters");
+        let get = |name: &str| counters.field(name).and_then(JsonValue::as_num).unwrap();
+        assert_eq!(get("support_memo_hits"), 4, "rare twice, absent once, in the batch once");
+        assert_eq!(get("support_from_patterns"), 2);
+        assert_eq!(get("support_from_embeddings") + get("support_from_search"), 2);
+        let sources = ["memo_hits", "from_patterns", "from_embeddings", "from_search"];
+        let answered: u64 = sources.map(|s| get(&format!("support_{s}"))).iter().sum();
+        assert_eq!(answered, 3 + 5, "one answer per code asked");
     }
 
     #[test]

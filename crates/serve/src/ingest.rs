@@ -48,20 +48,6 @@ use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::engine::UpdateSummary;
 
-/// Knobs of the streaming ingest pipeline.
-#[derive(Debug, Clone)]
-pub struct IngestConfig {
-    /// Staleness bound: maximum acked-but-unapplied windows before new
-    /// submissions are shed with `backpressure`.
-    pub max_pending: usize,
-}
-
-impl Default for IngestConfig {
-    fn default() -> Self {
-        IngestConfig { max_pending: 8 }
-    }
-}
-
 /// Which op created a window-local vertex/edge, and which label field of
 /// that op a later relabel folds into.
 #[derive(Debug, Clone, Copy)]

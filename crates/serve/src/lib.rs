@@ -48,6 +48,6 @@ pub use engine::{
     BootReport, EngineConfig, ResultEpoch, ServeEngine, StreamAck, SupportSource, UpdateError,
     UpdateSummary,
 };
-pub use ingest::{coalesce_window, IngestConfig};
+pub use ingest::coalesce_window;
 pub use protocol::{AckMode, Request};
 pub use server::{start, Handler, ServerConfig, ServerHandle, MAX_REQUEST_LINE};

@@ -1,5 +1,6 @@
-//! Epoch-keyed support memo: a reader racing an epoch swap must never be
-//! answered from another generation's memo.
+//! The support memo each epoch owns: a reader racing an epoch swap must
+//! never be answered from another generation's memo, a superseded epoch's
+//! memo is freed with it, and no epoch keeps more than its bound.
 //!
 //! The database is built so the probe pattern's exact support is a pure
 //! function of the epoch (each update batch removes exactly one
@@ -11,8 +12,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphmine_graph::{DbUpdate, Graph, GraphDb, GraphUpdate};
+use graphmine_graph::dfscode::min_dfs_code;
+use graphmine_graph::{iso, DbUpdate, Graph, GraphDb, GraphUpdate};
 use graphmine_serve::{EngineConfig, ServeEngine};
+use graphmine_telemetry::Counter;
 
 /// Six graphs. Edge 0 (`0-1`, label 10) is the probe: present in graphs
 /// 0..4 only, so its support starts at 4 and relabeling it in one graph
@@ -81,43 +84,54 @@ fn reader_holding_old_epoch_is_answered_from_its_own_generation() {
     assert_eq!(engine.support_of(&ep0, &probe).0, 4);
 }
 
-/// The `(epoch, code)` memo holds at most two generations — the served
-/// epoch plus N-1 for in-flight readers — no matter how many swaps a
-/// long-running daemon goes through. Before the swap-time eviction this
-/// was an unbounded leak: one entry per probed epoch, forever.
+/// Each epoch owns its memo, so a superseded epoch's entries go with it:
+/// once its last reader lets go and a window applies, nothing holds it.
+/// Until then a reader still holding it hits its own memo, and the hit is
+/// counted as a hit, not as the source it saved.
 #[test]
-fn memo_size_is_pinned_across_a_hundred_swaps() {
+fn a_superseded_epoch_frees_its_memo() {
     let dir = tempfile::tempdir().unwrap();
     let engine = boot(dir.path());
     let probe = probe();
+    let hits = || engine.telemetry().counters().get(Counter::SupportMemoHits);
+    let counted = || engine.telemetry().counters().get(Counter::SupportFromEmbeddings);
 
-    // Prime epoch 0, swap once: the N-1 generation must survive the
-    // swap so a reader still holding epoch 0's Arc hits its memo.
     let ep0 = engine.current();
     assert_eq!(engine.support_of(&ep0, &probe).0, 4);
-    assert_eq!(engine.memo_size(), 1);
+    assert_eq!((engine.memo_size(), hits(), counted()), (1, 0, 1));
     engine.apply_update(&batch(0)).unwrap();
-    assert_eq!(engine.memo_size(), 1, "the previous generation survives one swap");
+    assert_eq!(engine.memo_size(), 0, "the new epoch starts with an empty memo");
     assert_eq!(engine.support_of(&ep0, &probe).0, 4);
+    assert_eq!((hits(), counted()), (1, 1), "the old epoch's reader hit its own memo");
 
-    // A hundred more swaps, probing each epoch: the memo never holds
-    // more than the two live generations (one probed code per epoch).
-    let relabel =
-        |to| vec![DbUpdate { gid: 0, update: GraphUpdate::RelabelEdge { e: 0, label: to } }];
-    for i in 0..100u32 {
-        let to = if i % 2 == 0 { 10 } else { 99 };
-        engine.apply_update(&relabel(to)).unwrap();
-        let ep = engine.current();
-        let expect = if to == 10 { 4 } else { 3 };
-        assert_eq!(engine.support_of(&ep, &probe).0, expect);
-        let support_len = engine.memo_size();
-        assert!(
-            support_len <= 2,
-            "support memo leaked: {support_len} entries at epoch {}",
-            ep.epoch
-        );
+    let epoch0 = Arc::downgrade(&ep0);
+    drop(ep0);
+    engine.apply_update(&batch(1)).unwrap();
+    assert!(epoch0.upgrade().is_none(), "epoch 0 and its memo outlived their last reader");
+}
+
+/// ROADMAP 26's reproduction: 20,000 distinct codes no graph holds, asked
+/// at one epoch. Every one is answered exactly, and the memo keeps no more
+/// than its bound (it kept all 20,000 while the memo was engine-wide).
+#[test]
+fn distinct_misses_past_the_bound_are_answered_not_kept() {
+    let dir = tempfile::tempdir().unwrap();
+    let engine = boot(dir.path());
+    let ep = engine.current();
+    let bound = ep.memo_bound;
+    assert!(bound > 0 && bound < 100, "bound {bound}");
+    for label in 1000..21_000u32 {
+        let mut g = Graph::new();
+        g.add_vertex(label);
+        g.add_vertex(label);
+        g.add_edge(0, 1, 7).unwrap();
+        let want = iso::support(&ep.db, &min_dfs_code(&g));
+        assert_eq!(engine.support_of(&ep, &g).0, want, "label {label}");
     }
-    assert_eq!(engine.current().epoch, 101);
+    assert_eq!(engine.memo_size(), bound, "the memo filled to its bound and stopped");
+    let counters = engine.telemetry().counters();
+    assert_eq!(counters.get(Counter::SupportFromEmbeddings), 20_000);
+    assert_eq!(counters.get(Counter::SupportMemoHits), 0);
 }
 
 /// Reader threads hammer the support path while the main thread applies

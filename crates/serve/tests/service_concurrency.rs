@@ -118,7 +118,7 @@ fn concurrent_writers_and_readers_reconcile_exactly() {
     let dir = tempfile::tempdir().unwrap();
     let db = test_db();
     let mut cfg = EngineConfig { min_support: db.abs_support(0.3), ..EngineConfig::default() };
-    cfg.ingest.max_pending = 2; // tiny staleness bound: force sheds
+    cfg.max_pending = 2; // tiny staleness bound: force sheds
     let (engine, _) = ServeEngine::boot(Some(&db), dir.path(), &cfg).unwrap();
     let engine = Arc::new(engine);
     let handle = start(
@@ -223,9 +223,9 @@ fn concurrent_writers_and_readers_reconcile_exactly() {
     assert_eq!(get("req_patterns"), reader_rounds as u64);
     let peak = get("ingest_pending_peak");
     assert!(
-        (1..=cfg.ingest.max_pending as u64).contains(&peak),
+        (1..=cfg.max_pending as u64).contains(&peak),
         "pending peak {peak} escaped the staleness bound {}",
-        cfg.ingest.max_pending
+        cfg.max_pending
     );
     assert!(get("wal_group_commits") <= get("wal_group_frames"));
     assert_eq!(get("wal_group_frames"), total, "every window in exactly one group frame");

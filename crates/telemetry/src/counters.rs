@@ -79,6 +79,9 @@ pub enum Counter {
     SupportFromEmbeddings,
     /// Serve: support queries that fell back to isomorphism search.
     SupportFromSearch,
+    /// Serve: support misses answered from the epoch's memo, counted by
+    /// none of the three `support_from_*` sources.
+    SupportMemoHits,
     /// Serve: result-epoch swaps installed after update re-mines.
     EpochSwaps,
     /// Serve: windows folded by the delta walk over the graphs they
@@ -151,7 +154,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in slot order.
-    pub const ALL: [Counter; 57] = [
+    pub const ALL: [Counter; 58] = [
         Counter::CandidatesGenerated,
         Counter::IsoTestsRun,
         Counter::IsoTestsPruned,
@@ -183,6 +186,7 @@ impl Counter {
         Counter::SupportFromPatterns,
         Counter::SupportFromEmbeddings,
         Counter::SupportFromSearch,
+        Counter::SupportMemoHits,
         Counter::EpochSwaps,
         Counter::FoldDelta,
         Counter::FoldCold,
@@ -245,6 +249,7 @@ impl Counter {
             Counter::SupportFromPatterns => "support_from_patterns",
             Counter::SupportFromEmbeddings => "support_from_embeddings",
             Counter::SupportFromSearch => "support_from_search",
+            Counter::SupportMemoHits => "support_memo_hits",
             Counter::EpochSwaps => "epoch_swaps",
             Counter::FoldDelta => "fold_delta",
             Counter::FoldCold => "fold_cold",

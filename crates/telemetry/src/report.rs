@@ -75,6 +75,11 @@ impl RunReport {
 
     /// Serializes the report as a single JSON document.
     pub fn to_json(&self) -> String {
+        self.to_value().to_json()
+    }
+
+    /// The report as a JSON value, for embedding in a larger document.
+    pub fn to_value(&self) -> JsonValue {
         let opt = |v: Option<u64>| match v {
             Some(n) => JsonValue::Num(n),
             None => JsonValue::Null,
@@ -123,7 +128,6 @@ impl RunReport {
                 ),
             ),
         ])
-        .to_json()
     }
 }
 
